@@ -29,7 +29,7 @@ def _cells_in_cube(f: SampledFunction, Q: Cube) -> np.ndarray:
         hi = Q.center[ax] + Q.side / 2.0
         m = (a >= lo - 1e-12 * g.box.side) & (a < hi - 1e-12 * g.box.side)
         sel = m if sel is None else np.logical_and.outer(sel, m)
-    return f.values[sel] if g.d == 2 else f.values[sel]
+    return f.values[sel]
 
 
 def mean_oscillation(f: SampledFunction, Q: Cube) -> float:

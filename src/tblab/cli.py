@@ -4,6 +4,10 @@ Flat key=value config files, one experiment per file. Exit codes:
 0 every verdict PASS; 1 at least one FAIL (files still written); 2 bad
 configuration or runtime error. TBLAB_THREADS caps worker threads; the
 output bytes do not depend on it.
+
+Each subcommand runs its experiment and returns (files, summary lines,
+verdicts); one emitter writes them. A config key that is not set leaves the
+library's default in force, so no library default is restated here.
 """
 
 from __future__ import annotations
@@ -11,39 +15,49 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .bmo import bmo_seminorm
-from .grid import Cube, Grid, cube1, dyadic_family, load_sampled_csv
-from .harness import (BFunc, GridSpec, bilinear_decomposition_check, builtin_b,
-                      far_field_constancy, stein_bilinear_tb_test, stein_t1_test,
-                      stein_tb_test, uniform_bmo_sweep, weak_boundedness_test)
+from .grid import Cube, Grid, SampledFunction, dyadic_family, load_sampled_csv
+from .harness import (BILINEAR_GRID, BILINEAR_SCALES, BMO_SWEEP_GRID, DECOMP_CUBE,
+                      DECOMP_GRID, FAR_FIELD_CUBE, FAR_FIELD_GRID, BFunc, GridSpec,
+                      bilinear_decomposition_check, builtin_b, far_field_constancy,
+                      stein_bilinear_tb_test, stein_t1_test, stein_tb_test,
+                      uniform_bmo_sweep, weak_boundedness_test)
 from .kernels import check_regularity, check_size, gallery
 from .paraaccretive import (b_to_def3_constant, build_uk, check_condition_B,
                             check_para_accretive, verify_uk)
 from .quadrature import PvPolicy
 from .util import fmt_float
 
-SUBCOMMANDS = ("check-kernel", "bmo", "para-accretive", "uk-build", "stein",
-               "wbp", "sweep-bmo", "far-field", "bilinear-decomp", "report")
+def _floats(text: str) -> tuple:
+    return tuple(float(t) for t in text.split(",") if t.strip())
 
-KNOWN_KEYS = {
-    "dimension", "grid.n", "grid.box_side", "grid.mode", "bump.M",
-    "kernel.name", "kernel.params.lam", "kernel.params.lip_bound",
-    "kernel.params.lam_trunc", "kernel.params.mu", "kernel.params.a_amp",
-    "kernel.params.m_amp",
-    "b0", "b1", "b2", "scales", "centers", "offsets",
-    "policy.c_eps", "policy.tol_pv", "policy.convergence_check",
-    "fit.slope_tol", "fit.uniformity_factor",
-    "bmo.k_min", "bmo.k_max", "para.J", "para.N", "para.eps", "uk.k",
-    "cube.center", "cube.side", "seed", "output.dir",
+
+def _flag(text: str) -> bool:
+    return {"1": True, "true": True, "yes": True,
+            "0": False, "false": False, "no": False}[text.lower()]
+
+
+# every config key with the parser of its value
+_KEYS = {
+    "dimension": int, "grid.n": int, "grid.box_side": float, "grid.mode": str,
+    "bump.M": int, "kernel.name": str, "kernel.params.lam": float,
+    "kernel.params.lip_bound": float, "kernel.params.lam_trunc": float,
+    "kernel.params.mu": float, "kernel.params.a_amp": float, "kernel.params.m_amp": float,
+    "b0": str, "b1": str, "b2": str, "scales": _floats, "centers": _floats,
+    "offsets": _floats, "policy.c_eps": int, "policy.tol_pv": float,
+    "policy.convergence_check": _flag, "fit.slope_tol": float,
+    "fit.uniformity_factor": float, "bmo.k_min": int, "bmo.k_max": int, "para.J": int,
+    "para.N": float, "para.eps": float, "uk.k": int, "cube.center": float,
+    "cube.side": float, "seed": int, "output.dir": str,
 }
-
-_K_PARAM_TYPES = {"lam": float, "lip_bound": float, "lam_trunc": float,
-                  "mu": float, "a_amp": float, "m_amp": float}
+KNOWN_KEYS = set(_KEYS)
+_KINDS = {int: "an integer", float: "a number", _floats: "comma-separated numbers",
+          _flag: "a boolean"}
 
 
 class ConfigError(Exception):
@@ -79,93 +93,91 @@ class ExperimentConfig:
         return cfg
 
     def _validate(self):
-        if self.get_int("dimension", 1) != 1:
+        for key in self.raw:
+            self.get(key)
+        if self.get("dimension", 1) != 1:
             raise ConfigError("experiments run in dimension 1")
-        self.get_int("grid.n", 512)
-        self.get_float("grid.box_side", 16.0)
-        mode = self.raw.get("grid.mode", "")
+        mode = self.get("grid.mode", "")
         if mode and mode not in ("scaled", "fixed"):
             raise ConfigError(f"grid.mode must be scaled|fixed, got {mode!r}")
-        self.get_int("bump.M", 2)
-        self.get_int("policy.c_eps", 2)
-        self.get_float("policy.tol_pv", 1e-2)
-        self.get_float("fit.slope_tol", 0.07)
-        self.get_float("fit.uniformity_factor", 2.0)
-        self.get_int("seed", 1234)
-        self.get_floats("scales", ())
-        self.get_floats("centers", ())
+
+    def get(self, key, default=None):
+        """The parsed value of `key`, or `default` when the config does not set it."""
+        if key not in self.raw:
+            return default
+        parse = _KEYS[key]
+        try:
+            return parse(self.raw[key])
+        except (KeyError, ValueError):
+            raise ConfigError(f"{key} must be {_KINDS[parse]}, got {self.raw[key]!r}")
 
     def get_int(self, key, default):
-        try:
-            return int(self.raw.get(key, default))
-        except ValueError:
-            raise ConfigError(f"{key} must be an integer, got {self.raw[key]!r}")
+        return int(self.get(key, default))
 
-    def get_float(self, key, default):
-        try:
-            return float(self.raw.get(key, default))
-        except ValueError:
-            raise ConfigError(f"{key} must be a number, got {self.raw[key]!r}")
-
-    def get_bool(self, key, default):
-        v = self.raw.get(key, None)
-        if v is None:
-            return default
-        if v.lower() in ("1", "true", "yes"):
-            return True
-        if v.lower() in ("0", "false", "no"):
-            return False
-        raise ConfigError(f"{key} must be a boolean, got {v!r}")
-
-    def get_floats(self, key, default):
-        v = self.raw.get(key, None)
-        if v is None:
-            return tuple(default)
-        try:
-            return tuple(float(t) for t in v.split(",") if t.strip())
-        except ValueError:
-            raise ConfigError(f"{key} must be comma-separated numbers, got {v!r}")
+    def given(self, **params) -> dict:
+        """Keyword arguments for the params whose config key is set."""
+        return {param: self.get(key) for param, key in params.items() if key in self.raw}
 
     # assembled objects -----------------------------------------------------
 
-    def grid_spec(self, n=512, box=16.0) -> GridSpec:
-        return GridSpec(n=self.get_int("grid.n", n),
-                        box_side=self.get_float("grid.box_side", box))
+    def grid_spec(self, default: GridSpec = GridSpec()) -> GridSpec:
+        return GridSpec(n=self.get("grid.n", default.n),
+                        box_side=self.get("grid.box_side", default.box_side))
 
-    def fixed_grid(self, n=512, box=16.0) -> Grid:
-        gs = self.grid_spec(n, box)
-        return Grid(box=cube1(0.0, gs.box_side), n=gs.n)
+    def fixed_grid(self, default: GridSpec = GridSpec()) -> Grid:
+        return self.grid_spec(default).row_grid("fixed", 1.0)
+
+    def cube(self, default: Cube) -> Cube:
+        return Cube((self.get("cube.center", default.center[0]),),
+                    self.get("cube.side", default.side))
 
     def policy(self) -> PvPolicy:
-        return PvPolicy(c_eps=self.get_int("policy.c_eps", 2),
-                        convergence_check=self.get_bool("policy.convergence_check", True),
-                        tol_pv=self.get_float("policy.tol_pv", 1e-2))
+        return PvPolicy(**self.given(c_eps="policy.c_eps", tol_pv="policy.tol_pv",
+                                     convergence_check="policy.convergence_check"))
+
+    def fit_args(self) -> dict:
+        """The bump order, scales and fit tolerances the config sets."""
+        args = self.given(M="bump.M", scales="scales", slope_tol="fit.slope_tol",
+                          uniformity_factor="fit.uniformity_factor")
+        scales = args.get("scales")
+        if scales is not None and len(scales) < 5:
+            raise ConfigError(f"scales needs at least 5 values for an exponent fit, "
+                              f"got {len(scales)}")
+        return args
 
     def kernel(self):
-        name = self.raw.get("kernel.name")
+        name = self.get("kernel.name")
         if not name:
             raise ConfigError("kernel.name is required for this experiment")
-        params = {}
-        for key, val in self.raw.items():
-            if key.startswith("kernel.params."):
-                pname = key.split(".", 2)[2]
-                params[pname] = _K_PARAM_TYPES.get(pname, float)(val)
+        params = {key.split(".", 2)[2]: self.get(key) for key in self.raw
+                  if key.startswith("kernel.params.")}
         try:
             K = gallery(name, **params)
         except ValueError as e:
             raise ConfigError(str(e))
-        mode = self.raw.get("grid.mode", "")
-        if mode:
-            object.__setattr__(K, "grid_mode", mode)
-        return K
+        mode = self.get("grid.mode")
+        return replace(K, grid_mode=mode) if mode else K
 
     def b_func(self, slot: str) -> BFunc:
-        return ingest_b(self.raw.get(slot, "one"))
+        return ingest_b(self.get(slot, "one"))
 
     def out_dir(self, override=None) -> Path:
-        d = Path(override) if override else Path(self.raw.get("output.dir", "tblab-out"))
+        d = Path(override or self.get("output.dir", "tblab-out"))
         d.mkdir(parents=True, exist_ok=True)
         return d
+
+
+@dataclass(frozen=True)
+class _CsvBFunc(BFunc):
+    """A b-function ingested from CSV: samples without a closed form."""
+    samples: SampledFunction = field(default=None, compare=False)
+
+    def sampled(self, grid: Grid) -> SampledFunction:
+        if grid != self.samples.grid:
+            raise ValueError(
+                f"b-function {self.name!r} was ingested from CSV without a closed "
+                f"form; it can only be used on its own grid")
+        return self.samples
 
 
 def ingest_b(spec: str) -> BFunc:
@@ -178,18 +190,14 @@ def ingest_b(spec: str) -> BFunc:
     p = Path(s)
     if not p.exists():
         raise ConfigError(f"b-function {s!r} is neither a builtin nor a CSV path")
-    sf = load_sampled_csv(p, name=p.stem)
-    b = BFunc(name=p.stem, rule=None)
+    return _CsvBFunc(name=p.stem, rule=None, samples=load_sampled_csv(p, name=p.stem))
 
-    def sampled(grid, _sf=sf, _name=p.stem):
-        if grid != _sf.grid:
-            raise ValueError(
-                f"b-function {_name!r} was ingested from CSV without a closed "
-                f"form; it can only be used on its own grid")
-        return _sf
 
-    object.__setattr__(b, "sampled", sampled)
-    return b
+def _table(header, rows) -> list:
+    """CSV rows: the header, then the cells of each row. Numbers and flags are
+    written by fmt_float, so a flag reads 1 or 0; None is an empty cell."""
+    return [header] + [["" if v is None else v if isinstance(v, str) else fmt_float(v)
+                        for v in row] for row in rows]
 
 
 def _write_csv(path: Path, rows) -> None:
@@ -197,7 +205,7 @@ def _write_csv(path: Path, rows) -> None:
         csv.writer(fh).writerows(rows)
 
 
-def _svg_plot(path: Path, rows, target: float, title: str) -> None:
+def _svg_plot(rows, target: float, title: str) -> str:
     """Minimal static log2-log2 scatter with the target-slope reference line."""
     pts = [(np.log2(r.R), np.log2(r.value)) for r in rows if r.value > 0]
     width, height, pad = 480, 320, 40
@@ -229,68 +237,64 @@ def _svg_plot(path: Path, rows, target: float, title: str) -> None:
         parts.append(f'<text x="{pad}" y="{height - 8}" font-size="10">'
                      f'log2 R from {x0:.3g} to {x1:.3g}; reference slope {target:g}</text>')
     parts.append("</svg>")
-    path.write_text("\n".join(parts))
+    return "\n".join(parts)
 
 
-def _summary(out: Path, lines) -> None:
+def _emit(out: Path, files: dict, lines, verdicts) -> int:
+    """Write an experiment's files and summary.txt; return its exit code.
+
+    A file's content is CSV rows, or text for an SVG plot.
+    """
+    for name, content in files.items():
+        if isinstance(content, str):
+            (out / name).write_text(content)
+        else:
+            _write_csv(out / name, content)
     (out / "summary.txt").write_text("".join(f"{ln}\n" for ln in lines))
-
-
-def _verdict_exit(verdicts) -> int:
     return 0 if all(v in ("PASS", "PASS-degenerate") for v in verdicts) else 1
 
 
-# --- subcommand implementations ---------------------------------------------
+# --- experiments: each returns (files, summary lines, verdicts) -------------
 
-def _cmd_check_kernel(cfg: ExperimentConfig, out: Path) -> int:
+def _check_kernel(cfg: ExperimentConfig):
     K = cfg.kernel()
-    seed = cfg.get_int("seed", 1234)
-    size = check_size(K, seed=seed)
-    reg = check_regularity(K, seed=seed)
-    rows = [["kernel", "condition", "delta", "constant", "samples", "seed"]]
-    for c in (size, reg):
-        rows.append([c.kernel, c.condition,
-                     "" if c.delta is None else fmt_float(c.delta),
-                     fmt_float(c.constant), str(c.samples), str(c.seed)])
-    _write_csv(out / "kernel_checks.csv", rows)
-    _summary(out, [f"check-kernel {K.name}: size constant {size.constant:.6g}, "
-                   f"regularity constant {reg.constant:.6g} at delta={reg.delta}",
-                   "verdict: PASS"])
-    return 0
+    seed = cfg.given(seed="seed")
+    size = check_size(K, **seed)
+    reg = check_regularity(K, **seed)
+    rows = _table(["kernel", "condition", "delta", "constant", "samples", "seed"],
+                  ((c.kernel, c.condition, c.delta, c.constant, c.samples, c.seed)
+                   for c in (size, reg)))
+    return ({"kernel_checks.csv": rows},
+            [f"check-kernel {K.name}: size constant {size.constant:.6g}, "
+             f"regularity constant {reg.constant:.6g} at delta={reg.delta}",
+             "verdict: PASS"], ["PASS"])
 
 
-def _cmd_bmo(cfg: ExperimentConfig, out: Path) -> int:
+def _bmo(cfg: ExperimentConfig):
     g = cfg.fixed_grid()
     b = cfg.b_func("b1")
-    f = b.sampled(g)
-    fam = dyadic_family(g.box, cfg.get_int("bmo.k_min", 0), cfg.get_int("bmo.k_max", 5))
-    rep = bmo_seminorm(f, fam)
-    _write_csv(out / "bmo_report.csv", rep.csv_rows())
+    fam = dyadic_family(g.box, cfg.get("bmo.k_min", 0), cfg.get("bmo.k_max", 5))
+    rep = bmo_seminorm(b.sampled(g), fam)
     verdict = "PASS" if rep.sandwich_ok else "FAIL"
-    _summary(out, [f"bmo {b.name}: sup mean-osc {rep.sup_mean:.6g}, "
-                   f"sup best-const {rep.sup_best:.6g}, cubes {len(rep.entries)}",
-                   f"sandwich best<=mean<=2best: {verdict}",
-                   f"verdict: {verdict}"])
-    return _verdict_exit([verdict])
+    return ({"bmo_report.csv": rep.csv_rows()},
+            [f"bmo {b.name}: sup mean-osc {rep.sup_mean:.6g}, "
+             f"sup best-const {rep.sup_best:.6g}, cubes {len(rep.entries)}",
+             f"sandwich best<=mean<=2best: {verdict}",
+             f"verdict: {verdict}"], [verdict])
 
 
-def _cmd_para(cfg: ExperimentConfig, out: Path) -> int:
+def _para(cfg: ExperimentConfig):
     g = cfg.fixed_grid()
     b = cfg.b_func("b1")
     f = b.sampled(g)
-    J = cfg.get_int("para.J", 3)
-    fam = dyadic_family(g.box, cfg.get_int("bmo.k_min", 0), cfg.get_int("bmo.k_max", 3))
-    cert = check_para_accretive(f, fam, J=J)
-    _write_csv(out / "para_certificate.csv", cert.csv_rows())
+    fam = dyadic_family(g.box, cfg.get("bmo.k_min", 0), cfg.get("bmo.k_max", 3))
+    cert = check_para_accretive(f, fam, **cfg.given(J="para.J"))
     lines = [f"para-accretive {b.name}: c0={cert.c0:.6g} J={cert.J} "
              f"b_sup={cert.b_sup:.6g} c1={cert.c1:.6g}"]
     verdicts = ["PASS"]
-    eps = cfg.get_float("para.eps", 0.5)
-    N = cfg.get_float("para.N", 10.0)
-    famB = dyadic_family(g.box, cfg.get_int("bmo.k_min", 0),
-                         max(cfg.get_int("bmo.k_max", 3), 7))
-    certB = check_condition_B(f, famB, N=N, eps=eps)
-    lines.append(f"condition-B(eps={eps}, N={N}): "
+    famB = dyadic_family(g.box, cfg.get("bmo.k_min", 0), max(cfg.get("bmo.k_max", 3), 7))
+    certB = check_condition_B(f, famB, **cfg.given(N="para.N", eps="para.eps"))
+    lines.append(f"condition-B(eps={certB.eps}, N={certB.N}): "
                  f"{'holds on all generations' if certB.valid else 'fails'}")
     if certB.valid:
         conv = b_to_def3_constant(certB, g.box, f)
@@ -299,175 +303,132 @@ def _cmd_para(cfg: ExperimentConfig, out: Path) -> int:
                      f"<= certified c0 {cert.c0:.6g}: {'PASS' if ok else 'FAIL'}")
         verdicts.append("PASS" if ok else "FAIL")
     lines.append(f"verdict: {'PASS' if all(v == 'PASS' for v in verdicts) else 'FAIL'}")
-    _summary(out, lines)
-    return _verdict_exit(verdicts)
+    return {"para_certificate.csv": cert.csv_rows()}, lines, verdicts
 
 
-def _cmd_uk_build(cfg: ExperimentConfig, out: Path) -> int:
-    g = cfg.fixed_grid(n=2048, box=8.0)
+def _uk_build(cfg: ExperimentConfig):
+    g = cfg.fixed_grid(GridSpec(n=2048, box_side=8.0))
     b = cfg.b_func("b1")
     f = b.sampled(g)
-    k = cfg.get_int("uk.k", 0)
-    fam = build_uk(f, k, J=cfg.get_int("para.J", 3))
+    k = cfg.get("uk.k", 0)
+    fam = build_uk(f, k, **cfg.given(J="para.J"))
     ver = verify_uk(fam, f)
-    rows = [["x", "witness_center", "witness_side", "sup", "sup_bound", "lip",
-             "lip_bound", "pairing_abs", "pairing_lo", "pairing_hi",
-             "support_ok", "all_ok"]]
-    for c, W in zip(ver.checks, fam.witnesses):
-        rows.append([fmt_float(c.x), fmt_float(W.center[0]), fmt_float(W.side),
-                     fmt_float(c.sup), fmt_float(c.sup_bound), fmt_float(c.lip),
-                     fmt_float(c.lip_bound), fmt_float(abs(c.pairing)),
-                     fmt_float(c.pairing_lo), fmt_float(c.pairing_hi),
-                     "1" if c.support_ok else "0", "1" if c.all_ok else "0"])
-    _write_csv(out / "uk_report.csv", rows)
+    rows = _table(["x", "witness_center", "witness_side", "sup", "sup_bound", "lip",
+                   "lip_bound", "pairing_abs", "pairing_lo", "pairing_hi",
+                   "support_ok", "all_ok"],
+                  ((c.x, W.center[0], W.side, c.sup, c.sup_bound, c.lip, c.lip_bound,
+                    abs(c.pairing), c.pairing_lo, c.pairing_hi, c.support_ok, c.all_ok)
+                   for c, W in zip(ver.checks, fam.witnesses)))
     verdict = "PASS" if ver.all_ok else "FAIL"
-    _summary(out, [f"uk-build {b.name} k={k}: h={fam.h_mol} alpha={fam.alpha:.6g} "
-                   f"c0={fam.c0:.6g} lattice={len(fam.lattice)}",
-                   f"all four kernel-family bounds: {verdict}",
-                   f"verdict: {verdict}"])
-    return _verdict_exit([verdict])
+    return ({"uk_report.csv": rows},
+            [f"uk-build {b.name} k={k}: h={fam.h_mol} alpha={fam.alpha:.6g} "
+             f"c0={fam.c0:.6g} lattice={len(fam.lattice)}",
+             f"all four kernel-family bounds: {verdict}",
+             f"verdict: {verdict}"], [verdict])
 
 
-def _stein_reports(cfg: ExperimentConfig):
+def _stein_reports(cfg: ExperimentConfig) -> list:
     K = cfg.kernel()
-    M = cfg.get_int("bump.M", 2)
-    slope_tol = cfg.get_float("fit.slope_tol", 0.07)
-    unif = cfg.get_float("fit.uniformity_factor", 2.0)
-    policy = cfg.policy()
-    if K.arity == "linear":
-        scales = cfg.get_floats("scales", tuple(2.0 ** k for k in range(-3, 4)))
-        centers = cfg.get_floats("centers", (0.0, 0.125, -0.125))
-        b0, b1 = cfg.b_func("b0"), cfg.b_func("b1")
-        if b0.name == "one" and b1.name == "one":
-            rep = stein_t1_test(K, M=M, scales=scales, center_fracs=centers,
-                                grid=cfg.grid_spec(), policy=policy,
-                                slope_tol=slope_tol, uniformity_factor=unif)
-            return [rep]
-        res = stein_tb_test(K, b0, b1, M=M, scales=scales, center_fracs=centers,
-                            grid=cfg.grid_spec(), policy=policy,
-                            slope_tol=slope_tol, uniformity_factor=unif)
-        return [res.on_b1, res.transpose_on_b0]
-    scales = cfg.get_floats("scales", tuple(2.0 ** k for k in range(-2, 3)))
-    res = stein_bilinear_tb_test(K, cfg.b_func("b0"), cfg.b_func("b1"),
-                                 cfg.b_func("b2"), M=M, scales=scales,
-                                 grid=cfg.grid_spec(n=128, box=8.0), policy=policy,
-                                 slope_tol=slope_tol, uniformity_factor=unif)
-    return list(res.reports)
+    args = dict(cfg.fit_args(), policy=cfg.policy())
+    if K.arity == "bilinear":
+        res = stein_bilinear_tb_test(K, cfg.b_func("b0"), cfg.b_func("b1"),
+                                     cfg.b_func("b2"), grid=cfg.grid_spec(BILINEAR_GRID),
+                                     **args)
+        return list(res.reports)
+    args.update(grid=cfg.grid_spec(), **cfg.given(center_fracs="centers"))
+    b0, b1 = cfg.b_func("b0"), cfg.b_func("b1")
+    if b0.name == "one" and b1.name == "one":
+        return [stein_t1_test(K, **args)]
+    res = stein_tb_test(K, b0, b1, **args)
+    return [res.on_b1, res.transpose_on_b0]
 
 
-def _cmd_stein(cfg: ExperimentConfig, out: Path, svg: bool = False) -> int:
-    reports = _stein_reports(cfg)
-    lines = []
+def _wbp_report(cfg: ExperimentConfig):
+    K = cfg.kernel()
+    args = cfg.fit_args()
+    if K.arity == "bilinear":
+        args.setdefault("scales", BILINEAR_SCALES)   # the library default is linear
+    return weak_boundedness_test(K, cfg.b_func("b0"), cfg.b_func("b1"), cfg.b_func("b2"),
+                                 grid=cfg.grid_spec(), policy=cfg.policy(),
+                                 **cfg.given(offsets="offsets"), **args)
+
+
+def _scaling(reports, svg: bool = False):
+    """Files, summary lines and verdicts of scaling reports (stein, wbp, report)."""
+    files, lines = {}, []
     for rep in reports:
-        _write_csv(out / f"{rep.experiment}.csv", rep.csv_rows())
+        files[f"{rep.experiment}.csv"] = rep.csv_rows()
         if svg:
-            _svg_plot(out / f"{rep.experiment}.svg", rep.rows, rep.target,
-                      f"{rep.experiment} on {rep.kernel}")
+            files[f"{rep.experiment}.svg"] = _svg_plot(rep.rows, rep.target,
+                                                       f"{rep.experiment} on {rep.kernel}")
         slope = "n/a" if rep.slope is None else f"{rep.slope:.4f}"
-        lines.append(f"{rep.experiment} [{rep.kernel}] slope={slope} "
-                     f"constant={rep.constant:.6g} verdict: {rep.verdict}")
-    _summary(out, lines)
-    return _verdict_exit([r.verdict for r in reports])
+        constant = "" if rep.experiment == "wbp" else f" constant={rep.constant:.6g}"
+        lines.append(f"{rep.experiment} [{rep.kernel}] slope={slope}{constant} "
+                     f"verdict: {rep.verdict}")
+    return files, lines, [rep.verdict for rep in reports]
 
 
-def _cmd_wbp(cfg: ExperimentConfig, out: Path, svg: bool = False) -> int:
+def _sweep_bmo(cfg: ExperimentConfig):
     K = cfg.kernel()
-    scales = cfg.get_floats(
-        "scales", tuple(2.0 ** k for k in range(-3, 4)) if K.arity == "linear"
-        else tuple(2.0 ** k for k in range(-2, 3)))
-    offsets = cfg.get_floats("offsets", (0.0, 1.0, 4.0))
-    rep = weak_boundedness_test(K, cfg.b_func("b0"), cfg.b_func("b1"),
-                                cfg.b_func("b2"), M=cfg.get_int("bump.M", 2),
-                                scales=scales, offsets=offsets,
-                                grid=cfg.grid_spec(), policy=cfg.policy(),
-                                slope_tol=cfg.get_float("fit.slope_tol", 0.07),
-                                uniformity_factor=cfg.get_float("fit.uniformity_factor", 2.0))
-    _write_csv(out / "wbp.csv", rep.csv_rows())
-    if svg:
-        _svg_plot(out / "wbp.svg", rep.rows, rep.target, f"wbp on {rep.kernel}")
-    slope = "n/a" if rep.slope is None else f"{rep.slope:.4f}"
-    _summary(out, [f"wbp [{rep.kernel}] slope={slope} verdict: {rep.verdict}"])
-    return _verdict_exit([rep.verdict])
-
-
-def _cmd_sweep_bmo(cfg: ExperimentConfig, out: Path) -> int:
-    K = cfg.kernel()
-    R_list = cfg.get_floats("scales", (1.0, 2.0, 4.0, 8.0))
-    rep = uniform_bmo_sweep(K, cfg.b_func("b1"), R_list=R_list,
-                            grid=cfg.grid_spec(n=512, box=32.0),
+    rep = uniform_bmo_sweep(K, cfg.b_func("b1"), grid=cfg.grid_spec(BMO_SWEEP_GRID),
                             policy=cfg.policy(),
-                            uniformity_factor=cfg.get_float("fit.uniformity_factor", 2.0))
-    rows = [["R", "bmo", "pv_flag"]]
-    for r in rep.rows:
-        rows.append([fmt_float(r.R), fmt_float(r.bmo), "1" if r.pv_flagged else "0"])
-    _write_csv(out / "bmo_sweep.csv", rows)
-    _summary(out, [f"sweep-bmo [{K.name}] max/min={rep.ratio:.4f} verdict: {rep.verdict}"])
-    return _verdict_exit([rep.verdict])
+                            **cfg.given(R_list="scales",
+                                        uniformity_factor="fit.uniformity_factor"))
+    rows = _table(["R", "bmo", "pv_flag"], ((r.R, r.bmo, r.pv_flagged) for r in rep.rows))
+    return ({"bmo_sweep.csv": rows},
+            [f"sweep-bmo [{K.name}] max/min={rep.ratio:.4f} verdict: {rep.verdict}"],
+            [rep.verdict])
 
 
-def _cmd_far_field(cfg: ExperimentConfig, out: Path) -> int:
+def _far_field(cfg: ExperimentConfig):
     K = cfg.kernel()
-    Q = Cube((cfg.get_float("cube.center", 0.0),), cfg.get_float("cube.side", 0.25))
-    R_list = cfg.get_floats("scales", (4.0, 8.0, 16.0))
-    rep = far_field_constancy(K, cfg.b_func("b1"), Q=Q, R_list=R_list,
-                              grid=cfg.grid_spec(n=1024, box=64.0),
+    Q = cfg.cube(FAR_FIELD_CUBE)
+    rep = far_field_constancy(K, cfg.b_func("b1"), Q=Q, grid=cfg.grid_spec(FAR_FIELD_GRID),
                               policy=cfg.policy(),
-                              uniformity_factor=cfg.get_float("fit.uniformity_factor", 2.0))
-    rows = [["R", "sup_dev", "c_re", "c_im", "split_defect"]]
-    for r in rep.rows:
-        rows.append([fmt_float(r.R), fmt_float(r.sup_dev), fmt_float(r.c_QR.real),
-                     fmt_float(r.c_QR.imag), fmt_float(r.split_defect)])
-    _write_csv(out / "far_field.csv", rows)
-    _summary(out, [f"far-field [{K.name}] Q=(center {Q.center[0]}, side {Q.side}) "
-                   f"max/min={rep.ratio:.4f} abs_bound={rep.abs_bound:.6g} "
-                   f"verdict: {rep.verdict}"])
-    return _verdict_exit([rep.verdict])
+                              **cfg.given(R_list="scales",
+                                          uniformity_factor="fit.uniformity_factor"))
+    rows = _table(["R", "sup_dev", "c_re", "c_im", "split_defect"],
+                  ((r.R, r.sup_dev, r.c_QR.real, r.c_QR.imag, r.split_defect)
+                   for r in rep.rows))
+    return ({"far_field.csv": rows},
+            [f"far-field [{K.name}] Q=(center {Q.center[0]}, side {Q.side}) "
+             f"max/min={rep.ratio:.4f} abs_bound={rep.abs_bound:.6g} "
+             f"verdict: {rep.verdict}"], [rep.verdict])
 
 
-def _cmd_bilinear_decomp(cfg: ExperimentConfig, out: Path) -> int:
+def _bilinear_decomp(cfg: ExperimentConfig):
     K = cfg.kernel()
-    Q = Cube((cfg.get_float("cube.center", 0.0),), cfg.get_float("cube.side", 0.5))
-    scales = cfg.get_floats("scales", ())
-    rep = bilinear_decomposition_check(K, cfg.b_func("b1"), cfg.b_func("b2"), Q=Q,
-                                       R_list=scales or None,
-                                       grid=cfg.grid_spec(n=512, box=64.0),
+    rep = bilinear_decomposition_check(K, cfg.b_func("b1"), cfg.b_func("b2"),
+                                       Q=cfg.cube(DECOMP_CUBE),
+                                       R_list=cfg.get("scales") or None,
+                                       grid=cfg.grid_spec(DECOMP_GRID),
                                        policy=cfg.policy())
-    rows = [["R", "avg_I", "dev_II", "dev_III", "dev_IV", "sum_defect", "sum_ok"]]
-    for r in rep.rows:
-        rows.append([fmt_float(r.R), fmt_float(r.avg_I), fmt_float(r.dev_II),
-                     fmt_float(r.dev_III), fmt_float(r.dev_IV),
-                     fmt_float(r.sum_defect), "1" if r.sum_ok else "0"])
-    _write_csv(out / "bilinear_decomp.csv", rows)
-    _summary(out, [f"bilinear-decomp [{K.name}] verdict: {rep.verdict}"])
-    return _verdict_exit([rep.verdict])
+    rows = _table(["R", "avg_I", "dev_II", "dev_III", "dev_IV", "sum_defect", "sum_ok"],
+                  ((r.R, r.avg_I, r.dev_II, r.dev_III, r.dev_IV, r.sum_defect, r.sum_ok)
+                   for r in rep.rows))
+    return ({"bilinear_decomp.csv": rows},
+            [f"bilinear-decomp [{K.name}] verdict: {rep.verdict}"], [rep.verdict])
 
 
-def _cmd_report(cfg: ExperimentConfig, out: Path) -> int:
-    rc1 = _cmd_stein(cfg, out, svg=True)
-    stein_summary = (out / "summary.txt").read_text().splitlines()
-    rc2 = _cmd_wbp(cfg, out, svg=True)
-    wbp_summary = (out / "summary.txt").read_text().splitlines()
-    _summary(out, stein_summary + wbp_summary)
-    return max(rc1, rc2)
-
-
-_DISPATCH = {
-    "check-kernel": _cmd_check_kernel,
-    "bmo": _cmd_bmo,
-    "para-accretive": _cmd_para,
-    "uk-build": _cmd_uk_build,
-    "stein": _cmd_stein,
-    "wbp": _cmd_wbp,
-    "sweep-bmo": _cmd_sweep_bmo,
-    "far-field": _cmd_far_field,
-    "bilinear-decomp": _cmd_bilinear_decomp,
-    "report": _cmd_report,
+_RUNNERS = {
+    "check-kernel": _check_kernel,
+    "bmo": _bmo,
+    "para-accretive": _para,
+    "uk-build": _uk_build,
+    "stein": lambda cfg: _scaling(_stein_reports(cfg)),
+    "wbp": lambda cfg: _scaling([_wbp_report(cfg)]),
+    "sweep-bmo": _sweep_bmo,
+    "far-field": _far_field,
+    "bilinear-decomp": _bilinear_decomp,
+    "report": lambda cfg: _scaling(_stein_reports(cfg) + [_wbp_report(cfg)], svg=True),
 }
+
+SUBCOMMANDS = tuple(_RUNNERS)
 
 
 def run(subcommand: str, config_path, out_dir=None) -> int:
     """Programmatic entry point mirroring the CLI contract."""
-    if subcommand not in _DISPATCH:
+    if subcommand not in _RUNNERS:
         print(f"unknown subcommand {subcommand!r}; choose from {SUBCOMMANDS}",
               file=sys.stderr)
         return 2
@@ -478,7 +439,7 @@ def run(subcommand: str, config_path, out_dir=None) -> int:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     try:
-        return _DISPATCH[subcommand](cfg, out)
+        return _emit(out, *_RUNNERS[subcommand](cfg))
     except (ConfigError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

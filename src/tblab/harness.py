@@ -12,7 +12,7 @@ instead (their KernelModel carries grid_mode="fixed").
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,7 +20,8 @@ from . import bumps
 from .bmo import bmo_seminorm
 from .grid import Cube, Grid, SampledFunction, cube1, dyadic_family, lp_norm, sample
 from .kernels import KernelModel, transpose_kernel
-from .quadrature import PvPolicy, apply_bilinear_field, apply_linear_field, pairing
+from .quadrature import (PvPolicy, _triple_pairing, apply_bilinear_field,
+                         apply_linear_field, pairing)
 from .util import fmt_float, pmap
 
 DEFAULT_SLOPE_TOL = 0.07
@@ -84,6 +85,15 @@ class GridSpec:
         return Grid(box=cube1(0.0, side), n=self.n)
 
 
+# default grids and cubes of the experiments that do not run on GridSpec()
+BILINEAR_GRID = GridSpec(n=128, box_side=8.0)
+BMO_SWEEP_GRID = GridSpec(n=512, box_side=32.0)
+FAR_FIELD_GRID = GridSpec(n=1024, box_side=64.0)
+DECOMP_GRID = GridSpec(n=512, box_side=64.0)
+FAR_FIELD_CUBE = Cube((0.0,), 0.25)
+DECOMP_CUBE = Cube((0.0,), 0.5)
+
+
 @dataclass(frozen=True)
 class SweepRow:
     section: str
@@ -134,22 +144,20 @@ def exponent_fit(pairs, target: float, slope_tol: float = DEFAULT_SLOPE_TOL,
     vals = np.asarray([p[1] for p in pairs], dtype=float)
     tiny = 1e-14 * max(1.0, float(np.max(vals)) if len(vals) else 1.0)
     nz = vals > tiny
-    n_zero = int(np.sum(~nz))
-    if np.sum(nz) < 2:
-        return GroupFit(section=section, center=center, slope=None, intercept=None,
-                        constant=0.0, unif=1.0, n_rows=len(pairs), n_zero=n_zero,
-                        target=target, slope_tol=slope_tol,
-                        uniformity_factor=uniformity_factor)
-    lr = np.log2(Rs[nz])
-    lv = np.log2(vals[nz])
-    A = np.vstack([lr, np.ones_like(lr)]).T
-    coef, *_ = np.linalg.lstsq(A, lv, rcond=None)
-    consts = vals[nz] / Rs[nz] ** target
-    return GroupFit(section=section, center=center, slope=float(coef[0]),
-                    intercept=float(coef[1]), constant=float(np.max(consts)),
-                    unif=float(np.max(consts) / np.min(consts)),
-                    n_rows=len(pairs), n_zero=n_zero, target=target,
-                    slope_tol=slope_tol, uniformity_factor=uniformity_factor)
+    slope = intercept = None
+    constant, unif = 0.0, 1.0
+    if np.sum(nz) >= 2:
+        lr = np.log2(Rs[nz])
+        lv = np.log2(vals[nz])
+        A = np.vstack([lr, np.ones_like(lr)]).T
+        coef, *_ = np.linalg.lstsq(A, lv, rcond=None)
+        consts = vals[nz] / Rs[nz] ** target
+        slope, intercept = float(coef[0]), float(coef[1])
+        constant, unif = float(np.max(consts)), float(np.max(consts) / np.min(consts))
+    return GroupFit(section=section, center=center, slope=slope, intercept=intercept,
+                    constant=constant, unif=unif, n_rows=len(pairs),
+                    n_zero=int(np.sum(~nz)), target=target, slope_tol=slope_tol,
+                    uniformity_factor=uniformity_factor)
 
 
 @dataclass(frozen=True)
@@ -165,6 +173,8 @@ class ScalingReport:
 
     @property
     def verdict(self) -> str:
+        if not self.fits:
+            return "FAIL"                    # no group had enough rows to test
         if all(f.degenerate for f in self.fits):
             return "PASS-degenerate"
         return "PASS" if all(f.passed for f in self.fits) else "FAIL"
@@ -207,14 +217,27 @@ class ScalingReport:
         return out
 
 
-def _bump_field(grid: Grid, M: int, x0: float, R: float,
-                profile: str = "standard-mollifier") -> SampledFunction:
-    c = bumps.c_norm(M, 1, profile)
-    rule = bumps.BumpRule(profile, c, (x0,), R)
+def _bump_field(grid: Grid, M: int, x0: float, R: float) -> SampledFunction:
+    rule = bumps.BumpRule("standard-mollifier", bumps.c_norm(M, 1), (x0,), R)
     bumps._check_bump_grid(grid, (x0,), R)
-    vals = rule(grid.axis(0))
-    return SampledFunction(grid=grid, values=vals.astype(complex), rule=rule,
+    return SampledFunction(grid=grid, values=rule(grid.axis(0)).astype(complex), rule=rule,
                            name=f"phi[{x0},{R}]")
+
+
+def _plateau(grid: Grid, x0: float, R: float) -> np.ndarray:
+    return bumps.BumpRule("plateau", 1.0, (x0,), R)(grid.axis(0)).astype(complex)
+
+
+def _weighted(b: SampledFunction, *factors) -> SampledFunction:
+    """b times the factor arrays, multiplied left to right, on b's grid."""
+    values = b.values
+    for f in factors:
+        values = values * f
+    return SampledFunction(grid=b.grid, values=values)
+
+
+def _escapes(grid: Grid, x0: float, R: float) -> bool:
+    return abs(x0) + R > grid.box.side / 2.0 + 1e-12
 
 
 def _margin_flag(grid: Grid, x0: float, R: float) -> bool:
@@ -225,7 +248,59 @@ def _l2(fr) -> float:
     return lp_norm(fr.field, 2)
 
 
+def _sweep(one_row, groups, scales, grid: GridSpec, mode: str, names, b_names,
+           M: int, target: float, slope_tol: float, uniformity_factor: float) -> list:
+    """The pipeline of every testing condition: rows, per-group fits, reports.
+
+    Each job (group, R) of groups x scales runs one_row(g, group, R) on its
+    row grid g, in the row pool (the only thread pool). A row returns a
+    (value, pv flag) pair per (experiment, kernel name) pair of `names` and
+    its margin flag, or None when its support escapes the grid; escaped rows
+    are dropped. A group is a (section, center) pair; each group with at
+    least 5 rows in a report gets its own exponent fit against R^target.
+    """
+    jobs = [(group, R) for group in groups for R in scales]
+    done = pmap(lambda job: one_row(grid.row_grid(mode, job[1]), *job), jobs)
+    kept = [(group, R, res) for (group, R), res in zip(jobs, done) if res is not None]
+    reports = []
+    for pos, (experiment, kernel) in enumerate(names):
+        rows = [SweepRow(group[0], group[1], R, *values[pos], margin)
+                for group, R, (values, margin) in kept]
+        fits = []
+        for section, center in groups:
+            sel = [(r.R, r.value) for r in rows if (r.section, r.center) == (section, center)]
+            if len(sel) >= 5:
+                fits.append(exponent_fit(sel, target, slope_tol, uniformity_factor,
+                                         section=section, center=center))
+        reports.append(ScalingReport(experiment=experiment, kernel=kernel,
+                                     b_names=b_names, M=M, target=target,
+                                     grid_mode=mode, rows=rows, fits=fits))
+    return reports
+
+
 # --- Stein testing conditions ----------------------------------------------
+
+def _stein_row(K: KernelModel, b0: BFunc, b1: BFunc, M: int, policy: PvPolicy, reduce):
+    """Row function of the linear testing conditions.
+
+    The bump sits at center fraction x box side; reduce(T(b1 phi), T*(b0 phi))
+    lists the (value, pv flag) of each report.
+    """
+    if K.arity != "linear":
+        raise ValueError("needs a linear kernel")
+    Kt = transpose_kernel(K)
+
+    def one_row(g, group, R):
+        x0 = group[1] * g.box.side
+        if _escapes(g, x0, R):
+            return None                      # support escapes a fixed grid
+        phi = _bump_field(g, M, x0, R).values
+        fr1 = apply_linear_field(K, _weighted(b1.sampled(g), phi), policy)
+        fr2 = apply_linear_field(Kt, _weighted(b0.sampled(g), phi), policy)
+        return reduce(fr1, fr2), _margin_flag(g, x0, R)
+
+    return one_row
+
 
 def stein_t1_test(K: KernelModel, M: int = 2,
                   scales=LINEAR_SCALES, center_fracs=CENTER_FRACTIONS,
@@ -234,10 +309,12 @@ def stein_t1_test(K: KernelModel, M: int = 2,
                   uniformity_factor: float = DEFAULT_UNIFORMITY,
                   grid_mode: str | None = None) -> ScalingReport:
     """||T(phi^{x0,R})||_2 + ||T*(phi^{x0,R})||_2 against the target R^(d/2)."""
-    return stein_tb_test(K, B_ONE, B_ONE, M=M, scales=scales,
-                         center_fracs=center_fracs, grid=grid, policy=policy,
-                         slope_tol=slope_tol, uniformity_factor=uniformity_factor,
-                         grid_mode=grid_mode, _combined=True).on_b1
+    one_row = _stein_row(K, B_ONE, B_ONE, M, policy, lambda fr1, fr2: [
+        (_l2(fr1) + _l2(fr2), fr1.n_flagged > 0 or fr2.n_flagged > 0)])
+    return _sweep(one_row, [("", frac) for frac in center_fracs], scales, grid,
+                  grid_mode or K.grid_mode, [("stein-t1", K.name)],
+                  (B_ONE.name, B_ONE.name), M, K.d / 2.0, slope_tol,
+                  uniformity_factor)[0]
 
 
 @dataclass(frozen=True)
@@ -248,9 +325,7 @@ class TbTestResult:
     @property
     def verdict(self) -> str:
         vs = {self.on_b1.verdict, self.transpose_on_b0.verdict}
-        if vs <= {"PASS", "PASS-degenerate"}:
-            return "PASS"
-        return "FAIL"
+        return "PASS" if vs <= {"PASS", "PASS-degenerate"} else "FAIL"
 
 
 def stein_tb_test(K: KernelModel, b0: BFunc, b1: BFunc, M: int = 2,
@@ -258,65 +333,19 @@ def stein_tb_test(K: KernelModel, b0: BFunc, b1: BFunc, M: int = 2,
                   grid: GridSpec = GridSpec(), policy: PvPolicy = PvPolicy(),
                   slope_tol: float = DEFAULT_SLOPE_TOL,
                   uniformity_factor: float = DEFAULT_UNIFORMITY,
-                  grid_mode: str | None = None, _combined: bool = False) -> TbTestResult:
+                  grid_mode: str | None = None) -> TbTestResult:
     """Testing conditions on b1 (for T) and b0 (for T*), fitted to d/2 per center."""
-    if K.arity != "linear":
-        raise ValueError("stein_tb_test needs a linear kernel")
+    one_row = _stein_row(K, b0, b1, M, policy, lambda fr1, fr2: [
+        (_l2(fr), fr.n_flagged > 0) for fr in (fr1, fr2)])
     for b in (b0, b1):
         if b.certificate is None and b.name != "one":
             warnings.warn(f"b-function {b.name!r} carries no para-accretivity "
                           f"certificate", stacklevel=2)
-    mode = grid_mode or K.grid_mode
-    Kt = transpose_kernel(K)
-
-    def one_row(job):
-        frac, R = job
-        g = grid.row_grid(mode, R)
-        x0 = frac * g.box.side
-        if abs(x0) + R > g.box.side / 2.0 + 1e-12:
-            return None                      # support escapes a fixed grid
-        phi = _bump_field(g, M, x0, R)
-        b1s = b1.sampled(g)
-        b0s = b0.sampled(g)
-        f1 = SampledFunction(grid=g, values=b1s.values * phi.values)
-        f0 = SampledFunction(grid=g, values=b0s.values * phi.values)
-        fr1 = apply_linear_field(K, f1, policy)
-        fr2 = apply_linear_field(Kt, f0, policy)
-        if _combined:
-            v1 = _l2(fr1) + _l2(fr2)
-            v2 = v1
-        else:
-            v1, v2 = _l2(fr1), _l2(fr2)
-        flagged1 = fr1.n_flagged > 0
-        flagged2 = fr2.n_flagged > 0
-        mf = _margin_flag(g, x0, R)
-        return (SweepRow("", frac, R, v1, flagged1 or (_combined and flagged2), mf),
-                SweepRow("", frac, R, v2, flagged2, mf))
-
-    jobs = [(frac, R) for frac in center_fracs for R in scales]
-    results = [r for r in pmap(one_row, jobs) if r is not None]
-    rows1 = [r[0] for r in results]
-    rows2 = [r[1] for r in results]
-    d = K.d
-
-    def fits_of(rows):
-        out = []
-        for frac in center_fracs:
-            sel = [(r.R, r.value) for r in rows if r.center == frac]
-            if len(sel) >= 5:
-                out.append(exponent_fit(sel, target=d / 2.0, slope_tol=slope_tol,
-                                        uniformity_factor=uniformity_factor,
-                                        section="", center=frac))
-        return out
-
-    name1 = "stein-t1" if _combined else "stein-tb-on-b1"
-    rep1 = ScalingReport(experiment=name1, kernel=K.name,
-                         b_names=(b0.name, b1.name), M=M, target=d / 2.0,
-                         grid_mode=mode, rows=rows1, fits=fits_of(rows1))
-    rep2 = ScalingReport(experiment="stein-tb-transpose", kernel=Kt.name,
-                         b_names=(b0.name, b1.name), M=M, target=d / 2.0,
-                         grid_mode=mode, rows=rows2, fits=fits_of(rows2))
-    return TbTestResult(on_b1=rep1, transpose_on_b0=rep2)
+    names = [("stein-tb-on-b1", K.name), ("stein-tb-transpose", transpose_kernel(K).name)]
+    return TbTestResult(*_sweep(one_row, [("", frac) for frac in center_fracs], scales,
+                                grid, grid_mode or K.grid_mode, names,
+                                (b0.name, b1.name), M, K.d / 2.0, slope_tol,
+                                uniformity_factor))
 
 
 @dataclass(frozen=True)
@@ -337,7 +366,7 @@ class BilinearTbResult:
 
 def stein_bilinear_tb_test(K: KernelModel, b0: BFunc, b1: BFunc, b2: BFunc,
                            M: int = 2, scales=BILINEAR_SCALES,
-                           grid: GridSpec = GridSpec(n=128, box_side=8.0),
+                           grid: GridSpec = BILINEAR_GRID,
                            policy: PvPolicy = PvPolicy(),
                            slope_tol: float = DEFAULT_SLOPE_TOL,
                            uniformity_factor: float = DEFAULT_UNIFORMITY,
@@ -345,53 +374,30 @@ def stein_bilinear_tb_test(K: KernelModel, b0: BFunc, b1: BFunc, b2: BFunc,
     """The three bilinear testing conditions, equal and offset centers."""
     if K.arity != "bilinear":
         raise ValueError("needs a bilinear kernel")
-    mode = grid_mode or K.grid_mode
     K1 = transpose_kernel(K, 1)
     K2 = transpose_kernel(K, 2)
-    sections = (("equal", 0.0), ("offset", 1.0))
 
-    def one_row(job):
-        (sec, off), R = job
-        g = grid.row_grid(mode, R)
-        xa, xb = -off * R / 2.0, off * R / 2.0
-        if max(abs(xa), abs(xb)) + R > g.box.side / 2.0 + 1e-12:
+    def one_row(g, group, R):
+        xa, xb = -group[1] * R / 2.0, group[1] * R / 2.0
+        if _escapes(g, max(abs(xa), abs(xb)), R):
             return None
-        pha = _bump_field(g, M, xa, R)
-        phb = _bump_field(g, M, xb, R)
-        bs = [b.sampled(g) for b in (b0, b1, b2)]
-        w = {}
-        for tag, bsamp, ph in (("0a", bs[0], pha), ("1a", bs[1], pha),
-                               ("2b", bs[2], phb), ("0b", bs[0], phb)):
-            w[tag] = SampledFunction(grid=g, values=bsamp.values * ph.values)
-        mf = _margin_flag(g, max(abs(xa), abs(xb)), R)
-        out = []
-        for ker, fa, fb in ((K, w["1a"], w["2b"]), (K1, w["0a"], w["2b"]),
-                            (K2, w["1a"], w["0b"])):
+        pha = _bump_field(g, M, xa, R).values
+        phb = _bump_field(g, M, xb, R).values
+        s0, s1, s2 = (b.sampled(g) for b in (b0, b1, b2))
+        w1a, w2b = _weighted(s1, pha), _weighted(s2, phb)
+        values = []
+        for ker, fa, fb in ((K, w1a, w2b), (K1, _weighted(s0, pha), w2b),
+                            (K2, w1a, _weighted(s0, phb))):
             fr = apply_bilinear_field(ker, fa, fb, policy)
-            out.append(SweepRow(sec, off, R, _l2(fr), fr.n_flagged > 0, mf))
-        return out
+            values.append((_l2(fr), fr.n_flagged > 0))
+        return values, _margin_flag(g, max(abs(xa), abs(xb)), R)
 
-    jobs = [(so, R) for so in sections for R in scales]
-    results = [r for r in pmap(one_row, jobs) if r is not None]
-    d = K.d
-    reports = []
-    names = ("bilinear-tb-direct", "bilinear-tb-transpose1", "bilinear-tb-transpose2")
-    kers = (K, K1, K2)
-    for pos in range(3):
-        rows = [res[pos] for res in results]
-        fits = []
-        for sec, off in sections:
-            sel = [(r.R, r.value) for r in rows if r.section == sec]
-            if len(sel) < 5:
-                continue
-            fits.append(exponent_fit(sel, target=d / 2.0, slope_tol=slope_tol,
-                                     uniformity_factor=uniformity_factor,
-                                     section=sec, center=off))
-        reports.append(ScalingReport(experiment=names[pos], kernel=kers[pos].name,
-                                     b_names=(b0.name, b1.name, b2.name), M=M,
-                                     target=d / 2.0, grid_mode=mode, rows=rows,
-                                     fits=fits))
-    return BilinearTbResult(*reports)
+    names = [("bilinear-tb-direct", K.name), ("bilinear-tb-transpose1", K1.name),
+             ("bilinear-tb-transpose2", K2.name)]
+    return BilinearTbResult(*_sweep(one_row, [("equal", 0.0), ("offset", 1.0)], scales,
+                                    grid, grid_mode or K.grid_mode, names,
+                                    (b0.name, b1.name, b2.name), M, K.d / 2.0,
+                                    slope_tol, uniformity_factor))
 
 
 def weak_boundedness_test(K: KernelModel, b0: BFunc = B_ONE, b1: BFunc = B_ONE,
@@ -409,49 +415,28 @@ def weak_boundedness_test(K: KernelModel, b0: BFunc = B_ONE, b1: BFunc = B_ONE,
     mode = grid_mode or K.grid_mode
     bil = K.arity == "bilinear"
     if bil and mode == "scaled" and grid.n > 256:
-        grid = GridSpec(n=128, box_side=8.0)
+        grid = BILINEAR_GRID
 
-    def one_row(job):
-        off, R = job
-        g = grid.row_grid(mode, R)
-        x1 = 0.0
-        x2 = off * R
+    def one_row(g, group, R):
+        x2 = group[1] * R
         if abs(x2) + R > g.box.side / 2.0:     # keep the pairing bump inside
             g = Grid(box=cube1(0.0, g.box.side + 2 * abs(x2)), n=g.n)
-        ph1 = _bump_field(g, M, x1, R)
-        b0s, b1s = b0.sampled(g), b1.sampled(g)
-        if not bil:
-            ph2 = _bump_field(g, M, x2, R)
-            f1 = SampledFunction(grid=g, values=b1s.values * ph1.values)
-            fr = apply_linear_field(K, f1, policy)
-            w2 = SampledFunction(grid=g, values=b0s.values * ph2.values)
-            val = abs(pairing(fr.field, w2))
-            return SweepRow(f"offset{off:g}", off, R, val, fr.n_flagged > 0,
-                            _margin_flag(g, x2, R))
-        b2s = b2.sampled(g)
+        ph1 = _bump_field(g, M, 0.0, R)
         ph2 = _bump_field(g, M, x2, R)
-        ph3 = _bump_field(g, M, -x2, R)
-        f1 = SampledFunction(grid=g, values=b1s.values * ph1.values)
-        f2 = SampledFunction(grid=g, values=b2s.values * ph2.values)
-        support = np.nonzero(np.abs(ph3.values) > 0)[0]
-        fr = apply_bilinear_field(K, f1, f2, policy, points=support)
-        w3 = SampledFunction(grid=g, values=b0s.values * ph3.values)
-        val = abs(pairing(fr.field, w3))
-        return SweepRow(f"offset{off:g}", off, R, val, fr.n_flagged > 0,
-                        _margin_flag(g, x2, R))
+        if bil:
+            val, n_flagged = _triple_pairing(K, _bump_field(g, M, -x2, R), ph1, ph2,
+                                             b0.sampled(g), b1.sampled(g), b2.sampled(g),
+                                             policy)
+        else:
+            fr = apply_linear_field(K, _weighted(b1.sampled(g), ph1.values), policy)
+            val = pairing(fr.field, _weighted(b0.sampled(g), ph2.values))
+            n_flagged = fr.n_flagged
+        return [(abs(val), n_flagged > 0)], _margin_flag(g, x2, R)
 
-    jobs = [(off, R) for off in offsets for R in scales]
-    rows = pmap(one_row, jobs)
-    d = K.d
-    fits = []
-    for off in offsets:
-        sel = [(r.R, r.value) for r in rows if r.center == off]
-        fits.append(exponent_fit(sel, target=float(d), slope_tol=slope_tol,
-                                 uniformity_factor=uniformity_factor,
-                                 section=f"offset{off:g}", center=off))
     names = (b0.name, b1.name, b2.name) if bil else (b0.name, b1.name)
-    return ScalingReport(experiment="wbp", kernel=K.name, b_names=names, M=M,
-                         target=float(d), grid_mode=mode, rows=rows, fits=fits)
+    return _sweep(one_row, [(f"offset{off:g}", off) for off in offsets], scales, grid,
+                  mode, [("wbp", K.name)], names, M, float(K.d), slope_tol,
+                  uniformity_factor)[0]
 
 
 # --- direct (necessity-direction) bound ------------------------------------
@@ -481,51 +466,45 @@ def direct_bound_check(K: KernelModel, b1: BFunc, op_norm: float | None = None,
                        tol: float = 0.03, grid_mode: str | None = None) -> DirectBoundReport:
     """measured <= norm * prod ||b||_inf * bump-norm product * (1 + tol) per row."""
     mode = grid_mode or K.grid_mode
-    rows = []
-    witness = None
-    if K.arity == "linear":
-        if op_norm is None:
-            raise ValueError("missing operator norm estimate for the linear bound")
-        for R in scales:
-            g = grid.row_grid(mode, R)
-            phi = _bump_field(g, M, 0.0, R)
-            b1s = b1.sampled(g)
-            f = SampledFunction(grid=g, values=b1s.values * phi.values)
-            fr = apply_linear_field(K, f, policy)
-            measured = _l2(fr)
+    linear = K.arity == "linear"
+    if linear and op_norm is None:
+        raise ValueError("missing operator norm estimate for the linear bound")
+    if not linear and bilinear_norm is None:
+        raise ValueError("missing bilinear operator norm estimate")
+    if not linear and b2 is None:
+        raise ValueError("bilinear direct bound needs b2")
+
+    def one_row(R):
+        g = grid.row_grid(mode, R)
+        phi = _bump_field(g, M, 0.0, R)
+        b1s = b1.sampled(g)
+        f1 = _weighted(b1s, phi.values)
+        if linear:
+            fr = apply_linear_field(K, f1, policy)
             bound = op_norm * float(np.max(np.abs(b1s.values))) * lp_norm(phi, 2) * (1 + tol)
-            rows.append(DirectBoundRow(R=R, measured=measured, bound=bound))
-    else:
-        if bilinear_norm is None:
-            raise ValueError("missing bilinear operator norm estimate")
-        if b2 is None:
-            raise ValueError("bilinear direct bound needs b2")
-        for R in scales:
-            g = grid.row_grid(mode, R)
-            phi = _bump_field(g, M, 0.0, R)
-            b1s, b2s = b1.sampled(g), b2.sampled(g)
-            f1 = SampledFunction(grid=g, values=b1s.values * phi.values)
-            f2 = SampledFunction(grid=g, values=b2s.values * phi.values)
-            fr = apply_bilinear_field(K, f1, f2, policy)
-            measured = _l2(fr)
+        else:
+            b2s = b2.sampled(g)
+            fr = apply_bilinear_field(K, f1, _weighted(b2s, phi.values), policy)
             bound = (bilinear_norm * float(np.max(np.abs(b1s.values)))
                      * float(np.max(np.abs(b2s.values)))
                      * lp_norm(phi, 4) ** 2 * (1 + tol))
-            rows.append(DirectBoundRow(R=R, measured=measured, bound=bound))
+        return DirectBoundRow(R=R, measured=_l2(fr), bound=bound)
+
+    rows = pmap(one_row, scales)
     bad = [r for r in rows if not r.ok]
-    if bad:
-        witness = (0.0, bad[0].R)
     return DirectBoundReport(rows=rows, verdict="FAIL" if bad else "PASS",
-                             witness=witness)
+                             witness=(0.0, bad[0].R) if bad else None)
 
 
 # --- localization and far-field quantities ----------------------------------
 
-def _plateau_field(grid: Grid, x0: float, R: float) -> SampledFunction:
-    rule = bumps.BumpRule("plateau", 1.0, (x0,), R)
-    vals = rule(grid.axis(0))
-    return SampledFunction(grid=grid, values=vals.astype(complex), rule=rule,
-                           name=f"plateau[{x0},{R}]")
+def _localize(grid: GridSpec, Q: Cube):
+    """The fixed grid, r = 6 diam Q, the cells of Q, its center cell and phi_Q."""
+    g = grid.row_grid("fixed", 1.0)
+    r = 6.0 * Q.diam
+    x0, ax = Q.center[0], g.axis(0)
+    qsel = np.nonzero((ax >= x0 - Q.side / 2.0) & (ax < x0 + Q.side / 2.0))[0]
+    return g, r, qsel, int(np.argmin(np.abs(ax - x0))), _plateau(g, x0, r)
 
 
 @dataclass(frozen=True)
@@ -555,7 +534,7 @@ class BmoSweepReport:
 
 
 def uniform_bmo_sweep(K: KernelModel, b1: BFunc = B_ONE, R_list=(1.0, 2.0, 4.0, 8.0),
-                      grid: GridSpec = GridSpec(n=512, box_side=32.0),
+                      grid: GridSpec = BMO_SWEEP_GRID,
                       policy: PvPolicy = PvPolicy(), k_max: int = 7,
                       uniformity_factor: float = DEFAULT_UNIFORMITY) -> BmoSweepReport:
     """||T(b1 phi_R)||_BMO over R; phi_R is the plateau cutoff at scale R."""
@@ -565,10 +544,7 @@ def uniform_bmo_sweep(K: KernelModel, b1: BFunc = B_ONE, R_list=(1.0, 2.0, 4.0, 
     fam = dyadic_family(g.box, 0, k_max)
 
     def one(R):
-        phiR = _plateau_field(g, 0.0, R)
-        b1s = b1.sampled(g)
-        f = SampledFunction(grid=g, values=b1s.values * phiR.values)
-        fr = apply_linear_field(K, f, policy)
+        fr = apply_linear_field(K, _weighted(b1.sampled(g), _plateau(g, 0.0, R)), policy)
         rep = bmo_seminorm(fr.field, fam)
         return BmoSweepRow(R=R, bmo=rep.sup_mean, pv_flagged=fr.n_flagged > 0), rep
 
@@ -608,8 +584,8 @@ class FarFieldReport:
 
 
 def far_field_constancy(K: KernelModel, b1: BFunc = B_ONE,
-                        Q: Cube = Cube((0.0,), 0.25), R_list=(4.0, 8.0, 16.0),
-                        grid: GridSpec = GridSpec(n=1024, box_side=64.0),
+                        Q: Cube = FAR_FIELD_CUBE, R_list=(4.0, 8.0, 16.0),
+                        grid: GridSpec = FAR_FIELD_GRID,
                         policy: PvPolicy = PvPolicy(),
                         uniformity_factor: float = DEFAULT_UNIFORMITY) -> FarFieldReport:
     """sup over Q of |T(b1 (1 - phi_Q) phi_R) - c_{Q,R}|, c at the center cell.
@@ -621,23 +597,14 @@ def far_field_constancy(K: KernelModel, b1: BFunc = B_ONE,
         raise ValueError("grid box must be at least 4x the largest scale")
     if grid.box_side < 8.0 * Q.side:
         raise ValueError("grid box must contain 8Q")
-    g = grid.row_grid("fixed", 1.0)
-    r = 6.0 * Q.diam
-    x0 = Q.center[0]
-    ax = g.axis(0)
-    qsel = np.nonzero((ax >= x0 - Q.side / 2.0) & (ax < x0 + Q.side / 2.0))[0]
-    i0 = int(np.argmin(np.abs(ax - x0)))
-    phiQ = _plateau_field(g, x0, r)
+    g, r, qsel, i0, phiQ = _localize(grid, Q)
     b1s = b1.sampled(g)
     rows = []
     for R in R_list:
-        phiR = _plateau_field(g, 0.0, R)
-        far = SampledFunction(grid=g, values=b1s.values * (1.0 - phiQ.values) * phiR.values)
-        loc = SampledFunction(grid=g, values=b1s.values * phiQ.values * phiR.values)
-        full = SampledFunction(grid=g, values=b1s.values * phiR.values)
-        fr_far = apply_linear_field(K, far, policy)
-        fr_loc = apply_linear_field(K, loc, policy)
-        fr_full = apply_linear_field(K, full, policy)
+        phiR = _plateau(g, 0.0, R)
+        fr_far = apply_linear_field(K, _weighted(b1s, 1.0 - phiQ, phiR), policy)
+        fr_loc = apply_linear_field(K, _weighted(b1s, phiQ, phiR), policy)
+        fr_full = apply_linear_field(K, _weighted(b1s, phiR), policy)
         cQR = complex(fr_far.field.values[i0])
         dev = float(np.max(np.abs(fr_far.field.values[qsel] - cQR)))
         split = float(np.max(np.abs(fr_full.field.values[qsel]
@@ -673,13 +640,9 @@ def local_piece_check(K: KernelModel, b1: BFunc, Q: Cube, R: float,
     composite's scale min(R, r) and ||T(b1 phi_Q phi_R)||_2, the two sides of
     the testing condition that bounds the average through Cauchy-Schwarz on Q.
     """
-    g = grid.row_grid("fixed", 1.0)
-    r = 6.0 * Q.diam
-    x0 = Q.center[0]
-    ax = g.axis(0)
-    phiQ = _plateau_field(g, x0, r)
-    phiR = _plateau_field(g, 0.0, R)
-    prod = phiQ.values * phiR.values
+    g, r, qsel, _, phiQ = _localize(grid, Q)
+    x0, ax = Q.center[0], g.axis(0)
+    prod = phiQ * _plateau(g, 0.0, R)
     plateau = bumps.PROFILES["plateau"]
     if R <= r:
         case = "R<=r"
@@ -702,9 +665,7 @@ def local_piece_check(K: KernelModel, b1: BFunc, Q: Cube, R: float,
     comp_sf = SampledFunction(grid=cg, values=np.asarray(comp_profile(t), dtype=complex))
     cert = bumps.verify_bump(comp_sf, 0)
     b1s = b1.sampled(g)
-    f = SampledFunction(grid=g, values=b1s.values * prod)
-    fr = apply_linear_field(K, f, policy)
-    qsel = np.nonzero((ax >= x0 - Q.side / 2.0) & (ax < x0 + Q.side / 2.0))[0]
+    fr = apply_linear_field(K, _weighted(b1s, prod), policy)
     value = float(np.mean(np.abs(fr.field.values[qsel])))
     return LocalPieceResult(R=R, r=r, case=case, value=value, rewrite_defect=defect,
                             composite_certificate=cert, scale=scale,
@@ -738,8 +699,8 @@ class DecompositionReport:
 
 
 def bilinear_decomposition_check(K: KernelModel, b1: BFunc = B_ONE, b2: BFunc = B_ONE,
-                                 Q: Cube = Cube((0.0,), 0.5), R_list=None,
-                                 grid: GridSpec = GridSpec(n=512, box_side=64.0),
+                                 Q: Cube = DECOMP_CUBE, R_list=None,
+                                 grid: GridSpec = DECOMP_GRID,
                                  policy: PvPolicy = PvPolicy(),
                                  dev_cap: float = 1.0) -> DecompositionReport:
     """Four-piece split of T(b1 phi_R, b2 phi_R) by near/far plateau factors.
@@ -750,39 +711,30 @@ def bilinear_decomposition_check(K: KernelModel, b1: BFunc = B_ONE, b2: BFunc = 
     """
     if K.arity != "bilinear":
         raise ValueError("needs a bilinear kernel")
-    g = grid.row_grid("fixed", 1.0)
-    r = 6.0 * Q.diam
+    g, r, qsel, i0, phiQ = _localize(grid, Q)
     if R_list is None:
         R_list = (r / 4.0, r, 4.0 * r)
     if grid.box_side < 2.0 * max(R_list):
         raise ValueError("grid box must contain the largest bump support")
-    x0 = Q.center[0]
-    ax = g.axis(0)
-    qsel = np.nonzero((ax >= x0 - Q.side / 2.0) & (ax < x0 + Q.side / 2.0))[0]
-    i0 = int(np.argmin(np.abs(ax - x0)))
     pts = np.concatenate([qsel, [i0]]) if i0 not in qsel else qsel
-    phiQ = _plateau_field(g, x0, r).values
-    b1s, b2s = b1.sampled(g).values, b2.sampled(g).values
-    rows = []
-    for R in R_list:
-        phiR = _plateau_field(g, 0.0, R).values
-        near1 = SampledFunction(grid=g, values=b1s * phiQ * phiR)
-        far1 = SampledFunction(grid=g, values=b1s * (1.0 - phiQ) * phiR)
-        near2 = SampledFunction(grid=g, values=b2s * phiQ * phiR)
-        far2 = SampledFunction(grid=g, values=b2s * (1.0 - phiQ) * phiR)
-        full1 = SampledFunction(grid=g, values=b1s * phiR)
-        full2 = SampledFunction(grid=g, values=b2s * phiR)
+    s1, s2 = b1.sampled(g), b2.sampled(g)
+
+    def one_row(R):
+        phiR = _plateau(g, 0.0, R)
+        near1, far1 = _weighted(s1, phiQ, phiR), _weighted(s1, 1.0 - phiQ, phiR)
+        near2, far2 = _weighted(s2, phiQ, phiR), _weighted(s2, 1.0 - phiQ, phiR)
         pieces = []
         for fa, fb in ((near1, near2), (far1, near2), (near1, far2), (far1, far2)):
             pieces.append(apply_bilinear_field(K, fa, fb, policy, points=pts).field.values)
-        direct = apply_bilinear_field(K, full1, full2, policy, points=pts).field.values
+        direct = apply_bilinear_field(K, _weighted(s1, phiR), _weighted(s2, phiR), policy,
+                                      points=pts).field.values
         total = pieces[0] + pieces[1] + pieces[2] + pieces[3]
         sum_defect = float(np.max(np.abs((total - direct)[qsel])))
         sum_ok = bool(sum_defect <= policy.tol_pv *
                       (1.0 + float(np.max(np.abs(direct[qsel])))))
         avg_I = float(np.mean(np.abs(pieces[0][qsel])))
         devs = [float(np.max(np.abs(p[qsel] - p[i0]))) for p in pieces[1:]]
-        rows.append(DecompositionRow(R=R, avg_I=avg_I, dev_II=devs[0],
-                                     dev_III=devs[1], dev_IV=devs[2],
-                                     sum_defect=sum_defect, sum_ok=sum_ok))
-    return DecompositionReport(Q=Q, r=r, rows=rows, dev_cap=dev_cap)
+        return DecompositionRow(R=R, avg_I=avg_I, dev_II=devs[0], dev_III=devs[1],
+                                dev_IV=devs[2], sum_defect=sum_defect, sum_ok=sum_ok)
+
+    return DecompositionReport(Q=Q, r=r, rows=pmap(one_row, R_list), dev_cap=dev_cap)

@@ -134,13 +134,10 @@ def gallery(name: str, **params) -> KernelModel:
         def rule(x, y, _A=A):
             x = np.asarray(x, dtype=float); y = np.asarray(y, dtype=float)
             return 1.0 / ((x - y) + 1j * (_A(x) - _A(y)))
-        K = KernelModel(name="cauchy-lipschitz", arity="linear", d=1, delta=1.0,
-                        size_constant=1.0, rule=rule,
-                        grid_mode=DEFAULT_GRID_MODE[name],
-                        params={"lam": lam})
-        object.__setattr__(K, "A", A)
-        object.__setattr__(K, "A_prime", lambda x, _l=lam: _l * np.tanh(np.asarray(x, dtype=float)))
-        return K
+        return KernelModel(name="cauchy-lipschitz", arity="linear", d=1, delta=1.0,
+                           size_constant=1.0, rule=rule,
+                           grid_mode=DEFAULT_GRID_MODE[name],
+                           params={"lam": lam})
 
     if name == "commutator":
         lam_trunc = float(params.pop("lam_trunc", 64.0))

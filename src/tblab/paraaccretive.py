@@ -45,29 +45,12 @@ def mollifier_cdf(s) -> np.ndarray:
 @lru_cache(maxsize=None)
 def mollification_l1_error(h: float, d: int = 1, n: int = 1 << 13) -> float:
     """int |1_{Q0} * phi_h - 1_{Q0}| on the unit-cube model, fine lattice."""
-    if d == 1:
-        y = np.linspace(-0.5 - h - 0.05, 0.5 + h + 0.05, n)
-        conv = mollifier_cdf((y + 0.5) / h) - mollifier_cdf((y - 0.5) / h)
-        ind = ((y >= -0.5) & (y < 0.5)).astype(float)
-        return float(np.sum(np.abs(conv - ind)) * (y[1] - y[0]))
-    m = 512
-    y = np.linspace(-0.5 - h - 0.05, 0.5 + h + 0.05, m)
-    c1 = mollifier_cdf((y + 0.5) / h) - mollifier_cdf((y - 0.5) / h)
-    # d=2 separable only for the product model; use the radial profile directly
-    zz = np.linspace(-h, h, 256)
-    w = zz[1] - zz[0]
-    Z0, Z1 = np.meshgrid(zz, zz, indexing="ij")
-    phi2 = mollifier_alpha(2) * bumps.PROFILES["standard-mollifier"](
-        np.sqrt(Z0 ** 2 + Z1 ** 2) / h) / h ** 2
-    conv = np.zeros((m, m))
-    ind1 = (np.abs(y) < 0.5)
-    for i, yi in enumerate(y):
-        inside0 = np.abs(yi - Z0) < 0.5
-        for j, yj in enumerate(y):
-            inside = inside0 & (np.abs(yj - Z1) < 0.5)
-            conv[i, j] = np.sum(phi2[inside]) * w * w
-    ind = np.outer(ind1, ind1).astype(float)
-    return float(np.sum(np.abs(conv - ind)) * (y[1] - y[0]) ** 2)
+    if d != 1:
+        raise ValueError(f"the mollification error is implemented for d=1, got d={d}")
+    y = np.linspace(-0.5 - h - 0.05, 0.5 + h + 0.05, n)
+    conv = mollifier_cdf((y + 0.5) / h) - mollifier_cdf((y - 0.5) / h)
+    ind = ((y >= -0.5) & (y < 0.5)).astype(float)
+    return float(np.sum(np.abs(conv - ind)) * (y[1] - y[0]))
 
 
 # --- subcube scans ---
@@ -209,7 +192,6 @@ def check_condition_B(b: SampledFunction, family: DyadicFamily, N: float = 10.0,
             ratio, _ = subcube_scan(b, Q, 0)   # depth 0: the cube itself
             avgs.append(ratio)                  # |int_Q b| / |Q| = |avg_Q b|
         avgs = np.asarray(avgs)
-        centers = np.asarray([Q.center for Q in gen])
         rows = []
         for Q in gen:
             gaps = np.asarray([Q.gap_to(other) for other in gen])
@@ -227,7 +209,6 @@ def check_condition_B(b: SampledFunction, family: DyadicFamily, N: float = 10.0,
                 if first_failure is None:
                     first_failure = (k, Q)
         witnesses[k] = rows
-        del centers
     return ConditionBCertificate(eps=float(eps), N=float(N), valid=valid,
                                  witnesses=witnesses, first_failure=first_failure,
                                  family=family)

@@ -28,7 +28,6 @@ import numpy as np
 
 from .grid import Grid, SampledFunction
 from .kernels import KernelModel
-from .util import pmap
 
 
 @dataclass(frozen=True)
@@ -201,13 +200,10 @@ def apply_bilinear_field(K: KernelModel, f: SampledFunction, g: SampledFunction,
     if gr.d != 1:
         raise ValueError("bilinear PV quadrature is implemented for d=1 grids")
     idxs = np.arange(gr.n) if points is None else np.asarray(points, dtype=int)
-    res = pmap(lambda i: _bilinear_point(K, f.values, g.values, gr, int(i), policy.c_eps),
-               idxs)
     vals = np.zeros(gr.n, dtype=complex)
     deltas = np.zeros(gr.n, dtype=complex)
-    for i, (v, dv) in zip(idxs, res):
-        vals[i] = v
-        deltas[i] = dv
+    for i in idxs:
+        vals[i], deltas[i] = _bilinear_point(K, f.values, g.values, gr, int(i), policy.c_eps)
     if policy.convergence_check:
         conv = np.abs(deltas) <= policy.tol_pv * (1.0 + np.abs(vals))
     else:
@@ -228,6 +224,11 @@ def triple_pairing(K: KernelModel, f0: SampledFunction, f1: SampledFunction,
                    f2: SampledFunction, b0: SampledFunction, b1: SampledFunction,
                    b2: SampledFunction, policy: PvPolicy = PvPolicy()) -> complex:
     """Excised triple sum of K(x,y,z) b0(x) f0(x) b1(y) f1(y) b2(z) f2(z)."""
+    return _triple_pairing(K, f0, f1, f2, b0, b1, b2, policy)[0]
+
+
+def _triple_pairing(K, f0, f1, f2, b0, b1, b2, policy) -> tuple[complex, int]:
+    """triple_pairing and the number of PV-flagged points of the inner field."""
     _require_bilinear(K)
     gr = f0.grid
     for other in (f1, f2, b0, b1, b2):
@@ -238,6 +239,6 @@ def triple_pairing(K: KernelModel, f0: SampledFunction, f1: SampledFunction,
     w2 = SampledFunction(grid=gr, values=b2.values * f2.values)
     support = np.nonzero(np.abs(w0) > 0)[0]
     if len(support) == 0:
-        return 0.0 + 0.0j
+        return 0.0 + 0.0j, 0
     fr = apply_bilinear_field(K, w1, w2, policy=policy, points=support)
-    return complex(np.sum(w0 * fr.field.values) * gr.h)
+    return complex(np.sum(w0 * fr.field.values) * gr.h), fr.n_flagged

@@ -36,8 +36,3 @@ def fmt_float(v) -> str:
     if f == int(f) and abs(f) < 1e15:
         return str(int(f))
     return repr(f)
-
-
-def fmt_complex(v) -> str:
-    c = complex(v)
-    return f"{fmt_float(c.real)}{'+' if c.imag >= 0 else '-'}{fmt_float(abs(c.imag))}j"

@@ -1,12 +1,16 @@
+import csv
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from tblab.cli import ConfigError, ExperimentConfig, ingest_b, run
 from tblab.grid import cube1, make_grid, sample, save_sampled_csv
+from tblab.harness import builtin_b
+from tblab.kernels import gallery
 
 
 def write_cfg(tmp_path, name, body):
@@ -40,6 +44,12 @@ def test_config_comments_and_defaults(tmp_path):
     assert cfg.kernel().name == "hilbert"
 
 
+def test_config_grid_mode_overrides_kernel_default(tmp_path):
+    p = write_cfg(tmp_path, "m.cfg", "kernel.name = hilbert\ngrid.mode = fixed\n")
+    assert ExperimentConfig.parse(p).kernel().grid_mode == "fixed"
+    assert gallery("hilbert").grid_mode == "scaled"
+
+
 def test_run_unknown_subcommand(tmp_path):
     p = write_cfg(tmp_path, "ok.cfg", "kernel.name = hilbert\n")
     assert run("frobnicate", p) == 2
@@ -69,6 +79,22 @@ def test_stein_positive_control_exit_1(tmp_path):
     out = tmp_path / "out"
     assert run("stein", p, out) == 1
     assert (out / "stein-t1.csv").exists()   # files written despite FAIL
+
+
+@pytest.mark.parametrize("sub", ["stein", "wbp", "report"])
+def test_fitted_sweeps_reject_short_scales(tmp_path, capsys, monkeypatch, sub):
+    # four scales leave no group with a fit; stein used to exit 0 with
+    # PASS-degenerate on the kernel built to fail
+    def no_field(*args, **kwargs):
+        raise AssertionError("a field was computed before the config was rejected")
+
+    monkeypatch.setattr("tblab.harness.apply_linear_field", no_field)
+    p = write_cfg(tmp_path, "s.cfg", "kernel.name = positive-control\ngrid.n = 256\n"
+                                     "scales = 0.5,1,2,4\n")
+    out = tmp_path / "out"
+    assert run(sub, p, out) == 2
+    assert "scales" in capsys.readouterr().err
+    assert not any(out.iterdir())
 
 
 def test_check_kernel_writes_certificates(tmp_path):
@@ -112,6 +138,17 @@ def test_wbp_subcommand(tmp_path):
     assert (out / "wbp.csv").exists()
 
 
+def test_wbp_bilinear_default_scales(tmp_path):
+    # without `scales` the CLI sweeps a bilinear kernel over BILINEAR_SCALES,
+    # not the library's seven linear scales
+    p = write_cfg(tmp_path, "wb.cfg", "kernel.name = bilinear-homog\ngrid.n = 32\n")
+    out = tmp_path / "out"
+    assert run("wbp", p, out) in (0, 1)
+    with open(out / "wbp.csv", newline="") as fh:
+        sections = Counter(row["section"] for row in csv.DictReader(fh))
+    assert sections == {"offset0": 5, "offset1": 5, "offset4": 5}
+
+
 def test_sweep_bmo_subcommand(tmp_path):
     p = write_cfg(tmp_path, "s.cfg",
                   "kernel.name = hilbert\ngrid.n = 256\ngrid.box_side = 16\n"
@@ -141,6 +178,20 @@ def test_report_emits_svg(tmp_path):
     assert (out / "stein-t1.svg").exists()
     svg = (out / "stein-t1.svg").read_text()
     assert svg.startswith("<svg") and "circle" in svg
+    # summary.txt holds every stein line, then the wbp line, and the exit code
+    # is the worse of the two; at equal centers cauchy-lipschitz passes stein
+    # and fails wbp
+    mixed = write_cfg(tmp_path, "m.cfg", "kernel.name = cauchy-lipschitz\ngrid.n = 128\n"
+                                         "centers = 0\noffsets = 0\n"
+                                         "scales = 0.25,0.5,1,2,4\n")
+    for cfg, expected in ((p, 0), (mixed, 1)):
+        rcs, lines = {}, {}
+        for sub in ("stein", "wbp", "report"):
+            d = tmp_path / f"{cfg.stem}-{sub}"
+            rcs[sub] = run(sub, cfg, d)
+            lines[sub] = (d / "summary.txt").read_text().splitlines()
+        assert rcs["report"] == max(rcs["stein"], rcs["wbp"]) == expected
+        assert lines["report"] == lines["stein"] + lines["wbp"]
 
 
 def test_ingest_builtins():
@@ -162,6 +213,19 @@ def test_ingest_csv_round_trip(tmp_path):
     other = make_grid(1, cube1(0.0, 8.0), 128)
     with pytest.raises(ValueError, match="grid"):
         b.sampled(other)
+
+
+def test_csv_b_runs_bmo_on_its_own_grid(tmp_path):
+    g = make_grid(1, cube1(0.0, 2.0), 256)
+    path = tmp_path / "b.csv"
+    save_sampled_csv(builtin_b("sign-sin").sampled(g), path)
+    body = f"b1 = {path}\ngrid.box_side = 2\nbmo.k_max = 3\n"
+    out = tmp_path / "out"
+    assert run("bmo", write_cfg(tmp_path, "b.cfg", body + "grid.n = 256\n"), out) == 0
+    assert (out / "bmo_report.csv").exists()
+    # the samples carry no closed form, so any other grid is refused
+    assert run("bmo", write_cfg(tmp_path, "c.cfg", body + "grid.n = 128\n"),
+               tmp_path / "other") == 2
 
 
 def test_ingest_unknown():

@@ -61,6 +61,14 @@ def test_stein_t1_zero_kernel_degenerate():
     assert rep.constant == 0.0
 
 
+def test_report_without_fits_fails():
+    # four scales leave every center short of a fit: nothing was tested
+    rep = stein_t1_test(gallery("positive-control"), scales=(0.5, 1.0, 2.0, 4.0),
+                        grid=SMALL)
+    assert rep.fits == []
+    assert rep.verdict == "FAIL"
+
+
 def test_stein_tb_with_one_reduces_to_half_t1():
     K = gallery("hilbert")
     t1 = stein_t1_test(K, grid=SMALL)

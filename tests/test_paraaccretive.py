@@ -33,6 +33,11 @@ def test_mollification_error_frozen(h):
     assert mollification_l1_error(h, 1) == pytest.approx(E_TABLE[h], rel=1e-4)
 
 
+def test_mollification_error_is_one_dimensional():
+    with pytest.raises(ValueError, match="d=2"):
+        mollification_l1_error(0.5, 2)
+
+
 def test_select_mollifier_h():
     # thresholds 0.5 (b == 1) and c0/(2 sup|b|) for the accretive builtin both
     # land on the first halving: E(1) = 0.669 > 0.5 >= E(0.5)
