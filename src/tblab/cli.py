@@ -264,10 +264,12 @@ def _check_kernel(cfg: ExperimentConfig):
     rows = _table(["kernel", "condition", "delta", "constant", "samples", "seed"],
                   ((c.kernel, c.condition, c.delta, c.constant, c.samples, c.seed)
                    for c in (size, reg)))
+    verdict = "PASS" if size.constant <= K.size_constant * (1.0 + 1e-9) else "FAIL"
     return ({"kernel_checks.csv": rows},
-            [f"check-kernel {K.name}: size constant {size.constant:.6g}, "
+            [f"check-kernel {K.name}: size constant {size.constant:.6g} "
+             f"(claimed {K.size_constant:.6g}), "
              f"regularity constant {reg.constant:.6g} at delta={reg.delta}",
-             "verdict: PASS"], ["PASS"])
+             f"verdict: {verdict}"], [verdict])
 
 
 def _bmo(cfg: ExperimentConfig):

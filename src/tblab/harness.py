@@ -555,6 +555,8 @@ def uniform_bmo_sweep(K: KernelModel, b1: BFunc = B_ONE, R_list=(1.0, 2.0, 4.0, 
 
 @dataclass(frozen=True)
 class FarFieldRow:
+    """One R of far_field_constancy. pv_flagged tells whether T(b1 (1 - phi_Q) phi_R)
+    is PV-flagged at a point read, Q's cells or the center; no test or CSV reads it."""
     R: float
     sup_dev: float
     c_QR: complex
@@ -598,13 +600,14 @@ def far_field_constancy(K: KernelModel, b1: BFunc = B_ONE,
     if grid.box_side < 8.0 * Q.side:
         raise ValueError("grid box must contain 8Q")
     g, r, qsel, i0, phiQ = _localize(grid, Q)
+    pts = np.concatenate([qsel, [i0]]) if i0 not in qsel else qsel    # the points read
     b1s = b1.sampled(g)
     rows = []
     for R in R_list:
         phiR = _plateau(g, 0.0, R)
-        fr_far = apply_linear_field(K, _weighted(b1s, 1.0 - phiQ, phiR), policy)
-        fr_loc = apply_linear_field(K, _weighted(b1s, phiQ, phiR), policy)
-        fr_full = apply_linear_field(K, _weighted(b1s, phiR), policy)
+        fr_far = apply_linear_field(K, _weighted(b1s, 1.0 - phiQ, phiR), policy, pts)
+        fr_loc = apply_linear_field(K, _weighted(b1s, phiQ, phiR), policy, pts)
+        fr_full = apply_linear_field(K, _weighted(b1s, phiR), policy, pts)
         cQR = complex(fr_far.field.values[i0])
         dev = float(np.max(np.abs(fr_far.field.values[qsel] - cQR)))
         split = float(np.max(np.abs(fr_full.field.values[qsel]

@@ -37,6 +37,11 @@ class KernelModel:
     rule: object = field(compare=False)   # rule(x, y) or rule(x, y, z)
     grid_mode: str = "scaled"
     params: dict = field(default_factory=dict)
+    # Translation structure on the grid lattice, or None. Linear: a tuple of
+    # (left, profile, right) terms, K(x, y) = sum left(x) profile(x - y) right(y),
+    # with None for a factor of one. Bilinear: a profile P, K(x, y, z) =
+    # P(x - y, x - z). Profiles are real; quadrature builds whole fields by FFT.
+    lattice: object = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.arity not in ("linear", "bilinear"):
@@ -110,15 +115,31 @@ class _CommutatorEvenKernel:
         return out.reshape(u.shape)
 
 
+def _bilinear_homog(u, v):
+    """uv / (u^2 + v^2)^2, zero at the origin."""
+    s2 = u * u + v * v
+    out = np.zeros(np.broadcast(u, v).shape)
+    nz = s2 > 0
+    uu = np.broadcast_to(u, out.shape)[nz]
+    vv = np.broadcast_to(v, out.shape)[nz]
+    out[nz] = uu * vv / (uu * uu + vv * vv) ** 2
+    return out
+
+
+def _difference_kernel(name, profile, size_constant) -> KernelModel:
+    """K(x, y) = profile(x - y)."""
+    def rule(x, y):
+        return profile(np.asarray(x, dtype=float) - np.asarray(y, dtype=float))
+    return KernelModel(name=name, arity="linear", d=1, delta=1.0,
+                       size_constant=size_constant, rule=rule,
+                       grid_mode=DEFAULT_GRID_MODE[name], lattice=((None, profile, None),))
+
+
 def gallery(name: str, **params) -> KernelModel:
     """Concrete operators: hilbert, cauchy-lipschitz(lam), commutator(...),
     bilinear-homog, positive-control."""
     if name == "hilbert":
-        def rule(x, y):
-            return 1.0 / (np.pi * (np.asarray(x, dtype=float) - np.asarray(y, dtype=float)))
-        return KernelModel(name="hilbert", arity="linear", d=1, delta=1.0,
-                           size_constant=1.0 / np.pi, rule=rule,
-                           grid_mode=DEFAULT_GRID_MODE[name])
+        return _difference_kernel(name, lambda u: 1.0 / (np.pi * u), 1.0 / np.pi)
 
     if name == "cauchy-lipschitz":
         lam = float(params.pop("lam", 0.3))
@@ -155,53 +176,48 @@ def gallery(name: str, **params) -> KernelModel:
         def rule(x, y, _a=a, _m=m, _k=keven):
             x = np.asarray(x, dtype=float); y = np.asarray(y, dtype=float)
             return (_a(y) - _a(x)) * _m(x) * _k(x - y)
+        # m(x) k(x - y) a(y) - m(x) a(x) k(x - y)
         K = KernelModel(name="commutator", arity="linear", d=1, delta=1.0,
                         size_constant=(1.0 + a_amp) * (1.0 + m_amp), rule=rule,
                         grid_mode=DEFAULT_GRID_MODE[name],
                         params={"lam_trunc": lam_trunc, "mu": mu,
-                                "a_amp": a_amp, "m_amp": m_amp})
+                                "a_amp": a_amp, "m_amp": m_amp},
+                        lattice=((m, keven, a), (lambda x: -m(x) * a(x), keven, None)))
         object.__setattr__(K, "k_even", keven)
         return K
 
     if name == "bilinear-homog":
         def rule(x, y, z):
             x = np.asarray(x, dtype=float)
-            u = x - np.asarray(y, dtype=float)
-            v = x - np.asarray(z, dtype=float)
-            s2 = u * u + v * v
-            out = np.zeros(np.broadcast(u, v).shape)
-            nz = s2 > 0
-            uu = np.broadcast_to(u, out.shape)[nz]
-            vv = np.broadcast_to(v, out.shape)[nz]
-            out[nz] = uu * vv / (uu * uu + vv * vv) ** 2
-            return out
+            return _bilinear_homog(x - np.asarray(y, dtype=float), x - np.asarray(z, dtype=float))
+        # size constant in the (|x-y| + |x-z|)^2 metric check_size measures
         return KernelModel(name="bilinear-homog", arity="bilinear", d=1, delta=1.0,
-                           size_constant=0.5, rule=rule,
-                           grid_mode=DEFAULT_GRID_MODE[name])
+                           size_constant=1.0, rule=rule,
+                           grid_mode=DEFAULT_GRID_MODE[name], lattice=_bilinear_homog)
 
     if name == "positive-control":
-        def rule(x, y):
-            return 1.0 / np.abs(np.asarray(x, dtype=float) - np.asarray(y, dtype=float))
-        return KernelModel(name="positive-control", arity="linear", d=1, delta=1.0,
-                           size_constant=1.0, rule=rule,
-                           grid_mode=DEFAULT_GRID_MODE[name])
+        return _difference_kernel(name, lambda u: 1.0 / np.abs(u), 1.0)
 
     raise ValueError(f"unknown gallery operator {name!r}; known: {GALLERY_NAMES}")
 
 
 def transpose_kernel(K: KernelModel, which: int = 1) -> KernelModel:
     """Argument-swapped kernel: K*(x,y)=K(y,x); K*1(x,y,z)=K(y,x,z); K*2=K(z,y,x)."""
+    r, lat = K.rule, K.lattice
     if K.arity == "linear":
         if which != 1:
             raise ValueError("linear kernels have a single transpose")
-        r = K.rule
-        return replace(K, name=K.name + "*", rule=lambda x, y, _r=r: _r(y, x))
+        if lat is not None:
+            lat = tuple((right, lambda u, _p=p: _p(-u), left) for left, p, right in lat)
+        return replace(K, name=K.name + "*", rule=lambda x, y, _r=r: _r(y, x), lattice=lat)
     if which == 1:
-        r = K.rule
-        return replace(K, name=K.name + "*1", rule=lambda x, y, z, _r=r: _r(y, x, z))
+        # K(y, x, z) = P(y - x, y - z) = P(-u, v - u)
+        return replace(K, name=K.name + "*1", rule=lambda x, y, z, _r=r: _r(y, x, z),
+                       lattice=None if lat is None else lambda u, v, _P=lat: _P(-u, v - u))
     if which == 2:
-        r = K.rule
-        return replace(K, name=K.name + "*2", rule=lambda x, y, z, _r=r: _r(z, y, x))
+        # K(z, y, x) = P(z - y, z - x) = P(u - v, -v)
+        return replace(K, name=K.name + "*2", rule=lambda x, y, z, _r=r: _r(z, y, x),
+                       lattice=None if lat is None else lambda u, v, _P=lat: _P(u - v, -v))
     raise ValueError("which must be 1 or 2")
 
 

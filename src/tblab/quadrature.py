@@ -15,6 +15,12 @@ convergence check flags it.
 
 Bilinear excision uses the distance |x-y| + |x-z| to the diagonal x=y=z.
 
+Whole fields of kernels with a lattice structure (KernelModel.lattice) are
+lattice sums by FFT convolution: O(n log n) for a linear field, O(n^2 log n)
+for a bilinear one. Other kernels, points and subsets of points sum their
+kernel rows directly, O(n) (linear) or O(n^2) (bilinear) per point. Memory
+stays O(BLOCK n) either way.
+
 Kernel rule conventions: d=1 rules take coordinate arrays (x, y) or
 (x, y, z); d=2 rules take the components (x0, x1, y0, y1) respectively
 (x0, x1, y0, y1, z0, z1), all broadcastable.
@@ -74,67 +80,124 @@ def _require_bilinear(K: KernelModel):
         raise ValueError(f"kernel {K.name} is not bilinear")
 
 
-def _kernel_matrix_1d(K: KernelModel, grid: Grid) -> np.ndarray:
-    x = grid.axis(0)
+BLOCK = 64          # rows per block of dense or FFT work: O(BLOCK * n) memory
+
+
+def _profile(p, *uv) -> np.ndarray:
+    """Real profile samples, non-finite ones set to zero."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        M = np.asarray(K.rule(x[:, None], x[None, :]), dtype=complex)
-    np.fill_diagonal(M, 0.0)
-    M[~np.isfinite(M)] = 0.0
-    return M
+        v = np.asarray(p(*uv))
+    if np.iscomplexobj(v):
+        raise ValueError("lattice profiles must be real")
+    v = np.array(v, dtype=float)
+    v[~np.isfinite(v)] = 0.0
+    return v
 
 
-def _field_values_1d(K: KernelModel, f: np.ndarray, grid: Grid, c_eps: int):
-    """Per-point values plus the change to the c_eps//2 excision.
+def _convolve(P: np.ndarray, s: np.ndarray, n: int) -> np.ndarray:
+    """sum_j P[..., i - j + n - 1] s_j for i < n, per row of the offset lattice P.
 
-    value(c) depends on c only through the near-zone kernel mass, so the
-    eps/2 re-run is the same matrix with a different ring sum.
+    Re s and Im s are transformed apart: real data gives an exactly real result.
     """
-    n = grid.n
-    h = grid.h
-    M = _kernel_matrix_1d(K, grid)
-    off = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
-    base = (M * f[None, :]).sum(axis=1) * h
-    near_mass = np.where(off <= c_eps, M, 0.0 + 0.0j).sum(axis=1) * h
+    L = 1 << (2 * n - 2).bit_length()       # >= 2n - 1: no wrap-around into the outputs
+    S = np.fft.rfft(np.stack([s.real, s.imag]), L)
+    c = np.fft.irfft(np.fft.rfft(P, L)[..., None, :] * S, L)[..., n - 1:2 * n - 1]
+    return c[..., 0, :] + 1j * c[..., 1, :]
+
+
+def _linear_tail(f, rows, h, base, near_mass, a1, ring_mass):
+    """values = base - f near_mass + a1 f' h at the rows, and value(c_eps//2) - value(c_eps):
+    value(c) depends on c only through the near-zone kernel mass, so that is f
+    times the mass of the ring between the two excisions (None: no ring)."""
     fp = np.zeros_like(f)
     fp[1:-1] = (f[2:] - f[:-2]) / (2.0 * h)
-    up = np.diagonal(M, 1)      # M[i, i+1]
-    dn = np.diagonal(M, -1)     # M[i, i-1] at row i = index+1
-    a1 = np.zeros(n, dtype=complex)
-    a1[1:-1] = 0.5 * h * (up[1:] - dn[:-1])
-    values = base - f * near_mass + a1 * fp * h
-    c_half = max(1, c_eps // 2)
-    if c_half == c_eps:
-        delta = np.zeros(n, dtype=complex)
-    else:
-        ring_mass = np.where((off > c_half) & (off <= c_eps), M, 0.0 + 0.0j).sum(axis=1) * h
-        delta = f * ring_mass       # value(c_half) - value(c_eps)
+    values = base - f[rows] * near_mass + a1 * fp[rows] * h
+    delta = np.zeros(len(values), dtype=complex) if ring_mass is None else f[rows] * ring_mass
     return values, delta
 
 
+def _linear_dense_rows(K: KernelModel, f: np.ndarray, grid: Grid, c_eps: int,
+                       rows: np.ndarray):
+    """(values, delta) at the given rows, from their rows of the kernel matrix."""
+    n, h = grid.n, grid.h
+    x = grid.axis(0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        M = np.asarray(K.rule(x[rows, None], x[None, :]), dtype=complex)
+    off = np.abs(rows[:, None] - np.arange(n)[None, :])
+    M[off == 0] = 0.0
+    M[~np.isfinite(M)] = 0.0
+    base = (M * f[None, :]).sum(axis=1) * h
+    near_mass = np.where(off <= c_eps, M, 0.0 + 0.0j).sum(axis=1) * h
+    a1 = np.zeros(len(rows), dtype=complex)
+    k = np.nonzero((rows >= 1) & (rows <= n - 2))[0]
+    a1[k] = 0.5 * h * (M[k, rows[k] + 1] - M[k, rows[k] - 1])
+    c_half = max(1, c_eps // 2)
+    ring_mass = None if c_half == c_eps else \
+        np.where((off > c_half) & (off <= c_eps), M, 0.0 + 0.0j).sum(axis=1) * h
+    return _linear_tail(f, rows, h, base, near_mass, a1, ring_mass)
+
+
+def _linear_lattice_field(K: KernelModel, f: np.ndarray, grid: Grid, c_eps: int):
+    """(values, delta) at every point: one FFT convolution per lattice term.
+
+    The near-zone terms read K.rule on the 2 c_eps off-diagonals only.
+    """
+    n, h = grid.n, grid.h
+    x = grid.axis(0)
+    base = np.zeros(n, dtype=complex)
+    for left, p, right in K.lattice:
+        kv = _profile(p, np.arange(1 - n, n) * h)
+        kv[n - 1] = 0.0
+        t = _convolve(kv, f if right is None else right(x) * f, n)
+        base += t if left is None else left(x) * t
+    ks = np.concatenate([np.arange(-c_eps, 0), np.arange(1, c_eps + 1)])
+    j = np.arange(n)[:, None] + ks[None, :]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        band = np.asarray(K.rule(x[:, None], x[np.clip(j, 0, n - 1)]), dtype=complex)
+    band[(j < 0) | (j >= n) | ~np.isfinite(band)] = 0.0
+    a1 = np.zeros(n, dtype=complex)
+    a1[1:-1] = 0.5 * h * (band[1:-1, c_eps] - band[1:-1, c_eps - 1])
+    c_half = max(1, c_eps // 2)
+    ring_mass = None if c_half == c_eps else band[:, np.abs(ks) > c_half].sum(axis=1) * h
+    return _linear_tail(f, slice(None), h, base * h, band.sum(axis=1) * h, a1, ring_mass)
+
+
 def apply_linear(K: KernelModel, f: SampledFunction, x, policy: PvPolicy = PvPolicy()) -> PvValue:
-    """PV value of T(f)(x) = int K(x, y) f(y) dy at a grid point x."""
+    """PV value of T(f)(x) = int K(x, y) f(y) dy at a grid point x; reads one kernel row."""
     _require_linear(K)
     g = f.grid
     if g.d != 1:
         raise ValueError("linear PV quadrature is implemented for d=1 grids")
     i = g.index_of(x)[0]
-    values, delta = _field_values_1d(K, f.values, g, policy.c_eps)
-    v = complex(values[i])
+    values, delta = _linear_dense_rows(K, f.values, g, policy.c_eps, np.array([i]))
+    v = complex(values[0])
     if not policy.convergence_check:
         return PvValue(value=v, refined=None, converged=True)
-    dv = complex(delta[i])
+    dv = complex(delta[0])
     ok = abs(dv) <= policy.tol_pv * (1.0 + abs(v))
     return PvValue(value=v, refined=v + dv, converged=bool(ok))
 
 
 def apply_linear_field(K: KernelModel, f: SampledFunction,
-                       policy: PvPolicy = PvPolicy()) -> FieldResult:
-    """T(f) at every grid point; O(n^2) kernel evaluations, fully vectorized."""
+                       policy: PvPolicy = PvPolicy(), points=None) -> FieldResult:
+    """T(f) at every grid point, or at a subset of grid indices (zero and unflagged elsewhere).
+
+    A whole field of a kernel with a lattice structure costs O(n log n); other
+    kernels and subsets read their kernel rows in blocks, O(n) per point.
+    """
     _require_linear(K)
     g = f.grid
     if g.d != 1:
         raise ValueError("linear PV quadrature is implemented for d=1 grids")
-    values, delta = _field_values_1d(K, f.values, g, policy.c_eps)
+    if points is None and K.lattice is not None:
+        values, delta = _linear_lattice_field(K, f.values, g, policy.c_eps)
+    else:
+        rows = np.arange(g.n) if points is None else np.asarray(points, dtype=int)
+        values = np.zeros(g.n, dtype=complex)
+        delta = np.zeros(g.n, dtype=complex)
+        for s in range(0, len(rows), BLOCK):
+            r = rows[s:s + BLOCK]
+            values[r], delta[r] = _linear_dense_rows(K, f.values, g, policy.c_eps, r)
     if policy.convergence_check:
         conv = np.abs(delta) <= policy.tol_pv * (1.0 + np.abs(values))
     else:
@@ -168,6 +231,42 @@ def _bilinear_point(K: KernelModel, fv: np.ndarray, gv: np.ndarray,
     return complex(val), complex(dv)
 
 
+def _bilinear_lattice_field(K: KernelModel, fv: np.ndarray, gv: np.ndarray,
+                            grid: Grid, c_eps: int):
+    """(values, delta) at every point from the profile P(x - y, x - z).
+
+    The whole lattice sum is taken BLOCK kernel-lattice rows p = i - j at a
+    time: each row convolves P(p h, .) with g by FFT and is weighted by f
+    shifted by p. The excised set and the ring are then classified by the
+    same float test as _bilinear_point over the O(c_eps^2) candidate offsets.
+    """
+    n, h = grid.n, grid.h
+    x = grid.axis(0)
+    i = np.arange(n)
+    q = np.arange(1 - n, n) * h
+    full = np.zeros(n, dtype=complex)
+    for s in range(1 - n, n, BLOCK):
+        p = np.arange(s, min(s + BLOCK, n))
+        P = _profile(K.lattice, p[:, None] * h, q[None, :])
+        P[p == 0, n - 1] = 0.0
+        j = i[None, :] - p[:, None]
+        fs = np.where((j >= 0) & (j < n), fv[np.clip(j, 0, n - 1)], 0.0)
+        full += (fs * _convolve(P, gv, n)).sum(axis=0)
+    off = np.arange(-c_eps, c_eps + 1)
+    a, b = (o.ravel()[:, None] for o in np.meshgrid(off, off))
+    ja, jb = i - a, i - b
+    S = np.abs(x - x[np.clip(ja, 0, n - 1)]) + np.abs(x - x[np.clip(jb, 0, n - 1)])
+    S[(ja < 0) | (ja >= n) | (jb < 0) | (jb >= n)] = np.inf
+    Pc = _profile(K.lattice, a * h, b * h)
+    fg = fv * gv
+    values = (full - fg * np.where((S > 0) & (S <= c_eps * h), Pc, 0.0).sum(axis=0)) * h * h
+    c_half = max(1, c_eps // 2)
+    if c_half == c_eps:
+        return values, np.zeros(n, dtype=complex)
+    ring = np.where((S > c_half * h) & (S <= c_eps * h), Pc, 0.0).sum(axis=0)
+    return values, fg * ring * h * h
+
+
 def apply_bilinear(K: KernelModel, f: SampledFunction, g: SampledFunction, x,
                    policy: PvPolicy = PvPolicy()) -> PvValue:
     """PV value of T(f, g)(x) with excision |x-y| + |x-z| > eps.
@@ -192,18 +291,26 @@ def apply_bilinear(K: KernelModel, f: SampledFunction, g: SampledFunction, x,
 def apply_bilinear_field(K: KernelModel, f: SampledFunction, g: SampledFunction,
                          policy: PvPolicy = PvPolicy(),
                          points=None) -> FieldResult:
-    """T(f, g) at every grid point, or at a subset of grid indices."""
+    """T(f, g) at every grid point, or at a subset of grid indices (zero and unflagged elsewhere).
+
+    A whole field of a kernel with a lattice profile costs O(n^2 log n) in
+    O(BLOCK n) memory; other kernels and subsets are summed point by point.
+    """
     _require_bilinear(K)
     if f.grid != g.grid:
         raise ValueError("f and g must share a grid")
     gr = f.grid
     if gr.d != 1:
         raise ValueError("bilinear PV quadrature is implemented for d=1 grids")
-    idxs = np.arange(gr.n) if points is None else np.asarray(points, dtype=int)
-    vals = np.zeros(gr.n, dtype=complex)
-    deltas = np.zeros(gr.n, dtype=complex)
-    for i in idxs:
-        vals[i], deltas[i] = _bilinear_point(K, f.values, g.values, gr, int(i), policy.c_eps)
+    if points is None and K.lattice is not None:
+        vals, deltas = _bilinear_lattice_field(K, f.values, g.values, gr, policy.c_eps)
+    else:
+        idxs = np.arange(gr.n) if points is None else np.asarray(points, dtype=int)
+        vals = np.zeros(gr.n, dtype=complex)
+        deltas = np.zeros(gr.n, dtype=complex)
+        for i in idxs:
+            vals[i], deltas[i] = _bilinear_point(K, f.values, g.values, gr, int(i),
+                                                 policy.c_eps)
     if policy.convergence_check:
         conv = np.abs(deltas) <= policy.tol_pv * (1.0 + np.abs(vals))
     else:

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -104,6 +105,20 @@ def test_check_kernel_writes_certificates(tmp_path):
     lines = (out / "kernel_checks.csv").read_text().splitlines()
     assert lines[0] == "kernel,condition,delta,constant,samples,seed"
     assert len(lines) == 3
+
+
+def test_check_kernel_fails_an_understated_claim(tmp_path, monkeypatch):
+    def halved(name, **params):
+        K = gallery(name, **params)
+        return replace(K, size_constant=K.size_constant / 2.0)
+
+    # bilinear-homog measures 0.99999996 against its claim of 1.0
+    p = write_cfg(tmp_path, "k.cfg", "kernel.name = bilinear-homog\n")
+    assert run("check-kernel", p, tmp_path / "ok") == 0
+    assert "(claimed 1)" in (tmp_path / "ok" / "summary.txt").read_text()
+    monkeypatch.setattr("tblab.cli.gallery", halved)
+    assert run("check-kernel", p, tmp_path / "half") == 1
+    assert "verdict: FAIL" in (tmp_path / "half" / "summary.txt").read_text()
 
 
 def test_bmo_subcommand(tmp_path):

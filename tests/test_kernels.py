@@ -182,3 +182,22 @@ def test_transpose_arity_checks():
         transpose_kernel(gallery("hilbert"), 2)
     with pytest.raises(ValueError):
         transpose_kernel(gallery("bilinear-homog"), 3)
+
+
+@pytest.mark.parametrize("name", ["hilbert", "commutator", "positive-control"])
+def test_linear_lattice_reproduces_rule(name, rng):
+    K = gallery(name)
+    x, y = rng.uniform(-3, 3, size=(2, 40))
+    for k in (K, transpose_kernel(K)):
+        lat = sum((1.0 if left is None else left(x)) * p(x - y) *
+                  (1.0 if right is None else right(y)) for left, p, right in k.lattice)
+        np.testing.assert_allclose(lat, k.rule(x, y), rtol=1e-12, atol=1e-12)
+
+
+def test_bilinear_lattice_reproduces_rule(rng):
+    K = gallery("bilinear-homog")
+    x, y, z = rng.uniform(-3, 3, size=(3, 40))
+    for k in (K, transpose_kernel(K, 1), transpose_kernel(K, 2)):
+        np.testing.assert_allclose(k.lattice(x - y, x - z), k.rule(x, y, z),
+                                   rtol=1e-12, atol=1e-12)
+    assert gallery("cauchy-lipschitz").lattice is None

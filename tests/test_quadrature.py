@@ -1,5 +1,10 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tblab.bumps import standard_bump, translate_dilate
 from tblab.grid import SampledFunction, cube1, lp_norm, make_grid, sample
@@ -229,3 +234,192 @@ def test_arity_enforced():
         apply_linear(gallery("bilinear-homog"), f, g.axis(0)[32])
     with pytest.raises(ValueError):
         apply_bilinear(H, f, f, g.axis(0)[32])
+
+
+# --- lattice fast paths against the dense rows ---------------------------------
+#
+# The oracle is the same kernel with its lattice removed, which runs the dense
+# arithmetic. On n = 127, box 8 and on n = 384, box 64 (h = 1/6) the float test
+# S > eps and the integer test |p| + |q| > c_eps disagree on the excised set
+# (336 and 1528 (i, j, k) triples at c_eps = 2); on power-of-two h they agree.
+
+def _smooth(g, seed):
+    rng = np.random.default_rng(seed)
+    x = g.axis(0)
+    w = x / (g.box.side / 8.0)
+    noise = rng.normal(size=g.n) + 1j * rng.normal(size=g.n)
+    return SampledFunction(grid=g, values=np.exp(-w * w) * (1.0 + 0.3j * np.tanh(w))
+                           + 0.1 * np.exp(-w * w / 2.0) * noise)
+
+
+def _dense(K):
+    return dataclasses.replace(K, lattice=None)
+
+
+def _assert_matches_oracle(fast, dense):
+    scale = np.max(np.abs(dense.field.values))
+    assert np.max(np.abs(fast.field.values - dense.field.values)) <= 1e-12 * scale
+    np.testing.assert_array_equal(fast.converged, dense.converged)
+
+
+LINEAR_ORACLE = [(name, t) for name in ("hilbert", "cauchy-lipschitz", "commutator",
+                                        "positive-control") for t in (False, True)]
+
+
+@pytest.mark.parametrize("name,transposed", LINEAR_ORACLE)
+@pytest.mark.parametrize("n,box", [(255, 16.0), (384, 64.0)])
+def test_linear_field_matches_dense_oracle(name, transposed, n, box):
+    K = gallery(name)
+    K = transpose_kernel(K) if transposed else K
+    f = _smooth(make_grid(1, cube1(0.0, box), n), 1)
+    for c_eps in (1, 2, 4):
+        policy = PvPolicy(c_eps=c_eps)
+        _assert_matches_oracle(apply_linear_field(K, f, policy),
+                               apply_linear_field(_dense(K), f, policy))
+
+
+@pytest.mark.parametrize("which", [0, 1, 2])
+def test_bilinear_field_matches_dense_oracle(which):
+    K = gallery("bilinear-homog")
+    K = transpose_kernel(K, which) if which else K
+    g = make_grid(1, cube1(0.0, 8.0), 127)
+    f, h = _smooth(g, 2), _smooth(g, 3)
+    for c_eps in (1, 2, 4):
+        policy = PvPolicy(c_eps=c_eps)
+        _assert_matches_oracle(apply_bilinear_field(K, f, h, policy),
+                               apply_bilinear_field(_dense(K), f, h, policy))
+    g = make_grid(1, cube1(0.0, 64.0), 384)
+    f, h = _smooth(g, 4), _smooth(g, 5)
+    _assert_matches_oracle(apply_bilinear_field(K, f, h), apply_bilinear_field(_dense(K), f, h))
+
+
+def test_point_reads_one_kernel_row():
+    K = gallery("hilbert")
+    evals = []
+
+    def counting(x, y):
+        out = K.rule(x, y)
+        evals.append(np.size(out))
+        return out
+
+    f = _smooth(make_grid(1, cube1(0.0, 64.0), 4096), 6)
+    pv = apply_linear(dataclasses.replace(K, rule=counting), f, f.grid.axis(0)[1234])
+    assert sum(evals) <= 4096
+    dense = apply_linear_field(_dense(K), f)
+    assert complex(pv.value) == dense.field.values[1234]        # bit-identical
+    assert pv.converged == dense.converged[1234]
+
+
+@pytest.mark.parametrize("name", ["hilbert", "cauchy-lipschitz"])
+def test_linear_subset_field(name):
+    K = gallery(name)
+    f = _smooth(make_grid(1, cube1(0.0, 16.0), 255), 7)
+    pts = [0, 3, 100, 254]
+    sub = apply_linear_field(K, f, points=pts)
+    dense = apply_linear_field(_dense(K), f)
+    rest = np.setdiff1d(np.arange(255), pts)
+    np.testing.assert_array_equal(sub.field.values[pts], dense.field.values[pts])
+    np.testing.assert_array_equal(sub.converged[pts], dense.converged[pts])
+    assert np.all(sub.field.values[rest] == 0.0) and np.all(sub.converged[rest])
+    for i in pts:
+        assert complex(apply_linear(K, f, f.grid.axis(0)[i]).value) == dense.field.values[i]
+
+
+def test_real_data_gives_exactly_real_fields():
+    g = make_grid(1, cube1(0.0, 16.0), 255)
+    f = sample(lambda x: np.exp(-x * x), g)
+    for name in ("hilbert", "commutator", "positive-control"):
+        assert np.all(apply_linear_field(gallery(name), f).field.values.imag == 0.0)
+    assert np.all(apply_bilinear_field(gallery("bilinear-homog"), f, f).field.values.imag == 0.0)
+
+
+@pytest.mark.parametrize("case", [("hilbert", 4096), ("cauchy-lipschitz", 4096),
+                                  ("bilinear-homog", 512)])
+def test_field_memory_is_blocked(case):
+    # the n x n kernel matrix alone would be 268 MB at n = 4096
+    name, n = case
+    K = gallery(name)
+    f = _smooth(make_grid(1, cube1(0.0, 64.0), n), 8)
+    tracemalloc.start()
+    try:
+        if K.arity == "linear":
+            apply_linear_field(K, f)
+        else:
+            apply_bilinear_field(K, f, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
+
+
+# --- properties ------------------------------------------------------------------
+
+PROPERTY = settings(max_examples=15, deadline=None, derandomize=True)
+coefs = st.floats(-2.0, 2.0, allow_nan=False)
+centers = st.floats(-2.0, 2.0, allow_nan=False)
+
+
+def _gauss(g, a, c, w=1.0):
+    return sample(lambda x: a * np.exp(-((x - c) / w) ** 2) + 0j, g)
+
+
+@PROPERTY
+@given(name=st.sampled_from(["hilbert", "commutator", "positive-control"]),
+       a=coefs, b=coefs, c1=centers, c2=centers)
+def test_linear_field_is_linear(name, a, b, c1, c2):
+    K = gallery(name)
+    g = make_grid(1, cube1(0.0, 16.0), 255)
+    f, h = _gauss(g, 1.0, c1), _gauss(g, 1.0j, c2)
+    lhs = apply_linear_field(K, SampledFunction(grid=g, values=a * f.values + b * h.values))
+    Tf, Th = apply_linear_field(K, f).field.values, apply_linear_field(K, h).field.values
+    rhs = a * Tf + b * Th
+    scale = (abs(a) * np.max(np.abs(Tf)) + abs(b) * np.max(np.abs(Th)))
+    assert np.max(np.abs(lhs.field.values - rhs)) <= 1e-12 * scale
+
+
+@PROPERTY
+@given(a=coefs, c1=centers, c2=centers, which=st.sampled_from([0, 1, 2]))
+def test_bilinear_field_is_linear_in_each_slot(a, c1, c2, which):
+    K = gallery("bilinear-homog")
+    K = transpose_kernel(K, which) if which else K
+    g = make_grid(1, cube1(0.0, 8.0), 64)
+    f, h, k = _gauss(g, 1.0, c1), _gauss(g, 1.0, c2), _gauss(g, 1.0j, 0.0, 0.5)
+    fk = SampledFunction(grid=g, values=f.values + a * k.values)
+    lhs = apply_bilinear_field(K, fk, h).field.values
+    A, B = apply_bilinear_field(K, f, h).field.values, apply_bilinear_field(K, k, h).field.values
+    scale = np.max(np.abs(A)) + abs(a) * np.max(np.abs(B))
+    assert np.max(np.abs(lhs - (A + a * B))) <= 1e-12 * scale
+
+
+@PROPERTY
+@given(k=st.integers(-2, 2), c=st.floats(-0.5, 0.5, allow_nan=False))
+def test_scale_equivariance_on_matched_grids(k, c):
+    # K(lam x, lam y) = K(x, y) / lam (hilbert) and K(lam .) = K / lam^2
+    # (bilinear-homog): on the grid dilated by lam = 2^k the field of the
+    # dilated function is the same array
+    lam = 2.0 ** k
+    base, dil = make_grid(1, cube1(0.0, 8.0), 128), make_grid(1, cube1(0.0, 8.0 * lam), 128)
+    f = _gauss(base, 1.0, c)
+    fl = SampledFunction(grid=dil, values=f.values)
+    H0 = apply_linear_field(H, f).field.values
+    np.testing.assert_allclose(apply_linear_field(H, fl).field.values, H0,
+                               rtol=0, atol=1e-12 * np.max(np.abs(H0)))
+    K = gallery("bilinear-homog")
+    B0 = apply_bilinear_field(K, f, f).field.values
+    np.testing.assert_allclose(apply_bilinear_field(K, fl, fl).field.values, B0,
+                               rtol=0, atol=1e-12 * np.max(np.abs(B0)))
+
+
+@PROPERTY
+@given(name=st.sampled_from(["hilbert", "positive-control"]), c1=centers, c2=centers,
+       w=st.floats(0.5, 2.0))
+def test_transpose_duality(name, c1, c2, w):
+    # <T f, g> = <f, T* g> holds for the discrete scheme; for commutator and
+    # cauchy-lipschitz it holds only to O(h), so they are not asserted here
+    K = gallery(name)
+    g = make_grid(1, cube1(0.0, 32.0), 512)
+    f, h = _gauss(g, 1.0, c1, w), _gauss(g, 1.0 + 0.5j, c2)
+    Tf = apply_linear_field(K, f).field
+    Tth = apply_linear_field(transpose_kernel(K), h).field
+    scale = lp_norm(Tf, 2) * lp_norm(h, 2) + lp_norm(f, 2) * lp_norm(Tth, 2)
+    assert abs(pairing(Tf, h) - pairing(f, Tth)) <= 1e-12 * scale
