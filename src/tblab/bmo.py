@@ -17,28 +17,30 @@ from .util import fmt_float
 
 MIN_CELLS = 4
 SHIFTS = (1.0 / 3.0, 0.5, 2.0 / 3.0)
+WEISZFELD_ITERS = 320
 
 
 def _cells_in_cube(f: SampledFunction, Q: Cube) -> np.ndarray:
-    """Flat value array of cells whose centers lie in the half-open cube."""
+    """Flat values of the cells centred in the half-open cube (>= MIN_CELLS)."""
     g = f.grid
-    sel = None
+    sel = []
     for ax in range(g.d):
-        a = g.axis(ax)
         lo = Q.center[ax] - Q.side / 2.0
         hi = Q.center[ax] + Q.side / 2.0
-        m = (a >= lo - 1e-12 * g.box.side) & (a < hi - 1e-12 * g.box.side)
-        sel = m if sel is None else np.logical_and.outer(sel, m)
-    return f.values[sel]
+        i0, i1 = np.searchsorted(g.axis(ax), (lo - 1e-12 * g.box.side,
+                                              hi - 1e-12 * g.box.side))
+        sel.append(slice(i0, max(i0, i1)))
+    vals = f.values[tuple(sel)].ravel()
+    if vals.size < MIN_CELLS:
+        raise ValueError(
+            f"cube (center {Q.center}, side {Q.side}) holds {vals.size} grid cells; "
+            f"need >= {MIN_CELLS}")
+    return vals
 
 
 def mean_oscillation(f: SampledFunction, Q: Cube) -> float:
     """(1/|Q|) int_Q |f - avg_Q f|, midpoint rule over cell centers."""
     vals = _cells_in_cube(f, Q)
-    if vals.size < MIN_CELLS:
-        raise ValueError(
-            f"cube (center {Q.center}, side {Q.side}) holds {vals.size} grid cells; "
-            f"need >= {MIN_CELLS}")
     avg = np.mean(vals)
     return float(np.mean(np.abs(vals - avg)))
 
@@ -47,41 +49,51 @@ def _abs_dev(vals: np.ndarray, c: complex) -> float:
     return float(np.mean(np.abs(vals - c)))
 
 
-def _ternary_refine(vals: np.ndarray, c0: complex, span: float, rounds: int = 40) -> complex:
-    """Coordinate ternary search on c -> mean|vals - c| around c0."""
-    c = c0
-    for axis in (1.0, 1.0j, 1.0, 1.0j):
-        lo, hi = -span, span
-        for _ in range(rounds):
-            m1 = lo + (hi - lo) / 3.0
-            m2 = hi - (hi - lo) / 3.0
-            if _abs_dev(vals, c + axis * m1) <= _abs_dev(vals, c + axis * m2):
-                hi = m2
-            else:
-                lo = m1
-        c = c + axis * (lo + hi) / 2.0
+def _geometric_median(vals: np.ndarray, c: complex) -> complex:
+    """argmin of c -> mean|vals - c|, from c, by Weiszfeld's iteration.
+
+    At a sample the Vardi-Zhang step is taken, or the sample is returned if
+    optimal. Elsewhere a Newton step and the nearest sample compete with the
+    Weiszfeld step, which alone crawls where the minimum is flat (between two
+    equal clusters) or on a sample. Stops when no candidate lowers the mean.
+    """
+    dev = _abs_dev(vals, c)
+    for _ in range(WEISZFELD_ITERS):
+        dist = np.abs(vals - c)
+        w, x = 1.0 / dist[dist > 0.0], vals[dist > 0.0]
+        u = (x - c) * w                     # unit vectors from c to the samples
+        pull, eta = complex(np.sum(u)), vals.size - w.size   # eta samples sit on c
+        if eta and abs(pull) <= eta:
+            return c
+        t = complex(np.dot(w, x) / np.sum(w))
+        steps = [t + eta / abs(pull) * (c - t) if eta else t]
+        if not eta:
+            steps.append(complex(vals[np.argmin(dist)]))
+            # the Hessian sum w (I - u u^T) of the mean, as [[a, b], [b, e]]
+            a, b, e = np.dot(w, u.imag ** 2), -np.dot(w, u.real * u.imag), np.dot(w, u.real ** 2)
+            if a * e > b * b:
+                steps.append(c + complex(e * pull.real - b * pull.imag,
+                                         a * pull.imag - b * pull.real) / (a * e - b * b))
+        devs = [_abs_dev(vals, s) for s in steps]
+        if min(devs) >= dev:
+            return c
+        c, dev = steps[int(np.argmin(devs))], min(devs)
     return c
 
 
 def best_constant_oscillation(f: SampledFunction, Q: Cube, return_witness: bool = False):
     """inf over constants c of (1/|Q|) int_Q |f - c|.
 
-    Initialized at median(Re) + i median(Im) (exact for real samples),
-    refined by ternary search in each of Re c, Im c; the cube average is
-    kept as a fallback candidate so the value never exceeds the mean
-    oscillation.
+    For real samples the median is the exact minimiser. For complex ones
+    the geometric median is refined from median(Re) + i median(Im); that
+    start and the cube average are kept as candidates, so the value never
+    exceeds the mean oscillation.
     """
     vals = _cells_in_cube(f, Q)
-    if vals.size < MIN_CELLS:
-        raise ValueError(
-            f"cube (center {Q.center}, side {Q.side}) holds {vals.size} grid cells; "
-            f"need >= {MIN_CELLS}")
-    med = complex(np.median(vals.real), np.median(vals.imag))
-    span = float(np.max(np.abs(vals - med))) + 1e-30
-    cand = [med, _ternary_refine(vals, med, span)]
-    avg = complex(np.mean(vals))
-    cand.append(avg)
-    best = min(cand, key=lambda c: _abs_dev(vals, c))
+    best = complex(np.median(vals.real), np.median(vals.imag))
+    if np.any(vals.imag):
+        best = min((best, _geometric_median(vals, best), complex(np.mean(vals))),
+                   key=lambda c: _abs_dev(vals, c))
     v = _abs_dev(vals, best)
     if return_witness:
         return v, best
@@ -125,21 +137,17 @@ class OscillationReport:
 
 def _shifted_cubes(family: DyadicFamily, shifts=SHIFTS):
     """Dyadic cubes plus per-axis shifted copies that stay in the root box."""
-    root = family.root
-    lo = root.lo()
-    hi = root.hi()
-    d = root.d
+    lo, hi, d = family.root.lo(), family.root.hi(), family.root.d
+    if d == 1:
+        shift_vecs = [(s,) for s in shifts]
+    else:
+        shift_vecs = [(s, 0.0) for s in shifts] + [(0.0, s) for s in shifts] + \
+                     [(s, t) for s in shifts for t in shifts]
     out = []
     for k in range(family.k_min, family.k_max + 1):
         side = family.side(k)
         base = family.generations[k]
         out.extend(base)
-        shift_vecs = []
-        if d == 1:
-            shift_vecs = [(s,) for s in shifts]
-        else:
-            shift_vecs = [(s, 0.0) for s in shifts] + [(0.0, s) for s in shifts] + \
-                         [(s, t) for s in shifts for t in shifts]
         for vec in shift_vecs:
             for Q in base:
                 c = tuple(Q.center[i] + vec[i] * side for i in range(d))

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bmo import bmo_seminorm
+from .bmo import MIN_CELLS, bmo_seminorm
 from .grid import Cube, Grid, SampledFunction, dyadic_family, load_sampled_csv
 from .harness import (BILINEAR_GRID, BILINEAR_SCALES, BMO_SWEEP_GRID, DECOMP_CUBE,
                       DECOMP_GRID, FAR_FIELD_CUBE, FAR_FIELD_GRID, BFunc, GridSpec,
@@ -280,7 +280,8 @@ def _bmo(cfg: ExperimentConfig):
     verdict = "PASS" if rep.sandwich_ok else "FAIL"
     return ({"bmo_report.csv": rep.csv_rows()},
             [f"bmo {b.name}: sup mean-osc {rep.sup_mean:.6g}, "
-             f"sup best-const {rep.sup_best:.6g}, cubes {len(rep.entries)}",
+             f"sup best-const {rep.sup_best:.6g}, cubes {len(rep.entries)}, "
+             f"skipped {rep.n_skipped} with < {MIN_CELLS} cells",
              f"sandwich best<=mean<=2best: {verdict}",
              f"verdict: {verdict}"], [verdict])
 

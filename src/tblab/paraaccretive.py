@@ -68,7 +68,7 @@ def _cell_span(g: Grid, Q: Cube):
         if abs(a - ia) > 1e-6 or abs(b - ib) > 1e-6:
             raise ValueError(
                 f"cube (center {Q.center}, side {Q.side}) is not aligned with grid cells")
-        spans.append((max(0, int(ia)), min(g.n, int(ib))))
+        spans.append((max(0, int(ia)), min(g.n, max(0, int(ib)))))
     return spans
 
 
@@ -77,44 +77,31 @@ def subcube_scan(b: SampledFunction, Q: Cube, J: int):
 
     ratio = |int_W b| / |Q| computed by midpoint prefix sums.
     """
-    g = b.grid
+    g, d, h = b.grid, b.grid.d, b.grid.h
     if J < 0:
         raise ValueError("depth J must be >= 0")
     spans = _cell_span(g, Q)
     volQ = Q.volume
     best = (-1.0, None)
-    if g.d == 1:
-        i0, i1 = spans[0]
-        v = b.values[i0:i1] * g.h
-        cum = np.concatenate([[0.0 + 0.0j], np.cumsum(v)])
-        ncell = i1 - i0
-        for j in range(J + 1):
-            w = round(Q.side / (1 << j) / g.h)
-            if w < 1 or w > ncell:
-                continue
-            sums = cum[w:] - cum[:-w]
-            amps = np.abs(sums)
-            a = int(np.argmax(amps))
-            if amps[a] / volQ > best[0]:
-                lo = g.box.center[0] - g.box.side / 2.0 + (i0 + a) * g.h
-                best = (float(amps[a]) / volQ, Cube((lo + w * g.h / 2.0,), w * g.h))
-        return best
-    (i0, i1), (j0, j1) = spans
-    v = b.values[i0:i1, j0:j1] * g.h ** 2
-    S = np.zeros((v.shape[0] + 1, v.shape[1] + 1), dtype=complex)
-    S[1:, 1:] = np.cumsum(np.cumsum(v, axis=0), axis=1)
+    v = b.values[tuple(slice(i0, i1) for i0, i1 in spans)] * h ** d
+    S = np.zeros(tuple(m + 1 for m in v.shape), dtype=complex)
+    for ax in range(d):
+        v = np.cumsum(v, axis=ax)
+    S[(slice(1, None),) * d] = v
     for j in range(J + 1):
-        w = round(Q.side / (1 << j) / g.h)
+        w = round(Q.side / (1 << j) / h)
         if w < 1 or w > min(v.shape):
             continue
-        sums = S[w:, w:] - S[:-w, w:] - S[w:, :-w] + S[:-w, :-w]
+        if d == 1:
+            sums = S[w:] - S[:-w]
+        else:
+            sums = S[w:, w:] - S[:-w, w:] - S[w:, :-w] + S[:-w, :-w]
         amps = np.abs(sums)
         a = np.unravel_index(int(np.argmax(amps)), amps.shape)
         if amps[a] / volQ > best[0]:
-            lo0 = g.box.center[0] - g.box.side / 2.0 + (i0 + a[0]) * g.h
-            lo1 = g.box.center[1] - g.box.side / 2.0 + (j0 + a[1]) * g.h
-            best = (float(amps[a]) / volQ,
-                    Cube((lo0 + w * g.h / 2.0, lo1 + w * g.h / 2.0), w * g.h))
+            lo = [g.box.center[ax] - g.box.side / 2.0 + (spans[ax][0] + a[ax]) * h
+                  for ax in range(d)]
+            best = (float(amps[a]) / volQ, Cube(tuple(x + w * h / 2.0 for x in lo), w * h))
     return best
 
 
@@ -187,22 +174,24 @@ def check_condition_B(b: SampledFunction, family: DyadicFamily, N: float = 10.0,
     for k in range(family.k_min, family.k_max + 1):
         gen = family.generations[k]
         side = family.side(k)
-        avgs = []
-        for Q in gen:
-            ratio, _ = subcube_scan(b, Q, 0)   # depth 0: the cube itself
-            avgs.append(ratio)                  # |int_Q b| / |Q| = |avg_Q b|
-        avgs = np.asarray(avgs)
+        # depth 0 scans the cube itself: |int_Q b| / |Q| = |avg_Q b|
+        good = np.nonzero([subcube_scan(b, Q, 0)[0] >= eps for Q in gen])[0]
+        centers = np.asarray([Q.center for Q in gen])
+        half = np.asarray([Q.side for Q in gen])[:, None] / 2.0
+        lo, hi = (centers - half).T, (centers + half).T      # one row per axis
+        lo_good, hi_good = lo[:, good], hi[:, good]
         rows = []
-        for Q in gen:
-            gaps = np.asarray([Q.gap_to(other) for other in gen])
-            cdist = np.asarray([np.linalg.norm(np.asarray(Q.center) - np.asarray(o.center))
-                                for o in gen])
-            ok = (avgs >= eps) & (gaps <= N * side + 1e-12)
-            if np.any(ok):
-                cand = np.nonzero(ok)[0]
-                # adjacent cubes share gap 0; break ties by center distance
-                pick = cand[int(np.lexsort((cdist[cand], gaps[cand]))[0])]
-                rows.append((Q, gen[pick], float(gaps[pick])))
+        for i, Q in enumerate(gen):
+            # Cube.gap_to from Q to every cube with a large average, one row at a time
+            gaps = np.sqrt(sum(np.maximum(np.maximum(lo[ax, i] - hi_good[ax], 0.0),
+                                          np.maximum(lo_good[ax] - hi[ax, i], 0.0)) ** 2
+                               for ax in range(len(lo))))
+            gap = gaps.min(initial=np.inf)
+            if gap <= N * side + 1e-12:
+                # adjacent cubes share gap 0; break ties by center distance, then index
+                pick = min(good[gaps == gap],
+                           key=lambda j: np.linalg.norm(centers[i] - centers[j]))
+                rows.append((Q, gen[pick], float(gap)))
             else:
                 rows.append((Q, None, float("nan")))
                 valid = False

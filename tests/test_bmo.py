@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from tblab.bmo import (best_constant_oscillation, bmo_seminorm, mean_oscillation)
-from tblab.grid import SampledFunction, cube1, dyadic_family, make_grid, sample
+from tblab.bmo import (MIN_CELLS, _cells_in_cube, _shifted_cubes, best_constant_oscillation,
+                       bmo_seminorm, mean_oscillation)
+from tblab.grid import Cube, SampledFunction, cube1, dyadic_family, make_grid, sample
+from tblab.harness import builtin_b
 
 # log|x| BMO estimates over dyadic + shifted families on [-1, 1], frozen
 # from an independent pre-build window scan
@@ -153,3 +155,153 @@ def test_report_csv_columns():
     rows = rep.csv_rows()
     assert rows[0] == ["cube_center", "cube_side", "mean_osc", "best_const_osc"]
     assert len(rows) == len(rep.entries) + 1
+
+
+# --- oracles: per-axis mask selection, coordinate ternary search, brute force ---
+
+def _mask_cells(f, Q):
+    """Cells selected by one O(n) boolean mask per axis."""
+    g = f.grid
+    sel = None
+    for ax in range(g.d):
+        a = g.axis(ax)
+        lo = Q.center[ax] - Q.side / 2.0
+        hi = Q.center[ax] + Q.side / 2.0
+        m = (a >= lo - 1e-12 * g.box.side) & (a < hi - 1e-12 * g.box.side)
+        sel = m if sel is None else np.logical_and.outer(sel, m)
+    return f.values[sel]
+
+
+def _ternary_best_constant(vals):
+    """Coordinate ternary search on (Re c, Im c) from the coordinate median."""
+    def dev(c):
+        return float(np.mean(np.abs(vals - c)))
+    med = complex(np.median(vals.real), np.median(vals.imag))
+    span = float(np.max(np.abs(vals - med))) + 1e-30
+    c = med
+    for axis in (1.0, 1.0j, 1.0, 1.0j):
+        lo, hi = -span, span
+        for _ in range(40):
+            m1, m2 = lo + (hi - lo) / 3.0, hi - (hi - lo) / 3.0
+            if dev(c + axis * m1) <= dev(c + axis * m2):
+                hi = m2
+            else:
+                lo = m1
+        c = c + axis * (lo + hi) / 2.0
+    return min(dev(x) for x in (med, c, complex(np.mean(vals))))
+
+
+def _brute_force_best_constant(vals):
+    """inf_c mean|vals - c|: Nelder-Mead from many starts, and every sample."""
+    from scipy.optimize import minimize
+
+    def dev(p):
+        return float(np.mean(np.abs(vals - complex(p[0], p[1]))))
+    best = min(dev((x.real, x.imag)) for x in vals)
+    starts = [np.mean(vals), complex(np.median(vals.real), np.median(vals.imag))]
+    for s in starts + list(vals[::64]):
+        r = minimize(dev, [s.real, s.imag], method="Nelder-Mead",
+                     options={"xatol": 1e-13, "fatol": 1e-16, "maxiter": 20000,
+                              "maxfev": 40000})
+        best = min(best, float(r.fun))
+    return best
+
+
+def _cube_zoo(g):
+    """Dyadic and 1/3-, 1/2-, 2/3-shifted cubes down to one cell, plus cubes
+    whose edges fall mid-cell."""
+    cubes = _shifted_cubes(dyadic_family(g.box, 0, int(np.log2(g.n))))
+    rng = np.random.default_rng(g.n + g.d)
+    lo, side = g.box.lo(), g.box.side
+    for _ in range(200):
+        s = float(rng.uniform(0.5, 12.0)) * g.h
+        cubes.append(Cube(tuple(lo + s / 2 + rng.uniform(0, side - s, size=g.d)), s))
+    return cubes
+
+
+@pytest.mark.parametrize("d,n,side", [(1, 256, 2.0), (1, 96, 3.0), (2, 32, 4.0), (2, 24, 3.0)])
+def test_slice_selection_equals_mask_selection(d, n, side):
+    center = (0.1,) * d
+    g = make_grid(d, Cube(center, side), n)
+    f = SampledFunction(grid=g, values=np.random.default_rng(n).normal(size=g.shape))
+    cubes = _cube_zoo(g)
+    small = 0
+    for Q in cubes:
+        want = _mask_cells(f, Q)
+        if want.size < MIN_CELLS:
+            small += 1
+            with pytest.raises(ValueError, match="cells"):
+                _cells_in_cube(f, Q)
+        else:
+            assert np.array_equal(_cells_in_cube(f, Q), want), Q
+    assert small > 0
+    rep = bmo_seminorm(f, dyadic_family(g.box, 0, int(np.log2(n))))
+    fam_cubes = _shifted_cubes(dyadic_family(g.box, 0, int(np.log2(n))))
+    assert rep.n_skipped == sum(_mask_cells(f, Q).size < MIN_CELLS for Q in fam_cubes)
+
+
+@pytest.mark.parametrize("name", ["sign-sin", "log"])
+def test_bmo_entries_match_mask_and_ternary_oracles(name):
+    # real samples: the mean oscillation is bit-identical and the exact median
+    # reproduces the ternary search's best constant
+    if name == "sign-sin":
+        g = make_grid(1, cube1(0.0, 16.0), 512)
+        f = builtin_b("sign-sin").sampled(g)
+    else:
+        g = _grid(512)
+        f = sample(lambda x: np.log(np.abs(x)), g, on_nonfinite="mask")
+    rep = bmo_seminorm(f, dyadic_family(g.box, 0, 5))
+    assert rep.entries
+    for e in rep.entries:
+        vals = _mask_cells(f, e.cube)
+        assert e.mean_osc == float(np.mean(np.abs(vals - np.mean(vals))))
+        assert e.best_const_osc == pytest.approx(_ternary_best_constant(vals), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_best_constant_never_above_ternary_search(seed):
+    rng = np.random.default_rng(seed)
+    g = _grid(128)
+    f = SampledFunction(grid=g, values=rng.normal(size=128) + 1j * rng.normal(size=128))
+    for Q in _shifted_cubes(dyadic_family(g.box, 0, 4)):
+        vals = _mask_cells(f, Q)
+        assert best_constant_oscillation(f, Q) <= _ternary_best_constant(vals) * (1 + 1e-12)
+
+
+def test_best_constant_on_clustered_complex_samples():
+    # two to four tight complex clusters: the mean deviation is nearly flat
+    # between them, where a coordinate search stops short of the infimum
+    rng = np.random.default_rng(20240817)
+    g = _grid(128)
+    worst = 0.0
+    for _ in range(12):
+        k = int(rng.integers(2, 5))
+        centers = rng.normal(size=k) + 1j * rng.normal(size=k)
+        vals = centers[rng.integers(0, k, size=128)] + 1e-3 * (
+            rng.normal(size=128) + 1j * rng.normal(size=128))
+        f = SampledFunction(grid=g, values=vals)
+        ref = _brute_force_best_constant(vals)
+        got = best_constant_oscillation(f, g.box)
+        worst = max(worst, abs(got - ref) / ref)
+    assert worst <= 1e-9
+
+
+def test_best_constant_at_a_sample():
+    # where the unit vectors from a sample to the others sum to at most 1 in
+    # modulus (Kuhn's condition), that sample is the minimiser; an iteration
+    # that only approaches it stops short
+    rng = np.random.default_rng(7)
+    g = _grid(16)
+    hits = 0
+    for _ in range(40):
+        vals = rng.normal(size=16) + 1j * rng.normal(size=16)
+        j = int(np.argmin(np.mean(np.abs(vals[:, None] - vals[None, :]), axis=0)))
+        others = np.delete(vals, j) - vals[j]
+        if abs(np.sum(others / np.abs(others))) > 1.0:
+            continue
+        hits += 1
+        v, c = best_constant_oscillation(SampledFunction(grid=g, values=vals), g.box,
+                                         return_witness=True)
+        assert c == vals[j]
+        assert v == float(np.mean(np.abs(vals - vals[j])))
+    assert hits >= 5

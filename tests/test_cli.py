@@ -8,8 +8,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from tblab.bmo import bmo_seminorm
 from tblab.cli import ConfigError, ExperimentConfig, ingest_b, run
-from tblab.grid import cube1, make_grid, sample, save_sampled_csv
+from tblab.grid import cube1, dyadic_family, make_grid, sample, save_sampled_csv
 from tblab.harness import builtin_b
 from tblab.kernels import gallery
 
@@ -128,6 +129,19 @@ def test_bmo_subcommand(tmp_path):
     assert run("bmo", p, out) == 0
     assert (out / "bmo_report.csv").exists()
 
+
+
+def test_bmo_summary_reports_skipped_cubes(tmp_path):
+    # generation 5 of a 64-cell grid on [-1, 1] has 2-cell cubes: below MIN_CELLS
+    p = write_cfg(tmp_path, "b.cfg",
+                  "b1 = sign-sin\ngrid.n = 64\ngrid.box_side = 2\nbmo.k_max = 5\n")
+    out = tmp_path / "out"
+    assert run("bmo", p, out) == 0
+    g = make_grid(1, cube1(0.0, 2.0), 64)
+    rep = bmo_seminorm(builtin_b("sign-sin").sampled(g), dyadic_family(g.box, 0, 5))
+    assert rep.n_skipped > 0
+    line = (out / "summary.txt").read_text().splitlines()[0]
+    assert line.endswith(f"cubes {len(rep.entries)}, skipped {rep.n_skipped} with < 4 cells")
 
 def test_para_subcommand(tmp_path):
     p = write_cfg(tmp_path, "p.cfg",

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tblab.grid import cube1, dyadic_family, make_grid, sample
+from tblab.grid import Cube, cube1, dyadic_family, make_grid, sample
 from tblab.harness import builtin_b
 from tblab.paraaccretive import (b_to_def3_constant, build_uk, check_condition_B,
                                  check_para_accretive, make_sk_from_uk,
@@ -51,6 +51,15 @@ def test_subcube_scan_constant():
     ratio, W = subcube_scan(b, cube1(0.0, 2.0), J=3)
     assert ratio == pytest.approx(1.0, abs=1e-12)
     assert W.side == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_subcube_scan_cube_outside_grid_has_no_window(d):
+    # a cube beyond the low edge of the grid holds no cell; its window must not
+    # wrap around to cells at the far end
+    g = make_grid(d, Cube((0.0,) * d, 4.0), 32)
+    b = sample((lambda x: 1.0 + 0 * x) if d == 1 else (lambda x, y: 1.0 + 0 * x), g)
+    assert subcube_scan(b, Cube((-2.75,) * d, 1.0), 1) == (-1.0, None)
 
 
 def test_check_para_accretive_one():
@@ -170,6 +179,80 @@ def test_condition_b_exp_ix_fails_on_coarse_generations():
     cert = check_condition_B(_b("exp-ix", g), fam, N=10, eps=0.1)
     assert not cert.valid
     assert cert.first_failure is not None
+
+
+def _scalar_condition_B(b, family, N, eps):
+    """Oracle: the per-pair Cube.gap_to scan, (witnesses, valid, first_failure)."""
+    witnesses, first_failure = {}, None
+    for k in range(family.k_min, family.k_max + 1):
+        gen = family.generations[k]
+        avgs = np.asarray([subcube_scan(b, Q, 0)[0] for Q in gen])
+        rows = []
+        for Q in gen:
+            gaps = np.asarray([Q.gap_to(o) for o in gen])
+            cdist = np.asarray([np.linalg.norm(np.asarray(Q.center) - np.asarray(o.center))
+                                for o in gen])
+            ok = (avgs >= eps) & (gaps <= N * family.side(k) + 1e-12)
+            if np.any(ok):
+                cand = np.nonzero(ok)[0]
+                pick = cand[int(np.lexsort((cdist[cand], gaps[cand]))[0])]
+                rows.append((Q, gen[pick], float(gaps[pick])))
+            else:
+                rows.append((Q, None, float("nan")))
+                first_failure = first_failure or (k, Q)
+        witnesses[k] = rows
+    return witnesses, first_failure is None, first_failure
+
+
+def _assert_matches_scalar_scan(b, fam, N, eps):
+    cert = check_condition_B(b, fam, N=N, eps=eps)
+    witnesses, valid, first_failure = _scalar_condition_B(b, fam, N, eps)
+    assert cert.valid == valid
+    assert cert.first_failure == first_failure
+    assert cert.witnesses.keys() == witnesses.keys()
+    for k, rows in witnesses.items():
+        for (Q, W, gap), (cQ, cW, cgap) in zip(rows, cert.witnesses[k], strict=True):
+            assert cQ is Q and cW == W
+            assert cgap == gap or (np.isnan(gap) and np.isnan(cgap))
+    return cert
+
+
+@pytest.mark.parametrize("name,eps,L,n", [("one", 1.0, 8.0, 512), ("sign-sin", 0.9, 16.0, 2048)])
+def test_condition_b_matches_scalar_scan_acceptance_families(name, eps, L, n):
+    # the two families of acceptance 07, generations 0..9
+    g = make_grid(1, cube1(0.0, L), n)
+    cert = _assert_matches_scalar_scan(_b(name, g), dyadic_family(g.box, 0, 9), 10, eps)
+    assert name == "one" or not cert.valid
+
+
+def test_condition_b_matches_scalar_scan_failures():
+    g = make_grid(1, cube1(0.0, 64.0), 1024)
+    cert = _assert_matches_scalar_scan(_b("exp-ix", g), dyadic_family(g.box, 0, 3), 10, 0.1)
+    assert cert.first_failure is not None
+
+
+def test_condition_b_matches_scalar_scan_2d():
+    # symmetric sign pattern: many witnesses tie on gap and on center distance
+    g = make_grid(2, Cube((0.0, 0.0), 8.0), 64)
+    b = sample(lambda x, y: np.sign(np.sin(x) * np.sin(y)) + 0.0j, g)
+    cert = _assert_matches_scalar_scan(b, dyadic_family(g.box, 0, 4), 10, 0.9)
+    assert not cert.valid and cert.generation_ok(4)
+
+
+def test_condition_b_memory_is_linear_in_generation_size():
+    # d=2, k=6: 4096 cubes; an m x m float array alone would take 128 MB
+    import tracemalloc
+    g = make_grid(2, Cube((0.0, 0.0), 8.0), 128)
+    b = sample(lambda x, y: np.sign(np.sin(x + 0.5 * y)) + 0.0j, g)
+    fam = dyadic_family(g.box, 6, 6)
+    tracemalloc.start()
+    try:
+        cert = check_condition_B(b, fam, N=10, eps=0.9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cert.witnesses[6]) == 4096
+    assert peak < 16 * 2 ** 20
 
 
 def test_conversion_constant_matches_analytic_bound():
