@@ -12,7 +12,7 @@ from tblab.bmo import bmo_seminorm
 from tblab.cli import ConfigError, ExperimentConfig, ingest_b, run
 from tblab.grid import cube1, dyadic_family, make_grid, sample, save_sampled_csv
 from tblab.harness import builtin_b
-from tblab.kernels import gallery
+from tblab.kernels import GALLERY_NAMES, gallery
 
 
 def write_cfg(tmp_path, name, body):
@@ -99,10 +99,12 @@ def test_fitted_sweeps_reject_short_scales(tmp_path, capsys, monkeypatch, sub):
     assert not any(out.iterdir())
 
 
-def test_check_kernel_writes_certificates(tmp_path):
-    p = write_cfg(tmp_path, "k.cfg", "kernel.name = hilbert\n")
+@pytest.mark.parametrize("name", GALLERY_NAMES)
+def test_check_kernel_writes_certificates(tmp_path, name):
+    p = write_cfg(tmp_path, "k.cfg", f"kernel.name = {name}\n")
     out = tmp_path / "out"
     assert run("check-kernel", p, out) == 0
+    assert "verdict: PASS" in (out / "summary.txt").read_text()
     lines = (out / "kernel_checks.csv").read_text().splitlines()
     assert lines[0] == "kernel,condition,delta,constant,samples,seed"
     assert len(lines) == 3

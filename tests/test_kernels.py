@@ -3,6 +3,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import dawsn
 
+from tblab.grid import cube1, make_grid
 from tblab.kernels import (check_regularity, check_size, gallery,
                            transpose_kernel, _CommutatorEvenKernel)
 
@@ -128,7 +129,7 @@ def test_bilinear_regularity_covers_transposes():
     assert cert.constant > 0
 
 
-# --- the commutator kernel's cached Fourier quadrature ---
+# --- the commutator kernel's factored Fourier quadrature ---
 
 def test_commutator_quadrature_matches_dawson_closed_form():
     # for the mu=0 symbol |xi| exp(-(xi/lam)^2) the kernel is
@@ -154,7 +155,7 @@ def test_commutator_quadrature_matches_scipy_quad():
 def test_commutator_kernel_asymptote():
     # -1/(pi u^2) in the window 1/lam << u << 1/mu
     K = gallery("commutator")
-    k = K.k_even
+    k = K.lattice[0][1]
     for u in (0.5, 1.0, 2.0):
         assert float(k(np.array([u]))[0]) == pytest.approx(
             -1.0 / (np.pi * u * u), rel=2e-2)
@@ -169,12 +170,47 @@ def test_commutator_kernel_structure():
     assert np.isfinite(cert.constant)
 
 
-def test_commutator_cache_reuse():
-    K = gallery("commutator")
-    u = np.linspace(-2, 2, 101)
-    a = K.k_even(u)
-    b = K.k_even(u)                       # second call is pure cache lookup
-    np.testing.assert_array_equal(a, b)
+def _direct_simpson_sum(u, dtype=np.float64, lam=64.0, mu=1.0 / 64.0, n=1 << 15):
+    """The commutator kernel's Simpson rule summed node by node in blocks of
+    cos(outer(u, xi)), in the given float type: the reference for the factored sum."""
+    dxi = dtype(8.0 * lam / n)
+    xi = np.arange(n + 1).astype(dtype) * dxi
+    w = np.full(n + 1, 2.0, dtype=dtype)
+    w[1::2] = 4.0
+    w[0] = w[-1] = 1.0
+    sw = np.sqrt(dtype(mu) ** 2 + xi ** 2) * np.exp(-(xi / dtype(lam)) ** 2) * (w * dxi / 3.0)
+    u = np.asarray(u, dtype=dtype)
+    out = np.empty(len(u), dtype=dtype)
+    for s in range(0, len(u), 32):
+        out[s:s + 32] = (np.cos(np.outer(u[s:s + 32], xi)) * sw).sum(axis=1) / np.pi
+    return out
+
+
+def _lattice_offsets(n, box):
+    return np.arange(1 - n, n) * make_grid(1, cube1(0.0, box), n).h
+
+
+@pytest.mark.parametrize("u", [
+    _lattice_offsets(256, 24.0),
+    _lattice_offsets(384, 64.0),
+    np.exp(np.random.default_rng(7).uniform(np.log(1e-3), np.log(10.0), 150)),
+], ids=["lattice-256-box24", "lattice-384-box64", "log-uniform-150"])
+def test_commutator_kernel_matches_direct_simpson_sum(u):
+    # the kernel evaluates at the distinct np.round(|u|, 12), as the oracle does here
+    k = gallery("commutator").lattice[0][1]
+    ref = _direct_simpson_sum(np.round(np.abs(u), 12))
+    assert np.max(np.abs(k(u) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs 80-bit long double")
+def test_commutator_kernel_near_extended_precision_sum():
+    # the same rule summed in long double; the direct float64 sum is off by
+    # 3.8e-15 of max|k| at these offsets, the factored sum with compensated
+    # trig arguments by under 1e-16
+    u = np.round(_lattice_offsets(384, 64.0)[383:], 12)
+    ref = _direct_simpson_sum(u, dtype=np.longdouble)
+    err = np.abs(gallery("commutator").lattice[0][1](u) - ref)
+    assert float(np.max(err) / np.max(np.abs(ref))) <= 3e-16
 
 
 def test_transpose_arity_checks():
