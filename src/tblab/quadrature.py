@@ -17,9 +17,13 @@ Bilinear excision uses the distance |x-y| + |x-z| to the diagonal x=y=z.
 
 Whole fields of kernels with a lattice structure (KernelModel.lattice) are
 lattice sums by FFT convolution: O(n log n) for a linear field, O(n^2 log n)
-for a bilinear one. Other kernels, points and subsets of points sum their
-kernel rows directly, O(n) (linear) or O(n^2) (bilinear) per point. Memory
-stays O(BLOCK n) either way.
+for a bilinear one. Whole linear fields of Cauchy kernels on a curve
+(KernelModel.curve) take the same full off-diagonal sum from a multipole
+treecode, O(n p log n) with p set so the far-field truncation is below 2^-53;
+both share the near-zone terms read from K.rule on the 2 c_eps off-diagonals.
+Other kernels, points and subsets of points sum their kernel rows directly,
+O(n) (linear) or O(n^2) (bilinear) per point; these dense rows are also the
+test oracle. Memory stays O(BLOCK n) either way.
 
 Kernel rule conventions: d=1 rules take coordinate arrays (x, y) or
 (x, y, z); d=2 rules take the components (x0, x1, y0, y1) respectively
@@ -28,6 +32,7 @@ Kernel rule conventions: d=1 rules take coordinate arrays (x, y) or
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +83,21 @@ def _require_linear(K: KernelModel):
 def _require_bilinear(K: KernelModel):
     if K.arity != "bilinear":
         raise ValueError(f"kernel {K.name} is not bilinear")
+
+
+def _grid_indices(points, n: int) -> np.ndarray:
+    """A points= request as an index array; ValueError naming the first entry
+    that is not an integer grid index in [0, n), before any computation."""
+    rows = []
+    for p in points:
+        try:
+            i = operator.index(p)
+        except TypeError:
+            i = -1
+        if not 0 <= i < n:
+            raise ValueError(f"points must be integer grid indices in [0, {n}): got {p}")
+        rows.append(i)
+    return np.array(rows, dtype=int)
 
 
 BLOCK = 64          # rows per block of dense or FFT work: O(BLOCK * n) memory
@@ -137,19 +157,98 @@ def _linear_dense_rows(K: KernelModel, f: np.ndarray, grid: Grid, c_eps: int,
     return _linear_tail(f, rows, h, base, near_mass, a1, ring_mass)
 
 
-def _linear_lattice_field(K: KernelModel, f: np.ndarray, grid: Grid, c_eps: int):
-    """(values, delta) at every point: one FFT convolution per lattice term.
-
-    The near-zone terms read K.rule on the 2 c_eps off-diagonals only.
-    """
-    n, h = grid.n, grid.h
-    x = grid.axis(0)
-    base = np.zeros(n, dtype=complex)
-    for left, p, right in K.lattice:
+def _lattice_sum(lattice, f: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:
+    """sum_{j != i} K(x_i, x_j) f_j at every point: one FFT convolution per lattice term."""
+    n = len(x)
+    out = np.zeros(n, dtype=complex)
+    for left, p, right in lattice:
         kv = _profile(p, np.arange(1 - n, n) * h)
         kv[n - 1] = 0.0
         t = _convolve(kv, f if right is None else right(x) * f, n)
-        base += t if left is None else left(x) * t
+        out += t if left is None else left(x) * t
+    return out
+
+
+LEAF = 32           # treecode leaves hold LEAF to 2 LEAF - 1 points (one leaf when n < LEAF)
+_EPS_LOG = 53 * np.log(2.0)     # multipole order p: rho^p <= 2^-53
+
+
+def _curve_sum(curve, f: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:
+    """sum_{j != i} left(x_i) right(x_j) f_j / (z_i - z_j) at every point by a treecode.
+
+    A binary tree on the grid index has 2^L leaves of equal size; n is padded
+    with zero-weight points continued past the box end, so no z repeats. Each
+    leaf sums itself and its two neighbours directly. On every level, each box
+    takes its interaction list (the children of its parent's neighbours that
+    are not adjacent to it: at most 3 boxes) from their outgoing moments
+    a_k = sum_j w_j ((z_j - c) / R)^k about centre c with radius R. The order p
+    of a level comes from its measured worst ratio rho = R / |z_t - c|, so that
+    rho^p <= 2^-53. O(n p log n) work, no translation of expansions.
+    """
+    left, z, right = curve
+    n = len(x)
+    L = (max(n // LEAF, 1)).bit_length() - 1
+    m = 1 << L
+    N = m * -(-n // m)
+    zz = np.asarray(z(np.concatenate([x, x[-1] + h * np.arange(1, N - n + 1)])), dtype=complex)
+    w = np.zeros(N, dtype=complex)
+    w[:n] = f if right is None else right(x) * f
+
+    # near field: 1/(z_i - z_j) is antisymmetric, so each block pair is one reciprocal
+    Z, W = zz.reshape(m, -1, 1), w.reshape(m, -1, 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        G = 1.0 / (Z - Z.transpose(0, 2, 1))
+    d = np.arange(Z.shape[1])
+    G[:, d, d] = 0.0
+    out = G @ W
+    G = 1.0 / (Z[1:] - Z[:-1].transpose(0, 2, 1))      # leaf b + 1 against leaf b
+    out[1:] += G @ W[:-1]
+    out[:-1] -= G.transpose(0, 2, 1) @ W[1:]
+    out = out.ravel()
+
+    for level in range(2, L + 1):
+        mb = 1 << level
+        Z, W = zz.reshape(mb, -1), w.reshape(mb, -1)
+        c = Z.mean(axis=1)
+        R = np.abs(Z - c[:, None]).max(axis=1)
+        b = np.arange(mb)[:, None]
+        src = b + np.where(b % 2 == 0, [[-2, 2, 3]], [[-3, -2, 2]])
+        ok = (src >= 0) & (src < mb)
+        src = np.where(ok, src, b)      # a placeholder, masked below
+        with np.errstate(divide="ignore", invalid="ignore"):
+            V = np.where(ok[:, :, None], 1.0 / (Z[:, None, :] - c[src][:, :, None]), 0.0)
+        U = R[src][:, :, None] * V      # |U| <= rho
+        rho = np.abs(U).max()
+        if rho >= 1.0:
+            raise ValueError(f"curve too steep for the treecode: far-field ratio {rho:.3f} >= 1")
+        p = max(1, int(np.ceil(_EPS_LOG / -np.log(rho))))
+        D = (Z - c[:, None]) / R[:, None]
+        a = np.empty((mb, p), dtype=complex)
+        P = W.copy()
+        for k in range(p):
+            a[:, k] = P.sum(axis=1)
+            P *= D
+        A = a[src][:, :, :, None]
+        acc = np.empty_like(U)
+        acc[...] = A[:, :, p - 1]
+        for k in range(p - 2, -1, -1):
+            acc *= U
+            acc += A[:, :, k]
+        out += (acc * V).sum(axis=1).ravel()
+    out = out[:n]
+    return out if left is None else left(x) * out
+
+
+def _linear_whole_field(K: KernelModel, f: np.ndarray, grid: Grid, c_eps: int):
+    """(values, delta) at every point of a kernel with a lattice or curve structure.
+
+    The full off-diagonal sum comes from the structure; the near-zone terms
+    read K.rule on the 2 c_eps off-diagonals only.
+    """
+    n, h = grid.n, grid.h
+    x = grid.axis(0)
+    base = _lattice_sum(K.lattice, f, x, h) if K.lattice is not None else \
+        _curve_sum(K.curve, f, x, h)
     ks = np.concatenate([np.arange(-c_eps, 0), np.arange(1, c_eps + 1)])
     j = np.arange(n)[:, None] + ks[None, :]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -189,10 +288,10 @@ def apply_linear_field(K: KernelModel, f: SampledFunction,
     g = f.grid
     if g.d != 1:
         raise ValueError("linear PV quadrature is implemented for d=1 grids")
-    if points is None and K.lattice is not None:
-        values, delta = _linear_lattice_field(K, f.values, g, policy.c_eps)
+    if points is None and (K.lattice is not None or K.curve is not None):
+        values, delta = _linear_whole_field(K, f.values, g, policy.c_eps)
     else:
-        rows = np.arange(g.n) if points is None else np.asarray(points, dtype=int)
+        rows = np.arange(g.n) if points is None else _grid_indices(points, g.n)
         values = np.zeros(g.n, dtype=complex)
         delta = np.zeros(g.n, dtype=complex)
         for s in range(0, len(rows), BLOCK):
@@ -305,7 +404,7 @@ def apply_bilinear_field(K: KernelModel, f: SampledFunction, g: SampledFunction,
     if points is None and K.lattice is not None:
         vals, deltas = _bilinear_lattice_field(K, f.values, g.values, gr, policy.c_eps)
     else:
-        idxs = np.arange(gr.n) if points is None else np.asarray(points, dtype=int)
+        idxs = np.arange(gr.n) if points is None else _grid_indices(points, gr.n)
         vals = np.zeros(gr.n, dtype=complex)
         deltas = np.zeros(gr.n, dtype=complex)
         for i in idxs:

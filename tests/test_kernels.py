@@ -4,7 +4,7 @@ from scipy.integrate import quad
 from scipy.special import dawsn
 
 from tblab.grid import cube1, make_grid
-from tblab.kernels import (check_regularity, check_size, gallery,
+from tblab.kernels import (_sep_samples, check_regularity, check_size, gallery,
                            transpose_kernel, _CommutatorEvenKernel)
 
 
@@ -101,6 +101,33 @@ def test_check_regularity_hilbert_constant_window():
     # admissible sup approaches 4/pi, never drops below the 2/pi limit value
     cert = check_regularity(gallery("hilbert"), delta=1.0)
     assert 2.0 / np.pi - 1e-3 <= cert.constant <= 4.0 / np.pi + 1e-9
+
+
+def _four_call_regularity(K, n_samples=10_000, seed=1234):
+    """check_regularity (linear, delta = 1) with one rule call per term, the
+    K(x,y), K(x',y), K(y,x), K(y,x') form: the reference for the one-call form."""
+    rng = np.random.default_rng(seed)
+    x, r, u = _sep_samples(rng, n_samples, 1)
+    x, y = x[:, 0], x[:, 0] + r * u[:, 0]
+    w = rng.normal(size=(n_samples, 1))
+    w /= np.linalg.norm(w, axis=1, keepdims=True)
+    s = rng.uniform(0.01, 0.999, size=n_samples) * r / 2.0
+    xp = x + s * w[:, 0]
+    t1 = np.abs(np.asarray(K.rule(x, y)) - np.asarray(K.rule(xp, y)))
+    t2 = np.abs(np.asarray(K.rule(y, x)) - np.asarray(K.rule(y, xp)))
+    stat = (t1 + t2) * r ** 2 / s
+    i = int(np.argmax(np.where(np.isfinite(stat), stat, 0.0)))
+    return float(stat[i]), (float(x[i]), float(xp[i]), float(y[i]))
+
+
+@pytest.mark.parametrize("name", ["hilbert", "cauchy-lipschitz", "commutator",
+                                  "positive-control"])
+def test_check_regularity_matches_four_call_form(name):
+    K = gallery(name)
+    cert = check_regularity(K, delta=1.0)
+    constant, witness = _four_call_regularity(K)
+    assert cert.constant == pytest.approx(constant, rel=1e-12)
+    np.testing.assert_allclose(cert.witness, witness, rtol=1e-12)
 
 
 def test_check_regularity_positive_control_finite():
@@ -236,4 +263,15 @@ def test_bilinear_lattice_reproduces_rule(rng):
     for k in (K, transpose_kernel(K, 1), transpose_kernel(K, 2)):
         np.testing.assert_allclose(k.lattice(x - y, x - z), k.rule(x, y, z),
                                    rtol=1e-12, atol=1e-12)
-    assert gallery("cauchy-lipschitz").lattice is None
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.3, 1.0])
+def test_curve_reproduces_rule(lam, rng):
+    K = gallery("cauchy-lipschitz", lam=lam, lip_bound=1.0)
+    assert K.lattice is None
+    x, y = rng.uniform(-3, 3, size=(2, 40))
+    for k in (K, transpose_kernel(K)):
+        left, z, right = k.curve
+        cur = ((1.0 if left is None else left(x)) * (1.0 if right is None else right(y))
+               / (z(x) - z(y)))
+        np.testing.assert_allclose(cur, k.rule(x, y), rtol=1e-12, atol=1e-12)

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -253,7 +254,7 @@ def _smooth(g, seed):
 
 
 def _dense(K):
-    return dataclasses.replace(K, lattice=None)
+    return dataclasses.replace(K, lattice=None, curve=None)
 
 
 def _assert_matches_oracle(fast, dense):
@@ -267,8 +268,9 @@ LINEAR_ORACLE = [(name, t) for name in ("hilbert", "cauchy-lipschitz", "commutat
 
 
 @pytest.mark.parametrize("name,transposed", LINEAR_ORACLE)
-@pytest.mark.parametrize("n,box", [(255, 16.0), (384, 64.0)])
+@pytest.mark.parametrize("n,box", [(255, 16.0), (384, 64.0), (1000, 64.0)])
 def test_linear_field_matches_dense_oracle(name, transposed, n, box):
+    # the treecode pads n = 255 to 4 leaves of 64 and n = 1000 to 16 leaves of 63
     K = gallery(name)
     K = transpose_kernel(K) if transposed else K
     f = _smooth(make_grid(1, cube1(0.0, box), n), 1)
@@ -276,6 +278,65 @@ def test_linear_field_matches_dense_oracle(name, transposed, n, box):
         policy = PvPolicy(c_eps=c_eps)
         _assert_matches_oracle(apply_linear_field(K, f, policy),
                                apply_linear_field(_dense(K), f, policy))
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("n,box", [(255, 16.0), (384, 64.0), (1000, 64.0)])
+def test_cauchy_treecode_matches_dense_oracle_across_slopes(lam, n, box):
+    # |lam| = 1 is the steepest graph with a curve structure: ratio <= sqrt(2)/3
+    K = gallery("cauchy-lipschitz", lam=lam, lip_bound=1.0)
+    assert K.curve is not None
+    f = _smooth(make_grid(1, cube1(0.0, box), n), 1)
+    for k in (K, transpose_kernel(K)):
+        for c_eps in (1, 2, 4):
+            policy = PvPolicy(c_eps=c_eps)
+            _assert_matches_oracle(apply_linear_field(k, f, policy),
+                                   apply_linear_field(_dense(k), f, policy))
+
+
+def test_steep_cauchy_keeps_dense_rows():
+    assert gallery("cauchy-lipschitz", lam=1.5, lip_bound=2.0).curve is None
+
+
+@pytest.mark.parametrize("c_eps", [1, 2, 4])
+def test_flat_cauchy_treecode_is_pi_hilbert_lattice(c_eps):
+    # lam = 0: 1/(x - y) summed by the treecode against pi/(pi (x - y)) by FFT
+    f = _smooth(make_grid(1, cube1(0.0, 64.0), 1000), 9)
+    policy = PvPolicy(c_eps=c_eps)
+    cauchy = apply_linear_field(gallery("cauchy-lipschitz", lam=0.0), f, policy)
+    hilbert = apply_linear_field(gallery("hilbert"), f, policy)
+    scale = np.max(np.abs(cauchy.field.values))
+    assert np.max(np.abs(cauchy.field.values - np.pi * hilbert.field.values)) <= 1e-12 * scale
+    np.testing.assert_array_equal(cauchy.converged, hilbert.converged)
+
+
+@pytest.mark.parametrize("c_eps", [1, 2, 4])
+def test_whole_cauchy_field_reads_no_dense_rows(c_eps):
+    K = gallery("cauchy-lipschitz")
+    evals = []
+
+    def counting(x, y):
+        out = K.rule(x, y)
+        evals.append(np.size(out))
+        return out
+
+    n = 4096
+    f = _smooth(make_grid(1, cube1(0.0, 64.0), n), 6)
+    apply_linear_field(dataclasses.replace(K, rule=counting), f, PvPolicy(c_eps=c_eps))
+    assert sum(evals) <= 2 * c_eps * n
+
+
+@pytest.mark.parametrize("field", ["linear", "bilinear"])
+@pytest.mark.parametrize("bad", [-1, 64, 2.5])
+def test_points_must_be_grid_indices(field, bad):
+    # -1 used to read a wrapped row as converged; 2.5 was truncated to 2
+    g = make_grid(1, cube1(0.0, 8.0), 64)
+    f = sample(lambda x: np.exp(-x * x) + 0j, g)
+    with pytest.raises(ValueError, match=re.escape(f"got {bad}")):
+        if field == "linear":
+            apply_linear_field(H, f, points=[0, bad])
+        else:
+            apply_bilinear_field(gallery("bilinear-homog"), f, f, points=[0, bad])
 
 
 @pytest.mark.parametrize("which", [0, 1, 2])
