@@ -126,13 +126,10 @@ class _CommutatorEvenKernel:
 
 def _bilinear_homog(u, v):
     """uv / (u^2 + v^2)^2, zero at the origin."""
+    u, v = np.asarray(u), np.asarray(v)
     s2 = u * u + v * v
-    out = np.zeros(np.broadcast(u, v).shape)
-    nz = s2 > 0
-    uu = np.broadcast_to(u, out.shape)[nz]
-    vv = np.broadcast_to(v, out.shape)[nz]
-    out[nz] = uu * vv / (uu * uu + vv * vv) ** 2
-    return out
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return np.where(s2 > 0, u * v / s2 ** 2, 0.0)
 
 
 def _difference_kernel(name, profile, size_constant) -> KernelModel:
@@ -219,7 +216,10 @@ def transpose_kernel(K: KernelModel, which: int = 1) -> KernelModel:
         if which != 1:
             raise ValueError("linear kernels have a single transpose")
         if lat is not None:
-            lat = tuple((right, lambda u, _p=p: _p(-u), left) for left, p, right in lat)
+            # one reflected profile per distinct profile: terms that share a
+            # profile keep sharing its lattice table
+            refl = {id(p): lambda u, _p=p: _p(-u) for _, p, _ in lat}
+            lat = tuple((right, refl[id(p)], left) for left, p, right in lat)
         cur = K.curve
         if cur is not None:
             # left(y) right(x) / (z(y) - z(x)) = -right(x) left(y) / (z(x) - z(y))

@@ -23,7 +23,9 @@ treecode, O(n p log n) with p set so the far-field truncation is below 2^-53;
 both share the near-zone terms read from K.rule on the 2 c_eps off-diagonals.
 Other kernels, points and subsets of points sum their kernel rows directly,
 O(n) (linear) or O(n^2) (bilinear) per point; these dense rows are also the
-test oracle. Memory stays O(BLOCK n) either way.
+test oracle. Memory stays O(BLOCK n) either way. Triple pairings of a kernel
+with a lattice profile read the whole lattice field, whatever the support of
+the outer factor.
 
 Kernel rule conventions: d=1 rules take coordinate arrays (x, y) or
 (x, y, z); d=2 rules take the components (x0, x1, y0, y1) respectively
@@ -161,10 +163,12 @@ def _lattice_sum(lattice, f: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:
     """sum_{j != i} K(x_i, x_j) f_j at every point: one FFT convolution per lattice term."""
     n = len(x)
     out = np.zeros(n, dtype=complex)
+    tables = {}             # one profile table per distinct profile, for this call only
     for left, p, right in lattice:
-        kv = _profile(p, np.arange(1 - n, n) * h)
-        kv[n - 1] = 0.0
-        t = _convolve(kv, f if right is None else right(x) * f, n)
+        if id(p) not in tables:
+            tables[id(p)] = _profile(p, np.arange(1 - n, n) * h)
+            tables[id(p)][n - 1] = 0.0
+        t = _convolve(tables[id(p)], f if right is None else right(x) * f, n)
         out += t if left is None else left(x) * t
     return out
 
@@ -307,6 +311,12 @@ def apply_linear_field(K: KernelModel, f: SampledFunction,
 
 def _bilinear_point(K: KernelModel, fv: np.ndarray, gv: np.ndarray,
                     grid: Grid, i: int, c_eps: int):
+    """(value, delta) at grid point i from its n x n kernel slice.
+
+    S <= eps needs |x_i - x_j| <= eps in both slots, so the excised set and
+    the ring lie in the (2 c_eps + 1)^2 window around (i, i); row-major order
+    in the window is their order in the slice, so every sum keeps its order.
+    """
     x = grid.axis(0)
     h = grid.h
     xi = x[i]
@@ -317,16 +327,17 @@ def _bilinear_point(K: KernelModel, fv: np.ndarray, gv: np.ndarray,
     S = au[:, None] + au[None, :]
     eps = c_eps * h
     FG = np.outer(fv, gv)
-    far = S > eps
-    val = (Kv[far] * FG[far]).sum() * h * h
-    near = (~far) & (S > 0)
-    val += (Kv[near] * (FG[near] - fv[i] * gv[i])).sum() * h * h
+    val = (Kv * FG)[S > eps].sum() * h * h
+    w = slice(max(0, i - c_eps), i + c_eps + 1)
+    Kw, Sw = Kv[w, w], S[w, w]
+    near = (Sw <= eps) & (Sw > 0)
+    val += (Kw[near] * (FG[w, w][near] - fv[i] * gv[i])).sum() * h * h
     c_half = max(1, c_eps // 2)
     if c_half == c_eps:
         dv = 0.0 + 0.0j
     else:
-        ring = (S > c_half * h) & (S <= eps)
-        dv = fv[i] * gv[i] * Kv[ring].sum() * h * h
+        ring = (Sw > c_half * h) & (Sw <= eps)
+        dv = fv[i] * gv[i] * Kw[ring].sum() * h * h
     return complex(val), complex(dv)
 
 
@@ -434,7 +445,7 @@ def triple_pairing(K: KernelModel, f0: SampledFunction, f1: SampledFunction,
 
 
 def _triple_pairing(K, f0, f1, f2, b0, b1, b2, policy) -> tuple[complex, int]:
-    """triple_pairing and the number of PV-flagged points of the inner field."""
+    """triple_pairing and the number of PV-flagged points of the inner field on supp b0 f0."""
     _require_bilinear(K)
     gr = f0.grid
     for other in (f1, f2, b0, b1, b2):
@@ -446,5 +457,7 @@ def _triple_pairing(K, f0, f1, f2, b0, b1, b2, policy) -> tuple[complex, int]:
     support = np.nonzero(np.abs(w0) > 0)[0]
     if len(support) == 0:
         return 0.0 + 0.0j, 0
-    fr = apply_bilinear_field(K, w1, w2, policy=policy, points=support)
-    return complex(np.sum(w0 * fr.field.values) * gr.h), fr.n_flagged
+    # a whole lattice field costs less than the dense points of any sizeable support
+    fr = apply_bilinear_field(K, w1, w2, policy=policy,
+                              points=None if K.lattice is not None else support)
+    return complex(np.sum(w0 * fr.field.values) * gr.h), int(np.sum(~fr.converged[support]))

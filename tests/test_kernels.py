@@ -4,8 +4,8 @@ from scipy.integrate import quad
 from scipy.special import dawsn
 
 from tblab.grid import cube1, make_grid
-from tblab.kernels import (_sep_samples, check_regularity, check_size, gallery,
-                           transpose_kernel, _CommutatorEvenKernel)
+from tblab.kernels import (_bilinear_homog, _sep_samples, check_regularity, check_size,
+                           gallery, transpose_kernel, _CommutatorEvenKernel)
 
 
 def test_hilbert_pointwise():
@@ -26,6 +26,34 @@ def test_bilinear_homog_pointwise():
     K = gallery("bilinear-homog")
     # u = v = 1 at (x,y,z) = (1, 0, 0)
     assert K.rule(1.0, 0.0, 0.0) == pytest.approx(0.25, rel=1e-14)
+
+
+def _bilinear_homog_masked(u, v):
+    """The masked form of the bilinear-homog profile, kept as its oracle."""
+    s2 = u * u + v * v
+    out = np.zeros(np.broadcast(u, v).shape)
+    nz = s2 > 0
+    uu = np.broadcast_to(u, out.shape)[nz]
+    vv = np.broadcast_to(v, out.shape)[nz]
+    out[nz] = uu * vv / (uu * uu + vv * vv) ** 2
+    return out
+
+
+@pytest.mark.parametrize("n,box", [(127, 8.0), (384, 64.0)])
+def test_bilinear_homog_profile_is_bit_identical_to_masked_form(n, box, rng):
+    # lattice offsets in broadcast (n, 1) x (1, n) form hold the origin and
+    # both axes; random pairs hold the axes and the origin explicitly
+    h = box / n
+    q = np.arange(1 - n, n) * h
+    u = np.concatenate([rng.uniform(-3, 3, 200), [0.0, 0.0, 1.5, -0.0, 2.0 ** -600]])
+    v = np.concatenate([rng.uniform(-3, 3, 200), [0.0, 2.5, 0.0, 0.0, 0.0]])
+    for a, b in ((q[:, None], q[None, :]), (u, v), (u[:, None], v[None, :]),
+                 (0.0, q), (q, 0.0)):
+        got, want = _bilinear_homog(a, b), _bilinear_homog_masked(a, b)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))    # signed zeros too
+    assert _bilinear_homog(0.0, 0.0) == 0.0 and _bilinear_homog(1.0, 1.0) == 0.25
 
 
 def test_gallery_unknown_name():

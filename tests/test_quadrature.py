@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from tblab.bumps import standard_bump, translate_dilate
 from tblab.grid import SampledFunction, cube1, lp_norm, make_grid, sample
-from tblab.kernels import gallery, transpose_kernel
-from tblab.quadrature import (PvPolicy, apply_bilinear, apply_bilinear_field,
-                              apply_linear, apply_linear_field, pairing,
-                              triple_pairing)
+from tblab.kernels import KernelModel, gallery, transpose_kernel
+from tblab.quadrature import (PvPolicy, _bilinear_point, _triple_pairing, apply_bilinear,
+                              apply_bilinear_field, apply_linear, apply_linear_field,
+                              pairing, triple_pairing)
 
 H = gallery("hilbert")
 
@@ -352,6 +352,110 @@ def test_bilinear_field_matches_dense_oracle(which):
     g = make_grid(1, cube1(0.0, 64.0), 384)
     f, h = _smooth(g, 4), _smooth(g, 5)
     _assert_matches_oracle(apply_bilinear_field(K, f, h), apply_bilinear_field(_dense(K), f, h))
+
+
+def _bilinear_point_masked(K, fv, gv, grid, i, c_eps):
+    """The dense bilinear point masked on the whole n x n slice, kept as its oracle."""
+    x = grid.axis(0)
+    h = grid.h
+    xi = x[i]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        Kv = np.asarray(K.rule(xi, x[:, None], x[None, :]), dtype=complex)
+    Kv[~np.isfinite(Kv)] = 0.0
+    au = np.abs(xi - x)
+    S = au[:, None] + au[None, :]
+    eps = c_eps * h
+    FG = np.outer(fv, gv)
+    far = S > eps
+    val = (Kv[far] * FG[far]).sum() * h * h
+    near = (~far) & (S > 0)
+    val += (Kv[near] * (FG[near] - fv[i] * gv[i])).sum() * h * h
+    c_half = max(1, c_eps // 2)
+    if c_half == c_eps:
+        dv = 0.0 + 0.0j
+    else:
+        ring = (S > c_half * h) & (S <= eps)
+        dv = fv[i] * gv[i] * Kv[ring].sum() * h * h
+    return complex(val), complex(dv)
+
+
+@pytest.mark.parametrize("n", [127, 384])
+@pytest.mark.parametrize("box", [8.0, 64.0])
+@pytest.mark.parametrize("c_eps", [1, 2, 4])
+def test_bilinear_point_is_bit_identical_to_masked_oracle(n, box, c_eps):
+    K = gallery("bilinear-homog")
+    g = make_grid(1, cube1(0.0, box), n)
+    f, h = _smooth(g, 10), _smooth(g, 11)
+    pts = [0, 1, c_eps, n // 2, n - 2, n - 1]
+    for i in pts:
+        got = _bilinear_point(K, f.values, h.values, g, i, c_eps)
+        want = _bilinear_point_masked(K, f.values, h.values, g, i, c_eps)
+        assert got == want
+    fr = apply_bilinear_field(K, f, h, PvPolicy(c_eps=c_eps), points=pts)
+    want = [_bilinear_point_masked(K, f.values, h.values, g, i, c_eps)[0] for i in pts]
+    assert np.array_equal(fr.field.values[pts], np.array(want))
+
+
+def test_whole_commutator_field_reads_each_profile_once():
+    # the commutator's two lattice terms share one profile; so do those of K*
+    K = gallery("commutator")
+    keven = K.lattice[0][1]
+    assert all(p is keven for _, p, _ in K.lattice)
+    calls = []
+
+    def counting(u):
+        calls.append(np.size(u))
+        return keven(u)
+
+    K = dataclasses.replace(K, lattice=tuple((left, counting, right)
+                                             for left, _, right in K.lattice))
+    f = _smooth(make_grid(1, cube1(0.0, 24.0), 256), 12)
+    for k in (K, transpose_kernel(K)):
+        calls.clear()
+        fr = apply_linear_field(k, f)
+        assert calls == [2 * 256 - 1]
+        _assert_matches_oracle(fr, apply_linear_field(_dense(k), f))
+
+
+def _bilinear_positive(u, v):
+    return 1.0 / (u * u + v * v)
+
+
+# a lattice profile without cancellation: its PV diverges and is flagged
+# wherever the inner product f1 f2 is not small, also outside the outer support
+POSITIVE_BILINEAR = KernelModel(
+    name="bilinear-positive", arity="bilinear", d=1, delta=1.0, size_constant=1.0,
+    rule=lambda x, y, z: _bilinear_positive(np.asarray(x) - y, np.asarray(x) - z),
+    lattice=_bilinear_positive)
+
+
+@pytest.mark.parametrize("which", [0, 1, 2])
+@pytest.mark.parametrize("kernel", ["bilinear-homog", "bilinear-positive"])
+def test_triple_pairing_matches_dense_subset_oracle(kernel, which):
+    K = gallery(kernel) if kernel == "bilinear-homog" else POSITIVE_BILINEAR
+    K = transpose_kernel(K, which) if which else K
+    for n, box in ((127, 8.0), (384, 64.0)):
+        g = make_grid(1, cube1(0.0, box), n)
+        one = sample(lambda t: np.ones_like(t) + 0j, g)
+        acc = sample(lambda t: 1.0 + 0.3j * np.tanh(t), g)
+        f0 = sample(lambda t: np.where(np.abs(t - box / 16) < box / 32,
+                                       np.cos(t) + 0.5j, 0.0), g)
+        f1, f2 = _smooth(g, 13), _smooth(g, 14)
+        support = np.nonzero(np.abs(f0.values) > 0)[0]
+        assert 0 < len(support) < n // 8
+        for c_eps in (1, 2, 4):
+            policy = PvPolicy(c_eps=c_eps)
+            got, n_flagged = _triple_pairing(K, f0, f1, f2, one, acc, one, policy)
+            want, want_flagged = _triple_pairing(_dense(K), f0, f1, f2, one, acc, one, policy)
+            whole = apply_bilinear_field(
+                K, SampledFunction(grid=g, values=acc.values * f1.values), f2, policy)
+            scale = g.h * np.sum(np.abs(f0.values * whole.field.values))
+            assert abs(got - want) <= 1e-12 * scale
+            assert n_flagged == want_flagged
+            if kernel == "bilinear-positive" and c_eps > 1:
+                # flagged outside the support too: a count over the whole
+                # field would differ from the pairing's
+                assert 0 < n_flagged < whole.n_flagged
 
 
 def test_point_reads_one_kernel_row():
