@@ -349,10 +349,12 @@ def _stein_reports(cfg: ExperimentConfig) -> list:
 def _wbp_report(cfg: ExperimentConfig):
     K = cfg.kernel()
     args = cfg.fit_args()
-    if K.arity == "bilinear":
+    bilinear = K.arity == "bilinear"
+    if bilinear:
         args.setdefault("scales", BILINEAR_SCALES)   # the library default is linear
     return weak_boundedness_test(K, cfg.b_func("b0"), cfg.b_func("b1"), cfg.b_func("b2"),
-                                 grid=cfg.grid_spec(), policy=cfg.policy(),
+                                 grid=cfg.grid_spec(BILINEAR_GRID if bilinear else GridSpec()),
+                                 policy=cfg.policy(),
                                  **cfg.given(offsets="offsets"), **args)
 
 

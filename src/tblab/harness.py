@@ -403,7 +403,7 @@ def stein_bilinear_tb_test(K: KernelModel, b0: BFunc, b1: BFunc, b2: BFunc,
 def weak_boundedness_test(K: KernelModel, b0: BFunc = B_ONE, b1: BFunc = B_ONE,
                           b2: BFunc = B_ONE, M: int = 2, scales=LINEAR_SCALES,
                           offsets=(0.0, 1.0, 4.0),
-                          grid: GridSpec = GridSpec(), policy: PvPolicy = PvPolicy(),
+                          grid: GridSpec | None = None, policy: PvPolicy = PvPolicy(),
                           slope_tol: float = DEFAULT_SLOPE_TOL,
                           uniformity_factor: float = DEFAULT_UNIFORMITY,
                           grid_mode: str | None = None) -> ScalingReport:
@@ -411,11 +411,12 @@ def weak_boundedness_test(K: KernelModel, b0: BFunc = B_ONE, b1: BFunc = B_ONE,
 
     Equal-center and offset-center rows are separate sections; the remark
     that equal centers suffice is recorded as a comparison, not assumed.
+    The grid defaults to BILINEAR_GRID for a bilinear kernel, GridSpec() otherwise.
     """
     mode = grid_mode or K.grid_mode
     bil = K.arity == "bilinear"
-    if bil and mode == "scaled" and grid.n > 256:
-        grid = BILINEAR_GRID
+    if grid is None:
+        grid = BILINEAR_GRID if bil else GridSpec()
 
     def one_row(g, group, R):
         x2 = group[1] * R
@@ -499,12 +500,15 @@ def direct_bound_check(K: KernelModel, b1: BFunc, op_norm: float | None = None,
 # --- localization and far-field quantities ----------------------------------
 
 def _localize(grid: GridSpec, Q: Cube):
-    """The fixed grid, r = 6 diam Q, the cells of Q, its center cell and phi_Q."""
+    """The fixed grid, r = 6 diam Q, the cells of Q, its center cell, the points
+    a localized check reads (the cells and the center cell) and phi_Q."""
     g = grid.row_grid("fixed", 1.0)
     r = 6.0 * Q.diam
     x0, ax = Q.center[0], g.axis(0)
     qsel = np.nonzero((ax >= x0 - Q.side / 2.0) & (ax < x0 + Q.side / 2.0))[0]
-    return g, r, qsel, int(np.argmin(np.abs(ax - x0))), _plateau(g, x0, r)
+    i0 = int(np.argmin(np.abs(ax - x0)))
+    pts = np.concatenate([qsel, [i0]]) if i0 not in qsel else qsel
+    return g, r, qsel, i0, pts, _plateau(g, x0, r)
 
 
 @dataclass(frozen=True)
@@ -599,8 +603,7 @@ def far_field_constancy(K: KernelModel, b1: BFunc = B_ONE,
         raise ValueError("grid box must be at least 4x the largest scale")
     if grid.box_side < 8.0 * Q.side:
         raise ValueError("grid box must contain 8Q")
-    g, r, qsel, i0, phiQ = _localize(grid, Q)
-    pts = np.concatenate([qsel, [i0]]) if i0 not in qsel else qsel    # the points read
+    g, r, qsel, i0, pts, phiQ = _localize(grid, Q)
     b1s = b1.sampled(g)
     rows = []
     for R in R_list:
@@ -643,7 +646,7 @@ def local_piece_check(K: KernelModel, b1: BFunc, Q: Cube, R: float,
     composite's scale min(R, r) and ||T(b1 phi_Q phi_R)||_2, the two sides of
     the testing condition that bounds the average through Cauchy-Schwarz on Q.
     """
-    g, r, qsel, _, phiQ = _localize(grid, Q)
+    g, r, qsel, _, _, phiQ = _localize(grid, Q)
     x0, ax = Q.center[0], g.axis(0)
     prod = phiQ * _plateau(g, 0.0, R)
     plateau = bumps.PROFILES["plateau"]
@@ -714,12 +717,11 @@ def bilinear_decomposition_check(K: KernelModel, b1: BFunc = B_ONE, b2: BFunc = 
     """
     if K.arity != "bilinear":
         raise ValueError("needs a bilinear kernel")
-    g, r, qsel, i0, phiQ = _localize(grid, Q)
+    g, r, qsel, i0, pts, phiQ = _localize(grid, Q)
     if R_list is None:
         R_list = (r / 4.0, r, 4.0 * r)
     if grid.box_side < 2.0 * max(R_list):
         raise ValueError("grid box must contain the largest bump support")
-    pts = np.concatenate([qsel, [i0]]) if i0 not in qsel else qsel
     s1, s2 = b1.sampled(g), b2.sampled(g)
 
     def one_row(R):

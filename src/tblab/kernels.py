@@ -1,8 +1,8 @@
 """Kernel models, the operator gallery, transposes, and size/regularity certification.
 
 All gallery kernels are d=1. Evaluation rules are vectorized over numpy
-arrays and defined off the diagonal; certification samples log-uniform
-separations spanning several decades with a fixed seed.
+arrays and defined off the diagonal; certification samples log-uniform d=1
+separations spanning several decades with a fixed seed, and rejects d != 1.
 """
 
 from __future__ import annotations
@@ -251,12 +251,14 @@ def _sep_samples(rng, n, d, base_span=8.0, r_lo=1e-3, r_hi=10.0):
 
 def check_size(K: KernelModel, n_samples: int = 10_000, seed: int = 1234) -> KernelCertificate:
     """sup over samples of |K| * separation^d (linear) or ^(2d) (bilinear)."""
+    if K.d != 1:
+        raise ValueError(f"check_size samples d=1 separations; kernel {K.name} has d={K.d}")
     rng = np.random.default_rng(seed)
     d = K.d
     if K.arity == "linear":
         x, r, u = _sep_samples(rng, n_samples, d)
         y = x + r[:, None] * u
-        vals = np.abs(np.asarray(K.rule(x[:, 0], y[:, 0]) if d == 1 else K.rule(x, y)))
+        vals = np.abs(np.asarray(K.rule(x[:, 0], y[:, 0])))
         stat = vals * r ** d
     else:
         x, r1, u1 = _sep_samples(rng, n_samples, d)
@@ -284,6 +286,8 @@ def check_regularity(K: KernelModel, delta: float | None = None,
     over admissible |x-x'| < |x-y|/2. Bilinear: the analogous quotient with
     (|x-y|+|x-z|)^(2d+delta), maximized over K, K*1, K*2.
     """
+    if K.d != 1:
+        raise ValueError(f"check_regularity samples d=1 separations; kernel {K.name} has d={K.d}")
     if delta is None:
         delta = K.delta
     rng = np.random.default_rng(seed)

@@ -15,21 +15,21 @@ convergence check flags it.
 
 Bilinear excision uses the distance |x-y| + |x-z| to the diagonal x=y=z.
 
-Whole fields of kernels with a lattice structure (KernelModel.lattice) are
-lattice sums by FFT convolution: O(n log n) for a linear field, O(n^2 log n)
-for a bilinear one. Whole linear fields of Cauchy kernels on a curve
-(KernelModel.curve) take the same full off-diagonal sum from a multipole
-treecode, O(n p log n) with p set so the far-field truncation is below 2^-53;
-both share the near-zone terms read from K.rule on the 2 c_eps off-diagonals.
-Other kernels, points and subsets of points sum their kernel rows directly,
-O(n) (linear) or O(n^2) (bilinear) per point; these dense rows are also the
-test oracle. Memory stays O(BLOCK n) either way. Triple pairings of a kernel
-with a lattice profile read the whole lattice field, whatever the support of
-the outer factor.
-
-Kernel rule conventions: d=1 rules take coordinate arrays (x, y) or
-(x, y, z); d=2 rules take the components (x0, x1, y0, y1) respectively
-(x0, x1, y0, y1, z0, z1), all broadcastable.
+Points, subsets of grid indices and whole fields take one path, linear or
+bilinear by the number of functions: validate the kernel's arity, the shared
+grid and d=1 (before any index lookup); sum the whole structure or the dense
+kernel rows; set the eps vs eps/2 convergence flags. Whole fields of kernels
+with a lattice structure (KernelModel.lattice) are lattice sums by FFT
+convolution: O(n log n) for a linear field, O(n^2 log n) for a bilinear one.
+Whole linear fields of Cauchy kernels on a curve (KernelModel.curve) take the
+same full off-diagonal sum from a multipole treecode, O(n p log n) with p set
+so the far-field truncation is below 2^-53; both share the near-zone terms
+read from K.rule on the 2 c_eps off-diagonals. Other kernels, points and
+subsets of points sum their kernel rows directly, BLOCK rows at a time, O(n)
+(linear) or O(n^2) (bilinear) per point; these dense rows are also the test
+oracle. Memory stays O(BLOCK n) either way. Triple pairings of a kernel with
+a lattice profile read the whole lattice field, whatever the support of the
+outer factor.
 """
 
 from __future__ import annotations
@@ -77,16 +77,6 @@ class FieldResult:
         return int(np.sum(~self.converged))
 
 
-def _require_linear(K: KernelModel):
-    if K.arity != "linear":
-        raise ValueError(f"kernel {K.name} is not linear")
-
-
-def _require_bilinear(K: KernelModel):
-    if K.arity != "bilinear":
-        raise ValueError(f"kernel {K.name} is not bilinear")
-
-
 def _grid_indices(points, n: int) -> np.ndarray:
     """A points= request as an index array; ValueError naming the first entry
     that is not an integer grid index in [0, n), before any computation."""
@@ -130,12 +120,10 @@ def _convolve(P: np.ndarray, s: np.ndarray, n: int) -> np.ndarray:
 def _linear_tail(f, rows, h, base, near_mass, a1, ring_mass):
     """values = base - f near_mass + a1 f' h at the rows, and value(c_eps//2) - value(c_eps):
     value(c) depends on c only through the near-zone kernel mass, so that is f
-    times the mass of the ring between the two excisions (None: no ring)."""
+    times the mass of the ring between the two excisions (empty at c_eps = 1)."""
     fp = np.zeros_like(f)
     fp[1:-1] = (f[2:] - f[:-2]) / (2.0 * h)
-    values = base - f[rows] * near_mass + a1 * fp[rows] * h
-    delta = np.zeros(len(values), dtype=complex) if ring_mass is None else f[rows] * ring_mass
-    return values, delta
+    return base - f[rows] * near_mass + a1 * fp[rows] * h, f[rows] * ring_mass
 
 
 def _linear_dense_rows(K: KernelModel, f: np.ndarray, grid: Grid, c_eps: int,
@@ -153,9 +141,8 @@ def _linear_dense_rows(K: KernelModel, f: np.ndarray, grid: Grid, c_eps: int,
     a1 = np.zeros(len(rows), dtype=complex)
     k = np.nonzero((rows >= 1) & (rows <= n - 2))[0]
     a1[k] = 0.5 * h * (M[k, rows[k] + 1] - M[k, rows[k] - 1])
-    c_half = max(1, c_eps // 2)
-    ring_mass = None if c_half == c_eps else \
-        np.where((off > c_half) & (off <= c_eps), M, 0.0 + 0.0j).sum(axis=1) * h
+    ring = (off > max(1, c_eps // 2)) & (off <= c_eps)
+    ring_mass = np.where(ring, M, 0.0 + 0.0j).sum(axis=1) * h
     return _linear_tail(f, rows, h, base, near_mass, a1, ring_mass)
 
 
@@ -260,53 +247,8 @@ def _linear_whole_field(K: KernelModel, f: np.ndarray, grid: Grid, c_eps: int):
     band[(j < 0) | (j >= n) | ~np.isfinite(band)] = 0.0
     a1 = np.zeros(n, dtype=complex)
     a1[1:-1] = 0.5 * h * (band[1:-1, c_eps] - band[1:-1, c_eps - 1])
-    c_half = max(1, c_eps // 2)
-    ring_mass = None if c_half == c_eps else band[:, np.abs(ks) > c_half].sum(axis=1) * h
+    ring_mass = band[:, np.abs(ks) > max(1, c_eps // 2)].sum(axis=1) * h
     return _linear_tail(f, slice(None), h, base * h, band.sum(axis=1) * h, a1, ring_mass)
-
-
-def apply_linear(K: KernelModel, f: SampledFunction, x, policy: PvPolicy = PvPolicy()) -> PvValue:
-    """PV value of T(f)(x) = int K(x, y) f(y) dy at a grid point x; reads one kernel row."""
-    _require_linear(K)
-    g = f.grid
-    if g.d != 1:
-        raise ValueError("linear PV quadrature is implemented for d=1 grids")
-    i = g.index_of(x)[0]
-    values, delta = _linear_dense_rows(K, f.values, g, policy.c_eps, np.array([i]))
-    v = complex(values[0])
-    if not policy.convergence_check:
-        return PvValue(value=v, refined=None, converged=True)
-    dv = complex(delta[0])
-    ok = abs(dv) <= policy.tol_pv * (1.0 + abs(v))
-    return PvValue(value=v, refined=v + dv, converged=bool(ok))
-
-
-def apply_linear_field(K: KernelModel, f: SampledFunction,
-                       policy: PvPolicy = PvPolicy(), points=None) -> FieldResult:
-    """T(f) at every grid point, or at a subset of grid indices (zero and unflagged elsewhere).
-
-    A whole field of a kernel with a lattice structure costs O(n log n); other
-    kernels and subsets read their kernel rows in blocks, O(n) per point.
-    """
-    _require_linear(K)
-    g = f.grid
-    if g.d != 1:
-        raise ValueError("linear PV quadrature is implemented for d=1 grids")
-    if points is None and (K.lattice is not None or K.curve is not None):
-        values, delta = _linear_whole_field(K, f.values, g, policy.c_eps)
-    else:
-        rows = np.arange(g.n) if points is None else _grid_indices(points, g.n)
-        values = np.zeros(g.n, dtype=complex)
-        delta = np.zeros(g.n, dtype=complex)
-        for s in range(0, len(rows), BLOCK):
-            r = rows[s:s + BLOCK]
-            values[r], delta[r] = _linear_dense_rows(K, f.values, g, policy.c_eps, r)
-    if policy.convergence_check:
-        conv = np.abs(delta) <= policy.tol_pv * (1.0 + np.abs(values))
-    else:
-        conv = np.ones(g.n, dtype=bool)
-    out = SampledFunction(grid=g, values=values, name=f"T[{K.name}]({f.name})")
-    return FieldResult(field=out, converged=conv, policy=policy)
 
 
 def _bilinear_point(K: KernelModel, fv: np.ndarray, gv: np.ndarray,
@@ -332,12 +274,8 @@ def _bilinear_point(K: KernelModel, fv: np.ndarray, gv: np.ndarray,
     Kw, Sw = Kv[w, w], S[w, w]
     near = (Sw <= eps) & (Sw > 0)
     val += (Kw[near] * (FG[w, w][near] - fv[i] * gv[i])).sum() * h * h
-    c_half = max(1, c_eps // 2)
-    if c_half == c_eps:
-        dv = 0.0 + 0.0j
-    else:
-        ring = (Sw > c_half * h) & (Sw <= eps)
-        dv = fv[i] * gv[i] * Kw[ring].sum() * h * h
+    ring = (Sw > max(1, c_eps // 2) * h) & (Sw <= eps)
+    dv = fv[i] * gv[i] * Kw[ring].sum() * h * h
     return complex(val), complex(dv)
 
 
@@ -370,11 +308,71 @@ def _bilinear_lattice_field(K: KernelModel, fv: np.ndarray, gv: np.ndarray,
     Pc = _profile(K.lattice, a * h, b * h)
     fg = fv * gv
     values = (full - fg * np.where((S > 0) & (S <= c_eps * h), Pc, 0.0).sum(axis=0)) * h * h
-    c_half = max(1, c_eps // 2)
-    if c_half == c_eps:
-        return values, np.zeros(n, dtype=complex)
-    ring = np.where((S > c_half * h) & (S <= c_eps * h), Pc, 0.0).sum(axis=0)
+    ring = np.where((S > max(1, c_eps // 2) * h) & (S <= c_eps * h), Pc, 0.0).sum(axis=0)
     return values, fg * ring * h * h
+
+
+def _bilinear_dense_rows(K: KernelModel, fv: np.ndarray, gv: np.ndarray, grid: Grid,
+                         c_eps: int, rows: np.ndarray):
+    """(values, delta) at the given rows, one n x n kernel slice per row."""
+    return np.array([_bilinear_point(K, fv, gv, grid, int(i), c_eps) for i in rows]).T
+
+
+def _pv(K: KernelModel, fs: tuple, policy: PvPolicy, points=None, x=None):
+    """T(*fs), linear or bilinear by len(fs): a FieldResult at every grid point or
+    at the grid indices points (zero and unflagged elsewhere), or a PvValue at
+    the grid point x. Checks arity, grid and d before any index lookup.
+
+    A whole field of a kernel with a lattice or curve structure is summed from
+    that structure; other kernels and subsets read their kernel rows in blocks.
+    """
+    arity = ("linear", "bilinear")[len(fs) - 1]
+    if K.arity != arity:
+        raise ValueError(f"kernel {K.name} is not {arity}")
+    grid = fs[0].grid
+    if any(f.grid != grid for f in fs[1:]):
+        raise ValueError("f and g must share a grid")
+    if grid.d != 1:
+        raise ValueError(f"{arity} PV quadrature is implemented for d=1 grids")
+    if x is not None:
+        points = [grid.index_of(x)[0]]
+    vs = [f.values for f in fs]
+    if points is None and (K.lattice is not None or K.curve is not None):
+        whole = _linear_whole_field if arity == "linear" else _bilinear_lattice_field
+        values, delta = whole(K, *vs, grid, policy.c_eps)
+    else:
+        dense = _linear_dense_rows if arity == "linear" else _bilinear_dense_rows
+        rows = np.arange(grid.n) if points is None else _grid_indices(points, grid.n)
+        values = np.zeros(grid.n, dtype=complex)
+        delta = np.zeros(grid.n, dtype=complex)
+        for s in range(0, len(rows), BLOCK):
+            r = rows[s:s + BLOCK]
+            values[r], delta[r] = dense(K, *vs, grid, policy.c_eps, r)
+    conv = np.abs(delta) <= policy.tol_pv * (1.0 + np.abs(values)) \
+        if policy.convergence_check else np.ones(grid.n, dtype=bool)
+    if x is None:
+        name = f"T[{K.name}]({','.join(f.name for f in fs)})"
+        return FieldResult(field=SampledFunction(grid=grid, values=values, name=name),
+                           converged=conv, policy=policy)
+    i = points[0]
+    v = complex(values[i])
+    return PvValue(value=v, refined=v + complex(delta[i]) if policy.convergence_check else None,
+                   converged=bool(conv[i]))
+
+
+def apply_linear(K: KernelModel, f: SampledFunction, x, policy: PvPolicy = PvPolicy()) -> PvValue:
+    """PV value of T(f)(x) = int K(x, y) f(y) dy at a grid point x; reads one kernel row."""
+    return _pv(K, (f,), policy, x=x)
+
+
+def apply_linear_field(K: KernelModel, f: SampledFunction,
+                       policy: PvPolicy = PvPolicy(), points=None) -> FieldResult:
+    """T(f) at every grid point, or at a subset of grid indices (zero and unflagged elsewhere).
+
+    A whole field of a kernel with a lattice or curve structure costs O(n log n)
+    or O(n p log n); other kernels and subsets cost O(n) per point.
+    """
+    return _pv(K, (f,), policy, points)
 
 
 def apply_bilinear(K: KernelModel, f: SampledFunction, g: SampledFunction, x,
@@ -384,18 +382,7 @@ def apply_bilinear(K: KernelModel, f: SampledFunction, g: SampledFunction, x,
     The excision metric matches the bilinear diagonal {x=y=z}; excising the
     two one-dimensional diagonals separately would be wrong.
     """
-    _require_bilinear(K)
-    if f.grid != g.grid:
-        raise ValueError("f and g must share a grid")
-    gr = f.grid
-    if gr.d != 1:
-        raise ValueError("bilinear PV quadrature is implemented for d=1 grids")
-    i = gr.index_of(x)[0]
-    v, dv = _bilinear_point(K, f.values, g.values, gr, i, policy.c_eps)
-    if not policy.convergence_check:
-        return PvValue(value=v, refined=None, converged=True)
-    ok = abs(dv) <= policy.tol_pv * (1.0 + abs(v))
-    return PvValue(value=v, refined=v + dv, converged=bool(ok))
+    return _pv(K, (f, g), policy, x=x)
 
 
 def apply_bilinear_field(K: KernelModel, f: SampledFunction, g: SampledFunction,
@@ -404,29 +391,9 @@ def apply_bilinear_field(K: KernelModel, f: SampledFunction, g: SampledFunction,
     """T(f, g) at every grid point, or at a subset of grid indices (zero and unflagged elsewhere).
 
     A whole field of a kernel with a lattice profile costs O(n^2 log n) in
-    O(BLOCK n) memory; other kernels and subsets are summed point by point.
+    O(BLOCK n) memory; other kernels and subsets cost O(n^2) per point.
     """
-    _require_bilinear(K)
-    if f.grid != g.grid:
-        raise ValueError("f and g must share a grid")
-    gr = f.grid
-    if gr.d != 1:
-        raise ValueError("bilinear PV quadrature is implemented for d=1 grids")
-    if points is None and K.lattice is not None:
-        vals, deltas = _bilinear_lattice_field(K, f.values, g.values, gr, policy.c_eps)
-    else:
-        idxs = np.arange(gr.n) if points is None else _grid_indices(points, gr.n)
-        vals = np.zeros(gr.n, dtype=complex)
-        deltas = np.zeros(gr.n, dtype=complex)
-        for i in idxs:
-            vals[i], deltas[i] = _bilinear_point(K, f.values, g.values, gr, int(i),
-                                                 policy.c_eps)
-    if policy.convergence_check:
-        conv = np.abs(deltas) <= policy.tol_pv * (1.0 + np.abs(vals))
-    else:
-        conv = np.ones(gr.n, dtype=bool)
-    out = SampledFunction(grid=gr, values=vals, name=f"T[{K.name}]({f.name},{g.name})")
-    return FieldResult(field=out, converged=conv, policy=policy)
+    return _pv(K, (f, g), policy, points)
 
 
 def pairing(u: SampledFunction, v: SampledFunction) -> complex:
@@ -446,7 +413,8 @@ def triple_pairing(K: KernelModel, f0: SampledFunction, f1: SampledFunction,
 
 def _triple_pairing(K, f0, f1, f2, b0, b1, b2, policy) -> tuple[complex, int]:
     """triple_pairing and the number of PV-flagged points of the inner field on supp b0 f0."""
-    _require_bilinear(K)
+    if K.arity != "bilinear":
+        raise ValueError(f"kernel {K.name} is not bilinear")
     gr = f0.grid
     for other in (f1, f2, b0, b1, b2):
         if other.grid != gr:

@@ -5,7 +5,7 @@ import pytest
 
 from tblab.grid import Cube, cube1, lp_norm, make_grid
 from tblab.bumps import standard_bump
-from tblab.harness import (BFunc, GridSpec, bilinear_decomposition_check,
+from tblab.harness import (BILINEAR_GRID, BFunc, GridSpec, bilinear_decomposition_check,
                            builtin_b, direct_bound_check, exponent_fit,
                            far_field_constancy, local_piece_check,
                            stein_bilinear_tb_test, stein_t1_test, stein_tb_test,
@@ -114,6 +114,16 @@ def test_wbp_bilinear_offsets():
     for off in (1.0, 4.0):
         fit = rep.fit_for(f"offset{off:g}")
         assert fit.slope == pytest.approx(1.0, abs=0.07)
+
+
+def test_wbp_bilinear_keeps_an_explicit_grid():
+    # an explicit n > 256 grid used to be replaced by BILINEAR_GRID
+    K = gallery("bilinear-homog")
+    args = dict(scales=(1.0, 2.0), offsets=(1.0,))
+    default = weak_boundedness_test(K, ONE, ONE, ONE, **args)
+    assert weak_boundedness_test(K, ONE, ONE, ONE, grid=BILINEAR_GRID, **args).rows == default.rows
+    fine = weak_boundedness_test(K, ONE, ONE, ONE, grid=GridSpec(n=384, box_side=8.0), **args)
+    assert [r.value for r in fine.rows] != [r.value for r in default.rows]
 
 
 def test_direct_bound_hilbert_saturates():

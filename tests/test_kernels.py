@@ -4,8 +4,8 @@ from scipy.integrate import quad
 from scipy.special import dawsn
 
 from tblab.grid import cube1, make_grid
-from tblab.kernels import (_bilinear_homog, _sep_samples, check_regularity, check_size,
-                           gallery, transpose_kernel, _CommutatorEvenKernel)
+from tblab.kernels import (KernelModel, _bilinear_homog, _sep_samples, check_regularity,
+                           check_size, gallery, transpose_kernel, _CommutatorEvenKernel)
 
 
 def test_hilbert_pointwise():
@@ -303,3 +303,15 @@ def test_curve_reproduces_rule(lam, rng):
         cur = ((1.0 if left is None else left(x)) * (1.0 if right is None else right(y))
                / (z(x) - z(y)))
         np.testing.assert_allclose(cur, k.rule(x, y), rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("check", [check_size, check_regularity])
+@pytest.mark.parametrize("arity", ["linear", "bilinear"])
+def test_certification_rejects_d2_kernels_before_sampling(check, arity):
+    # the samplers read 1-D slices only: a d=2 kernel would be certified wrongly
+    calls = []
+    K = KernelModel(name="riesz-like", arity=arity, d=2, delta=1.0, size_constant=1.0,
+                    rule=lambda *args: calls.append(args) or 1.0)
+    with pytest.raises(ValueError, match="d=1 separations; kernel riesz-like has d=2"):
+        check(K, n_samples=10)
+    assert calls == []

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tblab.bumps import standard_bump, translate_dilate
-from tblab.grid import SampledFunction, cube1, lp_norm, make_grid, sample
+from tblab.grid import Cube, SampledFunction, cube1, lp_norm, make_grid, sample
 from tblab.kernels import KernelModel, gallery, transpose_kernel
 from tblab.quadrature import (PvPolicy, _bilinear_point, _triple_pairing, apply_bilinear,
                               apply_bilinear_field, apply_linear, apply_linear_field,
@@ -237,6 +237,40 @@ def test_arity_enforced():
         apply_bilinear(H, f, f, g.axis(0)[32])
 
 
+@pytest.mark.parametrize("call", ["linear", "linear_field", "bilinear", "bilinear_field"])
+def test_d2_grid_rejected_before_index_lookup(call):
+    # a scalar x on a d=2 grid would raise IndexError in index_of
+    g = make_grid(2, Cube((0.0, 0.0), 8.0), 16)
+    f = sample(lambda x, y: np.exp(-x * x - y * y), g)
+    B = gallery("bilinear-homog")
+    arity = "linear" if call.startswith("linear") else "bilinear"
+    with pytest.raises(ValueError, match=f"{arity} PV quadrature is implemented for d=1"):
+        {"linear": lambda: apply_linear(H, f, 0.0),
+         "linear_field": lambda: apply_linear_field(H, f),
+         "bilinear": lambda: apply_bilinear(B, f, f, 0.0),
+         "bilinear_field": lambda: apply_bilinear_field(B, f, f)}[call]()
+
+
+def test_c_eps_one_has_no_ring_on_every_path():
+    # the ring (max(1, c_eps // 2), c_eps] between the two excisions is empty:
+    # delta is 0, so a point refines to its own value and nothing is flagged,
+    # also for the divergent positive control
+    g = make_grid(1, cube1(0.0, 16.0), 255)
+    f, h = _smooth(g, 15), _smooth(g, 16)
+    x = g.axis(0)[100]
+    policy = PvPolicy(c_eps=1)
+    B = gallery("bilinear-homog")
+    fields = [apply_linear_field(K, f, policy, points=pts)
+              for K in (H, gallery("cauchy-lipschitz"), gallery("positive-control"))
+              for pts in (None, [0, 100, 254])]
+    fields += [apply_bilinear_field(B, f, h, policy, points=pts) for pts in (None, [0, 100])]
+    assert H.lattice is not None and gallery("cauchy-lipschitz").curve is not None
+    assert all(fr.converged.all() for fr in fields)
+    points = [apply_linear(K, f, x, policy) for K in (H, gallery("positive-control"))]
+    points.append(apply_bilinear(B, f, h, x, policy))
+    assert all(pv.refined == pv.value and pv.converged for pv in points)
+
+
 # --- lattice fast paths against the dense rows ---------------------------------
 #
 # The oracle is the same kernel with its lattice removed, which runs the dense
@@ -391,6 +425,8 @@ def test_bilinear_point_is_bit_identical_to_masked_oracle(n, box, c_eps):
         got = _bilinear_point(K, f.values, h.values, g, i, c_eps)
         want = _bilinear_point_masked(K, f.values, h.values, g, i, c_eps)
         assert got == want
+        pv = apply_bilinear(K, f, h, g.axis(0)[i], PvPolicy(c_eps=c_eps))
+        assert (pv.value, pv.refined) == (want[0], want[0] + want[1])
     fr = apply_bilinear_field(K, f, h, PvPolicy(c_eps=c_eps), points=pts)
     want = [_bilinear_point_masked(K, f.values, h.values, g, i, c_eps)[0] for i in pts]
     assert np.array_equal(fr.field.values[pts], np.array(want))
