@@ -135,14 +135,14 @@ class OscillationReport:
         return rows
 
 
-def _shifted_cubes(family: DyadicFamily, shifts=SHIFTS):
+def _shifted_cubes(family: DyadicFamily):
     """Dyadic cubes plus per-axis shifted copies that stay in the root box."""
     lo, hi, d = family.root.lo(), family.root.hi(), family.root.d
     if d == 1:
-        shift_vecs = [(s,) for s in shifts]
+        shift_vecs = [(s,) for s in SHIFTS]
     else:
-        shift_vecs = [(s, 0.0) for s in shifts] + [(0.0, s) for s in shifts] + \
-                     [(s, t) for s in shifts for t in shifts]
+        shift_vecs = [(s, 0.0) for s in SHIFTS] + [(0.0, s) for s in SHIFTS] + \
+                     [(s, t) for s in SHIFTS for t in SHIFTS]
     out = []
     for k in range(family.k_min, family.k_max + 1):
         side = family.side(k)
@@ -157,13 +157,12 @@ def _shifted_cubes(family: DyadicFamily, shifts=SHIFTS):
     return out
 
 
-def bmo_seminorm(f: SampledFunction, family: DyadicFamily,
-                 shifts=SHIFTS) -> OscillationReport:
+def bmo_seminorm(f: SampledFunction, family: DyadicFamily) -> OscillationReport:
     """sup of the oscillation functionals over dyadic + shifted dyadic cubes.
 
     Cubes too small for the grid (< 4 cells) are skipped and counted.
     """
-    cubes = _shifted_cubes(family, shifts)
+    cubes = _shifted_cubes(family)
     if not cubes:
         raise ValueError("empty cube family")
     entries = []

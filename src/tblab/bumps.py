@@ -113,15 +113,15 @@ def c_norm(M: int, d: int, profile: str = "standard-mollifier") -> float:
 
 
 @lru_cache(maxsize=None)
-def profile_integral(profile: str, d: int, power: int = 1) -> float:
-    """int profile(|x|)^power dx over R^d by fine midpoint quadrature."""
+def profile_integral(profile: str, d: int) -> float:
+    """int profile(|x|) dx over R^d by fine midpoint quadrature."""
     f = PROFILES[profile]
     n = 1 << 22
     r = (np.arange(n) + 0.5) / n
     w = 1.0 / n
     if d == 1:
-        return float(2.0 * np.sum(f(r) ** power) * w)
-    return float(2.0 * np.pi * np.sum(f(r) ** power * r) * w)
+        return float(2.0 * np.sum(f(r)) * w)
+    return float(2.0 * np.pi * np.sum(f(r) * r) * w)
 
 
 @dataclass(frozen=True)
@@ -136,7 +136,6 @@ class BumpCertificate:
     order: int
     sups: dict                 # multi-index -> measured FD sup
     support_radius: float
-    tol: float
 
     @property
     def worst(self) -> float:
@@ -144,11 +143,11 @@ class BumpCertificate:
 
     @property
     def passed(self) -> bool:
-        return self.worst <= 1.0 + self.tol
+        return self.worst <= 1.0 + TOL_FD
 
     @property
     def margin(self) -> float:
-        return 1.0 + self.tol - self.worst
+        return 1.0 + TOL_FD - self.worst
 
 
 class BumpRule:
@@ -252,7 +251,7 @@ def _central_diff(values: np.ndarray, h: float, axis: int) -> np.ndarray:
     return out
 
 
-def verify_bump(f: SampledFunction, M: int, tol: float = TOL_FD) -> BumpCertificate:
+def verify_bump(f: SampledFunction, M: int) -> BumpCertificate:
     """Measure sup |d^alpha f| for |alpha| <= M with central differences.
 
     The function must vanish on the outermost cell ring (support in the grid
@@ -298,4 +297,4 @@ def verify_bump(f: SampledFunction, M: int, tol: float = TOL_FD) -> BumpCertific
             for _ in range(ay):
                 cur = _central_diff(cur, g.h, 1)
             sups[(ax, ay)] = float(np.max(np.abs(cur)))
-    return BumpCertificate(order=M, sups=sups, support_radius=support_radius, tol=tol)
+    return BumpCertificate(order=M, sups=sups, support_radius=support_radius)

@@ -7,7 +7,11 @@ output bytes do not depend on it.
 
 Each subcommand runs its experiment and returns (files, summary lines,
 verdicts); one emitter writes them. A config key that is not set leaves the
-library's default in force, so no library default is restated here.
+library's default in force, except for the defaults this module owns: the
+dyadic generations of `bmo` (bmo.k_min 0, bmo.k_max 5) and `para-accretive`
+(bmo.k_max 3 for the cube condition, at least 7 for condition (B)), uk.k 0
+and the uk-build grid (n=2048, box 8), b-functions `one`, output.dir
+`tblab-out`, and BILINEAR_SCALES for a bilinear `wbp`.
 """
 
 from __future__ import annotations
@@ -405,9 +409,8 @@ def _bilinear_decomp(cfg: ExperimentConfig):
     K = cfg.kernel()
     rep = bilinear_decomposition_check(K, cfg.b_func("b1"), cfg.b_func("b2"),
                                        Q=cfg.cube(DECOMP_CUBE),
-                                       R_list=cfg.get("scales") or None,
                                        grid=cfg.grid_spec(DECOMP_GRID),
-                                       policy=cfg.policy())
+                                       policy=cfg.policy(), **cfg.given(R_list="scales"))
     rows = _table(["R", "avg_I", "dev_II", "dev_III", "dev_IV", "sum_defect", "sum_ok"],
                   ((r.R, r.avg_I, r.dev_II, r.dev_III, r.dev_IV, r.sum_defect, r.sum_ok)
                    for r in rep.rows))

@@ -13,7 +13,7 @@ import numpy as np
 
 from .util import fmt_float
 
-DEFAULT_GENERATION_CAP = 1 << 20
+GENERATION_CAP = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -200,8 +200,7 @@ class DyadicFamily:
         return self.root.side / (1 << k)
 
 
-def dyadic_family(root: Cube, k_min: int, k_max: int,
-                  cap: int = DEFAULT_GENERATION_CAP) -> DyadicFamily:
+def dyadic_family(root: Cube, k_min: int, k_max: int) -> DyadicFamily:
     """Exact dyadic tilings of `root` for generations k_min..k_max."""
     if k_min > k_max:
         raise ValueError("k_min must be <= k_max")
@@ -209,8 +208,8 @@ def dyadic_family(root: Cube, k_min: int, k_max: int,
         raise ValueError("k_min must be >= 0")
     d = root.d
     total = sum((1 << k) ** d for k in range(k_min, k_max + 1))
-    if total > cap:
-        raise ValueError(f"family would contain {total} cubes, cap is {cap}")
+    if total > GENERATION_CAP:
+        raise ValueError(f"family would contain {total} cubes, cap is {GENERATION_CAP}")
     gens = {}
     lo = root.lo()
     for k in range(k_min, k_max + 1):

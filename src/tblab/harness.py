@@ -29,6 +29,8 @@ DEFAULT_UNIFORMITY = 2.0
 LINEAR_SCALES = tuple(2.0 ** k for k in range(-3, 4))
 BILINEAR_SCALES = tuple(2.0 ** k for k in range(-2, 3))
 CENTER_FRACTIONS = (0.0, 0.125, -0.125)   # in units of the box side
+DIRECT_BOUND_TOL = 0.03                   # relative slack of the direct bound
+DECOMP_DEV_CAP = 1.0                      # common cap of the decomposition pieces
 
 
 # --- b-functions -----------------------------------------------------------
@@ -248,6 +250,15 @@ def _l2(fr) -> float:
     return lp_norm(fr.field, 2)
 
 
+def _check_scales(scales) -> tuple:
+    """The scales as a tuple; an empty list or a scale that is not positive and
+    finite is rejected before any computation."""
+    scales = tuple(scales)
+    if not scales or not all(np.isfinite(R) and R > 0 for R in scales):
+        raise ValueError(f"scales must be positive and finite, at least one; got {scales}")
+    return scales
+
+
 def _sweep(one_row, groups, scales, grid: GridSpec, mode: str, names, b_names,
            M: int, target: float, slope_tol: float, uniformity_factor: float) -> list:
     """The pipeline of every testing condition: rows, per-group fits, reports.
@@ -259,7 +270,7 @@ def _sweep(one_row, groups, scales, grid: GridSpec, mode: str, names, b_names,
     are dropped. A group is a (section, center) pair; each group with at
     least 5 rows in a report gets its own exponent fit against R^target.
     """
-    jobs = [(group, R) for group in groups for R in scales]
+    jobs = [(group, R) for group in groups for R in _check_scales(scales)]
     done = pmap(lambda job: one_row(grid.row_grid(mode, job[1]), *job), jobs)
     kept = [(group, R, res) for (group, R), res in zip(jobs, done) if res is not None]
     reports = []
@@ -306,13 +317,12 @@ def stein_t1_test(K: KernelModel, M: int = 2,
                   scales=LINEAR_SCALES, center_fracs=CENTER_FRACTIONS,
                   grid: GridSpec = GridSpec(), policy: PvPolicy = PvPolicy(),
                   slope_tol: float = DEFAULT_SLOPE_TOL,
-                  uniformity_factor: float = DEFAULT_UNIFORMITY,
-                  grid_mode: str | None = None) -> ScalingReport:
+                  uniformity_factor: float = DEFAULT_UNIFORMITY) -> ScalingReport:
     """||T(phi^{x0,R})||_2 + ||T*(phi^{x0,R})||_2 against the target R^(d/2)."""
     one_row = _stein_row(K, B_ONE, B_ONE, M, policy, lambda fr1, fr2: [
         (_l2(fr1) + _l2(fr2), fr1.n_flagged > 0 or fr2.n_flagged > 0)])
     return _sweep(one_row, [("", frac) for frac in center_fracs], scales, grid,
-                  grid_mode or K.grid_mode, [("stein-t1", K.name)],
+                  K.grid_mode, [("stein-t1", K.name)],
                   (B_ONE.name, B_ONE.name), M, K.d / 2.0, slope_tol,
                   uniformity_factor)[0]
 
@@ -332,8 +342,7 @@ def stein_tb_test(K: KernelModel, b0: BFunc, b1: BFunc, M: int = 2,
                   scales=LINEAR_SCALES, center_fracs=CENTER_FRACTIONS,
                   grid: GridSpec = GridSpec(), policy: PvPolicy = PvPolicy(),
                   slope_tol: float = DEFAULT_SLOPE_TOL,
-                  uniformity_factor: float = DEFAULT_UNIFORMITY,
-                  grid_mode: str | None = None) -> TbTestResult:
+                  uniformity_factor: float = DEFAULT_UNIFORMITY) -> TbTestResult:
     """Testing conditions on b1 (for T) and b0 (for T*), fitted to d/2 per center."""
     one_row = _stein_row(K, b0, b1, M, policy, lambda fr1, fr2: [
         (_l2(fr), fr.n_flagged > 0) for fr in (fr1, fr2)])
@@ -343,7 +352,7 @@ def stein_tb_test(K: KernelModel, b0: BFunc, b1: BFunc, M: int = 2,
                           f"certificate", stacklevel=2)
     names = [("stein-tb-on-b1", K.name), ("stein-tb-transpose", transpose_kernel(K).name)]
     return TbTestResult(*_sweep(one_row, [("", frac) for frac in center_fracs], scales,
-                                grid, grid_mode or K.grid_mode, names,
+                                grid, K.grid_mode, names,
                                 (b0.name, b1.name), M, K.d / 2.0, slope_tol,
                                 uniformity_factor))
 
@@ -369,8 +378,7 @@ def stein_bilinear_tb_test(K: KernelModel, b0: BFunc, b1: BFunc, b2: BFunc,
                            grid: GridSpec = BILINEAR_GRID,
                            policy: PvPolicy = PvPolicy(),
                            slope_tol: float = DEFAULT_SLOPE_TOL,
-                           uniformity_factor: float = DEFAULT_UNIFORMITY,
-                           grid_mode: str | None = None) -> BilinearTbResult:
+                           uniformity_factor: float = DEFAULT_UNIFORMITY) -> BilinearTbResult:
     """The three bilinear testing conditions, equal and offset centers."""
     if K.arity != "bilinear":
         raise ValueError("needs a bilinear kernel")
@@ -395,7 +403,7 @@ def stein_bilinear_tb_test(K: KernelModel, b0: BFunc, b1: BFunc, b2: BFunc,
     names = [("bilinear-tb-direct", K.name), ("bilinear-tb-transpose1", K1.name),
              ("bilinear-tb-transpose2", K2.name)]
     return BilinearTbResult(*_sweep(one_row, [("equal", 0.0), ("offset", 1.0)], scales,
-                                    grid, grid_mode or K.grid_mode, names,
+                                    grid, K.grid_mode, names,
                                     (b0.name, b1.name, b2.name), M, K.d / 2.0,
                                     slope_tol, uniformity_factor))
 
@@ -405,15 +413,13 @@ def weak_boundedness_test(K: KernelModel, b0: BFunc = B_ONE, b1: BFunc = B_ONE,
                           offsets=(0.0, 1.0, 4.0),
                           grid: GridSpec | None = None, policy: PvPolicy = PvPolicy(),
                           slope_tol: float = DEFAULT_SLOPE_TOL,
-                          uniformity_factor: float = DEFAULT_UNIFORMITY,
-                          grid_mode: str | None = None) -> ScalingReport:
+                          uniformity_factor: float = DEFAULT_UNIFORMITY) -> ScalingReport:
     """|<M_b0 T (M_b1 phi1), phi2>| (or the bilinear triple) against R^d.
 
     Equal-center and offset-center rows are separate sections; the remark
     that equal centers suffice is recorded as a comparison, not assumed.
     The grid defaults to BILINEAR_GRID for a bilinear kernel, GridSpec() otherwise.
     """
-    mode = grid_mode or K.grid_mode
     bil = K.arity == "bilinear"
     if grid is None:
         grid = BILINEAR_GRID if bil else GridSpec()
@@ -436,7 +442,7 @@ def weak_boundedness_test(K: KernelModel, b0: BFunc = B_ONE, b1: BFunc = B_ONE,
 
     names = (b0.name, b1.name, b2.name) if bil else (b0.name, b1.name)
     return _sweep(one_row, [(f"offset{off:g}", off) for off in offsets], scales, grid,
-                  mode, [("wbp", K.name)], names, M, float(K.d), slope_tol,
+                  K.grid_mode, [("wbp", K.name)], names, M, float(K.d), slope_tol,
                   uniformity_factor)[0]
 
 
@@ -463,10 +469,11 @@ class DirectBoundReport:
 def direct_bound_check(K: KernelModel, b1: BFunc, op_norm: float | None = None,
                        b2: BFunc | None = None, bilinear_norm: float | None = None,
                        M: int = 2, scales=LINEAR_SCALES,
-                       grid: GridSpec = GridSpec(), policy: PvPolicy = PvPolicy(),
-                       tol: float = 0.03, grid_mode: str | None = None) -> DirectBoundReport:
-    """measured <= norm * prod ||b||_inf * bump-norm product * (1 + tol) per row."""
-    mode = grid_mode or K.grid_mode
+                       grid: GridSpec = GridSpec(),
+                       policy: PvPolicy = PvPolicy()) -> DirectBoundReport:
+    """measured <= norm * prod ||b||_inf * bump-norm product * (1 + DIRECT_BOUND_TOL)
+    per row."""
+    scales = _check_scales(scales)
     linear = K.arity == "linear"
     if linear and op_norm is None:
         raise ValueError("missing operator norm estimate for the linear bound")
@@ -476,19 +483,20 @@ def direct_bound_check(K: KernelModel, b1: BFunc, op_norm: float | None = None,
         raise ValueError("bilinear direct bound needs b2")
 
     def one_row(R):
-        g = grid.row_grid(mode, R)
+        g = grid.row_grid(K.grid_mode, R)
         phi = _bump_field(g, M, 0.0, R)
         b1s = b1.sampled(g)
         f1 = _weighted(b1s, phi.values)
         if linear:
             fr = apply_linear_field(K, f1, policy)
-            bound = op_norm * float(np.max(np.abs(b1s.values))) * lp_norm(phi, 2) * (1 + tol)
+            bound = (op_norm * float(np.max(np.abs(b1s.values))) * lp_norm(phi, 2)
+                     * (1 + DIRECT_BOUND_TOL))
         else:
             b2s = b2.sampled(g)
             fr = apply_bilinear_field(K, f1, _weighted(b2s, phi.values), policy)
             bound = (bilinear_norm * float(np.max(np.abs(b1s.values)))
                      * float(np.max(np.abs(b2s.values)))
-                     * lp_norm(phi, 4) ** 2 * (1 + tol))
+                     * lp_norm(phi, 4) ** 2 * (1 + DIRECT_BOUND_TOL))
         return DirectBoundRow(R=R, measured=_l2(fr), bound=bound)
 
     rows = pmap(one_row, scales)
@@ -542,6 +550,7 @@ def uniform_bmo_sweep(K: KernelModel, b1: BFunc = B_ONE, R_list=(1.0, 2.0, 4.0, 
                       policy: PvPolicy = PvPolicy(), k_max: int = 7,
                       uniformity_factor: float = DEFAULT_UNIFORMITY) -> BmoSweepReport:
     """||T(b1 phi_R)||_BMO over R; phi_R is the plateau cutoff at scale R."""
+    R_list = _check_scales(R_list)
     if grid.box_side < 4.0 * max(R_list):
         raise ValueError("grid box must be at least 4x the largest scale")
     g = grid.row_grid("fixed", 1.0)
@@ -599,6 +608,7 @@ def far_field_constancy(K: KernelModel, b1: BFunc = B_ONE,
     Also records the splitting defect max_Q |T(b1 phi_R) - T(b1 phi_Q phi_R)
     - T(b1 (1-phi_Q) phi_R)| (zero up to roundoff by linearity).
     """
+    R_list = _check_scales(R_list)
     if grid.box_side < 4.0 * max(R_list):
         raise ValueError("grid box must be at least 4x the largest scale")
     if grid.box_side < 8.0 * Q.side:
@@ -646,6 +656,7 @@ def local_piece_check(K: KernelModel, b1: BFunc, Q: Cube, R: float,
     composite's scale min(R, r) and ||T(b1 phi_Q phi_R)||_2, the two sides of
     the testing condition that bounds the average through Cauchy-Schwarz on Q.
     """
+    _check_scales((R,))
     g, r, qsel, _, _, phiQ = _localize(grid, Q)
     x0, ax = Q.center[0], g.axis(0)
     prod = phiQ * _plateau(g, 0.0, R)
@@ -694,12 +705,11 @@ class DecompositionReport:
     Q: Cube
     r: float
     rows: list
-    dev_cap: float
 
     @property
     def verdict(self) -> str:
         ok = all(r.sum_ok for r in self.rows)
-        caps = all(max(r.avg_I, r.dev_II, r.dev_III, r.dev_IV) <= self.dev_cap
+        caps = all(max(r.avg_I, r.dev_II, r.dev_III, r.dev_IV) <= DECOMP_DEV_CAP
                    for r in self.rows)
         return "PASS" if ok and caps else "FAIL"
 
@@ -707,8 +717,7 @@ class DecompositionReport:
 def bilinear_decomposition_check(K: KernelModel, b1: BFunc = B_ONE, b2: BFunc = B_ONE,
                                  Q: Cube = DECOMP_CUBE, R_list=None,
                                  grid: GridSpec = DECOMP_GRID,
-                                 policy: PvPolicy = PvPolicy(),
-                                 dev_cap: float = 1.0) -> DecompositionReport:
+                                 policy: PvPolicy = PvPolicy()) -> DecompositionReport:
     """Four-piece split of T(b1 phi_R, b2 phi_R) by near/far plateau factors.
 
     Checks the exact sum identity on Q and that the local average of |I| and
@@ -718,8 +727,7 @@ def bilinear_decomposition_check(K: KernelModel, b1: BFunc = B_ONE, b2: BFunc = 
     if K.arity != "bilinear":
         raise ValueError("needs a bilinear kernel")
     g, r, qsel, i0, pts, phiQ = _localize(grid, Q)
-    if R_list is None:
-        R_list = (r / 4.0, r, 4.0 * r)
+    R_list = _check_scales((r / 4.0, r, 4.0 * r) if R_list is None else R_list)
     if grid.box_side < 2.0 * max(R_list):
         raise ValueError("grid box must contain the largest bump support")
     s1, s2 = b1.sampled(g), b2.sampled(g)
@@ -742,4 +750,4 @@ def bilinear_decomposition_check(K: KernelModel, b1: BFunc = B_ONE, b2: BFunc = 
         return DecompositionRow(R=R, avg_I=avg_I, dev_II=devs[0], dev_III=devs[1],
                                 dev_IV=devs[2], sum_defect=sum_defect, sum_ok=sum_ok)
 
-    return DecompositionReport(Q=Q, r=r, rows=pmap(one_row, R_list), dev_cap=dev_cap)
+    return DecompositionReport(Q=Q, r=r, rows=pmap(one_row, R_list))

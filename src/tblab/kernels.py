@@ -98,9 +98,10 @@ class _CommutatorEvenKernel:
     """
 
     U_BLOCK = 1024          # distinct |u| per product: O(U_BLOCK B) memory
+    PANELS = 1 << 15        # Simpson needs an even panel count
 
-    def __init__(self, lam: float, mu: float, n_nodes: int = 1 << 15):
-        n = n_nodes + (n_nodes % 2)          # Simpson needs an even panel count
+    def __init__(self, lam: float, mu: float):
+        n = self.PANELS
         dxi = 8.0 * lam / n
         xi = np.arange(n + 1) * dxi
         w = np.where(np.arange(n + 1) % 2, 4.0, 2.0)     # Simpson: 1 4 2 4 ... 2 4 1
@@ -249,24 +250,20 @@ def _sep_samples(rng, n, d, base_span=8.0, r_lo=1e-3, r_hi=10.0):
     return x, r, u
 
 
+def _separated_points(K: KernelModel, rng, n: int):
+    """x, the separations and one sampled point per further kernel argument:
+    one _sep_samples draw for a linear kernel, two for a bilinear one."""
+    if K.d != 1:
+        raise ValueError(f"certification samples d=1 separations; kernel {K.name} has d={K.d}")
+    draws = [_sep_samples(rng, n, K.d) for _ in range(1 if K.arity == "linear" else 2)]
+    x = draws[0][0][:, 0]
+    return x, [r for _, r, _ in draws], [x + r * u[:, 0] for _, r, u in draws]
+
+
 def check_size(K: KernelModel, n_samples: int = 10_000, seed: int = 1234) -> KernelCertificate:
     """sup over samples of |K| * separation^d (linear) or ^(2d) (bilinear)."""
-    if K.d != 1:
-        raise ValueError(f"check_size samples d=1 separations; kernel {K.name} has d={K.d}")
-    rng = np.random.default_rng(seed)
-    d = K.d
-    if K.arity == "linear":
-        x, r, u = _sep_samples(rng, n_samples, d)
-        y = x + r[:, None] * u
-        vals = np.abs(np.asarray(K.rule(x[:, 0], y[:, 0])))
-        stat = vals * r ** d
-    else:
-        x, r1, u1 = _sep_samples(rng, n_samples, d)
-        _, r2, u2 = _sep_samples(rng, n_samples, d)
-        y = x + r1[:, None] * u1
-        z = x + r2[:, None] * u2
-        vals = np.abs(np.asarray(K.rule(x[:, 0], y[:, 0], z[:, 0])))
-        stat = vals * (r1 + r2) ** (2 * d)
+    x, rs, pts = _separated_points(K, np.random.default_rng(seed), n_samples)
+    stat = np.abs(np.asarray(K.rule(x, *pts))) * sum(rs) ** (len(rs) * K.d)
     bad = ~np.isfinite(stat)
     if np.any(bad):
         warnings.warn(f"{int(np.sum(bad))} sample(s) hit the diagonal; dropped",
@@ -275,7 +272,7 @@ def check_size(K: KernelModel, n_samples: int = 10_000, seed: int = 1234) -> Ker
     i = int(np.argmax(stat))
     return KernelCertificate(kernel=K.name, condition="size", delta=None,
                              constant=float(stat[i]), samples=n_samples, seed=seed,
-                             witness=(float(x[i, 0]), float(r1[i] if K.arity == "bilinear" else r[i])))
+                             witness=(float(x[i]), float(rs[0][i])))
 
 
 def check_regularity(K: KernelModel, delta: float | None = None,
@@ -286,50 +283,27 @@ def check_regularity(K: KernelModel, delta: float | None = None,
     over admissible |x-x'| < |x-y|/2. Bilinear: the analogous quotient with
     (|x-y|+|x-z|)^(2d+delta), maximized over K, K*1, K*2.
     """
-    if K.d != 1:
-        raise ValueError(f"check_regularity samples d=1 separations; kernel {K.name} has d={K.d}")
     if delta is None:
         delta = K.delta
     rng = np.random.default_rng(seed)
-    d = K.d
+    x, rs, pts = _separated_points(K, rng, n_samples)
+    w = rng.normal(size=(n_samples, K.d))
+    w /= np.linalg.norm(w, axis=1, keepdims=True)
+    s = rng.uniform(0.01, 0.999, size=n_samples) * np.max(rs, axis=0) / 2.0
+    xp = x + s * w[:, 0]
+    sep = sum(rs) ** (len(rs) * K.d + delta)
     if K.arity == "linear":
-        x, r, u = _sep_samples(rng, n_samples, d)
-        y = x + r[:, None] * u
-        w = rng.normal(size=(n_samples, d))
-        w /= np.linalg.norm(w, axis=1, keepdims=True)
-        s = rng.uniform(0.01, 0.999, size=n_samples) * r / 2.0
-        xp = x + s[:, None] * w
         # K(x,y), K(x',y), K(y,x), K(y,x') in one call: a rule that works per
         # distinct separation sees each |x - y| and |x' - y| once
-        k = np.asarray(K.rule(np.concatenate([x[:, 0], xp[:, 0], y[:, 0], y[:, 0]]),
-                              np.concatenate([y[:, 0], y[:, 0], x[:, 0], xp[:, 0]])))
-        k = k.reshape(4, n_samples)
-        t1, t2 = np.abs(k[0] - k[1]), np.abs(k[2] - k[3])
-        stat = (t1 + t2) * r ** (d + delta) / s ** delta
-        i = int(np.argmax(np.where(np.isfinite(stat), stat, 0.0)))
-        return KernelCertificate(kernel=K.name, condition="regularity", delta=delta,
-                                 constant=float(stat[i]), samples=n_samples, seed=seed,
-                                 witness=(float(x[i, 0]), float(xp[i, 0]), float(y[i, 0])))
-    x, r1, u1 = _sep_samples(rng, n_samples, d)
-    _, r2, u2 = _sep_samples(rng, n_samples, d)
-    y = x + r1[:, None] * u1
-    z = x + r2[:, None] * u2
-    w = rng.normal(size=(n_samples, d))
-    w /= np.linalg.norm(w, axis=1, keepdims=True)
-    s = rng.uniform(0.01, 0.999, size=n_samples) * np.maximum(r1, r2) / 2.0
-    xp = x + s[:, None] * w
-    sep = (r1 + r2) ** (2 * d + delta)
-    best = None
-    rules = [K.rule, transpose_kernel(K, 1).rule, transpose_kernel(K, 2).rule]
-    for rule in rules:
-        t = np.abs(np.asarray(rule(x[:, 0], y[:, 0], z[:, 0])) -
-                   np.asarray(rule(xp[:, 0], y[:, 0], z[:, 0])))
-        stat = t * sep / s ** delta
-        stat = np.where(np.isfinite(stat), stat, 0.0)
-        cand = float(np.max(stat))
-        if best is None or cand > best[0]:
-            i = int(np.argmax(stat))
-            best = (cand, (float(x[i, 0]), float(xp[i, 0]), float(y[i, 0]), float(z[i, 0])))
+        (y,) = pts
+        k = np.asarray(K.rule(np.concatenate([x, xp, y, y]),
+                              np.concatenate([y, y, x, xp]))).reshape(4, n_samples)
+        stats = [(np.abs(k[0] - k[1]) + np.abs(k[2] - k[3])) * sep / s ** delta]
+    else:
+        stats = [np.abs(np.asarray(rule(x, *pts)) - np.asarray(rule(xp, *pts))) * sep / s ** delta
+                 for rule in (K.rule, transpose_kernel(K, 1).rule, transpose_kernel(K, 2).rule)]
+    stat = max((np.where(np.isfinite(t), t, 0.0) for t in stats), key=np.max)
+    i = int(np.argmax(stat))
     return KernelCertificate(kernel=K.name, condition="regularity", delta=delta,
-                             constant=best[0], samples=n_samples, seed=seed,
-                             witness=best[1])
+                             constant=float(stat[i]), samples=n_samples, seed=seed,
+                             witness=(float(x[i]), float(xp[i]), *(float(p[i]) for p in pts)))

@@ -9,7 +9,7 @@ which family that was.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -17,6 +17,13 @@ import numpy as np
 from . import bumps
 from .grid import Cube, DyadicFamily, Grid, SampledFunction
 from .util import fmt_float
+
+CDF_NODES = 1 << 14          # mollifier CDF table on [-1, 1]
+L1_ERROR_NODES = 1 << 13     # lattice of the mollification error
+H_INIT = 1.0                 # first mollifier width tried; halved until it suffices
+MIN_CELLS_PER_EPS = 4        # grid cells the narrowest mollifier must span
+SK_ALPHA_ORDER = 1.0         # Holder order of the checklist's x-regularity
+SK_TOL = 1e-2                # checklist tolerance on symmetry and pairing
 
 
 # --- mollifier: the order-1 normalized bump, mass-normalized kernel ---
@@ -28,8 +35,8 @@ def mollifier_alpha(d: int = 1) -> float:
 
 
 @lru_cache(maxsize=None)
-def _mollifier_cdf_table(n: int = 1 << 14):
-    t = np.linspace(-1.0, 1.0, n)
+def _mollifier_cdf_table():
+    t = np.linspace(-1.0, 1.0, CDF_NODES)
     v = bumps.PROFILES["standard-mollifier"](np.abs(t))
     cdf = np.concatenate([[0.0], np.cumsum((v[1:] + v[:-1]) / 2.0 * (t[1] - t[0]))])
     cdf /= cdf[-1]
@@ -43,11 +50,11 @@ def mollifier_cdf(s) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def mollification_l1_error(h: float, d: int = 1, n: int = 1 << 13) -> float:
+def mollification_l1_error(h: float, d: int = 1) -> float:
     """int |1_{Q0} * phi_h - 1_{Q0}| on the unit-cube model, fine lattice."""
     if d != 1:
         raise ValueError(f"the mollification error is implemented for d=1, got d={d}")
-    y = np.linspace(-0.5 - h - 0.05, 0.5 + h + 0.05, n)
+    y = np.linspace(-0.5 - h - 0.05, 0.5 + h + 0.05, L1_ERROR_NODES)
     conv = mollifier_cdf((y + 0.5) / h) - mollifier_cdf((y - 0.5) / h)
     ind = ((y >= -0.5) & (y < 0.5)).astype(float)
     return float(np.sum(np.abs(conv - ind)) * (y[1] - y[0]))
@@ -221,26 +228,18 @@ def b_to_def3_constant(cert: ConditionBCertificate, Q: Cube,
     """
     fam = cert.family
     N = cert.N
-    k_sel = None
-    for k in range(fam.k_min, fam.k_max + 1):
-        side = fam.side(k)
-        if 10.0 * N * side <= Q.side + 1e-12 and Q.side <= 20.0 * N * side + 1e-12:
-            k_sel = k
-            break
+    k_sel = next((k for k in range(fam.k_min, fam.k_max + 1)
+                  if 10.0 * N * fam.side(k) <= Q.side + 1e-12
+                  and Q.side <= 20.0 * N * fam.side(k) + 1e-12), None)
     if k_sel is None:
         raise ValueError(
             f"no certified generation satisfies 10N*2^-k <= {Q.side} <= 20N*2^-k")
     if not cert.generation_ok(k_sel):
         raise ValueError(f"certificate has failures at generation {k_sel}")
-    rows = cert.witnesses[k_sel]
-    Q1 = None
-    for cand, _, _ in rows:
-        if cand.contains_point(Q.center):
-            Q1 = cand
-            break
+    Q1, W = next(((q, w) for q, w, _ in cert.witnesses[k_sel] if q.contains_point(Q.center)),
+                 (None, None))
     if Q1 is None:
         raise ValueError("no generation cube contains the center of Q")
-    W = next(w for q, w, _ in rows if q is Q1)
     # geometry from the side-length relation: the witness sits inside Q
     for ax in range(Q.d):
         if not (W.center[ax] - W.side / 2.0 >= Q.center[ax] - Q.side / 2.0 - 1e-9 and
@@ -276,11 +275,10 @@ class UkFamily:
         return (1.0 + np.sqrt(self.grid.d)) * 2.0 ** (-self.k)
 
 
-def select_mollifier_h(c0: float, b_sup: float, d: int = 1,
-                       h_init: float = 1.0) -> float:
-    """Halve from h_init until int|1_{Q0}*phi_h - 1_{Q0}| <= c0 / (2 ||b||)."""
+def select_mollifier_h(c0: float, b_sup: float, d: int = 1) -> float:
+    """Halve from H_INIT until int|1_{Q0}*phi_h - 1_{Q0}| <= c0 / (2 ||b||)."""
     threshold = c0 / (2.0 * b_sup)
-    h = float(h_init)
+    h = H_INIT
     for _ in range(60):
         if mollification_l1_error(h, d) <= threshold:
             return h
@@ -289,8 +287,7 @@ def select_mollifier_h(c0: float, b_sup: float, d: int = 1,
 
 
 def build_uk(b: SampledFunction, k: int, cert: ParaAccretivityCertificate | None = None,
-             J: int = 3, h_init: float = 1.0, min_cells_per_eps: int = 4,
-             lattice_divisor: int = 1) -> UkFamily:
+             J: int = 3, lattice_divisor: int = 1) -> UkFamily:
     """Construct u_k(x, y) = 2^{kd} (1_{W(x)} * phi_{h ell_x})(y) on the grid.
 
     x runs over the dyadic lattice of spacing 2^-k (divided by
@@ -333,22 +330,21 @@ def build_uk(b: SampledFunction, k: int, cert: ParaAccretivityCertificate | None
     c1 = (c0 / b_sup) ** (1.0 / g.d)
     if min(ells) < c1 * side * (1.0 - 1e-9):
         raise AssertionError("witness narrower than the volume bound allows")
-    h_mol = select_mollifier_h(c0, b_sup, g.d, h_init)
+    h_mol = select_mollifier_h(c0, b_sup, g.d)
     eps_min = h_mol * min(ells)
-    if eps_min < min_cells_per_eps * g.h:
+    if eps_min < MIN_CELLS_PER_EPS * g.h:
         raise ValueError(
             f"mollifier width {eps_min:.3g} under-resolves the grid "
             f"(h_grid={g.h:.3g}); use a finer grid")
+    # one row per witness W, mollified at width h_mol |W|
     y = g.axis(0)
-    rows = np.zeros((len(lattice), g.n))
-    for idx, W in enumerate(witnesses):
-        epsm = h_mol * W.side
-        wlo = W.center[0] - W.side / 2.0
-        whi = W.center[0] + W.side / 2.0
-        conv = mollifier_cdf((y - wlo) / epsm) - mollifier_cdf((y - whi) / epsm)
-        rows[idx] = (2.0 ** k) * conv
+    ells = np.asarray(ells)
+    lo = np.asarray([W.center[0] - W.side / 2.0 for W in witnesses])[:, None]
+    hi = np.asarray([W.center[0] + W.side / 2.0 for W in witnesses])[:, None]
+    epsm = h_mol * ells[:, None]
+    rows = (2.0 ** k) * (mollifier_cdf((y - lo) / epsm) - mollifier_cdf((y - hi) / epsm))
     return UkFamily(k=k, grid=g, lattice=np.asarray(lattice), witnesses=witnesses,
-                    ells=np.asarray(ells), h_mol=h_mol, alpha=mollifier_alpha(g.d),
+                    ells=ells, h_mol=h_mol, alpha=mollifier_alpha(g.d),
                     c0=c0, b_sup=b_sup, rows=rows)
 
 
@@ -395,9 +391,6 @@ class UkVerification:
     def all_ok(self) -> bool:
         return all(c.all_ok for c in self.checks)
 
-    def failing(self):
-        return [c for c in self.checks if not c.all_ok]
-
 
 def verify_uk(fam: UkFamily, b: SampledFunction) -> UkVerification:
     """Check the four kernel-family bounds on every lattice row."""
@@ -410,21 +403,17 @@ def verify_uk(fam: UkFamily, b: SampledFunction) -> UkVerification:
     c1 = fam.c1
     sup_bound = alpha * fam.h_mol ** (-d) * 2.0 ** (k * d)
     lip_bound = alpha / c1 * fam.h_mol ** (-d - 1) * 2.0 ** (k * (d + 1))
-    radius = fam.support_radius_bound
-    y = g.axis(0)
-    checks = []
-    for idx in range(len(fam.lattice)):
-        x = float(fam.lattice[idx])
-        row = fam.rows[idx]
-        outside = np.abs(x - y) >= radius - 1e-12
-        tail = float(np.max(np.abs(row[outside]))) if np.any(outside) else 0.0
-        lip = float(np.max(np.abs(np.diff(row)))) / g.h
-        p = complex(np.sum(row * b.values) * g.h ** d)
-        checks.append(UkCheck(
-            x=x, sup=float(np.max(np.abs(row))), sup_bound=float(sup_bound),
-            support_ok=bool(tail == 0.0), worst_tail=tail,
-            lip=lip, lip_bound=float(lip_bound),
-            pairing=p, pairing_lo=fam.c0 / 2.0, pairing_hi=fam.b_sup))
+    absrows = np.abs(fam.rows)
+    outside = np.abs(fam.lattice[:, None] - g.axis(0)) >= fam.support_radius_bound - 1e-12
+    tails = np.max(np.where(outside, absrows, 0.0), axis=1)
+    lips = np.max(np.abs(np.diff(fam.rows, axis=1)), axis=1) / g.h
+    pairings = np.sum(fam.rows * b.values, axis=1) * g.h ** d
+    checks = [UkCheck(x=float(x), sup=float(sup), sup_bound=float(sup_bound),
+                      support_ok=bool(tail == 0.0), worst_tail=float(tail),
+                      lip=float(lip), lip_bound=float(lip_bound), pairing=complex(p),
+                      pairing_lo=fam.c0 / 2.0, pairing_hi=fam.b_sup)
+              for x, sup, tail, lip, p in zip(fam.lattice, np.max(absrows, axis=1), tails,
+                                              lips, pairings)]
     return UkVerification(checks=checks, alpha=alpha, c0=fam.c0, c1=c1,
                           b_sup=fam.b_sup)
 
@@ -438,7 +427,6 @@ class SkReport:
     C_lipschitz_x: float
     symmetry_defect: float       # max |s(x,y) - s(y,x)| over lattice pairs
     pairing_defect: float        # max |int s(x,.) b - 1|
-    tol: float
 
     @property
     def smallest_admissible_C(self) -> float:
@@ -446,62 +434,41 @@ class SkReport:
 
     @property
     def symmetric_ok(self) -> bool:
-        return self.symmetry_defect <= self.tol
+        return self.symmetry_defect <= SK_TOL
 
     @property
     def pairing_ok(self) -> bool:
-        return self.pairing_defect <= self.tol
+        return self.pairing_defect <= SK_TOL
 
 
 def make_sk_from_uk(fam: UkFamily, b: SampledFunction) -> UkFamily:
     """u_k renormalized row-by-row so that int s(x, y) b(y) dy = 1."""
-    g = fam.grid
-    rows = fam.rows.astype(complex).copy()
-    for i in range(rows.shape[0]):
-        p = np.sum(rows[i] * b.values) * g.h ** g.d
-        rows[i] = rows[i] / p
-    out = UkFamily(k=fam.k, grid=g, lattice=fam.lattice, witnesses=fam.witnesses,
-                   ells=fam.ells, h_mol=fam.h_mol, alpha=fam.alpha, c0=fam.c0,
-                   b_sup=fam.b_sup, rows=rows)
-    return out
+    rows = fam.rows.astype(complex)
+    p = np.sum(rows * b.values, axis=1) * fam.grid.h ** fam.grid.d
+    return replace(fam, rows=rows / p[:, None])
 
 
-def verify_sk_checklist(s: UkFamily, b: SampledFunction, k: int,
-                        alpha_order: float = 1.0, tol: float = 1e-2) -> SkReport:
+def verify_sk_checklist(s: UkFamily, b: SampledFunction, k: int) -> SkReport:
     """Numerical checks of the symmetric-family definition on sampled rows."""
     g = s.grid
     d = g.d
     y = g.axis(0)
     rows = np.asarray(s.rows)
-    sup = float(np.max(np.abs(rows)))
+    absrows = np.abs(rows)
+    sup = float(np.max(absrows))
     C_size = sup / 2.0 ** (k * d)
-    supp = 0.0
-    for i, x in enumerate(s.lattice):
-        nz = np.abs(rows[i]) > 0
-        if np.any(nz):
-            supp = max(supp, float(np.max(np.abs(y[nz] - x))))
+    supp = np.max(np.where(absrows > 0, np.abs(y - s.lattice[:, None]), 0.0))
     C_support = supp * 2.0 ** k
     # Lipschitz in the first argument across adjacent lattice rows
-    C_lip = 0.0
-    for i in range(len(s.lattice) - 1):
-        dx = abs(float(s.lattice[i + 1] - s.lattice[i]))
-        if dx > 0:
-            slope = float(np.max(np.abs(rows[i + 1] - rows[i]))) / dx
-            C_lip = max(C_lip, slope / 2.0 ** (k * (d + alpha_order)))
-    # symmetry: compare s(x_a, x_b) with s(x_b, x_a), rows interpolated in y
-    def row_at(i, target):
-        r = rows[i]
-        return complex(np.interp(target, y, r.real), np.interp(target, y, r.imag)) \
-            if np.iscomplexobj(r) else float(np.interp(target, y, r))
-    sym = 0.0
-    for a in range(len(s.lattice)):
-        for bb in range(a + 1, len(s.lattice)):
-            sym = max(sym, abs(row_at(a, s.lattice[bb]) - row_at(bb, s.lattice[a])))
-    pair = 0.0
-    for i in range(len(s.lattice)):
-        p = np.sum(rows[i] * b.values) * g.h ** d
-        pair = max(pair, abs(p - 1.0))
+    dx = np.abs(np.diff(s.lattice))
+    jumps = np.max(np.abs(np.diff(rows, axis=0)), axis=1)
+    C_lip = np.max(jumps[dx > 0] / dx[dx > 0] / 2.0 ** (k * (d + SK_ALPHA_ORDER)),
+                   initial=0.0)
+    # symmetry: S[a, c] = s(x_a, x_c), each row interpolated in y at the lattice
+    S = np.asarray([np.interp(s.lattice, y, r) for r in rows])
+    sym = np.max(np.abs(S - S.T))
+    pair = np.max(np.abs(np.sum(rows * b.values, axis=1) * g.h ** d - 1.0), initial=0.0)
     return SkReport(C_size=float(C_size), C_support=float(C_support),
                     C_lipschitz_x=float(C_lip),
                     symmetry_defect=float(sym) / max(sup, 1e-300),
-                    pairing_defect=float(pair), tol=tol)
+                    pairing_defect=float(pair))

@@ -99,6 +99,34 @@ def test_fitted_sweeps_reject_short_scales(tmp_path, capsys, monkeypatch, sub):
     assert not any(out.iterdir())
 
 
+@pytest.mark.parametrize("sub,kernel,scales", [
+    ("far-field", "hilbert", "4,-8"),
+    ("bilinear-decomp", "bilinear-homog", "-1,2"),
+    ("bilinear-decomp", "bilinear-homog", ""),
+    ("sweep-bmo", "hilbert", "2,-4"),
+    ("sweep-bmo", "hilbert", ""),
+    ("stein", "positive-control", "-1,0.5,1,2,4"),
+    ("stein", "hilbert", "0.25,0.5,1,2,-4"),
+    ("wbp", "bilinear-homog", "0.5,1,2,4,nan"),
+    ("report", "hilbert", "0.5,1,2,4,inf"),
+])
+def test_bad_scales_exit_2_before_any_file(tmp_path, capsys, monkeypatch, sub, kernel,
+                                           scales):
+    # these used to pass with a verdict, write a negative-R row, or fail deep
+    # inside the computation (an empty max(), LAPACK, a negative cube side)
+    def no_field(*args, **kwargs):
+        raise AssertionError("a field was computed before the scales were rejected")
+
+    monkeypatch.setattr("tblab.harness.apply_linear_field", no_field)
+    monkeypatch.setattr("tblab.harness.apply_bilinear_field", no_field)
+    p = write_cfg(tmp_path, "s.cfg", f"kernel.name = {kernel}\ngrid.n = 64\n"
+                                     f"scales = {scales}\n")
+    out = tmp_path / "out"
+    assert run(sub, p, out) == 2
+    assert "scales" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
 @pytest.mark.parametrize("name", GALLERY_NAMES)
 def test_check_kernel_writes_certificates(tmp_path, name):
     p = write_cfg(tmp_path, "k.cfg", f"kernel.name = {name}\n")

@@ -1,16 +1,18 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from tblab.grid import Cube, cube1, lp_norm, make_grid
-from tblab.bumps import standard_bump
+from tblab.grid import Cube, SampledFunction, cube1, lp_norm, make_grid
+from tblab.bumps import BumpRule, standard_bump
 from tblab.harness import (BILINEAR_GRID, BFunc, GridSpec, bilinear_decomposition_check,
                            builtin_b, direct_bound_check, exponent_fit,
                            far_field_constancy, local_piece_check,
                            stein_bilinear_tb_test, stein_t1_test, stein_tb_test,
                            uniform_bmo_sweep, weak_boundedness_test)
 from tblab.kernels import KernelModel, gallery
+from tblab.quadrature import PvPolicy, apply_linear_field
 
 ONE = builtin_b("one")
 SMALL = GridSpec(n=256, box_side=16.0)
@@ -188,9 +190,18 @@ def test_far_field_constancy_hilbert():
 def test_far_field_dev_zero_at_reference_point():
     # c_{Q,R} is the far-field value at the grid point nearest the center,
     # so the deviation at that point vanishes identically
-    rep = far_field_constancy(gallery("hilbert"), grid=GridSpec(n=512, box_side=64.0))
+    K = gallery("hilbert")
+    Q = Cube((0.0,), 0.25)
+    rep = far_field_constancy(K, Q=Q, grid=GridSpec(n=512, box_side=64.0))
     g = make_grid(1, cube1(0.0, 64.0), 512)
-    assert all(np.isfinite(r.sup_dev) for r in rep.rows)
+    i0 = int(np.argmin(np.abs(g.axis(0))))
+    phiQ = BumpRule("plateau", 1.0, (0.0,), 6.0 * Q.side)(g.axis(0))
+    for row in rep.rows:
+        far = (1.0 - phiQ) * BumpRule("plateau", 1.0, (0.0,), row.R)(g.axis(0))
+        fr = apply_linear_field(K, SampledFunction(grid=g, values=far.astype(complex)),
+                                PvPolicy(), points=[i0])
+        assert row.c_QR == pytest.approx(complex(fr.field.values[i0]), rel=1e-12, abs=0.0)
+        assert row.c_QR != 0.0
 
 
 def test_far_field_box_preconditions():
@@ -255,11 +266,11 @@ def test_bilinear_decomposition_zero_b():
 def test_scale_equivariance_of_pipeline():
     # homogeneous kernel on grids matched by rescaling: doubling every scale
     # and the box (same n) reproduces each row up to the exact R^(1/2) factor
-    K = gallery("hilbert")
+    K = replace(gallery("hilbert"), grid_mode="fixed")
     a = stein_t1_test(K, scales=(0.25, 0.5, 1.0, 2.0),
-                      grid=GridSpec(n=256, box_side=16.0), grid_mode="fixed")
+                      grid=GridSpec(n=256, box_side=16.0))
     b = stein_t1_test(K, scales=(0.5, 1.0, 2.0, 4.0),
-                      grid=GridSpec(n=256, box_side=32.0), grid_mode="fixed")
+                      grid=GridSpec(n=256, box_side=32.0))
     va = {(r.center, r.R): r.value for r in a.rows}
     vb = {(r.center, r.R): r.value for r in b.rows}
     for (c, R), v in va.items():
@@ -313,3 +324,27 @@ def test_margin_flags_near_box_edge():
     flagged = [r for r in rep.rows if r.margin_flagged]
     # fixed box 16: the R=8 bump at the center reaches the boundary
     assert any(r.R == 8.0 for r in flagged)
+
+
+@pytest.mark.parametrize("scales", [(), (1.0, -2.0), (0.0, 1.0), (1.0, float("nan")),
+                                    (float("inf"),)])
+def test_scale_lists_rejected_before_any_field(monkeypatch, scales):
+    def no_field(*args, **kwargs):
+        raise AssertionError("a field was computed before the scales were rejected")
+
+    monkeypatch.setattr("tblab.harness.apply_linear_field", no_field)
+    monkeypatch.setattr("tblab.harness.apply_bilinear_field", no_field)
+    K, Kb = gallery("hilbert"), gallery("bilinear-homog")
+    runs = [lambda: stein_t1_test(K, scales=scales, grid=SMALL),
+            lambda: stein_tb_test(K, ONE, ONE, scales=scales, grid=SMALL),
+            lambda: stein_bilinear_tb_test(Kb, ONE, ONE, ONE, scales=scales),
+            lambda: weak_boundedness_test(K, scales=scales, grid=SMALL),
+            lambda: direct_bound_check(K, ONE, op_norm=1.0, scales=scales, grid=SMALL),
+            lambda: uniform_bmo_sweep(K, R_list=scales),
+            lambda: far_field_constancy(K, R_list=scales),
+            lambda: bilinear_decomposition_check(Kb, R_list=scales)]
+    runs += [lambda R=R: local_piece_check(K, ONE, Cube((0.0,), 1.0), R)
+             for R in scales if not (np.isfinite(R) and R > 0)]
+    for run in runs:
+        with pytest.raises(ValueError, match="scales"):
+            run()

@@ -184,6 +184,58 @@ def test_bilinear_regularity_covers_transposes():
     assert cert.constant > 0
 
 
+def _two_draw_bilinear(K, delta, n_samples, seed):
+    """check_size and check_regularity of a bilinear kernel in the two-draw
+    form, y from one _sep_samples draw and z from a second, the regularity
+    quotient maximized over K, K*1, K*2 one rule at a time: the reference for
+    the separation sampler both arities share."""
+    def points(rng):
+        x, r1, u1 = _sep_samples(rng, n_samples, 1)
+        _, r2, u2 = _sep_samples(rng, n_samples, 1)
+        return x[:, 0], r1, r2, (x + r1[:, None] * u1)[:, 0], (x + r2[:, None] * u2)[:, 0]
+
+    x, r1, r2, y, z = points(np.random.default_rng(seed))
+    stat = np.abs(np.asarray(K.rule(x, y, z))) * (r1 + r2) ** 2
+    stat = np.where(np.isfinite(stat), stat, 0.0)
+    i = int(np.argmax(stat))
+    size = (float(stat[i]), (float(x[i]), float(r1[i])))
+    rng = np.random.default_rng(seed)
+    x, r1, r2, y, z = points(rng)
+    w = rng.normal(size=(n_samples, 1))
+    w /= np.linalg.norm(w, axis=1, keepdims=True)
+    s = rng.uniform(0.01, 0.999, size=n_samples) * np.maximum(r1, r2) / 2.0
+    xp = x + (s[:, None] * w)[:, 0]
+    best = None
+    for rule in (K.rule, transpose_kernel(K, 1).rule, transpose_kernel(K, 2).rule):
+        t = np.abs(np.asarray(rule(x, y, z)) - np.asarray(rule(xp, y, z)))
+        stat = t * (r1 + r2) ** (2 + delta) / s ** delta
+        stat = np.where(np.isfinite(stat), stat, 0.0)
+        if best is None or np.max(stat) > best[0]:
+            i = int(np.argmax(stat))
+            best = (float(stat[i]),
+                    (float(x[i]), float(xp[i]), float(y[i]), float(z[i])))
+    return size, best
+
+
+def _skew_bilinear():
+    # no symmetry between K, K*1 and K*2, and no lattice structure
+    return KernelModel(name="skew", arity="bilinear", d=1, delta=1.0, size_constant=1.0,
+                       rule=lambda x, y, z: (2.0 * y - x + 0.5 * z) /
+                       (np.abs(x - y) + np.abs(x - z)) ** 3)
+
+
+@pytest.mark.parametrize("kernel", ["bilinear-homog", "skew"])
+@pytest.mark.parametrize("seed", [1234, 7])
+@pytest.mark.parametrize("delta", [1.0, 0.5])
+def test_bilinear_certificates_match_two_draw_form(kernel, seed, delta):
+    K = gallery(kernel) if kernel != "skew" else _skew_bilinear()
+    size, reg = _two_draw_bilinear(K, delta, 2000, seed)
+    cs = check_size(K, n_samples=2000, seed=seed)
+    cr = check_regularity(K, delta=delta, n_samples=2000, seed=seed)
+    assert (cs.constant, cs.witness) == size
+    assert (cr.constant, cr.witness) == reg
+
+
 # --- the commutator kernel's factored Fourier quadrature ---
 
 def test_commutator_quadrature_matches_dawson_closed_form():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from tblab.harness import builtin_b
 from tblab.paraaccretive import (b_to_def3_constant, build_uk, check_condition_B,
                                  check_para_accretive, make_sk_from_uk,
                                  mollification_l1_error, mollifier_alpha,
-                                 select_mollifier_h, subcube_scan,
+                                 mollifier_cdf, select_mollifier_h, subcube_scan,
                                  verify_sk_checklist, verify_uk)
 
 # independent pre-build references:
@@ -392,3 +394,93 @@ def test_sk_support_constant_detects_radius():
     for i, x in enumerate(fam.lattice):
         beyond = np.abs(x - y) >= rep.C_support * 2.0 ** (-1) + g.h
         assert np.all(np.abs(fam.rows[i][beyond]) == 0.0)
+
+
+# --- row-loop references for the whole-array u_k / s_k code ---
+
+def _loop_uk_rows(fam):
+    """u_k rows one witness at a time."""
+    y = fam.grid.axis(0)
+    rows = np.zeros((len(fam.lattice), fam.grid.n))
+    for idx, W in enumerate(fam.witnesses):
+        epsm = fam.h_mol * W.side
+        wlo = W.center[0] - W.side / 2.0
+        whi = W.center[0] + W.side / 2.0
+        rows[idx] = (2.0 ** fam.k) * (mollifier_cdf((y - wlo) / epsm)
+                                      - mollifier_cdf((y - whi) / epsm))
+    return rows
+
+
+def _loop_uk_checks(fam, b):
+    """(x, sup, worst tail, lip, pairing) of verify_uk, one row at a time."""
+    g = fam.grid
+    y = g.axis(0)
+    out = []
+    for x, row in zip(fam.lattice, fam.rows):
+        outside = np.abs(float(x) - y) >= fam.support_radius_bound - 1e-12
+        tail = float(np.max(np.abs(row[outside]))) if np.any(outside) else 0.0
+        out.append((float(x), float(np.max(np.abs(row))), tail,
+                    float(np.max(np.abs(np.diff(row)))) / g.h,
+                    complex(np.sum(row * b.values) * g.h)))
+    return out
+
+
+def _loop_sk_rows(fam, b):
+    rows = fam.rows.astype(complex).copy()
+    for i in range(rows.shape[0]):
+        rows[i] = rows[i] / (np.sum(rows[i] * b.values) * fam.grid.h)
+    return rows
+
+
+def _loop_sk_checklist(s, b, k):
+    """The s_k checklist with the O(L^2) pair loop of scalar interpolations."""
+    y = s.grid.axis(0)
+    rows = np.asarray(s.rows)
+    sup = float(np.max(np.abs(rows)))
+    supp = 0.0
+    for i, x in enumerate(s.lattice):
+        nz = np.abs(rows[i]) > 0
+        if np.any(nz):
+            supp = max(supp, float(np.max(np.abs(y[nz] - x))))
+    C_lip = 0.0
+    for i in range(len(s.lattice) - 1):
+        dx = abs(float(s.lattice[i + 1] - s.lattice[i]))
+        if dx > 0:
+            slope = float(np.max(np.abs(rows[i + 1] - rows[i]))) / dx
+            C_lip = max(C_lip, slope / 2.0 ** (k * 2.0))
+
+    def row_at(i, target):
+        r = rows[i]
+        return complex(np.interp(target, y, r.real), np.interp(target, y, r.imag)) \
+            if np.iscomplexobj(r) else float(np.interp(target, y, r))
+    sym = 0.0
+    for a in range(len(s.lattice)):
+        for c in range(a + 1, len(s.lattice)):
+            sym = max(sym, abs(row_at(a, s.lattice[c]) - row_at(c, s.lattice[a])))
+    pair = 0.0
+    for i in range(len(s.lattice)):
+        pair = max(pair, abs(np.sum(rows[i] * b.values) * s.grid.h - 1.0))
+    return (sup / 2.0 ** k, supp * 2.0 ** k, C_lip, sym / max(sup, 1e-300), float(pair))
+
+
+@pytest.mark.parametrize("name", ["one", "accretive-lipschitz(0.3)", "sign-sin", "exp-ix"])
+@pytest.mark.parametrize("k,divisor", [(0, 1), (1, 4), (2, 1)])
+def test_uk_family_matches_row_loops(name, k, divisor):
+    g = make_grid(1, cube1(0.0, 8.0), 1024)
+    b = _b(name, g)
+    fam = build_uk(b, k, lattice_divisor=divisor)
+    assert np.array_equal(fam.rows, _loop_uk_rows(fam))
+    # rows that decay past the support radius give nonzero tails
+    spread = replace(fam, rows=np.exp(-np.abs(fam.lattice[:, None] - g.axis(0))))
+    for f in (fam, spread):
+        checks = [(c.x, c.sup, c.worst_tail, c.lip, c.pairing) for c in verify_uk(f, b).checks]
+        assert checks == _loop_uk_checks(f, b)
+    sk = make_sk_from_uk(fam, b)
+    assert np.array_equal(sk.rows, _loop_sk_rows(fam, b))
+    for s in (fam, sk, spread):
+        # the whole-array absolute values may round differently from scalar ones
+        rep = verify_sk_checklist(s, b, k)
+        np.testing.assert_array_max_ulp(
+            np.array([rep.C_size, rep.C_support, rep.C_lipschitz_x, rep.symmetry_defect,
+                      rep.pairing_defect]),
+            np.array(_loop_sk_checklist(s, b, k)), maxulp=2)
