@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Cube, DyadicFamily, SampledFunction
-from .util import fmt_float
+from .util import csv_table
 
 MIN_CELLS = 4
 SHIFTS = (1.0 / 3.0, 0.5, 2.0 / 3.0)
@@ -127,12 +127,9 @@ class OscillationReport:
         return all(e.sandwich_ok for e in self.entries)
 
     def csv_rows(self):
-        rows = [["cube_center", "cube_side", "mean_osc", "best_const_osc"]]
-        for e in self.entries:
-            rows.append([";".join(fmt_float(c) for c in e.cube.center),
-                         fmt_float(e.cube.side),
-                         fmt_float(e.mean_osc), fmt_float(e.best_const_osc)])
-        return rows
+        return csv_table(["cube_center", "cube_side", "mean_osc", "best_const_osc"],
+                         ((e.cube.center, e.cube.side, e.mean_osc, e.best_const_osc)
+                          for e in self.entries))
 
 
 def _shifted_cubes(family: DyadicFamily):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product as iproduct
+from itertools import product
 
 import numpy as np
 
@@ -241,13 +241,8 @@ def translate_dilate(f: SampledFunction, x0, R: float, grid: Grid | None = None)
 
 def _central_diff(values: np.ndarray, h: float, axis: int) -> np.ndarray:
     out = np.zeros_like(values)
-    sl = [slice(None)] * values.ndim
-    up, lo = list(sl), list(sl)
-    mid = list(sl)
-    up[axis] = slice(2, None)
-    lo[axis] = slice(None, -2)
-    mid[axis] = slice(1, -1)
-    out[tuple(mid)] = (values[tuple(up)] - values[tuple(lo)]) / (2.0 * h)
+    v = np.moveaxis(values, axis, 0)
+    np.moveaxis(out, axis, 0)[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
     return out
 
 
@@ -260,41 +255,23 @@ def verify_bump(f: SampledFunction, M: int) -> BumpCertificate:
     g = f.grid
     vals = f.values
     mag = np.abs(vals)
-    edge = np.zeros(g.shape, dtype=bool)
-    for ax in range(g.d):
-        sl = [slice(None)] * g.d
-        sl[ax] = 0
-        edge[tuple(sl)] = True
-        sl[ax] = g.n - 1
-        edge[tuple(sl)] = True
+    edge = ~np.pad(np.ones((g.n - 2,) * g.d, dtype=bool), 1)    # the outermost cell ring
     if np.any(mag[edge] > 0):
         bad = np.argwhere(mag * edge > 0)[0]
         pt = tuple(g.axis(i)[bad[i]] for i in range(g.d))
         raise ValueError(f"support touches the grid boundary at {pt}")
 
     center = getattr(f.rule, "center", None) or (0.0,) * g.d
-    nz = np.argwhere(mag > 0)
-    if len(nz):
-        pts = np.stack([g.axis(i)[nz[:, i]] for i in range(g.d)], axis=-1)
-        support_radius = float(np.max(np.sqrt(np.sum((pts - np.asarray(center)) ** 2, axis=-1))))
-    else:
-        support_radius = 0.0
+    r = np.sqrt(sum((c - c0) ** 2 for c, c0 in zip(g.meshgrid(), center)))
+    support_radius = float(np.max(r, where=mag > 0, initial=0.0))
 
     sups = {}
-    if g.d == 1:
-        cur = vals.real.copy() if f.is_real else vals.copy()
-        sups[(0,)] = float(np.max(np.abs(cur)))
-        for m in range(1, M + 1):
-            cur = _central_diff(cur, g.h, 0)
-            sups[(m,)] = float(np.max(np.abs(cur)))
-    else:
-        for ax, ay in iproduct(range(M + 1), range(M + 1)):
-            if ax + ay > M:
-                continue
-            cur = vals.real.copy() if f.is_real else vals.copy()
-            for _ in range(ax):
-                cur = _central_diff(cur, g.h, 0)
-            for _ in range(ay):
-                cur = _central_diff(cur, g.h, 1)
-            sups[(ax, ay)] = float(np.max(np.abs(cur)))
+    for alpha in product(range(M + 1), repeat=g.d):
+        if sum(alpha) > M:
+            continue
+        cur = vals.real if f.is_real else vals
+        for ax, m in enumerate(alpha):
+            for _ in range(m):
+                cur = _central_diff(cur, g.h, ax)
+        sups[alpha] = float(np.max(np.abs(cur)))
     return BumpCertificate(order=M, sups=sups, support_radius=support_radius)

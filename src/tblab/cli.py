@@ -10,8 +10,8 @@ verdicts); one emitter writes them. A config key that is not set leaves the
 library's default in force, except for the defaults this module owns: the
 dyadic generations of `bmo` (bmo.k_min 0, bmo.k_max 5) and `para-accretive`
 (bmo.k_max 3 for the cube condition, at least 7 for condition (B)), uk.k 0
-and the uk-build grid (n=2048, box 8), b-functions `one`, output.dir
-`tblab-out`, and BILINEAR_SCALES for a bilinear `wbp`.
+and the uk-build grid (n=2048, box 8), b-functions `one` and output.dir
+`tblab-out`.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from .bmo import MIN_CELLS, bmo_seminorm
 from .grid import Cube, Grid, SampledFunction, dyadic_family, load_sampled_csv
-from .harness import (BILINEAR_GRID, BILINEAR_SCALES, BMO_SWEEP_GRID, DECOMP_CUBE,
+from .harness import (BILINEAR_GRID, BMO_SWEEP_GRID, DECOMP_CUBE,
                       DECOMP_GRID, FAR_FIELD_CUBE, FAR_FIELD_GRID, BFunc, GridSpec,
                       bilinear_decomposition_check, builtin_b, far_field_constancy,
                       stein_bilinear_tb_test, stein_t1_test, stein_tb_test,
@@ -35,7 +35,15 @@ from .kernels import check_regularity, check_size, gallery
 from .paraaccretive import (b_to_def3_constant, build_uk, check_condition_B,
                             check_para_accretive, verify_uk)
 from .quadrature import PvPolicy
-from .util import fmt_float
+from .util import csv_table
+
+
+def _finite(text: str) -> float:
+    v = float(text)
+    if not np.isfinite(v):
+        raise ValueError(f"{v} is not finite")
+    return v
+
 
 def _floats(text: str) -> tuple:
     return tuple(float(t) for t in text.split(",") if t.strip())
@@ -48,19 +56,19 @@ def _flag(text: str) -> bool:
 
 # every config key with the parser of its value
 _KEYS = {
-    "dimension": int, "grid.n": int, "grid.box_side": float, "grid.mode": str,
-    "bump.M": int, "kernel.name": str, "kernel.params.lam": float,
-    "kernel.params.lip_bound": float, "kernel.params.lam_trunc": float,
-    "kernel.params.mu": float, "kernel.params.a_amp": float, "kernel.params.m_amp": float,
+    "dimension": int, "grid.n": int, "grid.box_side": _finite, "grid.mode": str,
+    "bump.M": int, "kernel.name": str, "kernel.params.lam": _finite,
+    "kernel.params.lip_bound": _finite, "kernel.params.lam_trunc": _finite,
+    "kernel.params.mu": _finite, "kernel.params.a_amp": _finite, "kernel.params.m_amp": _finite,
     "b0": str, "b1": str, "b2": str, "scales": _floats, "centers": _floats,
-    "offsets": _floats, "policy.c_eps": int, "policy.tol_pv": float,
-    "policy.convergence_check": _flag, "fit.slope_tol": float,
-    "fit.uniformity_factor": float, "bmo.k_min": int, "bmo.k_max": int, "para.J": int,
-    "para.N": float, "para.eps": float, "uk.k": int, "cube.center": float,
-    "cube.side": float, "seed": int, "output.dir": str,
+    "offsets": _floats, "policy.c_eps": int, "policy.tol_pv": _finite,
+    "policy.convergence_check": _flag, "fit.slope_tol": _finite,
+    "fit.uniformity_factor": _finite, "bmo.k_min": int, "bmo.k_max": int, "para.J": int,
+    "para.N": _finite, "para.eps": _finite, "uk.k": int, "cube.center": _finite,
+    "cube.side": _finite, "seed": int, "output.dir": str,
 }
 KNOWN_KEYS = set(_KEYS)
-_KINDS = {int: "an integer", float: "a number", _floats: "comma-separated numbers",
+_KINDS = {int: "an integer", _finite: "a finite number", _floats: "comma-separated numbers",
           _flag: "a boolean"}
 
 
@@ -114,9 +122,6 @@ class ExperimentConfig:
             return parse(self.raw[key])
         except (KeyError, ValueError):
             raise ConfigError(f"{key} must be {_KINDS[parse]}, got {self.raw[key]!r}")
-
-    def get_int(self, key, default):
-        return int(self.get(key, default))
 
     def given(self, **params) -> dict:
         """Keyword arguments for the params whose config key is set."""
@@ -197,13 +202,6 @@ def ingest_b(spec: str) -> BFunc:
     return _CsvBFunc(name=p.stem, rule=None, samples=load_sampled_csv(p, name=p.stem))
 
 
-def _table(header, rows) -> list:
-    """CSV rows: the header, then the cells of each row. Numbers and flags are
-    written by fmt_float, so a flag reads 1 or 0; None is an empty cell."""
-    return [header] + [["" if v is None else v if isinstance(v, str) else fmt_float(v)
-                        for v in row] for row in rows]
-
-
 def _write_csv(path: Path, rows) -> None:
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerows(rows)
@@ -265,7 +263,7 @@ def _check_kernel(cfg: ExperimentConfig):
     seed = cfg.given(seed="seed")
     size = check_size(K, **seed)
     reg = check_regularity(K, **seed)
-    rows = _table(["kernel", "condition", "delta", "constant", "samples", "seed"],
+    rows = csv_table(["kernel", "condition", "delta", "constant", "samples", "seed"],
                   ((c.kernel, c.condition, c.delta, c.constant, c.samples, c.seed)
                    for c in (size, reg)))
     verdict = "PASS" if size.constant <= K.size_constant * (1.0 + 1e-9) else "FAIL"
@@ -320,7 +318,7 @@ def _uk_build(cfg: ExperimentConfig):
     k = cfg.get("uk.k", 0)
     fam = build_uk(f, k, **cfg.given(J="para.J"))
     ver = verify_uk(fam, f)
-    rows = _table(["x", "witness_center", "witness_side", "sup", "sup_bound", "lip",
+    rows = csv_table(["x", "witness_center", "witness_side", "sup", "sup_bound", "lip",
                    "lip_bound", "pairing_abs", "pairing_lo", "pairing_hi",
                    "support_ok", "all_ok"],
                   ((c.x, W.center[0], W.side, c.sup, c.sup_bound, c.lip, c.lip_bound,
@@ -352,14 +350,11 @@ def _stein_reports(cfg: ExperimentConfig) -> list:
 
 def _wbp_report(cfg: ExperimentConfig):
     K = cfg.kernel()
-    args = cfg.fit_args()
     bilinear = K.arity == "bilinear"
-    if bilinear:
-        args.setdefault("scales", BILINEAR_SCALES)   # the library default is linear
     return weak_boundedness_test(K, cfg.b_func("b0"), cfg.b_func("b1"), cfg.b_func("b2"),
                                  grid=cfg.grid_spec(BILINEAR_GRID if bilinear else GridSpec()),
                                  policy=cfg.policy(),
-                                 **cfg.given(offsets="offsets"), **args)
+                                 **cfg.given(offsets="offsets"), **cfg.fit_args())
 
 
 def _scaling(reports, svg: bool = False):
@@ -383,7 +378,7 @@ def _sweep_bmo(cfg: ExperimentConfig):
                             policy=cfg.policy(),
                             **cfg.given(R_list="scales",
                                         uniformity_factor="fit.uniformity_factor"))
-    rows = _table(["R", "bmo", "pv_flag"], ((r.R, r.bmo, r.pv_flagged) for r in rep.rows))
+    rows = csv_table(["R", "bmo", "pv_flag"], ((r.R, r.bmo, r.pv_flagged) for r in rep.rows))
     return ({"bmo_sweep.csv": rows},
             [f"sweep-bmo [{K.name}] max/min={rep.ratio:.4f} verdict: {rep.verdict}"],
             [rep.verdict])
@@ -396,7 +391,7 @@ def _far_field(cfg: ExperimentConfig):
                               policy=cfg.policy(),
                               **cfg.given(R_list="scales",
                                           uniformity_factor="fit.uniformity_factor"))
-    rows = _table(["R", "sup_dev", "c_re", "c_im", "split_defect"],
+    rows = csv_table(["R", "sup_dev", "c_re", "c_im", "split_defect"],
                   ((r.R, r.sup_dev, r.c_QR.real, r.c_QR.imag, r.split_defect)
                    for r in rep.rows))
     return ({"far_field.csv": rows},
@@ -411,7 +406,7 @@ def _bilinear_decomp(cfg: ExperimentConfig):
                                        Q=cfg.cube(DECOMP_CUBE),
                                        grid=cfg.grid_spec(DECOMP_GRID),
                                        policy=cfg.policy(), **cfg.given(R_list="scales"))
-    rows = _table(["R", "avg_I", "dev_II", "dev_III", "dev_IV", "sum_defect", "sum_ok"],
+    rows = csv_table(["R", "avg_I", "dev_II", "dev_III", "dev_IV", "sum_defect", "sum_ok"],
                   ((r.R, r.avg_I, r.dev_II, r.dev_III, r.dev_IV, r.sum_defect, r.sum_ok)
                    for r in rep.rows))
     return ({"bilinear_decomp.csv": rows},

@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
-from .util import fmt_float
+from .util import csv_table
 
 GENERATION_CAP = 1 << 20
 
@@ -98,9 +99,7 @@ class Grid:
         return lo + (np.arange(self.n) + 0.5) * self.h
 
     def meshgrid(self) -> tuple[np.ndarray, ...]:
-        if self.d == 1:
-            return (self.axis(0),)
-        return np.meshgrid(self.axis(0), self.axis(1), indexing="ij")
+        return np.meshgrid(*map(self.axis, range(self.d)), indexing="ij")
 
     def index_of(self, point) -> tuple[int, ...]:
         """Index of the grid point equal to `point` (must lie on the grid)."""
@@ -214,63 +213,37 @@ def dyadic_family(root: Cube, k_min: int, k_max: int) -> DyadicFamily:
     lo = root.lo()
     for k in range(k_min, k_max + 1):
         side = root.side / (1 << k)
-        cubes = []
-        if d == 1:
-            for i in range(1 << k):
-                cubes.append(Cube((float(lo[0] + (i + 0.5) * side),), side))
-        else:
-            for i in range(1 << k):
-                for j in range(1 << k):
-                    cubes.append(Cube((float(lo[0] + (i + 0.5) * side),
-                                       float(lo[1] + (j + 0.5) * side)), side))
-        gens[k] = cubes
+        gens[k] = [Cube(tuple(float(lo[ax] + (i + 0.5) * side) for ax, i in enumerate(idx)),
+                        side)
+                   for idx in product(range(1 << k), repeat=d)]
     return DyadicFamily(root=root, k_min=k_min, k_max=k_max, generations=gens)
 
 
 # --- CSV interchange: header x[,y],re,im, lexicographic row order ---
 
 def save_sampled_csv(f: SampledFunction, path) -> None:
-    g = f.grid
+    cols = [c.ravel() for c in f.grid.meshgrid()] + [f.values.real.ravel(),
+                                                     f.values.imag.ravel()]
+    rows = csv_table(list("xy"[:f.grid.d]) + ["re", "im"], zip(*cols))
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        if g.d == 1:
-            w.writerow(["x", "re", "im"])
-            ax = g.axis(0)
-            for i in range(g.n):
-                v = f.values[i]
-                w.writerow([fmt_float(ax[i]), fmt_float(v.real), fmt_float(v.imag)])
-        else:
-            w.writerow(["x", "y", "re", "im"])
-            ax, ay = g.axis(0), g.axis(1)
-            for i in range(g.n):
-                for j in range(g.n):
-                    v = f.values[i, j]
-                    w.writerow([fmt_float(ax[i]), fmt_float(ay[j]),
-                                fmt_float(v.real), fmt_float(v.imag)])
+        csv.writer(fh).writerows(rows)
 
 
 def load_sampled_csv(path, name: str = "") -> SampledFunction:
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     header, body = rows[0], rows[1:]
-    if header[:1] != ["x"] or header[-2:] != ["re", "im"]:
+    d = len(header) - 2
+    if d < 1 or header != list("xy"[:d]) + ["re", "im"]:
         raise ValueError(f"unrecognized CSV header {header}")
-    d = 1 if header[1] == "re" else 2
     data = np.asarray([[float(c) for c in r] for r in body])
-    xs = np.unique(data[:, 0])
-    n = len(xs)
-    hx = xs[1] - xs[0]
-    if not np.allclose(np.diff(xs), hx, rtol=0, atol=1e-9 * abs(hx)):
+    axes = [np.unique(data[:, i]) for i in range(d)]
+    n = len(axes[0])
+    hx = axes[0][1] - axes[0][0]
+    if not np.allclose(np.diff(axes[0]), hx, rtol=0, atol=1e-9 * abs(hx)):
         raise ValueError("grid in CSV is not uniform")
-    if d == 1:
-        box = cube1((xs[0] + xs[-1]) / 2.0, n * hx)
-        grid = Grid(box=box, n=n)
-        vals = data[:, 1] + 1j * data[:, 2]
-        return SampledFunction(grid=grid, values=vals.reshape(grid.shape), name=name)
-    ys = np.unique(data[:, 1])
-    if len(ys) != n:
+    if any(len(a) != n for a in axes[1:]):
         raise ValueError("CSV grid is not square")
-    box = Cube(((xs[0] + xs[-1]) / 2.0, (ys[0] + ys[-1]) / 2.0), n * hx)
-    grid = Grid(box=box, n=n)
-    vals = (data[:, 2] + 1j * data[:, 3]).reshape(n, n)
-    return SampledFunction(grid=grid, values=vals, name=name)
+    grid = Grid(box=Cube(tuple((a[0] + a[-1]) / 2.0 for a in axes), n * hx), n=n)
+    vals = data[:, d] + 1j * data[:, d + 1]
+    return SampledFunction(grid=grid, values=vals.reshape(grid.shape), name=name)

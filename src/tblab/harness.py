@@ -22,7 +22,7 @@ from .grid import Cube, Grid, SampledFunction, cube1, dyadic_family, lp_norm, sa
 from .kernels import KernelModel, transpose_kernel
 from .quadrature import (PvPolicy, _triple_pairing, apply_bilinear_field,
                          apply_linear_field, pairing)
-from .util import fmt_float, pmap
+from .util import csv_table, pmap
 
 DEFAULT_SLOPE_TOL = 0.07
 DEFAULT_UNIFORMITY = 2.0
@@ -205,18 +205,11 @@ class ScalingReport:
                 "value", "target_exp", "fitted_slope", "constant", "pv_flag",
                 "margin_flag", "verdict"]
         b0, b1, b2 = (tuple(self.b_names) + ("", "", ""))[:3]
-        out = [head]
-        slope = self.slope
-        for r in self.rows:
-            out.append([self.experiment, self.kernel, b0, b1, b2, str(self.M),
-                        r.section, fmt_float(r.center), fmt_float(r.R),
-                        fmt_float(r.value), fmt_float(self.target),
-                        "" if slope is None else fmt_float(slope),
-                        fmt_float(self.constant),
-                        "1" if r.pv_flagged else "0",
-                        "1" if r.margin_flagged else "0",
-                        self.verdict])
-        return out
+        slope, constant, verdict = self.slope, self.constant, self.verdict
+        return csv_table(head, ((self.experiment, self.kernel, b0, b1, b2, self.M,
+                                 r.section, r.center, r.R, r.value, self.target, slope,
+                                 constant, r.pv_flagged, r.margin_flagged, verdict)
+                                for r in self.rows))
 
 
 def _bump_field(grid: Grid, M: int, x0: float, R: float) -> SampledFunction:
@@ -409,7 +402,7 @@ def stein_bilinear_tb_test(K: KernelModel, b0: BFunc, b1: BFunc, b2: BFunc,
 
 
 def weak_boundedness_test(K: KernelModel, b0: BFunc = B_ONE, b1: BFunc = B_ONE,
-                          b2: BFunc = B_ONE, M: int = 2, scales=LINEAR_SCALES,
+                          b2: BFunc = B_ONE, M: int = 2, scales=None,
                           offsets=(0.0, 1.0, 4.0),
                           grid: GridSpec | None = None, policy: PvPolicy = PvPolicy(),
                           slope_tol: float = DEFAULT_SLOPE_TOL,
@@ -418,9 +411,12 @@ def weak_boundedness_test(K: KernelModel, b0: BFunc = B_ONE, b1: BFunc = B_ONE,
 
     Equal-center and offset-center rows are separate sections; the remark
     that equal centers suffice is recorded as a comparison, not assumed.
-    The grid defaults to BILINEAR_GRID for a bilinear kernel, GridSpec() otherwise.
+    The scales and grid default to BILINEAR_SCALES and BILINEAR_GRID for a
+    bilinear kernel, to LINEAR_SCALES and GridSpec() otherwise.
     """
     bil = K.arity == "bilinear"
+    if scales is None:
+        scales = BILINEAR_SCALES if bil else LINEAR_SCALES
     if grid is None:
         grid = BILINEAR_GRID if bil else GridSpec()
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import bumps
 from .grid import Cube, DyadicFamily, Grid, SampledFunction
-from .util import fmt_float
+from .util import csv_table
 
 CDF_NODES = 1 << 14          # mollifier CDF table on [-1, 1]
 L1_ERROR_NODES = 1 << 13     # lattice of the mollification error
@@ -128,12 +128,10 @@ class ParaAccretivityCertificate:
         return float((self.c0 / self.b_sup) ** (1.0 / d))
 
     def csv_rows(self):
-        rows = [["cube_center", "cube_side", "witness_center", "witness_side", "ratio"]]
-        for Q, W, r in self.witnesses:
-            rows.append([";".join(fmt_float(c) for c in Q.center), fmt_float(Q.side),
-                         ";".join(fmt_float(c) for c in W.center), fmt_float(W.side),
-                         fmt_float(r)])
-        return rows
+        return csv_table(["cube_center", "cube_side", "witness_center", "witness_side",
+                          "ratio"],
+                         ((Q.center, Q.side, W.center, W.side, r)
+                          for Q, W, r in self.witnesses))
 
 
 def check_para_accretive(b: SampledFunction, family: DyadicFamily,
@@ -448,9 +446,10 @@ def make_sk_from_uk(fam: UkFamily, b: SampledFunction) -> UkFamily:
     return replace(fam, rows=rows / p[:, None])
 
 
-def verify_sk_checklist(s: UkFamily, b: SampledFunction, k: int) -> SkReport:
-    """Numerical checks of the symmetric-family definition on sampled rows."""
-    g = s.grid
+def verify_sk_checklist(s: UkFamily, b: SampledFunction) -> SkReport:
+    """Numerical checks of the symmetric-family definition on sampled rows,
+    with the constants scaled by the family's own generation s.k."""
+    g, k = s.grid, s.k
     d = g.d
     y = g.axis(0)
     rows = np.asarray(s.rows)

@@ -52,8 +52,8 @@ class PvPolicy:
     def __post_init__(self):
         if self.c_eps < 1:
             raise ValueError("excision must cover the singular cell: c_eps >= 1")
-        if self.tol_pv <= 0:
-            raise ValueError("tol_pv must be positive")
+        if not 0 < self.tol_pv < np.inf:
+            raise ValueError(f"tol_pv must be positive and finite, got {self.tol_pv}")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Shared helpers: thread pool control, deterministic formatting."""
+"""Shared helpers: thread pool control, deterministic CSV formatting."""
 
 from __future__ import annotations
 
@@ -36,3 +36,19 @@ def fmt_float(v) -> str:
     if f == int(f) and abs(f) < 1e15:
         return str(int(f))
     return repr(f)
+
+
+def csv_table(header, rows) -> list:
+    """CSV rows: the header, then the cells of each row, the one place a cell is
+    formatted. None is an empty cell, a str is written as is, a tuple (a cube
+    centre) as its entries joined by ';', anything else by fmt_float, so a
+    flag reads 1 or 0."""
+    def cell(v):
+        if v is None:
+            return ""
+        if isinstance(v, str):
+            return v
+        if isinstance(v, tuple):
+            return ";".join(fmt_float(c) for c in v)
+        return fmt_float(v)
+    return [header] + [[cell(v) for v in row] for row in rows]

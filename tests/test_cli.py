@@ -42,7 +42,7 @@ def test_config_type_validation(tmp_path):
 def test_config_comments_and_defaults(tmp_path):
     p = write_cfg(tmp_path, "ok.cfg", "# comment\nkernel.name = hilbert\n")
     cfg = ExperimentConfig.parse(p)
-    assert cfg.get_int("grid.n", 512) == 512
+    assert cfg.get("grid.n", 512) == 512
     assert cfg.kernel().name == "hilbert"
 
 
@@ -61,6 +61,22 @@ def test_run_bad_config_exit_2(tmp_path, capsys):
     p = write_cfg(tmp_path, "bad.cfg", "mystery = 1\n")
     assert run("stein", p, tmp_path / "out") == 2
     assert not (tmp_path / "out" / "summary.txt").exists()
+
+
+@pytest.mark.parametrize("key", ["grid.box_side", "kernel.params.lam",
+                                 "kernel.params.lip_bound", "kernel.params.lam_trunc",
+                                 "kernel.params.mu", "kernel.params.a_amp",
+                                 "kernel.params.m_amp", "policy.tol_pv", "fit.slope_tol",
+                                 "fit.uniformity_factor", "para.N", "para.eps",
+                                 "cube.center", "cube.side"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_nonfinite_float_key_exit_2(tmp_path, capsys, key, value):
+    # a NaN tol_pv used to flag every row and exit 0, a NaN box side to fail
+    # mid-computation without naming the key
+    p = write_cfg(tmp_path, "nan.cfg", f"kernel.name = hilbert\n{key} = {value}\n")
+    assert run("stein", p, tmp_path / "out") == 2
+    assert not (tmp_path / "out" / "summary.txt").exists()
+    assert f"{key} must be a finite number" in capsys.readouterr().err
 
 
 def test_stein_hilbert_exit_0(tmp_path):

@@ -123,6 +123,14 @@ def test_dyadic_family_2d_counts():
     assert len(fam.generations[1]) == 4
 
 
+def test_dyadic_family_2d_centres_x_major():
+    fam = dyadic_family(Cube((0.0, 0.0), 4.0), 1, 2)
+    assert [c.center for c in fam.generations[1]] == [(-1.0, -1.0), (-1.0, 1.0),
+                                                       (1.0, -1.0), (1.0, 1.0)]
+    c = (-1.5, -0.5, 0.5, 1.5)
+    assert [q.center for q in fam.generations[2]] == [(x, y) for x in c for y in c]
+
+
 def test_dyadic_partition_volumes_exact():
     fam = dyadic_family(Cube((0.0, 0.0), 2.0), 0, 3)
     for k in range(1, 4):
@@ -154,6 +162,16 @@ def test_csv_round_trip_2d(tmp_path, grid2d):
     g = load_sampled_csv(path)
     assert g.grid == f.grid
     np.testing.assert_array_equal(g.values, f.values)
+
+
+def test_csv_bytes_2d_x_major(tmp_path):
+    # cell (i, j) of the 8x8 grid holds i - 1j * j; y varies fastest
+    f = sample(lambda x, y: (x + 3.5) - 1j * (y + 3.5), make_grid(2, Cube((0.0, 0.0), 8.0), 8))
+    path = tmp_path / "f.csv"
+    save_sampled_csv(f, path)
+    body = "".join(f"{-3.5 + i},{-3.5 + j},{i},{-j}\r\n" for i in range(8) for j in range(8))
+    assert path.read_bytes() == ("x,y,re,im\r\n" + body).encode()
+    assert path.read_bytes().startswith(b"x,y,re,im\r\n-3.5,-3.5,0,0\r\n-3.5,-2.5,0,-1\r\n")
 
 
 def test_values_immutable(unit_grid):

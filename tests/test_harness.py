@@ -6,8 +6,9 @@ import pytest
 
 from tblab.grid import Cube, SampledFunction, cube1, lp_norm, make_grid
 from tblab.bumps import BumpRule, standard_bump
-from tblab.harness import (BILINEAR_GRID, BFunc, GridSpec, bilinear_decomposition_check,
-                           builtin_b, direct_bound_check, exponent_fit,
+from tblab.harness import (BILINEAR_GRID, BILINEAR_SCALES, LINEAR_SCALES, BFunc, GridSpec,
+                           bilinear_decomposition_check, builtin_b, direct_bound_check,
+                           exponent_fit,
                            far_field_constancy, local_piece_check,
                            stein_bilinear_tb_test, stein_t1_test, stein_tb_test,
                            uniform_bmo_sweep, weak_boundedness_test)
@@ -116,6 +117,13 @@ def test_wbp_bilinear_offsets():
     for off in (1.0, 4.0):
         fit = rep.fit_for(f"offset{off:g}")
         assert fit.slope == pytest.approx(1.0, abs=0.07)
+
+
+@pytest.mark.parametrize("name,scales", [("bilinear-homog", BILINEAR_SCALES),
+                                         ("hilbert", LINEAR_SCALES)])
+def test_wbp_default_scales_follow_the_arity(name, scales):
+    rep = weak_boundedness_test(gallery(name), offsets=(1.0,), grid=GridSpec(n=32))
+    assert tuple(r.R for r in rep.rows) == scales
 
 
 def test_wbp_bilinear_keeps_an_explicit_grid():

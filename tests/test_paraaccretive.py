@@ -356,7 +356,7 @@ def test_sk_checklist_renormalized_uk():
     b = _b("one", g)
     fam = build_uk(b, 1, lattice_divisor=4)
     sk = make_sk_from_uk(fam, b)
-    rep = verify_sk_checklist(sk, b, 1)
+    rep = verify_sk_checklist(sk, b)
     assert rep.pairing_ok                      # (v) holds by construction
     assert rep.symmetric_ok                    # symmetric witnesses for b == 1
     assert rep.smallest_admissible_C >= 1.0
@@ -369,7 +369,7 @@ def test_sk_checklist_detects_asymmetry():
     b = _b("sign-sin", g)
     fam = build_uk(b, 1, lattice_divisor=4)
     sk = make_sk_from_uk(fam, b)
-    rep = verify_sk_checklist(sk, b, 1)
+    rep = verify_sk_checklist(sk, b)
     assert rep.pairing_ok
     assert not rep.symmetric_ok
 
@@ -380,7 +380,7 @@ def test_sk_checklist_zero_family_fails_pairing():
     fam = build_uk(b, 1)
     from dataclasses import replace
     zeroed = replace(fam, rows=np.zeros_like(fam.rows))
-    rep = verify_sk_checklist(zeroed, b, 1)
+    rep = verify_sk_checklist(zeroed, b)
     assert not rep.pairing_ok
 
 
@@ -388,7 +388,7 @@ def test_sk_support_constant_detects_radius():
     g = make_grid(1, cube1(0.0, 8.0), 2048)
     b = _b("one", g)
     fam = build_uk(b, 1)
-    rep = verify_sk_checklist(fam, b, 1)
+    rep = verify_sk_checklist(fam, b)
     # all rows vanish beyond C_support * 2^-k by definition of the constant
     y = g.axis(0)
     for i, x in enumerate(fam.lattice):
@@ -479,7 +479,7 @@ def test_uk_family_matches_row_loops(name, k, divisor):
     assert np.array_equal(sk.rows, _loop_sk_rows(fam, b))
     for s in (fam, sk, spread):
         # the whole-array absolute values may round differently from scalar ones
-        rep = verify_sk_checklist(s, b, k)
+        rep = verify_sk_checklist(s, b)
         np.testing.assert_array_max_ulp(
             np.array([rep.C_size, rep.C_support, rep.C_lipschitz_x, rep.symmetry_defect,
                       rep.pairing_defect]),
