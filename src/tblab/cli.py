@@ -46,7 +46,7 @@ def _finite(text: str) -> float:
 
 
 def _floats(text: str) -> tuple:
-    return tuple(float(t) for t in text.split(",") if t.strip())
+    return tuple(_finite(t) for t in text.split(",") if t.strip())
 
 
 def _flag(text: str) -> bool:
@@ -68,8 +68,8 @@ _KEYS = {
     "cube.side": _finite, "seed": int, "output.dir": str,
 }
 KNOWN_KEYS = set(_KEYS)
-_KINDS = {int: "an integer", _finite: "a finite number", _floats: "comma-separated numbers",
-          _flag: "a boolean"}
+_KINDS = {int: "an integer", _finite: "a finite number",
+          _floats: "comma-separated finite numbers", _flag: "a boolean"}
 
 
 class ConfigError(Exception):

@@ -239,11 +239,11 @@ def load_sampled_csv(path, name: str = "") -> SampledFunction:
     data = np.asarray([[float(c) for c in r] for r in body])
     axes = [np.unique(data[:, i]) for i in range(d)]
     n = len(axes[0])
-    hx = axes[0][1] - axes[0][0]
-    if not np.allclose(np.diff(axes[0]), hx, rtol=0, atol=1e-9 * abs(hx)):
-        raise ValueError("grid in CSV is not uniform")
     if any(len(a) != n for a in axes[1:]):
         raise ValueError("CSV grid is not square")
+    hx = axes[0][1] - axes[0][0]
+    if not all(np.allclose(np.diff(a), hx, rtol=0, atol=1e-9 * abs(hx)) for a in axes):
+        raise ValueError("grid in CSV is not uniform")
     grid = Grid(box=Cube(tuple((a[0] + a[-1]) / 2.0 for a in axes), n * hx), n=n)
     vals = data[:, d] + 1j * data[:, d + 1]
     return SampledFunction(grid=grid, values=vals.reshape(grid.shape), name=name)

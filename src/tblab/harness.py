@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from itertools import product
 
 import numpy as np
 
@@ -190,10 +191,6 @@ class ScalingReport:
     def constant(self) -> float:
         return max((f.constant for f in self.fits), default=0.0)
 
-    @property
-    def pv_flagged(self) -> bool:
-        return any(r.pv_flagged for r in self.rows)
-
     def fit_for(self, section: str = "", center: float | None = None) -> GroupFit:
         for f in self.fits:
             if f.section == section and (center is None or f.center == center):
@@ -213,13 +210,13 @@ class ScalingReport:
 
 
 def _bump_field(grid: Grid, M: int, x0: float, R: float) -> SampledFunction:
-    rule = bumps.BumpRule("standard-mollifier", bumps.c_norm(M, 1), (x0,), R)
-    bumps._check_bump_grid(grid, (x0,), R)
-    return SampledFunction(grid=grid, values=rule(grid.axis(0)).astype(complex), rule=rule,
-                           name=f"phi[{x0},{R}]")
+    return bumps.BumpRule("standard-mollifier", bumps.c_norm(M, 1), (x0,), R).sample(
+        grid, f"phi[{x0},{R}]")
 
 
 def _plateau(grid: Grid, x0: float, R: float) -> np.ndarray:
+    """The plateau cutoff phi^{x0,R} on the grid, unchecked: phi_Q (radius 6 diam Q)
+    may cross a box that far_field_constancy accepts (box >= 8 Q.side)."""
     return bumps.BumpRule("plateau", 1.0, (x0,), R)(grid.axis(0)).astype(complex)
 
 
@@ -515,6 +512,22 @@ def _localize(grid: GridSpec, Q: Cube):
     return g, r, qsel, i0, pts, _plateau(g, x0, r)
 
 
+def _split_fields(K: KernelModel, bs, phiQ: np.ndarray, phiR: np.ndarray,
+                  policy: PvPolicy, pts):
+    """T at pts of every near (b phi_Q phi_R) / far (b (1 - phi_Q) phi_R) choice per
+    argument b phi_R, first argument fastest ((near1, near2), (far1, near2),
+    (near1, far2), (far1, far2) when bilinear), and T at pts of the unsplit ones."""
+    apply = apply_linear_field if K.arity == "linear" else apply_bilinear_field
+    splits = [(_weighted(b, phiQ, phiR), _weighted(b, 1.0 - phiQ, phiR)) for b in bs]
+    pieces = [apply(K, *args[::-1], policy, pts) for args in product(*reversed(splits))]
+    return pieces, apply(K, *(_weighted(b, phiR) for b in bs), policy, pts)
+
+
+def _center_dev(v: np.ndarray, qsel: np.ndarray, i0: int) -> float:
+    """max over the cells of Q of |v - v(center cell)|."""
+    return float(np.max(np.abs(v[qsel] - v[i0])))
+
+
 @dataclass(frozen=True)
 class BmoSweepRow:
     R: float
@@ -611,20 +624,17 @@ def far_field_constancy(K: KernelModel, b1: BFunc = B_ONE,
         raise ValueError("grid box must contain 8Q")
     g, r, qsel, i0, pts, phiQ = _localize(grid, Q)
     b1s = b1.sampled(g)
-    rows = []
-    for R in R_list:
-        phiR = _plateau(g, 0.0, R)
-        fr_far = apply_linear_field(K, _weighted(b1s, 1.0 - phiQ, phiR), policy, pts)
-        fr_loc = apply_linear_field(K, _weighted(b1s, phiQ, phiR), policy, pts)
-        fr_full = apply_linear_field(K, _weighted(b1s, phiR), policy, pts)
-        cQR = complex(fr_far.field.values[i0])
-        dev = float(np.max(np.abs(fr_far.field.values[qsel] - cQR)))
-        split = float(np.max(np.abs(fr_full.field.values[qsel]
-                                    - fr_loc.field.values[qsel]
-                                    - fr_far.field.values[qsel])))
-        rows.append(FarFieldRow(R=R, sup_dev=dev, c_QR=cQR, split_defect=split,
-                                pv_flagged=fr_far.n_flagged > 0))
-    return FarFieldReport(Q=Q, r=r, rows=rows, uniformity_factor=uniformity_factor)
+
+    def one_row(R):
+        (loc, far), full = _split_fields(K, (b1s,), phiQ, _plateau(g, 0.0, R), policy, pts)
+        v_far = far.field.values
+        split = float(np.max(np.abs(full.field.values[qsel] - loc.field.values[qsel]
+                                    - v_far[qsel])))
+        return FarFieldRow(R=R, sup_dev=_center_dev(v_far, qsel, i0), c_QR=complex(v_far[i0]),
+                           split_defect=split, pv_flagged=far.n_flagged > 0)
+
+    return FarFieldReport(Q=Q, r=r, rows=pmap(one_row, R_list),
+                          uniformity_factor=uniformity_factor)
 
 
 @dataclass(frozen=True)
@@ -657,20 +667,17 @@ def local_piece_check(K: KernelModel, b1: BFunc, Q: Cube, R: float,
     x0, ax = Q.center[0], g.axis(0)
     prod = phiQ * _plateau(g, 0.0, R)
     plateau = bumps.PROFILES["plateau"]
+    # the composite is at the smaller scale s about c_s, its other factor at S about c_S
     if R <= r:
-        case = "R<=r"
-        def comp_profile(t):
-            t = np.asarray(t, dtype=float)
-            return plateau(np.abs((R / r) * t - x0 / r)) * plateau(np.abs(t))
-        composite = comp_profile(ax / R)
-        scale = R
+        case, (s, c_s), (S, c_S) = "R<=r", (R, 0.0), (r, x0)
     else:
-        case = "R>r"
-        def comp_profile(t):
-            t = np.asarray(t, dtype=float)
-            return plateau(np.abs(t)) * plateau(np.abs((r / R) * t + x0 / R))
-        composite = comp_profile((ax - x0) / r)
-        scale = r
+        case, (s, c_s), (S, c_S) = "R>r", (r, x0), (R, 0.0)
+
+    def comp_profile(t):
+        t = np.asarray(t, dtype=float)
+        return plateau(np.abs(t)) * plateau(np.abs((s / S) * t + (c_s - c_S) / S))
+
+    composite = comp_profile((ax - c_s) / s)
     defect = float(np.max(np.abs(prod - composite)))
     # order-0 certification of the composite unit profile
     cg = Grid(box=cube1(0.0, 4.0), n=512)
@@ -681,7 +688,7 @@ def local_piece_check(K: KernelModel, b1: BFunc, Q: Cube, R: float,
     fr = apply_linear_field(K, _weighted(b1s, prod), policy)
     value = float(np.mean(np.abs(fr.field.values[qsel])))
     return LocalPieceResult(R=R, r=r, case=case, value=value, rewrite_defect=defect,
-                            composite_certificate=cert, scale=scale,
+                            composite_certificate=cert, scale=s,
                             l2=lp_norm(fr.field, 2), pv_flagged=fr.n_flagged > 0)
 
 
@@ -729,20 +736,15 @@ def bilinear_decomposition_check(K: KernelModel, b1: BFunc = B_ONE, b2: BFunc = 
     s1, s2 = b1.sampled(g), b2.sampled(g)
 
     def one_row(R):
-        phiR = _plateau(g, 0.0, R)
-        near1, far1 = _weighted(s1, phiQ, phiR), _weighted(s1, 1.0 - phiQ, phiR)
-        near2, far2 = _weighted(s2, phiQ, phiR), _weighted(s2, 1.0 - phiQ, phiR)
-        pieces = []
-        for fa, fb in ((near1, near2), (far1, near2), (near1, far2), (far1, far2)):
-            pieces.append(apply_bilinear_field(K, fa, fb, policy, points=pts).field.values)
-        direct = apply_bilinear_field(K, _weighted(s1, phiR), _weighted(s2, phiR), policy,
-                                      points=pts).field.values
+        split, direct = _split_fields(K, (s1, s2), phiQ, _plateau(g, 0.0, R), policy, pts)
+        pieces = [fr.field.values for fr in split]
+        direct = direct.field.values
         total = pieces[0] + pieces[1] + pieces[2] + pieces[3]
         sum_defect = float(np.max(np.abs((total - direct)[qsel])))
         sum_ok = bool(sum_defect <= policy.tol_pv *
                       (1.0 + float(np.max(np.abs(direct[qsel])))))
         avg_I = float(np.mean(np.abs(pieces[0][qsel])))
-        devs = [float(np.max(np.abs(p[qsel] - p[i0]))) for p in pieces[1:]]
+        devs = [_center_dev(p, qsel, i0) for p in pieces[1:]]
         return DecompositionRow(R=R, avg_I=avg_I, dev_II=devs[0], dev_III=devs[1],
                                 dev_IV=devs[2], sum_defect=sum_defect, sum_ok=sum_ok)
 

@@ -56,9 +56,6 @@ class KernelModel:
         if self.curve is not None and (self.arity != "linear" or self.lattice is not None):
             raise ValueError("a curve structure needs a linear kernel without a lattice")
 
-    def __call__(self, *args):
-        return self.rule(*args)
-
 
 @dataclass(frozen=True)
 class KernelCertificate:

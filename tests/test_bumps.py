@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tblab import harness
 from tblab.bumps import (BumpRule, c_norm, deriv_sup, plateau_bump,
                          profile_integral, standard_bump, translate_dilate,
                          verify_bump)
@@ -106,6 +107,16 @@ def test_translate_dilate_needs_rule(unit_grid):
     object.__setattr__(f, "rule", None)
     with pytest.raises(ValueError, match="closed-form"):
         translate_dilate(f, (0.0,), 2.0)
+
+
+@pytest.mark.parametrize("M,x0,R,side,n", [(2, 0.0, 1.0, 16.0, 512), (0, 3.0, 2.5, 24.0, 256),
+                                          (4, -5.0, 8.0, 64.0, 768)])
+def test_harness_bump_is_the_translate_dilate(M, x0, R, side, n, unit_grid):
+    g = make_grid(1, cube1(0.0, side), n)
+    moved = translate_dilate(standard_bump(M, unit_grid)[0], (x0,), R, grid=g)
+    assert np.array_equal(harness._bump_field(g, M, x0, R).values, moved.values)
+    with pytest.raises(ValueError, match="closed-form BumpRule"):
+        translate_dilate(sample(lambda x: np.exp(-x * x), unit_grid), (0.0,), 2.0)
 
 
 @pytest.mark.parametrize("M", [0, 1, 2, 3, 4])

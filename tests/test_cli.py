@@ -140,7 +140,26 @@ def test_bad_scales_exit_2_before_any_file(tmp_path, capsys, monkeypatch, sub, k
     out = tmp_path / "out"
     assert run(sub, p, out) == 2
     assert "scales" in capsys.readouterr().err
-    assert not any(out.iterdir())
+    # a non-finite entry fails parsing, before the output directory is made
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("sub,key,value", [("wbp", "offsets", "1,nan"),
+                                           ("stein", "centers", "0,nan"),
+                                           ("stein", "centers", "inf")])
+def test_nonfinite_list_key_exit_2_before_any_file(tmp_path, capsys, monkeypatch, sub, key,
+                                                   value):
+    # these used to compute every row and then die formatting a NaN cell,
+    # naming no key
+    def no_field(*args, **kwargs):
+        raise AssertionError("a field was computed before the config was rejected")
+
+    monkeypatch.setattr("tblab.harness.apply_linear_field", no_field)
+    p = write_cfg(tmp_path, "s.cfg", f"kernel.name = hilbert\ngrid.n = 64\n{key} = {value}\n")
+    out = tmp_path / "out"
+    assert run(sub, p, out) == 2
+    assert f"{key} must be comma-separated finite numbers" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("name", GALLERY_NAMES)

@@ -174,6 +174,17 @@ def test_csv_bytes_2d_x_major(tmp_path):
     assert path.read_bytes().startswith(b"x,y,re,im\r\n-3.5,-3.5,0,0\r\n-3.5,-2.5,0,-1\r\n")
 
 
+def test_csv_rejects_nonuniform_y_axis(tmp_path):
+    # x is uniform, y reads 0..6, 100: this used to load onto a uniform y axis
+    # about y = 50, at coordinates the file never named
+    ys = [0, 1, 2, 3, 4, 5, 6, 100]
+    body = "".join(f"{x},{y},1,0\n" for x in range(8) for y in ys)
+    path = tmp_path / "f.csv"
+    path.write_text("x,y,re,im\n" + body)
+    with pytest.raises(ValueError, match="not uniform"):
+        load_sampled_csv(path)
+
+
 def test_values_immutable(unit_grid):
     f = sample(lambda x: psi(x), unit_grid)
     with pytest.raises(ValueError):

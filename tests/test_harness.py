@@ -6,14 +6,16 @@ import pytest
 
 from tblab.grid import Cube, SampledFunction, cube1, lp_norm, make_grid
 from tblab.bumps import BumpRule, standard_bump
-from tblab.harness import (BILINEAR_GRID, BILINEAR_SCALES, LINEAR_SCALES, BFunc, GridSpec,
+from tblab.harness import (BILINEAR_GRID, BILINEAR_SCALES, DECOMP_CUBE, DECOMP_GRID,
+                           FAR_FIELD_CUBE, FAR_FIELD_GRID, LINEAR_SCALES, BFunc,
+                           DecompositionRow, FarFieldRow, GridSpec,
                            bilinear_decomposition_check, builtin_b, direct_bound_check,
                            exponent_fit,
                            far_field_constancy, local_piece_check,
                            stein_bilinear_tb_test, stein_t1_test, stein_tb_test,
                            uniform_bmo_sweep, weak_boundedness_test)
 from tblab.kernels import KernelModel, gallery
-from tblab.quadrature import PvPolicy, apply_linear_field
+from tblab.quadrature import PvPolicy, apply_bilinear_field, apply_linear_field
 
 ONE = builtin_b("one")
 SMALL = GridSpec(n=256, box_side=16.0)
@@ -269,6 +271,94 @@ def test_bilinear_decomposition_zero_b():
                                        grid=GridSpec(n=256, box_side=64.0))
     for row in rep.rows:
         assert row.avg_I == 0.0 and row.dev_II == 0.0
+
+
+def _split_oracle_setup(grid, Q):
+    """The localization of the far-field and decomposition checks, written out."""
+    g = grid.row_grid("fixed", 1.0)
+    ax, x0 = g.axis(0), Q.center[0]
+    qsel = np.nonzero((ax >= x0 - Q.side / 2.0) & (ax < x0 + Q.side / 2.0))[0]
+    i0 = int(np.argmin(np.abs(ax - x0)))
+    pts = np.concatenate([qsel, [i0]]) if i0 not in qsel else qsel
+
+    def plateau(c, R):
+        return BumpRule("plateau", 1.0, (c,), R)(ax).astype(complex)
+
+    def weighted(b, *factors):
+        values = b.values
+        for f in factors:
+            values = values * f
+        return SampledFunction(grid=g, values=values)
+
+    return g, qsel, i0, pts, plateau(x0, 6.0 * Q.diam), plateau, weighted
+
+
+def _far_field_oracle(K, b1, Q, R_list, grid, policy=PvPolicy()):
+    g, qsel, i0, pts, phiQ, plateau, weighted = _split_oracle_setup(grid, Q)
+    b1s = b1.sampled(g)
+    rows = []
+    for R in R_list:
+        phiR = plateau(0.0, R)
+        fr_far = apply_linear_field(K, weighted(b1s, 1.0 - phiQ, phiR), policy, pts)
+        fr_loc = apply_linear_field(K, weighted(b1s, phiQ, phiR), policy, pts)
+        fr_full = apply_linear_field(K, weighted(b1s, phiR), policy, pts)
+        cQR = complex(fr_far.field.values[i0])
+        dev = float(np.max(np.abs(fr_far.field.values[qsel] - cQR)))
+        split = float(np.max(np.abs(fr_full.field.values[qsel]
+                                    - fr_loc.field.values[qsel]
+                                    - fr_far.field.values[qsel])))
+        rows.append(FarFieldRow(R=R, sup_dev=dev, c_QR=cQR, split_defect=split,
+                                pv_flagged=fr_far.n_flagged > 0))
+    return rows
+
+
+def _decomposition_oracle(K, b1, b2, Q, R_list, grid, policy=PvPolicy()):
+    g, qsel, i0, pts, phiQ, plateau, weighted = _split_oracle_setup(grid, Q)
+    s1, s2 = b1.sampled(g), b2.sampled(g)
+    rows = []
+    for R in R_list:
+        phiR = plateau(0.0, R)
+        near1, far1 = weighted(s1, phiQ, phiR), weighted(s1, 1.0 - phiQ, phiR)
+        near2, far2 = weighted(s2, phiQ, phiR), weighted(s2, 1.0 - phiQ, phiR)
+        pieces = [apply_bilinear_field(K, fa, fb, policy, points=pts).field.values
+                  for fa, fb in ((near1, near2), (far1, near2), (near1, far2), (far1, far2))]
+        direct = apply_bilinear_field(K, weighted(s1, phiR), weighted(s2, phiR), policy,
+                                      points=pts).field.values
+        total = pieces[0] + pieces[1] + pieces[2] + pieces[3]
+        sum_defect = float(np.max(np.abs((total - direct)[qsel])))
+        sum_ok = bool(sum_defect <= policy.tol_pv *
+                      (1.0 + float(np.max(np.abs(direct[qsel])))))
+        devs = [float(np.max(np.abs(p[qsel] - p[i0]))) for p in pieces[1:]]
+        rows.append(DecompositionRow(R=R, avg_I=float(np.mean(np.abs(pieces[0][qsel]))),
+                                     dev_II=devs[0], dev_III=devs[1], dev_IV=devs[2],
+                                     sum_defect=sum_defect, sum_ok=sum_ok))
+    return rows
+
+
+@pytest.mark.parametrize("K,b1,Q,R_list,grid", [
+    ("hilbert", "one", FAR_FIELD_CUBE, (4.0, 8.0, 16.0), FAR_FIELD_GRID),
+    ("cauchy-lipschitz", "accretive-lipschitz(0.3)", Cube((0.5,), 0.5), (2.0, 4.0, 8.0),
+     GridSpec(n=512, box_side=48.0)),
+])
+def test_far_field_rows_match_the_written_out_split(K, b1, Q, R_list, grid):
+    # every field, the roundoff-level split_defect included, is bit-identical
+    # to three explicit apply_linear_field calls per R
+    K, b1 = gallery(K), builtin_b(b1)
+    rep = far_field_constancy(K, b1, Q=Q, R_list=R_list, grid=grid)
+    assert rep.rows == _far_field_oracle(K, b1, Q, R_list, grid)
+
+
+@pytest.mark.parametrize("b1,b2,Q,grid", [
+    ("one", "one", DECOMP_CUBE, DECOMP_GRID),
+    ("accretive-lipschitz(0.3)", "exp-ix", Cube((0.25,), 0.5), GridSpec(n=256, box_side=48.0)),
+])
+def test_decomposition_rows_match_the_written_out_split(b1, b2, Q, grid):
+    # every field, the roundoff-level sum_defect included, is bit-identical to
+    # five explicit apply_bilinear_field calls per R
+    K, b1, b2 = gallery("bilinear-homog"), builtin_b(b1), builtin_b(b2)
+    r = 6.0 * Q.diam
+    rep = bilinear_decomposition_check(K, b1, b2, Q=Q, grid=grid)
+    assert rep.rows == _decomposition_oracle(K, b1, b2, Q, (r / 4.0, r, 4.0 * r), grid)
 
 
 def test_scale_equivariance_of_pipeline():
