@@ -9,9 +9,9 @@ from .bumps import (BumpCertificate, BumpRule, BumpSpec, c_norm, plateau_bump,
                     standard_bump, translate_dilate, verify_bump)
 from .kernels import (KernelCertificate, KernelModel, check_regularity,
                       check_size, gallery, transpose_kernel)
-from .quadrature import (FieldResult, PvPolicy, PvValue, apply_bilinear,
+from .quadrature import (FieldResult, Plan, PvPolicy, PvValue, apply_bilinear,
                          apply_bilinear_field, apply_linear, apply_linear_field,
-                         pairing, triple_pairing)
+                         pairing, plan, triple_pairing)
 from .bmo import (OscillationReport, best_constant_oscillation, bmo_seminorm,
                   mean_oscillation)
 from .paraaccretive import (ConditionBCertificate, ParaAccretivityCertificate,

@@ -245,5 +245,17 @@ def load_sampled_csv(path, name: str = "") -> SampledFunction:
     if not all(np.allclose(np.diff(a), hx, rtol=0, atol=1e-9 * abs(hx)) for a in axes):
         raise ValueError("grid in CSV is not uniform")
     grid = Grid(box=Cube(tuple((a[0] + a[-1]) / 2.0 for a in axes), n * hx), n=n)
+    # row k must name the k-th grid point in x-major order, as save_sampled_csv writes
+    want = np.stack([c.ravel() for c in grid.meshgrid()], axis=1)
+    k = min(len(data), len(want))
+    bad = np.nonzero(np.any(np.abs(data[:k, :d] - want[:k]) > 1e-9 * grid.h, axis=1))[0]
+    if len(bad):
+        i = bad[0]
+        raise ValueError(f"CSV data row {i + 1} is at {tuple(map(float, data[i, :d]))}, not "
+                         f"at the grid point {tuple(map(float, want[i]))} of its position "
+                         f"in x-major order")
+    if len(data) != len(want):
+        raise ValueError(f"CSV data row {k + 1}: the {n}^{d} grid has {len(want)} points, "
+                         f"the file {len(data)} rows")
     vals = data[:, d] + 1j * data[:, d + 1]
     return SampledFunction(grid=grid, values=vals.reshape(grid.shape), name=name)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -21,8 +22,8 @@ from . import bumps
 from .bmo import bmo_seminorm
 from .grid import Cube, Grid, SampledFunction, cube1, dyadic_family, lp_norm, sample
 from .kernels import KernelModel, transpose_kernel
-from .quadrature import (PvPolicy, _triple_pairing, apply_bilinear_field,
-                         apply_linear_field, pairing)
+from .quadrature import (Plan, PvPolicy, _triple_pairing, apply_bilinear_field,
+                         apply_linear_field, pairing, plan)
 from .util import csv_table, pmap
 
 DEFAULT_SLOPE_TOL = 0.07
@@ -249,19 +250,26 @@ def _check_scales(scales) -> tuple:
     return scales
 
 
-def _sweep(one_row, groups, scales, grid: GridSpec, mode: str, names, b_names,
+def _sweep(rows_on, groups, scales, grid: GridSpec, mode: str, names, b_names,
            M: int, target: float, slope_tol: float, uniformity_factor: float) -> list:
     """The pipeline of every testing condition: rows, per-group fits, reports.
 
-    Each job (group, R) of groups x scales runs one_row(g, group, R) on its
-    row grid g, in the row pool (the only thread pool). A row returns a
-    (value, pv flag) pair per (experiment, kernel name) pair of `names` and
-    its margin flag, or None when its support escapes the grid; escaped rows
-    are dropped. A group is a (section, center) pair; each group with at
-    least 5 rows in a report gets its own exponent fit against R^target.
+    rows_on(g) does the work that every row on the row grid g shares (the
+    operator plans) and returns the row function row(group, R). Each job
+    (group, R) of groups x scales runs in the row pool (the only thread pool);
+    on a fixed grid rows_on runs once, before the pool, and on per-row grids
+    inside each job. A row returns a (value, pv flag) pair per (experiment,
+    kernel name) pair of `names` and its margin flag, or None when its support
+    escapes the grid; escaped rows are dropped. A group is a (section, center)
+    pair; each group with at least 5 rows in a report gets its own exponent
+    fit against R^target.
     """
     jobs = [(group, R) for group in groups for R in _check_scales(scales)]
-    done = pmap(lambda job: one_row(grid.row_grid(mode, job[1]), *job), jobs)
+    if mode == "fixed":
+        row = rows_on(grid.row_grid(mode, 1.0))
+        done = pmap(lambda job: row(*job), jobs)
+    else:
+        done = pmap(lambda job: rows_on(grid.row_grid(mode, job[1]))(*job), jobs)
     kept = [(group, R, res) for (group, R), res in zip(jobs, done) if res is not None]
     reports = []
     for pos, (experiment, kernel) in enumerate(names):
@@ -281,8 +289,8 @@ def _sweep(one_row, groups, scales, grid: GridSpec, mode: str, names, b_names,
 
 # --- Stein testing conditions ----------------------------------------------
 
-def _stein_row(K: KernelModel, b0: BFunc, b1: BFunc, M: int, policy: PvPolicy, reduce):
-    """Row function of the linear testing conditions.
+def _stein_rows(K: KernelModel, b0: BFunc, b1: BFunc, M: int, policy: PvPolicy, reduce):
+    """rows_on of the linear testing conditions: the plans of T and T* on g.
 
     The bump sits at center fraction x box side; reduce(T(b1 phi), T*(b0 phi))
     lists the (value, pv flag) of each report.
@@ -291,16 +299,20 @@ def _stein_row(K: KernelModel, b0: BFunc, b1: BFunc, M: int, policy: PvPolicy, r
         raise ValueError("needs a linear kernel")
     Kt = transpose_kernel(K)
 
-    def one_row(g, group, R):
-        x0 = group[1] * g.box.side
-        if _escapes(g, x0, R):
-            return None                      # support escapes a fixed grid
-        phi = _bump_field(g, M, x0, R).values
-        fr1 = apply_linear_field(K, _weighted(b1.sampled(g), phi), policy)
-        fr2 = apply_linear_field(Kt, _weighted(b0.sampled(g), phi), policy)
-        return reduce(fr1, fr2), _margin_flag(g, x0, R)
+    def rows_on(g):
+        T, Tt = plan(K, g, policy), plan(Kt, g, policy)
 
-    return one_row
+        def one_row(group, R):
+            x0 = group[1] * g.box.side
+            if _escapes(g, x0, R):
+                return None                  # support escapes a fixed grid
+            phi = _bump_field(g, M, x0, R).values
+            return (reduce(T(_weighted(b1.sampled(g), phi)), Tt(_weighted(b0.sampled(g), phi))),
+                    _margin_flag(g, x0, R))
+
+        return one_row
+
+    return rows_on
 
 
 def stein_t1_test(K: KernelModel, M: int = 2,
@@ -309,9 +321,9 @@ def stein_t1_test(K: KernelModel, M: int = 2,
                   slope_tol: float = DEFAULT_SLOPE_TOL,
                   uniformity_factor: float = DEFAULT_UNIFORMITY) -> ScalingReport:
     """||T(phi^{x0,R})||_2 + ||T*(phi^{x0,R})||_2 against the target R^(d/2)."""
-    one_row = _stein_row(K, B_ONE, B_ONE, M, policy, lambda fr1, fr2: [
+    rows_on = _stein_rows(K, B_ONE, B_ONE, M, policy, lambda fr1, fr2: [
         (_l2(fr1) + _l2(fr2), fr1.n_flagged > 0 or fr2.n_flagged > 0)])
-    return _sweep(one_row, [("", frac) for frac in center_fracs], scales, grid,
+    return _sweep(rows_on, [("", frac) for frac in center_fracs], scales, grid,
                   K.grid_mode, [("stein-t1", K.name)],
                   (B_ONE.name, B_ONE.name), M, K.d / 2.0, slope_tol,
                   uniformity_factor)[0]
@@ -334,14 +346,14 @@ def stein_tb_test(K: KernelModel, b0: BFunc, b1: BFunc, M: int = 2,
                   slope_tol: float = DEFAULT_SLOPE_TOL,
                   uniformity_factor: float = DEFAULT_UNIFORMITY) -> TbTestResult:
     """Testing conditions on b1 (for T) and b0 (for T*), fitted to d/2 per center."""
-    one_row = _stein_row(K, b0, b1, M, policy, lambda fr1, fr2: [
+    rows_on = _stein_rows(K, b0, b1, M, policy, lambda fr1, fr2: [
         (_l2(fr), fr.n_flagged > 0) for fr in (fr1, fr2)])
     for b in (b0, b1):
         if b.certificate is None and b.name != "one":
             warnings.warn(f"b-function {b.name!r} carries no para-accretivity "
                           f"certificate", stacklevel=2)
     names = [("stein-tb-on-b1", K.name), ("stein-tb-transpose", transpose_kernel(K).name)]
-    return TbTestResult(*_sweep(one_row, [("", frac) for frac in center_fracs], scales,
+    return TbTestResult(*_sweep(rows_on, [("", frac) for frac in center_fracs], scales,
                                 grid, K.grid_mode, names,
                                 (b0.name, b1.name), M, K.d / 2.0, slope_tol,
                                 uniformity_factor))
@@ -392,7 +404,8 @@ def stein_bilinear_tb_test(K: KernelModel, b0: BFunc, b1: BFunc, b2: BFunc,
 
     names = [("bilinear-tb-direct", K.name), ("bilinear-tb-transpose1", K1.name),
              ("bilinear-tb-transpose2", K2.name)]
-    return BilinearTbResult(*_sweep(one_row, [("equal", 0.0), ("offset", 1.0)], scales,
+    return BilinearTbResult(*_sweep(lambda g: partial(one_row, g),
+                                    [("equal", 0.0), ("offset", 1.0)], scales,
                                     grid, K.grid_mode, names,
                                     (b0.name, b1.name, b2.name), M, K.d / 2.0,
                                     slope_tol, uniformity_factor))
@@ -434,7 +447,8 @@ def weak_boundedness_test(K: KernelModel, b0: BFunc = B_ONE, b1: BFunc = B_ONE,
         return [(abs(val), n_flagged > 0)], _margin_flag(g, x2, R)
 
     names = (b0.name, b1.name, b2.name) if bil else (b0.name, b1.name)
-    return _sweep(one_row, [(f"offset{off:g}", off) for off in offsets], scales, grid,
+    return _sweep(lambda g: partial(one_row, g),
+                  [(f"offset{off:g}", off) for off in offsets], scales, grid,
                   K.grid_mode, [("wbp", K.name)], names, M, float(K.d), slope_tol,
                   uniformity_factor)[0]
 
@@ -512,15 +526,14 @@ def _localize(grid: GridSpec, Q: Cube):
     return g, r, qsel, i0, pts, _plateau(g, x0, r)
 
 
-def _split_fields(K: KernelModel, bs, phiQ: np.ndarray, phiR: np.ndarray,
-                  policy: PvPolicy, pts):
-    """T at pts of every near (b phi_Q phi_R) / far (b (1 - phi_Q) phi_R) choice per
-    argument b phi_R, first argument fastest ((near1, near2), (far1, near2),
-    (near1, far2), (far1, far2) when bilinear), and T at pts of the unsplit ones."""
-    apply = apply_linear_field if K.arity == "linear" else apply_bilinear_field
+def _split_fields(T: Plan, bs, phiQ: np.ndarray, phiR: np.ndarray):
+    """The plan T (at the points read) of every near (b phi_Q phi_R) / far
+    (b (1 - phi_Q) phi_R) choice per argument b phi_R, first argument fastest
+    ((near1, near2), (far1, near2), (near1, far2), (far1, far2) when bilinear),
+    and of the unsplit ones."""
     splits = [(_weighted(b, phiQ, phiR), _weighted(b, 1.0 - phiQ, phiR)) for b in bs]
-    pieces = [apply(K, *args[::-1], policy, pts) for args in product(*reversed(splits))]
-    return pieces, apply(K, *(_weighted(b, phiR) for b in bs), policy, pts)
+    pieces = [T(*args[::-1]) for args in product(*reversed(splits))]
+    return pieces, T(*(_weighted(b, phiR) for b in bs))
 
 
 def _center_dev(v: np.ndarray, qsel: np.ndarray, i0: int) -> float:
@@ -564,9 +577,10 @@ def uniform_bmo_sweep(K: KernelModel, b1: BFunc = B_ONE, R_list=(1.0, 2.0, 4.0, 
         raise ValueError("grid box must be at least 4x the largest scale")
     g = grid.row_grid("fixed", 1.0)
     fam = dyadic_family(g.box, 0, k_max)
+    T = plan(K, g, policy)
 
     def one(R):
-        fr = apply_linear_field(K, _weighted(b1.sampled(g), _plateau(g, 0.0, R)), policy)
+        fr = T(_weighted(b1.sampled(g), _plateau(g, 0.0, R)))
         rep = bmo_seminorm(fr.field, fam)
         return BmoSweepRow(R=R, bmo=rep.sup_mean, pv_flagged=fr.n_flagged > 0), rep
 
@@ -624,9 +638,10 @@ def far_field_constancy(K: KernelModel, b1: BFunc = B_ONE,
         raise ValueError("grid box must contain 8Q")
     g, r, qsel, i0, pts, phiQ = _localize(grid, Q)
     b1s = b1.sampled(g)
+    T = plan(K, g, policy, pts)
 
     def one_row(R):
-        (loc, far), full = _split_fields(K, (b1s,), phiQ, _plateau(g, 0.0, R), policy, pts)
+        (loc, far), full = _split_fields(T, (b1s,), phiQ, _plateau(g, 0.0, R))
         v_far = far.field.values
         split = float(np.max(np.abs(full.field.values[qsel] - loc.field.values[qsel]
                                     - v_far[qsel])))
@@ -734,9 +749,10 @@ def bilinear_decomposition_check(K: KernelModel, b1: BFunc = B_ONE, b2: BFunc = 
     if grid.box_side < 2.0 * max(R_list):
         raise ValueError("grid box must contain the largest bump support")
     s1, s2 = b1.sampled(g), b2.sampled(g)
+    T = plan(K, g, policy, pts)
 
     def one_row(R):
-        split, direct = _split_fields(K, (s1, s2), phiQ, _plateau(g, 0.0, R), policy, pts)
+        split, direct = _split_fields(T, (s1, s2), phiQ, _plateau(g, 0.0, R))
         pieces = [fr.field.values for fr in split]
         direct = direct.field.values
         total = pieces[0] + pieces[1] + pieces[2] + pieces[3]

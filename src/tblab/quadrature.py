@@ -15,27 +15,37 @@ convergence check flags it.
 
 Bilinear excision uses the distance |x-y| + |x-z| to the diagonal x=y=z.
 
-Points, subsets of grid indices and whole fields take one path, linear or
-bilinear by the number of functions: validate the kernel's arity, the shared
-grid and d=1 (before any index lookup); sum the whole structure or the dense
-kernel rows; set the eps vs eps/2 convergence flags. Whole fields of kernels
-with a lattice structure (KernelModel.lattice) are lattice sums by FFT
-convolution: O(n log n) for a linear field, O(n^2 log n) for a bilinear one.
-Whole linear fields of Cauchy kernels on a curve (KernelModel.curve) take the
-same full off-diagonal sum from a multipole treecode, O(n p log n) with p set
-so the far-field truncation is below 2^-53; both share the near-zone terms
-read from K.rule on the 2 c_eps off-diagonals. Other kernels, points and
-subsets of points sum their kernel rows directly, BLOCK rows at a time, O(n)
-(linear) or O(n^2) (bilinear) per point; these dense rows are also the test
-oracle. Memory stays O(BLOCK n) either way. Triple pairings of a kernel with
-a lattice profile read the whole lattice field, whatever the support of the
-outer factor.
+Every evaluation is an operator plan applied to the functions. plan(K, grid,
+policy, points) does the work that depends only on the kernel, the grid and
+the policy: the lattice profile tables, the treecode geometry, the band
+K.rule values with the a1, near and ring masses, and for explicit points
+each point's kernel row (linear) or n x n slice (bilinear) with its excision
+masks. Applying it, plan(f) or plan(f, g), does the work that depends on the
+functions and sets the eps vs eps/2 convergence flags. A plan is immutable
+and its arrays are read-only, so the row pool's threads share one; its
+caller owns it and nothing is cached, so it lives as long as the caller
+keeps it. A sweep on one grid builds its plans once and applies them to
+every row; apply_linear_field and friends build a plan and apply it once,
+per BLOCK rows (linear) or per point (bilinear) when points are given, so a
+one-shot call holds O(BLOCK n) or O(n^2) at a time. plan() states what each
+kind of plan holds and its size.
+
+Whole fields of kernels with a lattice structure (KernelModel.lattice) are
+lattice sums by FFT convolution: O(n log n) for a linear field, O(n^2 log n)
+for a bilinear one. Whole linear fields of Cauchy kernels on a curve
+(KernelModel.curve) take the same full off-diagonal sum from a multipole
+treecode, O(n p log n) with p set so the far-field truncation is below
+2^-53; both share the near-zone terms read from K.rule on the 2 c_eps
+off-diagonals. Other kernels, points and subsets of points sum their kernel
+rows directly, O(n) (linear) or O(n^2) (bilinear) per point; these dense rows
+are also the test oracle. Triple pairings of a kernel with a lattice profile
+read the whole lattice field, whatever the support of the outer factor.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -79,11 +89,12 @@ class FieldResult:
 
 def _grid_indices(points, n: int) -> np.ndarray:
     """A points= request as an index array; ValueError naming the first entry
-    that is not an integer grid index in [0, n), before any computation."""
+    that is not an integer grid index in [0, n) (a bool is not), before any
+    computation."""
     rows = []
     for p in points:
         try:
-            i = operator.index(p)
+            i = -1 if isinstance(p, (bool, np.bool_)) else operator.index(p)
         except TypeError:
             i = -1
         if not 0 <= i < n:
@@ -92,7 +103,132 @@ def _grid_indices(points, n: int) -> np.ndarray:
     return np.array(rows, dtype=int)
 
 
+def _check_grid(K: KernelModel, grid: Grid) -> None:
+    if grid.d != 1:
+        raise ValueError(f"{K.arity} PV quadrature is implemented for d=1 grids")
+
+
+def _check_functions(K: KernelModel, fs: tuple) -> Grid:
+    """The grid of fs, after checking that K takes len(fs) functions and that
+    they share one d = 1 grid."""
+    arity = ("linear", "bilinear")[len(fs) - 1] if len(fs) in (1, 2) else f"{len(fs)}-linear"
+    if K.arity != arity:
+        raise ValueError(f"kernel {K.name} is not {arity}")
+    grid = fs[0].grid
+    if any(f.grid != grid for f in fs[1:]):
+        raise ValueError("f and g must share a grid")
+    _check_grid(K, grid)
+    return grid
+
+
 BLOCK = 64          # rows per block of dense or FFT work: O(BLOCK * n) memory
+
+
+def _arrays(parts):
+    """The numpy arrays in a plan's parts: nested dicts and tuples of arrays and scalars."""
+    if isinstance(parts, np.ndarray):
+        yield parts
+    elif isinstance(parts, (dict, tuple)):
+        for p in parts.values() if isinstance(parts, dict) else parts:
+            yield from _arrays(p)
+
+
+@dataclass(frozen=True, eq=False)
+class Plan:
+    """The kernel-side work of T on one grid under one policy, done once.
+
+    plan(f) (linear) or plan(f, g) (bilinear) is the FieldResult that
+    apply_linear_field / apply_bilinear_field return for the same kernel,
+    policy and points, bit for bit. rows are the planned grid indices, or None
+    for the whole field; the field is zero and unflagged off the rows. The
+    arrays in parts are read-only, so threads may share a plan; its caller
+    owns it, and nothing is cached anywhere else.
+    """
+    kernel: KernelModel
+    grid: Grid
+    policy: PvPolicy
+    rows: np.ndarray | None
+    parts: dict = field(repr=False)
+    sums: object = field(repr=False)    # sums(plan, values of fs, values, delta) fills the rows
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the plan's arrays (an array shared by two terms counts once)."""
+        return sum(a.nbytes for a in {id(a): a for a in _arrays(self.parts)}.values())
+
+    def __call__(self, *fs: SampledFunction) -> FieldResult:
+        if _check_functions(self.kernel, fs) != self.grid:
+            raise ValueError("the functions are not on the plan's grid")
+        values = np.zeros(self.grid.n, dtype=complex)
+        delta = np.zeros(self.grid.n, dtype=complex)
+        self.sums(self, [f.values for f in fs], values, delta)
+        return _result(self.kernel, fs, self.policy, values, delta)
+
+
+def plan(K: KernelModel, grid: Grid, policy: PvPolicy = PvPolicy(), points=None) -> Plan:
+    """The plan of T on grid at every point, or at the grid indices points.
+
+    What it holds, by case (n grid points, 16 bytes per complex):
+    - explicit points, linear: each point's scrubbed kernel row and its near,
+      a1 and ring masses, 16 n + 48 bytes per point;
+    - explicit points, bilinear: each point's scrubbed n x n kernel slice, the
+      mask of the cells beyond the excision and the excised window's values,
+      at most 17 n^2 + 17 (2 c_eps + 1)^2 bytes per point;
+    - a whole linear field with a lattice structure: the spectrum of one
+      profile table per distinct profile and each term's factors on the grid;
+      with a curve structure, the treecode's geometry (near-field reciprocals
+      and per level the moments' shifts and ratios), O(n log n); in both cases
+      the band K.rule values as the near, a1 and ring masses;
+    - a whole bilinear field with a lattice profile: the near and ring weights
+      of every point; the profile's BLOCK-row tables stay apply-time work, as
+      (2n - 1)^2 of them would not fit in O(BLOCK n);
+    - a whole field of a kernel without a structure: nothing; each apply plans
+      and sums BLOCK rows (linear) or one slice (bilinear) at a time.
+    Checks d = 1 and the points before any kernel evaluation.
+    """
+    _check_grid(K, grid)
+    return _plan(K, grid, policy, None if points is None else _grid_indices(points, grid.n))
+
+
+def _plan(K: KernelModel, grid: Grid, policy: PvPolicy, rows) -> Plan:
+    linear = K.arity == "linear"
+    if rows is not None:
+        build, sums = (_linear_rows, _linear_rows_sums) if linear else \
+            (_bilinear_slices, _bilinear_slices_sums)
+    elif linear and (K.lattice is not None or K.curve is not None):
+        build, sums = _linear_structure, _linear_structure_sums
+    elif not linear and K.lattice is not None:
+        build, sums = _bilinear_lattice, _bilinear_lattice_sums
+    else:
+        build, sums = None, _dense_field_sums
+    parts = {} if build is None else build(K, grid, policy.c_eps, rows)
+    for a in _arrays((rows, parts)):
+        a.setflags(write=False)
+    return Plan(kernel=K, grid=grid, policy=policy, rows=rows, parts=parts, sums=sums)
+
+
+def _chunked(K: KernelModel, grid: Grid, policy: PvPolicy, rows: np.ndarray, vs,
+             values: np.ndarray, delta: np.ndarray) -> None:
+    """The rows' sums from one plan per BLOCK rows (linear) or per row (bilinear),
+    each applied once: O(BLOCK n) or O(n^2) memory at a time."""
+    step = BLOCK if K.arity == "linear" else 1
+    for s in range(0, len(rows), step):
+        p = _plan(K, grid, policy, rows[s:s + step])
+        p.sums(p, vs, values, delta)
+
+
+def _dense_field_sums(p: Plan, vs, values, delta) -> None:
+    _chunked(p.kernel, p.grid, p.policy, np.arange(p.grid.n), vs, values, delta)
+
+
+def _result(K: KernelModel, fs: tuple, policy: PvPolicy, values: np.ndarray,
+            delta: np.ndarray) -> FieldResult:
+    """The field of the values, flagged where the eps vs eps/2 change delta is large."""
+    conv = np.abs(delta) <= policy.tol_pv * (1.0 + np.abs(values)) \
+        if policy.convergence_check else np.ones(len(values), dtype=bool)
+    name = f"T[{K.name}]({','.join(f.name for f in fs)})"
+    return FieldResult(field=SampledFunction(grid=fs[0].grid, values=values, name=name),
+                       converged=conv, policy=policy)
 
 
 def _profile(p, *uv) -> np.ndarray:
@@ -106,14 +242,20 @@ def _profile(p, *uv) -> np.ndarray:
     return v
 
 
-def _convolve(P: np.ndarray, s: np.ndarray, n: int) -> np.ndarray:
-    """sum_j P[..., i - j + n - 1] s_j for i < n, per row of the offset lattice P.
+def _spectrum(P: np.ndarray, n: int) -> np.ndarray:
+    """rfft of each row of an offset-lattice table P, at a length >= 2n - 1 so
+    that the convolution does not wrap around into the outputs."""
+    return np.fft.rfft(P, 1 << (2 * n - 2).bit_length())
+
+
+def _convolve(FP: np.ndarray, s: np.ndarray, n: int) -> np.ndarray:
+    """sum_j P[..., i - j + n - 1] s_j for i < n, per row of the table whose spectrum is FP.
 
     Re s and Im s are transformed apart: real data gives an exactly real result.
     """
-    L = 1 << (2 * n - 2).bit_length()       # >= 2n - 1: no wrap-around into the outputs
+    L = 1 << (2 * n - 2).bit_length()
     S = np.fft.rfft(np.stack([s.real, s.imag]), L)
-    c = np.fft.irfft(np.fft.rfft(P, L)[..., None, :] * S, L)[..., n - 1:2 * n - 1]
+    c = np.fft.irfft(FP[..., None, :] * S, L)[..., n - 1:2 * n - 1]
     return c[..., 0, :] + 1j * c[..., 1, :]
 
 
@@ -126,37 +268,66 @@ def _linear_tail(f, rows, h, base, near_mass, a1, ring_mass):
     return base - f[rows] * near_mass + a1 * fp[rows] * h, f[rows] * ring_mass
 
 
-def _linear_dense_rows(K: KernelModel, f: np.ndarray, grid: Grid, c_eps: int,
-                       rows: np.ndarray):
-    """(values, delta) at the given rows, from their rows of the kernel matrix."""
+def _linear_rows(K: KernelModel, grid: Grid, c_eps: int, rows: np.ndarray) -> dict:
+    """Per block of BLOCK rows: the rows of the kernel matrix, zero on the
+    diagonal and where not finite, and their near, a1 and ring masses. The rule
+    is called once per block, as the rows of a block are summed together."""
     n, h = grid.n, grid.h
     x = grid.axis(0)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        M = np.asarray(K.rule(x[rows, None], x[None, :]), dtype=complex)
-    off = np.abs(rows[:, None] - np.arange(n)[None, :])
-    M[off == 0] = 0.0
-    M[~np.isfinite(M)] = 0.0
-    base = (M * f[None, :]).sum(axis=1) * h
-    near_mass = np.where(off <= c_eps, M, 0.0 + 0.0j).sum(axis=1) * h
-    a1 = np.zeros(len(rows), dtype=complex)
-    k = np.nonzero((rows >= 1) & (rows <= n - 2))[0]
-    a1[k] = 0.5 * h * (M[k, rows[k] + 1] - M[k, rows[k] - 1])
-    ring = (off > max(1, c_eps // 2)) & (off <= c_eps)
-    ring_mass = np.where(ring, M, 0.0 + 0.0j).sum(axis=1) * h
-    return _linear_tail(f, rows, h, base, near_mass, a1, ring_mass)
+    blocks = []
+    for s in range(0, len(rows), BLOCK):
+        r = rows[s:s + BLOCK]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            M = np.asarray(K.rule(x[r, None], x[None, :]), dtype=complex)
+        off = np.abs(r[:, None] - np.arange(n)[None, :])
+        M[off == 0] = 0.0
+        M[~np.isfinite(M)] = 0.0
+        near_mass = np.where(off <= c_eps, M, 0.0 + 0.0j).sum(axis=1) * h
+        a1 = np.zeros(len(r), dtype=complex)
+        k = np.nonzero((r >= 1) & (r <= n - 2))[0]
+        a1[k] = 0.5 * h * (M[k, r[k] + 1] - M[k, r[k] - 1])
+        ring = (off > max(1, c_eps // 2)) & (off <= c_eps)
+        ring_mass = np.where(ring, M, 0.0 + 0.0j).sum(axis=1) * h
+        blocks.append((M, near_mass, a1, ring_mass))
+    return {"blocks": tuple(blocks)}
 
 
-def _lattice_sum(lattice, f: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:
-    """sum_{j != i} K(x_i, x_j) f_j at every point: one FFT convolution per lattice term."""
+def _linear_rows_sums(p: Plan, vs, values, delta) -> None:
+    (f,) = vs
+    h = p.grid.h
+    for s, (M, near_mass, a1, ring_mass) in zip(range(0, len(p.rows), BLOCK),
+                                                p.parts["blocks"]):
+        r = p.rows[s:s + BLOCK]
+        base = (M * f[None, :]).sum(axis=1) * h
+        values[r], delta[r] = _linear_tail(f, r, h, base, near_mass, a1, ring_mass)
+
+
+def _factor(g, x):
+    """A left or right factor on the grid; None stands for a factor of one."""
+    return None if g is None else g(x)
+
+
+def _lattice_plan(lattice, x: np.ndarray, h: float) -> dict:
+    """One profile table per distinct profile, as its spectrum, and each term's
+    factors on the grid; the table is zero at offset 0 (the j = i cell)."""
     n = len(x)
-    out = np.zeros(n, dtype=complex)
-    tables = {}             # one profile table per distinct profile, for this call only
+    spectra, terms = {}, []
     for left, p, right in lattice:
-        if id(p) not in tables:
-            tables[id(p)] = _profile(p, np.arange(1 - n, n) * h)
-            tables[id(p)][n - 1] = 0.0
-        t = _convolve(tables[id(p)], f if right is None else right(x) * f, n)
-        out += t if left is None else left(x) * t
+        if id(p) not in spectra:
+            table = _profile(p, np.arange(1 - n, n) * h)
+            table[n - 1] = 0.0
+            spectra[id(p)] = _spectrum(table, n)
+        terms.append((_factor(left, x), spectra[id(p)], _factor(right, x)))
+    return {"terms": tuple(terms)}
+
+
+def _lattice_sum(parts: dict, f: np.ndarray) -> np.ndarray:
+    """sum_{j != i} K(x_i, x_j) f_j at every point: one FFT convolution per lattice term."""
+    n = len(f)
+    out = np.zeros(n, dtype=complex)
+    for left, FP, right in parts["terms"]:
+        t = _convolve(FP, f if right is None else right * f, n)
+        out += t if left is None else left * t
     return out
 
 
@@ -164,8 +335,8 @@ LEAF = 32           # treecode leaves hold LEAF to 2 LEAF - 1 points (one leaf w
 _EPS_LOG = 53 * np.log(2.0)     # multipole order p: rho^p <= 2^-53
 
 
-def _curve_sum(curve, f: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:
-    """sum_{j != i} left(x_i) right(x_j) f_j / (z_i - z_j) at every point by a treecode.
+def _curve_plan(curve, x: np.ndarray, h: float) -> dict:
+    """The treecode's geometry for sum_{j != i} left(x_i) right(x_j) f_j / (z_i - z_j).
 
     A binary tree on the grid index has 2^L leaves of equal size; n is padded
     with zero-weight points continued past the box end, so no z repeats. Each
@@ -175,6 +346,10 @@ def _curve_sum(curve, f: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:
     a_k = sum_j w_j ((z_j - c) / R)^k about centre c with radius R. The order p
     of a level comes from its measured worst ratio rho = R / |z_t - c|, so that
     rho^p <= 2^-53. O(n p log n) work, no translation of expansions.
+
+    Held: the near-field reciprocals of each leaf with itself and with the
+    next leaf, and per level the source boxes, V = 1 / (z_t - c), U = R V,
+    the scaled offsets (z - c) / R and p.
     """
     left, z, right = curve
     n = len(x)
@@ -182,24 +357,17 @@ def _curve_sum(curve, f: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:
     m = 1 << L
     N = m * -(-n // m)
     zz = np.asarray(z(np.concatenate([x, x[-1] + h * np.arange(1, N - n + 1)])), dtype=complex)
-    w = np.zeros(N, dtype=complex)
-    w[:n] = f if right is None else right(x) * f
-
     # near field: 1/(z_i - z_j) is antisymmetric, so each block pair is one reciprocal
-    Z, W = zz.reshape(m, -1, 1), w.reshape(m, -1, 1)
+    Z = zz.reshape(m, -1, 1)
     with np.errstate(divide="ignore", invalid="ignore"):
         G = 1.0 / (Z - Z.transpose(0, 2, 1))
     d = np.arange(Z.shape[1])
     G[:, d, d] = 0.0
-    out = G @ W
-    G = 1.0 / (Z[1:] - Z[:-1].transpose(0, 2, 1))      # leaf b + 1 against leaf b
-    out[1:] += G @ W[:-1]
-    out[:-1] -= G.transpose(0, 2, 1) @ W[1:]
-    out = out.ravel()
-
+    G1 = 1.0 / (Z[1:] - Z[:-1].transpose(0, 2, 1))      # leaf b + 1 against leaf b
+    levels = []
     for level in range(2, L + 1):
         mb = 1 << level
-        Z, W = zz.reshape(mb, -1), w.reshape(mb, -1)
+        Z = zz.reshape(mb, -1)
         c = Z.mean(axis=1)
         R = np.abs(Z - c[:, None]).max(axis=1)
         b = np.arange(mb)[:, None]
@@ -213,8 +381,25 @@ def _curve_sum(curve, f: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:
         if rho >= 1.0:
             raise ValueError(f"curve too steep for the treecode: far-field ratio {rho:.3f} >= 1")
         p = max(1, int(np.ceil(_EPS_LOG / -np.log(rho))))
-        D = (Z - c[:, None]) / R[:, None]
-        a = np.empty((mb, p), dtype=complex)
+        levels.append((src, V, U, (Z - c[:, None]) / R[:, None], p))
+    return {"near": (G, G1), "levels": tuple(levels),
+            "left": _factor(left, x), "right": _factor(right, x)}
+
+
+def _curve_sum(parts: dict, f: np.ndarray) -> np.ndarray:
+    """sum_{j != i} left(x_i) right(x_j) f_j / (z_i - z_j) at every point by the treecode."""
+    G, G1 = parts["near"]
+    m, n = len(G), len(f)
+    w = np.zeros(m * G.shape[1], dtype=complex)
+    w[:n] = f if parts["right"] is None else parts["right"] * f
+    W = w.reshape(m, -1, 1)
+    out = G @ W
+    out[1:] += G1 @ W[:-1]
+    out[:-1] -= G1.transpose(0, 2, 1) @ W[1:]
+    out = out.ravel()
+    for src, V, U, D, p in parts["levels"]:
+        W = w.reshape(len(V), -1)
+        a = np.empty((len(V), p), dtype=complex)
         P = W.copy()
         for k in range(p):
             a[:, k] = P.sum(axis=1)
@@ -227,19 +412,16 @@ def _curve_sum(curve, f: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:
             acc += A[:, :, k]
         out += (acc * V).sum(axis=1).ravel()
     out = out[:n]
-    return out if left is None else left(x) * out
+    return out if parts["left"] is None else parts["left"] * out
 
 
-def _linear_whole_field(K: KernelModel, f: np.ndarray, grid: Grid, c_eps: int):
-    """(values, delta) at every point of a kernel with a lattice or curve structure.
-
-    The full off-diagonal sum comes from the structure; the near-zone terms
-    read K.rule on the 2 c_eps off-diagonals only.
-    """
+def _linear_structure(K: KernelModel, grid: Grid, c_eps: int, rows) -> dict:
+    """The lattice tables or the treecode geometry of the full off-diagonal sum,
+    and the near, a1 and ring masses read from K.rule on the 2 c_eps off-diagonals."""
     n, h = grid.n, grid.h
     x = grid.axis(0)
-    base = _lattice_sum(K.lattice, f, x, h) if K.lattice is not None else \
-        _curve_sum(K.curve, f, x, h)
+    parts = _lattice_plan(K.lattice, x, h) if K.lattice is not None else \
+        _curve_plan(K.curve, x, h)
     ks = np.concatenate([np.arange(-c_eps, 0), np.arange(1, c_eps + 1)])
     j = np.arange(n)[:, None] + ks[None, :]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -247,75 +429,95 @@ def _linear_whole_field(K: KernelModel, f: np.ndarray, grid: Grid, c_eps: int):
     band[(j < 0) | (j >= n) | ~np.isfinite(band)] = 0.0
     a1 = np.zeros(n, dtype=complex)
     a1[1:-1] = 0.5 * h * (band[1:-1, c_eps] - band[1:-1, c_eps - 1])
-    ring_mass = band[:, np.abs(ks) > max(1, c_eps // 2)].sum(axis=1) * h
-    return _linear_tail(f, slice(None), h, base * h, band.sum(axis=1) * h, a1, ring_mass)
+    return dict(parts, near_mass=band.sum(axis=1) * h, a1=a1,
+                ring_mass=band[:, np.abs(ks) > max(1, c_eps // 2)].sum(axis=1) * h)
 
 
-def _bilinear_point(K: KernelModel, fv: np.ndarray, gv: np.ndarray,
-                    grid: Grid, i: int, c_eps: int):
-    """(value, delta) at grid point i from its n x n kernel slice.
+def _linear_structure_sums(p: Plan, vs, values, delta) -> None:
+    (f,) = vs
+    P = p.parts
+    base = _lattice_sum(P, f) if "terms" in P else _curve_sum(P, f)
+    values[:], delta[:] = _linear_tail(f, slice(None), p.grid.h, base * p.grid.h,
+                                       P["near_mass"], P["a1"], P["ring_mass"])
+
+
+def _bilinear_slices(K: KernelModel, grid: Grid, c_eps: int, rows: np.ndarray) -> dict:
+    """Per point i: its n x n kernel slice, zero where not finite, the mask of
+    the cells beyond the excision, S = |x_i - y| + |x_i - z| > eps, and on the
+    (2 c_eps + 1)^2 window around (i, i) the excised cells' kernel values and
+    the kernel sum over the ring.
 
     S <= eps needs |x_i - x_j| <= eps in both slots, so the excised set and
-    the ring lie in the (2 c_eps + 1)^2 window around (i, i); row-major order
-    in the window is their order in the slice, so every sum keeps its order.
+    the ring lie in that window; row-major order in the window is their order
+    in the slice, so every sum keeps its order.
     """
-    x = grid.axis(0)
-    h = grid.h
-    xi = x[i]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        Kv = np.asarray(K.rule(xi, x[:, None], x[None, :]), dtype=complex)
-    Kv[~np.isfinite(Kv)] = 0.0
-    au = np.abs(xi - x)
-    S = au[:, None] + au[None, :]
+    x, h = grid.axis(0), grid.h
     eps = c_eps * h
+    points = []
+    for i in rows:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            Kv = np.asarray(K.rule(x[i], x[:, None], x[None, :]), dtype=complex)
+        Kv[~np.isfinite(Kv)] = 0.0
+        au = np.abs(x[i] - x)
+        S = au[:, None] + au[None, :]
+        w = slice(max(0, i - c_eps), i + c_eps + 1)
+        Kw, Sw = Kv[w, w], S[w, w]
+        near = (Sw <= eps) & (Sw > 0)
+        ring = (Sw > max(1, c_eps // 2) * h) & (Sw <= eps)
+        points.append((Kv, S > eps, near, Kw[near], Kw[ring].sum()))
+    return {"points": tuple(points)}
+
+
+def _bilinear_slices_sums(p: Plan, vs, values, delta) -> None:
+    fv, gv = vs
+    h, c_eps = p.grid.h, p.policy.c_eps
     FG = np.outer(fv, gv)
-    val = (Kv * FG)[S > eps].sum() * h * h
-    w = slice(max(0, i - c_eps), i + c_eps + 1)
-    Kw, Sw = Kv[w, w], S[w, w]
-    near = (Sw <= eps) & (Sw > 0)
-    val += (Kw[near] * (FG[w, w][near] - fv[i] * gv[i])).sum() * h * h
-    ring = (Sw > max(1, c_eps // 2) * h) & (Sw <= eps)
-    dv = fv[i] * gv[i] * Kw[ring].sum() * h * h
-    return complex(val), complex(dv)
+    for i, (Kv, far, near, Knear, ring_sum) in zip(p.rows, p.parts["points"]):
+        val = (Kv * FG)[far].sum() * h * h
+        w = slice(max(0, i - c_eps), i + c_eps + 1)
+        val += (Knear * (FG[w, w][near] - fv[i] * gv[i])).sum() * h * h
+        values[i], delta[i] = val, fv[i] * gv[i] * ring_sum * h * h
 
 
-def _bilinear_lattice_field(K: KernelModel, fv: np.ndarray, gv: np.ndarray,
-                            grid: Grid, c_eps: int):
-    """(values, delta) at every point from the profile P(x - y, x - z).
+def _bilinear_lattice(K: KernelModel, grid: Grid, c_eps: int, rows) -> dict:
+    """The weights sum P over the excised offsets and over the ring, per point.
 
-    The whole lattice sum is taken BLOCK kernel-lattice rows p = i - j at a
-    time: each row convolves P(p h, .) with g by FFT and is weighted by f
-    shifted by p. The excised set and the ring are then classified by the
-    same float test as _bilinear_point over the O(c_eps^2) candidate offsets.
+    The excised set and the ring are classified by the same float test as a
+    dense point over the O(c_eps^2) candidate offsets.
     """
     n, h = grid.n, grid.h
     x = grid.axis(0)
     i = np.arange(n)
-    q = np.arange(1 - n, n) * h
-    full = np.zeros(n, dtype=complex)
-    for s in range(1 - n, n, BLOCK):
-        p = np.arange(s, min(s + BLOCK, n))
-        P = _profile(K.lattice, p[:, None] * h, q[None, :])
-        P[p == 0, n - 1] = 0.0
-        j = i[None, :] - p[:, None]
-        fs = np.where((j >= 0) & (j < n), fv[np.clip(j, 0, n - 1)], 0.0)
-        full += (fs * _convolve(P, gv, n)).sum(axis=0)
     off = np.arange(-c_eps, c_eps + 1)
     a, b = (o.ravel()[:, None] for o in np.meshgrid(off, off))
     ja, jb = i - a, i - b
     S = np.abs(x - x[np.clip(ja, 0, n - 1)]) + np.abs(x - x[np.clip(jb, 0, n - 1)])
     S[(ja < 0) | (ja >= n) | (jb < 0) | (jb >= n)] = np.inf
     Pc = _profile(K.lattice, a * h, b * h)
+    return {"near": np.where((S > 0) & (S <= c_eps * h), Pc, 0.0).sum(axis=0),
+            "ring": np.where((S > max(1, c_eps // 2) * h) & (S <= c_eps * h), Pc,
+                             0.0).sum(axis=0)}
+
+
+def _bilinear_lattice_sums(p: Plan, vs, values, delta) -> None:
+    """The whole lattice sum from the profile P(x - y, x - z), BLOCK kernel-lattice
+    rows p = i - j at a time: each row convolves P(p h, .) with g by FFT and is
+    weighted by f shifted by p."""
+    fv, gv = vs
+    n, h = p.grid.n, p.grid.h
+    i = np.arange(n)
+    q = np.arange(1 - n, n) * h
+    full = np.zeros(n, dtype=complex)
+    for s in range(1 - n, n, BLOCK):
+        o = np.arange(s, min(s + BLOCK, n))
+        P = _profile(p.kernel.lattice, o[:, None] * h, q[None, :])
+        P[o == 0, n - 1] = 0.0
+        j = i[None, :] - o[:, None]
+        fs = np.where((j >= 0) & (j < n), fv[np.clip(j, 0, n - 1)], 0.0)
+        full += (fs * _convolve(_spectrum(P, n), gv, n)).sum(axis=0)
     fg = fv * gv
-    values = (full - fg * np.where((S > 0) & (S <= c_eps * h), Pc, 0.0).sum(axis=0)) * h * h
-    ring = np.where((S > max(1, c_eps // 2) * h) & (S <= c_eps * h), Pc, 0.0).sum(axis=0)
-    return values, fg * ring * h * h
-
-
-def _bilinear_dense_rows(K: KernelModel, fv: np.ndarray, gv: np.ndarray, grid: Grid,
-                         c_eps: int, rows: np.ndarray):
-    """(values, delta) at the given rows, one n x n kernel slice per row."""
-    return np.array([_bilinear_point(K, fv, gv, grid, int(i), c_eps) for i in rows]).T
+    values[:] = (full - fg * p.parts["near"]) * h * h
+    delta[:] = fg * p.parts["ring"] * h * h
 
 
 def _pv(K: KernelModel, fs: tuple, policy: PvPolicy, points=None, x=None):
@@ -323,41 +525,23 @@ def _pv(K: KernelModel, fs: tuple, policy: PvPolicy, points=None, x=None):
     at the grid indices points (zero and unflagged elsewhere), or a PvValue at
     the grid point x. Checks arity, grid and d before any index lookup.
 
-    A whole field of a kernel with a lattice or curve structure is summed from
-    that structure; other kernels and subsets read their kernel rows in blocks.
+    A whole field is one plan applied once; points are planned and applied
+    BLOCK rows (linear) or one slice (bilinear) at a time.
     """
-    arity = ("linear", "bilinear")[len(fs) - 1]
-    if K.arity != arity:
-        raise ValueError(f"kernel {K.name} is not {arity}")
-    grid = fs[0].grid
-    if any(f.grid != grid for f in fs[1:]):
-        raise ValueError("f and g must share a grid")
-    if grid.d != 1:
-        raise ValueError(f"{arity} PV quadrature is implemented for d=1 grids")
-    if x is not None:
-        points = [grid.index_of(x)[0]]
-    vs = [f.values for f in fs]
-    if points is None and (K.lattice is not None or K.curve is not None):
-        whole = _linear_whole_field if arity == "linear" else _bilinear_lattice_field
-        values, delta = whole(K, *vs, grid, policy.c_eps)
-    else:
-        dense = _linear_dense_rows if arity == "linear" else _bilinear_dense_rows
-        rows = np.arange(grid.n) if points is None else _grid_indices(points, grid.n)
-        values = np.zeros(grid.n, dtype=complex)
-        delta = np.zeros(grid.n, dtype=complex)
-        for s in range(0, len(rows), BLOCK):
-            r = rows[s:s + BLOCK]
-            values[r], delta[r] = dense(K, *vs, grid, policy.c_eps, r)
-    conv = np.abs(delta) <= policy.tol_pv * (1.0 + np.abs(values)) \
-        if policy.convergence_check else np.ones(grid.n, dtype=bool)
+    grid = _check_functions(K, fs)
+    if points is None and x is None:
+        return plan(K, grid, policy)(*fs)
+    rows = _grid_indices(points if x is None else [grid.index_of(x)[0]], grid.n)
+    values = np.zeros(grid.n, dtype=complex)
+    delta = np.zeros(grid.n, dtype=complex)
+    _chunked(K, grid, policy, rows, [f.values for f in fs], values, delta)
+    fr = _result(K, fs, policy, values, delta)
     if x is None:
-        name = f"T[{K.name}]({','.join(f.name for f in fs)})"
-        return FieldResult(field=SampledFunction(grid=grid, values=values, name=name),
-                           converged=conv, policy=policy)
-    i = points[0]
+        return fr
+    i = rows[0]
     v = complex(values[i])
     return PvValue(value=v, refined=v + complex(delta[i]) if policy.convergence_check else None,
-                   converged=bool(conv[i]))
+                   converged=bool(fr.converged[i]))
 
 
 def apply_linear(K: KernelModel, f: SampledFunction, x, policy: PvPolicy = PvPolicy()) -> PvValue:

@@ -107,6 +107,7 @@ def test_fitted_sweeps_reject_short_scales(tmp_path, capsys, monkeypatch, sub):
         raise AssertionError("a field was computed before the config was rejected")
 
     monkeypatch.setattr("tblab.harness.apply_linear_field", no_field)
+    monkeypatch.setattr("tblab.harness.plan", no_field)
     p = write_cfg(tmp_path, "s.cfg", "kernel.name = positive-control\ngrid.n = 256\n"
                                      "scales = 0.5,1,2,4\n")
     out = tmp_path / "out"
@@ -134,6 +135,7 @@ def test_bad_scales_exit_2_before_any_file(tmp_path, capsys, monkeypatch, sub, k
         raise AssertionError("a field was computed before the scales were rejected")
 
     monkeypatch.setattr("tblab.harness.apply_linear_field", no_field)
+    monkeypatch.setattr("tblab.harness.plan", no_field)
     monkeypatch.setattr("tblab.harness.apply_bilinear_field", no_field)
     p = write_cfg(tmp_path, "s.cfg", f"kernel.name = {kernel}\ngrid.n = 64\n"
                                      f"scales = {scales}\n")
@@ -155,6 +157,7 @@ def test_nonfinite_list_key_exit_2_before_any_file(tmp_path, capsys, monkeypatch
         raise AssertionError("a field was computed before the config was rejected")
 
     monkeypatch.setattr("tblab.harness.apply_linear_field", no_field)
+    monkeypatch.setattr("tblab.harness.plan", no_field)
     p = write_cfg(tmp_path, "s.cfg", f"kernel.name = hilbert\ngrid.n = 64\n{key} = {value}\n")
     out = tmp_path / "out"
     assert run(sub, p, out) == 2
@@ -341,6 +344,12 @@ def _run_cli(args, env):
     ("wbp", "kernel.name = hilbert\ngrid.n = 128\nscales = 0.25,0.5,1,2,4\n",
      ["wbp.csv"]),
     ("check-kernel", "kernel.name = cauchy-lipschitz\n", ["kernel_checks.csv"]),
+    # fixed grid: the plans of T and T* are shared by every row of the pool
+    ("stein", "kernel.name = commutator\ngrid.n = 256\ngrid.box_side = 24\n",
+     ["stein-t1.csv"]),
+    # one point plan shared by the split fields of every R
+    ("far-field", "kernel.name = hilbert\ngrid.n = 1024\ngrid.box_side = 64\n",
+     ["far_field.csv"]),
     ("para-accretive", "b1 = sign-sin\ngrid.n = 512\ngrid.box_side = 8\n",
      ["para_certificate.csv"]),
 ])

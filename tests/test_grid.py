@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -183,6 +185,40 @@ def test_csv_rejects_nonuniform_y_axis(tmp_path):
     path.write_text("x,y,re,im\n" + body)
     with pytest.raises(ValueError, match="not uniform"):
         load_sampled_csv(path)
+
+
+def _csv_2d(path, rows):
+    path.write_text("x,y,re,im\n" + "".join(f"{x},{y},{re},0\n" for x, y, re in rows))
+    return path
+
+
+def _x_major(n=8):
+    return [(i + 0.5, j + 0.5, 10 * i + j) for i in range(n) for j in range(n)]
+
+
+def test_csv_rejects_rows_out_of_x_major_order(tmp_path):
+    # each used to load: a y-major file transposed, a row replaced by a copy
+    # of another silently; a missing row failed in the reshape, naming no row
+    y_major = sorted(_x_major(), key=lambda row: row[1])     # the same points, y slow
+    with pytest.raises(ValueError, match=re.escape(
+            "row 2 is at (1.5, 0.5), not at the grid point (0.5, 1.5)")):
+        load_sampled_csv(_csv_2d(tmp_path / "t.csv", y_major))
+    rows = _x_major()
+    rows[5] = rows[6]
+    with pytest.raises(ValueError, match=re.escape("row 6 is at (0.5, 6.5)")):
+        load_sampled_csv(_csv_2d(tmp_path / "d.csv", rows))
+    rows = _x_major()
+    del rows[9]
+    with pytest.raises(ValueError, match=re.escape("row 10 is at (1.5, 2.5)")):
+        load_sampled_csv(_csv_2d(tmp_path / "m.csv", rows))
+    with pytest.raises(ValueError, match=re.escape("row 64: the 8^2 grid has 64 points, "
+                                                   "the file 63 rows")):
+        load_sampled_csv(_csv_2d(tmp_path / "l.csv", _x_major()[:-1]))
+    with pytest.raises(ValueError, match=re.escape("row 65: the 8^2 grid has 64 points, "
+                                                   "the file 65 rows")):
+        load_sampled_csv(_csv_2d(tmp_path / "e.csv", _x_major() + _x_major()[-1:]))
+    g = load_sampled_csv(_csv_2d(tmp_path / "ok.csv", _x_major()))
+    np.testing.assert_array_equal(g.values.real, 10 * np.arange(8)[:, None] + np.arange(8))
 
 
 def test_values_immutable(unit_grid):

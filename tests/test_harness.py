@@ -431,6 +431,7 @@ def test_scale_lists_rejected_before_any_field(monkeypatch, scales):
         raise AssertionError("a field was computed before the scales were rejected")
 
     monkeypatch.setattr("tblab.harness.apply_linear_field", no_field)
+    monkeypatch.setattr("tblab.harness.plan", no_field)
     monkeypatch.setattr("tblab.harness.apply_bilinear_field", no_field)
     K, Kb = gallery("hilbert"), gallery("bilinear-homog")
     runs = [lambda: stein_t1_test(K, scales=scales, grid=SMALL),

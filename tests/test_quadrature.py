@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 
 from tblab.bumps import standard_bump, translate_dilate
 from tblab.grid import Cube, SampledFunction, cube1, lp_norm, make_grid, sample
-from tblab.kernels import KernelModel, gallery, transpose_kernel
-from tblab.quadrature import (PvPolicy, _bilinear_point, _triple_pairing, apply_bilinear,
-                              apply_bilinear_field, apply_linear, apply_linear_field,
-                              pairing, triple_pairing)
+from tblab.harness import (DECOMP_CUBE, GridSpec, _localize, bilinear_decomposition_check,
+                           stein_t1_test)
+from tblab.kernels import GALLERY_NAMES, KernelModel, gallery, transpose_kernel
+from tblab.quadrature import (PvPolicy, _arrays, _triple_pairing, apply_bilinear,
+                              apply_bilinear_field, apply_linear, apply_linear_field, pairing,
+                              plan, triple_pairing)
 
 H = gallery("hilbert")
 
@@ -361,9 +363,10 @@ def test_whole_cauchy_field_reads_no_dense_rows(c_eps):
 
 
 @pytest.mark.parametrize("field", ["linear", "bilinear"])
-@pytest.mark.parametrize("bad", [-1, 64, 2.5])
+@pytest.mark.parametrize("bad", [-1, 64, 2.5, True, np.False_])
 def test_points_must_be_grid_indices(field, bad):
-    # -1 used to read a wrapped row as converged; 2.5 was truncated to 2
+    # -1 used to read a wrapped row as converged; 2.5 was truncated to 2;
+    # True and False were read as the indices 1 and 0
     g = make_grid(1, cube1(0.0, 8.0), 64)
     f = sample(lambda x: np.exp(-x * x) + 0j, g)
     with pytest.raises(ValueError, match=re.escape(f"got {bad}")):
@@ -422,9 +425,9 @@ def test_bilinear_point_is_bit_identical_to_masked_oracle(n, box, c_eps):
     f, h = _smooth(g, 10), _smooth(g, 11)
     pts = [0, 1, c_eps, n // 2, n - 2, n - 1]
     for i in pts:
-        got = _bilinear_point(K, f.values, h.values, g, i, c_eps)
+        got = plan(K, g, PvPolicy(c_eps=c_eps), [i])(f, h).field.values[i]
         want = _bilinear_point_masked(K, f.values, h.values, g, i, c_eps)
-        assert got == want
+        assert got == want[0]
         pv = apply_bilinear(K, f, h, g.axis(0)[i], PvPolicy(c_eps=c_eps))
         assert (pv.value, pv.refined) == (want[0], want[0] + want[1])
     fr = apply_bilinear_field(K, f, h, PvPolicy(c_eps=c_eps), points=pts)
@@ -551,6 +554,139 @@ def test_field_memory_is_blocked(case):
     finally:
         tracemalloc.stop()
     assert peak < 32e6
+
+
+# --- operator plans --------------------------------------------------------------
+
+def _family(name):
+    """The kernel, its transposes and the dense versions of all of them."""
+    K = gallery(name)
+    ks = [K, transpose_kernel(K)] if K.arity == "linear" else \
+        [K, transpose_kernel(K, 1), transpose_kernel(K, 2)]
+    return ks + [_dense(k) for k in ks]
+
+
+@pytest.mark.parametrize("name", GALLERY_NAMES)
+def test_plan_is_bit_identical_to_apply(name):
+    # one plan applied to several inputs against a fresh apply_* per input;
+    # 130 linear points span three blocks of a point plan
+    linear = gallery(name).arity == "linear"
+    n = 255 if linear else 63
+    g = make_grid(1, cube1(0.0, 16.0), n)
+    ins = [_smooth(g, s) for s in (20, 21, 22)]
+    pairs = [(f,) for f in ins] if linear else list(zip(ins, ins[1:] + ins[:1]))
+    apply = apply_linear_field if linear else apply_bilinear_field
+    for K in _family(name):
+        for c_eps in (1, 2, 4):
+            policy = PvPolicy(c_eps=c_eps)
+            for pts in (None, [n - 1, 0, 1, 33, 33] + (list(range(2, 252, 2)) if linear else [])):
+                T = plan(K, g, policy, pts)
+                for fs in pairs:
+                    got, want = T(*fs), apply(K, *fs, policy, points=pts)
+                    assert np.array_equal(got.field.values, want.field.values)
+                    assert np.array_equal(got.converged, want.converged)
+                    assert got.field.name == want.field.name
+
+
+def test_commutator_sweep_evaluates_two_profile_tables():
+    # fixed grid mode: one table for T and one for T* per sweep, not two per scale
+    K = gallery("commutator")
+    keven = K.lattice[0][1]
+    calls = []
+
+    def counting(u):
+        calls.append(np.size(u))
+        return keven(u)
+
+    Kc = dataclasses.replace(K, lattice=tuple((left, counting, right)
+                                              for left, _, right in K.lattice))
+    grid = GridSpec(n=256, box_side=24.0)
+    rep = stein_t1_test(Kc, grid=grid, center_fracs=(0.0,))
+    assert K.grid_mode == "fixed" and len(rep.rows) == 7
+    assert calls == [2 * 256 - 1] * 2
+    assert rep.rows == stein_t1_test(K, grid=grid, center_fracs=(0.0,)).rows
+
+
+def test_decomposition_builds_one_slice_per_point():
+    # one point plan at the cells read, shared by the five fields of every R
+    K = gallery("bilinear-homog")
+    calls = []
+
+    def counting(x, y, z):
+        out = K.rule(x, y, z)
+        calls.append(np.size(out))
+        return out
+
+    grid = GridSpec(n=384, box_side=64.0)
+    rep = bilinear_decomposition_check(dataclasses.replace(K, rule=counting), grid=grid)
+    pts = _localize(grid, DECOMP_CUBE)[4]
+    assert len(rep.rows) == 3 and len(pts) == 3
+    assert calls == [384 * 384] * len(pts)
+    assert rep.rows == bilinear_decomposition_check(K, grid=grid).rows
+
+
+@pytest.mark.parametrize("name,pts", [("hilbert", None), ("cauchy-lipschitz", None),
+                                      ("commutator", [3, 100]), ("bilinear-homog", None),
+                                      ("bilinear-homog", [3, 100])])
+def test_plan_is_read_only_and_checks_its_inputs(name, pts):
+    K = gallery(name)
+    g = make_grid(1, cube1(0.0, 16.0), 127)
+    T = plan(K, g, PvPolicy(), pts)
+    arrays = list(_arrays(T.parts))
+    assert arrays and 0 < T.nbytes <= sum(a.nbytes for a in arrays)
+    assert not any(a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError, match="read-only"):
+        arrays[0][...] = 0.0
+
+    def no_sums(*args):
+        raise AssertionError("summed before the inputs were checked")
+
+    T = dataclasses.replace(T, sums=no_sums)
+    f = _smooth(g, 1)
+    other = _smooth(make_grid(1, cube1(0.0, 16.0), 128), 1)
+    with pytest.raises(ValueError, match="not on the plan's grid"):
+        T(other) if K.arity == "linear" else T(other, other)
+    if K.arity == "bilinear":
+        with pytest.raises(ValueError, match="must share a grid"):
+            T(f, other)
+    with pytest.raises(ValueError, match=f"is not {'bilinear' if K.arity == 'linear' else 'linear'}"):
+        T(f, f) if K.arity == "linear" else T(f)
+    with pytest.raises(ValueError, match="is not 3-linear"):
+        T(f, f, f)
+
+
+def test_plan_rejects_bad_grids_and_points_before_any_kernel_evaluation():
+    K = gallery("hilbert")
+
+    def no_rule(*args):
+        raise AssertionError("the kernel was evaluated")
+
+    K = dataclasses.replace(K, rule=no_rule)
+    with pytest.raises(ValueError, match="linear PV quadrature is implemented for d=1"):
+        plan(K, make_grid(2, Cube((0.0, 0.0), 8.0), 16))
+    with pytest.raises(ValueError, match="got True"):
+        plan(K, make_grid(1, cube1(0.0, 8.0), 64), points=[3, True])
+
+
+@pytest.mark.parametrize("name,bytes_per_point", [
+    ("hilbert", lambda n, c: 16 * n + 48),
+    ("bilinear-homog", lambda n, c: 17 * n * n + 17 * (2 * c + 1) ** 2)])
+def test_point_plan_size_is_as_stated(name, bytes_per_point):
+    # the sizes plan() states: 16 n + 48 bytes per linear point, at most
+    # 17 n^2 + 17 (2 c_eps + 1)^2 per bilinear point; the heap left after
+    # building holds little more (the rows and the containers)
+    K = gallery(name)
+    n, pts = 384, [0, 5, 190, 191, 383]
+    g = make_grid(1, cube1(0.0, 64.0), n)
+    stated = len(pts) * bytes_per_point(n, 2)
+    tracemalloc.start()
+    try:
+        T = plan(K, g, PvPolicy(), pts)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert stated * 0.9 <= T.nbytes <= stated
+    assert T.nbytes <= held <= T.nbytes + 8 * len(pts) + 20_000
 
 
 # --- properties ------------------------------------------------------------------
