@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Cube, DyadicFamily, SampledFunction
+from .grid import Cube, DyadicFamily, Grid, SampledFunction, cell_blocks
 from .util import csv_table
 
 MIN_CELLS = 4
@@ -20,29 +20,62 @@ SHIFTS = (1.0 / 3.0, 0.5, 2.0 / 3.0)
 WEISZFELD_ITERS = 320
 
 
-def _cells_in_cube(f: SampledFunction, Q: Cube) -> np.ndarray:
-    """Flat values of the cells centred in the half-open cube (>= MIN_CELLS)."""
-    g = f.grid
-    sel = []
+def _cell_spans(g: Grid, centers: np.ndarray, side: float):
+    """First index and count per axis, (m, d) each, of the cells centred in each
+    half-open cube of the given centres and side (searchsorted on the cell centres)."""
+    tol = 1e-12 * g.box.side
+    starts = np.empty(centers.shape, dtype=np.intp)
+    ends = np.empty(centers.shape, dtype=np.intp)
     for ax in range(g.d):
-        lo = Q.center[ax] - Q.side / 2.0
-        hi = Q.center[ax] + Q.side / 2.0
-        i0, i1 = np.searchsorted(g.axis(ax), (lo - 1e-12 * g.box.side,
-                                              hi - 1e-12 * g.box.side))
-        sel.append(slice(i0, max(i0, i1)))
-    vals = f.values[tuple(sel)].ravel()
-    if vals.size < MIN_CELLS:
+        starts[:, ax] = np.searchsorted(g.axis(ax), centers[:, ax] - side / 2.0 - tol)
+        ends[:, ax] = np.searchsorted(g.axis(ax), centers[:, ax] + side / 2.0 - tol)
+    return starts, np.maximum(ends - starts, 0)
+
+
+def _oscillations(f: SampledFunction, centers: np.ndarray, side: float):
+    """Per cube of the given centres and side: (cells, mean oscillation, best-constant
+    oscillation, best constant); the last three are NaN under MIN_CELLS cells.
+
+    The cubes with the same cell-block shape are reduced together along axis 1
+    of one (cubes, cells) gather. Only cubes with complex samples refine the
+    median start one at a time, by _geometric_median.
+    """
+    starts, lengths = _cell_spans(f.grid, centers, side)
+    cells = np.prod(lengths, axis=1)
+    mo, bo = np.full(len(centers), np.nan), np.full(len(centers), np.nan)
+    best = np.full(len(centers), np.nan, dtype=complex)
+    for rows, V in cell_blocks(f.values, starts, lengths):
+        V = V.reshape(len(rows), -1)
+        if V.shape[1] < MIN_CELLS:
+            continue
+        avg = V.mean(axis=1)
+        mo[rows] = np.abs(V - avg[:, None]).mean(axis=1)
+        c = np.empty(len(rows), dtype=complex)
+        c.real, c.imag = np.median(V.real, axis=1), np.median(V.imag, axis=1)
+        bo[rows] = np.abs(V - c[:, None]).mean(axis=1)
+        for i in np.nonzero(np.any(V.imag, axis=1))[0]:
+            # the median start and the cube average stay candidates
+            start, vals = complex(c[i]), V[i]
+            c[i] = min((start, _geometric_median(vals, start), complex(avg[i])),
+                       key=lambda x: _abs_dev(vals, x))
+            bo[rows[i]] = _abs_dev(vals, c[i])
+        best[rows] = c
+    return cells, mo, bo, best
+
+
+def _one_cube(f: SampledFunction, Q: Cube):
+    cells, mo, bo, best = _oscillations(f, np.asarray([Q.center]), Q.side)
+    if cells[0] < MIN_CELLS:
         raise ValueError(
-            f"cube (center {Q.center}, side {Q.side}) holds {vals.size} grid cells; "
+            f"cube (center {Q.center}, side {Q.side}) holds {cells[0]} grid cells; "
             f"need >= {MIN_CELLS}")
-    return vals
+    return float(mo[0]), float(bo[0]), complex(best[0])
 
 
 def mean_oscillation(f: SampledFunction, Q: Cube) -> float:
-    """(1/|Q|) int_Q |f - avg_Q f|, midpoint rule over cell centers."""
-    vals = _cells_in_cube(f, Q)
-    avg = np.mean(vals)
-    return float(np.mean(np.abs(vals - avg)))
+    """(1/|Q|) int_Q |f - avg_Q f|, midpoint rule over the >= MIN_CELLS cell
+    centres in the half-open cube."""
+    return _one_cube(f, Q)[0]
 
 
 def _abs_dev(vals: np.ndarray, c: complex) -> float:
@@ -89,12 +122,7 @@ def best_constant_oscillation(f: SampledFunction, Q: Cube, return_witness: bool 
     start and the cube average are kept as candidates, so the value never
     exceeds the mean oscillation.
     """
-    vals = _cells_in_cube(f, Q)
-    best = complex(np.median(vals.real), np.median(vals.imag))
-    if np.any(vals.imag):
-        best = min((best, _geometric_median(vals, best), complex(np.mean(vals))),
-                   key=lambda c: _abs_dev(vals, c))
-    v = _abs_dev(vals, best)
+    _, v, best = _one_cube(f, Q)
     if return_witness:
         return v, best
     return v
@@ -132,46 +160,42 @@ class OscillationReport:
                           for e in self.entries))
 
 
-def _shifted_cubes(family: DyadicFamily):
-    """Dyadic cubes plus per-axis shifted copies that stay in the root box."""
+def _generation_centers(family: DyadicFamily, k: int) -> np.ndarray:
+    """Centres, (m, d), of generation k's dyadic cubes, then of each per-axis
+    shifted copy of them that stays in the root box."""
     lo, hi, d = family.root.lo(), family.root.hi(), family.root.d
     if d == 1:
         shift_vecs = [(s,) for s in SHIFTS]
     else:
         shift_vecs = [(s, 0.0) for s in SHIFTS] + [(0.0, s) for s in SHIFTS] + \
                      [(s, t) for s in SHIFTS for t in SHIFTS]
-    out = []
-    for k in range(family.k_min, family.k_max + 1):
-        side = family.side(k)
-        base = family.generations[k]
-        out.extend(base)
-        for vec in shift_vecs:
-            for Q in base:
-                c = tuple(Q.center[i] + vec[i] * side for i in range(d))
-                if all(c[i] - side / 2.0 >= lo[i] - 1e-12 and
-                       c[i] + side / 2.0 <= hi[i] + 1e-12 for i in range(d)):
-                    out.append(Cube(c, side))
-    return out
+    side = family.side(k)
+    base = np.asarray([Q.center for Q in family.generations[k]])
+    out = [base]
+    for vec in shift_vecs:
+        c = base + np.asarray(vec) * side
+        out.append(c[np.all((c - side / 2.0 >= lo - 1e-12) &
+                            (c + side / 2.0 <= hi + 1e-12), axis=1)])
+    return np.concatenate(out)
 
 
 def bmo_seminorm(f: SampledFunction, family: DyadicFamily) -> OscillationReport:
     """sup of the oscillation functionals over dyadic + shifted dyadic cubes.
 
+    Each generation, shifted copies included, is one _oscillations pass.
     Cubes too small for the grid (< 4 cells) are skipped and counted.
     """
-    cubes = _shifted_cubes(family)
-    if not cubes:
-        raise ValueError("empty cube family")
     entries = []
     skipped = 0
-    for Q in cubes:
-        try:
-            mo = mean_oscillation(f, Q)
-            bo = best_constant_oscillation(f, Q)
-        except ValueError:
-            skipped += 1
-            continue
-        entries.append(CubeOscillation(cube=Q, mean_osc=mo, best_const_osc=bo))
+    for k in range(family.k_min, family.k_max + 1):
+        side = family.side(k)
+        centers = _generation_centers(family, k)
+        cells, mo, bo, _ = _oscillations(f, centers, side)
+        kept = cells >= MIN_CELLS
+        skipped += int(np.count_nonzero(~kept))
+        entries.extend(CubeOscillation(cube=Cube(c, side), mean_osc=a, best_const_osc=b)
+                       for c, a, b in zip(centers[kept].tolist(), mo[kept].tolist(),
+                                          bo[kept].tolist()))
     if not entries:
         raise ValueError("no cube in the family holds enough grid cells")
     e_mean = max(entries, key=lambda e: e.mean_osc)

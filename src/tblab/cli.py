@@ -112,6 +112,13 @@ class ExperimentConfig:
         mode = self.get("grid.mode", "")
         if mode and mode not in ("scaled", "fixed"):
             raise ConfigError(f"grid.mode must be scaled|fixed, got {mode!r}")
+        # the para-accretive scans' ranges, checked before any scan starts
+        for key, low, strict in (("para.J", 0, False), ("para.N", 10, False),
+                                 ("para.eps", 0, True)):
+            v = self.get(key)
+            if v is not None and (v <= low if strict else v < low):
+                raise ConfigError(f"{key} must be {'>' if strict else '>='} {low}, "
+                                  f"got {self.raw[key]!r}")
 
     def get(self, key, default=None):
         """The parsed value of `key`, or `default` when the config does not set it."""

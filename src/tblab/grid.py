@@ -150,6 +150,21 @@ class SampledFunction:
         return bool(np.all(self.values.imag == 0.0))
 
 
+def cell_blocks(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
+    """Yield (rows, blocks) once per distinct block shape among the (m, d) start
+    indices and lengths: the rows of that shape and values[start:start+length]
+    per axis for each of them, gathered at once into a (rows, *shape) array."""
+    d = values.ndim
+    _, first, inverse = np.unique(lengths @ (np.max(lengths) + 1) ** np.arange(d),
+                                  return_index=True, return_inverse=True)
+    for s, shape in enumerate(lengths[first].tolist()):
+        rows = np.nonzero(inverse == s)[0]
+        idx = tuple(starts[rows, ax].reshape((-1,) + (1,) * d) +
+                    np.arange(L).reshape((1,) + tuple(L if a == ax else 1 for a in range(d)))
+                    for ax, L in enumerate(shape))
+        yield rows, values[idx]
+
+
 def sample(rule, grid: Grid, name: str = "", on_nonfinite: str = "error") -> SampledFunction:
     """Evaluate a closed-form rule at all grid points.
 

@@ -430,10 +430,10 @@ def weak_boundedness_test(K: KernelModel, b0: BFunc = B_ONE, b1: BFunc = B_ONE,
     if grid is None:
         grid = BILINEAR_GRID if bil else GridSpec()
 
-    def one_row(g, group, R):
+    def one_row(g, T, group, R):
         x2 = group[1] * R
         if abs(x2) + R > g.box.side / 2.0:     # keep the pairing bump inside
-            g = Grid(box=cube1(0.0, g.box.side + 2 * abs(x2)), n=g.n)
+            g, T = Grid(box=cube1(0.0, g.box.side + 2 * abs(x2)), n=g.n), None
         ph1 = _bump_field(g, M, 0.0, R)
         ph2 = _bump_field(g, M, x2, R)
         if bil:
@@ -441,13 +441,17 @@ def weak_boundedness_test(K: KernelModel, b0: BFunc = B_ONE, b1: BFunc = B_ONE,
                                              b0.sampled(g), b1.sampled(g), b2.sampled(g),
                                              policy)
         else:
-            fr = apply_linear_field(K, _weighted(b1.sampled(g), ph1.values), policy)
+            f1 = _weighted(b1.sampled(g), ph1.values)
+            fr = apply_linear_field(K, f1, policy) if T is None else T(f1)
             val = pairing(fr.field, _weighted(b0.sampled(g), ph2.values))
             n_flagged = fr.n_flagged
         return [(abs(val), n_flagged > 0)], _margin_flag(g, x2, R)
 
+    # on a fixed grid one plan of a linear kernel serves every row that keeps the
+    # grid; a row that widens it, or has a grid of its own, applies K on that grid
+    shared = not bil and K.grid_mode == "fixed"
     names = (b0.name, b1.name, b2.name) if bil else (b0.name, b1.name)
-    return _sweep(lambda g: partial(one_row, g),
+    return _sweep(lambda g: partial(one_row, g, plan(K, g, policy) if shared else None),
                   [(f"offset{off:g}", off) for off in offsets], scales, grid,
                   K.grid_mode, [("wbp", K.name)], names, M, float(K.d), slope_tol,
                   uniformity_factor)[0]

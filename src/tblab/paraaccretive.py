@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import bumps
-from .grid import Cube, DyadicFamily, Grid, SampledFunction
+from .grid import Cube, DyadicFamily, Grid, SampledFunction, cell_blocks
 from .util import csv_table
 
 CDF_NODES = 1 << 14          # mollifier CDF table on [-1, 1]
@@ -24,6 +24,7 @@ H_INIT = 1.0                 # first mollifier width tried; halved until it suff
 MIN_CELLS_PER_EPS = 4        # grid cells the narrowest mollifier must span
 SK_ALPHA_ORDER = 1.0         # Holder order of the checklist's x-regularity
 SK_TOL = 1e-2                # checklist tolerance on symmetry and pairing
+WINDOW_CHUNK = 1 << 16       # condition-(B) candidates (cube, window cube) per block
 
 
 # --- mollifier: the order-1 normalized bump, mass-normalized kernel ---
@@ -62,21 +63,66 @@ def mollification_l1_error(h: float, d: int = 1) -> float:
 
 # --- subcube scans ---
 
-def _cell_span(g: Grid, Q: Cube):
-    """Half-open cell index range [i0, i1) per axis; Q must be cell-aligned."""
-    spans = []
-    for ax in range(g.d):
-        lo = Q.center[ax] - Q.side / 2.0
-        hi = Q.center[ax] + Q.side / 2.0
-        g_lo = g.box.center[ax] - g.box.side / 2.0
-        a = (lo - g_lo) / g.h
-        b = (hi - g_lo) / g.h
-        ia, ib = round(a), round(b)
-        if abs(a - ia) > 1e-6 or abs(b - ib) > 1e-6:
-            raise ValueError(
-                f"cube (center {Q.center}, side {Q.side}) is not aligned with grid cells")
-        spans.append((max(0, int(ia)), min(g.n, max(0, int(ib)))))
-    return spans
+def _cell_spans(g: Grid, centers: np.ndarray, side: float):
+    """First cell index and cell count per axis, (m, d) each, of the cubes of the
+    given centres and side, clipped to the grid; the cubes must be cell-aligned."""
+    g_lo = np.asarray(g.box.center) - g.box.side / 2.0
+    a = (centers - side / 2.0 - g_lo) / g.h
+    b = (centers + side / 2.0 - g_lo) / g.h
+    ia, ib = np.round(a), np.round(b)
+    bad = np.nonzero(np.any((np.abs(a - ia) > 1e-6) | (np.abs(b - ib) > 1e-6), axis=1))[0]
+    if len(bad):
+        raise ValueError(f"cube (center {tuple(centers[bad[0]].tolist())}, side {side}) "
+                         f"is not aligned with grid cells")
+    starts = np.maximum(0, ia).astype(np.intp)
+    ends = np.minimum(g.n, np.maximum(0, ib)).astype(np.intp)
+    return starts, np.maximum(ends - starts, 0)
+
+
+def _subcube_scans(b: SampledFunction, centers: np.ndarray, side: float, J: int):
+    """Per cube of the given centres and side: the best ratio |int_W b| / |Q| over
+    the grid-aligned windows W of side side / 2^j, j <= J, with W's first cell
+    index per axis and its width in cells; the ratio is -1 where no window fits.
+
+    The cubes with the same cell-block shape share one gather, one prefix sum
+    along the block axes and one argmax per row at each depth; the first window
+    in C order wins a tie within a depth, the shallowest depth a tie across them.
+    """
+    g, d, h = b.grid, b.grid.d, b.grid.h
+    starts, lengths = _cell_spans(g, centers, side)
+    ratio = np.full(len(centers), -1.0)
+    corner = np.zeros(centers.shape, dtype=np.intp)
+    width = np.zeros(len(centers), dtype=np.intp)
+    for rows, v in cell_blocks(b.values, starts, lengths):
+        v = v * h ** d
+        for ax in range(1, d + 1):
+            v = np.cumsum(v, axis=ax)
+        S = np.zeros((len(rows),) + tuple(m + 1 for m in v.shape[1:]), dtype=complex)
+        S[(slice(None),) + (slice(1, None),) * d] = v
+        for j in range(J + 1):
+            w = round(side / (1 << j) / h)
+            if w < 1 or w > min(v.shape[1:]):
+                continue
+            if d == 1:
+                sums = S[:, w:] - S[:, :-w]
+            else:
+                sums = S[:, w:, w:] - S[:, :-w, w:] - S[:, w:, :-w] + S[:, :-w, :-w]
+            amps = np.abs(sums).reshape(len(rows), -1)
+            a = np.argmax(amps, axis=1)
+            r = amps[np.arange(len(rows)), a] / side ** d
+            up = r > ratio[rows]
+            ratio[rows[up]], width[rows[up]] = r[up], w
+            corner[rows[up]] = starts[rows[up]] + np.stack(
+                np.unravel_index(a[up], sums.shape[1:]), axis=1)
+    return ratio, corner, width
+
+
+def _witnesses(g: Grid, ratio, corner, width) -> list:
+    """(ratio, window cube) per scanned cube; (-1.0, None) where no window fits."""
+    lo = [g.box.center[ax] - g.box.side / 2.0 for ax in range(g.d)]
+    return [(r, Cube(tuple(x + i * g.h + w * g.h / 2.0 for x, i in zip(lo, c)), w * g.h))
+            if w else (r, None)
+            for r, c, w in zip(ratio.tolist(), corner.tolist(), width.tolist())]
 
 
 def subcube_scan(b: SampledFunction, Q: Cube, J: int):
@@ -84,32 +130,9 @@ def subcube_scan(b: SampledFunction, Q: Cube, J: int):
 
     ratio = |int_W b| / |Q| computed by midpoint prefix sums.
     """
-    g, d, h = b.grid, b.grid.d, b.grid.h
     if J < 0:
         raise ValueError("depth J must be >= 0")
-    spans = _cell_span(g, Q)
-    volQ = Q.volume
-    best = (-1.0, None)
-    v = b.values[tuple(slice(i0, i1) for i0, i1 in spans)] * h ** d
-    S = np.zeros(tuple(m + 1 for m in v.shape), dtype=complex)
-    for ax in range(d):
-        v = np.cumsum(v, axis=ax)
-    S[(slice(1, None),) * d] = v
-    for j in range(J + 1):
-        w = round(Q.side / (1 << j) / h)
-        if w < 1 or w > min(v.shape):
-            continue
-        if d == 1:
-            sums = S[w:] - S[:-w]
-        else:
-            sums = S[w:, w:] - S[:-w, w:] - S[w:, :-w] + S[:-w, :-w]
-        amps = np.abs(sums)
-        a = np.unravel_index(int(np.argmax(amps)), amps.shape)
-        if amps[a] / volQ > best[0]:
-            lo = [g.box.center[ax] - g.box.side / 2.0 + (spans[ax][0] + a[ax]) * h
-                  for ax in range(d)]
-            best = (float(amps[a]) / volQ, Cube(tuple(x + w * h / 2.0 for x in lo), w * h))
-    return best
+    return _witnesses(b.grid, *_subcube_scans(b, np.asarray([Q.center]), Q.side, J))[0]
 
 
 @dataclass(frozen=True)
@@ -136,16 +159,19 @@ class ParaAccretivityCertificate:
 
 def check_para_accretive(b: SampledFunction, family: DyadicFamily,
                          J: int = 3) -> ParaAccretivityCertificate:
-    """Certify the cube condition over the family: c0 = min over Q of the subcube maximum."""
-    cubes = list(family.all_cubes())
-    if not cubes:
-        raise ValueError("empty family")
+    """Certify the cube condition over the family: c0 = min over Q of the subcube
+    maximum; each generation is one _subcube_scans pass."""
+    if J < 0:
+        raise ValueError("depth J must be >= 0")
     per_cube = []
-    for Q in cubes:
-        ratio, W = subcube_scan(b, Q, J)
-        if W is None:
-            raise ValueError(f"cube side {Q.side} holds no whole grid cell")
-        per_cube.append((Q, W, ratio))
+    for k in range(family.k_min, family.k_max + 1):
+        gen = family.generations[k]
+        scans = _witnesses(b.grid, *_subcube_scans(
+            b, np.asarray([Q.center for Q in gen]), family.side(k), J))
+        for Q, (ratio, W) in zip(gen, scans):
+            if W is None:
+                raise ValueError(f"cube side {Q.side} holds no whole grid cell")
+            per_cube.append((Q, W, ratio))
     c0 = min(r for _, _, r in per_cube)
     mags = np.abs(b.values)
     return ParaAccretivityCertificate(
@@ -168,42 +194,84 @@ class ConditionBCertificate:
         return all(W is not None for _, W, _ in self.witnesses[k])
 
 
+def _nearest_good(centers: np.ndarray, side: float, good: np.ndarray, N: float):
+    """Per cube of a generation's dyadic tiling, (m, d) centres in product order:
+    the index of its nearest cube with good set, by gap, then centre distance,
+    then index, and that gap; (-1, inf) where no such cube is within N * side.
+
+    Only the cubes within floor(N) + 1 index steps on each axis can lie within
+    that gap, so each cube searches a window of (2N + 3)^d candidates. A
+    candidate's gap adds one per-axis term per axis, each from an (M, 2N + 3)
+    table of the generation's M coordinates per axis; the window is taken in
+    blocks of about WINDOW_CHUNK candidates, so the memory stays O(m).
+    """
+    m, d = centers.shape
+    M = round(m ** (1.0 / d))
+    idx = np.stack(np.unravel_index(np.arange(m), (M,) * d), axis=1)
+    coords = [centers[::M ** (d - 1 - ax), ax][:M] for ax in range(d)]
+    if M ** d != m or not all(np.array_equal(centers[:, ax], coords[ax][idx[:, ax]])
+                              for ax in range(d)):
+        raise ValueError("a generation must be its dyadic tiling in product order")
+    r = min(M - 1, int(N + 1e-12 / side + 1e-6) + 1)
+    W = 2 * r + 1
+    # Cube.gap_to's term of axis ax between coordinates a and a + o, o in [-r, r]
+    terms = []
+    for c in coords:
+        j = np.arange(M)[:, None] + np.arange(-r, r + 1)
+        jc = np.clip(j, 0, M - 1)
+        lo, hi = c - side / 2.0, c + side / 2.0
+        t = np.maximum(np.maximum(lo[:, None] - hi[jc], 0.0),
+                       np.maximum(lo[jc] - hi[:, None], 0.0)) ** 2
+        t[j != jc] = np.inf
+        terms.append(t)
+    windows = np.lib.stride_tricks.sliding_window_view(
+        np.pad(good.reshape((M,) * d), r), (W,) * d)
+    pick, gap = np.full(m, -1), np.full(m, np.inf)
+    step = max(1, WINDOW_CHUNK // (M ** (d - 1) * W ** d))
+    for a0 in range(0, M, step):
+        a1 = min(M, a0 + step)
+        I = np.arange(a0 * M ** (d - 1), a1 * M ** (d - 1))
+        if d == 1:
+            gaps = np.sqrt(terms[0][a0:a1])
+        else:
+            gaps = np.sqrt(terms[0][a0:a1, None, :, None] + terms[1][None, :, None, :])
+        gaps = gaps.reshape(len(I), -1)
+        gaps[~windows[a0:a1].reshape(len(I), -1)] = np.inf
+        least = gaps.min(axis=1)
+        found = least <= N * side + 1e-12
+        # adjacent cubes share gap 0; break ties by centre distance, then index
+        tr, tc = np.nonzero((gaps == least[:, None]) & found[:, None])
+        J = np.ravel_multi_index(tuple((idx[I[tr]] + np.stack(
+            np.unravel_index(tc, (W,) * d), axis=1) - r).T), (M,) * d)
+        diff = centers[I[tr]] - centers[J]
+        order = np.lexsort((J, np.sqrt(np.vecdot(diff, diff)), tr))
+        first = order[np.diff(tr[order], prepend=-1) != 0]
+        pick[I[tr[first]]] = J[first]
+        gap[I[found]] = least[found]
+    return pick, gap
+
+
 def check_condition_B(b: SampledFunction, family: DyadicFamily, N: float = 10.0,
                       eps: float = 0.5) -> ConditionBCertificate:
     """Prop-A.2(B) scan: same-generation cube within gap N*side, |avg| >= eps."""
     if N < 10:
         raise ValueError("search radius must satisfy N >= 10")
+    if not 0 < eps < np.inf:
+        raise ValueError(f"eps must satisfy 0 < eps < inf, got {eps}")
     witnesses = {}
     first_failure = None
-    valid = True
     for k in range(family.k_min, family.k_max + 1):
         gen = family.generations[k]
         side = family.side(k)
-        # depth 0 scans the cube itself: |int_Q b| / |Q| = |avg_Q b|
-        good = np.nonzero([subcube_scan(b, Q, 0)[0] >= eps for Q in gen])[0]
         centers = np.asarray([Q.center for Q in gen])
-        half = np.asarray([Q.side for Q in gen])[:, None] / 2.0
-        lo, hi = (centers - half).T, (centers + half).T      # one row per axis
-        lo_good, hi_good = lo[:, good], hi[:, good]
-        rows = []
-        for i, Q in enumerate(gen):
-            # Cube.gap_to from Q to every cube with a large average, one row at a time
-            gaps = np.sqrt(sum(np.maximum(np.maximum(lo[ax, i] - hi_good[ax], 0.0),
-                                          np.maximum(lo_good[ax] - hi[ax, i], 0.0)) ** 2
-                               for ax in range(len(lo))))
-            gap = gaps.min(initial=np.inf)
-            if gap <= N * side + 1e-12:
-                # adjacent cubes share gap 0; break ties by center distance, then index
-                pick = min(good[gaps == gap],
-                           key=lambda j: np.linalg.norm(centers[i] - centers[j]))
-                rows.append((Q, gen[pick], float(gap)))
-            else:
-                rows.append((Q, None, float("nan")))
-                valid = False
-                if first_failure is None:
-                    first_failure = (k, Q)
-        witnesses[k] = rows
-    return ConditionBCertificate(eps=float(eps), N=float(N), valid=valid,
+        # depth 0 scans the cube itself: |int_Q b| / |Q| = |avg_Q b|
+        ratio, _, _ = _subcube_scans(b, centers, side, 0)
+        pick, gap = _nearest_good(centers, side, ratio >= eps, N)
+        witnesses[k] = [(Q, gen[j], g) if j >= 0 else (Q, None, float("nan"))
+                        for Q, j, g in zip(gen, pick.tolist(), gap.tolist())]
+        if first_failure is None and np.any(pick < 0):
+            first_failure = (k, gen[int(np.argmax(pick < 0))])
+    return ConditionBCertificate(eps=float(eps), N=float(N), valid=first_failure is None,
                                  witnesses=witnesses, first_failure=first_failure,
                                  family=family)
 
@@ -297,6 +365,8 @@ def build_uk(b: SampledFunction, k: int, cert: ParaAccretivityCertificate | None
     g = b.grid
     if g.d != 1:
         raise ValueError("the sampled u_k family is implemented for d=1 grids")
+    if J < 0:
+        raise ValueError("depth J must be >= 0")
     side = 2.0 ** (-k)
     w_cells = round(side / g.h)
     if abs(side / g.h - w_cells) > 1e-9 or w_cells < 4:
@@ -307,19 +377,12 @@ def build_uk(b: SampledFunction, k: int, cert: ParaAccretivityCertificate | None
     step = side / lattice_divisor
     n_steps = int(round(g.box.side / step))
     margin = (1.0 + np.sqrt(g.d)) * side
-    lattice, witnesses, ells, ratios = [], [], [], []
-    for m in range(n_steps):
-        x = lo + (m + 0.5) * step
-        if abs(x - g.box.center[0]) + margin > g.box.side / 2.0 + 1e-12:
-            continue
-        Q = Cube((x,), side)
-        ratio, W = subcube_scan(b, Q, J)
-        lattice.append(x)
-        witnesses.append(W)
-        ells.append(W.side)
-        ratios.append(ratio)
-    if not lattice:
+    x = lo + (np.arange(n_steps) + 0.5) * step
+    lattice = x[np.abs(x - g.box.center[0]) + margin <= g.box.side / 2.0 + 1e-12]
+    if not len(lattice):
         raise ValueError("no lattice point has support clearance; enlarge the box")
+    ratios, witnesses = zip(*_witnesses(g, *_subcube_scans(b, lattice[:, None], side, J)))
+    ells = [W.side for W in witnesses]
     c0 = cert.c0 if cert is not None else float(min(ratios))
     if min(ratios) < c0 - 1e-9:
         raise ValueError("certificate constant not met on the evaluation lattice")
@@ -341,7 +404,7 @@ def build_uk(b: SampledFunction, k: int, cert: ParaAccretivityCertificate | None
     hi = np.asarray([W.center[0] + W.side / 2.0 for W in witnesses])[:, None]
     epsm = h_mol * ells[:, None]
     rows = (2.0 ** k) * (mollifier_cdf((y - lo) / epsm) - mollifier_cdf((y - hi) / epsm))
-    return UkFamily(k=k, grid=g, lattice=np.asarray(lattice), witnesses=witnesses,
+    return UkFamily(k=k, grid=g, lattice=lattice, witnesses=list(witnesses),
                     ells=ells, h_mol=h_mol, alpha=mollifier_alpha(g.d),
                     c0=c0, b_sup=b_sup, rows=rows)
 

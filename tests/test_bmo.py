@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from tblab.bmo import (MIN_CELLS, _cells_in_cube, _shifted_cubes, best_constant_oscillation,
-                       bmo_seminorm, mean_oscillation)
+from tblab.bmo import (MIN_CELLS, SHIFTS, CubeOscillation, _abs_dev, _geometric_median,
+                       best_constant_oscillation, bmo_seminorm, mean_oscillation)
 from tblab.grid import Cube, SampledFunction, cube1, dyadic_family, make_grid, sample
 from tblab.harness import builtin_b
 
@@ -157,7 +157,77 @@ def test_report_csv_columns():
     assert len(rows) == len(rep.entries) + 1
 
 
-# --- oracles: per-axis mask selection, coordinate ternary search, brute force ---
+# --- oracles: the per-cube scan (one slice and one reduction per cube), per-axis
+# mask selection, coordinate ternary search, brute force ---
+
+def _shifted_cubes(family):
+    """Dyadic cubes plus per-axis shifted copies that stay in the root box, in
+    the report's order."""
+    lo, hi, d = family.root.lo(), family.root.hi(), family.root.d
+    if d == 1:
+        shift_vecs = [(s,) for s in SHIFTS]
+    else:
+        shift_vecs = [(s, 0.0) for s in SHIFTS] + [(0.0, s) for s in SHIFTS] + \
+                     [(s, t) for s in SHIFTS for t in SHIFTS]
+    out = []
+    for k in range(family.k_min, family.k_max + 1):
+        side = family.side(k)
+        base = family.generations[k]
+        out.extend(base)
+        for vec in shift_vecs:
+            for Q in base:
+                c = tuple(Q.center[i] + vec[i] * side for i in range(d))
+                if all(c[i] - side / 2.0 >= lo[i] - 1e-12 and
+                       c[i] + side / 2.0 <= hi[i] + 1e-12 for i in range(d)):
+                    out.append(Cube(c, side))
+    return out
+
+
+def _cells_in_cube(f, Q):
+    """Flat values of the cells centred in the half-open cube (>= MIN_CELLS)."""
+    g = f.grid
+    sel = []
+    for ax in range(g.d):
+        lo = Q.center[ax] - Q.side / 2.0
+        hi = Q.center[ax] + Q.side / 2.0
+        i0, i1 = np.searchsorted(g.axis(ax), (lo - 1e-12 * g.box.side,
+                                              hi - 1e-12 * g.box.side))
+        sel.append(slice(i0, max(i0, i1)))
+    vals = f.values[tuple(sel)].ravel()
+    if vals.size < MIN_CELLS:
+        raise ValueError(f"cube holds {vals.size} grid cells")
+    return vals
+
+
+def _scalar_mean_oscillation(f, Q):
+    vals = _cells_in_cube(f, Q)
+    avg = np.mean(vals)
+    return float(np.mean(np.abs(vals - avg)))
+
+
+def _scalar_best_constant(f, Q):
+    vals = _cells_in_cube(f, Q)
+    best = complex(np.median(vals.real), np.median(vals.imag))
+    if np.any(vals.imag):
+        best = min((best, _geometric_median(vals, best), complex(np.mean(vals))),
+                   key=lambda c: _abs_dev(vals, c))
+    return _abs_dev(vals, best), best
+
+
+def _scalar_report(f, family):
+    """(entries, n_skipped) of the one-cube-at-a-time scan over the family."""
+    entries, skipped = [], 0
+    for Q in _shifted_cubes(family):
+        try:
+            mo = _scalar_mean_oscillation(f, Q)
+            bo = _scalar_best_constant(f, Q)[0]
+        except ValueError:
+            skipped += 1
+            continue
+        entries.append(CubeOscillation(cube=Q, mean_osc=mo, best_const_osc=bo))
+    return entries, skipped
+
+
 
 def _mask_cells(f, Q):
     """Cells selected by one O(n) boolean mask per axis."""
@@ -231,9 +301,10 @@ def test_slice_selection_equals_mask_selection(d, n, side):
         if want.size < MIN_CELLS:
             small += 1
             with pytest.raises(ValueError, match="cells"):
-                _cells_in_cube(f, Q)
+                mean_oscillation(f, Q)
         else:
             assert np.array_equal(_cells_in_cube(f, Q), want), Q
+            assert mean_oscillation(f, Q) == float(np.mean(np.abs(want - np.mean(want)))), Q
     assert small > 0
     rep = bmo_seminorm(f, dyadic_family(g.box, 0, int(np.log2(n))))
     fam_cubes = _shifted_cubes(dyadic_family(g.box, 0, int(np.log2(n))))
@@ -305,3 +376,72 @@ def test_best_constant_at_a_sample():
         assert c == vals[j]
         assert v == float(np.mean(np.abs(vals - vals[j])))
     assert hits >= 5
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(14)
+    # from generation 3 on a cube side is no whole number of cells (n is no
+    # multiple of 8), so the cubes of one generation hold different cell counts
+    g1 = make_grid(1, cube1(0.1, 3.0), 100)
+    g2 = make_grid(2, Cube((0.1, -0.2), 3.0), 20)
+    gs = make_grid(1, cube1(0.0, 16.0), 512)
+    return [
+        ("1d-real", sample(lambda x: np.log(np.abs(x - 0.1)), g1, on_nonfinite="mask"), 0, 6),
+        ("1d-complex", SampledFunction(grid=g1, values=rng.normal(size=100)
+                                       + 1j * rng.normal(size=100)), 0, 6),
+        ("1d-tied", builtin_b("sign-sin").sampled(gs), 0, 7),
+        ("2d-real", SampledFunction(grid=g2, values=rng.normal(size=g2.shape)), 0, 4),
+        ("2d-complex", SampledFunction(grid=g2, values=rng.normal(size=g2.shape)
+                                       + 1j * rng.normal(size=g2.shape)), 0, 3),
+        ("2d-tied", sample(lambda x, y: np.sign(np.sin(3 * x) * np.sin(2 * y)) + 0j, g2),
+         0, 4),
+    ]
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_bmo_report_equals_per_cube_oracle(case):
+    # every entry, skip count and witness equal the one-cube-at-a-time scan
+    name, f, k_min, k_max = _oracle_cases()[case]
+    fam = dyadic_family(f.grid.box, k_min, k_max)
+    rep = bmo_seminorm(f, fam)
+    entries, skipped = _scalar_report(f, fam)
+    assert skipped > 0 or name in ("1d-tied", "2d-complex")
+    assert rep.entries == entries
+    assert rep.n_skipped == skipped
+    assert rep.witness_mean == max(entries, key=lambda e: e.mean_osc).cube
+    assert rep.witness_best == max(entries, key=lambda e: e.best_const_osc).cube
+    assert (rep.sup_mean, rep.sup_best) == (max(e.mean_osc for e in entries),
+                                            max(e.best_const_osc for e in entries))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_bmo_report_equals_oracle_on_cubes_partly_outside_the_grid(d):
+    # a root box overhanging the grid: cubes hold fewer cells, or none
+    g = make_grid(d, Cube((0.0,) * d, 4.0), 64 if d == 1 else 32)
+    rng = np.random.default_rng(d)
+    f = SampledFunction(grid=g, values=rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape))
+    fam = dyadic_family(Cube((1.3,) * d, 6.0), 0, 5 if d == 1 else 3)
+    rep = bmo_seminorm(f, fam)
+    entries, skipped = _scalar_report(f, fam)
+    assert rep.entries == entries and rep.n_skipped == skipped > 0
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_one_cube_functions_equal_oracle(case):
+    _, f, _, _ = _oracle_cases()[case]
+    g = f.grid
+    # zoo cubes, cubes overhanging the grid, and cubes whose edges sit on cell
+    # centres (where rounding decides, the 1e-12 box-side tolerance excludes)
+    cubes = _cube_zoo(g)[::7] + [Cube(tuple(g.box.lo() + s), 8 * g.h)
+                                 for s in (-3 * g.h, 0.5 * g.h, g.box.side - 2.5 * g.h)]
+    cubes += [Cube(tuple(g.axis(ax)[i] - 2.5 * g.h for ax in range(g.d)), 5 * g.h)
+              for i in range(5, g.n)]
+    for Q in cubes:
+        try:
+            want = _scalar_mean_oscillation(f, Q), _scalar_best_constant(f, Q)
+        except ValueError:
+            with pytest.raises(ValueError, match="cells"):
+                best_constant_oscillation(f, Q)
+            continue
+        assert mean_oscillation(f, Q) == want[0]
+        assert best_constant_oscillation(f, Q, return_witness=True) == want[1]

@@ -220,6 +220,23 @@ def test_para_subcommand(tmp_path):
     assert "c0=1" in text
 
 
+@pytest.mark.parametrize("key,value", [("para.eps", "-1"), ("para.eps", "0"),
+                                       ("para.N", "5"), ("para.J", "-1")])
+def test_para_ranges_exit_2_before_any_scan(tmp_path, capsys, monkeypatch, key, value):
+    # para.eps = -1 used to certify a vacuous condition (B) and exit 0
+    def no_scan(*args, **kwargs):
+        raise AssertionError("a scan started before the config was rejected")
+
+    monkeypatch.setattr("tblab.cli.check_para_accretive", no_scan)
+    monkeypatch.setattr("tblab.cli.check_condition_B", no_scan)
+    p = write_cfg(tmp_path, "p.cfg", f"b1 = one\ngrid.n = 512\ngrid.box_side = 8\n"
+                                     f"{key} = {value}\n")
+    out = tmp_path / "out"
+    assert run("para-accretive", p, out) == 2
+    assert f"{key} must be" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_uk_build_subcommand(tmp_path):
     p = write_cfg(tmp_path, "u.cfg", "b1 = one\nuk.k = 1\n")
     out = tmp_path / "out"

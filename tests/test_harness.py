@@ -138,6 +138,28 @@ def test_wbp_bilinear_keeps_an_explicit_grid():
     assert [r.value for r in fine.rows] != [r.value for r in default.rows]
 
 
+def test_wbp_plans_a_fixed_grid_once(monkeypatch):
+    # 7 scales x 2 offsets on the fixed commutator grid: one profile table for
+    # the shared grid and one for the only widened row (offset 1, R = 8)
+    K = gallery("commutator")
+    keven = K.lattice[0][1]
+    calls = []
+
+    def counting(u):
+        calls.append(np.size(u))
+        return keven(u)
+
+    K = replace(K, lattice=tuple((left, counting, right) for left, _, right in K.lattice))
+    args = dict(offsets=(0.0, 1.0), grid=GridSpec(n=256, box_side=24.0))
+    rep = weak_boundedness_test(K, **args)
+    assert len(rep.rows) == 14
+    assert calls == [2 * 256 - 1] * 2
+    # bit for bit the rows of one apply_linear_field per row
+    monkeypatch.setattr("tblab.harness.plan", lambda K, g, policy: (
+        lambda f: apply_linear_field(K, f, policy)))
+    assert weak_boundedness_test(K, **args).rows == rep.rows
+
+
 def test_direct_bound_hilbert_saturates():
     rep = direct_bound_check(gallery("hilbert"), ONE, op_norm=1.0, grid=SMALL)
     assert rep.verdict == "PASS"

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tblab.grid import Cube, cube1, dyadic_family, make_grid, sample
+from tblab.grid import Cube, SampledFunction, cube1, dyadic_family, make_grid, sample
 from tblab.harness import builtin_b
 from tblab.paraaccretive import (b_to_def3_constant, build_uk, check_condition_B,
                                  check_para_accretive, make_sk_from_uk,
@@ -146,6 +146,107 @@ def test_volume_bound_on_witnesses():
                 assert W.volume >= (cert.c0 / cert.b_sup) * Q.volume - 1e-12
 
 
+# --- oracle: the one-cube-at-a-time subcube scan ---
+
+def _scalar_cell_span(g, Q):
+    spans = []
+    for ax in range(g.d):
+        g_lo = g.box.center[ax] - g.box.side / 2.0
+        a = (Q.center[ax] - Q.side / 2.0 - g_lo) / g.h
+        b = (Q.center[ax] + Q.side / 2.0 - g_lo) / g.h
+        ia, ib = round(a), round(b)
+        if abs(a - ia) > 1e-6 or abs(b - ib) > 1e-6:
+            raise ValueError("not aligned")
+        spans.append((max(0, int(ia)), min(g.n, max(0, int(ib)))))
+    return spans
+
+
+def _scalar_subcube_scan(b, Q, J):
+    """(ratio, window) of one cube: one prefix sum, one argmax per depth."""
+    g, d, h = b.grid, b.grid.d, b.grid.h
+    spans = _scalar_cell_span(g, Q)
+    volQ = Q.volume
+    best = (-1.0, None)
+    v = b.values[tuple(slice(i0, i1) for i0, i1 in spans)] * h ** d
+    S = np.zeros(tuple(m + 1 for m in v.shape), dtype=complex)
+    for ax in range(d):
+        v = np.cumsum(v, axis=ax)
+    S[(slice(1, None),) * d] = v
+    for j in range(J + 1):
+        w = round(Q.side / (1 << j) / h)
+        if w < 1 or w > min(v.shape):
+            continue
+        if d == 1:
+            sums = S[w:] - S[:-w]
+        else:
+            sums = S[w:, w:] - S[:-w, w:] - S[w:, :-w] + S[:-w, :-w]
+        amps = np.abs(sums)
+        a = np.unravel_index(int(np.argmax(amps)), amps.shape)
+        if amps[a] / volQ > best[0]:
+            lo = [g.box.center[ax] - g.box.side / 2.0 + (spans[ax][0] + a[ax]) * h
+                  for ax in range(d)]
+            best = (float(amps[a]) / volQ, Cube(tuple(x + w * h / 2.0 for x in lo), w * h))
+    return best
+
+
+def _para_cases():
+    rng = np.random.default_rng(14)
+    g1 = make_grid(1, cube1(0.3, 6.0), 384)
+    g2 = make_grid(2, Cube((0.3, -0.1), 6.0), 48)
+    return {
+        "1d-real": sample(lambda x: np.cos(2 * x) + 0.3, g1),
+        "1d-complex": SampledFunction(grid=g1, values=rng.normal(size=384)
+                                      + 1j * rng.normal(size=384)),
+        "1d-tied": _b("sign-sin", g1),
+        "2d-real": SampledFunction(grid=g2, values=rng.normal(size=g2.shape)),
+        "2d-complex": sample(lambda x, y: np.exp(1j * (x + 2 * y)) * (1.2 + np.sin(x)), g2),
+        "2d-tied": sample(lambda x, y: np.sign(np.sin(2 * x) * np.sin(y)) + 0j, g2),
+    }
+
+
+@pytest.mark.parametrize("J", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("name", ["1d-real", "1d-complex", "1d-tied", "2d-real",
+                                  "2d-complex", "2d-tied"])
+def test_para_certificate_equals_per_cube_oracle(name, J):
+    b = _para_cases()[name]
+    # the root overhangs the grid by 3 cells: its edge cubes are clipped
+    root = Cube(tuple(c + 3 * b.grid.h for c in b.grid.box.center), b.grid.box.side)
+    for fam in (dyadic_family(b.grid.box, 0, 4 if b.grid.d == 1 else 3),
+                dyadic_family(root, 0, 3)):
+        if fam.root == root and J == 0:
+            # a clipped cube holds no window of its own side
+            with pytest.raises(ValueError, match="no whole grid cell"):
+                check_para_accretive(b, fam, J=J)
+            assert _scalar_subcube_scan(b, root, 0) == (-1.0, None)
+            continue
+        cert = check_para_accretive(b, fam, J=J)
+        want = [(Q, W, r) for Q in fam.all_cubes()
+                for r, W in [_scalar_subcube_scan(b, Q, J)]]
+        assert cert.witnesses == want
+        assert cert.c0 == min(r for _, _, r in want)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_subcube_scan_equals_oracle_on_and_off_the_grid(d):
+    g = make_grid(d, Cube((0.0,) * d, 4.0), 32)
+    b = SampledFunction(grid=g, values=np.random.default_rng(d).normal(size=g.shape) + 0.2j)
+    for s in (-2.75, -2.25, -1.75, 0.25, 1.75, 2.25, 2.75):
+        Q = Cube((s,) + (0.25,) * (d - 1), 1.0)
+        for J in range(4):
+            assert subcube_scan(b, Q, J) == _scalar_subcube_scan(b, Q, J), (Q, J)
+    with pytest.raises(ValueError, match="aligned"):
+        subcube_scan(b, Cube((0.01,) * d, 1.0), 1)
+
+
+@pytest.mark.parametrize("divisor", [1, 4])
+def test_uk_witnesses_equal_per_cube_oracle(divisor):
+    g = make_grid(1, cube1(0.0, 8.0), 2048)
+    b = _b("accretive-lipschitz(0.3)", g)
+    fam = build_uk(b, 1, J=3, lattice_divisor=divisor)
+    assert fam.witnesses == [_scalar_subcube_scan(b, cube1(x, 0.5), 3)[1]
+                             for x in fam.lattice]
+
+
 # --- condition (B) and the conversion ---
 
 def test_condition_b_constant_function():
@@ -255,6 +356,77 @@ def test_condition_b_memory_is_linear_in_generation_size():
         tracemalloc.stop()
     assert len(cert.witnesses[6]) == 4096
     assert peak < 16 * 2 ** 20
+
+
+def _all_pairs_condition_B(b, family, N, eps):
+    """Oracle: each cube's gaps to every large-average cube of its generation as
+    one vector, (witnesses, valid, first_failure)."""
+    witnesses, first_failure = {}, None
+    for k in range(family.k_min, family.k_max + 1):
+        gen = family.generations[k]
+        side = family.side(k)
+        good = np.nonzero([_scalar_subcube_scan(b, Q, 0)[0] >= eps for Q in gen])[0]
+        centers = np.asarray([Q.center for Q in gen])
+        lo, hi = (centers - side / 2.0).T, (centers + side / 2.0).T
+        rows = []
+        for i, Q in enumerate(gen):
+            gaps = np.sqrt(sum(np.maximum(np.maximum(lo[ax, i] - hi[ax, good], 0.0),
+                                          np.maximum(lo[ax, good] - hi[ax, i], 0.0)) ** 2
+                               for ax in range(len(lo))))
+            gap = gaps.min(initial=np.inf)
+            if gap <= N * side + 1e-12:
+                pick = min(good[gaps == gap],
+                           key=lambda j: np.linalg.norm(centers[i] - centers[j]))
+                rows.append((Q, gen[pick], float(gap)))
+            else:
+                rows.append((Q, None, float("nan")))
+                first_failure = first_failure or (k, Q)
+        witnesses[k] = rows
+    return witnesses, first_failure is None, first_failure
+
+
+def _corner_b(g):
+    # large averages only in one corner region and on a sparse random set, so
+    # witnesses sit at every distance up to N side, with ties, and some fail
+    x, y = g.meshgrid()
+    spots = np.random.default_rng(g.n).random(g.shape) < 0.02
+    return SampledFunction(grid=g, values=np.where((x > 2.0) & (y > 1.0) | spots, 1.0, 0.1)
+                           + 0.05j * np.sin(3 * x * y))
+
+
+@pytest.mark.parametrize("k,N", [(5, 10.0), (5, 12.5), (4, 10.0), (3, 10.0), (2, 11.0)])
+def test_condition_b_windowed_search_equals_all_pairs_scan_2d(k, N):
+    # k = 5 (32 cubes a side): the (2N + 3)^2 window clips at the box edges;
+    # k <= 4 it holds the whole generation, and for k <= 3 N side exceeds the box
+    g = make_grid(2, Cube((0.0, 0.0), 8.0), 64)
+    b = _corner_b(g)
+    fam = dyadic_family(g.box, k, k)
+    cert = check_condition_B(b, fam, N=N, eps=0.5)
+    witnesses, valid, first_failure = _all_pairs_condition_B(b, fam, N, 0.5)
+    assert (cert.valid, cert.first_failure) == (valid, first_failure)
+    for (Q, W, gap), (cQ, cW, cgap) in zip(witnesses[k], cert.witnesses[k], strict=True):
+        assert cQ is Q and cW == W
+        assert cgap == gap or (np.isnan(gap) and np.isnan(cgap))
+    gaps = [gap for _, W, gap in witnesses[k] if W is not None]
+    assert min(gaps) == 0.0 and max(gaps) > 0.0
+    assert k < 5 or not valid
+
+
+@pytest.mark.parametrize("eps", [0.0, -1.0, np.inf, np.nan])
+def test_condition_b_rejects_a_vacuous_eps(eps):
+    g = _grid(64)
+    with pytest.raises(ValueError, match="eps"):
+        check_condition_B(_b("one", g), dyadic_family(g.box, 0, 2), N=10, eps=eps)
+
+
+def test_para_depth_is_checked_before_any_scan():
+    # a cube off the grid cells would fail the scan; the depth fails first
+    g = _grid(64)
+    fam = dyadic_family(Cube((0.01,), 8.0), 0, 1)
+    with pytest.raises(ValueError, match="depth J"):
+        check_para_accretive(_b("one", g), fam, J=-1)
+    with pytest.raises(ValueError, match="aligned"):
+        check_para_accretive(_b("one", g), fam, J=0)
 
 
 def test_conversion_constant_matches_analytic_bound():
