@@ -12,24 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Cube, DyadicFamily, Grid, SampledFunction, cell_blocks
+from .grid import Cube, DyadicFamily, SampledFunction, cell_blocks, cell_spans
 from .util import csv_table
 
 MIN_CELLS = 4
 SHIFTS = (1.0 / 3.0, 0.5, 2.0 / 3.0)
 WEISZFELD_ITERS = 320
-
-
-def _cell_spans(g: Grid, centers: np.ndarray, side: float):
-    """First index and count per axis, (m, d) each, of the cells centred in each
-    half-open cube of the given centres and side (searchsorted on the cell centres)."""
-    tol = 1e-12 * g.box.side
-    starts = np.empty(centers.shape, dtype=np.intp)
-    ends = np.empty(centers.shape, dtype=np.intp)
-    for ax in range(g.d):
-        starts[:, ax] = np.searchsorted(g.axis(ax), centers[:, ax] - side / 2.0 - tol)
-        ends[:, ax] = np.searchsorted(g.axis(ax), centers[:, ax] + side / 2.0 - tol)
-    return starts, np.maximum(ends - starts, 0)
 
 
 def _oscillations(f: SampledFunction, centers: np.ndarray, side: float):
@@ -40,7 +28,7 @@ def _oscillations(f: SampledFunction, centers: np.ndarray, side: float):
     of one (cubes, cells) gather. Only cubes with complex samples refine the
     median start one at a time, by _geometric_median.
     """
-    starts, lengths = _cell_spans(f.grid, centers, side)
+    starts, lengths = cell_spans(f.grid, centers, side)
     cells = np.prod(lengths, axis=1)
     mo, bo = np.full(len(centers), np.nan), np.full(len(centers), np.nan)
     best = np.full(len(centers), np.nan, dtype=complex)

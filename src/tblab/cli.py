@@ -27,7 +27,7 @@ import numpy as np
 from .bmo import MIN_CELLS, bmo_seminorm
 from .grid import Cube, Grid, SampledFunction, dyadic_family, load_sampled_csv
 from .harness import (BILINEAR_GRID, BMO_SWEEP_GRID, DECOMP_CUBE,
-                      DECOMP_GRID, FAR_FIELD_CUBE, FAR_FIELD_GRID, BFunc, GridSpec,
+                      DECOMP_GRID, FAR_FIELD_CUBE, FAR_FIELD_GRID, PASSING, BFunc, GridSpec,
                       bilinear_decomposition_check, builtin_b, far_field_constancy,
                       stein_bilinear_tb_test, stein_t1_test, stein_tb_test,
                       uniform_bmo_sweep, weak_boundedness_test)
@@ -49,27 +49,20 @@ def _floats(text: str) -> tuple:
     return tuple(_finite(t) for t in text.split(",") if t.strip())
 
 
-def _flag(text: str) -> bool:
-    return {"1": True, "true": True, "yes": True,
-            "0": False, "false": False, "no": False}[text.lower()]
-
-
 # every config key with the parser of its value
 _KEYS = {
-    "dimension": int, "grid.n": int, "grid.box_side": _finite, "grid.mode": str,
+    "grid.n": int, "grid.box_side": _finite, "grid.mode": str,
     "bump.M": int, "kernel.name": str, "kernel.params.lam": _finite,
     "kernel.params.lip_bound": _finite, "kernel.params.lam_trunc": _finite,
     "kernel.params.mu": _finite, "kernel.params.a_amp": _finite, "kernel.params.m_amp": _finite,
     "b0": str, "b1": str, "b2": str, "scales": _floats, "centers": _floats,
-    "offsets": _floats, "policy.c_eps": int, "policy.tol_pv": _finite,
-    "policy.convergence_check": _flag, "fit.slope_tol": _finite,
+    "offsets": _floats, "policy.c_eps": int, "policy.tol_pv": _finite, "fit.slope_tol": _finite,
     "fit.uniformity_factor": _finite, "bmo.k_min": int, "bmo.k_max": int, "para.J": int,
     "para.N": _finite, "para.eps": _finite, "uk.k": int, "cube.center": _finite,
     "cube.side": _finite, "seed": int, "output.dir": str,
 }
-KNOWN_KEYS = set(_KEYS)
 _KINDS = {int: "an integer", _finite: "a finite number",
-          _floats: "comma-separated finite numbers", _flag: "a boolean"}
+          _floats: "comma-separated finite numbers"}
 
 
 class ConfigError(Exception):
@@ -95,7 +88,7 @@ class ExperimentConfig:
                 raise ConfigError(f"line {ln}: expected key = value, got {line!r}")
             key, _, val = line.partition("=")
             key, val = key.strip(), val.strip()
-            if key not in KNOWN_KEYS:
+            if key not in _KEYS:
                 raise ConfigError(f"line {ln}: unknown key {key!r}")
             if key in raw:
                 raise ConfigError(f"line {ln}: duplicate key {key!r}")
@@ -107,8 +100,6 @@ class ExperimentConfig:
     def _validate(self):
         for key in self.raw:
             self.get(key)
-        if self.get("dimension", 1) != 1:
-            raise ConfigError("experiments run in dimension 1")
         mode = self.get("grid.mode", "")
         if mode and mode not in ("scaled", "fixed"):
             raise ConfigError(f"grid.mode must be scaled|fixed, got {mode!r}")
@@ -148,8 +139,7 @@ class ExperimentConfig:
                     self.get("cube.side", default.side))
 
     def policy(self) -> PvPolicy:
-        return PvPolicy(**self.given(c_eps="policy.c_eps", tol_pv="policy.tol_pv",
-                                     convergence_check="policy.convergence_check"))
+        return PvPolicy(**self.given(c_eps="policy.c_eps", tol_pv="policy.tol_pv"))
 
     def fit_args(self) -> dict:
         """The bump order, scales and fit tolerances the config sets."""
@@ -260,7 +250,7 @@ def _emit(out: Path, files: dict, lines, verdicts) -> int:
         else:
             _write_csv(out / name, content)
     (out / "summary.txt").write_text("".join(f"{ln}\n" for ln in lines))
-    return 0 if all(v in ("PASS", "PASS-degenerate") for v in verdicts) else 1
+    return 0 if all(v in PASSING for v in verdicts) else 1
 
 
 # --- experiments: each returns (files, summary lines, verdicts) -------------

@@ -15,6 +15,7 @@ import numpy as np
 from .util import csv_table
 
 GENERATION_CAP = 1 << 20
+MIN_POINTS = 8              # grid points per axis, at least
 
 
 @dataclass(frozen=True)
@@ -74,8 +75,8 @@ class Grid:
     def __post_init__(self):
         if self.box.d not in (1, 2):
             raise ValueError(f"dimension must be 1 or 2, got {self.box.d}")
-        if self.n < 8:
-            raise ValueError(f"need at least 8 points per axis, got {self.n}")
+        if self.n < MIN_POINTS:
+            raise ValueError(f"need at least {MIN_POINTS} points per axis, got {self.n}")
 
     @property
     def d(self) -> int:
@@ -148,6 +149,18 @@ class SampledFunction:
     @property
     def is_real(self) -> bool:
         return bool(np.all(self.values.imag == 0.0))
+
+
+def cell_spans(g: Grid, centers: np.ndarray, side: float):
+    """First index and count per axis, (m, d) each, of the cells centred in each
+    half-open cube of the given centres and side (searchsorted on the cell centres)."""
+    tol = 1e-12 * g.box.side
+    starts = np.empty(centers.shape, dtype=np.intp)
+    ends = np.empty(centers.shape, dtype=np.intp)
+    for ax in range(g.d):
+        starts[:, ax] = np.searchsorted(g.axis(ax), centers[:, ax] - side / 2.0 - tol)
+        ends[:, ax] = np.searchsorted(g.axis(ax), centers[:, ax] + side / 2.0 - tol)
+    return starts, np.maximum(ends - starts, 0)
 
 
 def cell_blocks(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
@@ -247,15 +260,25 @@ def save_sampled_csv(f: SampledFunction, path) -> None:
 def load_sampled_csv(path, name: str = "") -> SampledFunction:
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
+    if not rows:
+        raise ValueError("CSV has no header")
     header, body = rows[0], rows[1:]
     d = len(header) - 2
     if d < 1 or header != list("xy"[:d]) + ["re", "im"]:
         raise ValueError(f"unrecognized CSV header {header}")
+    if not body:
+        raise ValueError("CSV has no data rows")
+    for i, r in enumerate(body):
+        if len(r) != len(header):
+            raise ValueError(f"CSV data row {i + 1} has {len(r)} cells, the header "
+                             f"{len(header)}")
     data = np.asarray([[float(c) for c in r] for r in body])
     axes = [np.unique(data[:, i]) for i in range(d)]
     n = len(axes[0])
     if any(len(a) != n for a in axes[1:]):
         raise ValueError("CSV grid is not square")
+    if n < MIN_POINTS:
+        raise ValueError(f"CSV grid has {n} points per axis, need at least {MIN_POINTS}")
     hx = axes[0][1] - axes[0][0]
     if not all(np.allclose(np.diff(a), hx, rtol=0, atol=1e-9 * abs(hx)) for a in axes):
         raise ValueError("grid in CSV is not uniform")

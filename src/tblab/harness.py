@@ -33,6 +33,7 @@ BILINEAR_SCALES = tuple(2.0 ** k for k in range(-2, 3))
 CENTER_FRACTIONS = (0.0, 0.125, -0.125)   # in units of the box side
 DIRECT_BOUND_TOL = 0.03                   # relative slack of the direct bound
 DECOMP_DEV_CAP = 1.0                      # common cap of the decomposition pieces
+PASSING = frozenset({"PASS", "PASS-degenerate"})  # the verdicts that pass
 
 
 # --- b-functions -----------------------------------------------------------
@@ -171,7 +172,6 @@ class ScalingReport:
     b_names: tuple
     M: int
     target: float
-    grid_mode: str
     rows: list
     fits: list
 
@@ -283,7 +283,7 @@ def _sweep(rows_on, groups, scales, grid: GridSpec, mode: str, names, b_names,
                                          section=section, center=center))
         reports.append(ScalingReport(experiment=experiment, kernel=kernel,
                                      b_names=b_names, M=M, target=target,
-                                     grid_mode=mode, rows=rows, fits=fits))
+                                     rows=rows, fits=fits))
     return reports
 
 
@@ -337,7 +337,7 @@ class TbTestResult:
     @property
     def verdict(self) -> str:
         vs = {self.on_b1.verdict, self.transpose_on_b0.verdict}
-        return "PASS" if vs <= {"PASS", "PASS-degenerate"} else "FAIL"
+        return "PASS" if vs <= PASSING else "FAIL"
 
 
 def stein_tb_test(K: KernelModel, b0: BFunc, b1: BFunc, M: int = 2,
@@ -368,7 +368,7 @@ class BilinearTbResult:
     @property
     def verdict(self) -> str:
         vs = {self.direct.verdict, self.transpose1.verdict, self.transpose2.verdict}
-        return "PASS" if vs <= {"PASS", "PASS-degenerate"} else "FAIL"
+        return "PASS" if vs <= PASSING else "FAIL"
 
     @property
     def reports(self):
@@ -545,6 +545,11 @@ def _center_dev(v: np.ndarray, qsel: np.ndarray, i0: int) -> float:
     return float(np.max(np.abs(v[qsel] - v[i0])))
 
 
+def _spread(vals) -> float:
+    """max / min of the values; inf when the least is not positive."""
+    return max(vals) / min(vals) if min(vals) > 0 else float("inf")
+
+
 @dataclass(frozen=True)
 class BmoSweepRow:
     R: float
@@ -560,13 +565,11 @@ class BmoSweepReport:
 
     @property
     def ratio(self) -> float:
-        vals = [r.bmo for r in self.rows]
-        return max(vals) / min(vals) if min(vals) > 0 else float("inf")
+        return _spread([r.bmo for r in self.rows])
 
     @property
     def verdict(self) -> str:
-        vals = [r.bmo for r in self.rows]
-        if max(vals) == 0:
+        if max(r.bmo for r in self.rows) == 0:
             return "PASS-degenerate"
         return "PASS" if self.ratio <= self.uniformity_factor else "FAIL"
 
@@ -613,8 +616,7 @@ class FarFieldReport:
 
     @property
     def ratio(self) -> float:
-        vals = [r.sup_dev for r in self.rows]
-        return max(vals) / min(vals) if min(vals) > 0 else float("inf")
+        return _spread([r.sup_dev for r in self.rows])
 
     @property
     def abs_bound(self) -> float:

@@ -15,17 +15,6 @@ import numpy as np
 GALLERY_NAMES = ("hilbert", "cauchy-lipschitz", "commutator", "bilinear-homog",
                  "positive-control")
 
-# default grid mode per operator for scaling sweeps: homogeneous singular
-# kernels are measured on scale-matched grids; the commutator has an intrinsic
-# scale and the positive control needs a fixed lattice to expose divergence
-DEFAULT_GRID_MODE = {
-    "hilbert": "scaled",
-    "cauchy-lipschitz": "scaled",
-    "bilinear-homog": "scaled",
-    "commutator": "fixed",
-    "positive-control": "fixed",
-}
-
 
 @dataclass(frozen=True)
 class KernelModel:
@@ -35,6 +24,9 @@ class KernelModel:
     delta: float                # claimed Holder regularity order
     size_constant: float        # claimed size constant
     rule: object = field(compare=False)   # rule(x, y) or rule(x, y, z)
+    # grid of the scaling sweeps: homogeneous singular kernels are measured on
+    # scale-matched grids; the commutator has an intrinsic scale and the positive
+    # control needs a fixed lattice to expose divergence, so both are "fixed"
     grid_mode: str = "scaled"
     params: dict = field(default_factory=dict)
     # Translation structure on the grid lattice, or None. Linear: a tuple of
@@ -130,13 +122,13 @@ def _bilinear_homog(u, v):
         return np.where(s2 > 0, u * v / s2 ** 2, 0.0)
 
 
-def _difference_kernel(name, profile, size_constant) -> KernelModel:
+def _difference_kernel(name, profile, size_constant, grid_mode="scaled") -> KernelModel:
     """K(x, y) = profile(x - y)."""
     def rule(x, y):
         return profile(np.asarray(x, dtype=float) - np.asarray(y, dtype=float))
     return KernelModel(name=name, arity="linear", d=1, delta=1.0,
                        size_constant=size_constant, rule=rule,
-                       grid_mode=DEFAULT_GRID_MODE[name], lattice=((None, profile, None),))
+                       grid_mode=grid_mode, lattice=((None, profile, None),))
 
 
 def gallery(name: str, **params) -> KernelModel:
@@ -163,9 +155,7 @@ def gallery(name: str, **params) -> KernelModel:
         # the treecode's far-field ratio is at most sqrt(1 + lam^2) / 3 <= 0.48
         # for |lam| <= 1; steeper graphs keep the dense rows
         return KernelModel(name="cauchy-lipschitz", arity="linear", d=1, delta=1.0,
-                           size_constant=1.0, rule=rule,
-                           grid_mode=DEFAULT_GRID_MODE[name],
-                           params={"lam": lam},
+                           size_constant=1.0, rule=rule, params={"lam": lam},
                            curve=(None, z, None) if abs(lam) <= 1.0 else None)
 
     if name == "commutator":
@@ -187,7 +177,7 @@ def gallery(name: str, **params) -> KernelModel:
         # m(x) k(x - y) a(y) - m(x) a(x) k(x - y)
         return KernelModel(name="commutator", arity="linear", d=1, delta=1.0,
                            size_constant=(1.0 + a_amp) * (1.0 + m_amp), rule=rule,
-                           grid_mode=DEFAULT_GRID_MODE[name],
+                           grid_mode="fixed",
                            params={"lam_trunc": lam_trunc, "mu": mu,
                                    "a_amp": a_amp, "m_amp": m_amp},
                            lattice=((m, keven, a), (lambda x: -m(x) * a(x), keven, None)))
@@ -198,11 +188,10 @@ def gallery(name: str, **params) -> KernelModel:
             return _bilinear_homog(x - np.asarray(y, dtype=float), x - np.asarray(z, dtype=float))
         # size constant in the (|x-y| + |x-z|)^2 metric check_size measures
         return KernelModel(name="bilinear-homog", arity="bilinear", d=1, delta=1.0,
-                           size_constant=1.0, rule=rule,
-                           grid_mode=DEFAULT_GRID_MODE[name], lattice=_bilinear_homog)
+                           size_constant=1.0, rule=rule, lattice=_bilinear_homog)
 
     if name == "positive-control":
-        return _difference_kernel(name, lambda u: 1.0 / np.abs(u), 1.0)
+        return _difference_kernel(name, lambda u: 1.0 / np.abs(u), 1.0, grid_mode="fixed")
 
     raise ValueError(f"unknown gallery operator {name!r}; known: {GALLERY_NAMES}")
 

@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import bumps
-from .grid import Cube, DyadicFamily, Grid, SampledFunction, cell_blocks
+from .grid import Cube, DyadicFamily, Grid, SampledFunction, cell_blocks, cell_spans
 from .util import csv_table
 
 CDF_NODES = 1 << 14          # mollifier CDF table on [-1, 1]
@@ -63,22 +63,6 @@ def mollification_l1_error(h: float, d: int = 1) -> float:
 
 # --- subcube scans ---
 
-def _cell_spans(g: Grid, centers: np.ndarray, side: float):
-    """First cell index and cell count per axis, (m, d) each, of the cubes of the
-    given centres and side, clipped to the grid; the cubes must be cell-aligned."""
-    g_lo = np.asarray(g.box.center) - g.box.side / 2.0
-    a = (centers - side / 2.0 - g_lo) / g.h
-    b = (centers + side / 2.0 - g_lo) / g.h
-    ia, ib = np.round(a), np.round(b)
-    bad = np.nonzero(np.any((np.abs(a - ia) > 1e-6) | (np.abs(b - ib) > 1e-6), axis=1))[0]
-    if len(bad):
-        raise ValueError(f"cube (center {tuple(centers[bad[0]].tolist())}, side {side}) "
-                         f"is not aligned with grid cells")
-    starts = np.maximum(0, ia).astype(np.intp)
-    ends = np.minimum(g.n, np.maximum(0, ib)).astype(np.intp)
-    return starts, np.maximum(ends - starts, 0)
-
-
 def _subcube_scans(b: SampledFunction, centers: np.ndarray, side: float, J: int):
     """Per cube of the given centres and side: the best ratio |int_W b| / |Q| over
     the grid-aligned windows W of side side / 2^j, j <= J, with W's first cell
@@ -89,7 +73,15 @@ def _subcube_scans(b: SampledFunction, centers: np.ndarray, side: float, J: int)
     in C order wins a tie within a depth, the shallowest depth a tie across them.
     """
     g, d, h = b.grid, b.grid.d, b.grid.h
-    starts, lengths = _cell_spans(g, centers, side)
+    # the cubes' edges must lie on cell edges, to 1e-6 of a cell
+    g_lo = np.asarray(g.box.center) - g.box.side / 2.0
+    edges = np.concatenate([centers - side / 2.0 - g_lo, centers + side / 2.0 - g_lo],
+                           axis=1) / h
+    bad = np.nonzero(np.any(np.abs(edges - np.round(edges)) > 1e-6, axis=1))[0]
+    if len(bad):
+        raise ValueError(f"cube (center {tuple(centers[bad[0]].tolist())}, side {side}) "
+                         f"is not aligned with grid cells")
+    starts, lengths = cell_spans(g, centers, side)
     ratio = np.full(len(centers), -1.0)
     corner = np.zeros(centers.shape, dtype=np.intp)
     width = np.zeros(len(centers), dtype=np.intp)

@@ -56,7 +56,6 @@ from .kernels import KernelModel
 @dataclass(frozen=True)
 class PvPolicy:
     c_eps: int = 2              # excision radius in cells; eps = c_eps * h >= h
-    convergence_check: bool = True
     tol_pv: float = 1e-2
 
     def __post_init__(self):
@@ -65,11 +64,17 @@ class PvPolicy:
         if not 0 < self.tol_pv < np.inf:
             raise ValueError(f"tol_pv must be positive and finite, got {self.tol_pv}")
 
+    @property
+    def c_refined(self) -> int:
+        """The refined excision radius in cells, eps/2 rounded down and at least one
+        cell; the eps vs eps/2 check compares the values at the two radii."""
+        return max(1, self.c_eps // 2)
+
 
 @dataclass(frozen=True)
 class PvValue:
     value: complex
-    refined: complex | None    # the eps/2 estimate, when the check ran
+    refined: complex           # the eps/2 estimate
     converged: bool
 
     def __complex__(self):
@@ -80,7 +85,6 @@ class PvValue:
 class FieldResult:
     field: SampledFunction
     converged: np.ndarray
-    policy: PvPolicy
 
     @property
     def n_flagged(self) -> int:
@@ -201,7 +205,7 @@ def _plan(K: KernelModel, grid: Grid, policy: PvPolicy, rows) -> Plan:
         build, sums = _bilinear_lattice, _bilinear_lattice_sums
     else:
         build, sums = None, _dense_field_sums
-    parts = {} if build is None else build(K, grid, policy.c_eps, rows)
+    parts = {} if build is None else build(K, grid, policy, rows)
     for a in _arrays((rows, parts)):
         a.setflags(write=False)
     return Plan(kernel=K, grid=grid, policy=policy, rows=rows, parts=parts, sums=sums)
@@ -224,11 +228,9 @@ def _dense_field_sums(p: Plan, vs, values, delta) -> None:
 def _result(K: KernelModel, fs: tuple, policy: PvPolicy, values: np.ndarray,
             delta: np.ndarray) -> FieldResult:
     """The field of the values, flagged where the eps vs eps/2 change delta is large."""
-    conv = np.abs(delta) <= policy.tol_pv * (1.0 + np.abs(values)) \
-        if policy.convergence_check else np.ones(len(values), dtype=bool)
     name = f"T[{K.name}]({','.join(f.name for f in fs)})"
     return FieldResult(field=SampledFunction(grid=fs[0].grid, values=values, name=name),
-                       converged=conv, policy=policy)
+                       converged=np.abs(delta) <= policy.tol_pv * (1.0 + np.abs(values)))
 
 
 def _profile(p, *uv) -> np.ndarray:
@@ -260,7 +262,7 @@ def _convolve(FP: np.ndarray, s: np.ndarray, n: int) -> np.ndarray:
 
 
 def _linear_tail(f, rows, h, base, near_mass, a1, ring_mass):
-    """values = base - f near_mass + a1 f' h at the rows, and value(c_eps//2) - value(c_eps):
+    """values = base - f near_mass + a1 f' h at the rows, and value(c_refined) - value(c_eps):
     value(c) depends on c only through the near-zone kernel mass, so that is f
     times the mass of the ring between the two excisions (empty at c_eps = 1)."""
     fp = np.zeros_like(f)
@@ -268,11 +270,11 @@ def _linear_tail(f, rows, h, base, near_mass, a1, ring_mass):
     return base - f[rows] * near_mass + a1 * fp[rows] * h, f[rows] * ring_mass
 
 
-def _linear_rows(K: KernelModel, grid: Grid, c_eps: int, rows: np.ndarray) -> dict:
+def _linear_rows(K: KernelModel, grid: Grid, policy: PvPolicy, rows: np.ndarray) -> dict:
     """Per block of BLOCK rows: the rows of the kernel matrix, zero on the
     diagonal and where not finite, and their near, a1 and ring masses. The rule
     is called once per block, as the rows of a block are summed together."""
-    n, h = grid.n, grid.h
+    n, h, c_eps = grid.n, grid.h, policy.c_eps
     x = grid.axis(0)
     blocks = []
     for s in range(0, len(rows), BLOCK):
@@ -286,7 +288,7 @@ def _linear_rows(K: KernelModel, grid: Grid, c_eps: int, rows: np.ndarray) -> di
         a1 = np.zeros(len(r), dtype=complex)
         k = np.nonzero((r >= 1) & (r <= n - 2))[0]
         a1[k] = 0.5 * h * (M[k, r[k] + 1] - M[k, r[k] - 1])
-        ring = (off > max(1, c_eps // 2)) & (off <= c_eps)
+        ring = (off > policy.c_refined) & (off <= c_eps)
         ring_mass = np.where(ring, M, 0.0 + 0.0j).sum(axis=1) * h
         blocks.append((M, near_mass, a1, ring_mass))
     return {"blocks": tuple(blocks)}
@@ -415,10 +417,10 @@ def _curve_sum(parts: dict, f: np.ndarray) -> np.ndarray:
     return out if parts["left"] is None else parts["left"] * out
 
 
-def _linear_structure(K: KernelModel, grid: Grid, c_eps: int, rows) -> dict:
+def _linear_structure(K: KernelModel, grid: Grid, policy: PvPolicy, rows) -> dict:
     """The lattice tables or the treecode geometry of the full off-diagonal sum,
     and the near, a1 and ring masses read from K.rule on the 2 c_eps off-diagonals."""
-    n, h = grid.n, grid.h
+    n, h, c_eps = grid.n, grid.h, policy.c_eps
     x = grid.axis(0)
     parts = _lattice_plan(K.lattice, x, h) if K.lattice is not None else \
         _curve_plan(K.curve, x, h)
@@ -430,7 +432,7 @@ def _linear_structure(K: KernelModel, grid: Grid, c_eps: int, rows) -> dict:
     a1 = np.zeros(n, dtype=complex)
     a1[1:-1] = 0.5 * h * (band[1:-1, c_eps] - band[1:-1, c_eps - 1])
     return dict(parts, near_mass=band.sum(axis=1) * h, a1=a1,
-                ring_mass=band[:, np.abs(ks) > max(1, c_eps // 2)].sum(axis=1) * h)
+                ring_mass=band[:, np.abs(ks) > policy.c_refined].sum(axis=1) * h)
 
 
 def _linear_structure_sums(p: Plan, vs, values, delta) -> None:
@@ -441,7 +443,7 @@ def _linear_structure_sums(p: Plan, vs, values, delta) -> None:
                                        P["near_mass"], P["a1"], P["ring_mass"])
 
 
-def _bilinear_slices(K: KernelModel, grid: Grid, c_eps: int, rows: np.ndarray) -> dict:
+def _bilinear_slices(K: KernelModel, grid: Grid, policy: PvPolicy, rows: np.ndarray) -> dict:
     """Per point i: its n x n kernel slice, zero where not finite, the mask of
     the cells beyond the excision, S = |x_i - y| + |x_i - z| > eps, and on the
     (2 c_eps + 1)^2 window around (i, i) the excised cells' kernel values and
@@ -451,7 +453,7 @@ def _bilinear_slices(K: KernelModel, grid: Grid, c_eps: int, rows: np.ndarray) -
     the ring lie in that window; row-major order in the window is their order
     in the slice, so every sum keeps its order.
     """
-    x, h = grid.axis(0), grid.h
+    x, h, c_eps = grid.axis(0), grid.h, policy.c_eps
     eps = c_eps * h
     points = []
     for i in rows:
@@ -463,7 +465,7 @@ def _bilinear_slices(K: KernelModel, grid: Grid, c_eps: int, rows: np.ndarray) -
         w = slice(max(0, i - c_eps), i + c_eps + 1)
         Kw, Sw = Kv[w, w], S[w, w]
         near = (Sw <= eps) & (Sw > 0)
-        ring = (Sw > max(1, c_eps // 2) * h) & (Sw <= eps)
+        ring = (Sw > policy.c_refined * h) & (Sw <= eps)
         points.append((Kv, S > eps, near, Kw[near], Kw[ring].sum()))
     return {"points": tuple(points)}
 
@@ -479,13 +481,13 @@ def _bilinear_slices_sums(p: Plan, vs, values, delta) -> None:
         values[i], delta[i] = val, fv[i] * gv[i] * ring_sum * h * h
 
 
-def _bilinear_lattice(K: KernelModel, grid: Grid, c_eps: int, rows) -> dict:
+def _bilinear_lattice(K: KernelModel, grid: Grid, policy: PvPolicy, rows) -> dict:
     """The weights sum P over the excised offsets and over the ring, per point.
 
     The excised set and the ring are classified by the same float test as a
     dense point over the O(c_eps^2) candidate offsets.
     """
-    n, h = grid.n, grid.h
+    n, h, c_eps = grid.n, grid.h, policy.c_eps
     x = grid.axis(0)
     i = np.arange(n)
     off = np.arange(-c_eps, c_eps + 1)
@@ -495,8 +497,7 @@ def _bilinear_lattice(K: KernelModel, grid: Grid, c_eps: int, rows) -> dict:
     S[(ja < 0) | (ja >= n) | (jb < 0) | (jb >= n)] = np.inf
     Pc = _profile(K.lattice, a * h, b * h)
     return {"near": np.where((S > 0) & (S <= c_eps * h), Pc, 0.0).sum(axis=0),
-            "ring": np.where((S > max(1, c_eps // 2) * h) & (S <= c_eps * h), Pc,
-                             0.0).sum(axis=0)}
+            "ring": np.where((S > policy.c_refined * h) & (S <= c_eps * h), Pc, 0.0).sum(axis=0)}
 
 
 def _bilinear_lattice_sums(p: Plan, vs, values, delta) -> None:
@@ -540,8 +541,7 @@ def _pv(K: KernelModel, fs: tuple, policy: PvPolicy, points=None, x=None):
         return fr
     i = rows[0]
     v = complex(values[i])
-    return PvValue(value=v, refined=v + complex(delta[i]) if policy.convergence_check else None,
-                   converged=bool(fr.converged[i]))
+    return PvValue(value=v, refined=v + complex(delta[i]), converged=bool(fr.converged[i]))
 
 
 def apply_linear(K: KernelModel, f: SampledFunction, x, policy: PvPolicy = PvPolicy()) -> PvValue:

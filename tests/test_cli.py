@@ -63,6 +63,33 @@ def test_run_bad_config_exit_2(tmp_path, capsys):
     assert not (tmp_path / "out" / "summary.txt").exists()
 
 
+@pytest.mark.parametrize("line", ["policy.convergence_check = false", "dimension = 1"])
+def test_removed_keys_exit_2_before_any_file(tmp_path, capsys, line):
+    # the convergence check always runs, and experiments take d from the kernel
+    p = write_cfg(tmp_path, "r.cfg", f"kernel.name = hilbert\n{line}\n")
+    out = tmp_path / "out"
+    assert run("stein", p, out) == 2
+    assert f"unknown key {line.split()[0]!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text,message", [
+    ("", "CSV has no header"),
+    ("x,re,im\n", "CSV has no data rows"),
+    ("x,re,im\n0.5,1,0\n", "CSV grid has 1 points per axis, need at least 8"),
+    ("x,re,im\n0.5,1,0\n1.5,1\n", "CSV data row 2 has 2 cells, the header 3"),
+])
+def test_malformed_b_csv_exit_2_before_any_file(tmp_path, capsys, text, message):
+    # the first three used to end in an uncaught IndexError with exit code 1,
+    # the code of a FAIL verdict
+    path = tmp_path / "b.csv"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert run("bmo", write_cfg(tmp_path, "b.cfg", f"b1 = {path}\n"), out) == 2
+    assert message in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
 @pytest.mark.parametrize("key", ["grid.box_side", "kernel.params.lam",
                                  "kernel.params.lip_bound", "kernel.params.lam_trunc",
                                  "kernel.params.mu", "kernel.params.a_amp",

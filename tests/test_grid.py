@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from tblab.grid import (Cube, cube1, dyadic_family, load_sampled_csv, lp_norm,
+from tblab.grid import (Cube, cell_spans, cube1, dyadic_family, load_sampled_csv, lp_norm,
                         make_grid, sample, save_sampled_csv)
 
 # reference values for the standard bump profile, from Richardson-refined
@@ -219,6 +219,55 @@ def test_csv_rejects_rows_out_of_x_major_order(tmp_path):
         load_sampled_csv(_csv_2d(tmp_path / "e.csv", _x_major() + _x_major()[-1:]))
     g = load_sampled_csv(_csv_2d(tmp_path / "ok.csv", _x_major()))
     np.testing.assert_array_equal(g.values.real, 10 * np.arange(8)[:, None] + np.arange(8))
+
+
+@pytest.mark.parametrize("text,message", [
+    ("", "CSV has no header"),
+    ("x,re,im\n", "CSV has no data rows"),
+    ("x,re,im\n0.5,1,0\n", "CSV grid has 1 points per axis, need at least 8"),
+    ("x,y,re,im\n0.5,0.5,1,0\n", "CSV grid has 1 points per axis, need at least 8"),
+    ("x,re,im\n0.5,1,0\n1.5,1\n", "CSV data row 2 has 2 cells, the header 3"),
+    ("x,re,im\n" + "".join(f"{i + 0.5},1,0\n" for i in range(8)) + "\n",
+     "CSV data row 9 has 0 cells, the header 3"),
+])
+def test_csv_rejects_malformed_files(tmp_path, text, message):
+    # the first four used to end in an IndexError, the last two in numpy's
+    # inhomogeneous-shape error, naming no row
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_sampled_csv(path)
+
+
+def _rounded_spans(g, centers, side):
+    """The cell spans of cell-aligned cubes from their rounded edges, clipped to
+    the grid: the rule the subcube scans used, kept as the oracle of cell_spans."""
+    g_lo = np.asarray(g.box.center) - g.box.side / 2.0
+    ia = np.round((centers - side / 2.0 - g_lo) / g.h)
+    ib = np.round((centers + side / 2.0 - g_lo) / g.h)
+    starts = np.maximum(0, ia).astype(np.intp)
+    ends = np.minimum(g.n, np.maximum(0, ib)).astype(np.intp)
+    return starts, np.maximum(ends - starts, 0)
+
+
+def test_cell_spans_match_rounded_edges_on_aligned_cubes():
+    # cubes of w cells at random cell offsets, partly or wholly outside the box;
+    # a start is only read where the span is not empty
+    rng = np.random.default_rng(1584)
+    for _ in range(1584):
+        d = int(rng.integers(1, 3))
+        n = int(rng.integers(8, 2049))
+        g = make_grid(d, Cube(tuple(rng.uniform(-4.0, 4.0, d)), rng.uniform(0.5, 64.0)), n)
+        w = int(rng.integers(1, n + 1))
+        first = rng.integers(-w - 3, n + 4, size=(16, d))
+        g_lo = np.asarray(g.box.center) - g.box.side / 2.0
+        centers = g_lo + (first + w / 2.0) * g.h
+        starts, lengths = cell_spans(g, centers, w * g.h)
+        want_starts, want_lengths = _rounded_spans(g, centers, w * g.h)
+        np.testing.assert_array_equal(lengths, want_lengths)
+        some = lengths > 0
+        np.testing.assert_array_equal(starts[some], want_starts[some])
+        assert np.all(lengths <= np.minimum(w, n))
 
 
 def test_values_immutable(unit_grid):

@@ -334,6 +334,18 @@ def test_commutator_kernel_near_extended_precision_sum():
     assert float(np.max(err) / np.max(np.abs(ref))) <= 3e-16
 
 
+@pytest.mark.parametrize("name,mode", [("hilbert", "scaled"), ("cauchy-lipschitz", "scaled"),
+                                       ("bilinear-homog", "scaled"), ("commutator", "fixed"),
+                                       ("positive-control", "fixed")])
+def test_gallery_grid_modes_carry_over_to_transposes(name, mode):
+    # the commutator has an intrinsic scale and the positive control needs a
+    # fixed lattice to show its divergence; the others run on scale-matched grids
+    K = gallery(name)
+    which = (1,) if K.arity == "linear" else (1, 2)
+    assert [k.grid_mode for k in [K] + [transpose_kernel(K, w) for w in which]] == \
+        [mode] * (len(which) + 1)
+
+
 def test_transpose_arity_checks():
     with pytest.raises(ValueError):
         transpose_kernel(gallery("hilbert"), 2)

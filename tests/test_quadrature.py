@@ -78,9 +78,9 @@ def test_pv_stability_under_excision_halving():
     g = make_grid(1, cube1(0.0, 8.0), 512)
     f = sample(lambda x: np.exp(-x * x), g)
     x = g.axis(0)[200]
-    v2 = apply_linear(H, f, x, PvPolicy(c_eps=2, convergence_check=True))
+    v2 = apply_linear(H, f, x, PvPolicy(c_eps=2))
     assert v2.converged
-    v4 = apply_linear(H, f, x, PvPolicy(c_eps=4, convergence_check=False))
+    v4 = apply_linear(H, f, x, PvPolicy(c_eps=4))
     assert abs(complex(v4) - complex(v2)) <= 1e-2 * (1 + abs(complex(v2)))
 
 
@@ -90,7 +90,11 @@ def test_positive_control_flagged_nonconvergent():
     K = gallery("positive-control")
     v = apply_linear(K, f, g.axis(0)[256])
     assert not v.converged
-    assert v.refined is not None
+    assert isinstance(v.refined, complex) and v.refined != v.value
+    # the default policy flags the field too, and a converged value still
+    # carries its eps/2 estimate
+    assert apply_linear_field(K, f).n_flagged > 0
+    assert isinstance(apply_linear(H, f, g.axis(0)[256]).refined, complex)
 
 
 def test_policy_validation():
@@ -138,7 +142,7 @@ def test_bilinear_frozen_refinement_values(n):
     phi, _ = standard_bump(2, make_grid(1, cube1(0.0, 4.0), 512))
     f = translate_dilate(phi, (0.0,), 1.0, grid=g)
     i = g.nearest_index(0.5)[0]
-    v = apply_bilinear(K, f, f, g.axis(0)[i], PvPolicy(convergence_check=False))
+    v = apply_bilinear(K, f, f, g.axis(0)[i])
     assert complex(v).real == pytest.approx(BILINEAR_AT_HALF[n], rel=1e-4)
 
 
