@@ -158,7 +158,7 @@ def _generation_centers(family: DyadicFamily, k: int) -> np.ndarray:
         shift_vecs = [(s, 0.0) for s in SHIFTS] + [(0.0, s) for s in SHIFTS] + \
                      [(s, t) for s in SHIFTS for t in SHIFTS]
     side = family.side(k)
-    base = np.asarray([Q.center for Q in family.generations[k]])
+    base = family.centers(k)
     out = [base]
     for vec in shift_vecs:
         c = base + np.asarray(vec) * side

@@ -168,9 +168,7 @@ class ExperimentConfig:
         return ingest_b(self.get(slot, "one"))
 
     def out_dir(self, override=None) -> Path:
-        d = Path(override or self.get("output.dir", "tblab-out"))
-        d.mkdir(parents=True, exist_ok=True)
-        return d
+        return Path(override or self.get("output.dir", "tblab-out"))
 
 
 @dataclass(frozen=True)
@@ -242,8 +240,10 @@ def _svg_plot(rows, target: float, title: str) -> str:
 def _emit(out: Path, files: dict, lines, verdicts) -> int:
     """Write an experiment's files and summary.txt; return its exit code.
 
-    A file's content is CSV rows, or text for an SVG plot.
+    A file's content is CSV rows, or text for an SVG plot. The directory is
+    made here, so an experiment that fails leaves none behind.
     """
+    out.mkdir(parents=True, exist_ok=True)
     for name, content in files.items():
         if isinstance(content, str):
             (out / name).write_text(content)
@@ -440,7 +440,7 @@ def run(subcommand: str, config_path, out_dir=None) -> int:
         return 2
     try:
         return _emit(out, *_RUNNERS[subcommand](cfg))
-    except (ConfigError, ValueError) as e:
+    except (ConfigError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

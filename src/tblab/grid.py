@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 
@@ -226,6 +225,16 @@ class DyadicFamily:
     def side(self, k: int) -> float:
         return self.root.side / (1 << k)
 
+    def centers(self, k: int) -> np.ndarray:
+        """Centres, (2^(kd), d), of generation k's cubes in product order."""
+        return _tiling_centers(self.root, k)
+
+
+def _tiling_centers(root: Cube, k: int) -> np.ndarray:
+    side = root.side / (1 << k)
+    axes = [x + (np.arange(1 << k) + 0.5) * side for x in root.lo()]
+    return np.stack([a.ravel() for a in np.meshgrid(*axes, indexing="ij")], axis=1)
+
 
 def dyadic_family(root: Cube, k_min: int, k_max: int) -> DyadicFamily:
     """Exact dyadic tilings of `root` for generations k_min..k_max."""
@@ -237,13 +246,8 @@ def dyadic_family(root: Cube, k_min: int, k_max: int) -> DyadicFamily:
     total = sum((1 << k) ** d for k in range(k_min, k_max + 1))
     if total > GENERATION_CAP:
         raise ValueError(f"family would contain {total} cubes, cap is {GENERATION_CAP}")
-    gens = {}
-    lo = root.lo()
-    for k in range(k_min, k_max + 1):
-        side = root.side / (1 << k)
-        gens[k] = [Cube(tuple(float(lo[ax] + (i + 0.5) * side) for ax, i in enumerate(idx)),
-                        side)
-                   for idx in product(range(1 << k), repeat=d)]
+    gens = {k: [Cube(c, root.side / (1 << k)) for c in _tiling_centers(root, k).tolist()]
+            for k in range(k_min, k_max + 1)}
     return DyadicFamily(root=root, k_min=k_min, k_max=k_max, generations=gens)
 
 
@@ -268,11 +272,19 @@ def load_sampled_csv(path, name: str = "") -> SampledFunction:
         raise ValueError(f"unrecognized CSV header {header}")
     if not body:
         raise ValueError("CSV has no data rows")
+    data = []
     for i, r in enumerate(body):
         if len(r) != len(header):
             raise ValueError(f"CSV data row {i + 1} has {len(r)} cells, the header "
                              f"{len(header)}")
-    data = np.asarray([[float(c) for c in r] for r in body])
+        data.append([])
+        for c, col in zip(r, header):
+            try:
+                data[-1].append(float(c))
+            except ValueError:
+                raise ValueError(f"{path}: CSV data row {i + 1}, column {col}: {c!r} is "
+                                 f"not a number") from None
+    data = np.asarray(data)
     axes = [np.unique(data[:, i]) for i in range(d)]
     n = len(axes[0])
     if any(len(a) != n for a in axes[1:]):

@@ -260,9 +260,9 @@ def _sweep(rows_on, groups, scales, grid: GridSpec, mode: str, names, b_names,
     on a fixed grid rows_on runs once, before the pool, and on per-row grids
     inside each job. A row returns a (value, pv flag) pair per (experiment,
     kernel name) pair of `names` and its margin flag, or None when its support
-    escapes the grid; escaped rows are dropped. A group is a (section, center)
-    pair; each group with at least 5 rows in a report gets its own exponent
-    fit against R^target.
+    escapes the grid; escaped rows are dropped, and a group left with no row is
+    an error. A group is a (section, center) pair; each group with at least 5
+    rows in a report gets its own exponent fit against R^target.
     """
     jobs = [(group, R) for group in groups for R in _check_scales(scales)]
     if mode == "fixed":
@@ -271,6 +271,10 @@ def _sweep(rows_on, groups, scales, grid: GridSpec, mode: str, names, b_names,
     else:
         done = pmap(lambda job: rows_on(grid.row_grid(mode, job[1]))(*job), jobs)
     kept = [(group, R, res) for (group, R), res in zip(jobs, done) if res is not None]
+    for section, center in groups:
+        if all(group != (section, center) for group, _, _ in kept):
+            raise ValueError(f"every row of section {section!r} at centre {center:g} "
+                             f"escapes its grid")
     reports = []
     for pos, (experiment, kernel) in enumerate(names):
         rows = [SweepRow(group[0], group[1], R, *values[pos], margin)

@@ -24,7 +24,6 @@ H_INIT = 1.0                 # first mollifier width tried; halved until it suff
 MIN_CELLS_PER_EPS = 4        # grid cells the narrowest mollifier must span
 SK_ALPHA_ORDER = 1.0         # Holder order of the checklist's x-regularity
 SK_TOL = 1e-2                # checklist tolerance on symmetry and pairing
-WINDOW_CHUNK = 1 << 16       # condition-(B) candidates (cube, window cube) per block
 
 
 # --- mollifier: the order-1 normalized bump, mass-normalized kernel ---
@@ -158,8 +157,7 @@ def check_para_accretive(b: SampledFunction, family: DyadicFamily,
     per_cube = []
     for k in range(family.k_min, family.k_max + 1):
         gen = family.generations[k]
-        scans = _witnesses(b.grid, *_subcube_scans(
-            b, np.asarray([Q.center for Q in gen]), family.side(k), J))
+        scans = _witnesses(b.grid, *_subcube_scans(b, family.centers(k), family.side(k), J))
         for Q, (ratio, W) in zip(gen, scans):
             if W is None:
                 raise ValueError(f"cube side {Q.side} holds no whole grid cell")
@@ -186,60 +184,43 @@ class ConditionBCertificate:
         return all(W is not None for _, W, _ in self.witnesses[k])
 
 
-def _nearest_good(centers: np.ndarray, side: float, good: np.ndarray, N: float):
-    """Per cube of a generation's dyadic tiling, (m, d) centres in product order:
-    the index of its nearest cube with good set, by gap, then centre distance,
-    then index, and that gap; (-1, inf) where no such cube is within N * side.
+def _nearest_good(family: DyadicFamily, k: int, good: np.ndarray, N: float):
+    """Per cube of generation k, in product order: the index of its nearest cube
+    with good set, by gap, then centre distance, then index, and that gap; (-1,
+    inf) where no such cube is within N * side.
 
-    Only the cubes within floor(N) + 1 index steps on each axis can lie within
-    that gap, so each cube searches a window of (2N + 3)^d candidates. A
-    candidate's gap adds one per-axis term per axis, each from an (M, 2N + 3)
-    table of the generation's M coordinates per axis; the window is taken in
-    blocks of about WINDOW_CHUNK candidates, so the memory stays O(m).
+    On a dyadic tiling the gap, the centre distance and the index order between
+    two cubes depend only on their integer index offset o: in units of the side,
+    gap^2 = sum max(|o| - 1, 0)^2 and distance^2 = sum o^2. The offsets within
+    gap N * side are sorted once by those keys and then by flat offset, and each
+    cube takes the first offset whose neighbour is in the tiling and good. The
+    gap is then taken from the picked pair's coordinates, as Cube.gap_to does.
     """
-    m, d = centers.shape
-    M = round(m ** (1.0 / d))
-    idx = np.stack(np.unravel_index(np.arange(m), (M,) * d), axis=1)
-    coords = [centers[::M ** (d - 1 - ax), ax][:M] for ax in range(d)]
-    if M ** d != m or not all(np.array_equal(centers[:, ax], coords[ax][idx[:, ax]])
-                              for ax in range(d)):
-        raise ValueError("a generation must be its dyadic tiling in product order")
+    d, M, side = family.root.d, 1 << k, family.side(k)
     r = min(M - 1, int(N + 1e-12 / side + 1e-6) + 1)
-    W = 2 * r + 1
-    # Cube.gap_to's term of axis ax between coordinates a and a + o, o in [-r, r]
-    terms = []
-    for c in coords:
-        j = np.arange(M)[:, None] + np.arange(-r, r + 1)
-        jc = np.clip(j, 0, M - 1)
-        lo, hi = c - side / 2.0, c + side / 2.0
-        t = np.maximum(np.maximum(lo[:, None] - hi[jc], 0.0),
-                       np.maximum(lo[jc] - hi[:, None], 0.0)) ** 2
-        t[j != jc] = np.inf
-        terms.append(t)
-    windows = np.lib.stride_tricks.sliding_window_view(
-        np.pad(good.reshape((M,) * d), r), (W,) * d)
-    pick, gap = np.full(m, -1), np.full(m, np.inf)
-    step = max(1, WINDOW_CHUNK // (M ** (d - 1) * W ** d))
-    for a0 in range(0, M, step):
-        a1 = min(M, a0 + step)
-        I = np.arange(a0 * M ** (d - 1), a1 * M ** (d - 1))
-        if d == 1:
-            gaps = np.sqrt(terms[0][a0:a1])
-        else:
-            gaps = np.sqrt(terms[0][a0:a1, None, :, None] + terms[1][None, :, None, :])
-        gaps = gaps.reshape(len(I), -1)
-        gaps[~windows[a0:a1].reshape(len(I), -1)] = np.inf
-        least = gaps.min(axis=1)
-        found = least <= N * side + 1e-12
-        # adjacent cubes share gap 0; break ties by centre distance, then index
-        tr, tc = np.nonzero((gaps == least[:, None]) & found[:, None])
-        J = np.ravel_multi_index(tuple((idx[I[tr]] + np.stack(
-            np.unravel_index(tc, (W,) * d), axis=1) - r).T), (M,) * d)
-        diff = centers[I[tr]] - centers[J]
-        order = np.lexsort((J, np.sqrt(np.vecdot(diff, diff)), tr))
-        first = order[np.diff(tr[order], prepend=-1) != 0]
-        pick[I[tr[first]]] = J[first]
-        gap[I[found]] = least[found]
+    o = np.stack(np.unravel_index(np.arange((2 * r + 1) ** d), (2 * r + 1,) * d), axis=1) - r
+    g2 = np.sum(np.maximum(np.abs(o) - 1, 0) ** 2, axis=1)
+    keep = side * np.sqrt(g2) <= N * side + 1e-12
+    o, g2 = o[keep], g2[keep]
+    flat = o @ M ** np.arange(d - 1, -1, -1)
+    order = np.lexsort((flat, np.sum(o * o, axis=1), g2))
+    pick = np.full(M ** d, -1)
+    todo = np.arange(M ** d)
+    idx = np.stack(np.unravel_index(todo, (M,) * d), axis=1)
+    for step, df in zip(o[order], flat[order]):
+        if not len(todo):
+            break
+        j, nb = todo + df, idx + step
+        hit = np.all((nb >= 0) & (nb < M), axis=1)
+        hit[hit] = good[j[hit]]
+        pick[todo[hit]] = j[hit]
+        todo, idx = todo[~hit], idx[~hit]
+    centers = family.centers(k)
+    lo, hi = centers - side / 2.0, centers + side / 2.0
+    i = np.nonzero(pick >= 0)[0]
+    t = np.maximum(np.maximum(lo[i] - hi[pick[i]], 0.0), np.maximum(lo[pick[i]] - hi[i], 0.0))
+    gap = np.full(M ** d, np.inf)
+    gap[i] = np.sqrt(np.sum(t ** 2, axis=1))
     return pick, gap
 
 
@@ -254,11 +235,9 @@ def check_condition_B(b: SampledFunction, family: DyadicFamily, N: float = 10.0,
     first_failure = None
     for k in range(family.k_min, family.k_max + 1):
         gen = family.generations[k]
-        side = family.side(k)
-        centers = np.asarray([Q.center for Q in gen])
         # depth 0 scans the cube itself: |int_Q b| / |Q| = |avg_Q b|
-        ratio, _, _ = _subcube_scans(b, centers, side, 0)
-        pick, gap = _nearest_good(centers, side, ratio >= eps, N)
+        ratio, _, _ = _subcube_scans(b, family.centers(k), family.side(k), 0)
+        pick, gap = _nearest_good(family, k, ratio >= eps, N)
         witnesses[k] = [(Q, gen[j], g) if j >= 0 else (Q, None, float("nan"))
                         for Q, j, g in zip(gen, pick.tolist(), gap.tolist())]
         if first_failure is None and np.any(pick < 0):

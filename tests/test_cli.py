@@ -78,6 +78,8 @@ def test_removed_keys_exit_2_before_any_file(tmp_path, capsys, line):
     ("x,re,im\n", "CSV has no data rows"),
     ("x,re,im\n0.5,1,0\n", "CSV grid has 1 points per axis, need at least 8"),
     ("x,re,im\n0.5,1,0\n1.5,1\n", "CSV data row 2 has 2 cells, the header 3"),
+    ("x,y,re,im\n0.5,0.5,1,0\n0.5,1.5,1,0\n1.5,abc,1,0\n",
+     "{path}: CSV data row 3, column y: 'abc' is not a number"),
 ])
 def test_malformed_b_csv_exit_2_before_any_file(tmp_path, capsys, text, message):
     # the first three used to end in an uncaught IndexError with exit code 1,
@@ -86,8 +88,44 @@ def test_malformed_b_csv_exit_2_before_any_file(tmp_path, capsys, text, message)
     path.write_text(text)
     out = tmp_path / "out"
     assert run("bmo", write_cfg(tmp_path, "b.cfg", f"b1 = {path}\n"), out) == 2
-    assert message in capsys.readouterr().err
-    assert not any(out.iterdir())
+    assert message.format(path=path) in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sub", ["bmo", "stein", "para-accretive"])
+def test_too_small_grid_exit_2_before_the_output_directory(tmp_path, capsys, sub):
+    # grid.n = 4 fails at run time; it used to leave an empty output directory
+    p = write_cfg(tmp_path, "n.cfg", "kernel.name = hilbert\ngrid.n = 4\n")
+    out = tmp_path / "out"
+    assert run(sub, p, out) == 2
+    assert "need at least 8 points per axis" in capsys.readouterr().err
+    assert not out.exists()
+    # an output directory that exists already is left as it was
+    out.mkdir()
+    (out / "keep.txt").write_text("kept")
+    assert run(sub, p, out) == 2
+    assert [f.name for f in out.iterdir()] == ["keep.txt"]
+
+
+def test_output_path_that_is_a_file_exit_2(tmp_path, capsys):
+    # it used to end in a FileExistsError traceback, exit code 1 (a FAIL verdict)
+    out = tmp_path / "out"
+    out.write_text("kept")
+    assert run("bmo", write_cfg(tmp_path, "b.cfg", "b1 = one\ngrid.n = 64\n"), out) == 2
+    assert "File exists" in capsys.readouterr().err
+    assert out.read_text() == "kept"
+
+
+@pytest.mark.parametrize("kernel", ["hilbert", "positive-control"])
+def test_stein_centre_group_with_no_row_exit_2_before_any_file(tmp_path, capsys, kernel):
+    # a centre whose bump escapes the grid at every scale used to leave a
+    # header-only CSV and a FAIL verdict (exit 1)
+    p = write_cfg(tmp_path, "c.cfg", f"kernel.name = {kernel}\ngrid.n = 64\n"
+                                     f"centers = 0,0.6\nscales = 0.5,1,2,4,8\n")
+    out = tmp_path / "out"
+    assert run("stein", p, out) == 2
+    assert "section '' at centre 0.6 escapes its grid" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key", ["grid.box_side", "kernel.params.lam",
@@ -140,7 +178,7 @@ def test_fitted_sweeps_reject_short_scales(tmp_path, capsys, monkeypatch, sub):
     out = tmp_path / "out"
     assert run(sub, p, out) == 2
     assert "scales" in capsys.readouterr().err
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("sub,kernel,scales", [
@@ -169,8 +207,7 @@ def test_bad_scales_exit_2_before_any_file(tmp_path, capsys, monkeypatch, sub, k
     out = tmp_path / "out"
     assert run(sub, p, out) == 2
     assert "scales" in capsys.readouterr().err
-    # a non-finite entry fails parsing, before the output directory is made
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("sub,key,value", [("wbp", "offsets", "1,nan"),
@@ -261,7 +298,7 @@ def test_para_ranges_exit_2_before_any_scan(tmp_path, capsys, monkeypatch, key, 
     out = tmp_path / "out"
     assert run("para-accretive", p, out) == 2
     assert f"{key} must be" in capsys.readouterr().err
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_uk_build_subcommand(tmp_path):

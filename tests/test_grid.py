@@ -1,4 +1,5 @@
 import re
+from itertools import product
 
 import numpy as np
 import pytest
@@ -138,6 +139,21 @@ def test_dyadic_partition_volumes_exact():
     for k in range(1, 4):
         assert sum(c.volume for c in fam.generations[k]) == pytest.approx(
             fam.root.volume, abs=0)
+
+
+@pytest.mark.parametrize("root", [cube1(0.5, 1.0), cube1(1.3, 7.3), Cube((0.0, 0.0), 4.0),
+                                  Cube((1.3, -0.7), 7.3)])
+def test_dyadic_family_centers_are_the_generation_centres(root):
+    # bit for bit, and by the per-cube formula lo + (i + 1/2) side of each axis
+    fam = dyadic_family(root, 0, 4)
+    lo = root.lo()
+    for k in range(5):
+        c = fam.centers(k)
+        assert c.shape == ((1 << k) ** root.d, root.d)
+        assert c.tolist() == [list(Q.center) for Q in fam.generations[k]]
+        assert c.tolist() == [[float(lo[ax] + (i + 0.5) * fam.side(k))
+                               for ax, i in enumerate(idx)]
+                              for idx in product(range(1 << k), repeat=root.d)]
 
 
 def test_dyadic_family_cap():

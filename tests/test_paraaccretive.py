@@ -396,8 +396,9 @@ def _corner_b(g):
 
 @pytest.mark.parametrize("k,N", [(5, 10.0), (5, 12.5), (4, 10.0), (3, 10.0), (2, 11.0)])
 def test_condition_b_windowed_search_equals_all_pairs_scan_2d(k, N):
-    # k = 5 (32 cubes a side): the (2N + 3)^2 window clips at the box edges;
-    # k <= 4 it holds the whole generation, and for k <= 3 N side exceeds the box
+    # k = 4, 5 (16, 32 cubes a side): a cube's offsets within N side reach
+    # past the nearby box edges but not across the box; for k <= 3 N side
+    # exceeds the box
     g = make_grid(2, Cube((0.0, 0.0), 8.0), 64)
     b = _corner_b(g)
     fam = dyadic_family(g.box, k, k)
@@ -410,6 +411,53 @@ def test_condition_b_windowed_search_equals_all_pairs_scan_2d(k, N):
     gaps = [gap for _, W, gap in witnesses[k] if W is not None]
     assert min(gaps) == 0.0 and max(gaps) > 0.0
     assert k < 5 or not valid
+
+
+def _offset_order_condition_B(b, family, N, eps):
+    """Oracle: each cube's large-average cubes ranked by exact integer keys of
+    their index offset o: first the gap^2 = sum max(|o| - 1, 0)^2 in units of
+    the side, then the distance^2 = sum o^2, then the index; k -> list of
+    (Q, witness or None)."""
+    witnesses = {}
+    for k in range(family.k_min, family.k_max + 1):
+        gen, side, M = family.generations[k], family.side(k), 1 << k
+        idx = np.stack(np.unravel_index(np.arange(len(gen)), (M,) * family.root.d), axis=1)
+        good = np.nonzero([_scalar_subcube_scan(b, Q, 0)[0] >= eps for Q in gen])[0]
+        rows = []
+        for i, Q in enumerate(gen):
+            o = idx[good] - idx[i]
+            g2 = np.sum(np.maximum(np.abs(o) - 1, 0) ** 2, axis=1)
+            ok = side * np.sqrt(g2) <= N * side + 1e-12
+            keys = sorted(zip(g2[ok].tolist(), np.sum(o * o, axis=1)[ok].tolist(),
+                              good[ok].tolist()))
+            rows.append((Q, gen[keys[0][2]] if keys else None, keys[:2]))
+        witnesses[k] = rows
+    return witnesses
+
+
+@pytest.mark.parametrize("root,n,k_max,b,eps", [
+    (cube1(1.3, 7.3), 1024, 6, lambda x: np.sign(np.sin(3.0 * x)) + 0.0j, 0.9),
+    (Cube((1.3, -0.7), 7.3), 64, 4, lambda x, y: np.sign(np.sin(x) * np.sin(y)) + 0.0j, 0.9),
+], ids=["d1", "d2"])
+def test_condition_b_on_a_non_dyadic_root_matches_offset_order(root, n, k_max, b, eps):
+    # centres 1.3 + (i + 1/2) 7.3 / 2^k are not binary fractions, so the float
+    # gaps of two cubes at one integer gap can differ by an ulp; the witness
+    # must still follow the exact integer order, and its gap be Cube.gap_to
+    g = make_grid(root.d, root, n)
+    b = sample(b, g)
+    fam = dyadic_family(root, 0, k_max)
+    for N in (10.0, 11.0):
+        cert = check_condition_B(b, fam, N=N, eps=eps)
+        oracle = _offset_order_condition_B(b, fam, N, eps)
+        ties = 0
+        for k, rows in oracle.items():
+            for (Q, W, keys), (cQ, cW, cgap) in zip(rows, cert.witnesses[k], strict=True):
+                assert cQ is Q and cW == W
+                assert cgap == Q.gap_to(W) if W is not None else np.isnan(cgap)
+                ties += len(keys) == 2 and keys[0][:2] == keys[1][:2]
+        assert ties > 0
+        assert cert.valid == all(W is not None for rows in oracle.values()
+                                 for _, W, _ in rows)
 
 
 @pytest.mark.parametrize("eps", [0.0, -1.0, np.inf, np.nan])
