@@ -10,7 +10,9 @@ Two radial profiles:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
@@ -20,9 +22,6 @@ from .grid import Grid, SampledFunction, sample
 
 TOL_FD = 1e-2          # certification slack on measured derivative sups
 MIN_PER_UNIT = 64      # coarsest grid allowed to certify a unit bump
-
-_DENSE_N = 1 << 21     # dense maximization lattice for c_norm
-_DENSE_BLOCK = 1 << 16  # samples per block of the dense lattices: O(block) temporaries
 
 
 def _mollifier(r):
@@ -48,85 +47,121 @@ def _plateau(r):
 PROFILES = {"standard-mollifier": _mollifier, "plateau": _plateau}
 
 
+def _check_profile(profile: str, d: int) -> None:
+    """ValueError naming an unknown profile or a dimension other than 1 and 2."""
+    if profile not in PROFILES:
+        raise ValueError(f"unknown profile {profile!r}; known: {', '.join(PROFILES)}")
+    if d not in (1, 2):
+        raise ValueError(f"bump constants are implemented for d = 1 and 2, got d = {d}")
+
+
+_P = np.polynomial.Polynomial
+_ONE_MINUS = _P([1.0, 0.0, -1.0])       # 1 - r^2
+
+
+def _radial_deriv(N, k: int):
+    """D with d/dr [N (1-r^2)^-k psi] = D (1-r^2)^-(k+2) psi, psi = exp(-1/(1-r^2))."""
+    return _ONE_MINUS ** 2 * N.deriv() + (2 * k * _P([0.0, 1.0]) * _ONE_MINUS - _P([0.0, 2.0])) * N
+
+
 def _mollifier_deriv_polys(m_max: int):
     """psi^(m) = P_m(x) / (1-x^2)^(2m) * psi via the recurrence
     P_{m+1} = (1-x^2)^2 P' + (4 m x (1-x^2) - 2 x) P, P_0 = 1."""
-    P = np.polynomial.Polynomial
-    one_minus = P([1.0, 0.0, -1.0])
-    polys = [P([1.0])]
+    polys = [_P([1.0])]
     for m in range(m_max):
-        p = polys[-1]
-        polys.append(one_minus ** 2 * p.deriv() + (4 * m * P([0.0, 1.0]) * one_minus - P([0.0, 2.0])) * p)
+        polys.append(_radial_deriv(polys[-1], 2 * m))
     return polys
 
 
-def _psi(m: int, r: np.ndarray) -> np.ndarray:
-    """psi^(m)(r) for 0 <= r < 1, in log form so that no factor overflows."""
-    one = 1.0 - r * r
-    p = _mollifier_deriv_polys(m)[m](r)
-    with np.errstate(divide="ignore", over="ignore", under="ignore"):
-        return (np.exp(np.log(np.maximum(np.abs(p), 1e-300)) - 2 * m * np.log(one) - 1.0 / one)
-                * np.sign(p))
+def _radial_abs(N, k: int, r: float) -> float:
+    """|N(r)| (1-r^2)^-k psi(r) at one 0 <= r < 1: N(r) and 1 - r^2 exact in
+    rationals, each rounded once, and the rest in log form so that no factor
+    overflows. Its relative error is about 1e-14 for the orders used here."""
+    q = Fraction(r)
+    p = abs(sum(Fraction(c) * q ** j for j, c in enumerate(N.coef)))
+    if p == 0:
+        return 0.0
+    one = 1 - q * q
+    return math.exp(math.log(p) - k * math.log(one) - 1.0 / float(one))
+
+
+_SUP_MARGIN = 1e-13     # above _radial_abs's error: a sup is an upper bound, so c_norm normalizes
+
+
+def _radial_sup(N, k: int) -> float:
+    """sup over 0 <= r < 1 of |N (1-r^2)^-k psi|, rounded up by _SUP_MARGIN: the
+    larger of its value at r = 0 and at its critical points, the real roots in
+    (0, 1) of _radial_deriv, each refined by four Newton steps."""
+    D = _radial_deriv(N, k)
+    roots = D.roots()
+    r = roots.real[(np.abs(roots.imag) < 1e-9) & (roots.real > 0.0) & (roots.real < 1.0)]
+    dD = D.deriv()
+    for _ in range(4):
+        r = r - D(r) / dD(r)
+    return max(_radial_abs(N, k, float(c)) for c in [0.0, *r]) * (1.0 + _SUP_MARGIN)
 
 
 @lru_cache(maxsize=None)
 def _mollifier_radial_sup(m: int) -> float:
-    """sup over r of |psi^(m)(r)| by dense sampling of the exact derivative, a
-    block of samples at a time (a max is exact in any order)."""
-    r = np.linspace(0.0, 1.0 - 1e-7, _DENSE_N)
-    return float(max(np.max(np.abs(_psi(m, r[s:s + _DENSE_BLOCK])))
-                     for s in range(0, _DENSE_N, _DENSE_BLOCK)))
+    """sup over r of |psi^(m)(r)|; its critical points are the roots of P_{m+1}."""
+    return _radial_sup(_mollifier_deriv_polys(m)[m], 2 * m)
 
 
 @lru_cache(maxsize=None)
 def deriv_sup(profile: str, m: int, d: int) -> float:
     """sup over R^d of |d^alpha profile| maximized over |alpha| = m."""
+    _check_profile(profile, d)
+    if m < 0:
+        raise ValueError(f"order must be >= 0, got {m}")
     if profile == "plateau":
         if m == 0:
             return 1.0
         raise ValueError("plateau profile is certified at order 0 only")
-    if profile != "standard-mollifier":
-        raise ValueError(f"unknown profile {profile!r}")
     if d == 1 and m > 6:
         raise ValueError("order capped at 6")
-    if d != 1 and m > 2:
+    if d == 2 and m > 2:
         raise ValueError("d=2 bump orders above 2 are not supported")
     if d == 1 or m < 2:
         # radial sups: |psi|, and |grad| = |psi'(r)| reached on an axis
         return _mollifier_radial_sup(m)
-    # order 2: partial_xx = psi'' c^2 + (psi'/r) s^2, partial_xy = (psi''-psi'/r)cs
-    r = np.linspace(1e-6, 1.0 - 1e-7, _DENSE_N // 4)
-    psi2 = _psi(2, r)
-    over_r = _psi(1, r) / r
-    pxx = np.maximum(np.abs(psi2), np.abs(over_r))
-    pxy = np.abs(psi2 - over_r) / 2.0
-    return float(max(pxx.max(), pxy.max()))
+    # order 2: partial_xx = psi'' c^2 + (psi'/r) s^2 peaks at c = 1 or s = 1, and
+    # partial_xy = (psi'' - psi'/r) c s at c s = 1/2; psi'/r = -2 (1-r^2)^-2 psi
+    p2 = _mollifier_deriv_polys(2)[2]
+    return max(_mollifier_radial_sup(2), _radial_sup(_P([-2.0]), 2),
+               _radial_sup((p2 + 2.0 * _ONE_MINUS ** 2) / 2.0, 4))
 
 
 @lru_cache(maxsize=None)
 def c_norm(M: int, d: int, profile: str = "standard-mollifier") -> float:
     """Amplitude making every derivative up to order M have sup <= 1."""
+    _check_profile(profile, d)
     if M < 0:
         raise ValueError("order must be >= 0")
     sups = [deriv_sup(profile, m, d) for m in range(M + 1)]
     return 1.0 / max(sups)
 
 
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_U_PANELS = np.concatenate([[0.0], np.linspace(0.25, 1.0, 17)])     # u = 1/4 is the plateau's edge
+
+
 @lru_cache(maxsize=None)
 def profile_integral(profile: str, d: int) -> float:
-    """int profile(|x|) dx over R^d by fine midpoint quadrature. The samples are
-    computed a block at a time into one array and summed by one np.sum, in the
-    order of the whole lattice."""
+    """int profile(|x|) dx over R^d.
+
+    d = 1: 2 int_0^1 f(r) dr by the 256-point midpoint rule, exact to roundoff
+    as both profiles are flat at r = 1 and even at r = 0. d = 2:
+    2 pi int_0^1 f(r) r dr = pi int_0^1 f(sqrt u) du by Gauss-Legendre on panels
+    of u: [0, 1/4] and 16 equal panels on [1/4, 1], as the plateau ends at
+    u = 1/4 (r = 1/2).
+    """
+    _check_profile(profile, d)
     f = PROFILES[profile]
-    n = 1 << 22
-    samples = np.empty(n)
-    for s in range(0, n, _DENSE_BLOCK):
-        r = (np.arange(s, s + _DENSE_BLOCK) + 0.5) / n
-        samples[s:s + _DENSE_BLOCK] = f(r) if d == 1 else f(r) * r
-    w = 1.0 / n
     if d == 1:
-        return float(2.0 * np.sum(samples) * w)
-    return float(2.0 * np.pi * np.sum(samples) * w)
+        return float(2.0 * np.sum(f((np.arange(256) + 0.5) / 256)) / 256)
+    a, b = _U_PANELS[:-1, None], _U_PANELS[1:, None]
+    u = (a + b) / 2.0 + (b - a) / 2.0 * _GL_NODES
+    return float(np.pi * np.sum((b - a) / 2.0 * _GL_WEIGHTS * f(np.sqrt(u))))
 
 
 @dataclass(frozen=True)
@@ -189,9 +224,9 @@ class BumpRule:
 def standard_bump(M: int, grid: Grid, profile: str = "standard-mollifier"):
     """Certifiable normalized bump of order M sampled on `grid`.
 
-    Returns (SampledFunction, BumpSpec). The amplitude is chosen from dense
-    maximization of the profile's exact derivatives, then verify_bump can
-    re-check it with grid finite differences.
+    Returns (SampledFunction, BumpSpec). The amplitude is 1 over the largest
+    exact derivative sup, each found at the critical points of its closed
+    form, then verify_bump can re-check it with grid finite differences.
     """
     if 1.0 / grid.h < MIN_PER_UNIT:
         raise ValueError(

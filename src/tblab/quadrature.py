@@ -19,11 +19,13 @@ Every evaluation is an operator plan applied to the functions. plan(K, grid,
 policy, points) does the work that depends only on the kernel, the grid and
 the policy: the lattice profile tables, the treecode geometry, the band
 K.rule values with the a1, near and ring masses, and for explicit points
-each point's kernel row (linear) or n x n slice (bilinear) with its excision
-masks. Applying it, plan(f) or plan(f, g), does the work that depends on the
-functions and sets the eps vs eps/2 convergence flags. A plan is immutable
-and its arrays are read-only, so the row pool's threads share one; its
-caller owns it and nothing is cached, so it lives as long as the caller
+each point's kernel row (linear) or its n x n slice beyond the excision,
+compacted (bilinear). Applying it, plan(f) or plan(f, g), does the work that
+depends on the functions and sets the eps vs eps/2 convergence flags; a
+bilinear point's sum is np.sum's pairwise sum of its products, formed
+_SUM_LEAF at a time, so applying builds no n x n temporary. A plan is
+immutable and its arrays are read-only, so the row pool's threads share one;
+its caller owns it and nothing is cached, so it lives as long as the caller
 keeps it. A sweep on one grid builds its plans once and applies them to
 every row; apply_linear_field and friends build a plan and apply it once,
 per BLOCK rows (linear) or per point (bilinear) when points are given, so a
@@ -175,9 +177,10 @@ def plan(K: KernelModel, grid: Grid, policy: PvPolicy = PvPolicy(), points=None)
     What it holds, by case (n grid points, 16 bytes per complex):
     - explicit points, linear: each point's scrubbed kernel row and its near,
       a1 and ring masses, 16 n + 48 bytes per point;
-    - explicit points, bilinear: each point's scrubbed n x n kernel slice, the
-      mask of the cells beyond the excision and the excised window's values,
-      at most 17 n^2 + 17 (2 c_eps + 1)^2 bytes per point;
+    - explicit points, bilinear: each point's scrubbed kernel values beyond
+      the excision, compacted, and the flat indices and values of its k <=
+      (2 c_eps + 1)^2 excised cells, 16 n^2 + 8 k - 16 bytes per point; applying
+      it holds O(_SUM_LEAF + n) more, whatever the number of points;
     - a whole linear field with a lattice structure: the spectrum of one
       profile table per distinct profile and each term's factors on the grid;
       with a curve structure, the treecode's geometry (near-field reciprocals
@@ -219,6 +222,7 @@ def _chunked(K: KernelModel, grid: Grid, policy: PvPolicy, rows: np.ndarray, vs,
     for s in range(0, len(rows), step):
         p = _plan(K, grid, policy, rows[s:s + step])
         p.sums(p, vs, values, delta)
+        del p       # freed before the next plan is built: one plan at a time
 
 
 def _dense_field_sums(p: Plan, vs, values, delta) -> None:
@@ -361,11 +365,13 @@ def _curve_plan(curve, x: np.ndarray, h: float) -> dict:
     zz = np.asarray(z(np.concatenate([x, x[-1] + h * np.arange(1, N - n + 1)])), dtype=complex)
     # near field: 1/(z_i - z_j) is antisymmetric, so each block pair is one reciprocal
     Z = zz.reshape(m, -1, 1)
+    G = Z - Z.transpose(0, 2, 1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        G = 1.0 / (Z - Z.transpose(0, 2, 1))
+        np.divide(1.0, G, out=G)
     d = np.arange(Z.shape[1])
     G[:, d, d] = 0.0
-    G1 = 1.0 / (Z[1:] - Z[:-1].transpose(0, 2, 1))      # leaf b + 1 against leaf b
+    G1 = Z[1:] - Z[:-1].transpose(0, 2, 1)      # leaf b + 1 against leaf b
+    np.divide(1.0, G1, out=G1)
     levels = []
     for level in range(2, L + 1):
         mb = 1 << level
@@ -399,6 +405,7 @@ def _curve_sum(parts: dict, f: np.ndarray) -> np.ndarray:
     out[1:] += G1 @ W[:-1]
     out[:-1] -= G1.transpose(0, 2, 1) @ W[1:]
     out = out.ravel()
+    work = np.empty(3 * len(w), dtype=complex)      # each level's U and V hold 3 boxes per box
     for src, V, U, D, p in parts["levels"]:
         W = w.reshape(len(V), -1)
         a = np.empty((len(V), p), dtype=complex)
@@ -407,12 +414,12 @@ def _curve_sum(parts: dict, f: np.ndarray) -> np.ndarray:
             a[:, k] = P.sum(axis=1)
             P *= D
         A = a[src][:, :, :, None]
-        acc = np.empty_like(U)
+        acc = work.reshape(U.shape)
         acc[...] = A[:, :, p - 1]
         for k in range(p - 2, -1, -1):
             acc *= U
             acc += A[:, :, k]
-        out += (acc * V).sum(axis=1).ravel()
+        out += np.multiply(acc, V, out=acc).sum(axis=1).ravel()
     out = out[:n]
     return out if parts["left"] is None else parts["left"] * out
 
@@ -443,42 +450,112 @@ def _linear_structure_sums(p: Plan, vs, values, delta) -> None:
                                        P["near_mass"], P["a1"], P["ring_mass"])
 
 
-def _bilinear_slices(K: KernelModel, grid: Grid, policy: PvPolicy, rows: np.ndarray) -> dict:
-    """Per point i: its n x n kernel slice, zero where not finite, the mask of
-    the cells beyond the excision, S = |x_i - y| + |x_i - z| > eps, and on the
-    (2 c_eps + 1)^2 window around (i, i) the excised cells' kernel values and
-    the kernel sum over the ring.
+# A bilinear point's rule temporaries, made per block of rows, stay well under
+# malloc's default 128 KB mmap threshold, so that their cost does not depend on
+# how far the allocator has raised it; its sum's buffers are made once per apply.
+_SLICE_BYTES = 1 << 16      # bytes per float temporary of the bilinear rule
+_SUM_LEAF = 3 << 12         # complex products per np.sum call: 16 calls per point at n = 384
 
-    S <= eps needs |x_i - x_j| <= eps in both slots, so the excised set and
-    the ring lie in that window; row-major order in the window is their order
-    in the slice, so every sum keeps its order.
+
+def _cell_runs(cut: np.ndarray, lo: int, hi: int, a: int, b: int) -> list:
+    """The runs of cells beyond the excision among the flat cells lo:hi of a
+    slice whose excised cells have the sorted flat indices cut, cut[a:b] of
+    them in lo:hi, as (start in lo:hi, start in the compacted row-major order,
+    length)."""
+    runs, s = [], lo
+    for k, c in enumerate(cut[a:b].tolist() + [hi]):
+        if s < c:
+            runs.append((s - lo, s - a - k, c - s))
+        s = c + 1
+    return runs
+
+
+def _pairwise_sum(part, start: int, count: int) -> complex:
+    """part(start, count).sum() over the whole range in np.sum's order, holding
+    at most _SUM_LEAF values at a time. np.sum adds a contiguous complex array
+    pairwise: a run of more than 64 values splits after half of its 2 count
+    doubles, rounded down to a multiple of 8, and a run of at most _SUM_LEAF
+    values is summed by np.sum itself (the slice oracle tests check the order)."""
+    if count <= _SUM_LEAF:
+        return part(start, count).sum()
+    half = (count - count % 8) // 2
+    return _pairwise_sum(part, start, half) + _pairwise_sum(part, start + half, count - half)
+
+
+def _bilinear_slices(K: KernelModel, grid: Grid, policy: PvPolicy, rows: np.ndarray) -> dict:
+    """Per point i: the kernel values of its n x n slice beyond the excision,
+    S = |x_i - y| + |x_i - z| > eps, compacted in row-major order and zero where
+    not finite; the sorted flat indices of the excised cells; and the excised
+    cells' kernel values other than (i, i), with the kernel sum over the ring.
+
+    S <= eps needs |x_i - x_j| <= eps in both slots, so the excised cells and
+    the ring lie in the (2 c_eps + 1)^2 window around (i, i); row-major order
+    there is their order in the slice, so every sum keeps its order. The rule
+    is called on blocks of rows whose float temporaries stay under
+    _SLICE_BYTES, and each block is cast and compacted as it comes.
     """
-    x, h, c_eps = grid.axis(0), grid.h, policy.c_eps
-    eps = c_eps * h
+    x, h, n = grid.axis(0), grid.h, grid.n
+    eps = policy.c_eps * h
+    step = max(1, _SLICE_BYTES // (8 * n))
     points = []
     for i in rows:
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            Kv = np.asarray(K.rule(x[i], x[:, None], x[None, :]), dtype=complex)
-        Kv[~np.isfinite(Kv)] = 0.0
         au = np.abs(x[i] - x)
-        S = au[:, None] + au[None, :]
-        w = slice(max(0, i - c_eps), i + c_eps + 1)
-        Kw, Sw = Kv[w, w], S[w, w]
-        near = (Sw <= eps) & (Sw > 0)
-        ring = (Sw > policy.c_refined * h) & (Sw <= eps)
-        points.append((Kv, S > eps, near, Kw[near], Kw[ring].sum()))
+        w = np.arange(max(0, i - policy.c_eps), min(n, i + policy.c_eps + 1))
+        Sw = au[w, None] + au[None, w]
+        cut = (w[:, None] * n + w[None, :])[Sw <= eps]
+        Scut = Sw[Sw <= eps]
+        far = np.empty(n * n - len(cut), dtype=complex)
+        Kcut = np.empty(len(cut), dtype=complex)
+        for r0 in range(0, n, step):
+            r1 = min(r0 + step, n)
+            lo, hi = r0 * n, r1 * n
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                Kb = np.asarray(K.rule(x[i], x[r0:r1, None], x[None, :])).ravel()
+            a, b = cut.searchsorted((lo, hi)).tolist()
+            for s, o, m in _cell_runs(cut, lo, hi, a, b):
+                far[o:o + m] = Kb[s:s + m]
+            Kcut[a:b] = Kb[cut[a:b] - lo]
+            if not np.isfinite(Kb).all():
+                block = far[lo - a:hi - b]      # the block's cells beyond the excision
+                block[~np.isfinite(block)] = 0.0
+        Kcut[~np.isfinite(Kcut)] = 0.0
+        points.append((far, cut, Kcut[Scut > 0], Kcut[Scut > policy.c_refined * h].sum()))
     return {"points": tuple(points)}
 
 
 def _bilinear_slices_sums(p: Plan, vs, values, delta) -> None:
+    """Per point, (K * np.outer(f, g))[S > eps].sum() over its whole slice,
+    element for element and in the same order, from _SUM_LEAF products at a
+    time. The f(y) g(z) under a leaf are the whole rows of np.outer(f, g)
+    that it touches, formed by one broadcast product into a reused buffer.
+    The buffers stay allocated across the points of one application."""
     fv, gv = vs
-    h, c_eps = p.grid.h, p.policy.c_eps
-    FG = np.outer(fv, gv)
-    for i, (Kv, far, near, Knear, ring_sum) in zip(p.rows, p.parts["points"]):
-        val = (Kv * FG)[far].sum() * h * h
-        w = slice(max(0, i - c_eps), i + c_eps + 1)
-        val += (Knear * (FG[w, w][near] - fv[i] * gv[i])).sum() * h * h
-        values[i], delta[i] = val, fv[i] * gv[i] * ring_sum * h * h
+    n, h = p.grid.n, p.grid.h
+    points = p.parts["points"]
+    leaf = min(_SUM_LEAF, max((len(far) for far, _, _, _ in points), default=0))
+    span = leaf + max((len(cut) for _, cut, _, _ in points), default=0)    # flat cells of one leaf
+    FG = np.empty((-(-span // n) + 1, n), dtype=complex)     # the rows of f (x) g under one leaf
+    prod = np.empty(leaf, dtype=complex)
+    for i, (far, cut, Knear, ring_sum) in zip(p.rows, points):
+        before = cut - np.arange(len(cut))      # far cells before each excised cell
+
+        def products(o0, count):
+            if count == 0:          # every cell of a small grid is excised
+                return prod[:0]
+            # the far cells o0:o0 + count are the flat cells lo:hi less cut[a:b]
+            a, b = before.searchsorted((o0, o0 + count - 1), side="right").tolist()
+            lo, hi = o0 + a, o0 + count + b
+            y0, y1 = lo // n, -(-hi // n)
+            t = np.multiply(fv[y0:y1, None], gv, out=FG[:y1 - y0]).ravel()[lo - y0 * n:]
+            for s, o, m in _cell_runs(cut, lo, hi, a, b):
+                np.multiply(far[o:o + m], t[s:s + m], out=prod[o - o0:o - o0 + m])
+            return prod[:count]
+
+        fgi = fv[i] * gv[i]
+        val = _pairwise_sum(products, 0, len(far)) * h * h
+        near = cut[cut != i * n + i]
+        val += (Knear * (fv[near // n] * gv[near % n] - fgi)).sum() * h * h
+        values[i], delta[i] = val, fgi * ring_sum * h * h
 
 
 def _bilinear_lattice(K: KernelModel, grid: Grid, policy: PvPolicy, rows) -> dict:

@@ -42,42 +42,72 @@ def test_profile_integral_frozen():
         PSI_INT_2D, rel=1e-6)
 
 
-def _profile_integral_unblocked(profile, d):
-    f = bumps.PROFILES[profile]
-    n = 1 << 22
-    r = (np.arange(n) + 0.5) / n
-    w = 1.0 / n
-    if d == 1:
-        return float(2.0 * np.sum(f(r)) * w)
-    return float(2.0 * np.pi * np.sum(f(r) * r) * w)
-
-
-@pytest.mark.parametrize("profile", ["standard-mollifier", "plateau"])
-@pytest.mark.parametrize("d", [1, 2])
-def test_blocked_profile_integral_is_the_unblocked_sum(profile, d):
-    assert profile_integral(profile, d).hex() == _profile_integral_unblocked(profile, d).hex()
+# 40-digit mpmath references (numerical differentiation of exp(-1/(1-r^2)) and
+# bracketed root finding on the next derivative; adaptive quadrature split at the
+# plateau's edge r = 1/2), independent of the in-package closed forms
+RADIAL_SUPS = [0.3678794411714423215955238, 0.7984297518335995441695274,
+               7.749704941694145434665036, 186.3999213188283004659280,
+               8315.890070895587186848722, 596357.7786271714723582207,
+               81474753.53069303213339744]
+# d = 2, order 2: max over sup |psi''|, sup |psi'/r| = 8 e^-2 and sup |psi'' - psi'/r| / 2
+D2_ORDER2_SUP = 7.749704941694145434665036
+PROFILE_INTEGRALS = {("standard-mollifier", 1): 0.4439938161680794378230489,
+                     ("standard-mollifier", 2): 0.4665123931783300688795562,
+                     ("plateau", 1): 1.5,
+                     ("plateau", 2): 1.788287773173654882097670}
 
 
 @pytest.mark.parametrize("m", range(7))
-def test_blocked_radial_sup_is_the_unblocked_max(m):
-    r = np.linspace(0.0, 1.0 - 1e-7, bumps._DENSE_N)
-    want = float(np.max(np.abs(bumps._psi(m, r))))
-    assert bumps._mollifier_radial_sup(m).hex() == want.hex()
+def test_radial_sup_matches_reference(m):
+    assert bumps._mollifier_radial_sup(m) == pytest.approx(RADIAL_SUPS[m], rel=2e-12, abs=0)
 
 
-def test_dense_lattices_are_blocked():
-    # the unblocked sum peaked at 138 MB of traced heap, the unblocked sup at 101 MB;
-    # what stays is the 32 MB sample array and the 16 MB lattice
-    for fn, args, bound in ((bumps.profile_integral.__wrapped__, ("standard-mollifier", 1), 40e6),
-                            (bumps.profile_integral.__wrapped__, ("plateau", 2), 40e6),
-                            (bumps._mollifier_radial_sup.__wrapped__, (4,), 24e6)):
+@pytest.mark.parametrize("M", range(7))
+def test_normalized_bump_derivatives_are_at_most_one(M):
+    # each sup is an upper bound, so a normalized bump's derivatives are at most 1
+    assert all(c_norm(M, 1) * RADIAL_SUPS[m] <= 1.0 for m in range(M + 1))
+
+
+def test_d2_order_two_sup_matches_reference():
+    assert deriv_sup("standard-mollifier", 2, 2) == pytest.approx(D2_ORDER2_SUP, rel=2e-12, abs=0)
+    assert bumps._radial_sup(np.polynomial.Polynomial([-2.0]), 2) == pytest.approx(
+        8.0 * np.exp(-2.0), rel=2e-12, abs=0)
+
+
+@pytest.mark.parametrize("key", sorted(PROFILE_INTEGRALS), ids="{0[0]}-d{0[1]}".format)
+def test_profile_integral_matches_reference(key):
+    assert profile_integral(*key) == pytest.approx(PROFILE_INTEGRALS[key], rel=1e-15, abs=0)
+
+
+@pytest.mark.parametrize("fn,args", [(profile_integral, ("standard-mollifier", 3)),
+                                     (profile_integral, ("plateau", 0)),
+                                     (deriv_sup, ("standard-mollifier", 1, 3)),
+                                     (c_norm, (2, 3)), (c_norm, (1, 0))])
+def test_bad_dimension_is_named(fn, args):
+    with pytest.raises(ValueError, match="d = 1 and 2, got d = [03]"):
+        fn(*args)
+
+
+@pytest.mark.parametrize("fn,args", [(profile_integral, ("foo", 1)), (deriv_sup, ("foo", 0, 1)),
+                                     (c_norm, (0, 1, "foo"))])
+def test_unknown_profile_is_named(fn, args):
+    with pytest.raises(ValueError, match="unknown profile 'foo'"):
+        fn(*args)
+
+
+def test_cold_constants_need_no_dense_lattice():
+    # each constant comes from a few closed-form evaluations, not a sampled lattice
+    for fn, args in ((bumps.profile_integral.__wrapped__, ("standard-mollifier", 1)),
+                     (bumps.profile_integral.__wrapped__, ("plateau", 2)),
+                     (bumps._mollifier_radial_sup.__wrapped__, (6,)),
+                     (bumps.deriv_sup.__wrapped__, ("standard-mollifier", 2, 2))):
         tracemalloc.start()
         try:
             fn(*args)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < bound, (fn.__name__, args, peak)
+        assert peak < 1e6, (fn.__name__, args, peak)
 
 
 def test_standard_bump_zero_outside_ball(unit_grid):

@@ -439,6 +439,31 @@ def test_bilinear_point_is_bit_identical_to_masked_oracle(n, box, c_eps):
     assert np.array_equal(fr.field.values[pts], np.array(want))
 
 
+@pytest.mark.parametrize("c_eps", [1, 2])
+def test_bilinear_point_zeroes_non_finite_values_as_the_oracle_does(c_eps):
+    # 1 / ((x - y)(x - z)) is infinite on row and column i of the slice, in
+    # excised cells and beyond the excision
+    K = dataclasses.replace(gallery("bilinear-homog"), rule=lambda x, y, z: 1.0 / ((x - y) * (x - z)))
+    g = make_grid(1, cube1(0.0, 8.0), 127)
+    f, h = _smooth(g, 14), _smooth(g, 15)
+    pts = [0, 3, 63, 126]
+    fr = apply_bilinear_field(K, f, h, PvPolicy(c_eps=c_eps), points=pts)
+    want = [_bilinear_point_masked(K, f.values, h.values, g, i, c_eps) for i in pts]
+    assert np.array_equal(fr.field.values[pts], np.array([v for v, _ in want]))
+    assert all(np.isfinite(v) for v, _ in want)
+
+
+@pytest.mark.parametrize("c_eps", [7, 8, 16])
+def test_bilinear_point_on_a_wholly_excised_slice_is_bit_identical(c_eps):
+    # on a small grid the excision can cover every cell of a slice
+    K = gallery("bilinear-homog")
+    g = make_grid(1, cube1(0.0, 4.0), 9)
+    f, h = _smooth(g, 12), _smooth(g, 13)
+    fr = apply_bilinear_field(K, f, h, PvPolicy(c_eps=c_eps), points=range(9))
+    want = [_bilinear_point_masked(K, f.values, h.values, g, i, c_eps)[0] for i in range(9)]
+    assert np.array_equal(fr.field.values, np.array(want))
+
+
 def test_whole_commutator_field_reads_each_profile_once():
     # the commutator's two lattice terms share one profile; so do those of K*
     K = gallery("commutator")
@@ -612,20 +637,21 @@ def test_commutator_sweep_evaluates_two_profile_tables():
 
 
 def test_decomposition_builds_one_slice_per_point():
-    # one point plan at the cells read, shared by the five fields of every R
+    # one point plan at the cells read, shared by the five fields of every R:
+    # the rule sees each point's n x n slice once, a block of rows at a time
     K = gallery("bilinear-homog")
-    calls = []
+    cells = {}
 
     def counting(x, y, z):
         out = K.rule(x, y, z)
-        calls.append(np.size(out))
+        cells[float(x)] = cells.get(float(x), 0) + np.size(out)
         return out
 
     grid = GridSpec(n=384, box_side=64.0)
     rep = bilinear_decomposition_check(dataclasses.replace(K, rule=counting), grid=grid)
-    pts = _localize(grid, DECOMP_CUBE)[4]
+    g, pts = grid.row_grid("fixed", 1.0), _localize(grid, DECOMP_CUBE)[4]
     assert len(rep.rows) == 3 and len(pts) == 3
-    assert calls == [384 * 384] * len(pts)
+    assert cells == {float(g.axis(0)[i]): 384 * 384 for i in pts}
     assert rep.rows == bilinear_decomposition_check(K, grid=grid).rows
 
 
@@ -672,12 +698,21 @@ def test_plan_rejects_bad_grids_and_points_before_any_kernel_evaluation():
         plan(K, make_grid(1, cube1(0.0, 8.0), 64), points=[3, True])
 
 
+@pytest.mark.parametrize("name", ["hilbert", "bilinear-homog"])
+def test_plan_of_no_points_applies_to_a_zero_field(name):
+    K = gallery(name)
+    g = make_grid(1, cube1(0.0, 8.0), 64)
+    f = _smooth(g, 2)
+    fr = plan(K, g, PvPolicy(), [])(*[f] * (1 if K.arity == "linear" else 2))
+    assert not fr.field.values.any() and fr.converged.all()
+
+
 @pytest.mark.parametrize("name,bytes_per_point", [
     ("hilbert", lambda n, c: 16 * n + 48),
-    ("bilinear-homog", lambda n, c: 17 * n * n + 17 * (2 * c + 1) ** 2)])
+    ("bilinear-homog", lambda n, c: 16 * n * n + 8 * (2 * c + 1) ** 2)])
 def test_point_plan_size_is_as_stated(name, bytes_per_point):
     # the sizes plan() states: 16 n + 48 bytes per linear point, at most
-    # 17 n^2 + 17 (2 c_eps + 1)^2 per bilinear point; the heap left after
+    # 16 n^2 + 8 (2 c_eps + 1)^2 per bilinear point; the heap left after
     # building holds little more (the rows and the containers)
     K = gallery(name)
     n, pts = 384, [0, 5, 190, 191, 383]
@@ -691,6 +726,25 @@ def test_point_plan_size_is_as_stated(name, bytes_per_point):
         tracemalloc.stop()
     assert stated * 0.9 <= T.nbytes <= stated
     assert T.nbytes <= held <= T.nbytes + 8 * len(pts) + 20_000
+
+
+@pytest.mark.parametrize("k", [1, 8])
+def test_bilinear_point_plan_applies_in_one_slice_of_memory(k):
+    # applying a plan of k points holds at most one n x n complex array at a
+    # time, whatever k
+    K = gallery("bilinear-homog")
+    n = 384
+    g = make_grid(1, cube1(0.0, 64.0), n)
+    T = plan(K, g, PvPolicy(), list(range(100, 100 + 23 * k, 23)))
+    f, h = _smooth(g, 30), _smooth(g, 31)
+    T(f, h)
+    tracemalloc.start()
+    try:
+        T(f, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * n * n + 256 * 1024
 
 
 # --- properties ------------------------------------------------------------------
