@@ -2,8 +2,8 @@
 
 Flat key=value config files, one experiment per file. Exit codes:
 0 every verdict PASS; 1 at least one FAIL (files still written); 2 bad
-configuration or runtime error. TBLAB_THREADS caps worker threads; the
-output bytes do not depend on it.
+configuration or runtime error. Every run is serial, and repeated runs of
+one config write the same bytes.
 
 Each subcommand runs its experiment and returns (files, summary lines,
 verdicts); one emitter writes them. A config key that is not set leaves the

@@ -14,7 +14,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import product
+from itertools import groupby, product
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .grid import Cube, Grid, SampledFunction, cube1, dyadic_family, lp_norm, sa
 from .kernels import KernelModel, transpose_kernel
 from .quadrature import (Plan, PvPolicy, _triple_pairing, apply_bilinear_field,
                          apply_linear_field, pairing, plan)
-from .util import csv_table, pmap
+from .util import csv_table
 
 DEFAULT_SLOPE_TOL = 0.07
 DEFAULT_UNIFORMITY = 2.0
@@ -255,21 +255,24 @@ def _sweep(rows_on, groups, scales, grid: GridSpec, mode: str, names, b_names,
     """The pipeline of every testing condition: rows, per-group fits, reports.
 
     rows_on(g) does the work that every row on the row grid g shares (the
-    operator plans) and returns the row function row(group, R). Each job
-    (group, R) of groups x scales runs in the row pool (the only thread pool);
-    on a fixed grid rows_on runs once, before the pool, and on per-row grids
-    inside each job. A row returns a (value, pv flag) pair per (experiment,
-    kernel name) pair of `names` and its margin flag, or None when its support
-    escapes the grid; escaped rows are dropped, and a group left with no row is
-    an error. A group is a (section, center) pair; each group with at least 5
-    rows in a report gets its own exponent fit against R^target.
+    operator plans) and returns the row function row(group, R). The jobs
+    (group, R) of groups x scales run serially in that order, with one rows_on
+    per run of consecutive jobs on one grid (per sweep on a fixed grid, per job
+    on scale-matched ones). A row returns a (value, pv flag) pair per
+    (experiment, kernel name) pair of `names` and its margin flag, or None when
+    its support escapes the grid; escaped rows are dropped, and no group or a
+    group left with no row is an error. A group is a (section, center) pair;
+    each with at least 5 rows in a report gets its own fit against R^target.
     """
-    jobs = [(group, R) for group in groups for R in _check_scales(scales)]
-    if mode == "fixed":
-        row = rows_on(grid.row_grid(mode, 1.0))
-        done = pmap(lambda job: row(*job), jobs)
-    else:
-        done = pmap(lambda job: rows_on(grid.row_grid(mode, job[1]))(*job), jobs)
+    scales = _check_scales(scales)
+    if not groups:
+        raise ValueError("a sweep needs at least one group of rows, got none")
+    jobs = [(group, R) for group in groups for R in scales]
+    done = []
+    for g, run in groupby(jobs, key=lambda job: grid.row_grid(mode, job[1])):
+        row = rows_on(g)
+        done += [row(*job) for job in run]
+        del row                          # drop this grid's plans before the next
     kept = [(group, R, res) for (group, R), res in zip(jobs, done) if res is not None]
     for section, center in groups:
         if all(group != (section, center) for group, _, _ in kept):
@@ -446,16 +449,15 @@ def weak_boundedness_test(K: KernelModel, b0: BFunc = B_ONE, b1: BFunc = B_ONE,
                                              policy)
         else:
             f1 = _weighted(b1.sampled(g), ph1.values)
-            fr = apply_linear_field(K, f1, policy) if T is None else T(f1)
+            fr = (plan(K, g, policy) if T is None else T)(f1)
             val = pairing(fr.field, _weighted(b0.sampled(g), ph2.values))
             n_flagged = fr.n_flagged
         return [(abs(val), n_flagged > 0)], _margin_flag(g, x2, R)
 
-    # on a fixed grid one plan of a linear kernel serves every row that keeps the
-    # grid; a row that widens it, or has a grid of its own, applies K on that grid
-    shared = not bil and K.grid_mode == "fixed"
+    # a linear kernel's plan on the row grid serves every row that keeps it; a
+    # row that widens the grid plans K on the wider one
     names = (b0.name, b1.name, b2.name) if bil else (b0.name, b1.name)
-    return _sweep(lambda g: partial(one_row, g, plan(K, g, policy) if shared else None),
+    return _sweep(lambda g: partial(one_row, g, None if bil else plan(K, g, policy)),
                   [(f"offset{off:g}", off) for off in offsets], scales, grid,
                   K.grid_mode, [("wbp", K.name)], names, M, float(K.d), slope_tol,
                   uniformity_factor)[0]
@@ -514,7 +516,7 @@ def direct_bound_check(K: KernelModel, b1: BFunc, op_norm: float | None = None,
                      * lp_norm(phi, 4) ** 2 * (1 + DIRECT_BOUND_TOL))
         return DirectBoundRow(R=R, measured=_l2(fr), bound=bound)
 
-    rows = pmap(one_row, scales)
+    rows = [one_row(R) for R in scales]
     bad = [r for r in rows if not r.ok]
     return DirectBoundReport(rows=rows, verdict="FAIL" if bad else "PASS",
                              witness=(0.0, bad[0].R) if bad else None)
@@ -554,6 +556,13 @@ def _spread(vals) -> float:
     return max(vals) / min(vals) if min(vals) > 0 else float("inf")
 
 
+def _uniformity_verdict(vals, factor: float) -> str:
+    """PASS-degenerate when every value is zero, else PASS iff max/min <= factor."""
+    if max(vals) == 0:
+        return "PASS-degenerate"
+    return "PASS" if _spread(vals) <= factor else "FAIL"
+
+
 @dataclass(frozen=True)
 class BmoSweepRow:
     R: float
@@ -573,9 +582,7 @@ class BmoSweepReport:
 
     @property
     def verdict(self) -> str:
-        if max(r.bmo for r in self.rows) == 0:
-            return "PASS-degenerate"
-        return "PASS" if self.ratio <= self.uniformity_factor else "FAIL"
+        return _uniformity_verdict([r.bmo for r in self.rows], self.uniformity_factor)
 
 
 def uniform_bmo_sweep(K: KernelModel, b1: BFunc = B_ONE, R_list=(1.0, 2.0, 4.0, 8.0),
@@ -595,7 +602,7 @@ def uniform_bmo_sweep(K: KernelModel, b1: BFunc = B_ONE, R_list=(1.0, 2.0, 4.0, 
         rep = bmo_seminorm(fr.field, fam)
         return BmoSweepRow(R=R, bmo=rep.sup_mean, pv_flagged=fr.n_flagged > 0), rep
 
-    out = pmap(one, R_list)
+    out = [one(R) for R in R_list]
     return BmoSweepReport(rows=[o[0] for o in out], uniformity_factor=uniformity_factor,
                           reports=[o[1] for o in out])
 
@@ -628,7 +635,7 @@ class FarFieldReport:
 
     @property
     def verdict(self) -> str:
-        return "PASS" if self.ratio <= self.uniformity_factor else "FAIL"
+        return _uniformity_verdict([r.sup_dev for r in self.rows], self.uniformity_factor)
 
 
 def far_field_constancy(K: KernelModel, b1: BFunc = B_ONE,
@@ -658,7 +665,7 @@ def far_field_constancy(K: KernelModel, b1: BFunc = B_ONE,
         return FarFieldRow(R=R, sup_dev=_center_dev(v_far, qsel, i0), c_QR=complex(v_far[i0]),
                            split_defect=split, pv_flagged=far.n_flagged > 0)
 
-    return FarFieldReport(Q=Q, r=r, rows=pmap(one_row, R_list),
+    return FarFieldReport(Q=Q, r=r, rows=[one_row(R) for R in R_list],
                           uniformity_factor=uniformity_factor)
 
 
@@ -774,4 +781,4 @@ def bilinear_decomposition_check(K: KernelModel, b1: BFunc = B_ONE, b2: BFunc = 
         return DecompositionRow(R=R, avg_I=avg_I, dev_II=devs[0], dev_III=devs[1],
                                 dev_IV=devs[2], sum_defect=sum_defect, sum_ok=sum_ok)
 
-    return DecompositionReport(Q=Q, r=r, rows=pmap(one_row, R_list))
+    return DecompositionReport(Q=Q, r=r, rows=[one_row(R) for R in R_list])

@@ -131,17 +131,23 @@ def _difference_kernel(name, profile, size_constant, grid_mode="scaled") -> Kern
                        grid_mode=grid_mode, lattice=((None, profile, None),))
 
 
+def _no_other_params(name: str, params: dict) -> None:
+    """Rejects the params left after a gallery operator took its own."""
+    if params:
+        raise ValueError(f"unknown {name} params {sorted(params)}")
+
+
 def gallery(name: str, **params) -> KernelModel:
     """Concrete operators: hilbert, cauchy-lipschitz(lam), commutator(...),
-    bilinear-homog, positive-control."""
+    bilinear-homog, positive-control; any other parameter is rejected."""
     if name == "hilbert":
+        _no_other_params(name, params)
         return _difference_kernel(name, lambda u: 1.0 / (np.pi * u), 1.0 / np.pi)
 
     if name == "cauchy-lipschitz":
         lam = float(params.pop("lam", 0.3))
         lip_bound = float(params.pop("lip_bound", 0.5))
-        if params:
-            raise ValueError(f"unknown cauchy-lipschitz params {sorted(params)}")
+        _no_other_params(name, params)
         # sup |A'| = |lam| sup |tanh| = |lam| exactly
         if abs(lam) > lip_bound + 1e-9:
             raise ValueError(f"Lipschitz constant of A is {abs(lam):.4f}, exceeds bound {lip_bound}")
@@ -163,8 +169,7 @@ def gallery(name: str, **params) -> KernelModel:
         mu = float(params.pop("mu", 1.0 / 64.0))
         a_amp = float(params.pop("a_amp", 0.1))
         m_amp = float(params.pop("m_amp", 0.05))
-        if params:
-            raise ValueError(f"unknown commutator params {sorted(params)}")
+        _no_other_params(name, params)
         keven = _CommutatorEvenKernel(lam_trunc, mu)
         def a(x):
             x = np.asarray(x, dtype=float)
@@ -183,6 +188,7 @@ def gallery(name: str, **params) -> KernelModel:
                            lattice=((m, keven, a), (lambda x: -m(x) * a(x), keven, None)))
 
     if name == "bilinear-homog":
+        _no_other_params(name, params)
         def rule(x, y, z):
             x = np.asarray(x, dtype=float)
             return _bilinear_homog(x - np.asarray(y, dtype=float), x - np.asarray(z, dtype=float))
@@ -191,6 +197,7 @@ def gallery(name: str, **params) -> KernelModel:
                            size_constant=1.0, rule=rule, lattice=_bilinear_homog)
 
     if name == "positive-control":
+        _no_other_params(name, params)
         return _difference_kernel(name, lambda u: 1.0 / np.abs(u), 1.0, grid_mode="fixed")
 
     raise ValueError(f"unknown gallery operator {name!r}; known: {GALLERY_NAMES}")

@@ -323,8 +323,7 @@ def select_mollifier_h(c0: float, b_sup: float, d: int = 1) -> float:
     raise ValueError("mollifier width underflow; threshold unattainable")
 
 
-def build_uk(b: SampledFunction, k: int, cert: ParaAccretivityCertificate | None = None,
-             J: int = 3, lattice_divisor: int = 1) -> UkFamily:
+def build_uk(b: SampledFunction, k: int, J: int = 3, lattice_divisor: int = 1) -> UkFamily:
     """Construct u_k(x, y) = 2^{kd} (1_{W(x)} * phi_{h ell_x})(y) on the grid.
 
     x runs over the dyadic lattice of spacing 2^-k (divided by
@@ -354,10 +353,8 @@ def build_uk(b: SampledFunction, k: int, cert: ParaAccretivityCertificate | None
         raise ValueError("no lattice point has support clearance; enlarge the box")
     ratios, witnesses = zip(*_witnesses(g, *_subcube_scans(b, lattice[:, None], side, J)))
     ells = [W.side for W in witnesses]
-    c0 = cert.c0 if cert is not None else float(min(ratios))
-    if min(ratios) < c0 - 1e-9:
-        raise ValueError("certificate constant not met on the evaluation lattice")
-    b_sup = cert.b_sup if cert is not None else float(np.max(np.abs(b.values)))
+    c0 = float(min(ratios))
+    b_sup = float(np.max(np.abs(b.values)))
     # witnesses achieving ratio >= c0 are at least c1 2^-k wide
     c1 = (c0 / b_sup) ** (1.0 / g.d)
     if min(ells) < c1 * side * (1.0 - 1e-9):

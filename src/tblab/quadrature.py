@@ -24,10 +24,10 @@ compacted (bilinear). Applying it, plan(f) or plan(f, g), does the work that
 depends on the functions and sets the eps vs eps/2 convergence flags; a
 bilinear point's sum is np.sum's pairwise sum of its products, formed
 _SUM_LEAF at a time, so applying builds no n x n temporary. A plan is
-immutable and its arrays are read-only, so the row pool's threads share one;
-its caller owns it and nothing is cached, so it lives as long as the caller
-keeps it. A sweep on one grid builds its plans once and applies them to
-every row; apply_linear_field and friends build a plan and apply it once,
+immutable and its arrays are read-only, so no application changes it; its
+caller owns it and nothing is cached, so it lives as long as the caller
+keeps it. A sweep builds a row grid's plans once and applies them to its
+rows; apply_linear_field and friends build a plan and apply it once,
 per BLOCK rows (linear) or per point (bilinear) when points are given, so a
 one-shot call holds O(BLOCK n) or O(n^2) at a time. plan() states what each
 kind of plan holds and its size.
@@ -55,12 +55,22 @@ from .grid import Grid, SampledFunction
 from .kernels import KernelModel
 
 
+def _as_index(v) -> int | None:
+    """v as a Python int when it is an integer (a bool is not), else None."""
+    try:
+        return None if isinstance(v, (bool, np.bool_)) else operator.index(v)
+    except TypeError:
+        return None
+
+
 @dataclass(frozen=True)
 class PvPolicy:
     c_eps: int = 2              # excision radius in cells; eps = c_eps * h >= h
     tol_pv: float = 1e-2
 
     def __post_init__(self):
+        if _as_index(self.c_eps) is None:
+            raise ValueError(f"c_eps must be an integer, got {self.c_eps!r}")
         if self.c_eps < 1:
             raise ValueError("excision must cover the singular cell: c_eps >= 1")
         if not 0 < self.tol_pv < np.inf:
@@ -99,11 +109,8 @@ def _grid_indices(points, n: int) -> np.ndarray:
     computation."""
     rows = []
     for p in points:
-        try:
-            i = -1 if isinstance(p, (bool, np.bool_)) else operator.index(p)
-        except TypeError:
-            i = -1
-        if not 0 <= i < n:
+        i = _as_index(p)
+        if i is None or not 0 <= i < n:
             raise ValueError(f"points must be integer grid indices in [0, {n}): got {p}")
         rows.append(i)
     return np.array(rows, dtype=int)
@@ -147,8 +154,8 @@ class Plan:
     apply_linear_field / apply_bilinear_field return for the same kernel,
     policy and points, bit for bit. rows are the planned grid indices, or None
     for the whole field; the field is zero and unflagged off the rows. The
-    arrays in parts are read-only, so threads may share a plan; its caller
-    owns it, and nothing is cached anywhere else.
+    arrays in parts are read-only, so no application changes a plan; its
+    caller owns it, and nothing is cached anywhere else.
     """
     kernel: KernelModel
     grid: Grid

@@ -1,34 +1,4 @@
-"""Shared helpers: thread pool control, deterministic CSV formatting."""
-
-from __future__ import annotations
-
-import os
-from concurrent.futures import ThreadPoolExecutor
-
-
-def thread_count() -> int:
-    """Worker cap from TBLAB_THREADS; defaults to 1 (serial)."""
-    raw = os.environ.get("TBLAB_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"TBLAB_THREADS must be an integer, got {raw!r}")
-    return max(1, n)
-
-
-def pmap(fn, items):
-    """Map fn over items, preserving order.
-
-    Each item is computed independently by the same code path, so the result
-    is identical for any worker count; threads only change wall time.
-    """
-    items = list(items)
-    nw = thread_count()
-    if nw <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=nw) as pool:
-        return list(pool.map(fn, items))
-
+"""Shared helpers: deterministic CSV formatting."""
 
 def fmt_float(v) -> str:
     """Round-trip stable decimal form (byte-identical across runs)."""

@@ -128,6 +128,31 @@ def test_stein_centre_group_with_no_row_exit_2_before_any_file(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sub,body", [("stein", "kernel.name = hilbert\ncenters =\n"),
+                                      ("stein", "kernel.name = positive-control\ncenters =\n"),
+                                      ("wbp", "kernel.name = hilbert\noffsets =\n"),
+                                      ("wbp", "kernel.name = bilinear-homog\noffsets =\n")])
+def test_empty_group_list_exit_2_before_any_file(tmp_path, capsys, sub, body):
+    # an empty centre or offset list used to write a header-only CSV and the
+    # summary line `slope=n/a constant=0 verdict: FAIL` (exit 1)
+    p = write_cfg(tmp_path, "c.cfg", body + "grid.n = 64\n")
+    out = tmp_path / "out"
+    assert run(sub, p, out) == 2
+    assert "a sweep needs at least one group of rows" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kernel,key", [("hilbert", "lam"), ("positive-control", "mu"),
+                                        ("bilinear-homog", "lam")])
+def test_kernel_params_the_kernel_does_not_take_exit_2(tmp_path, capsys, kernel, key):
+    # hilbert with kernel.params.lam = 0.5 used to run as if the key were absent
+    p = write_cfg(tmp_path, "k.cfg", f"kernel.name = {kernel}\nkernel.params.{key} = 0.5\n")
+    out = tmp_path / "out"
+    assert run("wbp", p, out) == 2
+    assert f"unknown {kernel} params ['{key}']" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key", ["grid.box_side", "kernel.params.lam",
                                  "kernel.params.lip_bound", "kernel.params.lam_trunc",
                                  "kernel.params.mu", "kernel.params.a_amp",

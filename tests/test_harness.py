@@ -160,6 +160,44 @@ def test_wbp_plans_a_fixed_grid_once(monkeypatch):
     assert weak_boundedness_test(K, **args).rows == rep.rows
 
 
+def test_scale_matched_sweep_plans_each_row_grid_once():
+    # one profile table for T and one for T* per row grid: 7 grids, 14 tables,
+    # each grid's pair built together
+    K = gallery("hilbert")
+    profile = K.lattice[0][1]
+    reach = []
+
+    def counting(u):
+        assert np.size(u) == 2 * 128 - 1
+        reach.append(float(np.max(np.abs(u))))
+        return profile(u)
+
+    grid = GridSpec(n=128, box_side=16.0)
+    rep = stein_t1_test(replace(K, lattice=((None, counting, None),)), grid=grid,
+                        center_fracs=(0.0,))
+    assert K.grid_mode == "scaled" and len(rep.rows) == 7
+    assert reach == [r for r in dict.fromkeys(reach) for _ in range(2)]
+    assert len(set(reach)) == 7
+    assert rep.rows == stein_t1_test(K, grid=grid, center_fracs=(0.0,)).rows
+
+
+@pytest.mark.parametrize("test", [
+    lambda: stein_t1_test(gallery("hilbert"), center_fracs=()),
+    lambda: stein_tb_test(gallery("hilbert"), ONE, ONE, center_fracs=()),
+    lambda: weak_boundedness_test(gallery("hilbert"), offsets=()),
+    lambda: weak_boundedness_test(gallery("bilinear-homog"), offsets=())],
+    ids=["stein-t1", "stein-tb", "wbp-linear", "wbp-bilinear"])
+def test_sweep_with_no_group_is_rejected_before_any_plan(monkeypatch, test):
+    # an empty centre or offset list used to give a report with no row and FAIL
+    def no_plan(*args, **kwargs):
+        raise AssertionError("a plan was built")
+
+    monkeypatch.setattr("tblab.harness.plan", no_plan)
+    monkeypatch.setattr("tblab.harness.apply_bilinear_field", no_plan)
+    with pytest.raises(ValueError, match="at least one group"):
+        test()
+
+
 def test_direct_bound_hilbert_saturates():
     rep = direct_bound_check(gallery("hilbert"), ONE, op_norm=1.0, grid=SMALL)
     assert rep.verdict == "PASS"
@@ -234,6 +272,19 @@ def test_far_field_dev_zero_at_reference_point():
                                 PvPolicy(), points=[i0])
         assert row.c_QR == pytest.approx(complex(fr.field.values[i0]), rel=1e-12, abs=0.0)
         assert row.c_QR != 0.0
+
+
+def test_zero_kernel_is_uniform_degenerate_in_both_sweeps():
+    # far-field used to read sup_dev [0, 0, 0], ratio inf and FAIL on a zero
+    # kernel, where sweep-bmo read PASS-degenerate
+    K = zero_kernel()
+    ff = far_field_constancy(K, grid=GridSpec(n=256, box_side=64.0))
+    assert [r.sup_dev for r in ff.rows] == [0.0, 0.0, 0.0]
+    assert ff.verdict == "PASS-degenerate"
+    bmo = uniform_bmo_sweep(K, R_list=(1.0, 2.0, 4.0), grid=GridSpec(n=128, box_side=32.0),
+                            k_max=4)
+    assert [r.bmo for r in bmo.rows] == [0.0, 0.0, 0.0]
+    assert bmo.verdict == "PASS-degenerate"
 
 
 def test_far_field_box_preconditions():

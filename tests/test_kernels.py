@@ -61,6 +61,17 @@ def test_gallery_unknown_name():
         gallery("riesz")
 
 
+@pytest.mark.parametrize("name,taken", [("hilbert", {}), ("positive-control", {}),
+                                        ("bilinear-homog", {}),
+                                        ("cauchy-lipschitz", {"lam": 0.2}),
+                                        ("commutator", {"mu": 0.5})])
+def test_gallery_rejects_unknown_params(name, taken):
+    # hilbert, positive-control and bilinear-homog used to drop every parameter
+    with pytest.raises(ValueError, match=rf"unknown {name} params \['bogus', 'lam_x'\]"):
+        gallery(name, **taken, lam_x=0.5, bogus=3)
+    assert gallery(name, **taken).name == name
+
+
 def test_cauchy_lipschitz_bound_enforced():
     with pytest.raises(ValueError, match="Lipschitz"):
         gallery("cauchy-lipschitz", lam=0.8, lip_bound=0.5)

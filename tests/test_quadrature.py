@@ -104,6 +104,23 @@ def test_policy_validation():
         PvPolicy(tol_pv=-1.0)
 
 
+@pytest.mark.parametrize("c_eps", [2.5, 2.0, True, np.True_, "2", None])
+def test_policy_rejects_c_eps_that_is_not_an_integer(c_eps):
+    # 2.5 and 2.0 used to raise a bare IndexError on use, True a broadcasting
+    # error, and points= with 2.5 to return a value
+    with pytest.raises(ValueError, match="c_eps must be an integer"):
+        PvPolicy(c_eps=c_eps)
+
+
+def test_policy_takes_a_numpy_integer_c_eps():
+    g = make_grid(1, cube1(0.0, 16.0), 128)
+    f = _smooth(g, 5)
+    want = apply_linear_field(H, f, PvPolicy(c_eps=2))
+    got = apply_linear_field(H, f, PvPolicy(c_eps=np.int64(2)))
+    assert np.array_equal(got.field.values, want.field.values)
+    assert np.array_equal(got.converged, want.converged)
+
+
 def test_dilation_covariance_hilbert():
     # matched grids: same n per unit support
     vals = {}
