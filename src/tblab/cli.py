@@ -177,11 +177,16 @@ class _CsvBFunc(BFunc):
     samples: SampledFunction = field(default=None, compare=False)
 
     def sampled(self, grid: Grid) -> SampledFunction:
-        if grid != self.samples.grid:
+        """The samples on grid, whose points must be the CSV's to load_sampled_csv's
+        tolerance (1e-9 h): the CSV's grid is rebuilt from rounded cell centres."""
+        own = self.samples.grid
+        if (grid.d, grid.n) != (own.d, own.n) or not all(
+                np.allclose(grid.axis(i), own.axis(i), rtol=0, atol=1e-9 * own.h)
+                for i in range(grid.d)):
             raise ValueError(
                 f"b-function {self.name!r} was ingested from CSV without a closed "
                 f"form; it can only be used on its own grid")
-        return self.samples
+        return replace(self.samples, grid=grid)
 
 
 def ingest_b(spec: str) -> BFunc:

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from functools import partial
-from itertools import groupby, product
+from itertools import product
 
 import numpy as np
 
@@ -250,30 +249,31 @@ def _check_scales(scales) -> tuple:
     return scales
 
 
-def _sweep(rows_on, groups, scales, grid: GridSpec, mode: str, names, b_names,
+def _sweep(row, kernels, grid_of, groups, scales, policy: PvPolicy, names, b_names,
            M: int, target: float, slope_tol: float, uniformity_factor: float) -> list:
     """The pipeline of every testing condition: rows, per-group fits, reports.
 
-    rows_on(g) does the work that every row on the row grid g shares (the
-    operator plans) and returns the row function row(group, R). The jobs
-    (group, R) of groups x scales run serially in that order, with one rows_on
-    per run of consecutive jobs on one grid (per sweep on a fixed grid, per job
-    on scale-matched ones). A row returns a (value, pv flag) pair per
-    (experiment, kernel name) pair of `names` and its margin flag, or None when
-    its support escapes the grid; escaped rows are dropped, and no group or a
-    group left with no row is an error. A group is a (section, center) pair;
-    each with at least 5 rows in a report gets its own fit against R^target.
+    The jobs (group, R) of groups x scales run serially, job (group, R) on the
+    row grid grid_of(group, R). Each distinct row grid g, in order of first use,
+    gets one plan per kernel of `kernels` (under policy); row(g, plans, group,
+    R) then runs for every job on g, and g's plans are dropped before the next
+    grid. A row returns a (value, pv flag) pair per (experiment, kernel name)
+    pair of `names` and its margin flag, or None when its support escapes the
+    grid; escaped rows are dropped, and no group or a group left with no row is
+    an error. Rows are reported group-major. A group is a (section, center)
+    pair; each with at least 5 rows in a report gets its own fit against R^target.
     """
     scales = _check_scales(scales)
     if not groups:
         raise ValueError("a sweep needs at least one group of rows, got none")
     jobs = [(group, R) for group in groups for R in scales]
-    done = []
-    for g, run in groupby(jobs, key=lambda job: grid.row_grid(mode, job[1])):
-        row = rows_on(g)
-        done += [row(*job) for job in run]
-        del row                          # drop this grid's plans before the next
-    kept = [(group, R, res) for (group, R), res in zip(jobs, done) if res is not None]
+    grids = [grid_of(*job) for job in jobs]
+    done = {}
+    for g in dict.fromkeys(grids):
+        plans = [plan(ker, g, policy) for ker in kernels]
+        done.update((i, row(g, plans, *jobs[i])) for i, gi in enumerate(grids) if gi == g)
+        del plans                        # drop this grid's plans before the next
+    kept = [(group, R, done[i]) for i, (group, R) in enumerate(jobs) if done[i] is not None]
     for section, center in groups:
         if all(group != (section, center) for group, _, _ in kept):
             raise ValueError(f"every row of section {section!r} at centre {center:g} "
@@ -296,30 +296,31 @@ def _sweep(rows_on, groups, scales, grid: GridSpec, mode: str, names, b_names,
 
 # --- Stein testing conditions ----------------------------------------------
 
-def _stein_rows(K: KernelModel, b0: BFunc, b1: BFunc, M: int, policy: PvPolicy, reduce):
-    """rows_on of the linear testing conditions: the plans of T and T* on g.
+def _stein_sweep(K: KernelModel, b0: BFunc, b1: BFunc, experiments, reduce, M: int,
+                 scales, center_fracs, grid: GridSpec, policy: PvPolicy, slope_tol: float,
+                 uniformity_factor: float) -> list:
+    """The linear testing conditions on the plans of T and T*.
 
     The bump sits at center fraction x box side; reduce(T(b1 phi), T*(b0 phi))
-    lists the (value, pv flag) of each report.
+    lists the (value, pv flag) of each report named in experiments.
     """
     if K.arity != "linear":
         raise ValueError("needs a linear kernel")
     Kt = transpose_kernel(K)
 
-    def rows_on(g):
-        T, Tt = plan(K, g, policy), plan(Kt, g, policy)
+    def row(g, plans, group, R):
+        x0 = group[1] * g.box.side
+        if _escapes(g, x0, R):
+            return None                      # support escapes a fixed grid
+        phi = _bump_field(g, M, x0, R).values
+        T, Tt = plans
+        return (reduce(T(_weighted(b1.sampled(g), phi)), Tt(_weighted(b0.sampled(g), phi))),
+                _margin_flag(g, x0, R))
 
-        def one_row(group, R):
-            x0 = group[1] * g.box.side
-            if _escapes(g, x0, R):
-                return None                  # support escapes a fixed grid
-            phi = _bump_field(g, M, x0, R).values
-            return (reduce(T(_weighted(b1.sampled(g), phi)), Tt(_weighted(b0.sampled(g), phi))),
-                    _margin_flag(g, x0, R))
-
-        return one_row
-
-    return rows_on
+    return _sweep(row, (K, Kt), lambda group, R: grid.row_grid(K.grid_mode, R),
+                  [("", frac) for frac in center_fracs], scales, policy,
+                  list(zip(experiments, (K.name, Kt.name))), (b0.name, b1.name), M,
+                  K.d / 2.0, slope_tol, uniformity_factor)
 
 
 def stein_t1_test(K: KernelModel, M: int = 2,
@@ -328,12 +329,9 @@ def stein_t1_test(K: KernelModel, M: int = 2,
                   slope_tol: float = DEFAULT_SLOPE_TOL,
                   uniformity_factor: float = DEFAULT_UNIFORMITY) -> ScalingReport:
     """||T(phi^{x0,R})||_2 + ||T*(phi^{x0,R})||_2 against the target R^(d/2)."""
-    rows_on = _stein_rows(K, B_ONE, B_ONE, M, policy, lambda fr1, fr2: [
-        (_l2(fr1) + _l2(fr2), fr1.n_flagged > 0 or fr2.n_flagged > 0)])
-    return _sweep(rows_on, [("", frac) for frac in center_fracs], scales, grid,
-                  K.grid_mode, [("stein-t1", K.name)],
-                  (B_ONE.name, B_ONE.name), M, K.d / 2.0, slope_tol,
-                  uniformity_factor)[0]
+    return _stein_sweep(K, B_ONE, B_ONE, ["stein-t1"], lambda fr1, fr2: [
+        (_l2(fr1) + _l2(fr2), fr1.n_flagged > 0 or fr2.n_flagged > 0)], M, scales,
+        center_fracs, grid, policy, slope_tol, uniformity_factor)[0]
 
 
 @dataclass(frozen=True)
@@ -353,17 +351,14 @@ def stein_tb_test(K: KernelModel, b0: BFunc, b1: BFunc, M: int = 2,
                   slope_tol: float = DEFAULT_SLOPE_TOL,
                   uniformity_factor: float = DEFAULT_UNIFORMITY) -> TbTestResult:
     """Testing conditions on b1 (for T) and b0 (for T*), fitted to d/2 per center."""
-    rows_on = _stein_rows(K, b0, b1, M, policy, lambda fr1, fr2: [
-        (_l2(fr), fr.n_flagged > 0) for fr in (fr1, fr2)])
     for b in (b0, b1):
         if b.certificate is None and b.name != "one":
             warnings.warn(f"b-function {b.name!r} carries no para-accretivity "
                           f"certificate", stacklevel=2)
-    names = [("stein-tb-on-b1", K.name), ("stein-tb-transpose", transpose_kernel(K).name)]
-    return TbTestResult(*_sweep(rows_on, [("", frac) for frac in center_fracs], scales,
-                                grid, K.grid_mode, names,
-                                (b0.name, b1.name), M, K.d / 2.0, slope_tol,
-                                uniformity_factor))
+    return TbTestResult(*_stein_sweep(
+        K, b0, b1, ["stein-tb-on-b1", "stein-tb-transpose"], lambda fr1, fr2: [
+            (_l2(fr), fr.n_flagged > 0) for fr in (fr1, fr2)], M, scales, center_fracs,
+        grid, policy, slope_tol, uniformity_factor))
 
 
 @dataclass(frozen=True)
@@ -394,7 +389,7 @@ def stein_bilinear_tb_test(K: KernelModel, b0: BFunc, b1: BFunc, b2: BFunc,
     K1 = transpose_kernel(K, 1)
     K2 = transpose_kernel(K, 2)
 
-    def one_row(g, group, R):
+    def row(g, plans, group, R):
         xa, xb = -group[1] * R / 2.0, group[1] * R / 2.0
         if _escapes(g, max(abs(xa), abs(xb)), R):
             return None
@@ -402,19 +397,17 @@ def stein_bilinear_tb_test(K: KernelModel, b0: BFunc, b1: BFunc, b2: BFunc,
         phb = _bump_field(g, M, xb, R).values
         s0, s1, s2 = (b.sampled(g) for b in (b0, b1, b2))
         w1a, w2b = _weighted(s1, pha), _weighted(s2, phb)
-        values = []
-        for ker, fa, fb in ((K, w1a, w2b), (K1, _weighted(s0, pha), w2b),
-                            (K2, w1a, _weighted(s0, phb))):
-            fr = apply_bilinear_field(ker, fa, fb, policy)
-            values.append((_l2(fr), fr.n_flagged > 0))
-        return values, _margin_flag(g, max(abs(xa), abs(xb)), R)
+        args = ((w1a, w2b), (_weighted(s0, pha), w2b), (w1a, _weighted(s0, phb)))
+        frs = [T(*fs) for T, fs in zip(plans, args)]
+        return ([(_l2(fr), fr.n_flagged > 0) for fr in frs],
+                _margin_flag(g, max(abs(xa), abs(xb)), R))
 
     names = [("bilinear-tb-direct", K.name), ("bilinear-tb-transpose1", K1.name),
              ("bilinear-tb-transpose2", K2.name)]
-    return BilinearTbResult(*_sweep(lambda g: partial(one_row, g),
-                                    [("equal", 0.0), ("offset", 1.0)], scales,
-                                    grid, K.grid_mode, names,
-                                    (b0.name, b1.name, b2.name), M, K.d / 2.0,
+    return BilinearTbResult(*_sweep(row, (K, K1, K2),
+                                    lambda group, R: grid.row_grid(K.grid_mode, R),
+                                    [("equal", 0.0), ("offset", 1.0)], scales, policy,
+                                    names, (b0.name, b1.name, b2.name), M, K.d / 2.0,
                                     slope_tol, uniformity_factor))
 
 
@@ -437,10 +430,14 @@ def weak_boundedness_test(K: KernelModel, b0: BFunc = B_ONE, b1: BFunc = B_ONE,
     if grid is None:
         grid = BILINEAR_GRID if bil else GridSpec()
 
-    def one_row(g, T, group, R):
-        x2 = group[1] * R
+    def grid_of(group, R):
+        g, x2 = grid.row_grid(K.grid_mode, R), group[1] * R
         if abs(x2) + R > g.box.side / 2.0:     # keep the pairing bump inside
-            g, T = Grid(box=cube1(0.0, g.box.side + 2 * abs(x2)), n=g.n), None
+            g = Grid(box=cube1(0.0, g.box.side + 2 * abs(x2)), n=g.n)
+        return g
+
+    def row(g, plans, group, R):
+        x2 = group[1] * R
         ph1 = _bump_field(g, M, 0.0, R)
         ph2 = _bump_field(g, M, x2, R)
         if bil:
@@ -448,19 +445,15 @@ def weak_boundedness_test(K: KernelModel, b0: BFunc = B_ONE, b1: BFunc = B_ONE,
                                              b0.sampled(g), b1.sampled(g), b2.sampled(g),
                                              policy)
         else:
-            f1 = _weighted(b1.sampled(g), ph1.values)
-            fr = (plan(K, g, policy) if T is None else T)(f1)
+            fr = plans[0](_weighted(b1.sampled(g), ph1.values))
             val = pairing(fr.field, _weighted(b0.sampled(g), ph2.values))
             n_flagged = fr.n_flagged
         return [(abs(val), n_flagged > 0)], _margin_flag(g, x2, R)
 
-    # a linear kernel's plan on the row grid serves every row that keeps it; a
-    # row that widens the grid plans K on the wider one
     names = (b0.name, b1.name, b2.name) if bil else (b0.name, b1.name)
-    return _sweep(lambda g: partial(one_row, g, None if bil else plan(K, g, policy)),
-                  [(f"offset{off:g}", off) for off in offsets], scales, grid,
-                  K.grid_mode, [("wbp", K.name)], names, M, float(K.d), slope_tol,
-                  uniformity_factor)[0]
+    return _sweep(row, () if bil else (K,), grid_of,
+                  [(f"offset{off:g}", off) for off in offsets], scales, policy,
+                  [("wbp", K.name)], names, M, float(K.d), slope_tol, uniformity_factor)[0]
 
 
 # --- direct (necessity-direction) bound ------------------------------------

@@ -1,17 +1,19 @@
 import csv
-import os
 import subprocess
 import sys
 from collections import Counter
 from dataclasses import replace
+from operator import attrgetter
 
 import numpy as np
 import pytest
 
 from tblab.bmo import bmo_seminorm
 from tblab.cli import ConfigError, ExperimentConfig, ingest_b, run
-from tblab.grid import cube1, dyadic_family, make_grid, sample, save_sampled_csv
-from tblab.harness import builtin_b
+from tblab.grid import (Grid, cube1, dyadic_family, load_sampled_csv, make_grid, sample,
+                        save_sampled_csv)
+from tblab.harness import (GridSpec, builtin_b, stein_bilinear_tb_test,
+                           stein_tb_test)
 from tblab.kernels import GALLERY_NAMES, gallery
 
 
@@ -187,6 +189,37 @@ def test_stein_positive_control_exit_1(tmp_path):
     out = tmp_path / "out"
     assert run("stein", p, out) == 1
     assert (out / "stein-t1.csv").exists()   # files written despite FAIL
+
+
+@pytest.mark.parametrize("body,expected,call", [
+    ("kernel.name = bilinear-homog\ngrid.n = 32\n",
+     [("bilinear-tb-direct", "bilinear-homog"), ("bilinear-tb-transpose1", "bilinear-homog*1"),
+      ("bilinear-tb-transpose2", "bilinear-homog*2")],
+     lambda: stein_bilinear_tb_test(gallery("bilinear-homog"), *[builtin_b("one")] * 3,
+                                    grid=GridSpec(n=32, box_side=8.0)).reports),
+    ("kernel.name = cauchy-lipschitz\ngrid.n = 128\ncenters = 0\n"
+     "b1 = accretive-lipschitz(0.3)\n",
+     [("stein-tb-on-b1", "cauchy-lipschitz"), ("stein-tb-transpose", "cauchy-lipschitz*")],
+     lambda: attrgetter("on_b1", "transpose_on_b0")(stein_tb_test(
+         gallery("cauchy-lipschitz"), builtin_b("one"), builtin_b("accretive-lipschitz(0.3)"),
+         center_fracs=(0.0,), grid=GridSpec(n=128))))],
+    ids=["bilinear", "tb"])
+def test_stein_bilinear_and_tb_branches(tmp_path, body, expected, call):
+    # a bilinear kernel, or a b other than one, writes one CSV and one summary
+    # line per report of the library sweep with the config's grid and b's
+    out = tmp_path / "out"
+    rc = run("stein", write_cfg(tmp_path, "s.cfg", body), out)
+    reports = list(call())
+    assert [(r.experiment, r.kernel) for r in reports] == expected
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        [f"{name}.csv" for name, _ in expected] + ["summary.txt"])
+    for r in reports:
+        with open(out / f"{r.experiment}.csv", newline="") as fh:
+            assert list(csv.reader(fh)) == r.csv_rows()
+    lines = (out / "summary.txt").read_text().splitlines()
+    assert [ln.split(" slope=")[0] for ln in lines] == [f"{e} [{k}]" for e, k in expected]
+    assert [ln.split("verdict: ")[1] for ln in lines] == [r.verdict for r in reports]
+    assert {r.verdict for r in reports} == {"PASS"} and rc == 0
 
 
 @pytest.mark.parametrize("sub", ["stein", "wbp", "report"])
@@ -431,14 +464,34 @@ def test_csv_b_runs_bmo_on_its_own_grid(tmp_path):
                tmp_path / "other") == 2
 
 
+@pytest.mark.parametrize("sub,n", [("bmo", 100), ("para-accretive", 384)])
+def test_csv_b_runs_on_the_grid_it_was_saved_from(tmp_path, capsys, sub, n):
+    # box 8 at these n: the grid load_sampled_csv rebuilds from the rounded cell
+    # centres has a side off by ~1e-14 and used to be refused as another grid
+    # (n = 100 holds no generation-7 cube, so condition (B) runs at n = 384)
+    g = Grid(cube1(0.0, 8.0), n)
+    path = tmp_path / "b.csv"
+    save_sampled_csv(builtin_b("accretive-lipschitz(0.3)").sampled(g), path)
+    assert load_sampled_csv(path).grid != g
+
+    def cfg(name, n, side):
+        return write_cfg(tmp_path, name, f"b1 = {path}\ngrid.n = {n}\ngrid.box_side = {side}\n")
+
+    assert run(sub, cfg("a.cfg", n, 8), tmp_path / "a") == 0
+    capsys.readouterr()
+    for name, other_n, side in (("b.cfg", 2 * n, 8), ("c.cfg", n, 8.5)):
+        assert run(sub, cfg(name, other_n, side), tmp_path / name) == 2
+        assert "can only be used on its own grid" in capsys.readouterr().err
+
+
 def test_ingest_unknown():
     with pytest.raises(ConfigError):
         ingest_b("no-such-b")
 
 
-def _run_cli(args, env):
+def _run_cli(args):
     return subprocess.run([sys.executable, "-m", "tblab.cli", *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True)
 
 
 @pytest.mark.parametrize("sub,cfg_body,csvs", [
@@ -450,7 +503,7 @@ def _run_cli(args, env):
     ("wbp", "kernel.name = hilbert\ngrid.n = 128\nscales = 0.25,0.5,1,2,4\n",
      ["wbp.csv"]),
     ("check-kernel", "kernel.name = cauchy-lipschitz\n", ["kernel_checks.csv"]),
-    # fixed grid: the plans of T and T* are shared by every row of the pool
+    # fixed grid: the plans of T and T* are shared by every row
     ("stein", "kernel.name = commutator\ngrid.n = 256\ngrid.box_side = 24\n",
      ["stein-t1.csv"]),
     # one point plan shared by the split fields of every R
@@ -460,15 +513,15 @@ def _run_cli(args, env):
      ["para_certificate.csv"]),
 ])
 def test_byte_identical_output_across_thread_counts(tmp_path, sub, cfg_body, csvs):
+    # two runs of one config in fresh interpreters write the same bytes
     cfg = write_cfg(tmp_path, "t.cfg", cfg_body)
-    blobs = {}
-    for threads in ("1", "4"):
-        env = dict(os.environ, TBLAB_THREADS=threads)
-        out = tmp_path / f"out{threads}"
-        r = _run_cli([sub, "--config", str(cfg), "--out", str(out)], env)
+    blobs = []
+    for rep in range(2):
+        out = tmp_path / f"out{rep}"
+        r = _run_cli([sub, "--config", str(cfg), "--out", str(out)])
         assert r.returncode in (0, 1), r.stderr
-        blobs[threads] = [(out / c).read_bytes() for c in csvs]
-    assert blobs["1"] == blobs["4"]
+        blobs.append([(out / c).read_bytes() for c in csvs])
+    assert blobs[0] == blobs[1]
 
 
 def test_summary_verdicts_reconstructible(tmp_path):

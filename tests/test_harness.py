@@ -15,7 +15,7 @@ from tblab.harness import (BILINEAR_GRID, BILINEAR_SCALES, DECOMP_CUBE, DECOMP_G
                            stein_bilinear_tb_test, stein_t1_test, stein_tb_test,
                            uniform_bmo_sweep, weak_boundedness_test)
 from tblab.kernels import KernelModel, gallery
-from tblab.quadrature import PvPolicy, apply_bilinear_field, apply_linear_field
+from tblab.quadrature import PvPolicy, apply_bilinear_field, apply_linear_field, plan
 
 ONE = builtin_b("one")
 SMALL = GridSpec(n=256, box_side=16.0)
@@ -179,6 +179,32 @@ def test_scale_matched_sweep_plans_each_row_grid_once():
     assert reach == [r for r in dict.fromkeys(reach) for _ in range(2)]
     assert len(set(reach)) == 7
     assert rep.rows == stein_t1_test(K, grid=grid, center_fracs=(0.0,)).rows
+
+
+@pytest.mark.parametrize("test,sides", [
+    # three centres share each scale's grid: T and T* once per scale
+    (lambda: stein_t1_test(gallery("hilbert"), grid=GridSpec(n=128)),
+     [16.0 * R for R in LINEAR_SCALES for _ in range(2)]),
+    # every row widens its grid 8R by 2 x 4R; K once per widened grid
+    (lambda: weak_boundedness_test(gallery("hilbert"), offsets=(4.0,),
+                                   grid=GridSpec(n=64, box_side=8.0)),
+     [16.0 * R for R in LINEAR_SCALES]),
+    # equal and offset centres share each scale's grid: K, K*1 and K*2 once per scale
+    (lambda: stein_bilinear_tb_test(gallery("bilinear-homog"), ONE, ONE, ONE,
+                                    grid=GridSpec(n=32, box_side=8.0)),
+     [8.0 * R for R in BILINEAR_SCALES for _ in range(3)])],
+    ids=["stein-3-centres", "wbp-widened", "stein-bilinear"])
+def test_sweep_plans_each_distinct_row_grid_once(monkeypatch, test, sides):
+    built = []
+
+    def counting(K, g, policy):
+        built.append((K.name, g))
+        return plan(K, g, policy)
+
+    monkeypatch.setattr("tblab.harness.plan", counting)
+    test()
+    assert [g.box.side for _, g in built] == sides
+    assert len(set(built)) == len(built)
 
 
 @pytest.mark.parametrize("test", [
