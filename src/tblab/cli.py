@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -292,14 +293,21 @@ def _bmo(cfg: ExperimentConfig):
 
 def _para(cfg: ExperimentConfig):
     g = cfg.fixed_grid()
+    k_max = cfg.get("bmo.k_max", 3)
+    k_B = max(k_max, 7)
+    # the scanned cubes' edges must be cell edges (sub-cube windows are rounded
+    # to whole cells): generation k <= k_B tiles the n cells by 2^k
+    if g.n % (1 << k_B):
+        raise ConfigError(f"grid.n must be a multiple of {1 << k_B}, got {g.n}: the "
+                          f"dyadic generations scanned go down to {k_B}")
     b = cfg.b_func("b1")
     f = b.sampled(g)
-    fam = dyadic_family(g.box, cfg.get("bmo.k_min", 0), cfg.get("bmo.k_max", 3))
+    fam = dyadic_family(g.box, cfg.get("bmo.k_min", 0), k_max)
     cert = check_para_accretive(f, fam, **cfg.given(J="para.J"))
     lines = [f"para-accretive {b.name}: c0={cert.c0:.6g} J={cert.J} "
              f"b_sup={cert.b_sup:.6g} c1={cert.c1:.6g}"]
     verdicts = ["PASS"]
-    famB = dyadic_family(g.box, cfg.get("bmo.k_min", 0), max(cfg.get("bmo.k_max", 3), 7))
+    famB = dyadic_family(g.box, cfg.get("bmo.k_min", 0), k_B)
     certB = check_condition_B(f, famB, **cfg.given(N="para.N", eps="para.eps"))
     lines.append(f"condition-B(eps={certB.eps}, N={certB.N}): "
                  f"{'holds on all generations' if certB.valid else 'fails'}")
@@ -443,11 +451,18 @@ def run(subcommand: str, config_path, out_dir=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    try:
-        return _emit(out, *_RUNNERS[subcommand](cfg))
-    except (ConfigError, ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    # a library warning that the warning filters let through (such as a
+    # b-function without a certificate) is one plain note per message,
+    # without Python's source line
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            return _emit(out, *_RUNNERS[subcommand](cfg))
+        except (ConfigError, ValueError, OSError) as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 2
+        finally:
+            for note in dict.fromkeys(str(w.message) for w in caught):
+                print(f"note: {note}", file=sys.stderr)
 
 
 def main(argv=None) -> int:

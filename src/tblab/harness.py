@@ -443,7 +443,7 @@ def weak_boundedness_test(K: KernelModel, b0: BFunc = B_ONE, b1: BFunc = B_ONE,
         if bil:
             val, n_flagged = _triple_pairing(K, _bump_field(g, M, -x2, R), ph1, ph2,
                                              b0.sampled(g), b1.sampled(g), b2.sampled(g),
-                                             policy)
+                                             policy, *plans)
         else:
             fr = plans[0](_weighted(b1.sampled(g), ph1.values))
             val = pairing(fr.field, _weighted(b0.sampled(g), ph2.values))
@@ -451,7 +451,8 @@ def weak_boundedness_test(K: KernelModel, b0: BFunc = B_ONE, b1: BFunc = B_ONE,
         return [(abs(val), n_flagged > 0)], _margin_flag(g, x2, R)
 
     names = (b0.name, b1.name, b2.name) if bil else (b0.name, b1.name)
-    return _sweep(row, () if bil else (K,), grid_of,
+    # a bilinear kernel without a lattice profile sums dense points per row
+    return _sweep(row, () if bil and K.lattice is None else (K,), grid_of,
                   [(f"offset{off:g}", off) for off in offsets], scales, policy,
                   [("wbp", K.name)], names, M, float(K.d), slope_tol, uniformity_factor)[0]
 

@@ -33,15 +33,18 @@ one-shot call holds O(BLOCK n) or O(n^2) at a time. plan() states what each
 kind of plan holds and its size.
 
 Whole fields of kernels with a lattice structure (KernelModel.lattice) are
-lattice sums by FFT convolution: O(n log n) for a linear field, O(n^2 log n)
-for a bilinear one. Whole linear fields of Cauchy kernels on a curve
-(KernelModel.curve) take the same full off-diagonal sum from a multipole
-treecode, O(n p log n) with p set so the far-field truncation is below
-2^-53; both share the near-zone terms read from K.rule on the 2 c_eps
-off-diagonals. Other kernels, points and subsets of points sum their kernel
-rows directly, O(n) (linear) or O(n^2) (bilinear) per point; these dense rows
-are also the test oracle. Triple pairings of a kernel with a lattice profile
-read the whole lattice field, whatever the support of the outer factor.
+lattice sums by FFT convolution. A linear field costs O(n log n). A bilinear
+plan holds the 2D spectrum of its profile table, sheared so that the
+diagonal x = y = z lies along one axis: it is built in O(n^2 log n) and
+applied in O(n^2), trading O(n^2) memory for O(n^2) applications. Whole
+linear fields of Cauchy kernels on a curve (KernelModel.curve) take the same
+full off-diagonal sum from a multipole treecode, O(n p log n) with p set so
+the far-field truncation is below 2^-53; both linear paths share the
+near-zone terms read from K.rule on the 2 c_eps off-diagonals. Other
+kernels, points and subsets of points sum their kernel rows directly, O(n)
+(linear) or O(n^2) (bilinear) per point; these dense rows are also the test
+oracle. Triple pairings of a kernel with a lattice profile read the whole
+lattice field, whatever the support of the outer factor.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ import operator
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import Grid, SampledFunction
 from .kernels import KernelModel
@@ -186,16 +190,19 @@ def plan(K: KernelModel, grid: Grid, policy: PvPolicy = PvPolicy(), points=None)
       a1 and ring masses, 16 n + 48 bytes per point;
     - explicit points, bilinear: each point's scrubbed kernel values beyond
       the excision, compacted, and the flat indices and values of its k <=
-      (2 c_eps + 1)^2 excised cells, 16 n^2 + 8 k - 16 bytes per point; applying
-      it holds O(_SUM_LEAF + n) more, whatever the number of points;
+      (2 c_eps + 1)^2 excised cells, 8 n^2 + 16 k - 16 bytes per point for a
+      real rule and 16 n^2 + 8 k - 16 for a complex one; applying it holds
+      O(_SUM_LEAF + n) more, whatever the number of points;
     - a whole linear field with a lattice structure: the spectrum of one
       profile table per distinct profile and each term's factors on the grid;
       with a curve structure, the treecode's geometry (near-field reciprocals
       and per level the moments' shifts and ratios), O(n log n); in both cases
       the band K.rule values as the near, a1 and ring masses;
-    - a whole bilinear field with a lattice profile: the near and ring weights
-      of every point; the profile's BLOCK-row tables stay apply-time work, as
-      (2n - 1)^2 of them would not fit in O(BLOCK n);
+    - a whole bilinear field with a lattice profile: the sheared 2D spectrum
+      of the (2n - 1)^2 profile table, 16 L (L/2 + 1) bytes with L the
+      smallest 2^a 3^b >= 2n - 1, built in O(n^2 log n), and the near and ring
+      weights of every point, 16 n bytes; applying it costs O(n^2) and holds
+      O(L) and a _SLICE_BYTES block more;
     - a whole field of a kernel without a structure: nothing; each apply plans
       and sums BLOCK rows (linear) or one slice (bilinear) at a time.
     Checks d = 1 and the points before any kernel evaluation.
@@ -457,10 +464,11 @@ def _linear_structure_sums(p: Plan, vs, values, delta) -> None:
                                        P["near_mass"], P["a1"], P["ring_mass"])
 
 
-# A bilinear point's rule temporaries, made per block of rows, stay well under
-# malloc's default 128 KB mmap threshold, so that their cost does not depend on
-# how far the allocator has raised it; its sum's buffers are made once per apply.
-_SLICE_BYTES = 1 << 16      # bytes per float temporary of the bilinear rule
+# A bilinear point's rule temporaries, made per block of rows, and the blocks of
+# a bilinear lattice plan's table and contraction stay well under malloc's
+# default 128 KB mmap threshold, so that their cost does not depend on how far
+# the allocator has raised it; a point's sum buffers are made once per apply.
+_SLICE_BYTES = 1 << 16      # bytes per temporary of the bilinear rule and lattice blocks
 _SUM_LEAF = 3 << 12         # complex products per np.sum call: 16 calls per point at n = 384
 
 
@@ -494,6 +502,9 @@ def _bilinear_slices(K: KernelModel, grid: Grid, policy: PvPolicy, rows: np.ndar
     S = |x_i - y| + |x_i - z| > eps, compacted in row-major order and zero where
     not finite; the sorted flat indices of the excised cells; and the excised
     cells' kernel values other than (i, i), with the kernel sum over the ring.
+    The values beyond the excision are float64 while the rule returns real
+    values: np.multiply casts them to complex with imaginary part +0, so
+    every product is that of the complex values.
 
     S <= eps needs |x_i - x_j| <= eps in both slots, so the excised cells and
     the ring lie in the (2 c_eps + 1)^2 window around (i, i); row-major order
@@ -511,13 +522,17 @@ def _bilinear_slices(K: KernelModel, grid: Grid, policy: PvPolicy, rows: np.ndar
         Sw = au[w, None] + au[None, w]
         cut = (w[:, None] * n + w[None, :])[Sw <= eps]
         Scut = Sw[Sw <= eps]
-        far = np.empty(n * n - len(cut), dtype=complex)
+        far = None
         Kcut = np.empty(len(cut), dtype=complex)
         for r0 in range(0, n, step):
             r1 = min(r0 + step, n)
             lo, hi = r0 * n, r1 * n
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 Kb = np.asarray(K.rule(x[i], x[r0:r1, None], x[None, :])).ravel()
+            if far is None:
+                far = np.empty(n * n - len(cut), complex if np.iscomplexobj(Kb) else float)
+            elif np.iscomplexobj(Kb) and not np.iscomplexobj(far):
+                far = far.astype(complex)       # a rule whose values turn complex
             a, b = cut.searchsorted((lo, hi)).tolist()
             for s, o, m in _cell_runs(cut, lo, hi, a, b):
                 far[o:o + m] = Kb[s:s + m]
@@ -565,9 +580,25 @@ def _bilinear_slices_sums(p: Plan, vs, values, delta) -> None:
         values[i], delta[i] = val, fgi * ring_sum * h * h
 
 
-def _bilinear_lattice(K: KernelModel, grid: Grid, policy: PvPolicy, rows) -> dict:
-    """The weights sum P over the excised offsets and over the ring, per point.
+def _fft_length(m: int) -> int:
+    """The smallest 2^a 3^b >= m."""
+    best, p3 = 1 << (m - 1).bit_length(), 1
+    while p3 < best:
+        best = min(best, p3 << (-(-m // p3) - 1).bit_length())
+        p3 *= 3
+    return best
 
+
+def _bilinear_lattice(K: KernelModel, grid: Grid, policy: PvPolicy, rows) -> dict:
+    """The sheared 2D spectrum of the profile table, and the weights sum P over
+    the excised offsets and over the ring, per point.
+
+    The table T(a, b) = P((a - n + 1) h, (b - n + 1) h), a, b < 2n - 1, zero at
+    a = b = n - 1 and zero-padded to L x L, is sheared to q(r, t) = T((r + t)
+    mod L, t) and held as Q = fft2(q) over the columns t = 0..L/2 of rfft;
+    then Q[w, s] = T^(w, s - w). q is made and transformed a few rows at a
+    time, and Q along w a few columns at a time, in place: each temporary
+    stays under _SLICE_BYTES, so the L x L real table is never held.
     The excised set and the ring are classified by the same float test as a
     dense point over the O(c_eps^2) candidate offsets.
     """
@@ -580,26 +611,55 @@ def _bilinear_lattice(K: KernelModel, grid: Grid, policy: PvPolicy, rows) -> dic
     S = np.abs(x - x[np.clip(ja, 0, n - 1)]) + np.abs(x - x[np.clip(jb, 0, n - 1)])
     S[(ja < 0) | (ja >= n) | (jb < 0) | (jb >= n)] = np.inf
     Pc = _profile(K.lattice, a * h, b * h)
-    return {"near": np.where((S > 0) & (S <= c_eps * h), Pc, 0.0).sum(axis=0),
+    m = 2 * n - 1
+    L = _fft_length(m)
+    u = np.arange(1 - n, n) * h
+    # row r of q reads T's rows (r + t) mod L: windows of the doubled row offsets
+    rows_u = sliding_window_view(np.concatenate([u, np.zeros(L - m)] * 2), m)
+    inside = sliding_window_view(np.arange(2 * L) % L < m, m)
+    Q = np.empty((L, L // 2 + 1), dtype=complex)
+    step = max(1, _SLICE_BYTES // (8 * L))
+    for r0 in range(0, L, step):
+        r1 = min(r0 + step, L)
+        q = _profile(K.lattice, rows_u[r0:r1], u)
+        q[~inside[r0:r1]] = 0.0
+        if r0 == 0:
+            q[0, n - 1] = 0.0       # T(n - 1, n - 1), the cell j = k = i
+        Q[r0:r1] = np.fft.rfft(q, L)
+    step = max(1, _SLICE_BYTES // (16 * L))
+    for c0 in range(0, L // 2 + 1, step):
+        Q[:, c0:c0 + step] = np.fft.fft(Q[:, c0:c0 + step], axis=0)
+    return {"Q": Q,
+            "near": np.where((S > 0) & (S <= c_eps * h), Pc, 0.0).sum(axis=0),
             "ring": np.where((S > policy.c_refined * h) & (S <= c_eps * h), Pc, 0.0).sum(axis=0)}
 
 
 def _bilinear_lattice_sums(p: Plan, vs, values, delta) -> None:
-    """The whole lattice sum from the profile P(x - y, x - z), BLOCK kernel-lattice
-    rows p = i - j at a time: each row convolves P(p h, .) with g by FFT and is
-    weighted by f shifted by p."""
+    """The whole lattice sum full_i = sum_{a, b} T(a, b) f_{i+n-1-a} g_{i+n-1-b},
+    the diagonal of a 2D convolution: with F, G the length-L spectra,
+    full_i = irfft(H)[i + n - 1] / L for H(s) = sum_w F(w) Q[w, s] G(s - w).
+
+    Re and Im of f and g are paired apart, so each H is that of real data and
+    real data gives an exactly real field. The contraction takes a few rows w
+    of Q at a time, into one buffer of _SLICE_BYTES.
+    """
     fv, gv = vs
     n, h = p.grid.n, p.grid.h
-    i = np.arange(n)
-    q = np.arange(1 - n, n) * h
-    full = np.zeros(n, dtype=complex)
-    for s in range(1 - n, n, BLOCK):
-        o = np.arange(s, min(s + BLOCK, n))
-        P = _profile(p.kernel.lattice, o[:, None] * h, q[None, :])
-        P[o == 0, n - 1] = 0.0
-        j = i[None, :] - o[:, None]
-        fs = np.where((j >= 0) & (j < n), fv[np.clip(j, 0, n - 1)], 0.0)
-        full += (fs * _convolve(_spectrum(P, n), gv, n)).sum(axis=0)
+    Q = p.parts["Q"]
+    L, cols = Q.shape
+    F = np.fft.fft(np.stack([fv.real, fv.imag]), L)
+    G = np.fft.fft(np.stack([gv.real, gv.imag]), L)
+    # W[k, w, s] = G_k((s - w) mod L) = G_k[L - w + s]: a view of the doubled spectra
+    W = sliding_window_view(np.concatenate([G, G], axis=1), cols, axis=1)[:, L:0:-1]
+    H = np.zeros((2, 2, cols), dtype=complex)      # H[k, j] pairs G_k with F_j
+    step = max(1, _SLICE_BYTES // (32 * cols))
+    QW = np.empty((2, step, cols), dtype=complex)
+    for w0 in range(0, L, step):
+        w1 = min(w0 + step, L)
+        np.multiply(Q[w0:w1], W[:, w0:w1], out=QW[:, :w1 - w0])
+        H += F[:, w0:w1] @ QW[:, :w1 - w0]
+    c = np.fft.irfft(H, L)[..., n - 1:2 * n - 1] / L
+    full = (c[0, 0] - c[1, 1]) + 1j * (c[0, 1] + c[1, 0])
     fg = fv * gv
     values[:] = (full - fg * p.parts["near"]) * h * h
     delta[:] = fg * p.parts["ring"] * h * h
@@ -659,7 +719,7 @@ def apply_bilinear_field(K: KernelModel, f: SampledFunction, g: SampledFunction,
     """T(f, g) at every grid point, or at a subset of grid indices (zero and unflagged elsewhere).
 
     A whole field of a kernel with a lattice profile costs O(n^2 log n) in
-    O(BLOCK n) memory; other kernels and subsets cost O(n^2) per point.
+    O(n^2) memory; other kernels and subsets cost O(n^2) per point.
     """
     return _pv(K, (f, g), policy, points)
 
@@ -679,8 +739,15 @@ def triple_pairing(K: KernelModel, f0: SampledFunction, f1: SampledFunction,
     return _triple_pairing(K, f0, f1, f2, b0, b1, b2, policy)[0]
 
 
-def _triple_pairing(K, f0, f1, f2, b0, b1, b2, policy) -> tuple[complex, int]:
-    """triple_pairing and the number of PV-flagged points of the inner field on supp b0 f0."""
+def _triple_pairing(K, f0, f1, f2, b0, b1, b2, policy,
+                    T: Plan | None = None) -> tuple[complex, int]:
+    """triple_pairing and the number of PV-flagged points of the inner field on supp b0 f0.
+
+    The inner field of a kernel with a lattice profile is the whole field of
+    T, K's whole-field plan on the functions' grid (built here when not
+    given): it costs less than the dense points of any sizeable support.
+    Other kernels sum dense points on the support.
+    """
     if K.arity != "bilinear":
         raise ValueError(f"kernel {K.name} is not bilinear")
     gr = f0.grid
@@ -693,7 +760,8 @@ def _triple_pairing(K, f0, f1, f2, b0, b1, b2, policy) -> tuple[complex, int]:
     support = np.nonzero(np.abs(w0) > 0)[0]
     if len(support) == 0:
         return 0.0 + 0.0j, 0
-    # a whole lattice field costs less than the dense points of any sizeable support
-    fr = apply_bilinear_field(K, w1, w2, policy=policy,
-                              points=None if K.lattice is not None else support)
+    if K.lattice is None:
+        fr = apply_bilinear_field(K, w1, w2, policy=policy, points=support)
+    else:
+        fr = (T or plan(K, gr, policy))(w1, w2)
     return complex(np.sum(w0 * fr.field.values) * gr.h), int(np.sum(~fr.converged[support]))

@@ -342,6 +342,22 @@ def test_para_subcommand(tmp_path):
     assert "c0=1" in text
 
 
+@pytest.mark.parametrize("body,divisor", [("grid.n = 100\n", 128),
+                                          ("grid.n = 384\nbmo.k_max = 8\n", 256)])
+def test_para_grid_the_generations_cannot_tile_exit_2_before_any_scan(
+        tmp_path, capsys, monkeypatch, body, divisor):
+    # grid.n = 100 used to fail mid-scan on a cube "not aligned with grid cells"
+    def no_scan(*args, **kwargs):
+        raise AssertionError("a scan started before the config was rejected")
+
+    monkeypatch.setattr("tblab.cli.check_para_accretive", no_scan)
+    p = write_cfg(tmp_path, "p.cfg", "b1 = accretive-lipschitz(0.3)\ngrid.box_side = 8\n" + body)
+    out = tmp_path / "out"
+    assert run("para-accretive", p, out) == 2
+    assert f"grid.n must be a multiple of {divisor}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key,value", [("para.eps", "-1"), ("para.eps", "0"),
                                        ("para.N", "5"), ("para.J", "-1")])
 def test_para_ranges_exit_2_before_any_scan(tmp_path, capsys, monkeypatch, key, value):
@@ -512,7 +528,7 @@ def _run_cli(args):
     ("para-accretive", "b1 = sign-sin\ngrid.n = 512\ngrid.box_side = 8\n",
      ["para_certificate.csv"]),
 ])
-def test_byte_identical_output_across_thread_counts(tmp_path, sub, cfg_body, csvs):
+def test_byte_identical_output_across_repeated_runs(tmp_path, sub, cfg_body, csvs):
     # two runs of one config in fresh interpreters write the same bytes
     cfg = write_cfg(tmp_path, "t.cfg", cfg_body)
     blobs = []
@@ -522,6 +538,18 @@ def test_byte_identical_output_across_thread_counts(tmp_path, sub, cfg_body, csv
         assert r.returncode in (0, 1), r.stderr
         blobs.append([(out / c).read_bytes() for c in csvs])
     assert blobs[0] == blobs[1]
+
+
+@pytest.mark.parametrize("sub", ["stein", "report"])
+@pytest.mark.parametrize("b0,b1", [("exp-ix", "exp-ix"), ("sign-sin", "exp-ix")])
+def test_uncertified_b_is_one_plain_note(tmp_path, capsys, sub, b0, b1):
+    # a b without a certificate used to print a raw UserWarning and its source line
+    body = (f"kernel.name = hilbert\ngrid.n = 128\nscales = 0.25,0.5,1,2,4\n"
+            f"b0 = {b0}\nb1 = {b1}\n")
+    assert run(sub, write_cfg(tmp_path, "s.cfg", body), tmp_path / "out") in (0, 1)
+    assert capsys.readouterr().err.splitlines() == [
+        f"note: b-function {b!r} carries no para-accretivity certificate"
+        for b in dict.fromkeys((b0, b1))]
 
 
 def test_summary_verdicts_reconstructible(tmp_path):

@@ -192,8 +192,12 @@ def test_scale_matched_sweep_plans_each_row_grid_once():
     # equal and offset centres share each scale's grid: K, K*1 and K*2 once per scale
     (lambda: stein_bilinear_tb_test(gallery("bilinear-homog"), ONE, ONE, ONE,
                                     grid=GridSpec(n=32, box_side=8.0)),
-     [8.0 * R for R in BILINEAR_SCALES for _ in range(3)])],
-    ids=["stein-3-centres", "wbp-widened", "stein-bilinear"])
+     [8.0 * R for R in BILINEAR_SCALES for _ in range(3)]),
+    # offsets 0 and 1 share each scale's grid 8R; offset 4 widens it to 16R,
+    # the grid of scale 2R but at the largest R: 6 plans of K for 15 rows
+    (lambda: weak_boundedness_test(gallery("bilinear-homog")),
+     [8.0 * R for R in BILINEAR_SCALES] + [16.0 * BILINEAR_SCALES[-1]])],
+    ids=["stein-3-centres", "wbp-widened", "stein-bilinear", "wbp-bilinear"])
 def test_sweep_plans_each_distinct_row_grid_once(monkeypatch, test, sides):
     built = []
 

@@ -12,9 +12,9 @@ from tblab.grid import Cube, SampledFunction, cube1, lp_norm, make_grid, sample
 from tblab.harness import (DECOMP_CUBE, GridSpec, _localize, bilinear_decomposition_check,
                            stein_t1_test)
 from tblab.kernels import GALLERY_NAMES, KernelModel, gallery, transpose_kernel
-from tblab.quadrature import (PvPolicy, _arrays, _triple_pairing, apply_bilinear,
-                              apply_bilinear_field, apply_linear, apply_linear_field, pairing,
-                              plan, triple_pairing)
+from tblab.quadrature import (_SLICE_BYTES, PvPolicy, _arrays, _triple_pairing,
+                              apply_bilinear, apply_bilinear_field, apply_linear,
+                              apply_linear_field, pairing, plan, triple_pairing)
 
 H = gallery("hilbert")
 
@@ -399,14 +399,16 @@ def test_points_must_be_grid_indices(field, bad):
 
 @pytest.mark.parametrize("which", [0, 1, 2])
 def test_bilinear_field_matches_dense_oracle(which):
+    # the lattice plan's FFT length is 256 at n = 127 and 192 = 2^6 3 at n = 96
     K = gallery("bilinear-homog")
     K = transpose_kernel(K, which) if which else K
-    g = make_grid(1, cube1(0.0, 8.0), 127)
-    f, h = _smooth(g, 2), _smooth(g, 3)
-    for c_eps in (1, 2, 4):
-        policy = PvPolicy(c_eps=c_eps)
-        _assert_matches_oracle(apply_bilinear_field(K, f, h, policy),
-                               apply_bilinear_field(_dense(K), f, h, policy))
+    for n, seed in ((127, 2), (96, 6)):
+        g = make_grid(1, cube1(0.0, 8.0), n)
+        f, h = _smooth(g, seed), _smooth(g, seed + 1)
+        for c_eps in (1, 2, 4):
+            policy = PvPolicy(c_eps=c_eps)
+            _assert_matches_oracle(apply_bilinear_field(K, f, h, policy),
+                                   apply_bilinear_field(_dense(K), f, h, policy))
     g = make_grid(1, cube1(0.0, 64.0), 384)
     f, h = _smooth(g, 4), _smooth(g, 5)
     _assert_matches_oracle(apply_bilinear_field(K, f, h), apply_bilinear_field(_dense(K), f, h))
@@ -615,9 +617,10 @@ def _family(name):
 @pytest.mark.parametrize("name", GALLERY_NAMES)
 def test_plan_is_bit_identical_to_apply(name):
     # one plan applied to several inputs against a fresh apply_* per input;
-    # 130 linear points span three blocks of a point plan
+    # 130 linear points span three blocks of a point plan; the bilinear
+    # lattice plan's FFT length at n = 96 is 192, not a power of two
     linear = gallery(name).arity == "linear"
-    n = 255 if linear else 63
+    n = 255 if linear else 96
     g = make_grid(1, cube1(0.0, 16.0), n)
     ins = [_smooth(g, s) for s in (20, 21, 22)]
     pairs = [(f,) for f in ins] if linear else list(zip(ins, ins[1:] + ins[:1]))
@@ -726,12 +729,16 @@ def test_plan_of_no_points_applies_to_a_zero_field(name):
 
 @pytest.mark.parametrize("name,bytes_per_point", [
     ("hilbert", lambda n, c: 16 * n + 48),
-    ("bilinear-homog", lambda n, c: 16 * n * n + 8 * (2 * c + 1) ** 2)])
+    ("bilinear-homog", lambda n, c: 8 * n * n + 16 * (2 * c + 1) ** 2),
+    ("bilinear-homog-complex", lambda n, c: 16 * n * n + 8 * (2 * c + 1) ** 2)])
 def test_point_plan_size_is_as_stated(name, bytes_per_point):
     # the sizes plan() states: 16 n + 48 bytes per linear point, at most
-    # 16 n^2 + 8 (2 c_eps + 1)^2 per bilinear point; the heap left after
+    # 8 n^2 + 16 (2 c_eps + 1)^2 per bilinear point of a real rule and
+    # 16 n^2 + 8 (2 c_eps + 1)^2 of a complex one; the heap left after
     # building holds little more (the rows and the containers)
-    K = gallery(name)
+    K = gallery(name.removesuffix("-complex"))
+    if name.endswith("-complex"):
+        K = dataclasses.replace(K, rule=lambda x, y, z, _r=K.rule: (1 + 1j) * _r(x, y, z))
     n, pts = 384, [0, 5, 190, 191, 383]
     g = make_grid(1, cube1(0.0, 64.0), n)
     stated = len(pts) * bytes_per_point(n, 2)
@@ -743,6 +750,23 @@ def test_point_plan_size_is_as_stated(name, bytes_per_point):
         tracemalloc.stop()
     assert stated * 0.9 <= T.nbytes <= stated
     assert T.nbytes <= held <= T.nbytes + 8 * len(pts) + 20_000
+
+
+@pytest.mark.parametrize("n,L", [(64, 128), (96, 192), (128, 256), (384, 768)])
+def test_bilinear_lattice_plan_size_is_as_stated(n, L):
+    # 16 L (L/2 + 1) bytes of spectrum, L the smallest 2^a 3^b >= 2n - 1, and
+    # 16 n of near and ring weights; building it holds temporaries of a few
+    # _SLICE_BYTES, never the 8 L^2 bytes of the real table (4.7 MB at n = 384)
+    K = gallery("bilinear-homog")
+    g = make_grid(1, cube1(0.0, 8.0), n)
+    tracemalloc.start()
+    try:
+        T = plan(K, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert T.nbytes == 16 * L * (L // 2 + 1) + 16 * n
+    assert peak < T.nbytes + 16 * _SLICE_BYTES
 
 
 @pytest.mark.parametrize("k", [1, 8])
