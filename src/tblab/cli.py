@@ -5,13 +5,13 @@ Flat key=value config files, one experiment per file. Exit codes:
 configuration or runtime error. Every run is serial, and repeated runs of
 one config write the same bytes.
 
-Each subcommand runs its experiment and returns (files, summary lines,
-verdicts); one emitter writes them. A config key that is not set leaves the
-library's default in force, except for the defaults this module owns: the
-dyadic generations of `bmo` (bmo.k_min 0, bmo.k_max 5) and `para-accretive`
-(bmo.k_max 3 for the cube condition, at least 7 for condition (B)), uk.k 0
-and the uk-build grid (n=2048, box 8), b-functions `one` and output.dir
-`tblab-out`.
+Each subcommand runs its experiment and returns its reports (harness
+ScalingReports or TableReports); one emitter writes their CSVs and
+summaries. A config key that is not set leaves the library's default in
+force, except for the defaults this module owns: the dyadic generations of
+`bmo` (bmo.k_min 0, bmo.k_max 5) and `para-accretive` (bmo.k_max 3 for the
+cube condition, at least 7 for condition (B)), uk.k 0 and the uk-build grid
+(n=2048, box 8), b-functions `one` and output.dir `tblab-out`.
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ from .bmo import MIN_CELLS, bmo_seminorm
 from .grid import Cube, Grid, SampledFunction, dyadic_family, load_sampled_csv
 from .harness import (BILINEAR_GRID, BMO_SWEEP_GRID, DECOMP_CUBE,
                       DECOMP_GRID, FAR_FIELD_CUBE, FAR_FIELD_GRID, PASSING, BFunc, GridSpec,
-                      bilinear_decomposition_check, builtin_b, far_field_constancy,
-                      stein_bilinear_tb_test, stein_t1_test, stein_tb_test,
-                      uniform_bmo_sweep, weak_boundedness_test)
+                      TableReport, bilinear_decomposition_check, builtin_b,
+                      far_field_constancy, stein_bilinear_tb_test, stein_t1_test,
+                      stein_tb_test, uniform_bmo_sweep, weak_boundedness_test)
 from .kernels import check_regularity, check_size, gallery
 from .paraaccretive import (b_to_def3_constant, build_uk, check_condition_B,
                             check_para_accretive, verify_uk)
@@ -104,9 +104,10 @@ class ExperimentConfig:
         mode = self.get("grid.mode", "")
         if mode and mode not in ("scaled", "fixed"):
             raise ConfigError(f"grid.mode must be scaled|fixed, got {mode!r}")
-        # the para-accretive scans' ranges, checked before any scan starts
+        # the para-accretive scans' and the fits' ranges, checked before any field
         for key, low, strict in (("para.J", 0, False), ("para.N", 10, False),
-                                 ("para.eps", 0, True)):
+                                 ("para.eps", 0, True), ("fit.slope_tol", 0, False),
+                                 ("fit.uniformity_factor", 1, False)):
             v = self.get(key)
             if v is not None and (v <= low if strict else v < low):
                 raise ConfigError(f"{key} must be {'>' if strict else '>='} {low}, "
@@ -243,23 +244,29 @@ def _svg_plot(rows, target: float, title: str) -> str:
     return "\n".join(parts)
 
 
-def _emit(out: Path, files: dict, lines, verdicts) -> int:
-    """Write an experiment's files and summary.txt; return its exit code.
+def _emit(out: Path, reports, svg: bool = False) -> int:
+    """Write each report's CSV (and with svg its log-log plot) and summary.txt;
+    return the exit code.
 
-    A file's content is CSV rows, or text for an SVG plot. The directory is
-    made here, so an experiment that fails leaves none behind.
+    A report is a harness ScalingReport or TableReport. The directory is made
+    here, so an experiment that fails leaves none behind.
     """
     out.mkdir(parents=True, exist_ok=True)
-    for name, content in files.items():
-        if isinstance(content, str):
-            (out / name).write_text(content)
-        else:
-            _write_csv(out / name, content)
-    (out / "summary.txt").write_text("".join(f"{ln}\n" for ln in lines))
-    return 0 if all(v in PASSING for v in verdicts) else 1
+    for rep in reports:
+        _write_csv(out / rep.file, rep.csv_rows())
+        if svg:
+            (out / f"{rep.experiment}.svg").write_text(
+                _svg_plot(rep.rows, rep.target, f"{rep.experiment} on {rep.kernel}"))
+    (out / "summary.txt").write_text("".join(f"{rep.summary}\n" for rep in reports))
+    return 0 if all(rep.verdict in PASSING for rep in reports) else 1
 
 
-# --- experiments: each returns (files, summary lines, verdicts) -------------
+def _table(file: str, table, verdict: str, lines) -> TableReport:
+    """The report of a CSV table formatted by csv_table, header first."""
+    return TableReport(file, tuple(table[0]), table[1:], verdict, "\n".join(lines))
+
+
+# --- experiments: each returns its reports ------------------------------------
 
 def _check_kernel(cfg: ExperimentConfig):
     K = cfg.kernel()
@@ -270,11 +277,11 @@ def _check_kernel(cfg: ExperimentConfig):
                   ((c.kernel, c.condition, c.delta, c.constant, c.samples, c.seed)
                    for c in (size, reg)))
     verdict = "PASS" if size.constant <= K.size_constant * (1.0 + 1e-9) else "FAIL"
-    return ({"kernel_checks.csv": rows},
-            [f"check-kernel {K.name}: size constant {size.constant:.6g} "
-             f"(claimed {K.size_constant:.6g}), "
-             f"regularity constant {reg.constant:.6g} at delta={reg.delta}",
-             f"verdict: {verdict}"], [verdict])
+    return [_table("kernel_checks.csv", rows, verdict,
+                   [f"check-kernel {K.name}: size constant {size.constant:.6g} "
+                    f"(claimed {K.size_constant:.6g}), "
+                    f"regularity constant {reg.constant:.6g} at delta={reg.delta}",
+                    f"verdict: {verdict}"])]
 
 
 def _bmo(cfg: ExperimentConfig):
@@ -283,12 +290,12 @@ def _bmo(cfg: ExperimentConfig):
     fam = dyadic_family(g.box, cfg.get("bmo.k_min", 0), cfg.get("bmo.k_max", 5))
     rep = bmo_seminorm(b.sampled(g), fam)
     verdict = "PASS" if rep.sandwich_ok else "FAIL"
-    return ({"bmo_report.csv": rep.csv_rows()},
-            [f"bmo {b.name}: sup mean-osc {rep.sup_mean:.6g}, "
-             f"sup best-const {rep.sup_best:.6g}, cubes {len(rep.entries)}, "
-             f"skipped {rep.n_skipped} with < {MIN_CELLS} cells",
-             f"sandwich best<=mean<=2best: {verdict}",
-             f"verdict: {verdict}"], [verdict])
+    return [_table("bmo_report.csv", rep.csv_rows(), verdict,
+                   [f"bmo {b.name}: sup mean-osc {rep.sup_mean:.6g}, "
+                    f"sup best-const {rep.sup_best:.6g}, cubes {len(rep.entries)}, "
+                    f"skipped {rep.n_skipped} with < {MIN_CELLS} cells",
+                    f"sandwich best<=mean<=2best: {verdict}",
+                    f"verdict: {verdict}"])]
 
 
 def _para(cfg: ExperimentConfig):
@@ -317,8 +324,9 @@ def _para(cfg: ExperimentConfig):
         lines.append(f"converted bound eps/(20N)^d = {conv.bound:.6g} "
                      f"<= certified c0 {cert.c0:.6g}: {'PASS' if ok else 'FAIL'}")
         verdicts.append("PASS" if ok else "FAIL")
-    lines.append(f"verdict: {'PASS' if all(v == 'PASS' for v in verdicts) else 'FAIL'}")
-    return {"para_certificate.csv": cert.csv_rows()}, lines, verdicts
+    verdict = "PASS" if all(v == "PASS" for v in verdicts) else "FAIL"
+    lines.append(f"verdict: {verdict}")
+    return [_table("para_certificate.csv", cert.csv_rows(), verdict, lines)]
 
 
 def _uk_build(cfg: ExperimentConfig):
@@ -335,11 +343,11 @@ def _uk_build(cfg: ExperimentConfig):
                     abs(c.pairing), c.pairing_lo, c.pairing_hi, c.support_ok, c.all_ok)
                    for c, W in zip(ver.checks, fam.witnesses)))
     verdict = "PASS" if ver.all_ok else "FAIL"
-    return ({"uk_report.csv": rows},
-            [f"uk-build {b.name} k={k}: h={fam.h_mol} alpha={fam.alpha:.6g} "
-             f"c0={fam.c0:.6g} lattice={len(fam.lattice)}",
-             f"all four kernel-family bounds: {verdict}",
-             f"verdict: {verdict}"], [verdict])
+    return [_table("uk_report.csv", rows, verdict,
+                   [f"uk-build {b.name} k={k}: h={fam.h_mol} alpha={fam.alpha:.6g} "
+                    f"c0={fam.c0:.6g} lattice={len(fam.lattice)}",
+                    f"all four kernel-family bounds: {verdict}",
+                    f"verdict: {verdict}"])]
 
 
 def _stein_reports(cfg: ExperimentConfig) -> list:
@@ -367,60 +375,11 @@ def _wbp_report(cfg: ExperimentConfig):
                                  **cfg.given(offsets="offsets"), **cfg.fit_args())
 
 
-def _scaling(reports, svg: bool = False):
-    """Files, summary lines and verdicts of scaling reports (stein, wbp, report)."""
-    files, lines = {}, []
-    for rep in reports:
-        files[f"{rep.experiment}.csv"] = rep.csv_rows()
-        if svg:
-            files[f"{rep.experiment}.svg"] = _svg_plot(rep.rows, rep.target,
-                                                       f"{rep.experiment} on {rep.kernel}")
-        slope = "n/a" if rep.slope is None else f"{rep.slope:.4f}"
-        constant = "" if rep.experiment == "wbp" else f" constant={rep.constant:.6g}"
-        lines.append(f"{rep.experiment} [{rep.kernel}] slope={slope}{constant} "
-                     f"verdict: {rep.verdict}")
-    return files, lines, [rep.verdict for rep in reports]
-
-
-def _sweep_bmo(cfg: ExperimentConfig):
-    K = cfg.kernel()
-    rep = uniform_bmo_sweep(K, cfg.b_func("b1"), grid=cfg.grid_spec(BMO_SWEEP_GRID),
-                            policy=cfg.policy(),
-                            **cfg.given(R_list="scales",
-                                        uniformity_factor="fit.uniformity_factor"))
-    rows = csv_table(["R", "bmo", "pv_flag"], ((r.R, r.bmo, r.pv_flagged) for r in rep.rows))
-    return ({"bmo_sweep.csv": rows},
-            [f"sweep-bmo [{K.name}] max/min={rep.ratio:.4f} verdict: {rep.verdict}"],
-            [rep.verdict])
-
-
-def _far_field(cfg: ExperimentConfig):
-    K = cfg.kernel()
-    Q = cfg.cube(FAR_FIELD_CUBE)
-    rep = far_field_constancy(K, cfg.b_func("b1"), Q=Q, grid=cfg.grid_spec(FAR_FIELD_GRID),
-                              policy=cfg.policy(),
-                              **cfg.given(R_list="scales",
-                                          uniformity_factor="fit.uniformity_factor"))
-    rows = csv_table(["R", "sup_dev", "c_re", "c_im", "split_defect"],
-                  ((r.R, r.sup_dev, r.c_QR.real, r.c_QR.imag, r.split_defect)
-                   for r in rep.rows))
-    return ({"far_field.csv": rows},
-            [f"far-field [{K.name}] Q=(center {Q.center[0]}, side {Q.side}) "
-             f"max/min={rep.ratio:.4f} abs_bound={rep.abs_bound:.6g} "
-             f"verdict: {rep.verdict}"], [rep.verdict])
-
-
-def _bilinear_decomp(cfg: ExperimentConfig):
-    K = cfg.kernel()
-    rep = bilinear_decomposition_check(K, cfg.b_func("b1"), cfg.b_func("b2"),
-                                       Q=cfg.cube(DECOMP_CUBE),
-                                       grid=cfg.grid_spec(DECOMP_GRID),
-                                       policy=cfg.policy(), **cfg.given(R_list="scales"))
-    rows = csv_table(["R", "avg_I", "dev_II", "dev_III", "dev_IV", "sum_defect", "sum_ok"],
-                  ((r.R, r.avg_I, r.dev_II, r.dev_III, r.dev_IV, r.sum_defect, r.sum_ok)
-                   for r in rep.rows))
-    return ({"bilinear_decomp.csv": rows},
-            [f"bilinear-decomp [{K.name}] verdict: {rep.verdict}"], [rep.verdict])
+def _sweep_args(cfg: ExperimentConfig, grid: GridSpec, **params) -> dict:
+    """The grid (default `grid`), the policy, and the scales and params whose
+    config keys are set, as keyword arguments of an R-sweep."""
+    return dict(grid=cfg.grid_spec(grid), policy=cfg.policy(),
+                **cfg.given(R_list="scales", **params))
 
 
 _RUNNERS = {
@@ -428,12 +387,18 @@ _RUNNERS = {
     "bmo": _bmo,
     "para-accretive": _para,
     "uk-build": _uk_build,
-    "stein": lambda cfg: _scaling(_stein_reports(cfg)),
-    "wbp": lambda cfg: _scaling([_wbp_report(cfg)]),
-    "sweep-bmo": _sweep_bmo,
-    "far-field": _far_field,
-    "bilinear-decomp": _bilinear_decomp,
-    "report": lambda cfg: _scaling(_stein_reports(cfg) + [_wbp_report(cfg)], svg=True),
+    "stein": _stein_reports,
+    "wbp": lambda cfg: [_wbp_report(cfg)],
+    "sweep-bmo": lambda cfg: [uniform_bmo_sweep(
+        cfg.kernel(), cfg.b_func("b1"),
+        **_sweep_args(cfg, BMO_SWEEP_GRID, uniformity_factor="fit.uniformity_factor"))],
+    "far-field": lambda cfg: [far_field_constancy(
+        cfg.kernel(), cfg.b_func("b1"), Q=cfg.cube(FAR_FIELD_CUBE),
+        **_sweep_args(cfg, FAR_FIELD_GRID, uniformity_factor="fit.uniformity_factor"))],
+    "bilinear-decomp": lambda cfg: [bilinear_decomposition_check(
+        cfg.kernel(), cfg.b_func("b1"), cfg.b_func("b2"), Q=cfg.cube(DECOMP_CUBE),
+        **_sweep_args(cfg, DECOMP_GRID))],
+    "report": lambda cfg: _stein_reports(cfg) + [_wbp_report(cfg)],
 }
 
 SUBCOMMANDS = tuple(_RUNNERS)
@@ -456,7 +421,7 @@ def run(subcommand: str, config_path, out_dir=None) -> int:
     # without Python's source line
     with warnings.catch_warnings(record=True) as caught:
         try:
-            return _emit(out, *_RUNNERS[subcommand](cfg))
+            return _emit(out, _RUNNERS[subcommand](cfg), svg=subcommand == "report")
         except (ConfigError, ValueError, OSError) as e:
             print(f"error: {e}", file=sys.stderr)
             return 2

@@ -21,8 +21,7 @@ from . import bumps
 from .bmo import bmo_seminorm
 from .grid import Cube, Grid, SampledFunction, cube1, dyadic_family, lp_norm, sample
 from .kernels import KernelModel, transpose_kernel
-from .quadrature import (Plan, PvPolicy, _triple_pairing, apply_bilinear_field,
-                         apply_linear_field, pairing, plan)
+from .quadrature import Plan, PvPolicy, _triple_pairing, apply_linear_field, pairing, plan
 from .util import csv_table
 
 DEFAULT_SLOPE_TOL = 0.07
@@ -197,6 +196,16 @@ class ScalingReport:
                 return f
         raise KeyError((section, center))
 
+    @property
+    def file(self) -> str:
+        return f"{self.experiment}.csv"
+
+    @property
+    def summary(self) -> str:
+        slope = "n/a" if self.slope is None else f"{self.slope:.4f}"
+        constant = "" if self.experiment == "wbp" else f" constant={self.constant:.6g}"
+        return f"{self.experiment} [{self.kernel}] slope={slope}{constant} verdict: {self.verdict}"
+
     def csv_rows(self):
         head = ["experiment", "kernel", "b0", "b1", "b2", "M", "section", "x0", "R",
                 "value", "target_exp", "fitted_slope", "constant", "pv_flag",
@@ -216,7 +225,7 @@ def _bump_field(grid: Grid, M: int, x0: float, R: float) -> SampledFunction:
 
 def _plateau(grid: Grid, x0: float, R: float) -> np.ndarray:
     """The plateau cutoff phi^{x0,R} on the grid, unchecked: phi_Q (radius 6 diam Q)
-    may cross a box that far_field_constancy accepts (box >= 8 Q.side)."""
+    may cross a box that far_field_constancy accepts (8Q inside the box)."""
     return bumps.BumpRule("plateau", 1.0, (x0,), R)(grid.axis(0)).astype(complex)
 
 
@@ -249,19 +258,32 @@ def _check_scales(scales) -> tuple:
     return scales
 
 
-def _sweep(row, kernels, grid_of, groups, scales, policy: PvPolicy, names, b_names,
-           M: int, target: float, slope_tol: float, uniformity_factor: float) -> list:
-    """The pipeline of every testing condition: rows, per-group fits, reports.
+def _check_limits(slope_tol: float = 0.0, uniformity_factor: float = 1.0,
+                  norm: float = 1.0) -> None:
+    """Reject, before any computation, a slope tolerance below 0, a uniformity
+    factor below 1 (no max/min is below 1, so no sweep could pass) and a norm
+    that is not positive and finite."""
+    if not slope_tol >= 0:
+        raise ValueError(f"slope_tol must be >= 0, got {slope_tol}")
+    if not uniformity_factor >= 1:
+        raise ValueError(f"uniformity_factor must be >= 1, got {uniformity_factor}")
+    if not (np.isfinite(norm) and norm > 0):
+        raise ValueError(f"the operator norm must be positive and finite, got {norm}")
+
+
+def _sweep(row, kernels, grid_of, groups, scales, policy: PvPolicy, reduce,
+           points=None):
+    """The shape of every sweep: row jobs, their plans, their rows, a reducer.
 
     The jobs (group, R) of groups x scales run serially, job (group, R) on the
     row grid grid_of(group, R). Each distinct row grid g, in order of first use,
-    gets one plan per kernel of `kernels` (under policy); row(g, plans, group,
-    R) then runs for every job on g, and g's plans are dropped before the next
-    grid. A row returns a (value, pv flag) pair per (experiment, kernel name)
-    pair of `names` and its margin flag, or None when its support escapes the
-    grid; escaped rows are dropped, and no group or a group left with no row is
-    an error. Rows are reported group-major. A group is a (section, center)
-    pair; each with at least 5 rows in a report gets its own fit against R^target.
+    gets one plan per kernel of `kernels` (under policy, at the grid indices
+    points, every point when None); row(g, plans, group, R) then runs for every
+    job on g, and g's plans are dropped before the next grid. A row returns what
+    the reducer reads, or None when its support escapes the grid; escaped rows
+    are dropped, and no group or a group left with no row is an error. A group
+    is a (section, center) pair. reduce gets the (group, R, row) triples kept,
+    group-major, and returns the sweep's report.
     """
     scales = _check_scales(scales)
     if not groups:
@@ -270,7 +292,7 @@ def _sweep(row, kernels, grid_of, groups, scales, policy: PvPolicy, names, b_nam
     grids = [grid_of(*job) for job in jobs]
     done = {}
     for g in dict.fromkeys(grids):
-        plans = [plan(ker, g, policy) for ker in kernels]
+        plans = [plan(ker, g, policy, points) for ker in kernels]
         done.update((i, row(g, plans, *jobs[i])) for i, gi in enumerate(grids) if gi == g)
         del plans                        # drop this grid's plans before the next
     kept = [(group, R, done[i]) for i, (group, R) in enumerate(jobs) if done[i] is not None]
@@ -278,20 +300,96 @@ def _sweep(row, kernels, grid_of, groups, scales, policy: PvPolicy, names, b_nam
         if all(group != (section, center) for group, _, _ in kept):
             raise ValueError(f"every row of section {section!r} at centre {center:g} "
                              f"escapes its grid")
-    reports = []
-    for pos, (experiment, kernel) in enumerate(names):
-        rows = [SweepRow(group[0], group[1], R, *values[pos], margin)
-                for group, R, (values, margin) in kept]
-        fits = []
-        for section, center in groups:
-            sel = [(r.R, r.value) for r in rows if (r.section, r.center) == (section, center)]
-            if len(sel) >= 5:
-                fits.append(exponent_fit(sel, target, slope_tol, uniformity_factor,
-                                         section=section, center=center))
-        reports.append(ScalingReport(experiment=experiment, kernel=kernel,
-                                     b_names=b_names, M=M, target=target,
-                                     rows=rows, fits=fits))
-    return reports
+    return reduce(kept)
+
+
+def _fit_reducer(names, b_names, M: int, target: float, slope_tol: float,
+                 uniformity_factor: float):
+    """The reducer of the testing conditions: a row is a (value, pv flag) pair
+    per (experiment, kernel name) pair of names and its margin flag; each name
+    gets a ScalingReport, and each group with at least 5 of its rows a fit
+    against R^target."""
+    _check_limits(slope_tol, uniformity_factor)
+
+    def reduce(kept) -> list:
+        reports = []
+        for pos, (experiment, kernel) in enumerate(names):
+            rows = [SweepRow(group[0], group[1], R, *values[pos], margin)
+                    for group, R, (values, margin) in kept]
+            fits = []
+            for section, center in dict.fromkeys(group for group, _, _ in kept):
+                sel = [(r.R, r.value) for r in rows
+                       if (r.section, r.center) == (section, center)]
+                if len(sel) >= 5:
+                    fits.append(exponent_fit(sel, target, slope_tol, uniformity_factor,
+                                             section=section, center=center))
+            reports.append(ScalingReport(experiment=experiment, kernel=kernel,
+                                         b_names=b_names, M=M, target=target,
+                                         rows=rows, fits=fits))
+        return reports
+    return reduce
+
+
+def _spread(vals) -> float:
+    """max / min of the values; inf when the least is not positive."""
+    return max(vals) / min(vals) if min(vals) > 0 else float("inf")
+
+
+def _uniformity_verdict(vals, factor: float) -> str:
+    """PASS-degenerate when every value is zero, else PASS iff max/min <= factor."""
+    if max(vals) == 0:
+        return "PASS-degenerate"
+    return "PASS" if _spread(vals) <= factor else "FAIL"
+
+
+@dataclass(frozen=True)
+class TableReport:
+    """A table with a verdict: the CSV file it is written to, its column names,
+    its rows (one tuple of values in column order each), its verdict and its
+    lines of summary.txt (one for a sweep)."""
+    file: str
+    columns: tuple
+    rows: list
+    verdict: str
+    summary: str
+
+    def column(self, name: str) -> list:
+        i = self.columns.index(name)
+        return [r[i] for r in self.rows]
+
+    def spread(self, name: str) -> float:
+        """max / min of the column; inf when its least value is not positive."""
+        return _spread(self.column(name))
+
+    def csv_rows(self):
+        return csv_table(self.columns, self.rows)
+
+
+def _table_reducer(file: str, columns, verdict, head):
+    """A reducer to one TableReport with the columns R, *columns: a row is its
+    values after R; verdict(rows) reduces the rows, and the summary line is
+    head(rows) followed by the verdict."""
+    def reduce(kept) -> TableReport:
+        rows = [(R, *values) for _, R, values in kept]
+        v = verdict(rows)
+        return TableReport(file, ("R", *columns), rows, v, f"{head(rows)} verdict: {v}")
+    return reduce
+
+
+def _uniformity_reducer(file: str, columns, factor: float, head):
+    """The table reducer whose verdict is the uniformity of its first column
+    after R within factor; head gets that column's values."""
+    _check_limits(uniformity_factor=factor)
+    return _table_reducer(file, columns,
+                          lambda rows: _uniformity_verdict([r[1] for r in rows], factor),
+                          lambda rows: head([r[1] for r in rows]))
+
+
+def _bound_reducer(file: str, columns, ok, head: str):
+    """The table reducer that passes iff ok(*row) holds for every row."""
+    return _table_reducer(file, columns,
+                          lambda rows: "PASS" if all(ok(*r) for r in rows) else "FAIL",
+                          lambda rows: head)
 
 
 # --- Stein testing conditions ----------------------------------------------
@@ -319,8 +417,9 @@ def _stein_sweep(K: KernelModel, b0: BFunc, b1: BFunc, experiments, reduce, M: i
 
     return _sweep(row, (K, Kt), lambda group, R: grid.row_grid(K.grid_mode, R),
                   [("", frac) for frac in center_fracs], scales, policy,
-                  list(zip(experiments, (K.name, Kt.name))), (b0.name, b1.name), M,
-                  K.d / 2.0, slope_tol, uniformity_factor)
+                  _fit_reducer(list(zip(experiments, (K.name, Kt.name))),
+                               (b0.name, b1.name), M, K.d / 2.0, slope_tol,
+                               uniformity_factor))
 
 
 def stein_t1_test(K: KernelModel, M: int = 2,
@@ -407,8 +506,8 @@ def stein_bilinear_tb_test(K: KernelModel, b0: BFunc, b1: BFunc, b2: BFunc,
     return BilinearTbResult(*_sweep(row, (K, K1, K2),
                                     lambda group, R: grid.row_grid(K.grid_mode, R),
                                     [("equal", 0.0), ("offset", 1.0)], scales, policy,
-                                    names, (b0.name, b1.name, b2.name), M, K.d / 2.0,
-                                    slope_tol, uniformity_factor))
+                                    _fit_reducer(names, (b0.name, b1.name, b2.name), M,
+                                                 K.d / 2.0, slope_tol, uniformity_factor)))
 
 
 def weak_boundedness_test(K: KernelModel, b0: BFunc = B_ONE, b1: BFunc = B_ONE,
@@ -454,37 +553,19 @@ def weak_boundedness_test(K: KernelModel, b0: BFunc = B_ONE, b1: BFunc = B_ONE,
     # a bilinear kernel without a lattice profile sums dense points per row
     return _sweep(row, () if bil and K.lattice is None else (K,), grid_of,
                   [(f"offset{off:g}", off) for off in offsets], scales, policy,
-                  [("wbp", K.name)], names, M, float(K.d), slope_tol, uniformity_factor)[0]
+                  _fit_reducer([("wbp", K.name)], names, M, float(K.d), slope_tol,
+                               uniformity_factor))[0]
 
 
 # --- direct (necessity-direction) bound ------------------------------------
-
-@dataclass(frozen=True)
-class DirectBoundRow:
-    R: float
-    measured: float
-    bound: float
-
-    @property
-    def ok(self) -> bool:
-        return self.measured <= self.bound
-
-
-@dataclass(frozen=True)
-class DirectBoundReport:
-    rows: list
-    verdict: str
-    witness: tuple | None
-
 
 def direct_bound_check(K: KernelModel, b1: BFunc, op_norm: float | None = None,
                        b2: BFunc | None = None, bilinear_norm: float | None = None,
                        M: int = 2, scales=LINEAR_SCALES,
                        grid: GridSpec = GridSpec(),
-                       policy: PvPolicy = PvPolicy()) -> DirectBoundReport:
+                       policy: PvPolicy = PvPolicy()) -> TableReport:
     """measured <= norm * prod ||b||_inf * bump-norm product * (1 + DIRECT_BOUND_TOL)
-    per row."""
-    scales = _check_scales(scales)
+    per row, on the plan of T per row grid."""
     linear = K.arity == "linear"
     if linear and op_norm is None:
         raise ValueError("missing operator norm estimate for the linear bound")
@@ -492,39 +573,45 @@ def direct_bound_check(K: KernelModel, b1: BFunc, op_norm: float | None = None,
         raise ValueError("missing bilinear operator norm estimate")
     if not linear and b2 is None:
         raise ValueError("bilinear direct bound needs b2")
+    _check_limits(norm=op_norm if linear else bilinear_norm)
 
-    def one_row(R):
-        g = grid.row_grid(K.grid_mode, R)
+    def row(g, plans, group, R):
         phi = _bump_field(g, M, 0.0, R)
         b1s = b1.sampled(g)
         f1 = _weighted(b1s, phi.values)
         if linear:
-            fr = apply_linear_field(K, f1, policy)
+            fr = plans[0](f1)
             bound = (op_norm * float(np.max(np.abs(b1s.values))) * lp_norm(phi, 2)
                      * (1 + DIRECT_BOUND_TOL))
         else:
             b2s = b2.sampled(g)
-            fr = apply_bilinear_field(K, f1, _weighted(b2s, phi.values), policy)
+            fr = plans[0](f1, _weighted(b2s, phi.values))
             bound = (bilinear_norm * float(np.max(np.abs(b1s.values)))
                      * float(np.max(np.abs(b2s.values)))
                      * lp_norm(phi, 4) ** 2 * (1 + DIRECT_BOUND_TOL))
-        return DirectBoundRow(R=R, measured=_l2(fr), bound=bound)
+        return _l2(fr), bound
 
-    rows = [one_row(R) for R in scales]
-    bad = [r for r in rows if not r.ok]
-    return DirectBoundReport(rows=rows, verdict="FAIL" if bad else "PASS",
-                             witness=(0.0, bad[0].R) if bad else None)
+    return _sweep(row, (K,), lambda group, R: grid.row_grid(K.grid_mode, R),
+                  [("", 0.0)], scales, policy,
+                  _bound_reducer("direct_bound.csv", ("measured", "bound"),
+                                 lambda R, measured, bound: measured <= bound,
+                                 f"direct-bound [{K.name}]"))
 
 
 # --- localization and far-field quantities ----------------------------------
 
 def _localize(grid: GridSpec, Q: Cube):
     """The fixed grid, r = 6 diam Q, the cells of Q, its center cell, the points
-    a localized check reads (the cells and the center cell) and phi_Q."""
+    a localized check reads (the cells and the center cell) and phi_Q. A cube
+    that holds no cell of the grid is rejected."""
     g = grid.row_grid("fixed", 1.0)
     r = 6.0 * Q.diam
     x0, ax = Q.center[0], g.axis(0)
     qsel = np.nonzero((ax >= x0 - Q.side / 2.0) & (ax < x0 + Q.side / 2.0))[0]
+    if not len(qsel):
+        raise ValueError(f"the cube Q (center {x0:g}, side {Q.side:g}) holds no cell of "
+                         f"the grid on [{g.box.lo()[0]:g}, {g.box.hi()[0]:g}] "
+                         f"(n = {g.n}, h = {g.h:g})")
     i0 = int(np.argmin(np.abs(ax - x0)))
     pts = np.concatenate([qsel, [i0]]) if i0 not in qsel else qsel
     return g, r, qsel, i0, pts, _plateau(g, x0, r)
@@ -545,98 +632,32 @@ def _center_dev(v: np.ndarray, qsel: np.ndarray, i0: int) -> float:
     return float(np.max(np.abs(v[qsel] - v[i0])))
 
 
-def _spread(vals) -> float:
-    """max / min of the values; inf when the least is not positive."""
-    return max(vals) / min(vals) if min(vals) > 0 else float("inf")
-
-
-def _uniformity_verdict(vals, factor: float) -> str:
-    """PASS-degenerate when every value is zero, else PASS iff max/min <= factor."""
-    if max(vals) == 0:
-        return "PASS-degenerate"
-    return "PASS" if _spread(vals) <= factor else "FAIL"
-
-
-@dataclass(frozen=True)
-class BmoSweepRow:
-    R: float
-    bmo: float
-    pv_flagged: bool
-
-
-@dataclass(frozen=True)
-class BmoSweepReport:
-    rows: list
-    uniformity_factor: float
-    reports: list
-
-    @property
-    def ratio(self) -> float:
-        return _spread([r.bmo for r in self.rows])
-
-    @property
-    def verdict(self) -> str:
-        return _uniformity_verdict([r.bmo for r in self.rows], self.uniformity_factor)
-
-
 def uniform_bmo_sweep(K: KernelModel, b1: BFunc = B_ONE, R_list=(1.0, 2.0, 4.0, 8.0),
                       grid: GridSpec = BMO_SWEEP_GRID,
                       policy: PvPolicy = PvPolicy(), k_max: int = 7,
-                      uniformity_factor: float = DEFAULT_UNIFORMITY) -> BmoSweepReport:
+                      uniformity_factor: float = DEFAULT_UNIFORMITY) -> TableReport:
     """||T(b1 phi_R)||_BMO over R; phi_R is the plateau cutoff at scale R."""
     R_list = _check_scales(R_list)
     if grid.box_side < 4.0 * max(R_list):
         raise ValueError("grid box must be at least 4x the largest scale")
     g = grid.row_grid("fixed", 1.0)
     fam = dyadic_family(g.box, 0, k_max)
-    T = plan(K, g, policy)
 
-    def one(R):
-        fr = T(_weighted(b1.sampled(g), _plateau(g, 0.0, R)))
-        rep = bmo_seminorm(fr.field, fam)
-        return BmoSweepRow(R=R, bmo=rep.sup_mean, pv_flagged=fr.n_flagged > 0), rep
+    def row(g, plans, group, R):
+        fr = plans[0](_weighted(b1.sampled(g), _plateau(g, 0.0, R)))
+        return bmo_seminorm(fr.field, fam).sup_mean, fr.n_flagged > 0
 
-    out = [one(R) for R in R_list]
-    return BmoSweepReport(rows=[o[0] for o in out], uniformity_factor=uniformity_factor,
-                          reports=[o[1] for o in out])
-
-
-@dataclass(frozen=True)
-class FarFieldRow:
-    """One R of far_field_constancy. pv_flagged tells whether T(b1 (1 - phi_Q) phi_R)
-    is PV-flagged at a point read, Q's cells or the center; no test or CSV reads it."""
-    R: float
-    sup_dev: float
-    c_QR: complex
-    split_defect: float
-    pv_flagged: bool
-
-
-@dataclass(frozen=True)
-class FarFieldReport:
-    Q: Cube
-    r: float
-    rows: list
-    uniformity_factor: float
-
-    @property
-    def ratio(self) -> float:
-        return _spread([r.sup_dev for r in self.rows])
-
-    @property
-    def abs_bound(self) -> float:
-        return max(r.sup_dev for r in self.rows)
-
-    @property
-    def verdict(self) -> str:
-        return _uniformity_verdict([r.sup_dev for r in self.rows], self.uniformity_factor)
+    return _sweep(row, (K,), lambda group, R: g, [("", 0.0)], R_list, policy,
+                  _uniformity_reducer("bmo_sweep.csv", ("bmo", "pv_flag"), uniformity_factor,
+                                      lambda bmo: f"sweep-bmo [{K.name}] "
+                                                  f"max/min={_spread(bmo):.4f}"))
 
 
 def far_field_constancy(K: KernelModel, b1: BFunc = B_ONE,
                         Q: Cube = FAR_FIELD_CUBE, R_list=(4.0, 8.0, 16.0),
                         grid: GridSpec = FAR_FIELD_GRID,
                         policy: PvPolicy = PvPolicy(),
-                        uniformity_factor: float = DEFAULT_UNIFORMITY) -> FarFieldReport:
+                        uniformity_factor: float = DEFAULT_UNIFORMITY) -> TableReport:
     """sup over Q of |T(b1 (1 - phi_Q) phi_R) - c_{Q,R}|, c at the center cell.
 
     Also records the splitting defect max_Q |T(b1 phi_R) - T(b1 phi_Q phi_R)
@@ -645,22 +666,29 @@ def far_field_constancy(K: KernelModel, b1: BFunc = B_ONE,
     R_list = _check_scales(R_list)
     if grid.box_side < 4.0 * max(R_list):
         raise ValueError("grid box must be at least 4x the largest scale")
-    if grid.box_side < 8.0 * Q.side:
-        raise ValueError("grid box must contain 8Q")
-    g, r, qsel, i0, pts, phiQ = _localize(grid, Q)
+    if abs(Q.center[0]) + 4.0 * Q.side > grid.box_side / 2.0:
+        raise ValueError(f"grid box must contain 8Q: Q has center {Q.center[0]:g} and "
+                         f"side {Q.side:g}, the box is [{-grid.box_side / 2.0:g}, "
+                         f"{grid.box_side / 2.0:g}]")
+    g, _, qsel, i0, pts, phiQ = _localize(grid, Q)
     b1s = b1.sampled(g)
-    T = plan(K, g, policy, pts)
 
-    def one_row(R):
-        (loc, far), full = _split_fields(T, (b1s,), phiQ, _plateau(g, 0.0, R))
+    def row(g, plans, group, R):
+        (loc, far), full = _split_fields(plans[0], (b1s,), phiQ, _plateau(g, 0.0, R))
         v_far = far.field.values
         split = float(np.max(np.abs(full.field.values[qsel] - loc.field.values[qsel]
                                     - v_far[qsel])))
-        return FarFieldRow(R=R, sup_dev=_center_dev(v_far, qsel, i0), c_QR=complex(v_far[i0]),
-                           split_defect=split, pv_flagged=far.n_flagged > 0)
+        c = complex(v_far[i0])
+        return _center_dev(v_far, qsel, i0), c.real, c.imag, split
 
-    return FarFieldReport(Q=Q, r=r, rows=[one_row(R) for R in R_list],
-                          uniformity_factor=uniformity_factor)
+    return _sweep(row, (K,), lambda group, R: g, [("", 0.0)], R_list, policy,
+                  _uniformity_reducer("far_field.csv", ("sup_dev", "c_re", "c_im", "split_defect"),
+                                      uniformity_factor,
+                                      lambda dev: f"far-field [{K.name}] Q=(center "
+                                                  f"{Q.center[0]}, side {Q.side}) "
+                                                  f"max/min={_spread(dev):.4f} "
+                                                  f"abs_bound={max(dev):.6g}"),
+                  pts)
 
 
 @dataclass(frozen=True)
@@ -718,35 +746,10 @@ def local_piece_check(K: KernelModel, b1: BFunc, Q: Cube, R: float,
                             l2=lp_norm(fr.field, 2), pv_flagged=fr.n_flagged > 0)
 
 
-@dataclass(frozen=True)
-class DecompositionRow:
-    R: float
-    avg_I: float
-    dev_II: float
-    dev_III: float
-    dev_IV: float
-    sum_defect: float
-    sum_ok: bool
-
-
-@dataclass(frozen=True)
-class DecompositionReport:
-    Q: Cube
-    r: float
-    rows: list
-
-    @property
-    def verdict(self) -> str:
-        ok = all(r.sum_ok for r in self.rows)
-        caps = all(max(r.avg_I, r.dev_II, r.dev_III, r.dev_IV) <= DECOMP_DEV_CAP
-                   for r in self.rows)
-        return "PASS" if ok and caps else "FAIL"
-
-
 def bilinear_decomposition_check(K: KernelModel, b1: BFunc = B_ONE, b2: BFunc = B_ONE,
                                  Q: Cube = DECOMP_CUBE, R_list=None,
                                  grid: GridSpec = DECOMP_GRID,
-                                 policy: PvPolicy = PvPolicy()) -> DecompositionReport:
+                                 policy: PvPolicy = PvPolicy()) -> TableReport:
     """Four-piece split of T(b1 phi_R, b2 phi_R) by near/far plateau factors.
 
     Checks the exact sum identity on Q and that the local average of |I| and
@@ -755,15 +758,15 @@ def bilinear_decomposition_check(K: KernelModel, b1: BFunc = B_ONE, b2: BFunc = 
     """
     if K.arity != "bilinear":
         raise ValueError("needs a bilinear kernel")
-    g, r, qsel, i0, pts, phiQ = _localize(grid, Q)
+    r = 6.0 * Q.diam
     R_list = _check_scales((r / 4.0, r, 4.0 * r) if R_list is None else R_list)
     if grid.box_side < 2.0 * max(R_list):
         raise ValueError("grid box must contain the largest bump support")
+    g, _, qsel, i0, pts, phiQ = _localize(grid, Q)
     s1, s2 = b1.sampled(g), b2.sampled(g)
-    T = plan(K, g, policy, pts)
 
-    def one_row(R):
-        split, direct = _split_fields(T, (s1, s2), phiQ, _plateau(g, 0.0, R))
+    def row(g, plans, group, R):
+        split, direct = _split_fields(plans[0], (s1, s2), phiQ, _plateau(g, 0.0, R))
         pieces = [fr.field.values for fr in split]
         direct = direct.field.values
         total = pieces[0] + pieces[1] + pieces[2] + pieces[3]
@@ -771,8 +774,13 @@ def bilinear_decomposition_check(K: KernelModel, b1: BFunc = B_ONE, b2: BFunc = 
         sum_ok = bool(sum_defect <= policy.tol_pv *
                       (1.0 + float(np.max(np.abs(direct[qsel])))))
         avg_I = float(np.mean(np.abs(pieces[0][qsel])))
-        devs = [_center_dev(p, qsel, i0) for p in pieces[1:]]
-        return DecompositionRow(R=R, avg_I=avg_I, dev_II=devs[0], dev_III=devs[1],
-                                dev_IV=devs[2], sum_defect=sum_defect, sum_ok=sum_ok)
+        return (avg_I, *(_center_dev(p, qsel, i0) for p in pieces[1:]), sum_defect, sum_ok)
 
-    return DecompositionReport(Q=Q, r=r, rows=[one_row(R) for R in R_list])
+    def ok(R, avg_I, dev_II, dev_III, dev_IV, sum_defect, sum_ok):
+        return sum_ok and max(avg_I, dev_II, dev_III, dev_IV) <= DECOMP_DEV_CAP
+
+    return _sweep(row, (K,), lambda group, R: g, [("", 0.0)], R_list, policy,
+                  _bound_reducer("bilinear_decomp.csv",
+                                 ("avg_I", "dev_II", "dev_III", "dev_IV", "sum_defect",
+                                  "sum_ok"), ok, f"bilinear-decomp [{K.name}]"),
+                  pts)

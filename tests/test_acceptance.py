@@ -183,9 +183,9 @@ def test_acceptance_09a_splitting_identity():
     ff = far_field_constancy(gallery("hilbert"), ONE, Q=Cube((0.0,), 0.25),
                              R_list=(4.0, 8.0, 16.0),
                              grid=GridSpec(n=1024, box_side=64.0))
-    split_ok = all(r.split_defect <= 1e-2 for r in ff.rows)
+    split_ok = all(d <= 1e-2 for d in ff.column("split_defect"))
     assert _line(9, "splitting identity", split_ok,
-                 f"max defect {max(r.split_defect for r in ff.rows):.2e}")
+                 f"max defect {max(ff.column('split_defect')):.2e}")
 
 
 def test_acceptance_09b_local_averages():
@@ -226,16 +226,17 @@ def test_acceptance_09c_far_field_constancy():
     ff = far_field_constancy(gallery("hilbert"), ONE, Q=Cube((0.0,), 0.25),
                              R_list=(4.0, 8.0, 16.0),
                              grid=GridSpec(n=1024, box_side=64.0))
-    assert _line(9, "far-field constancy", ff.ratio <= 2.0,
-                 f"max/min {ff.ratio:.3f}, abs bound {ff.abs_bound:.4f}")
+    assert _line(9, "far-field constancy", ff.spread("sup_dev") <= 2.0,
+                 f"max/min {ff.spread('sup_dev'):.3f}, "
+                 f"abs bound {max(ff.column('sup_dev')):.4f}")
 
 
 def test_acceptance_09d_uniform_bmo():
     # BMO sweep uniform within factor 2 over {1, 2, 4, 8}
     sweep = uniform_bmo_sweep(gallery("hilbert"), ONE, R_list=(1.0, 2.0, 4.0, 8.0),
                               grid=GridSpec(n=512, box_side=32.0))
-    assert _line(9, "uniform BMO sweep", sweep.ratio <= 2.0,
-                 f"max/min {sweep.ratio:.4f}")
+    assert _line(9, "uniform BMO sweep", sweep.spread("bmo") <= 2.0,
+                 f"max/min {sweep.spread('bmo'):.4f}")
 
 
 def test_acceptance_10_bilinear_suite():
@@ -247,7 +248,7 @@ def test_acceptance_10_bilinear_suite():
         abs(f.slope - 0.5) <= 0.07 for rep in res.reports for f in rep.fits)
     dec = bilinear_decomposition_check(K, ONE, ONE,
                                        grid=GridSpec(n=512, box_side=64.0))
-    sum_ok = all(r.sum_ok for r in dec.rows)
+    sum_ok = all(dec.column("sum_ok"))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         wbp = weak_boundedness_test(K, ONE, ONE, ONE,

@@ -12,7 +12,7 @@ from tblab.bmo import bmo_seminorm
 from tblab.cli import ConfigError, ExperimentConfig, ingest_b, run
 from tblab.grid import (Grid, cube1, dyadic_family, load_sampled_csv, make_grid, sample,
                         save_sampled_csv)
-from tblab.harness import (GridSpec, builtin_b, stein_bilinear_tb_test,
+from tblab.harness import (GridSpec, builtin_b, exponent_fit, stein_bilinear_tb_test,
                            stein_tb_test)
 from tblab.kernels import GALLERY_NAMES, gallery
 
@@ -259,7 +259,6 @@ def test_bad_scales_exit_2_before_any_file(tmp_path, capsys, monkeypatch, sub, k
 
     monkeypatch.setattr("tblab.harness.apply_linear_field", no_field)
     monkeypatch.setattr("tblab.harness.plan", no_field)
-    monkeypatch.setattr("tblab.harness.apply_bilinear_field", no_field)
     p = write_cfg(tmp_path, "s.cfg", f"kernel.name = {kernel}\ngrid.n = 64\n"
                                      f"scales = {scales}\n")
     out = tmp_path / "out"
@@ -359,7 +358,9 @@ def test_para_grid_the_generations_cannot_tile_exit_2_before_any_scan(
 
 
 @pytest.mark.parametrize("key,value", [("para.eps", "-1"), ("para.eps", "0"),
-                                       ("para.N", "5"), ("para.J", "-1")])
+                                       ("para.N", "5"), ("para.J", "-1"),
+                                       ("fit.slope_tol", "-1"),
+                                       ("fit.uniformity_factor", "0.5")])
 def test_para_ranges_exit_2_before_any_scan(tmp_path, capsys, monkeypatch, key, value):
     # para.eps = -1 used to certify a vacuous condition (B) and exit 0
     def no_scan(*args, **kwargs):
@@ -414,6 +415,28 @@ def test_far_field_subcommand(tmp_path):
                   "kernel.name = hilbert\ngrid.n = 512\ngrid.box_side = 64\n")
     out = tmp_path / "out"
     assert run("far-field", p, out) == 0
+
+
+@pytest.mark.parametrize("sub,key,value,message", [
+    ("far-field", "cube.center", "100", "grid box must contain 8Q"),
+    ("far-field", "cube.side", "0.1", "holds no cell of the grid on [-32, 32]"),
+    ("bilinear-decomp", "cube.center", "100", "holds no cell of the grid on [-32, 32]"),
+    ("bilinear-decomp", "cube.side", "0.1", "holds no cell of the grid on [-32, 32]")])
+def test_cube_without_a_grid_cell_exit_2_before_any_plan(tmp_path, capsys, monkeypatch,
+                                                         sub, key, value, message):
+    # these used to build the plan and every field, then exit 2 with numpy's
+    # "zero-size array to reduction operation maximum which has no identity"
+    def no_plan(*args, **kwargs):
+        raise AssertionError("a plan was built before the cube was rejected")
+
+    monkeypatch.setattr("tblab.harness.plan", no_plan)
+    kernel = "hilbert" if sub == "far-field" else "bilinear-homog"
+    p = write_cfg(tmp_path, "c.cfg", f"kernel.name = {kernel}\ngrid.n = 256\n"
+                                     f"grid.box_side = 64\n{key} = {value}\n")
+    out = tmp_path / "out"
+    assert run(sub, p, out) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bilinear_decomp_subcommand(tmp_path):
@@ -527,6 +550,11 @@ def _run_cli(args):
      ["far_field.csv"]),
     ("para-accretive", "b1 = sign-sin\ngrid.n = 512\ngrid.box_side = 8\n",
      ["para_certificate.csv"]),
+    ("sweep-bmo", "kernel.name = hilbert\ngrid.n = 256\ngrid.box_side = 16\n"
+                  "scales = 1,2,4\n", ["bmo_sweep.csv"]),
+    # sum_defect is a roundoff-level column of the dense bilinear point sums
+    ("bilinear-decomp", "kernel.name = bilinear-homog\ngrid.n = 256\ngrid.box_side = 64\n",
+     ["bilinear_decomp.csv"]),
 ])
 def test_byte_identical_output_across_repeated_runs(tmp_path, sub, cfg_body, csvs):
     # two runs of one config in fresh interpreters write the same bytes
@@ -552,12 +580,62 @@ def test_uncertified_b_is_one_plain_note(tmp_path, capsys, sub, b0, b1):
         for b in dict.fromkeys((b0, b1))]
 
 
-def test_summary_verdicts_reconstructible(tmp_path):
-    p = write_cfg(tmp_path, "h.cfg", "kernel.name = hilbert\ngrid.n = 256\n")
+def _uniformity(vals, factor=2.0):
+    if max(vals) == 0:
+        return "PASS-degenerate"
+    return "PASS" if min(vals) > 0 and max(vals) / min(vals) <= factor else "FAIL"
+
+
+def _fitted(rows):
+    """The verdict of stein's per-centre fits against R^(1/2), from its CSV rows."""
+    fits = [exponent_fit([(float(r["R"]), float(r["value"])) for r in rows if r["x0"] == x0],
+                         float(rows[0]["target_exp"]), section="", center=float(x0))
+            for x0 in dict.fromkeys(r["x0"] for r in rows)]
+    if all(f.degenerate for f in fits):
+        return "PASS-degenerate"
+    return "PASS" if all(f.passed for f in fits) else "FAIL"
+
+
+def _decomposed(rows):
+    caps = all(max(float(r[c]) for c in ("avg_I", "dev_II", "dev_III", "dev_IV")) <= 1.0
+               for r in rows)
+    return "PASS" if caps and all(r["sum_ok"] == "1" for r in rows) else "FAIL"
+
+
+@pytest.mark.parametrize("sub,body,file,header,verdict_of", [
+    ("stein", "kernel.name = hilbert\ngrid.n = 256\n", "stein-t1.csv",
+     "experiment,kernel,b0,b1,b2,M,section,x0,R,value,target_exp,fitted_slope,constant,"
+     "pv_flag,margin_flag,verdict", _fitted),
+    ("stein", "kernel.name = positive-control\ngrid.n = 256\n", "stein-t1.csv",
+     "experiment,kernel,b0,b1,b2,M,section,x0,R,value,target_exp,fitted_slope,constant,"
+     "pv_flag,margin_flag,verdict", _fitted),
+    ("sweep-bmo", "kernel.name = hilbert\ngrid.n = 256\ngrid.box_side = 16\nscales = 1,2,4\n",
+     "bmo_sweep.csv", "R,bmo,pv_flag", lambda rows: _uniformity([float(r["bmo"]) for r in rows])),
+    ("sweep-bmo", "kernel.name = positive-control\ngrid.n = 256\ngrid.box_side = 16\n"
+                  "scales = 1,2,4\n",
+     "bmo_sweep.csv", "R,bmo,pv_flag", lambda rows: _uniformity([float(r["bmo"]) for r in rows])),
+    ("far-field", "kernel.name = hilbert\ngrid.n = 512\ngrid.box_side = 64\n",
+     "far_field.csv", "R,sup_dev,c_re,c_im,split_defect",
+     lambda rows: _uniformity([float(r["sup_dev"]) for r in rows])),
+    ("far-field", "kernel.name = cauchy-lipschitz\nb1 = accretive-lipschitz(0.3)\n"
+                  "grid.n = 512\ngrid.box_side = 48\ncube.center = 0.5\ncube.side = 0.5\n"
+                  "scales = 2,4,8\n",
+     "far_field.csv", "R,sup_dev,c_re,c_im,split_defect",
+     lambda rows: _uniformity([float(r["sup_dev"]) for r in rows])),
+    ("bilinear-decomp", "kernel.name = bilinear-homog\ngrid.n = 256\ngrid.box_side = 64\n",
+     "bilinear_decomp.csv", "R,avg_I,dev_II,dev_III,dev_IV,sum_defect,sum_ok", _decomposed),
+], ids=["stein", "stein-fail", "sweep-bmo", "sweep-bmo-fail", "far-field", "far-field-fail",
+        "bilinear-decomp"])
+def test_summary_verdicts_reconstructible(tmp_path, sub, body, file, header, verdict_of):
+    # the CSV's columns are pinned, and its rows alone give summary.txt's verdict
     out = tmp_path / "out"
-    run("stein", p, out)
-    csv_text = (out / "stein-t1.csv").read_text().splitlines()
-    verdict_col = csv_text[0].split(",").index("verdict")
-    verdicts = {row.split(",")[verdict_col] for row in csv_text[1:]}
-    summary = (out / "summary.txt").read_text()
-    assert all(v in summary for v in verdicts)
+    rc = run(sub, write_cfg(tmp_path, "h.cfg", body), out)
+    lines = (out / file).read_text().splitlines()
+    assert lines[0] == header
+    with open(out / file, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    verdict = verdict_of(rows)
+    if "verdict" in rows[0]:
+        assert {r["verdict"] for r in rows} == {verdict}
+    assert (out / "summary.txt").read_text().splitlines()[-1].endswith(f"verdict: {verdict}")
+    assert rc == (0 if verdict.startswith("PASS") else 1)

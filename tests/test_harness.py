@@ -7,8 +7,7 @@ import pytest
 from tblab.grid import Cube, SampledFunction, cube1, lp_norm, make_grid
 from tblab.bumps import BumpRule, standard_bump
 from tblab.harness import (BILINEAR_GRID, BILINEAR_SCALES, DECOMP_CUBE, DECOMP_GRID,
-                           FAR_FIELD_CUBE, FAR_FIELD_GRID, LINEAR_SCALES, BFunc,
-                           DecompositionRow, FarFieldRow, GridSpec,
+                           FAR_FIELD_CUBE, FAR_FIELD_GRID, LINEAR_SCALES, BFunc, GridSpec,
                            bilinear_decomposition_check, builtin_b, direct_bound_check,
                            exponent_fit,
                            far_field_constancy, local_piece_check,
@@ -155,8 +154,8 @@ def test_wbp_plans_a_fixed_grid_once(monkeypatch):
     assert len(rep.rows) == 14
     assert calls == [2 * 256 - 1] * 2
     # bit for bit the rows of one apply_linear_field per row
-    monkeypatch.setattr("tblab.harness.plan", lambda K, g, policy: (
-        lambda f: apply_linear_field(K, f, policy)))
+    monkeypatch.setattr("tblab.harness.plan", lambda K, g, policy, points: (
+        lambda f: apply_linear_field(K, f, policy, points)))
     assert weak_boundedness_test(K, **args).rows == rep.rows
 
 
@@ -196,14 +195,21 @@ def test_scale_matched_sweep_plans_each_row_grid_once():
     # offsets 0 and 1 share each scale's grid 8R; offset 4 widens it to 16R,
     # the grid of scale 2R but at the largest R: 6 plans of K for 15 rows
     (lambda: weak_boundedness_test(gallery("bilinear-homog")),
-     [8.0 * R for R in BILINEAR_SCALES] + [16.0 * BILINEAR_SCALES[-1]])],
-    ids=["stein-3-centres", "wbp-widened", "stein-bilinear", "wbp-bilinear"])
+     [8.0 * R for R in BILINEAR_SCALES] + [16.0 * BILINEAR_SCALES[-1]]),
+    # one row per scale-matched grid: K once per scale
+    (lambda: direct_bound_check(gallery("hilbert"), ONE, op_norm=1.0, grid=GridSpec(n=64)),
+     [16.0 * R for R in LINEAR_SCALES]),
+    # every row on the fixed grid: K once
+    (lambda: direct_bound_check(gallery("positive-control"), ONE, op_norm=1.0,
+                                grid=GridSpec(n=64)), [16.0])],
+    ids=["stein-3-centres", "wbp-widened", "stein-bilinear", "wbp-bilinear",
+         "direct-bound", "direct-bound-fixed"])
 def test_sweep_plans_each_distinct_row_grid_once(monkeypatch, test, sides):
     built = []
 
-    def counting(K, g, policy):
+    def counting(K, g, policy, points):
         built.append((K.name, g))
-        return plan(K, g, policy)
+        return plan(K, g, policy, points)
 
     monkeypatch.setattr("tblab.harness.plan", counting)
     test()
@@ -223,7 +229,6 @@ def test_sweep_with_no_group_is_rejected_before_any_plan(monkeypatch, test):
         raise AssertionError("a plan was built")
 
     monkeypatch.setattr("tblab.harness.plan", no_plan)
-    monkeypatch.setattr("tblab.harness.apply_bilinear_field", no_plan)
     with pytest.raises(ValueError, match="at least one group"):
         test()
 
@@ -231,24 +236,39 @@ def test_sweep_with_no_group_is_rejected_before_any_plan(monkeypatch, test):
 def test_direct_bound_hilbert_saturates():
     rep = direct_bound_check(gallery("hilbert"), ONE, op_norm=1.0, grid=SMALL)
     assert rep.verdict == "PASS"
-    for row in rep.rows:
+    for R, measured, bound in rep.rows:
         # Plancherel: the bound is saturated up to tail + quadrature loss
-        assert row.measured >= row.bound / 1.03 * 0.94
+        assert measured >= bound / 1.03 * 0.94
 
 
 def test_direct_bound_scales_with_b():
     half = BFunc(name="half", rule=lambda x: 0.5 * np.ones_like(np.asarray(x)))
     a = direct_bound_check(gallery("hilbert"), ONE, op_norm=1.0, grid=SMALL)
     b = direct_bound_check(gallery("hilbert"), half, op_norm=1.0, grid=SMALL)
-    for ra, rb in zip(a.rows, b.rows):
-        assert rb.measured == pytest.approx(ra.measured / 2.0, rel=1e-13)
+    for ma, mb in zip(a.column("measured"), b.column("measured")):
+        assert mb == pytest.approx(ma / 2.0, rel=1e-13)
 
 
 def test_direct_bound_violation_detected():
-    # claiming an operator norm below the truth must FAIL with a witness
+    # claiming an operator norm below the truth must FAIL with a witness row
     rep = direct_bound_check(gallery("hilbert"), ONE, op_norm=0.5, grid=SMALL)
     assert rep.verdict == "FAIL"
-    assert rep.witness is not None
+    assert any(measured > bound for R, measured, bound in rep.rows)
+
+
+@pytest.mark.parametrize("K,args", [
+    ("hilbert", dict(op_norm=1.0, grid=SMALL)),
+    ("positive-control", dict(op_norm=1.0, grid=SMALL)),
+    ("bilinear-homog", dict(b2=ONE, bilinear_norm=1.0, scales=BILINEAR_SCALES,
+                            grid=GridSpec(n=64, box_side=8.0)))])
+def test_direct_bound_rows_equal_one_shot_rows(monkeypatch, K, args):
+    # the rows on the sweep's plans are bit for bit those of one apply_*_field per row
+    K = gallery(K)
+    rep = direct_bound_check(K, ONE, **args)
+    apply = apply_linear_field if K.arity == "linear" else apply_bilinear_field
+    monkeypatch.setattr("tblab.harness.plan", lambda K, g, policy, points: (
+        lambda *fs: apply(K, *fs, policy, points)))
+    assert direct_bound_check(K, ONE, **args).rows == rep.rows
 
 
 def test_direct_bound_requires_norm():
@@ -268,23 +288,23 @@ def test_uniform_bmo_sweep_hilbert():
     rep = uniform_bmo_sweep(gallery("hilbert"), R_list=(1.0, 2.0, 4.0),
                             grid=GridSpec(n=256, box_side=16.0), k_max=5)
     assert rep.verdict == "PASS"
-    assert rep.ratio <= 1.1
+    assert rep.spread("bmo") <= 1.1
 
 
 def test_uniform_bmo_sweep_positive_control_fails():
     rep = uniform_bmo_sweep(gallery("positive-control"), R_list=(1.0, 2.0, 4.0),
                             grid=GridSpec(n=256, box_side=16.0), k_max=5)
     assert rep.verdict == "FAIL"
-    vals = [r.bmo for r in rep.rows]
+    vals = rep.column("bmo")
     assert vals[-1] > 2.0 * vals[0]
 
 
 def test_far_field_constancy_hilbert():
     rep = far_field_constancy(gallery("hilbert"), grid=GridSpec(n=512, box_side=64.0))
     assert rep.verdict == "PASS"
-    assert rep.ratio <= 2.0
-    for row in rep.rows:
-        assert row.split_defect <= 1e-12       # linearity of the quadrature
+    assert rep.spread("sup_dev") <= 2.0
+    for split_defect in rep.column("split_defect"):
+        assert split_defect <= 1e-12           # linearity of the quadrature
 
 
 def test_far_field_dev_zero_at_reference_point():
@@ -296,12 +316,13 @@ def test_far_field_dev_zero_at_reference_point():
     g = make_grid(1, cube1(0.0, 64.0), 512)
     i0 = int(np.argmin(np.abs(g.axis(0))))
     phiQ = BumpRule("plateau", 1.0, (0.0,), 6.0 * Q.side)(g.axis(0))
-    for row in rep.rows:
-        far = (1.0 - phiQ) * BumpRule("plateau", 1.0, (0.0,), row.R)(g.axis(0))
+    for R, _, c_re, c_im, _ in rep.rows:
+        far = (1.0 - phiQ) * BumpRule("plateau", 1.0, (0.0,), R)(g.axis(0))
         fr = apply_linear_field(K, SampledFunction(grid=g, values=far.astype(complex)),
                                 PvPolicy(), points=[i0])
-        assert row.c_QR == pytest.approx(complex(fr.field.values[i0]), rel=1e-12, abs=0.0)
-        assert row.c_QR != 0.0
+        c_QR = complex(c_re, c_im)
+        assert c_QR == pytest.approx(complex(fr.field.values[i0]), rel=1e-12, abs=0.0)
+        assert c_QR != 0.0
 
 
 def test_zero_kernel_is_uniform_degenerate_in_both_sweeps():
@@ -309,11 +330,11 @@ def test_zero_kernel_is_uniform_degenerate_in_both_sweeps():
     # kernel, where sweep-bmo read PASS-degenerate
     K = zero_kernel()
     ff = far_field_constancy(K, grid=GridSpec(n=256, box_side=64.0))
-    assert [r.sup_dev for r in ff.rows] == [0.0, 0.0, 0.0]
+    assert ff.column("sup_dev") == [0.0, 0.0, 0.0]
     assert ff.verdict == "PASS-degenerate"
     bmo = uniform_bmo_sweep(K, R_list=(1.0, 2.0, 4.0), grid=GridSpec(n=128, box_side=32.0),
                             k_max=4)
-    assert [r.bmo for r in bmo.rows] == [0.0, 0.0, 0.0]
+    assert bmo.column("bmo") == [0.0, 0.0, 0.0]
     assert bmo.verdict == "PASS-degenerate"
 
 
@@ -321,6 +342,35 @@ def test_far_field_box_preconditions():
     with pytest.raises(ValueError, match="4x"):
         far_field_constancy(gallery("hilbert"), R_list=(32.0,),
                             grid=GridSpec(n=512, box_side=64.0))
+
+
+@pytest.mark.parametrize("center", [31.8, -31.8, 31.2])
+def test_far_field_rejects_8q_outside_the_box(monkeypatch, center):
+    # 8Q of Q = (31.8, 0.25) spans 30.8 to 32.8 on the box [-32, 32]; the check
+    # box >= 8 Q.side used to pass it, and the run read FAIL at max/min 4.66
+    def no_plan(*args, **kwargs):
+        raise AssertionError("a plan was built")
+
+    monkeypatch.setattr("tblab.harness.plan", no_plan)
+    with pytest.raises(ValueError, match="grid box must contain 8Q"):
+        far_field_constancy(gallery("hilbert"), Q=Cube((center,), 0.25))
+
+
+@pytest.mark.parametrize("check", [
+    lambda Q, grid: far_field_constancy(gallery("hilbert"), Q=Q, grid=grid),
+    lambda Q, grid: bilinear_decomposition_check(gallery("bilinear-homog"), Q=Q, grid=grid),
+    lambda Q, grid: local_piece_check(gallery("hilbert"), ONE, Q, 1.0, grid=grid)],
+    ids=["far-field", "bilinear-decomp", "local-piece"])
+@pytest.mark.parametrize("Q", [Cube((0.0,), 0.1), Cube((0.3,), 0.05)])
+def test_localized_checks_reject_a_cube_without_a_cell(monkeypatch, check, Q):
+    # h = 0.25: cells centred at +-0.125, +-0.375; neither cube holds one
+    def no_plan(*args, **kwargs):
+        raise AssertionError("a field was computed")
+
+    monkeypatch.setattr("tblab.harness.plan", no_plan)
+    monkeypatch.setattr("tblab.harness.apply_linear_field", no_plan)
+    with pytest.raises(ValueError, match=r"holds no cell of the grid on \[-32, 32\]"):
+        check(Q, GridSpec(n=256, box_side=64.0))
 
 
 @pytest.mark.parametrize("ratio", [0.5, 2.0])
@@ -363,17 +413,15 @@ def test_bilinear_decomposition_sum_identity():
     rep = bilinear_decomposition_check(gallery("bilinear-homog"),
                                        grid=GridSpec(n=256, box_side=64.0))
     assert rep.verdict == "PASS"
-    for row in rep.rows:
-        assert row.sum_ok
-        assert row.sum_defect <= 1e-12
+    assert all(rep.column("sum_ok"))
+    assert max(rep.column("sum_defect")) <= 1e-12
 
 
 def test_bilinear_decomposition_zero_b():
     zero = BFunc(name="zero", rule=lambda x: 0.0 * np.asarray(x))
     rep = bilinear_decomposition_check(gallery("bilinear-homog"), zero, ONE,
                                        grid=GridSpec(n=256, box_side=64.0))
-    for row in rep.rows:
-        assert row.avg_I == 0.0 and row.dev_II == 0.0
+    assert rep.column("avg_I") == rep.column("dev_II") == [0.0, 0.0, 0.0]
 
 
 def _split_oracle_setup(grid, Q):
@@ -410,8 +458,7 @@ def _far_field_oracle(K, b1, Q, R_list, grid, policy=PvPolicy()):
         split = float(np.max(np.abs(fr_full.field.values[qsel]
                                     - fr_loc.field.values[qsel]
                                     - fr_far.field.values[qsel])))
-        rows.append(FarFieldRow(R=R, sup_dev=dev, c_QR=cQR, split_defect=split,
-                                pv_flagged=fr_far.n_flagged > 0))
+        rows.append((R, dev, cQR.real, cQR.imag, split))
     return rows
 
 
@@ -432,9 +479,7 @@ def _decomposition_oracle(K, b1, b2, Q, R_list, grid, policy=PvPolicy()):
         sum_ok = bool(sum_defect <= policy.tol_pv *
                       (1.0 + float(np.max(np.abs(direct[qsel])))))
         devs = [float(np.max(np.abs(p[qsel] - p[i0]))) for p in pieces[1:]]
-        rows.append(DecompositionRow(R=R, avg_I=float(np.mean(np.abs(pieces[0][qsel]))),
-                                     dev_II=devs[0], dev_III=devs[1], dev_IV=devs[2],
-                                     sum_defect=sum_defect, sum_ok=sum_ok))
+        rows.append((R, float(np.mean(np.abs(pieces[0][qsel]))), *devs, sum_defect, sum_ok))
     return rows
 
 
@@ -527,15 +572,18 @@ def test_margin_flags_near_box_edge():
     assert any(r.R == 8.0 for r in flagged)
 
 
-@pytest.mark.parametrize("scales", [(), (1.0, -2.0), (0.0, 1.0), (1.0, float("nan")),
-                                    (float("inf"),)])
-def test_scale_lists_rejected_before_any_field(monkeypatch, scales):
+def _forbid_fields(monkeypatch):
     def no_field(*args, **kwargs):
-        raise AssertionError("a field was computed before the scales were rejected")
+        raise AssertionError("a field was computed before the input was rejected")
 
     monkeypatch.setattr("tblab.harness.apply_linear_field", no_field)
     monkeypatch.setattr("tblab.harness.plan", no_field)
-    monkeypatch.setattr("tblab.harness.apply_bilinear_field", no_field)
+
+
+@pytest.mark.parametrize("scales", [(), (1.0, -2.0), (0.0, 1.0), (1.0, float("nan")),
+                                    (float("inf"),)])
+def test_scale_lists_rejected_before_any_field(monkeypatch, scales):
+    _forbid_fields(monkeypatch)
     K, Kb = gallery("hilbert"), gallery("bilinear-homog")
     runs = [lambda: stein_t1_test(K, scales=scales, grid=SMALL),
             lambda: stein_tb_test(K, ONE, ONE, scales=scales, grid=SMALL),
@@ -549,4 +597,34 @@ def test_scale_lists_rejected_before_any_field(monkeypatch, scales):
              for R in scales if not (np.isfinite(R) and R > 0)]
     for run in runs:
         with pytest.raises(ValueError, match="scales"):
+            run()
+
+
+@pytest.mark.parametrize("bad,match", [
+    (dict(slope_tol=-1.0), "slope_tol"), (dict(slope_tol=float("nan")), "slope_tol"),
+    (dict(uniformity_factor=0.5), "uniformity_factor"),
+    (dict(uniformity_factor=float("nan")), "uniformity_factor")])
+def test_fit_limits_rejected_before_any_field(monkeypatch, bad, match):
+    # uniformity_factor 0.5 used to read FAIL at max/min 1.0005 after every field
+    _forbid_fields(monkeypatch)
+    K, Kb = gallery("hilbert"), gallery("bilinear-homog")
+    runs = [lambda: stein_t1_test(K, grid=SMALL, **bad),
+            lambda: stein_tb_test(K, ONE, ONE, grid=SMALL, **bad),
+            lambda: stein_bilinear_tb_test(Kb, ONE, ONE, ONE, **bad),
+            lambda: weak_boundedness_test(K, grid=SMALL, **bad)]
+    if "uniformity_factor" in bad:
+        runs += [lambda: uniform_bmo_sweep(K, **bad), lambda: far_field_constancy(K, **bad)]
+    for run in runs:
+        with pytest.raises(ValueError, match=match):
+            run()
+
+
+@pytest.mark.parametrize("norm", [float("nan"), -1.0, 0.0, float("inf")])
+def test_direct_bound_norms_rejected_before_any_field(monkeypatch, norm):
+    # op_norm = nan used to compute all 7 fields and read FAIL with a witness
+    _forbid_fields(monkeypatch)
+    for run in (lambda: direct_bound_check(gallery("hilbert"), ONE, op_norm=norm),
+                lambda: direct_bound_check(gallery("bilinear-homog"), ONE, b2=ONE,
+                                           bilinear_norm=norm)):
+        with pytest.raises(ValueError, match="operator norm must be positive and finite"):
             run()
