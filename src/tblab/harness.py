@@ -521,7 +521,9 @@ def weak_boundedness_test(K: KernelModel, b0: BFunc = B_ONE, b1: BFunc = B_ONE,
     Equal-center and offset-center rows are separate sections; the remark
     that equal centers suffice is recorded as a comparison, not assumed.
     The scales and grid default to BILINEAR_SCALES and BILINEAR_GRID for a
-    bilinear kernel, to LINEAR_SCALES and GridSpec() otherwise.
+    bilinear kernel, to LINEAR_SCALES and GridSpec() otherwise. A row grid is
+    widened to hold the offset bumps; a row whose bumps still escape it (a
+    fixed grid) is dropped.
     """
     bil = K.arity == "bilinear"
     if scales is None:
@@ -537,6 +539,8 @@ def weak_boundedness_test(K: KernelModel, b0: BFunc = B_ONE, b1: BFunc = B_ONE,
 
     def row(g, plans, group, R):
         x2 = group[1] * R
+        if _escapes(g, x2, R):
+            return None                      # the bumps at 0 and +-x2 escape a fixed grid
         ph1 = _bump_field(g, M, 0.0, R)
         ph2 = _bump_field(g, M, x2, R)
         if bil:
@@ -565,7 +569,8 @@ def direct_bound_check(K: KernelModel, b1: BFunc, op_norm: float | None = None,
                        grid: GridSpec = GridSpec(),
                        policy: PvPolicy = PvPolicy()) -> TableReport:
     """measured <= norm * prod ||b||_inf * bump-norm product * (1 + DIRECT_BOUND_TOL)
-    per row, on the plan of T per row grid."""
+    per row, on the plan of T per row grid; a row whose bump escapes a fixed
+    grid is dropped."""
     linear = K.arity == "linear"
     if linear and op_norm is None:
         raise ValueError("missing operator norm estimate for the linear bound")
@@ -576,6 +581,8 @@ def direct_bound_check(K: KernelModel, b1: BFunc, op_norm: float | None = None,
     _check_limits(norm=op_norm if linear else bilinear_norm)
 
     def row(g, plans, group, R):
+        if _escapes(g, 0.0, R):
+            return None                      # support escapes a fixed grid
         phi = _bump_field(g, M, 0.0, R)
         b1s = b1.sampled(g)
         f1 = _weighted(b1s, phi.values)
@@ -600,10 +607,17 @@ def direct_bound_check(K: KernelModel, b1: BFunc, op_norm: float | None = None,
 
 # --- localization and far-field quantities ----------------------------------
 
-def _localize(grid: GridSpec, Q: Cube):
+def _localize(grid: GridSpec, Q: Cube, R: float):
     """The fixed grid, r = 6 diam Q, the cells of Q, its center cell, the points
-    a localized check reads (the cells and the center cell) and phi_Q. A cube
-    that holds no cell of the grid is rejected."""
+    a localized check reads (the cells and the center cell) and phi_Q. A box
+    that does not contain phi_R at the largest scale R or 8Q, and a cube that
+    holds no cell of the grid, are rejected before any field."""
+    box = f"the box is [{-grid.box_side / 2.0:g}, {grid.box_side / 2.0:g}]"
+    if R > grid.box_side / 2.0:
+        raise ValueError(f"grid box must contain the largest bump support: R = {R:g}, {box}")
+    if abs(Q.center[0]) + 4.0 * Q.side > grid.box_side / 2.0:
+        raise ValueError(f"grid box must contain 8Q: Q has center {Q.center[0]:g} and "
+                         f"side {Q.side:g}, {box}")
     g = grid.row_grid("fixed", 1.0)
     r = 6.0 * Q.diam
     x0, ax = Q.center[0], g.axis(0)
@@ -666,11 +680,7 @@ def far_field_constancy(K: KernelModel, b1: BFunc = B_ONE,
     R_list = _check_scales(R_list)
     if grid.box_side < 4.0 * max(R_list):
         raise ValueError("grid box must be at least 4x the largest scale")
-    if abs(Q.center[0]) + 4.0 * Q.side > grid.box_side / 2.0:
-        raise ValueError(f"grid box must contain 8Q: Q has center {Q.center[0]:g} and "
-                         f"side {Q.side:g}, the box is [{-grid.box_side / 2.0:g}, "
-                         f"{grid.box_side / 2.0:g}]")
-    g, _, qsel, i0, pts, phiQ = _localize(grid, Q)
+    g, _, qsel, i0, pts, phiQ = _localize(grid, Q, max(R_list))
     b1s = b1.sampled(g)
 
     def row(g, plans, group, R):
@@ -717,7 +727,7 @@ def local_piece_check(K: KernelModel, b1: BFunc, Q: Cube, R: float,
     the testing condition that bounds the average through Cauchy-Schwarz on Q.
     """
     _check_scales((R,))
-    g, r, qsel, _, _, phiQ = _localize(grid, Q)
+    g, r, qsel, _, _, phiQ = _localize(grid, Q, R)
     x0, ax = Q.center[0], g.axis(0)
     prod = phiQ * _plateau(g, 0.0, R)
     plateau = bumps.PROFILES["plateau"]
@@ -754,15 +764,18 @@ def bilinear_decomposition_check(K: KernelModel, b1: BFunc = B_ONE, b2: BFunc = 
 
     Checks the exact sum identity on Q and that the local average of |I| and
     the far-piece deviations from their center constants stay under a common
-    cap, uniformly over the R list.
+    cap, uniformly over the R list. A Q outside the support of phi_R at the
+    largest R is rejected: there phi_Q phi_R is at most a tail, zero once the
+    supports part, and the check would pass vacuously.
     """
     if K.arity != "bilinear":
         raise ValueError("needs a bilinear kernel")
     r = 6.0 * Q.diam
     R_list = _check_scales((r / 4.0, r, 4.0 * r) if R_list is None else R_list)
-    if grid.box_side < 2.0 * max(R_list):
-        raise ValueError("grid box must contain the largest bump support")
-    g, _, qsel, i0, pts, phiQ = _localize(grid, Q)
+    g, _, qsel, i0, pts, phiQ = _localize(grid, Q, max(R_list))
+    if abs(Q.center[0]) - Q.side / 2.0 >= max(R_list):
+        raise ValueError(f"the cube Q (center {Q.center[0]:g}, side {Q.side:g}) lies outside "
+                         f"the support of phi_R at the largest scale R = {max(R_list):g}")
     s1, s2 = b1.sampled(g), b2.sampled(g)
 
     def row(g, plans, group, R):

@@ -251,15 +251,21 @@ def _result(K: KernelModel, fs: tuple, policy: PvPolicy, values: np.ndarray,
                        converged=np.abs(delta) <= policy.tol_pv * (1.0 + np.abs(values)))
 
 
-def _profile(p, *uv) -> np.ndarray:
-    """Real profile samples, non-finite ones set to zero."""
+def _sample(rule, *args, dtype=None) -> np.ndarray:
+    """rule(*args) as a new array (of dtype when given), non-finite values set
+    to zero: every kernel and profile sample of a plan is read through here."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        v = np.asarray(p(*uv))
-    if np.iscomplexobj(v):
-        raise ValueError("lattice profiles must be real")
-    v = np.array(v, dtype=float)
+        v = np.array(rule(*args), dtype=dtype)
     v[~np.isfinite(v)] = 0.0
     return v
+
+
+def _profile(p, *uv) -> np.ndarray:
+    """Real profile samples, non-finite ones set to zero."""
+    v = _sample(p, *uv)
+    if np.iscomplexobj(v):
+        raise ValueError("lattice profiles must be real")
+    return v.astype(float, copy=False)
 
 
 def _spectrum(P: np.ndarray, n: int) -> np.ndarray:
@@ -268,12 +274,13 @@ def _spectrum(P: np.ndarray, n: int) -> np.ndarray:
     return np.fft.rfft(P, 1 << (2 * n - 2).bit_length())
 
 
-def _convolve(FP: np.ndarray, s: np.ndarray, n: int) -> np.ndarray:
-    """sum_j P[..., i - j + n - 1] s_j for i < n, per row of the table whose spectrum is FP.
+def _convolve(FP: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """sum_j P[..., i - j + n - 1] s_j for i < n = len(s), per row of the table
+    whose spectrum (from _spectrum) is FP.
 
     Re s and Im s are transformed apart: real data gives an exactly real result.
     """
-    L = 1 << (2 * n - 2).bit_length()
+    n, L = len(s), 2 * (FP.shape[-1] - 1)
     S = np.fft.rfft(np.stack([s.real, s.imag]), L)
     c = np.fft.irfft(FP[..., None, :] * S, L)[..., n - 1:2 * n - 1]
     return c[..., 0, :] + 1j * c[..., 1, :]
@@ -297,11 +304,9 @@ def _linear_rows(K: KernelModel, grid: Grid, policy: PvPolicy, rows: np.ndarray)
     blocks = []
     for s in range(0, len(rows), BLOCK):
         r = rows[s:s + BLOCK]
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            M = np.asarray(K.rule(x[r, None], x[None, :]), dtype=complex)
+        M = _sample(K.rule, x[r, None], x[None, :], dtype=complex)
         off = np.abs(r[:, None] - np.arange(n)[None, :])
         M[off == 0] = 0.0
-        M[~np.isfinite(M)] = 0.0
         near_mass = np.where(off <= c_eps, M, 0.0 + 0.0j).sum(axis=1) * h
         a1 = np.zeros(len(r), dtype=complex)
         k = np.nonzero((r >= 1) & (r <= n - 2))[0]
@@ -346,7 +351,7 @@ def _lattice_sum(parts: dict, f: np.ndarray) -> np.ndarray:
     n = len(f)
     out = np.zeros(n, dtype=complex)
     for left, FP, right in parts["terms"]:
-        t = _convolve(FP, f if right is None else right * f, n)
+        t = _convolve(FP, f if right is None else right * f)
         out += t if left is None else left * t
     return out
 
@@ -447,9 +452,8 @@ def _linear_structure(K: KernelModel, grid: Grid, policy: PvPolicy, rows) -> dic
         _curve_plan(K.curve, x, h)
     ks = np.concatenate([np.arange(-c_eps, 0), np.arange(1, c_eps + 1)])
     j = np.arange(n)[:, None] + ks[None, :]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        band = np.asarray(K.rule(x[:, None], x[np.clip(j, 0, n - 1)]), dtype=complex)
-    band[(j < 0) | (j >= n) | ~np.isfinite(band)] = 0.0
+    band = _sample(K.rule, x[:, None], x[np.clip(j, 0, n - 1)], dtype=complex)
+    band[(j < 0) | (j >= n)] = 0.0
     a1 = np.zeros(n, dtype=complex)
     a1[1:-1] = 0.5 * h * (band[1:-1, c_eps] - band[1:-1, c_eps - 1])
     return dict(parts, near_mass=band.sum(axis=1) * h, a1=a1,
@@ -472,17 +476,21 @@ _SLICE_BYTES = 1 << 16      # bytes per temporary of the bilinear rule and latti
 _SUM_LEAF = 3 << 12         # complex products per np.sum call: 16 calls per point at n = 384
 
 
-def _cell_runs(cut: np.ndarray, lo: int, hi: int, a: int, b: int) -> list:
-    """The runs of cells beyond the excision among the flat cells lo:hi of a
-    slice whose excised cells have the sorted flat indices cut, cut[a:b] of
-    them in lo:hi, as (start in lo:hi, start in the compacted row-major order,
-    length)."""
-    runs, s = [], lo
-    for k, c in enumerate(cut[a:b].tolist() + [hi]):
-        if s < c:
-            runs.append((s - lo, s - a - k, c - s))
-        s = c + 1
-    return runs
+def _excision_window(x: np.ndarray, rows: np.ndarray, c_eps: int):
+    """The bilinear excision of every bilinear plan: per row i, the (2 c_eps + 1)^2
+    window cells (j, k) = (i + p, i + q), |p|, |q| <= c_eps, row-major, and
+    S = |x_i - x_j| + |x_i - x_k| there (inf off the grid). A cell is excised
+    where S <= eps = c_eps h, and in the ring where also S > c_refined h. S <= eps
+    needs |x_i - x_j| <= eps in both slots, so the window holds every excised
+    cell, in their order in the n x n slice."""
+    n = len(x)
+    off = np.arange(-c_eps, c_eps + 1)
+    j = rows[:, None] + np.repeat(off, len(off))
+    k = rows[:, None] + np.tile(off, len(off))
+    xi = x[rows, None]
+    S = np.abs(xi - x[np.clip(j, 0, n - 1)]) + np.abs(xi - x[np.clip(k, 0, n - 1)])
+    S[(j < 0) | (j >= n) | (k < 0) | (k >= n)] = np.inf
+    return j, k, S
 
 
 def _pairwise_sum(part, start: int, count: int) -> complex:
@@ -499,48 +507,37 @@ def _pairwise_sum(part, start: int, count: int) -> complex:
 
 def _bilinear_slices(K: KernelModel, grid: Grid, policy: PvPolicy, rows: np.ndarray) -> dict:
     """Per point i: the kernel values of its n x n slice beyond the excision,
-    S = |x_i - y| + |x_i - z| > eps, compacted in row-major order and zero where
+    S > eps (_excision_window), compacted in row-major order and zero where
     not finite; the sorted flat indices of the excised cells; and the excised
     cells' kernel values other than (i, i), with the kernel sum over the ring.
     The values beyond the excision are float64 while the rule returns real
     values: np.multiply casts them to complex with imaginary part +0, so
     every product is that of the complex values.
 
-    S <= eps needs |x_i - x_j| <= eps in both slots, so the excised cells and
-    the ring lie in the (2 c_eps + 1)^2 window around (i, i); row-major order
-    there is their order in the slice, so every sum keeps its order. The rule
-    is called on blocks of rows whose float temporaries stay under
-    _SLICE_BYTES, and each block is cast and compacted as it comes.
+    The excised cells' row-major order is their order in the slice, so every
+    sum keeps its order. The rule is called on blocks of rows whose float
+    temporaries stay under _SLICE_BYTES; a block is compacted by a mask only
+    when it holds excised cells.
     """
     x, h, n = grid.axis(0), grid.h, grid.n
     eps = policy.c_eps * h
     step = max(1, _SLICE_BYTES // (8 * n))
     points = []
-    for i in rows:
-        au = np.abs(x[i] - x)
-        w = np.arange(max(0, i - policy.c_eps), min(n, i + policy.c_eps + 1))
-        Sw = au[w, None] + au[None, w]
-        cut = (w[:, None] * n + w[None, :])[Sw <= eps]
-        Scut = Sw[Sw <= eps]
+    for i, j, k, S in zip(rows, *_excision_window(x, rows, policy.c_eps)):
+        cut, Scut = (j * n + k)[S <= eps], S[S <= eps]
         far = None
         Kcut = np.empty(len(cut), dtype=complex)
         for r0 in range(0, n, step):
             r1 = min(r0 + step, n)
             lo, hi = r0 * n, r1 * n
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                Kb = np.asarray(K.rule(x[i], x[r0:r1, None], x[None, :])).ravel()
+            Kb = _sample(K.rule, x[i], x[r0:r1, None], x[None, :]).ravel()
             if far is None:
                 far = np.empty(n * n - len(cut), complex if np.iscomplexobj(Kb) else float)
             elif np.iscomplexobj(Kb) and not np.iscomplexobj(far):
                 far = far.astype(complex)       # a rule whose values turn complex
             a, b = cut.searchsorted((lo, hi)).tolist()
-            for s, o, m in _cell_runs(cut, lo, hi, a, b):
-                far[o:o + m] = Kb[s:s + m]
             Kcut[a:b] = Kb[cut[a:b] - lo]
-            if not np.isfinite(Kb).all():
-                block = far[lo - a:hi - b]      # the block's cells beyond the excision
-                block[~np.isfinite(block)] = 0.0
-        Kcut[~np.isfinite(Kcut)] = 0.0
+            far[lo - a:hi - b] = Kb if a == b else np.delete(Kb, cut[a:b] - lo)
         points.append((far, cut, Kcut[Scut > 0], Kcut[Scut > policy.c_refined * h].sum()))
     return {"points": tuple(points)}
 
@@ -569,9 +566,15 @@ def _bilinear_slices_sums(p: Plan, vs, values, delta) -> None:
             lo, hi = o0 + a, o0 + count + b
             y0, y1 = lo // n, -(-hi // n)
             t = np.multiply(fv[y0:y1, None], gv, out=FG[:y1 - y0]).ravel()[lo - y0 * n:]
-            for s, o, m in _cell_runs(cut, lo, hi, a, b):
-                np.multiply(far[o:o + m], t[s:s + m], out=prod[o - o0:o - o0 + m])
-            return prod[:count]
+            if a < b:       # one small mask over the span of the leaf's excised cells
+                s, e = cut[a] - lo, cut[b - 1] - lo + 1
+                keep = np.ones(e - s, dtype=bool)
+                keep[cut[a:b] - lo - s] = False
+                prod[:s] = t[:s]
+                prod[e - (b - a):count] = t[e:hi - lo]
+                np.compress(keep, t[s:e], out=prod[s:e - (b - a)])
+                t = prod
+            return np.multiply(far[o0:o0 + count], t[:count], out=prod[:count])
 
         fgi = fv[i] * gv[i]
         val = _pairwise_sum(products, 0, len(far)) * h * h
@@ -599,18 +602,11 @@ def _bilinear_lattice(K: KernelModel, grid: Grid, policy: PvPolicy, rows) -> dic
     then Q[w, s] = T^(w, s - w). q is made and transformed a few rows at a
     time, and Q along w a few columns at a time, in place: each temporary
     stays under _SLICE_BYTES, so the L x L real table is never held.
-    The excised set and the ring are classified by the same float test as a
-    dense point over the O(c_eps^2) candidate offsets.
+    The excised set and the ring are those of a dense point (_excision_window).
     """
-    n, h, c_eps = grid.n, grid.h, policy.c_eps
-    x = grid.axis(0)
-    i = np.arange(n)
-    off = np.arange(-c_eps, c_eps + 1)
-    a, b = (o.ravel()[:, None] for o in np.meshgrid(off, off))
-    ja, jb = i - a, i - b
-    S = np.abs(x - x[np.clip(ja, 0, n - 1)]) + np.abs(x - x[np.clip(jb, 0, n - 1)])
-    S[(ja < 0) | (ja >= n) | (jb < 0) | (jb >= n)] = np.inf
-    Pc = _profile(K.lattice, a * h, b * h)
+    n, h, eps = grid.n, grid.h, policy.c_eps * grid.h
+    j, k, S = _excision_window(grid.axis(0), np.arange(n), policy.c_eps)
+    Pc = _profile(K.lattice, -j[:1] * h, -k[:1] * h)      # the offsets of row 0
     m = 2 * n - 1
     L = _fft_length(m)
     u = np.arange(1 - n, n) * h
@@ -630,8 +626,8 @@ def _bilinear_lattice(K: KernelModel, grid: Grid, policy: PvPolicy, rows) -> dic
     for c0 in range(0, L // 2 + 1, step):
         Q[:, c0:c0 + step] = np.fft.fft(Q[:, c0:c0 + step], axis=0)
     return {"Q": Q,
-            "near": np.where((S > 0) & (S <= c_eps * h), Pc, 0.0).sum(axis=0),
-            "ring": np.where((S > policy.c_refined * h) & (S <= c_eps * h), Pc, 0.0).sum(axis=0)}
+            "near": np.where((S > 0) & (S <= eps), Pc, 0.0).sum(axis=1),
+            "ring": np.where((S > policy.c_refined * h) & (S <= eps), Pc, 0.0).sum(axis=1)}
 
 
 def _bilinear_lattice_sums(p: Plan, vs, values, delta) -> None:

@@ -271,6 +271,20 @@ def test_direct_bound_rows_equal_one_shot_rows(monkeypatch, K, args):
     assert direct_bound_check(K, ONE, **args).rows == rep.rows
 
 
+@pytest.mark.parametrize("rows_R,kept", [
+    (lambda K, **kw: [r[0] for r in direct_bound_check(K, ONE, op_norm=1.0, **kw).rows],
+     [1.0, 2.0, 4.0, 8.0]),
+    (lambda K, **kw: [r.R for r in weak_boundedness_test(K, offsets=(0.0, 0.5), **kw).rows],
+     [1.0, 2.0, 4.0, 8.0] * 2)],
+    ids=["direct-bound", "wbp"])
+def test_fixed_grid_sweeps_drop_rows_that_escape(rows_R, kept):
+    # on box 16 the bump of radius 16 escapes (and the offset-0.5 row's widened
+    # box 32 does not hold its bump at 8); these sweeps used to raise 'support
+    # ball ... escapes the grid box' after the first four rows
+    assert rows_R(gallery("positive-control"), scales=(1.0, 2.0, 4.0, 8.0, 16.0),
+                  grid=GridSpec(n=128, box_side=16.0)) == kept
+
+
 def test_direct_bound_requires_norm():
     with pytest.raises(ValueError, match="norm"):
         direct_bound_check(gallery("hilbert"), ONE)
@@ -371,6 +385,44 @@ def test_localized_checks_reject_a_cube_without_a_cell(monkeypatch, check, Q):
     monkeypatch.setattr("tblab.harness.apply_linear_field", no_plan)
     with pytest.raises(ValueError, match=r"holds no cell of the grid on \[-32, 32\]"):
         check(Q, GridSpec(n=256, box_side=64.0))
+
+
+@pytest.mark.parametrize("check,center,message", [
+    (lambda Q: bilinear_decomposition_check(gallery("bilinear-homog"), Q=Q,
+                                            grid=GridSpec(n=256, box_side=64.0)),
+     31.5, "grid box must contain 8Q"),
+    (lambda Q: bilinear_decomposition_check(gallery("bilinear-homog"), Q=Q,
+                                            grid=GridSpec(n=256, box_side=64.0)),
+     20.0, r"lies outside the support of phi_R at the largest scale R = 12"),
+    (lambda Q: local_piece_check(gallery("hilbert"), ONE, Q, 1.0,
+                                 grid=GridSpec(n=256, box_side=64.0)),
+     31.5, "grid box must contain 8Q")],
+    ids=["bilinear-decomp-8Q", "bilinear-decomp-outside", "local-piece-8Q"])
+def test_localized_checks_reject_a_vacuous_cube_before_any_field(monkeypatch, check, center,
+                                                                  message):
+    # the decomposition read a vacuous PASS (avg_I, dev_II and dev_III 0) at both
+    # centres, and the local piece a value from a phi_Q cut by the box edge
+    def no_plan(*args, **kwargs):
+        raise AssertionError("a field was computed")
+
+    monkeypatch.setattr("tblab.harness.plan", no_plan)
+    monkeypatch.setattr("tblab.harness.apply_linear_field", no_plan)
+    with pytest.raises(ValueError, match=message):
+        check(Cube((center,), 0.5))
+
+
+def test_local_piece_rejects_phi_r_wider_than_the_box(monkeypatch):
+    # R = 80 on box 96 used to return 0.0404 from a truncated cutoff; R = 48 fits
+    assert local_piece_check(gallery("hilbert"), ONE, Cube((0.0,), 1.0), 48.0,
+                             grid=GridSpec(n=384, box_side=96.0)).value > 0
+
+    def no_plan(*args, **kwargs):
+        raise AssertionError("a field was computed")
+
+    monkeypatch.setattr("tblab.harness.plan", no_plan)
+    monkeypatch.setattr("tblab.harness.apply_linear_field", no_plan)
+    with pytest.raises(ValueError, match=r"R = 80, the box is \[-48, 48\]"):
+        local_piece_check(gallery("hilbert"), ONE, Cube((0.0,), 1.0), 80.0)
 
 
 @pytest.mark.parametrize("ratio", [0.5, 2.0])

@@ -669,7 +669,7 @@ def test_decomposition_builds_one_slice_per_point():
 
     grid = GridSpec(n=384, box_side=64.0)
     rep = bilinear_decomposition_check(dataclasses.replace(K, rule=counting), grid=grid)
-    g, pts = grid.row_grid("fixed", 1.0), _localize(grid, DECOMP_CUBE)[4]
+    g, pts = grid.row_grid("fixed", 1.0), _localize(grid, DECOMP_CUBE, 12.0)[4]
     assert len(rep.rows) == 3 and len(pts) == 3
     assert cells == {float(g.axis(0)[i]): 384 * 384 for i in pts}
     assert rep.rows == bilinear_decomposition_check(K, grid=grid).rows
