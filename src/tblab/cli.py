@@ -145,13 +145,16 @@ class ExperimentConfig:
 
     def fit_args(self) -> dict:
         """The bump order, scales and fit tolerances the config sets."""
-        args = self.given(M="bump.M", scales="scales", slope_tol="fit.slope_tol",
+        return self.given(M="bump.M", scales="scales", slope_tol="fit.slope_tol",
                           uniformity_factor="fit.uniformity_factor")
-        scales = args.get("scales")
-        if scales is not None and len(scales) < 5:
-            raise ConfigError(f"scales needs at least 5 values for an exponent fit, "
-                              f"got {len(scales)}")
-        return args
+
+    def fitted_kernel(self):
+        """The kernel of stein or wbp; b2 (linear) or centers (bilinear) is rejected."""
+        K = self.kernel()
+        key = "b2" if K.arity == "linear" else "centers"
+        if key in self.raw:
+            raise ConfigError(f"{key} does not apply to the {K.arity} kernel {K.name}")
+        return K
 
     def kernel(self):
         name = self.get("kernel.name")
@@ -351,7 +354,7 @@ def _uk_build(cfg: ExperimentConfig):
 
 
 def _stein_reports(cfg: ExperimentConfig) -> list:
-    K = cfg.kernel()
+    K = cfg.fitted_kernel()
     args = dict(cfg.fit_args(), policy=cfg.policy())
     if K.arity == "bilinear":
         res = stein_bilinear_tb_test(K, cfg.b_func("b0"), cfg.b_func("b1"),
@@ -367,7 +370,7 @@ def _stein_reports(cfg: ExperimentConfig) -> list:
 
 
 def _wbp_report(cfg: ExperimentConfig):
-    K = cfg.kernel()
+    K = cfg.fitted_kernel()
     bilinear = K.arity == "bilinear"
     return weak_boundedness_test(K, cfg.b_func("b0"), cfg.b_func("b1"), cfg.b_func("b2"),
                                  grid=cfg.grid_spec(BILINEAR_GRID if bilinear else GridSpec()),

@@ -32,6 +32,7 @@ CENTER_FRACTIONS = (0.0, 0.125, -0.125)   # in units of the box side
 DIRECT_BOUND_TOL = 0.03                   # relative slack of the direct bound
 DECOMP_DEV_CAP = 1.0                      # common cap of the decomposition pieces
 PASSING = frozenset({"PASS", "PASS-degenerate"})  # the verdicts that pass
+FIT_MIN_ROWS = 5                          # the rows an exponent fit needs
 
 
 # --- b-functions -----------------------------------------------------------
@@ -141,8 +142,8 @@ def exponent_fit(pairs, target: float, slope_tol: float = DEFAULT_SLOPE_TOL,
     Zero rows are excluded and counted; an all-zero group is PASS-degenerate.
     """
     pairs = list(pairs)
-    if len(pairs) < 5:
-        raise ValueError(f"need >= 5 rows for a fit, got {len(pairs)}")
+    if len(pairs) < FIT_MIN_ROWS:
+        raise ValueError(f"need >= {FIT_MIN_ROWS} rows for a fit, got {len(pairs)}")
     Rs = np.asarray([p[0] for p in pairs], dtype=float)
     vals = np.asarray([p[1] for p in pairs], dtype=float)
     tiny = 1e-14 * max(1.0, float(np.max(vals)) if len(vals) else 1.0)
@@ -175,8 +176,6 @@ class ScalingReport:
 
     @property
     def verdict(self) -> str:
-        if not self.fits:
-            return "FAIL"                    # no group had enough rows to test
         if all(f.degenerate for f in self.fits):
             return "PASS-degenerate"
         return "PASS" if all(f.passed for f in self.fits) else "FAIL"
@@ -237,14 +236,6 @@ def _weighted(b: SampledFunction, *factors) -> SampledFunction:
     return SampledFunction(grid=b.grid, values=values)
 
 
-def _escapes(grid: Grid, x0: float, R: float) -> bool:
-    return abs(x0) + R > grid.box.side / 2.0 + 1e-12
-
-
-def _margin_flag(grid: Grid, x0: float, R: float) -> bool:
-    return abs(x0) + R > 0.9 * grid.box.side / 2.0
-
-
 def _l2(fr) -> float:
     return lp_norm(fr.field, 2)
 
@@ -272,57 +263,66 @@ def _check_limits(slope_tol: float = 0.0, uniformity_factor: float = 1.0,
 
 
 def _sweep(row, kernels, grid_of, groups, scales, policy: PvPolicy, reduce,
-           points=None):
+           points=None, centres=lambda g, group, R: (0.0,), min_rows: int = 1):
     """The shape of every sweep: row jobs, their plans, their rows, a reducer.
 
-    The jobs (group, R) of groups x scales run serially, job (group, R) on the
-    row grid grid_of(group, R). Each distinct row grid g, in order of first use,
-    gets one plan per kernel of `kernels` (under policy, at the grid indices
-    points, every point when None); row(g, plans, group, R) then runs for every
-    job on g, and g's plans are dropped before the next grid. A row returns what
-    the reducer reads, or None when its support escapes the grid; escaped rows
-    are dropped, and no group or a group left with no row is an error. A group
-    is a (section, center) pair. reduce gets the (group, R, row) triples kept,
-    group-major, and returns the sweep's report.
+    A group is a (section, center) pair; the jobs (group, R) of groups x scales
+    run serially, on the row grid g = grid_of(group, R) with bumps of radius R at
+    the centres centres(g, group, R). Before any plan, a job whose bumps escape g
+    (max |x| + R above half the box side) is dropped, and no group, or a group
+    left with no job or with fewer than min_rows, is an error. Each distinct row
+    grid g, in order of first use, then gets one plan per kernel of `kernels`
+    (under policy, at the grid indices points, every point when None) for
+    row(g, plans, group, R, centres) of each of its jobs, dropped before the next
+    grid. reduce gets (group, R, row, margin flag) per job, group-major, and
+    returns the sweep's report; the flag is max |x| + R above 0.9 half the side.
     """
     scales = _check_scales(scales)
     if not groups:
         raise ValueError("a sweep needs at least one group of rows, got none")
-    jobs = [(group, R) for group in groups for R in scales]
-    grids = [grid_of(*job) for job in jobs]
+    jobs = []                            # (grid, group, R, centres, margin flag)
+    for group in groups:
+        kept = []
+        for R in scales:
+            g = grid_of(group, R)
+            xs = centres(g, group, R)
+            reach, half = max(map(abs, xs)) + R, g.box.side / 2.0
+            if reach <= half + 1e-12:
+                kept.append((g, group, R, xs, reach > 0.9 * half))
+        where = f"section {group[0]!r} at centre {group[1]:g}"
+        if not kept:
+            raise ValueError(f"every row of {where} escapes its grid")
+        if len(kept) < min_rows:
+            raise ValueError(f"{where} fits its grid at {len(kept)} of its {len(scales)} "
+                             f"scales; an exponent fit needs {min_rows}")
+        jobs += kept
     done = {}
-    for g in dict.fromkeys(grids):
+    for g in dict.fromkeys(job[0] for job in jobs):
         plans = [plan(ker, g, policy, points) for ker in kernels]
-        done.update((i, row(g, plans, *jobs[i])) for i, gi in enumerate(grids) if gi == g)
+        done.update((i, row(g, plans, *job[1:4])) for i, job in enumerate(jobs) if job[0] == g)
         del plans                        # drop this grid's plans before the next
-    kept = [(group, R, done[i]) for i, (group, R) in enumerate(jobs) if done[i] is not None]
-    for section, center in groups:
-        if all(group != (section, center) for group, _, _ in kept):
-            raise ValueError(f"every row of section {section!r} at centre {center:g} "
-                             f"escapes its grid")
-    return reduce(kept)
+    return reduce([(group, R, done[i], margin)
+                   for i, (_, group, R, _, margin) in enumerate(jobs)])
 
 
 def _fit_reducer(names, b_names, M: int, target: float, slope_tol: float,
                  uniformity_factor: float):
     """The reducer of the testing conditions: a row is a (value, pv flag) pair
-    per (experiment, kernel name) pair of names and its margin flag; each name
-    gets a ScalingReport, and each group with at least 5 of its rows a fit
-    against R^target."""
+    per (experiment, kernel name) pair of names; each name gets a ScalingReport
+    with a fit against R^target per group (the sweep keeps FIT_MIN_ROWS rows of
+    each)."""
     _check_limits(slope_tol, uniformity_factor)
 
     def reduce(kept) -> list:
         reports = []
         for pos, (experiment, kernel) in enumerate(names):
             rows = [SweepRow(group[0], group[1], R, *values[pos], margin)
-                    for group, R, (values, margin) in kept]
-            fits = []
-            for section, center in dict.fromkeys(group for group, _, _ in kept):
-                sel = [(r.R, r.value) for r in rows
-                       if (r.section, r.center) == (section, center)]
-                if len(sel) >= 5:
-                    fits.append(exponent_fit(sel, target, slope_tol, uniformity_factor,
-                                             section=section, center=center))
+                    for group, R, values, margin in kept]
+            fits = [exponent_fit([(r.R, r.value) for r in rows
+                                  if (r.section, r.center) == (section, center)],
+                                 target, slope_tol, uniformity_factor,
+                                 section=section, center=center)
+                    for section, center in dict.fromkeys(group for group, *_ in kept)]
             reports.append(ScalingReport(experiment=experiment, kernel=kernel,
                                          b_names=b_names, M=M, target=target,
                                          rows=rows, fits=fits))
@@ -370,7 +370,7 @@ def _table_reducer(file: str, columns, verdict, head):
     values after R; verdict(rows) reduces the rows, and the summary line is
     head(rows) followed by the verdict."""
     def reduce(kept) -> TableReport:
-        rows = [(R, *values) for _, R, values in kept]
+        rows = [(R, *values) for _, R, values, _ in kept]
         v = verdict(rows)
         return TableReport(file, ("R", *columns), rows, v, f"{head(rows)} verdict: {v}")
     return reduce
@@ -406,20 +406,18 @@ def _stein_sweep(K: KernelModel, b0: BFunc, b1: BFunc, experiments, reduce, M: i
         raise ValueError("needs a linear kernel")
     Kt = transpose_kernel(K)
 
-    def row(g, plans, group, R):
-        x0 = group[1] * g.box.side
-        if _escapes(g, x0, R):
-            return None                      # support escapes a fixed grid
-        phi = _bump_field(g, M, x0, R).values
+    def row(g, plans, group, R, centres):
+        phi = _bump_field(g, M, centres[0], R).values
         T, Tt = plans
-        return (reduce(T(_weighted(b1.sampled(g), phi)), Tt(_weighted(b0.sampled(g), phi))),
-                _margin_flag(g, x0, R))
+        return reduce(T(_weighted(b1.sampled(g), phi)), Tt(_weighted(b0.sampled(g), phi)))
 
     return _sweep(row, (K, Kt), lambda group, R: grid.row_grid(K.grid_mode, R),
                   [("", frac) for frac in center_fracs], scales, policy,
                   _fit_reducer(list(zip(experiments, (K.name, Kt.name))),
                                (b0.name, b1.name), M, K.d / 2.0, slope_tol,
-                               uniformity_factor))
+                               uniformity_factor),
+                  centres=lambda g, group, R: (group[1] * g.box.side,),
+                  min_rows=FIT_MIN_ROWS)
 
 
 def stein_t1_test(K: KernelModel, M: int = 2,
@@ -488,18 +486,13 @@ def stein_bilinear_tb_test(K: KernelModel, b0: BFunc, b1: BFunc, b2: BFunc,
     K1 = transpose_kernel(K, 1)
     K2 = transpose_kernel(K, 2)
 
-    def row(g, plans, group, R):
-        xa, xb = -group[1] * R / 2.0, group[1] * R / 2.0
-        if _escapes(g, max(abs(xa), abs(xb)), R):
-            return None
-        pha = _bump_field(g, M, xa, R).values
-        phb = _bump_field(g, M, xb, R).values
+    def row(g, plans, group, R, centres):
+        pha, phb = (_bump_field(g, M, x, R).values for x in centres)
         s0, s1, s2 = (b.sampled(g) for b in (b0, b1, b2))
         w1a, w2b = _weighted(s1, pha), _weighted(s2, phb)
         args = ((w1a, w2b), (_weighted(s0, pha), w2b), (w1a, _weighted(s0, phb)))
         frs = [T(*fs) for T, fs in zip(plans, args)]
-        return ([(_l2(fr), fr.n_flagged > 0) for fr in frs],
-                _margin_flag(g, max(abs(xa), abs(xb)), R))
+        return [(_l2(fr), fr.n_flagged > 0) for fr in frs]
 
     names = [("bilinear-tb-direct", K.name), ("bilinear-tb-transpose1", K1.name),
              ("bilinear-tb-transpose2", K2.name)]
@@ -507,7 +500,10 @@ def stein_bilinear_tb_test(K: KernelModel, b0: BFunc, b1: BFunc, b2: BFunc,
                                     lambda group, R: grid.row_grid(K.grid_mode, R),
                                     [("equal", 0.0), ("offset", 1.0)], scales, policy,
                                     _fit_reducer(names, (b0.name, b1.name, b2.name), M,
-                                                 K.d / 2.0, slope_tol, uniformity_factor)))
+                                                 K.d / 2.0, slope_tol, uniformity_factor),
+                                    centres=lambda g, group, R: (-group[1] * R / 2.0,
+                                                                 group[1] * R / 2.0),
+                                    min_rows=FIT_MIN_ROWS))
 
 
 def weak_boundedness_test(K: KernelModel, b0: BFunc = B_ONE, b1: BFunc = B_ONE,
@@ -522,8 +518,8 @@ def weak_boundedness_test(K: KernelModel, b0: BFunc = B_ONE, b1: BFunc = B_ONE,
     that equal centers suffice is recorded as a comparison, not assumed.
     The scales and grid default to BILINEAR_SCALES and BILINEAR_GRID for a
     bilinear kernel, to LINEAR_SCALES and GridSpec() otherwise. A row grid is
-    widened to hold the offset bumps; a row whose bumps still escape it (a
-    fixed grid) is dropped.
+    widened to hold the offset bumps; a row whose bumps at 0 and +-x2 still
+    escape it (a fixed grid) is dropped.
     """
     bil = K.arity == "bilinear"
     if scales is None:
@@ -537,28 +533,28 @@ def weak_boundedness_test(K: KernelModel, b0: BFunc = B_ONE, b1: BFunc = B_ONE,
             g = Grid(box=cube1(0.0, g.box.side + 2 * abs(x2)), n=g.n)
         return g
 
-    def row(g, plans, group, R):
-        x2 = group[1] * R
-        if _escapes(g, x2, R):
-            return None                      # the bumps at 0 and +-x2 escape a fixed grid
-        ph1 = _bump_field(g, M, 0.0, R)
+    def row(g, plans, group, R, centres):
+        x_neg, x0, x2 = centres
+        ph1 = _bump_field(g, M, x0, R)
         ph2 = _bump_field(g, M, x2, R)
         if bil:
-            val, n_flagged = _triple_pairing(K, _bump_field(g, M, -x2, R), ph1, ph2,
+            val, n_flagged = _triple_pairing(K, _bump_field(g, M, x_neg, R), ph1, ph2,
                                              b0.sampled(g), b1.sampled(g), b2.sampled(g),
                                              policy, *plans)
         else:
             fr = plans[0](_weighted(b1.sampled(g), ph1.values))
             val = pairing(fr.field, _weighted(b0.sampled(g), ph2.values))
             n_flagged = fr.n_flagged
-        return [(abs(val), n_flagged > 0)], _margin_flag(g, x2, R)
+        return [(abs(val), n_flagged > 0)]
 
     names = (b0.name, b1.name, b2.name) if bil else (b0.name, b1.name)
     # a bilinear kernel without a lattice profile sums dense points per row
     return _sweep(row, () if bil and K.lattice is None else (K,), grid_of,
                   [(f"offset{off:g}", off) for off in offsets], scales, policy,
                   _fit_reducer([("wbp", K.name)], names, M, float(K.d), slope_tol,
-                               uniformity_factor))[0]
+                               uniformity_factor),
+                  centres=lambda g, group, R: (-group[1] * R, 0.0, group[1] * R),
+                  min_rows=FIT_MIN_ROWS)[0]
 
 
 # --- direct (necessity-direction) bound ------------------------------------
@@ -580,10 +576,8 @@ def direct_bound_check(K: KernelModel, b1: BFunc, op_norm: float | None = None,
         raise ValueError("bilinear direct bound needs b2")
     _check_limits(norm=op_norm if linear else bilinear_norm)
 
-    def row(g, plans, group, R):
-        if _escapes(g, 0.0, R):
-            return None                      # support escapes a fixed grid
-        phi = _bump_field(g, M, 0.0, R)
+    def row(g, plans, group, R, centres):
+        phi = _bump_field(g, M, centres[0], R)
         b1s = b1.sampled(g)
         f1 = _weighted(b1s, phi.values)
         if linear:
@@ -657,7 +651,7 @@ def uniform_bmo_sweep(K: KernelModel, b1: BFunc = B_ONE, R_list=(1.0, 2.0, 4.0, 
     g = grid.row_grid("fixed", 1.0)
     fam = dyadic_family(g.box, 0, k_max)
 
-    def row(g, plans, group, R):
+    def row(g, plans, group, R, centres):
         fr = plans[0](_weighted(b1.sampled(g), _plateau(g, 0.0, R)))
         return bmo_seminorm(fr.field, fam).sup_mean, fr.n_flagged > 0
 
@@ -683,7 +677,7 @@ def far_field_constancy(K: KernelModel, b1: BFunc = B_ONE,
     g, _, qsel, i0, pts, phiQ = _localize(grid, Q, max(R_list))
     b1s = b1.sampled(g)
 
-    def row(g, plans, group, R):
+    def row(g, plans, group, R, centres):
         (loc, far), full = _split_fields(plans[0], (b1s,), phiQ, _plateau(g, 0.0, R))
         v_far = far.field.values
         split = float(np.max(np.abs(full.field.values[qsel] - loc.field.values[qsel]
@@ -778,7 +772,7 @@ def bilinear_decomposition_check(K: KernelModel, b1: BFunc = B_ONE, b2: BFunc = 
                          f"the support of phi_R at the largest scale R = {max(R_list):g}")
     s1, s2 = b1.sampled(g), b2.sampled(g)
 
-    def row(g, plans, group, R):
+    def row(g, plans, group, R, centres):
         split, direct = _split_fields(plans[0], (s1, s2), phiQ, _plateau(g, 0.0, R))
         pieces = [fr.field.values for fr in split]
         direct = direct.field.values

@@ -24,6 +24,14 @@ def write_cfg(tmp_path, name, body):
     return p
 
 
+def _forbid_fields(monkeypatch):
+    def no_field(*args, **kwargs):
+        raise AssertionError("a field was computed before the config was rejected")
+
+    monkeypatch.setattr("tblab.harness.apply_linear_field", no_field)
+    monkeypatch.setattr("tblab.harness.plan", no_field)
+
+
 def test_config_unknown_key(tmp_path):
     p = write_cfg(tmp_path, "bad.cfg", "kernel.nam = hilbert\n")
     with pytest.raises(ConfigError, match="unknown key"):
@@ -128,6 +136,37 @@ def test_stein_centre_group_with_no_row_exit_2_before_any_file(tmp_path, capsys,
     out = tmp_path / "out"
     assert run("stein", p, out) == 2
     assert "section '' at centre 0.6 escapes its grid" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_wbp_groups_short_of_a_fit_exit_2_before_any_plan(tmp_path, capsys, monkeypatch):
+    # R = 16 escapes box 16 and leaves each offset 4 rows; this used to plan 5
+    # grids and exit 1 with 'slope=n/a verdict: FAIL', a verdict nothing measured
+    _forbid_fields(monkeypatch)
+    p = write_cfg(tmp_path, "w.cfg", "kernel.name = positive-control\ngrid.n = 128\n"
+                                     "grid.box_side = 16\nscales = 1,2,4,8,16\n")
+    out = tmp_path / "out"
+    assert run("wbp", p, out) == 2
+    assert ("section 'offset0' at centre 0 fits its grid at 4 of its 5 scales"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sub,body,message", [
+    ("stein", "kernel.name = hilbert\nb2 = sign-sin\n", "b2 does not apply to the linear kernel"),
+    ("wbp", "kernel.name = hilbert\nb2 = sign-sin\n", "b2 does not apply to the linear kernel"),
+    ("stein", "kernel.name = bilinear-homog\ncenters = 0.3\n",
+     "centers does not apply to the bilinear kernel"),
+    ("report", "kernel.name = bilinear-homog\ncenters = 0.3\n",
+     "centers does not apply to the bilinear kernel")],
+    ids=["stein-b2", "wbp-b2", "stein-centers", "report-centers"])
+def test_keys_the_kernel_arity_ignores_exit_2_before_any_field(tmp_path, capsys, monkeypatch,
+                                                               sub, body, message):
+    # these used to run as if the key were absent (exit 0, an empty b2 column)
+    _forbid_fields(monkeypatch)
+    out = tmp_path / "out"
+    assert run(sub, write_cfg(tmp_path, "k.cfg", body + "grid.n = 64\n"), out) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

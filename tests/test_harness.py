@@ -65,12 +65,12 @@ def test_stein_t1_zero_kernel_degenerate():
     assert rep.constant == 0.0
 
 
-def test_report_without_fits_fails():
-    # four scales leave every center short of a fit: nothing was tested
-    rep = stein_t1_test(gallery("positive-control"), scales=(0.5, 1.0, 2.0, 4.0),
-                        grid=SMALL)
-    assert rep.fits == []
-    assert rep.verdict == "FAIL"
+def test_report_without_fits_fails(monkeypatch):
+    # four scales leave every center short of a fit: nothing would be tested, so
+    # the sweep is rejected before any plan (it used to read FAIL with no fit)
+    _forbid_fields(monkeypatch)
+    with pytest.raises(ValueError, match="at 4 of its 4 scales; an exponent fit needs 5"):
+        stein_t1_test(gallery("positive-control"), scales=(0.5, 1.0, 2.0, 4.0), grid=SMALL)
 
 
 def test_stein_tb_with_one_reduces_to_half_t1():
@@ -130,7 +130,7 @@ def test_wbp_default_scales_follow_the_arity(name, scales):
 def test_wbp_bilinear_keeps_an_explicit_grid():
     # an explicit n > 256 grid used to be replaced by BILINEAR_GRID
     K = gallery("bilinear-homog")
-    args = dict(scales=(1.0, 2.0), offsets=(1.0,))
+    args = dict(scales=BILINEAR_SCALES, offsets=(1.0,))
     default = weak_boundedness_test(K, ONE, ONE, ONE, **args)
     assert weak_boundedness_test(K, ONE, ONE, ONE, grid=BILINEAR_GRID, **args).rows == default.rows
     fine = weak_boundedness_test(K, ONE, ONE, ONE, grid=GridSpec(n=384, box_side=8.0), **args)
@@ -273,16 +273,36 @@ def test_direct_bound_rows_equal_one_shot_rows(monkeypatch, K, args):
 
 @pytest.mark.parametrize("rows_R,kept", [
     (lambda K, **kw: [r[0] for r in direct_bound_check(K, ONE, op_norm=1.0, **kw).rows],
-     [1.0, 2.0, 4.0, 8.0]),
+     [0.5, 1.0, 2.0, 4.0, 8.0]),
     (lambda K, **kw: [r.R for r in weak_boundedness_test(K, offsets=(0.0, 0.5), **kw).rows],
-     [1.0, 2.0, 4.0, 8.0] * 2)],
+     [0.5, 1.0, 2.0, 4.0, 8.0] * 2)],
     ids=["direct-bound", "wbp"])
 def test_fixed_grid_sweeps_drop_rows_that_escape(rows_R, kept):
     # on box 16 the bump of radius 16 escapes (and the offset-0.5 row's widened
     # box 32 does not hold its bump at 8); these sweeps used to raise 'support
     # ball ... escapes the grid box' after the first four rows
-    assert rows_R(gallery("positive-control"), scales=(1.0, 2.0, 4.0, 8.0, 16.0),
+    assert rows_R(gallery("positive-control"), scales=(0.5, 1.0, 2.0, 4.0, 8.0, 16.0),
                   grid=GridSpec(n=128, box_side=16.0)) == kept
+
+
+@pytest.mark.parametrize("sweep", [weak_boundedness_test, stein_t1_test])
+def test_groups_short_of_a_fit_rejected_before_any_plan(monkeypatch, sweep):
+    # R = 16 escapes box 16, so each group keeps 4 rows; both sweeps used to
+    # plan all 5 grids and print 'slope=n/a ... verdict: FAIL' with no fit
+    _forbid_fields(monkeypatch)
+    with pytest.raises(ValueError, match="centre 0 fits its grid at 4 of its 5 scales; "
+                                         "an exponent fit needs 5"):
+        sweep(gallery("positive-control"), scales=(1.0, 2.0, 4.0, 8.0, 16.0),
+              grid=GridSpec(n=128, box_side=16.0))
+
+
+def test_stein_group_with_no_row_rejected_before_any_plan(monkeypatch):
+    # every bump at centre 0.6 x box side escapes; the sweep used to plan and
+    # compute the rows of centre 0 first
+    _forbid_fields(monkeypatch)
+    with pytest.raises(ValueError, match="section '' at centre 0.6 escapes its grid"):
+        stein_t1_test(gallery("hilbert"), center_fracs=(0.0, 0.6),
+                      scales=(0.5, 1.0, 2.0, 4.0, 8.0), grid=GridSpec(n=64))
 
 
 def test_direct_bound_requires_norm():
@@ -565,9 +585,9 @@ def test_scale_equivariance_of_pipeline():
     # homogeneous kernel on grids matched by rescaling: doubling every scale
     # and the box (same n) reproduces each row up to the exact R^(1/2) factor
     K = replace(gallery("hilbert"), grid_mode="fixed")
-    a = stein_t1_test(K, scales=(0.25, 0.5, 1.0, 2.0),
+    a = stein_t1_test(K, scales=(0.125, 0.25, 0.5, 1.0, 2.0),
                       grid=GridSpec(n=256, box_side=16.0))
-    b = stein_t1_test(K, scales=(0.5, 1.0, 2.0, 4.0),
+    b = stein_t1_test(K, scales=(0.25, 0.5, 1.0, 2.0, 4.0),
                       grid=GridSpec(n=256, box_side=32.0))
     va = {(r.center, r.R): r.value for r in a.rows}
     vb = {(r.center, r.R): r.value for r in b.rows}
