@@ -11,7 +11,7 @@ from .kernels import (KernelCertificate, KernelModel, check_regularity,
                       check_size, gallery, transpose_kernel)
 from .quadrature import (FieldResult, Plan, PvPolicy, PvValue, apply_bilinear,
                          apply_bilinear_field, apply_linear, apply_linear_field,
-                         pairing, plan, triple_pairing)
+                         pairing, plan, plans, triple_pairing)
 from .bmo import (OscillationReport, best_constant_oscillation, bmo_seminorm,
                   mean_oscillation)
 from .paraaccretive import (ConditionBCertificate, ParaAccretivityCertificate,

@@ -5,8 +5,11 @@ Flat key=value config files, one experiment per file. Exit codes:
 configuration or runtime error. Every run is serial, and repeated runs of
 one config write the same bytes.
 
-Each subcommand runs its experiment and returns its reports (harness
-ScalingReports or TableReports); one emitter writes their CSVs and
+Each subcommand reads the config keys _READS lists for it, and a config with
+any other key is rejected before any field. It runs its experiment and
+returns its reports (harness ScalingReports or TableReports); stein, wbp
+and report run their harness parts in one sweep, so report plans each row
+grid once for both. One emitter writes their CSVs and
 summaries. A config key that is not set leaves the library's default in
 force, except for the defaults this module owns: the dyadic generations of
 `bmo` (bmo.k_min 0, bmo.k_max 5) and `para-accretive` (bmo.k_max 3 for the
@@ -29,9 +32,9 @@ from .bmo import MIN_CELLS, bmo_seminorm
 from .grid import Cube, Grid, SampledFunction, dyadic_family, load_sampled_csv
 from .harness import (BILINEAR_GRID, BMO_SWEEP_GRID, DECOMP_CUBE,
                       DECOMP_GRID, FAR_FIELD_CUBE, FAR_FIELD_GRID, PASSING, BFunc, GridSpec,
-                      TableReport, bilinear_decomposition_check, builtin_b,
-                      far_field_constancy, stein_bilinear_tb_test, stein_t1_test,
-                      stein_tb_test, uniform_bmo_sweep, weak_boundedness_test)
+                      TableReport, _stein_bilinear_part, _stein_t1_part, _stein_tb_part,
+                      _sweep, _wbp_part, bilinear_decomposition_check, builtin_b,
+                      far_field_constancy, uniform_bmo_sweep)
 from .kernels import check_regularity, check_size, gallery
 from .paraaccretive import (b_to_def3_constant, build_uk, check_condition_B,
                             check_para_accretive, verify_uk)
@@ -64,6 +67,27 @@ _KEYS = {
 }
 _KINDS = {int: "an integer", _finite: "a finite number",
           _floats: "comma-separated finite numbers"}
+
+_KERNEL = ("kernel.name", *(key for key in _KEYS if key.startswith("kernel.params.")))
+_GRID = ("grid.n", "grid.box_side")
+_PV = ("policy.c_eps", "policy.tol_pv")
+_FITTED = (*_KERNEL, *_GRID, *_PV, "grid.mode", "bump.M", "scales", "fit.slope_tol",
+           "fit.uniformity_factor", "b0", "b1", "b2")
+# the keys each subcommand reads, besides output.dir; any other key is rejected
+_READS = {
+    "check-kernel": (*_KERNEL, "seed"),
+    "bmo": (*_GRID, "b1", "bmo.k_min", "bmo.k_max"),
+    "para-accretive": (*_GRID, "b1", "bmo.k_min", "bmo.k_max", "para.J", "para.N", "para.eps"),
+    "uk-build": (*_GRID, "b1", "uk.k", "para.J"),
+    "stein": (*_FITTED, "centers"),
+    "wbp": (*_FITTED, "offsets"),
+    "sweep-bmo": (*_KERNEL, *_GRID, *_PV, "b1", "scales", "fit.uniformity_factor"),
+    "far-field": (*_KERNEL, *_GRID, *_PV, "b1", "scales", "fit.uniformity_factor",
+                  "cube.center", "cube.side"),
+    "bilinear-decomp": (*_KERNEL, *_GRID, *_PV, "b1", "b2", "scales", "cube.center",
+                        "cube.side"),
+    "report": (*_FITTED, "centers", "offsets"),
+}
 
 
 class ConfigError(Exception):
@@ -353,29 +377,33 @@ def _uk_build(cfg: ExperimentConfig):
                     f"verdict: {verdict}"])]
 
 
-def _stein_reports(cfg: ExperimentConfig) -> list:
-    K = cfg.fitted_kernel()
-    args = dict(cfg.fit_args(), policy=cfg.policy())
+def _stein_of(cfg: ExperimentConfig, K):
+    """The Stein part of K: T(1) when b0 and b1 are one, T(b) otherwise, and the
+    bilinear T(b) for a bilinear kernel."""
+    args = cfg.fit_args()
     if K.arity == "bilinear":
-        res = stein_bilinear_tb_test(K, cfg.b_func("b0"), cfg.b_func("b1"),
-                                     cfg.b_func("b2"), grid=cfg.grid_spec(BILINEAR_GRID),
-                                     **args)
-        return list(res.reports)
+        return _stein_bilinear_part(K, cfg.b_func("b0"), cfg.b_func("b1"), cfg.b_func("b2"),
+                                    grid=cfg.grid_spec(BILINEAR_GRID), **args)
     args.update(grid=cfg.grid_spec(), **cfg.given(center_fracs="centers"))
     b0, b1 = cfg.b_func("b0"), cfg.b_func("b1")
     if b0.name == "one" and b1.name == "one":
-        return [stein_t1_test(K, **args)]
-    res = stein_tb_test(K, b0, b1, **args)
-    return [res.on_b1, res.transpose_on_b0]
+        return _stein_t1_part(K, **args)
+    return _stein_tb_part(K, b0, b1, **args)
 
 
-def _wbp_report(cfg: ExperimentConfig):
-    K = cfg.fitted_kernel()
+def _wbp_of(cfg: ExperimentConfig, K):
     bilinear = K.arity == "bilinear"
-    return weak_boundedness_test(K, cfg.b_func("b0"), cfg.b_func("b1"), cfg.b_func("b2"),
-                                 grid=cfg.grid_spec(BILINEAR_GRID if bilinear else GridSpec()),
-                                 policy=cfg.policy(),
-                                 **cfg.given(offsets="offsets"), **cfg.fit_args())
+    return _wbp_part(K, cfg.b_func("b0"), cfg.b_func("b1"), cfg.b_func("b2"),
+                     grid=cfg.grid_spec(BILINEAR_GRID if bilinear else GridSpec()),
+                     policy=cfg.policy(), **cfg.given(offsets="offsets"), **cfg.fit_args())
+
+
+def _fitted(cfg: ExperimentConfig, *parts) -> list:
+    """The reports of the parts (stein, wbp) of one kernel, run in one sweep, so
+    that a report's wbp rows use the plans of its Stein rows."""
+    K = cfg.fitted_kernel()
+    return [rep for reports in _sweep([part(cfg, K) for part in parts], cfg.policy())
+            for rep in reports]
 
 
 def _sweep_args(cfg: ExperimentConfig, grid: GridSpec, **params) -> dict:
@@ -390,8 +418,8 @@ _RUNNERS = {
     "bmo": _bmo,
     "para-accretive": _para,
     "uk-build": _uk_build,
-    "stein": _stein_reports,
-    "wbp": lambda cfg: [_wbp_report(cfg)],
+    "stein": lambda cfg: _fitted(cfg, _stein_of),
+    "wbp": lambda cfg: _fitted(cfg, _wbp_of),
     "sweep-bmo": lambda cfg: [uniform_bmo_sweep(
         cfg.kernel(), cfg.b_func("b1"),
         **_sweep_args(cfg, BMO_SWEEP_GRID, uniformity_factor="fit.uniformity_factor"))],
@@ -401,7 +429,7 @@ _RUNNERS = {
     "bilinear-decomp": lambda cfg: [bilinear_decomposition_check(
         cfg.kernel(), cfg.b_func("b1"), cfg.b_func("b2"), Q=cfg.cube(DECOMP_CUBE),
         **_sweep_args(cfg, DECOMP_GRID))],
-    "report": lambda cfg: _stein_reports(cfg) + [_wbp_report(cfg)],
+    "report": lambda cfg: _fitted(cfg, _stein_of, _wbp_of),
 }
 
 SUBCOMMANDS = tuple(_RUNNERS)
@@ -415,6 +443,9 @@ def run(subcommand: str, config_path, out_dir=None) -> int:
         return 2
     try:
         cfg = ExperimentConfig.parse(config_path)
+        for key in cfg.raw:
+            if key not in _READS[subcommand] and key != "output.dir":
+                raise ConfigError(f"{subcommand} does not read {key!r}")
         out = cfg.out_dir(out_dir)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

@@ -21,7 +21,7 @@ from . import bumps
 from .bmo import bmo_seminorm
 from .grid import Cube, Grid, SampledFunction, cube1, dyadic_family, lp_norm, sample
 from .kernels import KernelModel, transpose_kernel
-from .quadrature import Plan, PvPolicy, _triple_pairing, apply_linear_field, pairing, plan
+from .quadrature import Plan, PvPolicy, _triple_pairing, apply_linear_field, pairing, plans
 from .util import csv_table
 
 DEFAULT_SLOPE_TOL = 0.07
@@ -262,47 +262,77 @@ def _check_limits(slope_tol: float = 0.0, uniformity_factor: float = 1.0,
         raise ValueError(f"the operator norm must be positive and finite, got {norm}")
 
 
-def _sweep(row, kernels, grid_of, groups, scales, policy: PvPolicy, reduce,
-           points=None, centres=lambda g, group, R: (0.0,), min_rows: int = 1):
-    """The shape of every sweep: row jobs, their plans, their rows, a reducer.
+@dataclass(frozen=True)
+class _Part:
+    """One experiment's share of a sweep (_sweep). Its jobs (group, R) are
+    groups x scales, groups being (section, center) pairs; a job runs on the row
+    grid g = grid_of(group, R) with bumps of radius R at centres(g, group, R),
+    and its row is row(g, plans, group, R, centres), plans being those of
+    `kernels` on g. reduce gets (group, R, row, margin flag) per kept job,
+    group-major; a group needs min_rows kept jobs."""
+    row: object
+    kernels: tuple
+    grid_of: object
+    groups: list
+    scales: tuple
+    reduce: object
+    centres: object = lambda g, group, R: (0.0,)
+    min_rows: int = 1
 
-    A group is a (section, center) pair; the jobs (group, R) of groups x scales
-    run serially, on the row grid g = grid_of(group, R) with bumps of radius R at
-    the centres centres(g, group, R). Before any plan, a job whose bumps escape g
-    (max |x| + R above half the box side) is dropped, and no group, or a group
-    left with no job or with fewer than min_rows, is an error. Each distinct row
-    grid g, in order of first use, then gets one plan per kernel of `kernels`
-    (under policy, at the grid indices points, every point when None) for
-    row(g, plans, group, R, centres) of each of its jobs, dropped before the next
-    grid. reduce gets (group, R, row, margin flag) per job, group-major, and
-    returns the sweep's report; the flag is max |x| + R above 0.9 half the side.
-    """
-    scales = _check_scales(scales)
-    if not groups:
+
+def _jobs(part: _Part) -> list:
+    """The part's kept jobs (grid, group, R, centres, margin flag), group-major.
+    A job whose bumps escape its grid (max |x| + R above half the box side) is
+    dropped, and the margin flag is max |x| + R above 0.9 of half the side; no
+    group, or a group left with no job or with fewer than min_rows, is an error."""
+    scales = _check_scales(part.scales)
+    if not part.groups:
         raise ValueError("a sweep needs at least one group of rows, got none")
-    jobs = []                            # (grid, group, R, centres, margin flag)
-    for group in groups:
+    jobs = []
+    for group in part.groups:
         kept = []
         for R in scales:
-            g = grid_of(group, R)
-            xs = centres(g, group, R)
+            g = part.grid_of(group, R)
+            xs = part.centres(g, group, R)
             reach, half = max(map(abs, xs)) + R, g.box.side / 2.0
             if reach <= half + 1e-12:
                 kept.append((g, group, R, xs, reach > 0.9 * half))
         where = f"section {group[0]!r} at centre {group[1]:g}"
         if not kept:
             raise ValueError(f"every row of {where} escapes its grid")
-        if len(kept) < min_rows:
+        if len(kept) < part.min_rows:
             raise ValueError(f"{where} fits its grid at {len(kept)} of its {len(scales)} "
-                             f"scales; an exponent fit needs {min_rows}")
+                             f"scales; an exponent fit needs {part.min_rows}")
         jobs += kept
+    return jobs
+
+
+def _sweep(parts, policy: PvPolicy, points=None) -> list:
+    """The shape of every sweep: row jobs, their plans, their rows, a reducer
+    per part; the list of the parts' reductions.
+
+    Every part's jobs are checked (_jobs) before any plan. The parts' distinct
+    row grids are then walked once, serially, in order of first use: a grid g
+    gets one plans() call (under policy, at the grid indices points, every
+    point when None) over the union of the kernels of the parts with a job on
+    g, so those plans share their tables and geometry, and each part's rows on
+    g get the plans of its own kernels. A grid's plans are dropped before the
+    next grid.
+    """
+    jobs = [(part, *job) for part in parts for job in _jobs(part)]
     done = {}
-    for g in dict.fromkeys(job[0] for job in jobs):
-        plans = [plan(ker, g, policy, points) for ker in kernels]
-        done.update((i, row(g, plans, *job[1:4])) for i, job in enumerate(jobs) if job[0] == g)
-        del plans                        # drop this grid's plans before the next
-    return reduce([(group, R, done[i], margin)
-                   for i, (_, group, R, _, margin) in enumerate(jobs)])
+    for g in dict.fromkeys(job[1] for job in jobs):
+        here = [i for i, job in enumerate(jobs) if job[1] == g]
+        kernels = {id(K): K for i in here for K in jobs[i][0].kernels}
+        built = dict(zip(kernels, plans(kernels.values(), g, policy, points)))
+        for i in here:
+            part, _, group, R, xs, _ = jobs[i]
+            done[i] = part.row(g, [built[id(K)] for K in part.kernels], group, R, xs)
+        del built                        # drop this grid's plans before the next
+    return [part.reduce([(group, R, done[i], margin)
+                         for i, (owner, _, group, R, _, margin) in enumerate(jobs)
+                         if owner is part])
+            for part in parts]
 
 
 def _fit_reducer(names, b_names, M: int, target: float, slope_tol: float,
@@ -393,10 +423,14 @@ def _bound_reducer(file: str, columns, ok, head: str):
 
 
 # --- Stein testing conditions ----------------------------------------------
+#
+# Each fitted experiment has a private function that checks its inputs and
+# makes its _Part, and a public one that runs that part alone in a sweep of its
+# own; tblab report runs a Stein part and a wbp part in one sweep.
 
-def _stein_sweep(K: KernelModel, b0: BFunc, b1: BFunc, experiments, reduce, M: int,
-                 scales, center_fracs, grid: GridSpec, policy: PvPolicy, slope_tol: float,
-                 uniformity_factor: float) -> list:
+def _stein_part(K: KernelModel, b0: BFunc, b1: BFunc, experiments, reduce, M: int,
+                scales, center_fracs, grid: GridSpec, slope_tol: float,
+                uniformity_factor: float) -> _Part:
     """The linear testing conditions on the plans of T and T*.
 
     The bump sits at center fraction x box side; reduce(T(b1 phi), T*(b0 phi))
@@ -411,13 +445,21 @@ def _stein_sweep(K: KernelModel, b0: BFunc, b1: BFunc, experiments, reduce, M: i
         T, Tt = plans
         return reduce(T(_weighted(b1.sampled(g), phi)), Tt(_weighted(b0.sampled(g), phi)))
 
-    return _sweep(row, (K, Kt), lambda group, R: grid.row_grid(K.grid_mode, R),
-                  [("", frac) for frac in center_fracs], scales, policy,
-                  _fit_reducer(list(zip(experiments, (K.name, Kt.name))),
-                               (b0.name, b1.name), M, K.d / 2.0, slope_tol,
-                               uniformity_factor),
-                  centres=lambda g, group, R: (group[1] * g.box.side,),
-                  min_rows=FIT_MIN_ROWS)
+    return _Part(row, (K, Kt), lambda group, R: grid.row_grid(K.grid_mode, R),
+                 [("", frac) for frac in center_fracs], scales,
+                 _fit_reducer(list(zip(experiments, (K.name, Kt.name))), (b0.name, b1.name),
+                              M, K.d / 2.0, slope_tol, uniformity_factor),
+                 centres=lambda g, group, R: (group[1] * g.box.side,), min_rows=FIT_MIN_ROWS)
+
+
+def _stein_t1_part(K: KernelModel, M: int = 2, scales=LINEAR_SCALES,
+                   center_fracs=CENTER_FRACTIONS, grid: GridSpec = GridSpec(),
+                   slope_tol: float = DEFAULT_SLOPE_TOL,
+                   uniformity_factor: float = DEFAULT_UNIFORMITY) -> _Part:
+    """stein_t1_test's part: one report."""
+    return _stein_part(K, B_ONE, B_ONE, ["stein-t1"], lambda fr1, fr2: [
+        (_l2(fr1) + _l2(fr2), fr1.n_flagged > 0 or fr2.n_flagged > 0)], M, scales,
+        center_fracs, grid, slope_tol, uniformity_factor)
 
 
 def stein_t1_test(K: KernelModel, M: int = 2,
@@ -426,9 +468,8 @@ def stein_t1_test(K: KernelModel, M: int = 2,
                   slope_tol: float = DEFAULT_SLOPE_TOL,
                   uniformity_factor: float = DEFAULT_UNIFORMITY) -> ScalingReport:
     """||T(phi^{x0,R})||_2 + ||T*(phi^{x0,R})||_2 against the target R^(d/2)."""
-    return _stein_sweep(K, B_ONE, B_ONE, ["stein-t1"], lambda fr1, fr2: [
-        (_l2(fr1) + _l2(fr2), fr1.n_flagged > 0 or fr2.n_flagged > 0)], M, scales,
-        center_fracs, grid, policy, slope_tol, uniformity_factor)[0]
+    return _sweep([_stein_t1_part(K, M, scales, center_fracs, grid, slope_tol,
+                                  uniformity_factor)], policy)[0][0]
 
 
 @dataclass(frozen=True)
@@ -442,20 +483,29 @@ class TbTestResult:
         return "PASS" if vs <= PASSING else "FAIL"
 
 
+def _stein_tb_part(K: KernelModel, b0: BFunc, b1: BFunc, M: int = 2,
+                   scales=LINEAR_SCALES, center_fracs=CENTER_FRACTIONS,
+                   grid: GridSpec = GridSpec(), slope_tol: float = DEFAULT_SLOPE_TOL,
+                   uniformity_factor: float = DEFAULT_UNIFORMITY) -> _Part:
+    """stein_tb_test's part: the reports on b1 and of T* on b0. A b other than
+    one without a para-accretivity certificate is warned about here."""
+    for b in (b0, b1):
+        if b.certificate is None and b.name != "one":
+            warnings.warn(f"b-function {b.name!r} carries no para-accretivity "
+                          f"certificate", stacklevel=3)
+    return _stein_part(K, b0, b1, ["stein-tb-on-b1", "stein-tb-transpose"], lambda fr1, fr2: [
+        (_l2(fr), fr.n_flagged > 0) for fr in (fr1, fr2)], M, scales, center_fracs,
+        grid, slope_tol, uniformity_factor)
+
+
 def stein_tb_test(K: KernelModel, b0: BFunc, b1: BFunc, M: int = 2,
                   scales=LINEAR_SCALES, center_fracs=CENTER_FRACTIONS,
                   grid: GridSpec = GridSpec(), policy: PvPolicy = PvPolicy(),
                   slope_tol: float = DEFAULT_SLOPE_TOL,
                   uniformity_factor: float = DEFAULT_UNIFORMITY) -> TbTestResult:
     """Testing conditions on b1 (for T) and b0 (for T*), fitted to d/2 per center."""
-    for b in (b0, b1):
-        if b.certificate is None and b.name != "one":
-            warnings.warn(f"b-function {b.name!r} carries no para-accretivity "
-                          f"certificate", stacklevel=2)
-    return TbTestResult(*_stein_sweep(
-        K, b0, b1, ["stein-tb-on-b1", "stein-tb-transpose"], lambda fr1, fr2: [
-            (_l2(fr), fr.n_flagged > 0) for fr in (fr1, fr2)], M, scales, center_fracs,
-        grid, policy, slope_tol, uniformity_factor))
+    return TbTestResult(*_sweep([_stein_tb_part(K, b0, b1, M, scales, center_fracs, grid,
+                                                slope_tol, uniformity_factor)], policy)[0])
 
 
 @dataclass(frozen=True)
@@ -474,13 +524,11 @@ class BilinearTbResult:
         return (self.direct, self.transpose1, self.transpose2)
 
 
-def stein_bilinear_tb_test(K: KernelModel, b0: BFunc, b1: BFunc, b2: BFunc,
-                           M: int = 2, scales=BILINEAR_SCALES,
-                           grid: GridSpec = BILINEAR_GRID,
-                           policy: PvPolicy = PvPolicy(),
-                           slope_tol: float = DEFAULT_SLOPE_TOL,
-                           uniformity_factor: float = DEFAULT_UNIFORMITY) -> BilinearTbResult:
-    """The three bilinear testing conditions, equal and offset centers."""
+def _stein_bilinear_part(K: KernelModel, b0: BFunc, b1: BFunc, b2: BFunc, M: int = 2,
+                         scales=BILINEAR_SCALES, grid: GridSpec = BILINEAR_GRID,
+                         slope_tol: float = DEFAULT_SLOPE_TOL,
+                         uniformity_factor: float = DEFAULT_UNIFORMITY) -> _Part:
+    """stein_bilinear_tb_test's part: the direct, transpose1 and transpose2 reports."""
     if K.arity != "bilinear":
         raise ValueError("needs a bilinear kernel")
     K1 = transpose_kernel(K, 1)
@@ -496,31 +544,32 @@ def stein_bilinear_tb_test(K: KernelModel, b0: BFunc, b1: BFunc, b2: BFunc,
 
     names = [("bilinear-tb-direct", K.name), ("bilinear-tb-transpose1", K1.name),
              ("bilinear-tb-transpose2", K2.name)]
-    return BilinearTbResult(*_sweep(row, (K, K1, K2),
-                                    lambda group, R: grid.row_grid(K.grid_mode, R),
-                                    [("equal", 0.0), ("offset", 1.0)], scales, policy,
-                                    _fit_reducer(names, (b0.name, b1.name, b2.name), M,
-                                                 K.d / 2.0, slope_tol, uniformity_factor),
-                                    centres=lambda g, group, R: (-group[1] * R / 2.0,
-                                                                 group[1] * R / 2.0),
-                                    min_rows=FIT_MIN_ROWS))
+    return _Part(row, (K, K1, K2), lambda group, R: grid.row_grid(K.grid_mode, R),
+                 [("equal", 0.0), ("offset", 1.0)], scales,
+                 _fit_reducer(names, (b0.name, b1.name, b2.name), M, K.d / 2.0, slope_tol,
+                              uniformity_factor),
+                 centres=lambda g, group, R: (-group[1] * R / 2.0, group[1] * R / 2.0),
+                 min_rows=FIT_MIN_ROWS)
 
 
-def weak_boundedness_test(K: KernelModel, b0: BFunc = B_ONE, b1: BFunc = B_ONE,
-                          b2: BFunc = B_ONE, M: int = 2, scales=None,
-                          offsets=(0.0, 1.0, 4.0),
-                          grid: GridSpec | None = None, policy: PvPolicy = PvPolicy(),
-                          slope_tol: float = DEFAULT_SLOPE_TOL,
-                          uniformity_factor: float = DEFAULT_UNIFORMITY) -> ScalingReport:
-    """|<M_b0 T (M_b1 phi1), phi2>| (or the bilinear triple) against R^d.
+def stein_bilinear_tb_test(K: KernelModel, b0: BFunc, b1: BFunc, b2: BFunc,
+                           M: int = 2, scales=BILINEAR_SCALES,
+                           grid: GridSpec = BILINEAR_GRID,
+                           policy: PvPolicy = PvPolicy(),
+                           slope_tol: float = DEFAULT_SLOPE_TOL,
+                           uniformity_factor: float = DEFAULT_UNIFORMITY) -> BilinearTbResult:
+    """The three bilinear testing conditions, equal and offset centers."""
+    return BilinearTbResult(*_sweep([_stein_bilinear_part(
+        K, b0, b1, b2, M, scales, grid, slope_tol, uniformity_factor)], policy)[0])
 
-    Equal-center and offset-center rows are separate sections; the remark
-    that equal centers suffice is recorded as a comparison, not assumed.
-    The scales and grid default to BILINEAR_SCALES and BILINEAR_GRID for a
-    bilinear kernel, to LINEAR_SCALES and GridSpec() otherwise. A row grid is
-    widened to hold the offset bumps; a row whose bumps at 0 and +-x2 still
-    escape it (a fixed grid) is dropped.
-    """
+
+def _wbp_part(K: KernelModel, b0: BFunc = B_ONE, b1: BFunc = B_ONE, b2: BFunc = B_ONE,
+              M: int = 2, scales=None, offsets=(0.0, 1.0, 4.0), grid: GridSpec | None = None,
+              policy: PvPolicy = PvPolicy(), slope_tol: float = DEFAULT_SLOPE_TOL,
+              uniformity_factor: float = DEFAULT_UNIFORMITY) -> _Part:
+    """weak_boundedness_test's part: one report. policy is that of the dense
+    triple pairings of a bilinear kernel without a lattice profile, which has
+    no plan; it must be the sweep's."""
     bil = K.arity == "bilinear"
     if scales is None:
         scales = BILINEAR_SCALES if bil else LINEAR_SCALES
@@ -549,12 +598,31 @@ def weak_boundedness_test(K: KernelModel, b0: BFunc = B_ONE, b1: BFunc = B_ONE,
 
     names = (b0.name, b1.name, b2.name) if bil else (b0.name, b1.name)
     # a bilinear kernel without a lattice profile sums dense points per row
-    return _sweep(row, () if bil and K.lattice is None else (K,), grid_of,
-                  [(f"offset{off:g}", off) for off in offsets], scales, policy,
-                  _fit_reducer([("wbp", K.name)], names, M, float(K.d), slope_tol,
-                               uniformity_factor),
-                  centres=lambda g, group, R: (-group[1] * R, 0.0, group[1] * R),
-                  min_rows=FIT_MIN_ROWS)[0]
+    return _Part(row, () if bil and K.lattice is None else (K,), grid_of,
+                 [(f"offset{off:g}", off) for off in offsets], scales,
+                 _fit_reducer([("wbp", K.name)], names, M, float(K.d), slope_tol,
+                              uniformity_factor),
+                 centres=lambda g, group, R: (-group[1] * R, 0.0, group[1] * R),
+                 min_rows=FIT_MIN_ROWS)
+
+
+def weak_boundedness_test(K: KernelModel, b0: BFunc = B_ONE, b1: BFunc = B_ONE,
+                          b2: BFunc = B_ONE, M: int = 2, scales=None,
+                          offsets=(0.0, 1.0, 4.0),
+                          grid: GridSpec | None = None, policy: PvPolicy = PvPolicy(),
+                          slope_tol: float = DEFAULT_SLOPE_TOL,
+                          uniformity_factor: float = DEFAULT_UNIFORMITY) -> ScalingReport:
+    """|<M_b0 T (M_b1 phi1), phi2>| (or the bilinear triple) against R^d.
+
+    Equal-center and offset-center rows are separate sections; the remark
+    that equal centers suffice is recorded as a comparison, not assumed.
+    The scales and grid default to BILINEAR_SCALES and BILINEAR_GRID for a
+    bilinear kernel, to LINEAR_SCALES and GridSpec() otherwise. A row grid is
+    widened to hold the offset bumps; a row whose bumps at 0 and +-x2 still
+    escape it (a fixed grid) is dropped.
+    """
+    return _sweep([_wbp_part(K, b0, b1, b2, M, scales, offsets, grid, policy, slope_tol,
+                             uniformity_factor)], policy)[0][0]
 
 
 # --- direct (necessity-direction) bound ------------------------------------
@@ -592,11 +660,11 @@ def direct_bound_check(K: KernelModel, b1: BFunc, op_norm: float | None = None,
                      * lp_norm(phi, 4) ** 2 * (1 + DIRECT_BOUND_TOL))
         return _l2(fr), bound
 
-    return _sweep(row, (K,), lambda group, R: grid.row_grid(K.grid_mode, R),
-                  [("", 0.0)], scales, policy,
-                  _bound_reducer("direct_bound.csv", ("measured", "bound"),
-                                 lambda R, measured, bound: measured <= bound,
-                                 f"direct-bound [{K.name}]"))
+    return _sweep([_Part(row, (K,), lambda group, R: grid.row_grid(K.grid_mode, R),
+                         [("", 0.0)], scales,
+                         _bound_reducer("direct_bound.csv", ("measured", "bound"),
+                                        lambda R, measured, bound: measured <= bound,
+                                        f"direct-bound [{K.name}]"))], policy)[0]
 
 
 # --- localization and far-field quantities ----------------------------------
@@ -655,10 +723,12 @@ def uniform_bmo_sweep(K: KernelModel, b1: BFunc = B_ONE, R_list=(1.0, 2.0, 4.0, 
         fr = plans[0](_weighted(b1.sampled(g), _plateau(g, 0.0, R)))
         return bmo_seminorm(fr.field, fam).sup_mean, fr.n_flagged > 0
 
-    return _sweep(row, (K,), lambda group, R: g, [("", 0.0)], R_list, policy,
-                  _uniformity_reducer("bmo_sweep.csv", ("bmo", "pv_flag"), uniformity_factor,
-                                      lambda bmo: f"sweep-bmo [{K.name}] "
-                                                  f"max/min={_spread(bmo):.4f}"))
+    return _sweep([_Part(row, (K,), lambda group, R: g, [("", 0.0)], R_list,
+                         _uniformity_reducer("bmo_sweep.csv", ("bmo", "pv_flag"),
+                                             uniformity_factor,
+                                             lambda bmo: f"sweep-bmo [{K.name}] "
+                                                         f"max/min={_spread(bmo):.4f}"))],
+                  policy)[0]
 
 
 def far_field_constancy(K: KernelModel, b1: BFunc = B_ONE,
@@ -685,14 +755,15 @@ def far_field_constancy(K: KernelModel, b1: BFunc = B_ONE,
         c = complex(v_far[i0])
         return _center_dev(v_far, qsel, i0), c.real, c.imag, split
 
-    return _sweep(row, (K,), lambda group, R: g, [("", 0.0)], R_list, policy,
-                  _uniformity_reducer("far_field.csv", ("sup_dev", "c_re", "c_im", "split_defect"),
-                                      uniformity_factor,
-                                      lambda dev: f"far-field [{K.name}] Q=(center "
-                                                  f"{Q.center[0]}, side {Q.side}) "
-                                                  f"max/min={_spread(dev):.4f} "
-                                                  f"abs_bound={max(dev):.6g}"),
-                  pts)
+    return _sweep([_Part(row, (K,), lambda group, R: g, [("", 0.0)], R_list,
+                         _uniformity_reducer("far_field.csv",
+                                             ("sup_dev", "c_re", "c_im", "split_defect"),
+                                             uniformity_factor,
+                                             lambda dev: f"far-field [{K.name}] Q=(center "
+                                                         f"{Q.center[0]}, side {Q.side}) "
+                                                         f"max/min={_spread(dev):.4f} "
+                                                         f"abs_bound={max(dev):.6g}"))],
+                  policy, pts)[0]
 
 
 @dataclass(frozen=True)
@@ -786,8 +857,8 @@ def bilinear_decomposition_check(K: KernelModel, b1: BFunc = B_ONE, b2: BFunc = 
     def ok(R, avg_I, dev_II, dev_III, dev_IV, sum_defect, sum_ok):
         return sum_ok and max(avg_I, dev_II, dev_III, dev_IV) <= DECOMP_DEV_CAP
 
-    return _sweep(row, (K,), lambda group, R: g, [("", 0.0)], R_list, policy,
-                  _bound_reducer("bilinear_decomp.csv",
-                                 ("avg_I", "dev_II", "dev_III", "dev_IV", "sum_defect",
-                                  "sum_ok"), ok, f"bilinear-decomp [{K.name}]"),
-                  pts)
+    return _sweep([_Part(row, (K,), lambda group, R: g, [("", 0.0)], R_list,
+                         _bound_reducer("bilinear_decomp.csv",
+                                        ("avg_I", "dev_II", "dev_III", "dev_IV", "sum_defect",
+                                         "sum_ok"), ok, f"bilinear-decomp [{K.name}]"))],
+                  policy, pts)[0]

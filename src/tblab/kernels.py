@@ -203,16 +203,31 @@ def gallery(name: str, **params) -> KernelModel:
     raise ValueError(f"unknown gallery operator {name!r}; known: {GALLERY_NAMES}")
 
 
+@dataclass(frozen=True, eq=False)
+class Reflection:
+    """The profile u -> source(-u) of a linear transpose's lattice term. Marked
+    as a reflection so that quadrature reads its lattice table as the source
+    profile's table reversed, with no evaluation of its own."""
+    source: object
+
+    def __call__(self, u):
+        return self.source(-u)
+
+
 def transpose_kernel(K: KernelModel, which: int = 1) -> KernelModel:
-    """Argument-swapped kernel: K*(x,y)=K(y,x); K*1(x,y,z)=K(y,x,z); K*2=K(z,y,x)."""
+    """Argument-swapped kernel: K*(x,y)=K(y,x); K*1(x,y,z)=K(y,x,z); K*2=K(z,y,x).
+
+    A linear transpose's lattice profiles are the Reflections of K's, one per
+    distinct profile, so terms that share a profile keep sharing its table; the
+    transpose of a transpose has K's own profiles back. Its curve keeps K's z.
+    """
     r, lat = K.rule, K.lattice
     if K.arity == "linear":
         if which != 1:
             raise ValueError("linear kernels have a single transpose")
         if lat is not None:
-            # one reflected profile per distinct profile: terms that share a
-            # profile keep sharing its lattice table
-            refl = {id(p): lambda u, _p=p: _p(-u) for _, p, _ in lat}
+            refl = {id(p): p.source if isinstance(p, Reflection) else Reflection(p)
+                    for _, p, _ in lat}
             lat = tuple((right, refl[id(p)], left) for left, p, right in lat)
         cur = K.curve
         if cur is not None:

@@ -26,8 +26,14 @@ bilinear point's sum is np.sum's pairwise sum of its products, formed
 _SUM_LEAF at a time, so applying builds no n x n temporary. A plan is
 immutable and its arrays are read-only, so no application changes it; its
 caller owns it and nothing is cached, so it lives as long as the caller
-keeps it. A sweep builds a row grid's plans once and applies them to its
-rows; apply_linear_field and friends build a plan and apply it once,
+keeps it. plans(kernels, grid, policy, points) builds several kernels' plans
+on one grid together: within that one call they share one lattice profile
+table per profile (a transpose's Reflection profile reads its source's table
+reversed) and one treecode geometry per curve z, and plan() is its
+one-kernel case. A sweep makes one plans() call per row grid, over the
+kernels of every experiment with rows there (T and T* of a Stein sweep, and
+T again for the wbp rows of a report), and applies them to its rows;
+apply_linear_field and friends build a plan and apply it once,
 per BLOCK rows (linear) or per point (bilinear) when points are given, so a
 one-shot call holds O(BLOCK n) or O(n^2) at a time. plan() states what each
 kind of plan holds and its size.
@@ -56,7 +62,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import Grid, SampledFunction
-from .kernels import KernelModel
+from .kernels import KernelModel, Reflection
 
 
 def _as_index(v) -> int | None:
@@ -158,8 +164,9 @@ class Plan:
     apply_linear_field / apply_bilinear_field return for the same kernel,
     policy and points, bit for bit. rows are the planned grid indices, or None
     for the whole field; the field is zero and unflagged off the rows. The
-    arrays in parts are read-only, so no application changes a plan; its
-    caller owns it, and nothing is cached anywhere else.
+    arrays in parts are read-only, so no application changes a plan, and the
+    plans of one plans() call may share some; its caller owns it, and nothing
+    is cached anywhere else.
     """
     kernel: KernelModel
     grid: Grid
@@ -183,7 +190,8 @@ class Plan:
 
 
 def plan(K: KernelModel, grid: Grid, policy: PvPolicy = PvPolicy(), points=None) -> Plan:
-    """The plan of T on grid at every point, or at the grid indices points.
+    """The plan of T on grid at every point, or at the grid indices points:
+    plans((K,), grid, policy, points)[0].
 
     What it holds, by case (n grid points, 16 bytes per complex):
     - explicit points, linear: each point's scrubbed kernel row and its near,
@@ -207,22 +215,46 @@ def plan(K: KernelModel, grid: Grid, policy: PvPolicy = PvPolicy(), points=None)
       and sums BLOCK rows (linear) or one slice (bilinear) at a time.
     Checks d = 1 and the points before any kernel evaluation.
     """
-    _check_grid(K, grid)
-    return _plan(K, grid, policy, None if points is None else _grid_indices(points, grid.n))
+    return plans((K,), grid, policy, points)[0]
 
 
-def _plan(K: KernelModel, grid: Grid, policy: PvPolicy, rows) -> Plan:
+def plans(kernels, grid: Grid, policy: PvPolicy = PvPolicy(), points=None) -> list:
+    """The plans of the kernels on one grid under one policy, in order: each is
+    bit for bit the plan() of its kernel and holds what plan() states, but
+    they are built together, sharing read-only work within this one call.
+
+    Whole linear fields with a structure share:
+    - one lattice profile table per distinct profile, evaluated once; a
+      Reflection profile (a transpose's) reads its source's table reversed,
+      exactly, as arange(1 - n, n) h is antisymmetric. A plan holds the
+      spectra of its tables, so tables are not held past the build;
+    - one treecode geometry per curve z (the near-field reciprocals and the
+      levels), held by every plan of that z: T and T* hold one copy.
+    Nothing outlives the call: the next call makes its own tables and
+    geometry. Checks d = 1 and the points before any kernel evaluation.
+    """
+    kernels = tuple(kernels)
+    for K in kernels:
+        _check_grid(K, grid)
+    rows = None if points is None else _grid_indices(points, grid.n)
+    shared = {}
+    return [_plan(K, grid, policy, rows, shared) for K in kernels]
+
+
+def _plan(K: KernelModel, grid: Grid, policy: PvPolicy, rows, shared: dict) -> Plan:
+    """K's plan; a whole linear field with a structure reads and fills shared,
+    the tables and geometry of the plans built with it."""
     linear = K.arity == "linear"
     if rows is not None:
         build, sums = (_linear_rows, _linear_rows_sums) if linear else \
             (_bilinear_slices, _bilinear_slices_sums)
+        parts = build(K, grid, policy, rows)
     elif linear and (K.lattice is not None or K.curve is not None):
-        build, sums = _linear_structure, _linear_structure_sums
+        parts, sums = _linear_structure(K, grid, policy, shared), _linear_structure_sums
     elif not linear and K.lattice is not None:
-        build, sums = _bilinear_lattice, _bilinear_lattice_sums
+        parts, sums = _bilinear_lattice(K, grid, policy), _bilinear_lattice_sums
     else:
-        build, sums = None, _dense_field_sums
-    parts = {} if build is None else build(K, grid, policy, rows)
+        parts, sums = {}, _dense_field_sums
     for a in _arrays((rows, parts)):
         a.setflags(write=False)
     return Plan(kernel=K, grid=grid, policy=policy, rows=rows, parts=parts, sums=sums)
@@ -234,7 +266,7 @@ def _chunked(K: KernelModel, grid: Grid, policy: PvPolicy, rows: np.ndarray, vs,
     each applied once: O(BLOCK n) or O(n^2) memory at a time."""
     step = BLOCK if K.arity == "linear" else 1
     for s in range(0, len(rows), step):
-        p = _plan(K, grid, policy, rows[s:s + step])
+        p = _plan(K, grid, policy, rows[s:s + step], {})
         p.sums(p, vs, values, delta)
         del p       # freed before the next plan is built: one plan at a time
 
@@ -332,16 +364,25 @@ def _factor(g, x):
     return None if g is None else g(x)
 
 
-def _lattice_plan(lattice, x: np.ndarray, h: float) -> dict:
+def _lattice_plan(lattice, x: np.ndarray, h: float, shared: dict) -> dict:
     """One profile table per distinct profile, as its spectrum, and each term's
-    factors on the grid; the table is zero at offset 0 (the j = i cell)."""
+    factors on the grid; the table is zero at offset 0 (the j = i cell). A
+    profile's table is made once per shared, and a Reflection's is its
+    source's reversed: offset k is -(offset 2n - 2 - k), exactly."""
     n = len(x)
+
+    def table(p):
+        if isinstance(p, Reflection):
+            return table(p.source)[::-1]
+        if ("table", id(p)) not in shared:
+            shared["table", id(p)] = t = _profile(p, np.arange(1 - n, n) * h)
+            t[n - 1] = 0.0
+        return shared["table", id(p)]
+
     spectra, terms = {}, []
     for left, p, right in lattice:
         if id(p) not in spectra:
-            table = _profile(p, np.arange(1 - n, n) * h)
-            table[n - 1] = 0.0
-            spectra[id(p)] = _spectrum(table, n)
+            spectra[id(p)] = _spectrum(table(p), n)
         terms.append((_factor(left, x), spectra[id(p)], _factor(right, x)))
     return {"terms": tuple(terms)}
 
@@ -360,8 +401,17 @@ LEAF = 32           # treecode leaves hold LEAF to 2 LEAF - 1 points (one leaf w
 _EPS_LOG = 53 * np.log(2.0)     # multipole order p: rho^p <= 2^-53
 
 
-def _curve_plan(curve, x: np.ndarray, h: float) -> dict:
-    """The treecode's geometry for sum_{j != i} left(x_i) right(x_j) f_j / (z_i - z_j).
+def _curve_plan(curve, x: np.ndarray, h: float, shared: dict) -> dict:
+    """The treecode's geometry for sum_{j != i} left(x_i) right(x_j) f_j / (z_i - z_j),
+    made once per z and shared, and the factors on the grid."""
+    left, z, right = curve
+    if ("curve", id(z)) not in shared:
+        shared["curve", id(z)] = _treecode_geometry(z, x, h)
+    return dict(shared["curve", id(z)], left=_factor(left, x), right=_factor(right, x))
+
+
+def _treecode_geometry(z, x: np.ndarray, h: float) -> dict:
+    """The treecode's geometry for sums over 1 / (z_i - z_j).
 
     A binary tree on the grid index has 2^L leaves of equal size; n is padded
     with zero-weight points continued past the box end, so no z repeats. Each
@@ -376,7 +426,6 @@ def _curve_plan(curve, x: np.ndarray, h: float) -> dict:
     next leaf, and per level the source boxes, V = 1 / (z_t - c), U = R V,
     the scaled offsets (z - c) / R and p.
     """
-    left, z, right = curve
     n = len(x)
     L = (max(n // LEAF, 1)).bit_length() - 1
     m = 1 << L
@@ -409,8 +458,7 @@ def _curve_plan(curve, x: np.ndarray, h: float) -> dict:
             raise ValueError(f"curve too steep for the treecode: far-field ratio {rho:.3f} >= 1")
         p = max(1, int(np.ceil(_EPS_LOG / -np.log(rho))))
         levels.append((src, V, U, (Z - c[:, None]) / R[:, None], p))
-    return {"near": (G, G1), "levels": tuple(levels),
-            "left": _factor(left, x), "right": _factor(right, x)}
+    return {"near": (G, G1), "levels": tuple(levels)}
 
 
 def _curve_sum(parts: dict, f: np.ndarray) -> np.ndarray:
@@ -443,13 +491,14 @@ def _curve_sum(parts: dict, f: np.ndarray) -> np.ndarray:
     return out if parts["left"] is None else parts["left"] * out
 
 
-def _linear_structure(K: KernelModel, grid: Grid, policy: PvPolicy, rows) -> dict:
-    """The lattice tables or the treecode geometry of the full off-diagonal sum,
-    and the near, a1 and ring masses read from K.rule on the 2 c_eps off-diagonals."""
+def _linear_structure(K: KernelModel, grid: Grid, policy: PvPolicy, shared: dict) -> dict:
+    """The lattice tables or the treecode geometry of the full off-diagonal sum
+    (shared with the plans built with it), and the near, a1 and ring masses
+    read from K.rule on the 2 c_eps off-diagonals."""
     n, h, c_eps = grid.n, grid.h, policy.c_eps
     x = grid.axis(0)
-    parts = _lattice_plan(K.lattice, x, h) if K.lattice is not None else \
-        _curve_plan(K.curve, x, h)
+    parts = _lattice_plan(K.lattice, x, h, shared) if K.lattice is not None else \
+        _curve_plan(K.curve, x, h, shared)
     ks = np.concatenate([np.arange(-c_eps, 0), np.arange(1, c_eps + 1)])
     j = np.arange(n)[:, None] + ks[None, :]
     band = _sample(K.rule, x[:, None], x[np.clip(j, 0, n - 1)], dtype=complex)
@@ -592,7 +641,7 @@ def _fft_length(m: int) -> int:
     return best
 
 
-def _bilinear_lattice(K: KernelModel, grid: Grid, policy: PvPolicy, rows) -> dict:
+def _bilinear_lattice(K: KernelModel, grid: Grid, policy: PvPolicy) -> dict:
     """The sheared 2D spectrum of the profile table, and the weights sum P over
     the excised offsets and over the ring, per point.
 

@@ -1,20 +1,24 @@
 import csv
+import importlib.util
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from contextlib import nullcontext
 from dataclasses import replace
 from operator import attrgetter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tblab.bmo import bmo_seminorm
+from tblab import cli, harness, quadrature
 from tblab.cli import ConfigError, ExperimentConfig, ingest_b, run
 from tblab.grid import (Grid, cube1, dyadic_family, load_sampled_csv, make_grid, sample,
                         save_sampled_csv)
 from tblab.harness import (GridSpec, builtin_b, exponent_fit, stein_bilinear_tb_test,
-                           stein_tb_test)
+                           stein_tb_test, weak_boundedness_test)
 from tblab.kernels import GALLERY_NAMES, gallery
 
 
@@ -29,7 +33,7 @@ def _forbid_fields(monkeypatch):
         raise AssertionError("a field was computed before the config was rejected")
 
     monkeypatch.setattr("tblab.harness.apply_linear_field", no_field)
-    monkeypatch.setattr("tblab.harness.plan", no_field)
+    monkeypatch.setattr("tblab.harness.plans", no_field)
 
 
 def test_config_unknown_key(tmp_path):
@@ -106,7 +110,9 @@ def test_malformed_b_csv_exit_2_before_any_file(tmp_path, capsys, text, message)
 @pytest.mark.parametrize("sub", ["bmo", "stein", "para-accretive"])
 def test_too_small_grid_exit_2_before_the_output_directory(tmp_path, capsys, sub):
     # grid.n = 4 fails at run time; it used to leave an empty output directory
-    p = write_cfg(tmp_path, "n.cfg", "kernel.name = hilbert\ngrid.n = 4\n")
+    # (only stein reads kernel.name)
+    kernel = "kernel.name = hilbert\n" if sub == "stein" else ""
+    p = write_cfg(tmp_path, "n.cfg", kernel + "grid.n = 4\n")
     out = tmp_path / "out"
     assert run(sub, p, out) == 2
     assert "need at least 8 points per axis" in capsys.readouterr().err
@@ -272,7 +278,7 @@ def test_fitted_sweeps_reject_short_scales(tmp_path, capsys, monkeypatch, sub):
         raise AssertionError("a field was computed before the config was rejected")
 
     monkeypatch.setattr("tblab.harness.apply_linear_field", no_field)
-    monkeypatch.setattr("tblab.harness.plan", no_field)
+    monkeypatch.setattr("tblab.harness.plans", no_field)
     p = write_cfg(tmp_path, "s.cfg", "kernel.name = positive-control\ngrid.n = 256\n"
                                      "scales = 0.5,1,2,4\n")
     out = tmp_path / "out"
@@ -300,7 +306,7 @@ def test_bad_scales_exit_2_before_any_file(tmp_path, capsys, monkeypatch, sub, k
         raise AssertionError("a field was computed before the scales were rejected")
 
     monkeypatch.setattr("tblab.harness.apply_linear_field", no_field)
-    monkeypatch.setattr("tblab.harness.plan", no_field)
+    monkeypatch.setattr("tblab.harness.plans", no_field)
     p = write_cfg(tmp_path, "s.cfg", f"kernel.name = {kernel}\ngrid.n = 64\n"
                                      f"scales = {scales}\n")
     out = tmp_path / "out"
@@ -320,7 +326,7 @@ def test_nonfinite_list_key_exit_2_before_any_file(tmp_path, capsys, monkeypatch
         raise AssertionError("a field was computed before the config was rejected")
 
     monkeypatch.setattr("tblab.harness.apply_linear_field", no_field)
-    monkeypatch.setattr("tblab.harness.plan", no_field)
+    monkeypatch.setattr("tblab.harness.plans", no_field)
     p = write_cfg(tmp_path, "s.cfg", f"kernel.name = hilbert\ngrid.n = 64\n{key} = {value}\n")
     out = tmp_path / "out"
     assert run(sub, p, out) == 2
@@ -471,7 +477,7 @@ def test_cube_without_a_grid_cell_exit_2_before_any_plan(tmp_path, capsys, monke
     def no_plan(*args, **kwargs):
         raise AssertionError("a plan was built before the cube was rejected")
 
-    monkeypatch.setattr("tblab.harness.plan", no_plan)
+    monkeypatch.setattr("tblab.harness.plans", no_plan)
     kernel = "hilbert" if sub == "far-field" else "bilinear-homog"
     p = write_cfg(tmp_path, "c.cfg", f"kernel.name = {kernel}\ngrid.n = 256\n"
                                      f"grid.box_side = 64\n{key} = {value}\n")
@@ -497,15 +503,17 @@ def test_report_emits_svg(tmp_path):
     assert svg.startswith("<svg") and "circle" in svg
     # summary.txt holds every stein line, then the wbp line, and the exit code
     # is the worse of the two; at equal centers cauchy-lipschitz passes stein
-    # and fails wbp
-    mixed = write_cfg(tmp_path, "m.cfg", "kernel.name = cauchy-lipschitz\ngrid.n = 128\n"
-                                         "centers = 0\noffsets = 0\n"
-                                         "scales = 0.25,0.5,1,2,4\n")
-    for cfg, expected in ((p, 0), (mixed, 1)):
+    # and fails wbp (stein reads centers but not offsets, wbp the other way round)
+    body = "kernel.name = cauchy-lipschitz\ngrid.n = 128\nscales = 0.25,0.5,1,2,4\n"
+    keys = {"stein": "centers = 0\n", "wbp": "offsets = 0\n",
+            "report": "centers = 0\noffsets = 0\n"}
+    for cfgs, expected in (({sub: p for sub in keys}, 0),
+                           ({sub: write_cfg(tmp_path, f"m-{sub}.cfg", body + extra)
+                             for sub, extra in keys.items()}, 1)):
         rcs, lines = {}, {}
         for sub in ("stein", "wbp", "report"):
-            d = tmp_path / f"{cfg.stem}-{sub}"
-            rcs[sub] = run(sub, cfg, d)
+            d = tmp_path / f"{cfgs[sub].stem}-{sub}"
+            rcs[sub] = run(sub, cfgs[sub], d)
             lines[sub] = (d / "summary.txt").read_text().splitlines()
         assert rcs["report"] == max(rcs["stein"], rcs["wbp"]) == expected
         assert lines["report"] == lines["stein"] + lines["wbp"]
@@ -620,6 +628,112 @@ def test_uncertified_b_is_one_plain_note(tmp_path, capsys, sub, b0, b1):
     assert capsys.readouterr().err.splitlines() == [
         f"note: b-function {b!r} carries no para-accretivity certificate"
         for b in dict.fromkeys((b0, b1))]
+
+
+@pytest.mark.parametrize("sub,key,value", [
+    ("wbp", "centers", "0.3"), ("stein", "offsets", "1"), ("check-kernel", "grid.n", "64"),
+    ("bmo", "kernel.name", "hilbert"), ("para-accretive", "uk.k", "1"),
+    ("uk-build", "bmo.k_max", "3"), ("sweep-bmo", "bmo.k_max", "3"),
+    ("far-field", "b2", "sign-sin"), ("bilinear-decomp", "offsets", "1"),
+    ("report", "seed", "7")])
+def test_key_a_subcommand_does_not_read_exit_2_before_any_field(tmp_path, capsys, monkeypatch,
+                                                                sub, key, value):
+    # wbp with centers = 0.3 and stein with offsets = 1 used to run on their
+    # defaults and exit 0, as if the key were absent
+    _forbid_fields(monkeypatch)
+    body = "" if key == "kernel.name" or sub in ("bmo", "para-accretive", "uk-build") else \
+        "kernel.name = hilbert\n"
+    out = tmp_path / "out"
+    assert run(sub, write_cfg(tmp_path, "k.cfg", f"{body}{key} = {value}\n"), out) == 2
+    assert f"{sub} does not read {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_every_benchmark_config_reads_only_its_keys(monkeypatch):
+    # each CLI item of the benchmark and its set-up override stay accepted
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    items = [item for w in workloads.WORKLOADS for item in workloads.build(w, 1)
+             if isinstance(item, workloads.CliItem)]
+    assert items
+    for item in items:
+        for cfg in (item.cfg, dict(item.cfg, **item.tiny)):
+            assert set(cfg) <= set(cli._READS[item.sub]), (item.name, cfg)
+
+
+def _grids_planned(monkeypatch, cfg):
+    """The row grids a report run plans on, once per plans() call, and the
+    profile tables and treecode geometries it makes."""
+    grids, made = [], []
+
+    def counting_plans(kernels, g, policy, points, _f=harness.plans):
+        grids.append(g)
+        return _f(kernels, g, policy, points)
+    monkeypatch.setattr(harness, "plans", counting_plans)
+    for target in ("_profile", "_treecode_geometry"):
+        def counting(*args, _f=getattr(quadrature, target)):
+            made.append(args[0])
+            return _f(*args)
+        monkeypatch.setattr(quadrature, target, counting)
+    assert run("report", cfg, cfg.parent / f"{cfg.stem}-out") in (0, 1)
+    return grids, made
+
+
+@pytest.mark.parametrize("kernel", ["hilbert", "cauchy-lipschitz"])
+@pytest.mark.parametrize("body,n_grids", [
+    ("", 7),
+    ("grid.n = 768\ncenters = 0\noffsets = {offset}\nscales = 0.25,0.5,1,2,4\n{bs}", 5)],
+    ids=["default", "benchmark"])
+def test_report_plans_each_row_grid_once(tmp_path, monkeypatch, kernel, body, n_grids):
+    # the Stein rows of T, T* and the wbp rows of T share one plans() call per
+    # row grid: one profile table or treecode geometry per grid, 7 and not 21
+    # at the default config
+    bs = "b0 = accretive-lipschitz(0.3)\nb1 = accretive-lipschitz(0.3)\n"
+    body = body.format(offset=1 if kernel == "hilbert" else 0,
+                       bs=bs if kernel == "cauchy-lipschitz" else "")
+    cfg = write_cfg(tmp_path, "r.cfg", f"kernel.name = {kernel}\n{body}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        grids, made = _grids_planned(monkeypatch, cfg)
+    assert len(grids) == len(set(grids)) == n_grids
+    assert len(made) == n_grids
+
+
+@pytest.mark.parametrize("body,oracle", [
+    ("kernel.name = cauchy-lipschitz\nb0 = accretive-lipschitz(0.3)\n"
+     "b1 = accretive-lipschitz(0.3)\ngrid.n = 128\ncenters = 0\noffsets = 0\n"
+     "scales = 0.25,0.5,1,2,4\n",
+     lambda K, b, one, scales: [
+         *attrgetter("on_b1", "transpose_on_b0")(stein_tb_test(
+             K, b, b, scales=scales, center_fracs=(0.0,), grid=GridSpec(n=128))),
+         weak_boundedness_test(K, b, b, one, scales=scales, offsets=(0.0,),
+                               grid=GridSpec(n=128))]),
+    ("kernel.name = bilinear-homog\nb1 = accretive-lipschitz(0.3)\ngrid.n = 32\n",
+     lambda K, b, one, scales: [
+         *stein_bilinear_tb_test(K, one, b, one, grid=GridSpec(n=32, box_side=8.0)).reports,
+         weak_boundedness_test(K, one, b, one, grid=GridSpec(n=32, box_side=8.0))])],
+    ids=["tb-cauchy-lipschitz", "bilinear"])
+def test_report_writes_the_bytes_of_stein_then_wbp(tmp_path, capsys, body, oracle):
+    # one sweep of the Stein and wbp parts against the two sweeps it replaced,
+    # stein then wbp, emitted as report emits them
+    out = tmp_path / "out"
+    rc = run("report", write_cfg(tmp_path, "r.cfg", body), out)
+    notes = capsys.readouterr().err.splitlines()
+    K = gallery(body.split("\n")[0].split(" = ")[1])
+    b, one = builtin_b("accretive-lipschitz(0.3)"), builtin_b("one")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        reports = oracle(K, b, one, (0.25, 0.5, 1.0, 2.0, 4.0))
+    assert rc == cli._emit(tmp_path / "oracle", reports, svg=True)
+    written = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert written == {p.name: p.read_bytes() for p in (tmp_path / "oracle").iterdir()}
+    assert len(written) == 2 * len(reports) + 1
+    # the uncertified b of a linear T(b) is one note, as before
+    assert notes == (["note: b-function 'accretive-lipschitz(0.3)' carries no "
+                      "para-accretivity certificate"] if K.arity == "linear" else [])
 
 
 def _uniformity(vals, factor=2.0):

@@ -14,7 +14,7 @@ from tblab.harness import (BILINEAR_GRID, BILINEAR_SCALES, DECOMP_CUBE, DECOMP_G
                            stein_bilinear_tb_test, stein_t1_test, stein_tb_test,
                            uniform_bmo_sweep, weak_boundedness_test)
 from tblab.kernels import KernelModel, gallery
-from tblab.quadrature import PvPolicy, apply_bilinear_field, apply_linear_field, plan
+from tblab.quadrature import PvPolicy, apply_bilinear_field, apply_linear_field, plans
 
 ONE = builtin_b("one")
 SMALL = GridSpec(n=256, box_side=16.0)
@@ -154,14 +154,13 @@ def test_wbp_plans_a_fixed_grid_once(monkeypatch):
     assert len(rep.rows) == 14
     assert calls == [2 * 256 - 1] * 2
     # bit for bit the rows of one apply_linear_field per row
-    monkeypatch.setattr("tblab.harness.plan", lambda K, g, policy, points: (
-        lambda f: apply_linear_field(K, f, policy, points)))
+    monkeypatch.setattr("tblab.harness.plans", lambda ks, g, policy, points: [
+        lambda f, K=K: apply_linear_field(K, f, policy, points) for K in ks])
     assert weak_boundedness_test(K, **args).rows == rep.rows
 
 
 def test_scale_matched_sweep_plans_each_row_grid_once():
-    # one profile table for T and one for T* per row grid: 7 grids, 14 tables,
-    # each grid's pair built together
+    # one profile table per row grid, read reversed for T*: 7 grids, 7 tables
     K = gallery("hilbert")
     profile = K.lattice[0][1]
     reach = []
@@ -175,8 +174,7 @@ def test_scale_matched_sweep_plans_each_row_grid_once():
     rep = stein_t1_test(replace(K, lattice=((None, counting, None),)), grid=grid,
                         center_fracs=(0.0,))
     assert K.grid_mode == "scaled" and len(rep.rows) == 7
-    assert reach == [r for r in dict.fromkeys(reach) for _ in range(2)]
-    assert len(set(reach)) == 7
+    assert len(reach) == len(set(reach)) == 7
     assert rep.rows == stein_t1_test(K, grid=grid, center_fracs=(0.0,)).rows
 
 
@@ -207,11 +205,12 @@ def test_scale_matched_sweep_plans_each_row_grid_once():
 def test_sweep_plans_each_distinct_row_grid_once(monkeypatch, test, sides):
     built = []
 
-    def counting(K, g, policy, points):
-        built.append((K.name, g))
-        return plan(K, g, policy, points)
+    def counting(kernels, g, policy, points):
+        kernels = list(kernels)
+        built.extend((K.name, g) for K in kernels)
+        return plans(kernels, g, policy, points)
 
-    monkeypatch.setattr("tblab.harness.plan", counting)
+    monkeypatch.setattr("tblab.harness.plans", counting)
     test()
     assert [g.box.side for _, g in built] == sides
     assert len(set(built)) == len(built)
@@ -228,7 +227,7 @@ def test_sweep_with_no_group_is_rejected_before_any_plan(monkeypatch, test):
     def no_plan(*args, **kwargs):
         raise AssertionError("a plan was built")
 
-    monkeypatch.setattr("tblab.harness.plan", no_plan)
+    monkeypatch.setattr("tblab.harness.plans", no_plan)
     with pytest.raises(ValueError, match="at least one group"):
         test()
 
@@ -266,8 +265,8 @@ def test_direct_bound_rows_equal_one_shot_rows(monkeypatch, K, args):
     K = gallery(K)
     rep = direct_bound_check(K, ONE, **args)
     apply = apply_linear_field if K.arity == "linear" else apply_bilinear_field
-    monkeypatch.setattr("tblab.harness.plan", lambda K, g, policy, points: (
-        lambda *fs: apply(K, *fs, policy, points)))
+    monkeypatch.setattr("tblab.harness.plans", lambda ks, g, policy, points: [
+        lambda *fs, K=K: apply(K, *fs, policy, points) for K in ks])
     assert direct_bound_check(K, ONE, **args).rows == rep.rows
 
 
@@ -385,7 +384,7 @@ def test_far_field_rejects_8q_outside_the_box(monkeypatch, center):
     def no_plan(*args, **kwargs):
         raise AssertionError("a plan was built")
 
-    monkeypatch.setattr("tblab.harness.plan", no_plan)
+    monkeypatch.setattr("tblab.harness.plans", no_plan)
     with pytest.raises(ValueError, match="grid box must contain 8Q"):
         far_field_constancy(gallery("hilbert"), Q=Cube((center,), 0.25))
 
@@ -401,7 +400,7 @@ def test_localized_checks_reject_a_cube_without_a_cell(monkeypatch, check, Q):
     def no_plan(*args, **kwargs):
         raise AssertionError("a field was computed")
 
-    monkeypatch.setattr("tblab.harness.plan", no_plan)
+    monkeypatch.setattr("tblab.harness.plans", no_plan)
     monkeypatch.setattr("tblab.harness.apply_linear_field", no_plan)
     with pytest.raises(ValueError, match=r"holds no cell of the grid on \[-32, 32\]"):
         check(Q, GridSpec(n=256, box_side=64.0))
@@ -425,7 +424,7 @@ def test_localized_checks_reject_a_vacuous_cube_before_any_field(monkeypatch, ch
     def no_plan(*args, **kwargs):
         raise AssertionError("a field was computed")
 
-    monkeypatch.setattr("tblab.harness.plan", no_plan)
+    monkeypatch.setattr("tblab.harness.plans", no_plan)
     monkeypatch.setattr("tblab.harness.apply_linear_field", no_plan)
     with pytest.raises(ValueError, match=message):
         check(Cube((center,), 0.5))
@@ -439,7 +438,7 @@ def test_local_piece_rejects_phi_r_wider_than_the_box(monkeypatch):
     def no_plan(*args, **kwargs):
         raise AssertionError("a field was computed")
 
-    monkeypatch.setattr("tblab.harness.plan", no_plan)
+    monkeypatch.setattr("tblab.harness.plans", no_plan)
     monkeypatch.setattr("tblab.harness.apply_linear_field", no_plan)
     with pytest.raises(ValueError, match=r"R = 80, the box is \[-48, 48\]"):
         local_piece_check(gallery("hilbert"), ONE, Cube((0.0,), 1.0), 80.0)
@@ -649,7 +648,7 @@ def _forbid_fields(monkeypatch):
         raise AssertionError("a field was computed before the input was rejected")
 
     monkeypatch.setattr("tblab.harness.apply_linear_field", no_field)
-    monkeypatch.setattr("tblab.harness.plan", no_field)
+    monkeypatch.setattr("tblab.harness.plans", no_field)
 
 
 @pytest.mark.parametrize("scales", [(), (1.0, -2.0), (0.0, 1.0), (1.0, float("nan")),

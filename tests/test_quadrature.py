@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tblab import quadrature
 from tblab.bumps import standard_bump, translate_dilate
 from tblab.grid import Cube, SampledFunction, cube1, lp_norm, make_grid, sample
 from tblab.harness import (DECOMP_CUBE, GridSpec, _localize, bilinear_decomposition_check,
@@ -14,7 +15,8 @@ from tblab.harness import (DECOMP_CUBE, GridSpec, _localize, bilinear_decomposit
 from tblab.kernels import GALLERY_NAMES, KernelModel, gallery, transpose_kernel
 from tblab.quadrature import (_SLICE_BYTES, PvPolicy, _arrays, _triple_pairing,
                               apply_bilinear, apply_bilinear_field, apply_linear,
-                              apply_linear_field, pairing, plan, triple_pairing)
+                              apply_linear_field, pairing, plan, plans,
+                              triple_pairing)
 
 H = gallery("hilbert")
 
@@ -638,7 +640,7 @@ def test_plan_is_bit_identical_to_apply(name):
 
 
 def test_commutator_sweep_evaluates_two_profile_tables():
-    # fixed grid mode: one table for T and one for T* per sweep, not two per scale
+    # fixed grid mode: one table per sweep, read reversed for T*, not two per scale
     K = gallery("commutator")
     keven = K.lattice[0][1]
     calls = []
@@ -652,8 +654,69 @@ def test_commutator_sweep_evaluates_two_profile_tables():
     grid = GridSpec(n=256, box_side=24.0)
     rep = stein_t1_test(Kc, grid=grid, center_fracs=(0.0,))
     assert K.grid_mode == "fixed" and len(rep.rows) == 7
-    assert calls == [2 * 256 - 1] * 2
+    assert calls == [2 * 256 - 1]
     assert rep.rows == stein_t1_test(K, grid=grid, center_fracs=(0.0,)).rows
+
+
+def _opaque_transpose(K):
+    """K* with the reflection of each lattice profile as an opaque closure, so that
+    its plan evaluates the reflected profile itself (the transpose before Reflection)."""
+    Kt = transpose_kernel(K)
+    if K.lattice is None:
+        return Kt
+    refl = {id(p): (lambda u, _p=p: _p(-u)) for _, p, _ in K.lattice}
+    return dataclasses.replace(Kt, lattice=tuple((right, refl[id(p)], left)
+                                                 for left, p, right in K.lattice))
+
+
+@pytest.mark.parametrize("name,params", [
+    ("hilbert", {}), ("positive-control", {}), ("commutator", {}),
+    ("cauchy-lipschitz", dict(lam=0.0)), ("cauchy-lipschitz", dict(lam=0.3)),
+    ("cauchy-lipschitz", dict(lam=1.0, lip_bound=1.0))])
+@pytest.mark.parametrize("n", [255, 384, 1000])
+@pytest.mark.parametrize("box", [16.0, 64.0])
+def test_shared_plans_are_bit_identical_to_separate_plans(name, params, n, box):
+    # T* from T's table read reversed, or from T's treecode geometry, against a
+    # plan of K* built alone with an opaque reflection (a geometry of its own);
+    # h = box / n is not a power of two
+    K = gallery(name, **params)
+    g = make_grid(1, cube1(0.0, box), n)
+    fs = [_smooth(g, s) for s in (30, 31)]
+    for c_eps in (1, 2, 4):
+        policy = PvPolicy(c_eps=c_eps)
+        T, Tt = plans((K, transpose_kernel(K)), g, policy)
+        for got, alone in ((T, plan(K, g, policy)), (Tt, plan(_opaque_transpose(K), g, policy))):
+            for f in fs:
+                a, b = got(f), alone(f)
+                assert np.array_equal(a.field.values, b.field.values)
+                assert np.array_equal(a.converged, b.converged)
+
+
+@pytest.mark.parametrize("name", ["hilbert", "commutator", "cauchy-lipschitz"])
+def test_shared_plans_build_one_table_or_geometry(monkeypatch, name):
+    # T, T* and T** on one grid: one profile evaluation per distinct profile, or
+    # one treecode geometry; T** reads its profile's own table, unreversed
+    K = gallery(name)
+    Kt = transpose_kernel(K)
+    Ktt = transpose_kernel(Kt)
+    if K.lattice is not None:
+        assert [p for _, p, _ in Ktt.lattice] == [p for _, p, _ in K.lattice]
+    made = []
+    for target in ("_profile", "_treecode_geometry"):
+        def counting(*args, _f=getattr(quadrature, target)):
+            made.append(args[0])
+            return _f(*args)
+        monkeypatch.setattr(quadrature, target, counting)
+    g = make_grid(1, cube1(0.0, 16.0), 255)
+    got = plans((K, Kt, Ktt), g)
+    source = K.lattice[0][1] if K.lattice is not None else K.curve[1]
+    assert made == [source]
+    # nothing outlives the call: a second call builds its own
+    plan(Kt, g)
+    assert made == [source] * 2
+    monkeypatch.undo()
+    f = _smooth(g, 5)
+    assert np.array_equal(got[2](f).field.values, got[0](f).field.values)
 
 
 def test_decomposition_builds_one_slice_per_point():
