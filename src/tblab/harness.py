@@ -21,7 +21,8 @@ from . import bumps
 from .bmo import bmo_seminorm
 from .grid import Cube, Grid, SampledFunction, cube1, dyadic_family, lp_norm, sample
 from .kernels import KernelModel, transpose_kernel
-from .quadrature import Plan, PvPolicy, _triple_pairing, apply_linear_field, pairing, plans
+from .quadrature import (FieldResult, Plan, PvPolicy, _triple_pairing, apply_linear_field,
+                         pairing, plans)
 from .util import csv_table
 
 DEFAULT_SLOPE_TOL = 0.07
@@ -236,16 +237,32 @@ def _weighted(b: SampledFunction, *factors) -> SampledFunction:
     return SampledFunction(grid=b.grid, values=values)
 
 
+def _by_parity(fr: FieldResult, parity: int) -> FieldResult:
+    """parity times the field of fr, with its flags: T* f from fr = T f for a
+    kernel with K(y, x) = parity K(x, y) exactly (negation is exact)."""
+    if parity == 1:
+        return fr
+    return replace(fr, field=replace(fr.field, values=-fr.field.values))
+
+
 def _l2(fr) -> float:
     return lp_norm(fr.field, 2)
 
 
+def _repeated(items):
+    """The first item equal to an earlier one, or None."""
+    return next((x for i, x in enumerate(items) if x in items[:i]), None)
+
+
 def _check_scales(scales) -> tuple:
-    """The scales as a tuple; an empty list or a scale that is not positive and
-    finite is rejected before any computation."""
+    """The scales as a tuple; an empty list, a scale that is not positive and
+    finite or a repeated scale is rejected before any computation."""
     scales = tuple(scales)
     if not scales or not all(np.isfinite(R) and R > 0 for R in scales):
         raise ValueError(f"scales must be positive and finite, at least one; got {scales}")
+    R = _repeated(scales)
+    if R is not None:
+        raise ValueError(f"scale {R:g} is repeated in the scales {scales}")
     return scales
 
 
@@ -284,10 +301,14 @@ def _jobs(part: _Part) -> list:
     """The part's kept jobs (grid, group, R, centres, margin flag), group-major.
     A job whose bumps escape its grid (max |x| + R above half the box side) is
     dropped, and the margin flag is max |x| + R above 0.9 of half the side; no
-    group, or a group left with no job or with fewer than min_rows, is an error."""
+    group, a repeated group, or a group left with no job or with fewer than
+    min_rows, is an error."""
     scales = _check_scales(part.scales)
     if not part.groups:
         raise ValueError("a sweep needs at least one group of rows, got none")
+    group = _repeated(list(part.groups))
+    if group is not None:
+        raise ValueError(f"section {group[0]!r} at centre {group[1]:g} is repeated")
     jobs = []
     for group in part.groups:
         kept = []
@@ -307,6 +328,22 @@ def _jobs(part: _Part) -> list:
     return jobs
 
 
+class _Applied:
+    """A plan applied once per distinct input: a call on functions whose grids
+    and value bytes match an earlier call's returns that call's FieldResult,
+    its arrays read-only."""
+
+    def __init__(self, plan):
+        self._plan, self._done = plan, {}
+
+    def __call__(self, *fs) -> FieldResult:
+        key = tuple((f.grid, f.values.tobytes()) for f in fs)
+        if key not in self._done:
+            fr = self._done[key] = self._plan(*fs)
+            fr.converged.setflags(write=False)
+        return self._done[key]
+
+
 def _sweep(parts, policy: PvPolicy, points=None) -> list:
     """The shape of every sweep: row jobs, their plans, their rows, a reducer
     per part; the list of the parts' reductions.
@@ -316,19 +353,21 @@ def _sweep(parts, policy: PvPolicy, points=None) -> list:
     gets one plans() call (under policy, at the grid indices points, every
     point when None) over the union of the kernels of the parts with a job on
     g, so those plans share their tables and geometry, and each part's rows on
-    g get the plans of its own kernels. A grid's plans are dropped before the
-    next grid.
+    g get the plans of its own kernels. The rows get each plan as an _Applied,
+    so every row of every part on g that applies it to the same input gets the
+    one FieldResult of its first application. A grid's plans and their results
+    are dropped before the next grid; nothing is kept across grids.
     """
     jobs = [(part, *job) for part in parts for job in _jobs(part)]
     done = {}
     for g in dict.fromkeys(job[1] for job in jobs):
         here = [i for i, job in enumerate(jobs) if job[1] == g]
         kernels = {id(K): K for i in here for K in jobs[i][0].kernels}
-        built = dict(zip(kernels, plans(kernels.values(), g, policy, points)))
+        built = dict(zip(kernels, map(_Applied, plans(kernels.values(), g, policy, points))))
         for i in here:
             part, _, group, R, xs, _ = jobs[i]
             done[i] = part.row(g, [built[id(K)] for K in part.kernels], group, R, xs)
-        del built                        # drop this grid's plans before the next
+        del built                   # drop this grid's plans and results before the next
     return [part.reduce([(group, R, done[i], margin)
                          for i, (owner, _, group, R, _, margin) in enumerate(jobs)
                          if owner is part])
@@ -434,7 +473,10 @@ def _stein_part(K: KernelModel, b0: BFunc, b1: BFunc, experiments, reduce, M: in
     """The linear testing conditions on the plans of T and T*.
 
     The bump sits at center fraction x box side; reduce(T(b1 phi), T*(b0 phi))
-    lists the (value, pv flag) of each report named in experiments.
+    lists the (value, pv flag) of each report named in experiments. A kernel
+    with a transpose parity plans T alone and reads T*(b0 phi) as
+    parity T(b0 phi), bit for bit what the plan of T* gives; with b0 = b1 that
+    is the row's own T(b1 phi) again, so T* costs no application.
     """
     if K.arity != "linear":
         raise ValueError("needs a linear kernel")
@@ -442,10 +484,13 @@ def _stein_part(K: KernelModel, b0: BFunc, b1: BFunc, experiments, reduce, M: in
 
     def row(g, plans, group, R, centres):
         phi = _bump_field(g, M, centres[0], R).values
-        T, Tt = plans
-        return reduce(T(_weighted(b1.sampled(g), phi)), Tt(_weighted(b0.sampled(g), phi)))
+        T = plans[0]
+        fr1 = T(_weighted(b1.sampled(g), phi))
+        f0 = _weighted(b0.sampled(g), phi)
+        return reduce(fr1, _by_parity(T(f0), K.parity) if K.parity else plans[1](f0))
 
-    return _Part(row, (K, Kt), lambda group, R: grid.row_grid(K.grid_mode, R),
+    return _Part(row, (K,) if K.parity else (K, Kt),
+                 lambda group, R: grid.row_grid(K.grid_mode, R),
                  [("", frac) for frac in center_fracs], scales,
                  _fit_reducer(list(zip(experiments, (K.name, Kt.name))), (b0.name, b1.name),
                               M, K.d / 2.0, slope_tol, uniformity_factor),

@@ -18,6 +18,10 @@ GALLERY_NAMES = ("hilbert", "cauchy-lipschitz", "commutator", "bilinear-homog",
 
 @dataclass(frozen=True)
 class KernelModel:
+    """A d = 1 kernel: its rule, claimed constants, sweep grid mode, optional
+    lattice or curve structure for whole fields, and its exact transpose
+    parity (K(y, x) = parity K(x, y); declared by hilbert and cauchy-lipschitz
+    as -1 and by positive-control as +1)."""
     name: str
     arity: str                  # "linear" | "bilinear"
     d: int
@@ -39,6 +43,11 @@ class KernelModel:
     # (left, z, right), K(x, y) = left(x) right(y) / (z(x) - z(y)), with None
     # for a factor of one; quadrature sums whole fields by a multipole treecode.
     curve: object = field(default=None, compare=False)
+    # Exact transpose parity: K(y, x) = parity K(x, y), and the plan of the
+    # transpose gives parity times the plan of K, bit for bit in floating point;
+    # 0 where no such identity is declared (every bilinear kernel). The harness
+    # then reads T* f as parity T f and plans K alone.
+    parity: int = 0
 
     def __post_init__(self):
         if self.arity not in ("linear", "bilinear"):
@@ -47,6 +56,10 @@ class KernelModel:
             raise ValueError(f"delta must be in (0, 1], got {self.delta}")
         if self.curve is not None and (self.arity != "linear" or self.lattice is not None):
             raise ValueError("a curve structure needs a linear kernel without a lattice")
+        if isinstance(self.parity, bool) or self.parity not in (-1, 0, 1):
+            raise ValueError(f"parity must be -1, 0 or 1, got {self.parity!r}")
+        if self.parity and self.arity != "linear":
+            raise ValueError("a transpose parity needs a linear kernel")
 
 
 @dataclass(frozen=True)
@@ -122,13 +135,14 @@ def _bilinear_homog(u, v):
         return np.where(s2 > 0, u * v / s2 ** 2, 0.0)
 
 
-def _difference_kernel(name, profile, size_constant, grid_mode="scaled") -> KernelModel:
-    """K(x, y) = profile(x - y)."""
+def _difference_kernel(name, profile, size_constant, parity,
+                       grid_mode="scaled") -> KernelModel:
+    """K(x, y) = profile(x - y), with profile(-u) = parity profile(u) exactly."""
     def rule(x, y):
         return profile(np.asarray(x, dtype=float) - np.asarray(y, dtype=float))
     return KernelModel(name=name, arity="linear", d=1, delta=1.0,
                        size_constant=size_constant, rule=rule,
-                       grid_mode=grid_mode, lattice=((None, profile, None),))
+                       grid_mode=grid_mode, lattice=((None, profile, None),), parity=parity)
 
 
 def _no_other_params(name: str, params: dict) -> None:
@@ -142,7 +156,7 @@ def gallery(name: str, **params) -> KernelModel:
     bilinear-homog, positive-control; any other parameter is rejected."""
     if name == "hilbert":
         _no_other_params(name, params)
-        return _difference_kernel(name, lambda u: 1.0 / (np.pi * u), 1.0 / np.pi)
+        return _difference_kernel(name, lambda u: 1.0 / (np.pi * u), 1.0 / np.pi, -1)
 
     if name == "cauchy-lipschitz":
         lam = float(params.pop("lam", 0.3))
@@ -159,10 +173,11 @@ def gallery(name: str, **params) -> KernelModel:
         def rule(x, y, _z=z):
             return 1.0 / (_z(x) - _z(y))
         # the treecode's far-field ratio is at most sqrt(1 + lam^2) / 3 <= 0.48
-        # for |lam| <= 1; steeper graphs keep the dense rows
+        # for |lam| <= 1; steeper graphs keep the dense rows. 1/(z(y) - z(x))
+        # is -1/(z(x) - z(y)) exactly: negation commutes with rounding
         return KernelModel(name="cauchy-lipschitz", arity="linear", d=1, delta=1.0,
                            size_constant=1.0, rule=rule, params={"lam": lam},
-                           curve=(None, z, None) if abs(lam) <= 1.0 else None)
+                           curve=(None, z, None) if abs(lam) <= 1.0 else None, parity=-1)
 
     if name == "commutator":
         lam_trunc = float(params.pop("lam_trunc", 64.0))
@@ -198,7 +213,7 @@ def gallery(name: str, **params) -> KernelModel:
 
     if name == "positive-control":
         _no_other_params(name, params)
-        return _difference_kernel(name, lambda u: 1.0 / np.abs(u), 1.0, grid_mode="fixed")
+        return _difference_kernel(name, lambda u: 1.0 / np.abs(u), 1.0, 1, grid_mode="fixed")
 
     raise ValueError(f"unknown gallery operator {name!r}; known: {GALLERY_NAMES}")
 

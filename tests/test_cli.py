@@ -649,15 +649,20 @@ def test_key_a_subcommand_does_not_read_exit_2_before_any_field(tmp_path, capsys
     assert not out.exists()
 
 
-def test_every_benchmark_config_reads_only_its_keys(monkeypatch):
-    # each CLI item of the benchmark and its set-up override stay accepted
+def _benchmark_cli_items(monkeypatch) -> list:
+    """The CLI items of every benchmark workload, as perfbench/workloads.py builds them."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)
     spec.loader.exec_module(workloads)
-    items = [item for w in workloads.WORKLOADS for item in workloads.build(w, 1)
-             if isinstance(item, workloads.CliItem)]
+    return [item for w in workloads.WORKLOADS for item in workloads.build(w, 1)
+            if isinstance(item, workloads.CliItem)]
+
+
+def test_every_benchmark_config_reads_only_its_keys(monkeypatch):
+    # each CLI item of the benchmark and its set-up override stay accepted
+    items = _benchmark_cli_items(monkeypatch)
     assert items
     for item in items:
         for cfg in (item.cfg, dict(item.cfg, **item.tiny)):
@@ -700,6 +705,44 @@ def test_report_plans_each_row_grid_once(tmp_path, monkeypatch, kernel, body, n_
         grids, made = _grids_planned(monkeypatch, cfg)
     assert len(grids) == len(set(grids)) == n_grids
     assert len(made) == n_grids
+
+
+@pytest.mark.parametrize("name,applies", [
+    # the Stein row's T(b1 phi) at centre 0 is T*(b0 phi) up to the sign and
+    # the wbp row's T input: one application per row grid, where 3 were
+    ("report.hilbert", 5), ("report.cauchy-lipschitz", 5), ("report.positive-control", 5),
+    # 7 scales x 3 centres of Stein rows; every wbp row reuses a centre-0 field
+    ("default-hilbert", 21)])
+def test_report_applies_each_distinct_field_once(tmp_path, monkeypatch, name, applies):
+    items = {item.name: item for item in _benchmark_cli_items(monkeypatch)}
+    cfg = items[name].cfg if name in items else {"kernel.name": "hilbert"}
+    applied = []
+
+    def counting(self, *fs, _f=quadrature.Plan.__call__):
+        applied.append(self.kernel.name)
+        return _f(self, *fs)
+    monkeypatch.setattr(quadrature.Plan, "__call__", counting)
+    p = write_cfg(tmp_path, "r.cfg", "".join(f"{k} = {v}\n" for k, v in cfg.items()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert run("report", p, tmp_path / "out") in (0, 1)
+    assert applied == [cfg["kernel.name"]] * applies
+
+
+@pytest.mark.parametrize("sub,body,match", [
+    ("stein", "scales = 0.25,0.5,1,1,2\n", "scale 1 is repeated"),
+    ("report", "scales = 0.25,0.5,1,2,4,0.5\n", "scale 0.5 is repeated"),
+    ("stein", "centers = 0,0\n", "section '' at centre 0 is repeated"),
+    ("wbp", "offsets = 1,1\n", "section 'offset1' at centre 1 is repeated")])
+def test_repeated_scales_and_groups_exit_2_before_any_file(tmp_path, capsys, monkeypatch,
+                                                           sub, body, match):
+    # these used to exit 0 with PASS, fitting duplicated rows as distinct points
+    _forbid_fields(monkeypatch)
+    p = write_cfg(tmp_path, "r.cfg", f"kernel.name = hilbert\ngrid.n = 128\n{body}")
+    out = tmp_path / "out"
+    assert run(sub, p, out) == 2
+    assert match in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("body,oracle", [

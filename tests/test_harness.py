@@ -12,7 +12,7 @@ from tblab.harness import (BILINEAR_GRID, BILINEAR_SCALES, DECOMP_CUBE, DECOMP_G
                            exponent_fit,
                            far_field_constancy, local_piece_check,
                            stein_bilinear_tb_test, stein_t1_test, stein_tb_test,
-                           uniform_bmo_sweep, weak_boundedness_test)
+                           _Applied, uniform_bmo_sweep, weak_boundedness_test)
 from tblab.kernels import KernelModel, gallery
 from tblab.quadrature import PvPolicy, apply_bilinear_field, apply_linear_field, plans
 
@@ -179,9 +179,10 @@ def test_scale_matched_sweep_plans_each_row_grid_once():
 
 
 @pytest.mark.parametrize("test,sides", [
-    # three centres share each scale's grid: T and T* once per scale
+    # three centres share each scale's grid; hilbert's T* is -T exactly, so
+    # T alone once per scale
     (lambda: stein_t1_test(gallery("hilbert"), grid=GridSpec(n=128)),
-     [16.0 * R for R in LINEAR_SCALES for _ in range(2)]),
+     [16.0 * R for R in LINEAR_SCALES]),
     # every row widens its grid 8R by 2 x 4R; K once per widened grid
     (lambda: weak_boundedness_test(gallery("hilbert"), offsets=(4.0,),
                                    grid=GridSpec(n=64, box_side=8.0)),
@@ -652,7 +653,7 @@ def _forbid_fields(monkeypatch):
 
 
 @pytest.mark.parametrize("scales", [(), (1.0, -2.0), (0.0, 1.0), (1.0, float("nan")),
-                                    (float("inf"),)])
+                                    (float("inf"),), (0.5, 1.0, 2.0, 4.0, 8.0, 1.0)])
 def test_scale_lists_rejected_before_any_field(monkeypatch, scales):
     _forbid_fields(monkeypatch)
     K, Kb = gallery("hilbert"), gallery("bilinear-homog")
@@ -669,6 +670,34 @@ def test_scale_lists_rejected_before_any_field(monkeypatch, scales):
     for run in runs:
         with pytest.raises(ValueError, match="scales"):
             run()
+
+
+def test_repeated_groups_rejected_before_any_field(monkeypatch):
+    # a repeated centre or offset used to write duplicate rows into one fit
+    _forbid_fields(monkeypatch)
+    K, Kb = gallery("hilbert"), gallery("bilinear-homog")
+    with pytest.raises(ValueError, match="section '' at centre 0.125 is repeated"):
+        stein_t1_test(K, center_fracs=(0.0, 0.125, 0.125), grid=SMALL)
+    with pytest.raises(ValueError, match="section 'offset1' at centre 1 is repeated"):
+        weak_boundedness_test(Kb, offsets=(1.0, 0.0, 1.0))
+
+
+def test_applied_plan_applies_each_distinct_input_once():
+    g = make_grid(1, cube1(0.0, 8.0), 64)
+    T, applied = plans([gallery("hilbert")], g)[0], []
+
+    def counting(*fs):
+        applied.append(fs)
+        return T(*fs)
+    A = _Applied(counting)
+    f = SampledFunction(grid=g, values=np.exp(-g.axis(0) ** 2))
+    fr = A(f)
+    assert A(SampledFunction(grid=g, values=f.values.copy())) is fr and len(applied) == 1
+    assert not fr.converged.flags.writeable and not fr.field.values.flags.writeable
+    assert A(SampledFunction(grid=g, values=2.0 * f.values)) is not fr and len(applied) == 2
+    # the same values on another grid are another input, which the plan rejects
+    with pytest.raises(ValueError, match="plan's grid"):
+        A(SampledFunction(grid=make_grid(1, cube1(0.0, 16.0), 64), values=f.values))
 
 
 @pytest.mark.parametrize("bad,match", [

@@ -404,3 +404,27 @@ def test_certification_rejects_d2_kernels_before_sampling(check, arity):
     with pytest.raises(ValueError, match="d=1 separations; kernel riesz-like has d=2"):
         check(K, n_samples=10)
     assert calls == []
+
+
+@pytest.mark.parametrize("name,params,parity", [
+    ("hilbert", {}, -1), ("cauchy-lipschitz", {"lam": 0.3}, -1),
+    ("cauchy-lipschitz", {"lam": 1.5, "lip_bound": 2.0}, -1), ("commutator", {}, 0),
+    ("bilinear-homog", {}, 0), ("positive-control", {}, 1)])
+def test_gallery_parities_and_their_transposes(name, params, parity):
+    # K(y, x) = parity K(x, y) holds for the rule, and K* keeps the parity
+    K = gallery(name, **params)
+    assert K.parity == parity
+    if K.arity == "linear":
+        assert transpose_kernel(K).parity == parity
+    if parity:
+        x, y = np.linspace(-3.0, 2.0, 7), np.linspace(2.5, -1.7, 7)
+        assert np.array_equal(K.rule(y, x), parity * K.rule(x, y))
+
+
+@pytest.mark.parametrize("arity,parity", [("linear", 2), ("linear", -2), ("linear", 0.5),
+                                          ("linear", True), ("bilinear", 1),
+                                          ("bilinear", -1)])
+def test_kernel_model_rejects_a_bad_parity(arity, parity):
+    with pytest.raises(ValueError, match="parity"):
+        KernelModel(name="k", arity=arity, d=1, delta=1.0, size_constant=1.0,
+                    rule=lambda *xs: 0.0, parity=parity)

@@ -922,3 +922,30 @@ def test_transpose_duality(name, c1, c2, w):
     Tth = apply_linear_field(transpose_kernel(K), h).field
     scale = lp_norm(Tf, 2) * lp_norm(h, 2) + lp_norm(f, 2) * lp_norm(Tth, 2)
     assert abs(pairing(Tf, h) - pairing(f, Tth)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("name,params", [
+    ("hilbert", {}), ("positive-control", {}), ("cauchy-lipschitz", {"lam": 0.3}),
+    ("cauchy-lipschitz", {"lam": 1.0, "lip_bound": 1.0}),
+    # lam > 1 sums dense rows, not the treecode
+    ("cauchy-lipschitz", {"lam": 1.5, "lip_bound": 2.0})],
+    ids=["hilbert", "positive-control", "cauchy-lipschitz-0.3", "cauchy-lipschitz-1",
+         "cauchy-lipschitz-1.5-dense"])
+@pytest.mark.parametrize("n", [64, 255, 768, 1000])
+def test_declared_parity_is_bit_exact(name, params, n, rng):
+    # the harness reads T* f as parity T f: a separately built plan of K*
+    # gives exactly that, values and PV flags, on whole fields and at points
+    K = gallery(name, **params)
+    Kt = transpose_kernel(K)
+    assert K.parity in (-1, 1)
+    for box, c_eps in [(box, c) for box in (3.0, 16.0, 64.0) for c in (1, 2, 4)]:
+        g = make_grid(1, cube1(0.0, box), n)
+        f = SampledFunction(grid=g, values=rng.normal(size=n) + 1j * rng.normal(size=n))
+        pts = np.sort(rng.choice(n, size=17, replace=False))
+        for points in (None, pts):
+            policy = PvPolicy(c_eps=c_eps)
+            fr = plan(K, g, policy, points)(f)
+            frt = plan(Kt, g, policy, points)(f)
+            assert np.array_equal(frt.field.values, K.parity * fr.field.values), \
+                (box, c_eps, points is None)
+            assert np.array_equal(frt.converged, fr.converged)
