@@ -400,7 +400,7 @@ def _wbp_of(cfg: ExperimentConfig, K):
 
 def _fitted(cfg: ExperimentConfig, *parts) -> list:
     """The reports of the parts (stein, wbp) of one kernel, run in one sweep, so
-    that a report's wbp rows use the plans of its Stein rows."""
+    that a linear kernel's wbp rows use the plans of its Stein rows."""
     K = cfg.fitted_kernel()
     return [rep for reports in _sweep([part(cfg, K) for part in parts], cfg.policy())
             for rep in reports]

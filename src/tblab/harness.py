@@ -612,9 +612,10 @@ def _wbp_part(K: KernelModel, b0: BFunc = B_ONE, b1: BFunc = B_ONE, b2: BFunc = 
               M: int = 2, scales=None, offsets=(0.0, 1.0, 4.0), grid: GridSpec | None = None,
               policy: PvPolicy = PvPolicy(), slope_tol: float = DEFAULT_SLOPE_TOL,
               uniformity_factor: float = DEFAULT_UNIFORMITY) -> _Part:
-    """weak_boundedness_test's part: one report. policy is that of the dense
-    triple pairings of a bilinear kernel without a lattice profile, which has
-    no plan; it must be the sweep's."""
+    """weak_boundedness_test's part: one report. A linear kernel's rows apply
+    the plan of T; a bilinear kernel's rows are triple pairings summed on the
+    bumps' supports (_triple_pairing), so its part has no kernel to plan, and
+    policy, theirs, must be the sweep's."""
     bil = K.arity == "bilinear"
     if scales is None:
         scales = BILINEAR_SCALES if bil else LINEAR_SCALES
@@ -634,7 +635,7 @@ def _wbp_part(K: KernelModel, b0: BFunc = B_ONE, b1: BFunc = B_ONE, b2: BFunc = 
         if bil:
             val, n_flagged = _triple_pairing(K, _bump_field(g, M, x_neg, R), ph1, ph2,
                                              b0.sampled(g), b1.sampled(g), b2.sampled(g),
-                                             policy, *plans)
+                                             policy)
         else:
             fr = plans[0](_weighted(b1.sampled(g), ph1.values))
             val = pairing(fr.field, _weighted(b0.sampled(g), ph2.values))
@@ -642,8 +643,7 @@ def _wbp_part(K: KernelModel, b0: BFunc = B_ONE, b1: BFunc = B_ONE, b2: BFunc = 
         return [(abs(val), n_flagged > 0)]
 
     names = (b0.name, b1.name, b2.name) if bil else (b0.name, b1.name)
-    # a bilinear kernel without a lattice profile sums dense points per row
-    return _Part(row, () if bil and K.lattice is None else (K,), grid_of,
+    return _Part(row, () if bil else (K,), grid_of,
                  [(f"offset{off:g}", off) for off in offsets], scales,
                  _fit_reducer([("wbp", K.name)], names, M, float(K.d), slope_tol,
                               uniformity_factor),

@@ -49,8 +49,8 @@ the far-field truncation is below 2^-53; both linear paths share the
 near-zone terms read from K.rule on the 2 c_eps off-diagonals. Other
 kernels, points and subsets of points sum their kernel rows directly, O(n)
 (linear) or O(n^2) (bilinear) per point; these dense rows are also the test
-oracle. Triple pairings of a kernel with a lattice profile read the whole
-lattice field, whatever the support of the outer factor.
+oracle. Triple pairings build no plan: they sum K.rule over the supports of
+their three factors, a cost that follows the supports, not n.
 """
 
 from __future__ import annotations
@@ -280,7 +280,12 @@ def _result(K: KernelModel, fs: tuple, policy: PvPolicy, values: np.ndarray,
     """The field of the values, flagged where the eps vs eps/2 change delta is large."""
     name = f"T[{K.name}]({','.join(f.name for f in fs)})"
     return FieldResult(field=SampledFunction(grid=fs[0].grid, values=values, name=name),
-                       converged=np.abs(delta) <= policy.tol_pv * (1.0 + np.abs(values)))
+                       converged=_converged(policy, values, delta))
+
+
+def _converged(policy: PvPolicy, values, delta) -> np.ndarray:
+    """The eps vs eps/2 check: converged where |delta| <= tol_pv (1 + |value|)."""
+    return np.abs(delta) <= policy.tol_pv * (1.0 + np.abs(values))
 
 
 def _sample(rule, *args, dtype=None) -> np.ndarray:
@@ -780,33 +785,57 @@ def pairing(u: SampledFunction, v: SampledFunction) -> complex:
 def triple_pairing(K: KernelModel, f0: SampledFunction, f1: SampledFunction,
                    f2: SampledFunction, b0: SampledFunction, b1: SampledFunction,
                    b2: SampledFunction, policy: PvPolicy = PvPolicy()) -> complex:
-    """Excised triple sum of K(x,y,z) b0(x) f0(x) b1(y) f1(y) b2(z) f2(z)."""
+    """Excised triple sum of K(x,y,z) b0(x) f0(x) b1(y) f1(y) b2(z) f2(z).
+
+    Summed from K.rule on the supports, with no plan: K.rule sees
+    |S0| |H1| |H2| + |S0| (2 c_eps + 1)^2 cells, with S0 = supp b0 f0 and H1,
+    H2 the index hulls of supp b1 f1 and supp b2 f2 (never more than the
+    |S0| n^2 of dense points), in O(n + |S0| c_eps^2 + _SLICE_BYTES) memory.
+    """
     return _triple_pairing(K, f0, f1, f2, b0, b1, b2, policy)[0]
 
 
-def _triple_pairing(K, f0, f1, f2, b0, b1, b2, policy,
-                    T: Plan | None = None) -> tuple[complex, int]:
-    """triple_pairing and the number of PV-flagged points of the inner field on supp b0 f0.
+def _triple_pairing(K, f0, f1, f2, b0, b1, b2, policy) -> tuple[complex, int]:
+    """triple_pairing and the number of PV-flagged points of the inner field on S0.
 
-    The inner field of a kernel with a lattice profile is the whole field of
-    T, K's whole-field plan on the functions' grid (built here when not
-    given): it costs less than the dense points of any sizeable support.
-    Other kernels sum dense points on the support.
+    With w = b f per slot, each i in S0 takes inner_i, the sum of
+    K(x_i, x_j, x_k) w1_j w2_k over j in H1, k in H2, (j, k) != (i, i), read
+    in blocks of (i, j) whose floats stay under _SLICE_BYTES, and the near and
+    ring kernel masses of its excision window over the whole grid
+    (_excision_window). value_i = (inner_i - w1_i w2_i near_i) h^2 is the
+    dense slice sum term for term, and delta_i = w1_i w2_i ring_i h^2. Arity,
+    the shared grid and d = 1 are checked before any kernel evaluation.
     """
     if K.arity != "bilinear":
         raise ValueError(f"kernel {K.name} is not bilinear")
     gr = f0.grid
-    for other in (f1, f2, b0, b1, b2):
-        if other.grid != gr:
-            raise ValueError("all six functions must share a grid")
-    w0 = b0.values * f0.values
-    w1 = SampledFunction(grid=gr, values=b1.values * f1.values)
-    w2 = SampledFunction(grid=gr, values=b2.values * f2.values)
-    support = np.nonzero(np.abs(w0) > 0)[0]
-    if len(support) == 0:
+    if any(other.grid != gr for other in (f1, f2, b0, b1, b2)):
+        raise ValueError("all six functions must share a grid")
+    _check_grid(K, gr)
+    w0, w1, w2 = (b.values * f.values for b, f in ((b0, f0), (b1, f1), (b2, f2)))
+    S0, s1, s2 = (np.nonzero(np.abs(w) > 0)[0] for w in (w0, w1, w2))
+    if not (len(S0) and len(s1) and len(s2)):
         return 0.0 + 0.0j, 0
-    if K.lattice is None:
-        fr = apply_bilinear_field(K, w1, w2, policy=policy, points=support)
-    else:
-        fr = (T or plan(K, gr, policy))(w1, w2)
-    return complex(np.sum(w0 * fr.field.values) * gr.h), int(np.sum(~fr.converged[support]))
+    x, h, c_eps = gr.axis(0), gr.h, policy.c_eps
+    H1, H2 = np.arange(s1[0], s1[-1] + 1), np.arange(s2[0], s2[-1] + 1)
+    W2 = np.stack([w2[H2].real, w2[H2].imag], axis=1)      # a real rule keeps a real product
+    cols = min(len(H1), max(1, _SLICE_BYTES // (8 * len(H2))))
+    rows = max(1, _SLICE_BYTES // (8 * cols * len(H2)))
+    inner = np.zeros(len(S0), dtype=complex)
+    for r0 in range(0, len(S0), rows):
+        i = S0[r0:r0 + rows]
+        for c0 in range(0, len(H1), cols):
+            j = H1[c0:c0 + cols]
+            Kb = _sample(K.rule, x[i, None, None], x[None, j, None], x[H2])
+            at = np.nonzero((i >= j[0]) & (i <= j[-1]) & (i >= H2[0]) & (i <= H2[-1]))[0]
+            Kb[at, i[at] - j[0], i[at] - H2[0]] = 0.0      # the cell (j, k) = (i, i)
+            t = Kb @ W2
+            inner[r0:r0 + rows] += (t[..., 0] + 1j * t[..., 1]) @ w1[j]
+    jw, kw, S = _excision_window(x, S0, c_eps)
+    Kw = _sample(K.rule, x[S0, None], x[np.clip(jw, 0, gr.n - 1)], x[np.clip(kw, 0, gr.n - 1)])
+    near = np.where((S > 0) & (S <= c_eps * h), Kw, 0.0).sum(axis=1)
+    ring = np.where((S > policy.c_refined * h) & (S <= c_eps * h), Kw, 0.0).sum(axis=1)
+    fg = w1[S0] * w2[S0]
+    value = (inner - fg * near) * h * h
+    converged = _converged(policy, value, fg * ring * h * h)
+    return complex(np.sum(w0[S0] * value) * h), int(np.sum(~converged))

@@ -120,6 +120,19 @@ def test_wbp_bilinear_offsets():
         assert fit.slope == pytest.approx(1.0, abs=0.07)
 
 
+def test_wbp_bilinear_scale_matched_rows_are_exact_multiples():
+    # bilinear-homog is homogeneous of degree -2 and its grids are scale-matched
+    # (box 8R, n fixed), so doubling R doubles each triple pairing exactly: any
+    # summation whose order depended on R would break this
+    rep = weak_boundedness_test(gallery("bilinear-homog"))
+    assert gallery("bilinear-homog").grid_mode == "scaled"
+    for off in (0.0, 1.0, 4.0):
+        rows = sorted((r for r in rep.rows if r.section == f"offset{off:g}"), key=lambda r: r.R)
+        assert [r.R for r in rows] == list(BILINEAR_SCALES)
+        for small, big in zip(rows, rows[1:]):
+            assert big.R == 2 * small.R and big.value == 2 * small.value
+
+
 @pytest.mark.parametrize("name,scales", [("bilinear-homog", BILINEAR_SCALES),
                                          ("hilbert", LINEAR_SCALES)])
 def test_wbp_default_scales_follow_the_arity(name, scales):
@@ -191,10 +204,8 @@ def test_scale_matched_sweep_plans_each_row_grid_once():
     (lambda: stein_bilinear_tb_test(gallery("bilinear-homog"), ONE, ONE, ONE,
                                     grid=GridSpec(n=32, box_side=8.0)),
      [8.0 * R for R in BILINEAR_SCALES for _ in range(3)]),
-    # offsets 0 and 1 share each scale's grid 8R; offset 4 widens it to 16R,
-    # the grid of scale 2R but at the largest R: 6 plans of K for 15 rows
-    (lambda: weak_boundedness_test(gallery("bilinear-homog")),
-     [8.0 * R for R in BILINEAR_SCALES] + [16.0 * BILINEAR_SCALES[-1]]),
+    # bilinear wbp rows sum their triple pairings on the bumps' supports: no plan
+    (lambda: weak_boundedness_test(gallery("bilinear-homog")), []),
     # one row per scale-matched grid: K once per scale
     (lambda: direct_bound_check(gallery("hilbert"), ONE, op_norm=1.0, grid=GridSpec(n=64)),
      [16.0 * R for R in LINEAR_SCALES]),

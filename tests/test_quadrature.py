@@ -518,33 +518,145 @@ POSITIVE_BILINEAR = KernelModel(
     lattice=_bilinear_positive)
 
 
+def _on(g, intervals, f):
+    """f on the union of the (lo, hi) intervals, as box fractions, zero elsewhere."""
+    t, side = g.axis(0), g.box.side
+    inside = np.any([(t > lo * side) & (t < hi * side) for lo, hi in intervals], axis=0)
+    return SampledFunction(grid=g, values=np.where(inside, f(t), 0.0))
+
+
+def _triple_inputs(g):
+    """(f0, f1, f2) per case: smooth inner factors, f1 on two disjoint
+    intervals (its hull holds zeros), f1 disjoint from supp f0, and supp f0 at
+    the grid's left edge (its excision windows clipped)."""
+    outer = lambda t: np.cos(t) + 0.5j
+    f0 = _on(g, [(1 / 32, 3 / 32)], outer)
+    f1, f2 = _smooth(g, 13), _smooth(g, 14)
+    return {"smooth": (f0, f1, f2),
+            "split": (f0, _on(g, [(-3 / 8, -1 / 4), (1 / 16, 1 / 8)], outer), f2),
+            "disjoint": (f0, _on(g, [(-7 / 16, -1 / 4)], outer), f2),
+            "edge": (_on(g, [(-1.0, -7 / 16)], outer), f1, f2)}
+
+
+def _finite_on_the_diagonal(K):
+    """K with K(x, x, x) = 1: every path must still skip the cell j = k = i."""
+    def rule(x, y, z):
+        x = np.asarray(x)
+        return np.where((x == y) & (x == z), 1.0, K.rule(x, y, z))
+    return dataclasses.replace(K, name=K.name + "-diagonal", rule=rule)
+
+
 @pytest.mark.parametrize("which", [0, 1, 2])
-@pytest.mark.parametrize("kernel", ["bilinear-homog", "bilinear-positive"])
+@pytest.mark.parametrize("kernel", ["bilinear-homog", "bilinear-positive", "finite-diagonal"])
 def test_triple_pairing_matches_dense_subset_oracle(kernel, which):
-    K = gallery(kernel) if kernel == "bilinear-homog" else POSITIVE_BILINEAR
+    # the oracle is h sum over S0 of w0 T(w1, w2), T from the dense slices at
+    # S0 and from the whole lattice field; n_flagged counts their flags on S0
+    K = {"bilinear-homog": gallery("bilinear-homog"), "bilinear-positive": POSITIVE_BILINEAR,
+         "finite-diagonal": _finite_on_the_diagonal(gallery("bilinear-homog"))}[kernel]
     K = transpose_kernel(K, which) if which else K
     for n, box in ((127, 8.0), (384, 64.0)):
         g = make_grid(1, cube1(0.0, box), n)
         one = sample(lambda t: np.ones_like(t) + 0j, g)
         acc = sample(lambda t: 1.0 + 0.3j * np.tanh(t), g)
-        f0 = sample(lambda t: np.where(np.abs(t - box / 16) < box / 32,
-                                       np.cos(t) + 0.5j, 0.0), g)
-        f1, f2 = _smooth(g, 13), _smooth(g, 14)
-        support = np.nonzero(np.abs(f0.values) > 0)[0]
-        assert 0 < len(support) < n // 8
-        for c_eps in (1, 2, 4):
-            policy = PvPolicy(c_eps=c_eps)
-            got, n_flagged = _triple_pairing(K, f0, f1, f2, one, acc, one, policy)
-            want, want_flagged = _triple_pairing(_dense(K), f0, f1, f2, one, acc, one, policy)
-            whole = apply_bilinear_field(
-                K, SampledFunction(grid=g, values=acc.values * f1.values), f2, policy)
-            scale = g.h * np.sum(np.abs(f0.values * whole.field.values))
-            assert abs(got - want) <= 1e-12 * scale
-            assert n_flagged == want_flagged
-            if kernel == "bilinear-positive" and c_eps > 1:
-                # flagged outside the support too: a count over the whole
-                # field would differ from the pairing's
-                assert 0 < n_flagged < whole.n_flagged
+        cases = _triple_inputs(g)
+        for case, (f0, f1, f2) in cases.items() if n == 127 else [("smooth", cases["smooth"])]:
+            support = np.nonzero(np.abs(f0.values) > 0)[0]
+            assert 0 < len(support) < n // 8
+            w1 = SampledFunction(grid=g, values=acc.values * f1.values)
+            for c_eps in (1, 2, 4):
+                policy = PvPolicy(c_eps=c_eps)
+                got, n_flagged = _triple_pairing(K, f0, f1, f2, one, acc, one, policy)
+                slices = apply_bilinear_field(K, w1, f2, policy, points=support)
+                whole = apply_bilinear_field(K, w1, f2, policy)
+                scale = g.h * np.sum(np.abs(f0.values * slices.field.values))
+                for fr in (slices, whole):
+                    want = g.h * np.sum(f0.values[support] * fr.field.values[support])
+                    assert abs(got - want) <= 1e-12 * scale, (case, c_eps)
+                    assert n_flagged == np.sum(~fr.converged[support]), (case, c_eps)
+                if kernel == "bilinear-positive" and case == "smooth" and c_eps > 1:
+                    # flagged outside the support too: a count over the whole
+                    # field would differ from the pairing's
+                    assert 0 < n_flagged < whole.n_flagged
+
+
+def _probe_triple(n=384):
+    """The benchmark's triple pairing inputs: box 8, supports of 24, 144 and
+    144 points at n = 384."""
+    g = make_grid(1, cube1(0.0, 8.0), n)
+    one = sample(lambda t: np.ones_like(t) + 0j, g)
+    acc = sample(lambda t: 1.0 + 0.3j * np.tanh(t), g)
+    f0 = _on(g, [(-1 / 32, 1 / 32)], lambda t: np.cos(t) + 0j)
+    f1 = _on(g, [(-1 / 4, 1 / 8)], lambda t: np.exp(-t * t) + 0j)
+    f2 = _on(g, [(-1 / 8, 1 / 4)], lambda t: np.exp(-t * t) + 0.5j)
+    return f0, f1, f2, one, acc, one
+
+
+@pytest.mark.parametrize("c_eps", [1, 2, 4])
+@pytest.mark.parametrize("which", [0, 1, 2])
+def test_triple_pairing_reads_the_supports_and_builds_no_plan(monkeypatch, which, c_eps):
+    # K.rule sees |S0| |H1| |H2| cells of the hulls and (2 c_eps + 1)^2 window
+    # cells per point of S0, and no plan is built
+    def no_plan(*args, **kwargs):
+        raise AssertionError("a plan was built")
+
+    monkeypatch.setattr(quadrature, "plans", no_plan)
+    K = gallery("bilinear-homog")
+    K = transpose_kernel(K, which) if which else K
+    cells = []
+
+    def counting(x, y, z):
+        out = K.rule(x, y, z)
+        cells.append(np.size(out))
+        return out
+
+    Kc = dataclasses.replace(K, rule=counting)
+    fs = _probe_triple()
+    f0, f1, f2, _, acc, _ = fs
+    sizes = [np.count_nonzero(np.abs(w) > 0) for w in (f0.values, acc.values * f1.values, f2.values)]
+    assert sizes == [24, 144, 144]
+    policy = PvPolicy(c_eps=c_eps)
+    got = _triple_pairing(Kc, *fs, policy)
+    assert sum(cells) == 24 * 144 * 144 + 24 * (2 * c_eps + 1) ** 2
+    assert max(cells) <= _SLICE_BYTES // 8
+    assert got == _triple_pairing(K, *fs, policy)
+    # a zero inner factor gives 0 with no kernel evaluation
+    cells.clear()
+    zero = SampledFunction(grid=f1.grid, values=np.zeros(f1.grid.n, dtype=complex))
+    assert _triple_pairing(Kc, f0, zero, f2, *fs[3:], policy) == (0.0, 0)
+    assert _triple_pairing(Kc, f0, f1, f2, *fs[3:5], zero, policy) == (0.0, 0)
+    assert cells == []
+
+
+def test_triple_pairing_memory_follows_the_supports():
+    # the whole-field plan held a 4.7 MB spectrum at this configuration
+    fs = _probe_triple()
+    K = gallery("bilinear-homog")
+    triple_pairing(K, *fs)
+    tracemalloc.start()
+    try:
+        triple_pairing(K, *fs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
+def test_triple_pairing_checks_before_any_kernel_evaluation():
+    def never(x, y, z):
+        raise AssertionError("the kernel was evaluated")
+
+    B = dataclasses.replace(gallery("bilinear-homog"), rule=never)
+    g = make_grid(1, cube1(0.0, 8.0), 64)
+    f = sample(lambda t: np.exp(-t * t) + 0j, g)
+    with pytest.raises(ValueError, match="is not bilinear"):
+        triple_pairing(H, f, f, f, f, f, f)
+    other = sample(lambda t: np.exp(-t * t) + 0j, make_grid(1, cube1(0.0, 8.0), 65))
+    with pytest.raises(ValueError, match="all six functions must share a grid"):
+        triple_pairing(B, f, f, f, f, f, other)
+    g2 = make_grid(2, Cube((0.0, 0.0), 8.0), 16)
+    f2 = sample(lambda x, y: np.exp(-x * x - y * y) + 0j, g2)
+    with pytest.raises(ValueError, match="bilinear PV quadrature is implemented for d=1"):
+        triple_pairing(B, f2, f2, f2, f2, f2, f2)
 
 
 def test_point_reads_one_kernel_row():
