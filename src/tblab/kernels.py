@@ -219,30 +219,45 @@ def gallery(name: str, **params) -> KernelModel:
 
 
 @dataclass(frozen=True, eq=False)
-class Reflection:
-    """The profile u -> source(-u) of a linear transpose's lattice term. Marked
-    as a reflection so that quadrature reads its lattice table as the source
-    profile's table reversed, with no evaluation of its own."""
+class Transposed:
+    """The lattice profile of a transpose: source's kernel with its arguments
+    permuted, K'(x_0, .., x_d) = K(x_perm[0], .., x_perm[d]). Marked so that
+    quadrature reads it from its source's work with no table of its own: a
+    linear transpose's (perm (1, 0)) table is its source's reversed, and a
+    bilinear transpose's whole field is contracted from its source's spectrum."""
     source: object
+    perm: tuple
 
-    def __call__(self, u):
-        return self.source(-u)
+    def __call__(self, *offsets):
+        # offset m is x_0 - x_m: with x_0 = 0, x_m = -offset m
+        x = (0, *(-u for u in offsets))
+        return self.source(*(x[self.perm[0]] - x[m] for m in self.perm[1:]))
+
+
+def _transposed(p, swap: tuple):
+    """The profile of the transpose by the argument permutation swap of a kernel
+    with profile p: a Transposed of p's source, or the source itself when the
+    composed permutation is the identity."""
+    source, perm = (p.source, p.perm) if isinstance(p, Transposed) else (p, range(len(swap)))
+    perm = tuple(swap[m] for m in perm)
+    return source if perm == tuple(range(len(perm))) else Transposed(source, perm)
 
 
 def transpose_kernel(K: KernelModel, which: int = 1) -> KernelModel:
     """Argument-swapped kernel: K*(x,y)=K(y,x); K*1(x,y,z)=K(y,x,z); K*2=K(z,y,x).
 
-    A linear transpose's lattice profiles are the Reflections of K's, one per
-    distinct profile, so terms that share a profile keep sharing its table; the
-    transpose of a transpose has K's own profiles back. Its curve keeps K's z.
+    A transpose's lattice profiles are Transposed markers naming K's source
+    profiles, one per distinct profile, so terms that share a profile keep
+    sharing its table. Markers compose: the transpose of a transpose has K's
+    own profiles back, and K*1*2 is the 3-cycle K(y, z, x) of K's profile. A
+    linear transpose's curve keeps K's z.
     """
     r, lat = K.rule, K.lattice
     if K.arity == "linear":
         if which != 1:
             raise ValueError("linear kernels have a single transpose")
         if lat is not None:
-            refl = {id(p): p.source if isinstance(p, Reflection) else Reflection(p)
-                    for _, p, _ in lat}
+            refl = {id(p): _transposed(p, (1, 0)) for _, p, _ in lat}
             lat = tuple((right, refl[id(p)], left) for left, p, right in lat)
         cur = K.curve
         if cur is not None:
@@ -255,11 +270,11 @@ def transpose_kernel(K: KernelModel, which: int = 1) -> KernelModel:
     if which == 1:
         # K(y, x, z) = P(y - x, y - z) = P(-u, v - u)
         return replace(K, name=K.name + "*1", rule=lambda x, y, z, _r=r: _r(y, x, z),
-                       lattice=None if lat is None else lambda u, v, _P=lat: _P(-u, v - u))
+                       lattice=None if lat is None else _transposed(lat, (1, 0, 2)))
     if which == 2:
         # K(z, y, x) = P(z - y, z - x) = P(u - v, -v)
         return replace(K, name=K.name + "*2", rule=lambda x, y, z, _r=r: _r(z, y, x),
-                       lattice=None if lat is None else lambda u, v, _P=lat: _P(u - v, -v))
+                       lattice=None if lat is None else _transposed(lat, (2, 1, 0)))
     raise ValueError("which must be 1 or 2")
 
 

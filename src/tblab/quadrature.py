@@ -28,9 +28,10 @@ immutable and its arrays are read-only, so no application changes it; its
 caller owns it and nothing is cached, so it lives as long as the caller
 keeps it. plans(kernels, grid, policy, points) builds several kernels' plans
 on one grid together: within that one call they share one lattice profile
-table per profile (a transpose's Reflection profile reads its source's table
-reversed) and one treecode geometry per curve z, and plan() is its
-one-kernel case. A sweep makes one plans() call per row grid, over the
+table per profile (a linear transpose's Transposed profile reads its
+source's table reversed), one sheared spectrum per bilinear source profile
+(K, K*1 and K*2 hold one) and one treecode geometry per curve z, and plan()
+is its one-kernel case. A sweep makes one plans() call per row grid, over the
 kernels of every experiment with rows there (T and T* of a Stein sweep, and
 T again for the wbp rows of a report), and applies them to its rows;
 apply_linear_field and friends build a plan and apply it once,
@@ -40,9 +41,13 @@ kind of plan holds and its size.
 
 Whole fields of kernels with a lattice structure (KernelModel.lattice) are
 lattice sums by FFT convolution. A linear field costs O(n log n). A bilinear
-plan holds the 2D spectrum of its profile table, sheared so that the
-diagonal x = y = z lies along one axis: it is built in O(n^2 log n) and
-applied in O(n^2), trading O(n^2) memory for O(n^2) applications. Whole
+plan holds the 2D spectrum of its source profile's table, sheared so that
+the diagonal x = y = z lies along one axis: it is built in O(n^2 log n) and
+applied in O(n^2), trading O(n^2) memory for O(n^2) applications. A plan
+contracts it along the axis of the slot its output takes in the source
+kernel: the columns for the kernel itself, the rows or the diagonals for a
+transpose (a bilinear Transposed profile names its source and the
+permutation of (x, y, z) it applies). Whole
 linear fields of Cauchy kernels on a curve (KernelModel.curve) take the same
 full off-diagonal sum from a multipole treecode, O(n p log n) with p set so
 the far-field truncation is below 2^-53; both linear paths share the
@@ -64,7 +69,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import Grid, SampledFunction
-from .kernels import KernelModel, Reflection
+from .kernels import KernelModel, Transposed
 
 
 def _as_index(v) -> int | None:
@@ -209,10 +214,12 @@ def plan(K: KernelModel, grid: Grid, policy: PvPolicy = PvPolicy(), points=None)
       and per level the moments' shifts and ratios), O(n log n); in both cases
       the band K.rule values as the near, a1 and ring masses;
     - a whole bilinear field with a lattice profile: the sheared 2D spectrum
-      of the (2n - 1)^2 profile table, 16 L (L/2 + 1) bytes with L the
-      smallest 2^a 3^b >= 2n - 1, built in O(n^2 log n), and the near and ring
-      weights of every point, 16 n bytes; applying it costs O(n^2) and holds
-      O(L) and a _SLICE_BYTES block more;
+      of the (2n - 1)^2 table of its source profile (its own, or the one its
+      Transposed profile names), 16 L (L/2 + 1) bytes with L the smallest
+      2^a 3^b >= 2n - 1, built in O(n^2 log n) and held by reference, so the
+      plans of K, K*1 and K*2 from one plans() call hold one copy; and its own
+      near and ring weights of every point, 16 n bytes; applying it costs
+      O(n^2) and holds O(L) and a _SLICE_BYTES block more;
     - a whole field of a kernel without a structure: nothing; each apply plans
       and sums BLOCK rows (linear) or one slice (bilinear) at a time.
     Checks d = 1 and the points before any kernel evaluation.
@@ -225,15 +232,20 @@ def plans(kernels, grid: Grid, policy: PvPolicy = PvPolicy(), points=None) -> li
     bit for bit the plan() of its kernel and holds what plan() states, but
     they are built together, sharing read-only work within this one call.
 
-    Whole linear fields with a structure share:
-    - one lattice profile table per distinct profile, evaluated once; a
-      Reflection profile (a transpose's) reads its source's table reversed,
-      exactly, as arange(1 - n, n) h is antisymmetric. A plan holds the
-      spectra of its tables, so tables are not held past the build;
+    Whole fields with a structure share:
+    - one linear lattice profile table per distinct profile, evaluated once;
+      a Transposed profile (a linear transpose's) reads its source's table
+      reversed, exactly, as arange(1 - n, n) h is antisymmetric. A plan holds
+      the spectra of its tables, so tables are not held past the build;
+    - one sheared spectrum per bilinear source profile, held by every plan
+      that reads it: K, K*1, K*2 and any composed transpose of K hold one
+      copy, and each contracts it along its own output slot; and one
+      excision window, from which each plan sums its own profile's near and
+      ring weights;
     - one treecode geometry per curve z (the near-field reciprocals and the
       levels), held by every plan of that z: T and T* hold one copy.
-    Nothing outlives the call: the next call makes its own tables and
-    geometry. Checks d = 1 and the points before any kernel evaluation.
+    Nothing outlives the call: the next call makes its own tables, spectra
+    and geometry. Checks d = 1 and the points before any kernel evaluation.
     """
     kernels = tuple(kernels)
     for K in kernels:
@@ -244,8 +256,8 @@ def plans(kernels, grid: Grid, policy: PvPolicy = PvPolicy(), points=None) -> li
 
 
 def _plan(K: KernelModel, grid: Grid, policy: PvPolicy, rows, shared: dict) -> Plan:
-    """K's plan; a whole linear field with a structure reads and fills shared,
-    the tables and geometry of the plans built with it."""
+    """K's plan; a whole field with a structure reads and fills shared, the
+    tables, spectra, window and geometry of the plans built with it."""
     linear = K.arity == "linear"
     if rows is not None:
         build, sums = (_linear_rows, _linear_rows_sums) if linear else \
@@ -254,7 +266,7 @@ def _plan(K: KernelModel, grid: Grid, policy: PvPolicy, rows, shared: dict) -> P
     elif linear and (K.lattice is not None or K.curve is not None):
         parts, sums = _linear_structure(K, grid, policy, shared), _linear_structure_sums
     elif not linear and K.lattice is not None:
-        parts, sums = _bilinear_lattice(K, grid, policy), _bilinear_lattice_sums
+        parts, sums = _bilinear_lattice(K, grid, policy, shared), _bilinear_lattice_sums
     else:
         parts, sums = {}, _dense_field_sums
     for a in _arrays((rows, parts)):
@@ -374,12 +386,12 @@ def _factor(g, x):
 def _lattice_plan(lattice, x: np.ndarray, h: float, shared: dict) -> dict:
     """One profile table per distinct profile, as its spectrum, and each term's
     factors on the grid; the table is zero at offset 0 (the j = i cell). A
-    profile's table is made once per shared, and a Reflection's is its
-    source's reversed: offset k is -(offset 2n - 2 - k), exactly."""
+    profile's table is made once per shared, and a Transposed profile's is
+    its source's reversed: offset k is -(offset 2n - 2 - k), exactly."""
     n = len(x)
 
     def table(p):
-        if isinstance(p, Reflection):
+        if isinstance(p, Transposed):
             return table(p.source)[::-1]
         if ("table", id(p)) not in shared:
             shared["table", id(p)] = t = _profile(p, np.arange(1 - n, n) * h)
@@ -657,9 +669,8 @@ def _fft_length(m: int) -> int:
     return best
 
 
-def _bilinear_lattice(K: KernelModel, grid: Grid, policy: PvPolicy) -> dict:
-    """The sheared 2D spectrum of the profile table, and the weights sum P over
-    the excised offsets and over the ring, per point.
+def _sheared_spectrum(P, n: int, h: float) -> np.ndarray:
+    """The sheared 2D spectrum Q of the profile table of P.
 
     The table T(a, b) = P((a - n + 1) h, (b - n + 1) h), a, b < 2n - 1, zero at
     a = b = n - 1 and zero-padded to L x L, is sheared to q(r, t) = T((r + t)
@@ -667,11 +678,7 @@ def _bilinear_lattice(K: KernelModel, grid: Grid, policy: PvPolicy) -> dict:
     then Q[w, s] = T^(w, s - w). q is made and transformed a few rows at a
     time, and Q along w a few columns at a time, in place: each temporary
     stays under _SLICE_BYTES, so the L x L real table is never held.
-    The excised set and the ring are those of a dense point (_excision_window).
     """
-    n, h = grid.n, grid.h
-    j, k, S = _excision_window(grid.axis(0), np.arange(n), policy.c_eps)
-    Pc = _profile(K.lattice, -j[:1] * h, -k[:1] * h)      # the offsets of row 0
     m = 2 * n - 1
     L = _fft_length(m)
     u = np.arange(1 - n, n) * h
@@ -682,7 +689,7 @@ def _bilinear_lattice(K: KernelModel, grid: Grid, policy: PvPolicy) -> dict:
     step = max(1, _SLICE_BYTES // (8 * L))
     for r0 in range(0, L, step):
         r1 = min(r0 + step, L)
-        q = _profile(K.lattice, rows_u[r0:r1], u)
+        q = _profile(P, rows_u[r0:r1], u)
         q[~inside[r0:r1]] = 0.0
         if r0 == 0:
             q[0, n - 1] = 0.0       # T(n - 1, n - 1), the cell j = k = i
@@ -690,39 +697,154 @@ def _bilinear_lattice(K: KernelModel, grid: Grid, policy: PvPolicy) -> dict:
     step = max(1, _SLICE_BYTES // (16 * L))
     for c0 in range(0, L // 2 + 1, step):
         Q[:, c0:c0 + step] = np.fft.fft(Q[:, c0:c0 + step], axis=0)
-    near, ring = _window_masses(Pc, S, policy, h)
-    return {"Q": Q, "near": near, "ring": ring}
+    return Q
+
+
+def _bilinear_lattice(K: KernelModel, grid: Grid, policy: PvPolicy, shared: dict) -> dict:
+    """The sheared spectrum Q of the source profile (_sheared_spectrum: K's own
+    profile, or the one its Transposed marker names), made once per shared
+    and held by every plan that reads it; the permutation of the source
+    kernel's arguments that K applies; and K's own weights, its profile
+    summed over the excised offsets and over the ring, per point. The
+    excised set and the ring are those of a dense point (_excision_window),
+    whose window is made once per shared."""
+    n, h = grid.n, grid.h
+    P = K.lattice
+    source, perm = (P.source, P.perm) if isinstance(P, Transposed) else (P, (0, 1, 2))
+    if "window" not in shared:
+        shared["window"] = _excision_window(grid.axis(0), np.arange(n), policy.c_eps)
+    if ("spectrum", id(source)) not in shared:
+        shared["spectrum", id(source)] = _sheared_spectrum(source, n, h)
+    j, k, S = shared["window"]
+    near, ring = _window_masses(_profile(P, -j[:1] * h, -k[:1] * h), S, policy, h)
+    return {"Q": shared["spectrum", id(source)], "perm": perm, "near": near, "ring": ring}
 
 
 def _bilinear_lattice_sums(p: Plan, vs, values, delta) -> None:
-    """The whole lattice sum full_i = sum_{a, b} T(a, b) f_{i+n-1-a} g_{i+n-1-b},
-    the diagonal of a 2D convolution: with F, G the length-L spectra,
-    full_i = irfft(H)[i + n - 1] / L for H(s) = sum_w F(w) Q[w, s] G(s - w).
+    """The whole lattice sum of the source kernel with its output on slot
+    perm.index(0) and f, g on slots perm.index(1), perm.index(2), less f g
+    times the plan's near weight.
 
-    Re and Im of f and g are paired apart, so each H is that of real data and
-    real data gives an exactly real field. The contraction takes a few rows w
-    of Q at a time, into one buffer of _SLICE_BYTES.
+    Re and Im of f and g are paired apart (_SLOT_SUMS), so each pair is real
+    data and gives an exactly real sum.
     """
-    fv, gv = vs
     n, h = p.grid.n, p.grid.h
-    Q = p.parts["Q"]
+    perm = p.parts["perm"]
+    ins = [None] * 3
+    ins[perm.index(1)], ins[perm.index(2)] = (np.stack([v.real, v.imag]) for v in vs)
+    c = _SLOT_SUMS[perm.index(0)](p.parts["Q"], ins, n)
+    full = (c[0, 0] - c[1, 1]) + 1j * (c[0, 1] + c[1, 0])
+    fg = vs[0] * vs[1]
+    values[:] = (full - fg * p.parts["near"]) * h * h
+    delta[:] = fg * p.parts["ring"] * h * h
+
+
+# The source kernel's trilinear sum is, with F1, F2 the length-L spectra of the
+# inputs on slots 1 and 2 and Psi0(s) = sum_i f0_i e^{2 pi i s (i + n - 1) / L},
+#     L^-2 sum_{w, s} Qf[w, s] F1(w) F2(s - w) Psi0(s),
+# Qf the full L x L spectrum, Qf[w, s] = conj(Q[-w, -s]) as the table is real.
+# A slot's sum is that sum without its own input's factor: columns s (slot 0),
+# rows w (slot 1) or diagonals s - w (slot 2). The zero padding to L >= 2n - 1
+# keeps every circular sum alias-free. Each slot sum takes its products from
+# a few rows of Q at a time, into a buffer of about _SLICE_BYTES.
+
+def _shifted(G: np.ndarray, cols: int) -> np.ndarray:
+    """W[k, w, s] = G_k((s - w) mod L) for s < cols: a view of the doubled spectra."""
+    L = G.shape[1]
+    return sliding_window_view(np.concatenate([G, G], axis=1), cols, axis=1)[:, L:0:-1]
+
+
+def _psi(f0: np.ndarray, n: int, L: int) -> np.ndarray:
+    """Psi0 at s = 0..L/2, for each row of f0."""
+    b = np.zeros((len(f0), L))
+    b[:, n - 1:2 * n - 1] = f0
+    return np.conj(np.fft.rfft(b))
+
+
+def _edges(L: int) -> np.ndarray:
+    """The columns of Q that are their own mirror -s mod L: 0, and L/2 for even L."""
+    return np.array([0] if L % 2 else [0, L // 2])
+
+
+def _mirror(L: int) -> np.ndarray:
+    """-w mod L for w <= L/2."""
+    return -np.arange(L // 2 + 1) % L
+
+
+def _from_half(X: np.ndarray, Xi_mirror: np.ndarray, n: int, L: int) -> np.ndarray:
+    """The outputs j < n of L^-2 sum_w H(w) e^{-2 pi i w j / L}, given a slot's
+    sum X(w) over the columns s <= L/2 of Q and, at -w (_mirror), its sum Xi
+    over the inner columns (bar _edges). The columns past L/2 mirror the
+    inner ones: they add conj(Xi(-w)) to H(w). H is Hermitian, so the outputs
+    are real, and only w <= L/2 is needed."""
+    return np.fft.irfft(np.conj(X[..., :L // 2 + 1]) + Xi_mirror, L)[..., :n] / L
+
+
+def _slot0_sums(Q, ins, n):
+    """full_i = irfft(H)[i + n - 1] / L for H(s) = sum_w F1(w) Q[w, s] F2(s - w):
+    the columns, one pair (F2_k, F1_j) per H[k, j]."""
     L, cols = Q.shape
-    F = np.fft.fft(np.stack([fv.real, fv.imag]), L)
-    G = np.fft.fft(np.stack([gv.real, gv.imag]), L)
-    # W[k, w, s] = G_k((s - w) mod L) = G_k[L - w + s]: a view of the doubled spectra
-    W = sliding_window_view(np.concatenate([G, G], axis=1), cols, axis=1)[:, L:0:-1]
-    H = np.zeros((2, 2, cols), dtype=complex)      # H[k, j] pairs G_k with F_j
+    F, G = (np.fft.fft(v, L) for v in ins[1:])
+    W = _shifted(G, cols)
+    H = np.zeros((2, 2, cols), dtype=complex)
     step = max(1, _SLICE_BYTES // (32 * cols))
     QW = np.empty((2, step, cols), dtype=complex)
     for w0 in range(0, L, step):
         w1 = min(w0 + step, L)
         np.multiply(Q[w0:w1], W[:, w0:w1], out=QW[:, :w1 - w0])
         H += F[:, w0:w1] @ QW[:, :w1 - w0]
-    c = np.fft.irfft(H, L)[..., n - 1:2 * n - 1] / L
-    full = (c[0, 0] - c[1, 1]) + 1j * (c[0, 1] + c[1, 0])
-    fg = fv * gv
-    values[:] = (full - fg * p.parts["near"]) * h * h
-    delta[:] = fg * p.parts["ring"] * h * h
+    return np.fft.irfft(H, L)[..., n - 1:2 * n - 1] / L
+
+
+def _slot1_sums(Q, ins, n):
+    """The rows: X(w) = sum_s Q[w, s] F2(s - w) Psi0(s), per pair (F2_k, Psi0_j),
+    and its inner part from Psi0 zeroed on the edges: one narrow product."""
+    L, cols = Q.shape
+    psi = _psi(ins[0], n, L)
+    inner = psi.copy()
+    inner[:, _edges(L)] = 0.0
+    both = np.concatenate([psi, inner]).T
+    W = _shifted(np.fft.fft(ins[2], L), cols)
+    X = np.empty((2, L, 4), dtype=complex)
+    step = max(1, _SLICE_BYTES // (32 * cols))
+    QW = np.empty((2, step, cols), dtype=complex)
+    for w0 in range(0, L, step):
+        w1 = min(w0 + step, L)
+        np.multiply(Q[w0:w1], W[:, w0:w1], out=QW[:, :w1 - w0])
+        np.matmul(QW[:, :w1 - w0], both, out=X[:, w0:w1])
+    X = X.transpose(0, 2, 1)
+    return _from_half(X[:, :2], X[:, 2:, _mirror(L)], n, L)
+
+
+def _slot2_sums(Q, ins, n):
+    """The diagonals: X(v) = sum_s Q[s - v, s] F1(s - v) Psi0(s), per pair
+    (Psi0_j, F1_k). The products with Psi0_j of a block of rows are written
+    into Z, row r shifted left by r, so that each column of Z is one diagonal."""
+    L, cols = Q.shape
+    psi, F = _psi(ins[0], n, L), np.fft.fft(ins[1], L)
+    step = max(1, _SLICE_BYTES // (16 * (cols + _SLICE_BYTES // (16 * cols))))
+    M = cols + step
+    Z = np.zeros(step * M, dtype=complex)
+    # Zs[r, s] is Z[r, s - r + step - 1], of the diagonal s - r
+    Zs = Z[step - 1:step - 1 + step * (M - 1)].reshape(step, M - 1)[:, :cols]
+    Z = Z.reshape(step, M)
+    X = np.zeros((2, 2, 3 * L), dtype=complex)     # diagonal v at v mod L
+    ZF = np.empty((2, M), dtype=complex)
+    for w0 in range(0, L, step):
+        w1 = min(w0 + step, L)
+        span = slice((1 - step - w0) % L, (1 - step - w0) % L + M)
+        for j in range(2):
+            np.multiply(Q[w0:w1], psi[j], out=Zs[:w1 - w0])
+            np.add(X[j, :, span], np.matmul(F[:, w0:w1], Z[:w1 - w0], out=ZF),
+                   out=X[j, :, span])
+    X = X.reshape(2, 2, 3, L).sum(axis=2)
+    e, m = _edges(L), _mirror(L)
+    r = (e - m[:, None]) % L            # the rows s - v of the edge columns, v = -w
+    edges = ((Q[r, e] * F[:, r]) @ psi[:, e].T).transpose(2, 0, 1)
+    return _from_half(X, X[..., m] - edges, n, L)
+
+
+_SLOT_SUMS = (_slot0_sums, _slot1_sums, _slot2_sums)
 
 
 def _pv(K: KernelModel, fs: tuple, policy: PvPolicy, points=None, x=None):

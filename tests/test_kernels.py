@@ -1,11 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import dawsn
 
-from tblab.grid import cube1, make_grid
+from tblab.grid import SampledFunction, cube1, make_grid
 from tblab.kernels import (KernelModel, _bilinear_homog, _sep_samples, check_regularity,
                            check_size, gallery, transpose_kernel, _CommutatorEvenKernel)
+from tblab.quadrature import PvPolicy, apply_bilinear_field, plan
 
 
 def test_hilbert_pointwise():
@@ -87,15 +90,47 @@ def test_hilbert_transpose_is_negative():
 
 
 def test_bilinear_transpose_involution_and_swap(rng):
+    # transposes compose: K*1*1 and K*2*2 have K's own profile back, so their
+    # plans are K's bit for bit; the 3-cycles K*1*2 = K(y, z, x) and K*2*1 =
+    # K(z, x, y), and K*1*2*1 = K(x, z, y), read K's spectrum through the
+    # other slots and input orders, and match the dense oracle
     K = gallery("bilinear-homog")
     K1 = transpose_kernel(K, 1)
     K11 = transpose_kernel(K1, 1)
     K2 = transpose_kernel(K, 2)
+    K22 = transpose_kernel(K2, 2)
+    K12, K21 = transpose_kernel(K1, 2), transpose_kernel(K2, 1)
+    K121 = transpose_kernel(K12, 1)
     pts = rng.uniform(-3, 3, size=(50, 3))
     x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
     np.testing.assert_allclose(K11.rule(x, y, z), K.rule(x, y, z), atol=1e-15)
     np.testing.assert_allclose(K2.rule(x, y, z), K.rule(z, y, x), atol=1e-15)
     np.testing.assert_allclose(K1.rule(x, y, z), K.rule(y, x, z), atol=1e-15)
+    np.testing.assert_allclose(K12.rule(x, y, z), K.rule(y, z, x), atol=1e-15)
+    np.testing.assert_allclose(K21.rule(x, y, z), K.rule(z, x, y), atol=1e-15)
+    np.testing.assert_allclose(K121.rule(x, y, z), K.rule(x, z, y), atol=1e-15)
+    assert K11.lattice is K.lattice and K22.lattice is K.lattice
+    for k in (K12, K21, K121):
+        # the marker's profile is the permuted kernel's, P(x_0 - x_1, x_0 - x_2)
+        np.testing.assert_allclose(k.lattice(x - y, x - z), k.rule(x, y, z), rtol=1e-12)
+    for n in (96, 127):
+        g = make_grid(1, cube1(0.0, 8.0), n)
+        u = g.axis(0) / 2.0
+        f = SampledFunction(grid=g, values=np.exp(-u * u) * (1.0 + 0.3j * np.tanh(u)))
+        h = SampledFunction(grid=g, values=np.exp(-(u - 0.3) ** 2) + 0.1j * u * np.exp(-u * u))
+        for c_eps in (1, 2, 4):
+            policy = PvPolicy(c_eps=c_eps)
+            T = plan(K, g, policy)(f, h)
+            for k in (K11, K22):
+                Tk = plan(k, g, policy)(f, h)
+                assert np.array_equal(Tk.field.values, T.field.values)
+                assert np.array_equal(Tk.converged, T.converged)
+            for k in (K12, K21, K121):
+                fast = plan(k, g, policy)(f, h)
+                dense = apply_bilinear_field(replace(k, lattice=None), f, h, policy)
+                scale = np.max(np.abs(dense.field.values))
+                assert np.max(np.abs(fast.field.values - dense.field.values)) <= 1e-12 * scale
+                assert np.array_equal(fast.converged, dense.converged)
 
 
 def test_hilbert_antisymmetry_exact(rng):

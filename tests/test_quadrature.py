@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from tblab import quadrature
 from tblab.bumps import standard_bump, translate_dilate
 from tblab.grid import Cube, SampledFunction, cube1, lp_norm, make_grid, sample
-from tblab.harness import (DECOMP_CUBE, GridSpec, _localize, bilinear_decomposition_check,
-                           stein_t1_test)
+from tblab.harness import (B_ONE, DECOMP_CUBE, GridSpec, _localize,
+                           bilinear_decomposition_check, stein_bilinear_tb_test, stein_t1_test)
 from tblab.kernels import GALLERY_NAMES, KernelModel, gallery, transpose_kernel
 from tblab.quadrature import (_SLICE_BYTES, PvPolicy, _arrays, _triple_pairing,
                               apply_bilinear, apply_bilinear_field, apply_linear,
@@ -772,7 +772,7 @@ def test_commutator_sweep_evaluates_two_profile_tables():
 
 def _opaque_transpose(K):
     """K* with the reflection of each lattice profile as an opaque closure, so that
-    its plan evaluates the reflected profile itself (the transpose before Reflection)."""
+    its plan evaluates the reflected profile itself, not its source's table reversed."""
     Kt = transpose_kernel(K)
     if K.lattice is None:
         return Kt
@@ -942,6 +942,95 @@ def test_bilinear_lattice_plan_size_is_as_stated(n, L):
         tracemalloc.stop()
     assert T.nbytes == 16 * L * (L // 2 + 1) + 16 * n
     assert peak < T.nbytes + 16 * _SLICE_BYTES
+
+
+@pytest.mark.parametrize("which", [0, 1, 2])
+def test_bilinear_lattice_apply_holds_blocks_not_tables(which):
+    # each slot's contraction holds O(L) vectors and blocks of about
+    # _SLICE_BYTES, never an L x L or n x n array (4.7 MB and 2.4 MB here)
+    K = gallery("bilinear-homog")
+    K = transpose_kernel(K, which) if which else K
+    n, L = 384, 768
+    g = make_grid(1, cube1(0.0, 8.0), n)
+    T = plan(K, g)
+    f, h = _smooth(g, 32), _smooth(g, 33)
+    T(f, h)
+    tracemalloc.start()
+    try:
+        T(f, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * L + 2 * _SLICE_BYTES
+
+
+def test_bilinear_stein_sweep_builds_one_spectrum_per_row_grid(monkeypatch):
+    # K, K*1 and K*2 read one sheared spectrum per row grid, K's: 5 for 5
+    # scales, not 15; the plans of one grid hold one Q (16 L (L/2 + 1) bytes)
+    # and each its own near and ring weights, 33.6 MB at n = 1024, not 101 MB
+    K = gallery("bilinear-homog")
+    made = []
+
+    def counting(P, n, h, _f=quadrature._sheared_spectrum):
+        made.append(P)
+        return _f(P, n, h)
+
+    monkeypatch.setattr(quadrature, "_sheared_spectrum", counting)
+    rep = stein_bilinear_tb_test(K, B_ONE, B_ONE, B_ONE, grid=GridSpec(n=64, box_side=8.0))
+    assert len(rep.direct.rows) == 10 and made == [K.lattice] * 5
+    n, L = 1024, 2048
+    g = make_grid(1, cube1(0.0, 8.0), n)
+    ps = plans((K, transpose_kernel(K, 1), transpose_kernel(K, 2)), g)
+    assert made == [K.lattice] * 6
+    held = {id(a): a for p in ps for a in _arrays(p.parts)}
+    assert sum(a.nbytes for a in held.values()) == 16 * L * (L // 2 + 1) + 3 * 16 * n
+
+
+def _opaque_bilinear_transpose(K, which):
+    """K*1 or K*2 with its profile as an opaque closure, so that its plan builds
+    and contracts a spectrum of its own profile table."""
+    P = K.lattice
+    own = (lambda u, v: P(-u, v - u)) if which == 1 else (lambda u, v: P(u - v, -v))
+    return dataclasses.replace(transpose_kernel(K, which), lattice=own)
+
+
+@pytest.mark.parametrize("n", [64, 96, 120, 256])
+def test_bilinear_transposes_from_the_source_spectrum_match_their_own(n):
+    # L = 128, 192, 243 (odd) and 512, h = 8 / n not a power of two for 96
+    # and 120; a transpose keeps its own near and ring weights, so only the
+    # rounding of the full sum moves
+    K = gallery("bilinear-homog")
+    g = make_grid(1, cube1(0.0, 8.0), n)
+    f, h = _smooth(g, 40), _smooth(g, 41)
+    for c_eps in (1, 2, 4):
+        policy = PvPolicy(c_eps=c_eps)
+        _, T1, T2 = plans((K, transpose_kernel(K, 1), transpose_kernel(K, 2)), g, policy)
+        for which, T in ((1, T1), (2, T2)):
+            got, own = T(f, h), plan(_opaque_bilinear_transpose(K, which), g, policy)(f, h)
+            scale = np.max(np.abs(own.field.values))
+            assert np.max(np.abs(got.field.values - own.field.values)) <= 1e-13 * scale
+            assert np.array_equal(got.converged, own.converged)
+
+
+@pytest.mark.parametrize("c_eps", [1, 2, 4])
+def test_bilinear_duality_defect_is_the_transposes_near_weights(c_eps):
+    # the full sums of T, T*1 and T*2 are exact transposes of one another, so
+    # <T(h, g), f> - <T*1(f, g), h> = dx^3 sum f g h (N*1 - N), with N, N*1 the
+    # plans' near weights, and likewise for <T*2(h, f), g>; the defect is
+    # 0.3748 at c_eps = 1, as the weights of the transposes are their own
+    K = gallery("bilinear-homog")
+    grid = make_grid(1, cube1(0.0, 8.0), 256)
+    f = sample(lambda x: np.exp(-x * x) + 0j, grid)
+    g = sample(lambda x: np.exp(-(x - 0.3) ** 2) + 0j, grid)
+    h = sample(lambda x: np.exp(-(x + 0.2) ** 2 / 0.5) + 0j, grid)
+    T, T1, T2 = plans((K, transpose_kernel(K, 1), transpose_kernel(K, 2)), grid,
+                      PvPolicy(c_eps=c_eps))
+    direct = pairing(T(h, g).field, f)
+    for Tw, paired in ((T1, pairing(T1(f, g).field, h)), (T2, pairing(T2(h, f).field, g))):
+        defect = grid.h ** 3 * np.sum(f.values * g.values * h.values
+                                      * (Tw.parts["near"] - T.parts["near"]))
+        assert abs(defect) > 0.1
+        assert abs((direct - paired) - defect) <= 1e-12 * abs(defect)
 
 
 @pytest.mark.parametrize("k", [1, 8])
