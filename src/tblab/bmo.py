@@ -131,21 +131,54 @@ class CubeOscillation:
 
 @dataclass(frozen=True)
 class OscillationReport:
-    entries: list
-    sup_mean: float
-    sup_best: float
-    witness_mean: Cube
-    witness_best: Cube
+    """The kept cubes of a bmo_seminorm scan as columns, generation by generation
+    in scan order: centres (m, d), sides, mean and best-constant oscillations.
+
+    `sup_*` are the column maxima and `witness_*` the cubes at their first
+    argmax, the first maximum in scan order. `witness_*` and `entries`, one
+    CubeOscillation per kept cube, are read-only views built on each access.
+    """
+
+    centers: np.ndarray
+    sides: np.ndarray
+    mean_osc: np.ndarray
+    best_const_osc: np.ndarray
     n_skipped: int
 
     @property
+    def sup_mean(self) -> float:
+        return float(np.max(self.mean_osc))
+
+    @property
+    def sup_best(self) -> float:
+        return float(np.max(self.best_const_osc))
+
+    @property
+    def witness_mean(self) -> Cube:
+        i = np.argmax(self.mean_osc)
+        return Cube(self.centers[i], self.sides[i])
+
+    @property
+    def witness_best(self) -> Cube:
+        i = np.argmax(self.best_const_osc)
+        return Cube(self.centers[i], self.sides[i])
+
+    @property
+    def entries(self) -> list:
+        return [CubeOscillation(cube=Cube(c, s), mean_osc=a, best_const_osc=b)
+                for c, s, a, b in zip(self.centers.tolist(), self.sides.tolist(),
+                                      self.mean_osc.tolist(), self.best_const_osc.tolist())]
+
+    @property
     def sandwich_ok(self) -> bool:
-        return all(e.sandwich_ok for e in self.entries)
+        # CubeOscillation.sandwich_ok on every kept cube
+        mo, bo = self.mean_osc, self.best_const_osc
+        return bool(np.all((bo <= mo + 1e-12) & (mo <= 2.0 * bo + 1e-12)))
 
     def csv_rows(self):
         return csv_table(["cube_center", "cube_side", "mean_osc", "best_const_osc"],
-                         ((e.cube.center, e.cube.side, e.mean_osc, e.best_const_osc)
-                          for e in self.entries))
+                         zip(map(tuple, self.centers.tolist()), self.sides.tolist(),
+                             self.mean_osc.tolist(), self.best_const_osc.tolist()))
 
 
 def _generation_centers(family: DyadicFamily, k: int) -> np.ndarray:
@@ -173,22 +206,16 @@ def bmo_seminorm(f: SampledFunction, family: DyadicFamily) -> OscillationReport:
     Each generation, shifted copies included, is one _oscillations pass.
     Cubes too small for the grid (< 4 cells) are skipped and counted.
     """
-    entries = []
-    skipped = 0
+    cols, skipped = [], 0
     for k in range(family.k_min, family.k_max + 1):
         side = family.side(k)
         centers = _generation_centers(family, k)
         cells, mo, bo, _ = _oscillations(f, centers, side)
         kept = cells >= MIN_CELLS
         skipped += int(np.count_nonzero(~kept))
-        entries.extend(CubeOscillation(cube=Cube(c, side), mean_osc=a, best_const_osc=b)
-                       for c, a, b in zip(centers[kept].tolist(), mo[kept].tolist(),
-                                          bo[kept].tolist()))
-    if not entries:
+        cols.append((centers[kept], np.full(len(mo[kept]), side), mo[kept], bo[kept]))
+    centers, sides, mo, bo = (np.concatenate(c) for c in zip(*cols))
+    if not len(sides):
         raise ValueError("no cube in the family holds enough grid cells")
-    e_mean = max(entries, key=lambda e: e.mean_osc)
-    e_best = max(entries, key=lambda e: e.best_const_osc)
-    return OscillationReport(entries=entries,
-                             sup_mean=e_mean.mean_osc, sup_best=e_best.best_const_osc,
-                             witness_mean=e_mean.cube, witness_best=e_best.cube,
+    return OscillationReport(centers=centers, sides=sides, mean_osc=mo, best_const_osc=bo,
                              n_skipped=skipped)

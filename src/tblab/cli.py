@@ -319,7 +319,7 @@ def _bmo(cfg: ExperimentConfig):
     verdict = "PASS" if rep.sandwich_ok else "FAIL"
     return [_table("bmo_report.csv", rep.csv_rows(), verdict,
                    [f"bmo {b.name}: sup mean-osc {rep.sup_mean:.6g}, "
-                    f"sup best-const {rep.sup_best:.6g}, cubes {len(rep.entries)}, "
+                    f"sup best-const {rep.sup_best:.6g}, cubes {len(rep.sides)}, "
                     f"skipped {rep.n_skipped} with < {MIN_CELLS} cells",
                     f"sandwich best<=mean<=2best: {verdict}",
                     f"verdict: {verdict}"])]

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -211,12 +212,22 @@ def lp_norm(f: SampledFunction, p) -> float:
 
 @dataclass(frozen=True)
 class DyadicFamily:
-    """Dyadic generations over a root box: generation k has side root/2^k."""
+    """Dyadic generations over a root box: generation k has side root/2^k.
+
+    Only the root and the generation range are stored: a pass reads generation
+    k as `centers(k)` and `side(k)`. `generations` (k -> list of `Cube`) and
+    `all_cubes()` are read-only views, built on first access in product order
+    and kept, so every read returns the same `Cube` objects.
+    """
 
     root: Cube
     k_min: int
     k_max: int
-    generations: dict
+
+    @cached_property
+    def generations(self) -> dict:
+        return {k: [Cube(c, self.side(k)) for c in self.centers(k).tolist()]
+                for k in range(self.k_min, self.k_max + 1)}
 
     def all_cubes(self):
         for k in range(self.k_min, self.k_max + 1):
@@ -225,15 +236,14 @@ class DyadicFamily:
     def side(self, k: int) -> float:
         return self.root.side / (1 << k)
 
+    def axis_centers(self, k: int, ax: int) -> np.ndarray:
+        """Centres, (2^k,), of generation k's cubes along axis ax."""
+        return self.root.lo()[ax] + (np.arange(1 << k) + 0.5) * self.side(k)
+
     def centers(self, k: int) -> np.ndarray:
         """Centres, (2^(kd), d), of generation k's cubes in product order."""
-        return _tiling_centers(self.root, k)
-
-
-def _tiling_centers(root: Cube, k: int) -> np.ndarray:
-    side = root.side / (1 << k)
-    axes = [x + (np.arange(1 << k) + 0.5) * side for x in root.lo()]
-    return np.stack([a.ravel() for a in np.meshgrid(*axes, indexing="ij")], axis=1)
+        axes = [self.axis_centers(k, ax) for ax in range(self.root.d)]
+        return np.stack([a.ravel() for a in np.meshgrid(*axes, indexing="ij")], axis=1)
 
 
 def dyadic_family(root: Cube, k_min: int, k_max: int) -> DyadicFamily:
@@ -242,13 +252,10 @@ def dyadic_family(root: Cube, k_min: int, k_max: int) -> DyadicFamily:
         raise ValueError("k_min must be <= k_max")
     if k_min < 0:
         raise ValueError("k_min must be >= 0")
-    d = root.d
-    total = sum((1 << k) ** d for k in range(k_min, k_max + 1))
+    total = sum((1 << k) ** root.d for k in range(k_min, k_max + 1))
     if total > GENERATION_CAP:
         raise ValueError(f"family would contain {total} cubes, cap is {GENERATION_CAP}")
-    gens = {k: [Cube(c, root.side / (1 << k)) for c in _tiling_centers(root, k).tolist()]
-            for k in range(k_min, k_max + 1)}
-    return DyadicFamily(root=root, k_min=k_min, k_max=k_max, generations=gens)
+    return DyadicFamily(root=root, k_min=k_min, k_max=k_max)
 
 
 # --- CSV interchange: header x[,y],re,im, lexicographic row order ---

@@ -99,7 +99,8 @@ class _CommutatorEvenKernel:
     with the weights C[q, r] = c_{qB+r}. Nothing is kept between calls.
     """
 
-    U_BLOCK = 1024          # distinct |u| per product: O(U_BLOCK B) memory
+    U_BLOCK = 64            # distinct |u| per product: O(U_BLOCK B) memory, under
+                            # the mmap threshold, so no fresh pages per call
     PANELS = 1 << 15        # Simpson needs an even panel count
 
     def __init__(self, lam: float, mu: float):

@@ -108,12 +108,11 @@ def _subcube_scans(b: SampledFunction, centers: np.ndarray, side: float, J: int)
     return ratio, corner, width
 
 
-def _witnesses(g: Grid, ratio, corner, width) -> list:
-    """(ratio, window cube) per scanned cube; (-1.0, None) where no window fits."""
-    lo = [g.box.center[ax] - g.box.side / 2.0 for ax in range(g.d)]
-    return [(r, Cube(tuple(x + i * g.h + w * g.h / 2.0 for x, i in zip(lo, c)), w * g.h))
-            if w else (r, None)
-            for r, c, w in zip(ratio.tolist(), corner.tolist(), width.tolist())]
+def _windows(g: Grid, corner: np.ndarray, width: np.ndarray):
+    """Centres, (m, d), and sides, (m,), of the windows with the given first cell
+    indices and widths in cells: lo + i h + w h / 2 per axis, and w h."""
+    lo = np.asarray(g.box.center) - g.box.side / 2.0
+    return lo + corner * g.h + (width * g.h / 2.0)[:, None], width * g.h
 
 
 def subcube_scan(b: SampledFunction, Q: Cube, J: int):
@@ -123,29 +122,47 @@ def subcube_scan(b: SampledFunction, Q: Cube, J: int):
     """
     if J < 0:
         raise ValueError("depth J must be >= 0")
-    return _witnesses(b.grid, *_subcube_scans(b, np.asarray([Q.center]), Q.side, J))[0]
+    ratio, corner, width = _subcube_scans(b, np.asarray([Q.center]), Q.side, J)
+    (c,), (s,) = _windows(b.grid, corner, width)
+    return float(ratio[0]), Cube(c, s) if width[0] else None
 
 
 @dataclass(frozen=True)
 class ParaAccretivityCertificate:
+    """The family's cubes as columns, generation by generation in product order:
+    centres (m, d) and sides, their witness windows' centres (m, d) and sides,
+    and the ratios. `witnesses`, (cube, witness cube, ratio) per cube, is a
+    read-only view built on each access."""
+
     c0: float
-    witnesses: list              # (cube, witness cube, ratio)
     J: int
     b_sup: float
     b_inf: float                 # ess-inf |b| over samples, reported not enforced
     family_note: str
+    centers: np.ndarray
+    sides: np.ndarray
+    witness_centers: np.ndarray
+    witness_sides: np.ndarray
+    ratios: np.ndarray
 
     @property
     def c1(self) -> float:
         # implied witness side ratio (c0 / ||b||_inf)^(1/d)
-        d = self.witnesses[0][0].d if self.witnesses else 1
-        return float((self.c0 / self.b_sup) ** (1.0 / d))
+        return float((self.c0 / self.b_sup) ** (1.0 / self.centers.shape[1]))
+
+    def _columns(self):
+        return zip(self.centers.tolist(), self.sides.tolist(), self.witness_centers.tolist(),
+                   self.witness_sides.tolist(), self.ratios.tolist())
+
+    @property
+    def witnesses(self) -> list:
+        return [(Cube(c, s), Cube(wc, ws), r) for c, s, wc, ws, r in self._columns()]
 
     def csv_rows(self):
         return csv_table(["cube_center", "cube_side", "witness_center", "witness_side",
                           "ratio"],
-                         ((Q.center, Q.side, W.center, W.side, r)
-                          for Q, W, r in self.witnesses))
+                         ((tuple(c), s, tuple(wc), ws, r)
+                          for c, s, wc, ws, r in self._columns()))
 
 
 def check_para_accretive(b: SampledFunction, family: DyadicFamily,
@@ -154,34 +171,51 @@ def check_para_accretive(b: SampledFunction, family: DyadicFamily,
     maximum; each generation is one _subcube_scans pass."""
     if J < 0:
         raise ValueError("depth J must be >= 0")
-    per_cube = []
+    cols = []
     for k in range(family.k_min, family.k_max + 1):
-        gen = family.generations[k]
-        scans = _witnesses(b.grid, *_subcube_scans(b, family.centers(k), family.side(k), J))
-        for Q, (ratio, W) in zip(gen, scans):
-            if W is None:
-                raise ValueError(f"cube side {Q.side} holds no whole grid cell")
-            per_cube.append((Q, W, ratio))
-    c0 = min(r for _, _, r in per_cube)
+        centers, side = family.centers(k), family.side(k)
+        ratio, corner, width = _subcube_scans(b, centers, side, J)
+        if not np.all(width):
+            raise ValueError(f"cube side {side} holds no whole grid cell")
+        cols.append((centers, np.full(len(centers), side), *_windows(b.grid, corner, width),
+                     ratio))
+    centers, sides, w_centers, w_sides, ratios = (np.concatenate(c) for c in zip(*cols))
     mags = np.abs(b.values)
     return ParaAccretivityCertificate(
-        c0=float(c0), witnesses=per_cube, J=J,
+        c0=float(np.min(ratios)), J=J,
         b_sup=float(np.max(mags)), b_inf=float(np.min(mags)),
         family_note=(f"dyadic generations {family.k_min}..{family.k_max} of root "
-                     f"side {family.root.side}; certified over this family only"))
+                     f"side {family.root.side}; certified over this family only"),
+        centers=centers, sides=sides, witness_centers=w_centers, witness_sides=w_sides,
+        ratios=ratios)
 
 
 @dataclass(frozen=True)
 class ConditionBCertificate:
+    """Per generation k, in product order: `picks[k]`, each cube's witness index
+    (-1 where none is within N side), and `gaps[k]`, its gap (inf where none).
+    `witnesses`, k -> list of (Q, witness cube or None, gap or nan), is a
+    read-only view built on each access from the family's `generations`."""
+
     eps: float
     N: float
     valid: bool
-    witnesses: dict              # k -> list of (Q, witness cube or None, gap)
+    picks: dict
+    gaps: dict
     first_failure: tuple | None
     family: DyadicFamily
 
+    @property
+    def witnesses(self) -> dict:
+        out = {}
+        for k, pick in self.picks.items():
+            gen = self.family.generations[k]
+            out[k] = [(Q, gen[j], g) if j >= 0 else (Q, None, float("nan"))
+                      for Q, j, g in zip(gen, pick.tolist(), self.gaps[k].tolist())]
+        return out
+
     def generation_ok(self, k: int) -> bool:
-        return all(W is not None for _, W, _ in self.witnesses[k])
+        return bool(np.all(self.picks[k] >= 0))
 
 
 def _nearest_good(family: DyadicFamily, k: int, good: np.ndarray, N: float):
@@ -231,19 +265,17 @@ def check_condition_B(b: SampledFunction, family: DyadicFamily, N: float = 10.0,
         raise ValueError("search radius must satisfy N >= 10")
     if not 0 < eps < np.inf:
         raise ValueError(f"eps must satisfy 0 < eps < inf, got {eps}")
-    witnesses = {}
+    picks, gaps = {}, {}
     first_failure = None
     for k in range(family.k_min, family.k_max + 1):
-        gen = family.generations[k]
         # depth 0 scans the cube itself: |int_Q b| / |Q| = |avg_Q b|
         ratio, _, _ = _subcube_scans(b, family.centers(k), family.side(k), 0)
-        pick, gap = _nearest_good(family, k, ratio >= eps, N)
-        witnesses[k] = [(Q, gen[j], g) if j >= 0 else (Q, None, float("nan"))
-                        for Q, j, g in zip(gen, pick.tolist(), gap.tolist())]
-        if first_failure is None and np.any(pick < 0):
-            first_failure = (k, gen[int(np.argmax(pick < 0))])
+        picks[k], gaps[k] = _nearest_good(family, k, ratio >= eps, N)
+        if first_failure is None and np.any(picks[k] < 0):
+            i = np.argmax(picks[k] < 0)
+            first_failure = (k, Cube(family.centers(k)[i], family.side(k)))
     return ConditionBCertificate(eps=float(eps), N=float(N), valid=first_failure is None,
-                                 witnesses=witnesses, first_failure=first_failure,
+                                 picks=picks, gaps=gaps, first_failure=first_failure,
                                  family=family)
 
 
@@ -261,7 +293,9 @@ def b_to_def3_constant(cert: ConditionBCertificate, Q: Cube,
     """Convert a dyadic-neighbour certificate into a subcube-average lower bound on Q.
 
     Picks the generation with 10 N side_k <= side(Q) <= 20 N side_k, the
-    generation cube containing Q's center, and its certificate witness.
+    generation cube containing Q's center (per axis the first with lo <= x < hi,
+    as Cube.contains_point tests, so the first in product order), and its
+    certificate witness.
     """
     fam = cert.family
     N = cert.N
@@ -273,10 +307,16 @@ def b_to_def3_constant(cert: ConditionBCertificate, Q: Cube,
             f"no certified generation satisfies 10N*2^-k <= {Q.side} <= 20N*2^-k")
     if not cert.generation_ok(k_sel):
         raise ValueError(f"certificate has failures at generation {k_sel}")
-    Q1, W = next(((q, w) for q, w, _ in cert.witnesses[k_sel] if q.contains_point(Q.center)),
-                 (None, None))
-    if Q1 is None:
-        raise ValueError("no generation cube contains the center of Q")
+    side = fam.side(k_sel)
+    idx = []
+    for x, a in zip(Q.center, (fam.axis_centers(k_sel, ax) for ax in range(Q.d))):
+        hit = np.nonzero((x >= a - side / 2.0) & (x < a + side / 2.0))[0]
+        if not len(hit):
+            raise ValueError("no generation cube contains the center of Q")
+        idx.append(hit[0])
+    i = np.ravel_multi_index(idx, (1 << k_sel,) * Q.d)
+    centers = fam.centers(k_sel)
+    Q1, W = Cube(centers[i], side), Cube(centers[cert.picks[k_sel][i]], side)
     # geometry from the side-length relation: the witness sits inside Q
     for ax in range(Q.d):
         if not (W.center[ax] - W.side / 2.0 >= Q.center[ax] - Q.side / 2.0 - 1e-9 and
@@ -351,28 +391,27 @@ def build_uk(b: SampledFunction, k: int, J: int = 3, lattice_divisor: int = 1) -
     lattice = x[np.abs(x - g.box.center[0]) + margin <= g.box.side / 2.0 + 1e-12]
     if not len(lattice):
         raise ValueError("no lattice point has support clearance; enlarge the box")
-    ratios, witnesses = zip(*_witnesses(g, *_subcube_scans(b, lattice[:, None], side, J)))
-    ells = [W.side for W in witnesses]
-    c0 = float(min(ratios))
+    ratios, corner, width = _subcube_scans(b, lattice[:, None], side, J)
+    centers, ells = _windows(g, corner, width)
+    c0 = float(np.min(ratios))
     b_sup = float(np.max(np.abs(b.values)))
     # witnesses achieving ratio >= c0 are at least c1 2^-k wide
     c1 = (c0 / b_sup) ** (1.0 / g.d)
-    if min(ells) < c1 * side * (1.0 - 1e-9):
+    if np.min(ells) < c1 * side * (1.0 - 1e-9):
         raise AssertionError("witness narrower than the volume bound allows")
     h_mol = select_mollifier_h(c0, b_sup, g.d)
-    eps_min = h_mol * min(ells)
+    eps_min = h_mol * np.min(ells)
     if eps_min < MIN_CELLS_PER_EPS * g.h:
         raise ValueError(
             f"mollifier width {eps_min:.3g} under-resolves the grid "
             f"(h_grid={g.h:.3g}); use a finer grid")
     # one row per witness W, mollified at width h_mol |W|
     y = g.axis(0)
-    ells = np.asarray(ells)
-    lo = np.asarray([W.center[0] - W.side / 2.0 for W in witnesses])[:, None]
-    hi = np.asarray([W.center[0] + W.side / 2.0 for W in witnesses])[:, None]
+    lo, hi = centers - ells[:, None] / 2.0, centers + ells[:, None] / 2.0
     epsm = h_mol * ells[:, None]
     rows = (2.0 ** k) * (mollifier_cdf((y - lo) / epsm) - mollifier_cdf((y - hi) / epsm))
-    return UkFamily(k=k, grid=g, lattice=lattice, witnesses=list(witnesses),
+    return UkFamily(k=k, grid=g, lattice=lattice,
+                    witnesses=[Cube(c, s) for c, s in zip(centers.tolist(), ells.tolist())],
                     ells=ells, h_mol=h_mol, alpha=mollifier_alpha(g.d),
                     c0=c0, b_sup=b_sup, rows=rows)
 

@@ -3,7 +3,7 @@
 def fmt_float(v) -> str:
     """Round-trip stable decimal form (byte-identical across runs)."""
     f = float(v)
-    if f == int(f) and abs(f) < 1e15:
+    if f.is_integer() and abs(f) < 1e15:     # False for inf and nan: written by repr
         return str(int(f))
     return repr(f)
 

@@ -5,6 +5,7 @@ from tblab.bmo import (MIN_CELLS, SHIFTS, CubeOscillation, _abs_dev, _geometric_
                        best_constant_oscillation, bmo_seminorm, mean_oscillation)
 from tblab.grid import Cube, SampledFunction, cube1, dyadic_family, make_grid, sample
 from tblab.harness import builtin_b
+from tblab.util import csv_table
 
 # log|x| BMO estimates over dyadic + shifted families on [-1, 1], frozen
 # from an independent pre-build window scan
@@ -155,6 +156,19 @@ def test_report_csv_columns():
     rows = rep.csv_rows()
     assert rows[0] == ["cube_center", "cube_side", "mean_osc", "best_const_osc"]
     assert len(rows) == len(rep.entries) + 1
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_report_csv_rows_equal_rows_of_the_entries_view(d):
+    g = make_grid(d, Cube((0.1,) * d, 3.0), 100 if d == 1 else 20)
+    rng = np.random.default_rng(d)
+    f = SampledFunction(grid=g, values=rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape))
+    rep = bmo_seminorm(f, dyadic_family(g.box, 0, 5 if d == 1 else 4))
+    assert rep.n_skipped > 0
+    assert rep.csv_rows() == csv_table(
+        ["cube_center", "cube_side", "mean_osc", "best_const_osc"],
+        ((e.cube.center, e.cube.side, e.mean_osc, e.best_const_osc) for e in rep.entries))
+    assert len(rep.entries) == len(rep.sides) and rep.entries[0].cube.d == d
 
 
 # --- oracles: the per-cube scan (one slice and one reduction per cube), per-axis

@@ -15,7 +15,7 @@ import pytest
 from tblab.bmo import bmo_seminorm
 from tblab import cli, harness, quadrature
 from tblab.cli import ConfigError, ExperimentConfig, ingest_b, run
-from tblab.grid import (Grid, cube1, dyadic_family, load_sampled_csv, make_grid, sample,
+from tblab.grid import (Cube, Grid, cube1, dyadic_family, load_sampled_csv, make_grid, sample,
                         save_sampled_csv)
 from tblab.harness import (GridSpec, builtin_b, exponent_fit, stein_bilinear_tb_test,
                            stein_tb_test, weak_boundedness_test)
@@ -456,6 +456,32 @@ def test_sweep_bmo_subcommand(tmp_path):
                   "scales = 1,2,4\n")
     out = tmp_path / "out"
     assert run("sweep-bmo", p, out) == 0
+
+
+def test_certificates_build_no_cube_per_scanned_cube(tmp_path, monkeypatch):
+    # the generation passes keep their results as arrays: a run builds a few
+    # Cube objects (the grid box, the conversion's pair), not one per scanned
+    # cube, of which each of these runs scans over a hundred
+    built = []
+    post_init = Cube.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Cube, "__post_init__", counting)
+    for sub, body in (("bmo", "b1 = sign-sin\ngrid.n = 512\ngrid.box_side = 16\n"
+                              "bmo.k_max = 4\n"),
+                      ("para-accretive", "b1 = sign-sin\ngrid.n = 512\ngrid.box_side = 16\n"
+                                         "bmo.k_max = 7\npara.eps = 0.9\n"),
+                      ("para-accretive", "b1 = one\ngrid.n = 512\ngrid.box_side = 8\n"
+                                         "bmo.k_max = 7\n"),
+                      ("sweep-bmo", "kernel.name = hilbert\ngrid.n = 128\n"
+                                    "grid.box_side = 16\nscales = 2,4\n")):
+        built.clear()
+        p = write_cfg(tmp_path, f"{sub}.cfg", body)
+        assert run(sub, p, tmp_path / f"out-{sub}-{len(body)}") == 0
+        assert 0 < len(built) <= 8, (sub, len(built))
 
 
 def test_far_field_subcommand(tmp_path):

@@ -10,6 +10,7 @@ from tblab.paraaccretive import (b_to_def3_constant, build_uk, check_condition_B
                                  mollification_l1_error, mollifier_alpha,
                                  mollifier_cdf, select_mollifier_h, subcube_scan,
                                  verify_sk_checklist, verify_uk)
+from tblab.util import csv_table
 
 # independent pre-build references:
 #   alpha = 1 / int(order-1 bump) by Richardson-refined quadrature
@@ -226,6 +227,16 @@ def test_para_certificate_equals_per_cube_oracle(name, J):
         assert cert.c0 == min(r for _, _, r in want)
 
 
+@pytest.mark.parametrize("name", ["1d-complex", "2d-complex"])
+def test_para_csv_rows_equal_rows_of_the_witnesses_view(name):
+    b = _para_cases()[name]
+    cert = check_para_accretive(b, dyadic_family(b.grid.box, 0, 3), J=2)
+    assert cert.csv_rows() == csv_table(
+        ["cube_center", "cube_side", "witness_center", "witness_side", "ratio"],
+        ((Q.center, Q.side, W.center, W.side, r) for Q, W, r in cert.witnesses))
+    assert len(cert.witnesses) == len(cert.ratios) and cert.witnesses[0][0].d == b.grid.d
+
+
 @pytest.mark.parametrize("d", [1, 2])
 def test_subcube_scan_equals_oracle_on_and_off_the_grid(d):
     g = make_grid(d, Cube((0.0,) * d, 4.0), 32)
@@ -326,6 +337,32 @@ def test_condition_b_matches_scalar_scan_acceptance_families(name, eps, L, n):
     g = make_grid(1, cube1(0.0, L), n)
     cert = _assert_matches_scalar_scan(_b(name, g), dyadic_family(g.box, 0, 9), 10, eps)
     assert name == "one" or not cert.valid
+
+
+def _scan_conversion(cert, Q, b):
+    """Oracle: the selected generation's cube that holds Q's centre, by a
+    contains_point scan of the witnesses view, its witness, and the one-cube
+    scan of that witness rescaled to 1/|Q|."""
+    fam, N = cert.family, cert.N
+    k = next(k for k in range(fam.k_min, fam.k_max + 1)
+             if 10.0 * N * fam.side(k) <= Q.side + 1e-12
+             and Q.side <= 20.0 * N * fam.side(k) + 1e-12)
+    Q1, W = next((q, w) for q, w, _ in cert.witnesses[k] if q.contains_point(Q.center))
+    return k, Q1, W, subcube_scan(b, W, 0)[0] * W.volume / Q.volume
+
+
+@pytest.mark.parametrize("name,eps,L,n", [("one", 1.0, 8.0, 512), ("sign-sin", 0.9, 16.0, 2048)])
+def test_conversion_equals_contains_point_oracle_acceptance_families(name, eps, L, n):
+    # the two families of acceptance 07; Q's centre falls on generation edges
+    # (the half-open rule picks the upper cube) and inside cubes
+    g = make_grid(1, cube1(0.0, L), n)
+    b = _b(name, g)
+    cert = check_condition_B(b, dyadic_family(g.box, 0, 9), N=10, eps=eps)
+    cubes = list(dyadic_family(g.box, 0, 1).all_cubes())
+    cubes += [cube1(x, L / 2) for x in np.linspace(-L / 4, L / 4, 13)]
+    for Q in cubes:
+        conv = b_to_def3_constant(cert, Q, b)
+        assert (conv.k, conv.Q1, conv.Q2, conv.measured_ratio) == _scan_conversion(cert, Q, b)
 
 
 def test_condition_b_matches_scalar_scan_failures():
