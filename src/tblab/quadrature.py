@@ -36,8 +36,9 @@ kernels of every experiment with rows there (T and T* of a Stein sweep, and
 T again for the wbp rows of a report), and applies them to its rows;
 apply_linear_field and friends build a plan and apply it once,
 per BLOCK rows (linear) or per point (bilinear) when points are given, so a
-one-shot call holds O(BLOCK n) or O(n^2) at a time. plan() states what each
-kind of plan holds and its size.
+one-shot call holds O(BLOCK n) or O(n^2) at a time; a one-shot bilinear point
+is no Plan, as it reads K.rule only on the rows that its f needs (_chunked).
+plan() states what each kind of plan holds and its size.
 
 Whole fields of kernels with a lattice structure (KernelModel.lattice) are
 lattice sums by FFT convolution. A linear field costs O(n log n). A bilinear
@@ -53,11 +54,13 @@ full off-diagonal sum from a multipole treecode, O(n p log n) with p set so
 the far-field truncation is below 2^-53; both linear paths share the
 near-zone terms read from K.rule on the 2 c_eps off-diagonals. Other
 kernels, points and subsets of points sum their kernel rows directly, O(n)
-(linear) or O(n^2) (bilinear) per point; these dense rows are also the test
-oracle. Triple pairings build no plan: they sum K.rule over the index hulls
-of their three factors' supports, |S0| |H1| |H2| cells in O(_SLICE_BYTES)
-memory, which trades time for memory against a lattice kernel's whole-field
-plan (triple_pairing states the crossover).
+(linear) or O(|supp f| n) (bilinear) per point: a bilinear point skips the
+rows y where f(y) = 0, whose products are exact zeros, with every bit of its
+value kept; these dense rows are also the test oracle. Triple pairings
+build no plan: they sum K.rule over the index hulls of their three factors'
+supports, |S0| |H1| |H2| cells in O(_SLICE_BYTES) memory, which trades time
+for memory against a lattice kernel's whole-field plan (triple_pairing
+states the crossover).
 """
 
 from __future__ import annotations
@@ -206,8 +209,12 @@ def plan(K: KernelModel, grid: Grid, policy: PvPolicy = PvPolicy(), points=None)
     - explicit points, bilinear: each point's scrubbed kernel values beyond
       the excision, compacted, and the flat indices and values of its k <=
       (2 c_eps + 1)^2 excised cells, 8 n^2 + 16 k - 16 bytes per point for a
-      real rule and 16 n^2 + 8 k - 16 for a complex one; applying it holds
-      O(_SUM_LEAF + n) more, whatever the number of points;
+      real rule and 16 n^2 + 8 k - 16 for a complex one, built from K.rule on
+      all n^2 cells, as a plan does not depend on its inputs; applying it
+      costs O(|supp f| n) per point, as the sums skip the rows y where
+      f(y) = 0 (whole leaves of _SUM_LEAF products, so supp f is rounded out
+      to them), and holds O(_SUM_LEAF + n) more, whatever the number of
+      points;
     - a whole linear field with a lattice structure: the spectrum of one
       profile table per distinct profile and each term's factors on the grid;
       with a curve structure, the treecode's geometry (near-field reciprocals
@@ -221,7 +228,8 @@ def plan(K: KernelModel, grid: Grid, policy: PvPolicy = PvPolicy(), points=None)
       near and ring weights of every point, 16 n bytes; applying it costs
       O(n^2) and holds O(L) and a _SLICE_BYTES block more;
     - a whole field of a kernel without a structure: nothing; each apply plans
-      and sums BLOCK rows (linear) or one slice (bilinear) at a time.
+      and sums BLOCK rows (linear), or builds and sums one slice (bilinear,
+      O(|supp f| n) per point, _chunked) at a time.
     Checks d = 1 and the points before any kernel evaluation.
     """
     return plans((K,), grid, policy, points)[0]
@@ -276,13 +284,26 @@ def _plan(K: KernelModel, grid: Grid, policy: PvPolicy, rows, shared: dict) -> P
 
 def _chunked(K: KernelModel, grid: Grid, policy: PvPolicy, rows: np.ndarray, vs,
              values: np.ndarray, delta: np.ndarray) -> None:
-    """The rows' sums from one plan per BLOCK rows (linear) or per row (bilinear),
-    each applied once: O(BLOCK n) or O(n^2) memory at a time."""
-    step = BLOCK if K.arity == "linear" else 1
+    """The rows' sums, each build applied once and freed before the next: one
+    plan per BLOCK rows (linear), O(BLOCK n) memory at a time, or one slice per
+    bilinear point, O(n^2) memory at a time. When f and g are finite a point's
+    slice reads K.rule only on its blocks of rows that meet supp f or hold its
+    excised cells, and is summed only over the subtrees that meet supp f
+    (_bilinear_slices, _slice_sums): O(|supp f| n) per point, rounded out to
+    whole blocks and leaves, with every value bit for bit that of a full
+    slice. Such a slice depends on f, so it is no Plan."""
+    linear = K.arity == "linear"
+    live = None if linear else _live_rows(vs)
+    step = BLOCK if linear else 1
     for s in range(0, len(rows), step):
-        p = _plan(K, grid, policy, rows[s:s + step], {})
-        p.sums(p, vs, values, delta)
-        del p       # freed before the next plan is built: one plan at a time
+        r = rows[s:s + step]
+        if linear:
+            p = _plan(K, grid, policy, r, {})
+            p.sums(p, vs, values, delta)
+        else:
+            p = _bilinear_slices(K, grid, policy, r, live)["points"]
+            _slice_sums(grid, r, p, vs, live, values, delta)
+        del p       # freed before the next one is built: one at a time
 
 
 def _dense_field_sums(p: Plan, vs, values, delta) -> None:
@@ -570,19 +591,38 @@ def _window_masses(V: np.ndarray, S: np.ndarray, policy: PvPolicy, h: float):
             np.where((S > policy.c_refined * h) & (S <= eps), V, 0.0).sum(axis=1))
 
 
-def _pairwise_sum(part, start: int, count: int) -> complex:
+def _pairwise_sum(part, start: int, count: int, live=None) -> complex:
     """part(start, count).sum() over the whole range in np.sum's order, holding
     at most _SUM_LEAF values at a time. np.sum adds a contiguous complex array
     pairwise: a run of more than 64 values splits after half of its 2 count
     doubles, rounded down to a multiple of 8, and a run of at most _SUM_LEAF
-    values is summed by np.sum itself (the slice oracle tests check the order)."""
+    values is summed by np.sum itself (test_pairwise_sum_is_np_sum and the
+    slice oracle tests check the order).
+
+    A range where live(start, count) is false must hold only zeros, of either
+    sign; it is 0j, and part is not called for it. np.sum adds from +0, so it
+    sums zeros to +0 and never returns -0: 0j is the range's own sum, and the
+    total keeps every bit."""
+    if live is not None and not live(start, count):
+        return 0j
     if count <= _SUM_LEAF:
         return part(start, count).sum()
     half = (count - count % 8) // 2
-    return _pairwise_sum(part, start, half) + _pairwise_sum(part, start + half, count - half)
+    return _pairwise_sum(part, start, half, live) + \
+        _pairwise_sum(part, start + half, count - half, live)
 
 
-def _bilinear_slices(K: KernelModel, grid: Grid, policy: PvPolicy, rows: np.ndarray) -> dict:
+def _live_rows(vs):
+    """The rows y with f_y != 0, when f and g are all finite, else None. Each
+    cell (y, z) of another row then has the exact product 0 with any finite
+    kernel value, so a bilinear point may skip those rows; a NaN or inf must
+    reach the sums as before, so nothing is skipped when one is present."""
+    fv, gv = vs
+    return fv != 0 if np.isfinite(fv).all() and np.isfinite(gv).all() else None
+
+
+def _bilinear_slices(K: KernelModel, grid: Grid, policy: PvPolicy, rows: np.ndarray,
+                     live=None) -> dict:
     """Per point i: the kernel values of its n x n slice beyond the excision,
     S > eps (_excision_window), compacted in row-major order and zero where
     not finite; the sorted flat indices of the excised cells; and the excised
@@ -594,7 +634,12 @@ def _bilinear_slices(K: KernelModel, grid: Grid, policy: PvPolicy, rows: np.ndar
     The excised cells' row-major order is their order in the slice, so every
     sum keeps its order. The rule is called on blocks of rows whose float
     temporaries stay under _SLICE_BYTES; a block is compacted by a mask only
-    when it holds excised cells.
+    when it holds excised cells. With live (_live_rows, for one application
+    only), a block that holds no excised cell and meets no live row is not
+    read, and its values stay 0; every other block is read as it is without.
+    A product there is 0 times a zero, so a leaf that reads it holds a zero
+    where it held one, maybe of the other sign, and np.sum, which adds from
+    +0, sums it to the same bits (_pairwise_sum).
     """
     x, h, n = grid.axis(0), grid.h, grid.n
     eps = policy.c_eps * h
@@ -607,12 +652,14 @@ def _bilinear_slices(K: KernelModel, grid: Grid, policy: PvPolicy, rows: np.ndar
         for r0 in range(0, n, step):
             r1 = min(r0 + step, n)
             lo, hi = r0 * n, r1 * n
+            a, b = cut.searchsorted((lo, hi)).tolist()
+            if live is not None and a == b and not live[r0:r1].any():
+                continue
             Kb = _sample(K.rule, x[i], x[r0:r1, None], x[None, :]).ravel()
             if far is None:
-                far = np.empty(n * n - len(cut), complex if np.iscomplexobj(Kb) else float)
+                far = np.zeros(n * n - len(cut), complex if np.iscomplexobj(Kb) else float)
             elif np.iscomplexobj(Kb) and not np.iscomplexobj(far):
                 far = far.astype(complex)       # a rule whose values turn complex
-            a, b = cut.searchsorted((lo, hi)).tolist()
             Kcut[a:b] = Kb[cut[a:b] - lo]
             far[lo - a:hi - b] = Kb if a == b else np.delete(Kb, cut[a:b] - lo)
         points.append((far, cut, Kcut[Scut > 0], Kcut[Scut > policy.c_refined * h].sum()))
@@ -620,27 +667,41 @@ def _bilinear_slices(K: KernelModel, grid: Grid, policy: PvPolicy, rows: np.ndar
 
 
 def _bilinear_slices_sums(p: Plan, vs, values, delta) -> None:
+    _slice_sums(p.grid, p.rows, p.parts["points"], vs, _live_rows(vs), values, delta)
+
+
+def _slice_sums(grid: Grid, rows, points, vs, live, values, delta) -> None:
     """Per point, (K * np.outer(f, g))[S > eps].sum() over its whole slice,
     element for element and in the same order, from _SUM_LEAF products at a
     time. The f(y) g(z) under a leaf are the whole rows of np.outer(f, g)
     that it touches, formed by one broadcast product into a reused buffer.
-    The buffers stay allocated across the points of one application."""
+    The buffers stay allocated across the points of one application.
+
+    With live (_live_rows), a subtree of the pairwise sum whose cells lie only
+    in rows with f_y == 0 holds only exact zeros, and _pairwise_sum takes it
+    as 0j without forming its products: a point costs O(|supp f| n), rounded
+    out to whole leaves, with the value of the full sum bit for bit. The
+    rows that a subtree touches are counted from a prefix count of the live
+    rows, made once per application."""
     fv, gv = vs
-    n, h = p.grid.n, p.grid.h
-    points = p.parts["points"]
+    n, h = grid.n, grid.h
+    nz = None if live is None else np.concatenate([[0], np.cumsum(live)])
     leaf = min(_SUM_LEAF, max((len(far) for far, _, _, _ in points), default=0))
     span = leaf + max((len(cut) for _, cut, _, _ in points), default=0)    # flat cells of one leaf
     FG = np.empty((-(-span // n) + 1, n), dtype=complex)     # the rows of f (x) g under one leaf
     prod = np.empty(leaf, dtype=complex)
-    for i, (far, cut, Knear, ring_sum) in zip(p.rows, points):
+    for i, (far, cut, Knear, ring_sum) in zip(rows, points):
         before = cut - np.arange(len(cut))      # far cells before each excised cell
+
+        def flat(o0, count):
+            """The far cells o0:o0 + count as the flat cells lo:hi less cut[a:b]."""
+            a, b = before.searchsorted((o0, o0 + count - 1), side="right").tolist()
+            return a, b, o0 + a, o0 + count + b
 
         def products(o0, count):
             if count == 0:          # every cell of a small grid is excised
                 return prod[:0]
-            # the far cells o0:o0 + count are the flat cells lo:hi less cut[a:b]
-            a, b = before.searchsorted((o0, o0 + count - 1), side="right").tolist()
-            lo, hi = o0 + a, o0 + count + b
+            a, b, lo, hi = flat(o0, count)
             y0, y1 = lo // n, -(-hi // n)
             t = np.multiply(fv[y0:y1, None], gv, out=FG[:y1 - y0]).ravel()[lo - y0 * n:]
             if a < b:       # one small mask over the span of the leaf's excised cells
@@ -653,8 +714,12 @@ def _bilinear_slices_sums(p: Plan, vs, values, delta) -> None:
                 t = prod
             return np.multiply(far[o0:o0 + count], t[:count], out=prod[:count])
 
+        def meets_f(o0, count):
+            _, _, lo, hi = flat(o0, count)
+            return nz[-(-hi // n)] > nz[lo // n]
+
         fgi = fv[i] * gv[i]
-        val = _pairwise_sum(products, 0, len(far)) * h * h
+        val = _pairwise_sum(products, 0, len(far), None if nz is None else meets_f) * h * h
         near = cut[cut != i * n + i]
         val += (Knear * (fv[near // n] * gv[near % n] - fgi)).sum() * h * h
         values[i], delta[i] = val, fgi * ring_sum * h * h
@@ -852,8 +917,8 @@ def _pv(K: KernelModel, fs: tuple, policy: PvPolicy, points=None, x=None):
     at the grid indices points (zero and unflagged elsewhere), or a PvValue at
     the grid point x. Checks arity, grid and d before any index lookup.
 
-    A whole field is one plan applied once; points are planned and applied
-    BLOCK rows (linear) or one slice (bilinear) at a time.
+    A whole field is one plan applied once; points are built and summed
+    BLOCK rows (linear) or one slice (bilinear) at a time (_chunked).
     """
     grid = _check_functions(K, fs)
     if points is None and x is None:
@@ -890,7 +955,10 @@ def apply_bilinear(K: KernelModel, f: SampledFunction, g: SampledFunction, x,
     """PV value of T(f, g)(x) with excision |x-y| + |x-z| > eps.
 
     The excision metric matches the bilinear diagonal {x=y=z}; excising the
-    two one-dimensional diagonals separately would be wrong.
+    two one-dimensional diagonals separately would be wrong. It costs
+    O(|supp f| n): K.rule is read on the blocks of rows that meet supp f or
+    hold excised cells, and the products on the rows that meet supp f, with
+    the value of the whole slice bit for bit.
     """
     return _pv(K, (f, g), policy, x=x)
 
@@ -901,7 +969,8 @@ def apply_bilinear_field(K: KernelModel, f: SampledFunction, g: SampledFunction,
     """T(f, g) at every grid point, or at a subset of grid indices (zero and unflagged elsewhere).
 
     A whole field of a kernel with a lattice profile costs O(n^2 log n) in
-    O(n^2) memory; other kernels and subsets cost O(n^2) per point.
+    O(n^2) memory; other kernels and subsets cost O(|supp f| n) per point
+    (apply_bilinear), in O(n^2) memory.
     """
     return _pv(K, (f, g), policy, points)
 
@@ -921,8 +990,11 @@ def triple_pairing(K: KernelModel, f0: SampledFunction, f1: SampledFunction,
 
     Summed from K.rule on the supports, with no plan: K.rule sees
     |S0| |H1| |H2| + |S0| (2 c_eps + 1)^2 cells, with S0 = supp b0 f0 and H1,
-    H2 the index hulls of supp b1 f1 and supp b2 f2 (never more than the
-    |S0| n^2 of dense points), in O(n + |S0| c_eps^2 + _SLICE_BYTES) memory.
+    H2 the index hulls of supp b1 f1 and supp b2 f2, in
+    O(n + |S0| c_eps^2 + _SLICE_BYTES) memory. That is never more than the
+    |S0| n^2 of full point slices. One-shot dense points at S0 read about
+    |S0| |supp b1 f1| n cells (those rows rounded out to blocks), which is
+    fewer only where H1 is much wider than supp b1 f1 and H2 is nearly n.
 
     The time follows the hulls, so it is short only while they are small
     against n. A lattice kernel's whole-field plan costs about L^2 profile

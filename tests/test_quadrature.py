@@ -13,7 +13,7 @@ from tblab.grid import Cube, SampledFunction, cube1, lp_norm, make_grid, sample
 from tblab.harness import (B_ONE, DECOMP_CUBE, GridSpec, _localize,
                            bilinear_decomposition_check, stein_bilinear_tb_test, stein_t1_test)
 from tblab.kernels import GALLERY_NAMES, KernelModel, gallery, transpose_kernel
-from tblab.quadrature import (_SLICE_BYTES, PvPolicy, _arrays, _triple_pairing,
+from tblab.quadrature import (_SLICE_BYTES, _SUM_LEAF, PvPolicy, _arrays, _triple_pairing,
                               apply_bilinear, apply_bilinear_field, apply_linear,
                               apply_linear_field, pairing, plan, plans,
                               triple_pairing)
@@ -483,6 +483,179 @@ def test_bilinear_point_on_a_wholly_excised_slice_is_bit_identical(c_eps):
     fr = apply_bilinear_field(K, f, h, PvPolicy(c_eps=c_eps), points=range(9))
     want = [_bilinear_point_masked(K, f.values, h.values, g, i, c_eps)[0] for i in range(9)]
     assert np.array_equal(fr.field.values, np.array(want))
+
+
+def _bits(v):
+    return np.ascontiguousarray(v, dtype=complex).view(np.int64)
+
+
+@pytest.mark.parametrize("count", [1, 8, 64, 65, _SUM_LEAF, _SUM_LEAF + 1, 2 * _SUM_LEAF + 9,
+                                   10 ** 5])
+def test_pairwise_sum_is_np_sum(count):
+    # the point sums rest on np.sum's pairwise order, which numpy does not
+    # document: a numpy release that changes it fails here first
+    rng = np.random.default_rng(count)
+    a = rng.normal(size=count) + 1j * rng.normal(size=count)
+    whole = a.sum()
+    got = quadrature._pairwise_sum(lambda s, c: a[s:s + c], 0, count)
+    assert np.array_equal(_bits(got), _bits(whole))
+    # np.sum adds from +0, so zeros of either sign sum to +0, never to -0
+    assert np.array_equal(_bits(np.full(count, complex(-0.0, -0.0)).sum()), _bits(0j))
+    # ranges of zeros of either sign are skipped without being read, as 0j
+    for lo, hi in ((0, count // 3), (count // 2, count), (0, count)):
+        b = a.copy()
+        b[lo:hi] = rng.choice([0.0, -0.0], hi - lo) + 1j * rng.choice([0.0, -0.0], hi - lo)
+        read = []
+
+        def part(s, c):
+            read.append((s, c))
+            return b[s:s + c]
+
+        got = quadrature._pairwise_sum(part, 0, count, lambda s, c: np.any(b[s:s + c] != 0))
+        assert got == b.sum()
+        assert np.array_equal(_bits(got), _bits(b.sum()))
+        assert sum(c for _, c in read) <= count - (hi - lo) + 2 * _SUM_LEAF
+        assert read or (lo, hi) == (0, count)
+    assert read == []
+    assert quadrature._pairwise_sum(part, 0, 0) == 0j
+
+
+def _complex_rule(x, y, z):
+    """A complex transcendental kernel, 0 / 0 (not finite) on the diagonal."""
+    u, v = np.asarray(x, dtype=float) - y, np.asarray(x, dtype=float) - z
+    return np.exp(1j * u) * np.sin(v) / (u * u + v * v)
+
+
+def _compact_inputs(g, c_eps, case):
+    """(f, g, points, kernel) of one compactly supported case; f vanishes on
+    most rows, so the one-shot points and the sums skip them."""
+    n, x = g.n, g.axis(0)
+    K = gallery("bilinear-homog")
+    bump = np.where(np.abs(x + g.box.side / 8) < g.box.side / 6, np.cos(x) + 0.5j, 0.0)
+    other = _smooth(g, 40).values
+    pts = [0, c_eps, n // 2, n - 1]
+    f, h = bump, other
+    if case == "f-zero":
+        f = np.zeros(n, dtype=complex)
+    elif case == "g-zero":
+        h = np.zeros(n, dtype=complex)
+    elif case in ("first-row", "last-row"):
+        f = np.zeros(n, dtype=complex)
+        f[0 if case == "first-row" else n - 1] = 1.5 - 0.5j
+    elif case == "excision-rows":
+        f = np.zeros(n, dtype=complex)
+        f[n // 2 - c_eps:n // 2 + c_eps + 1] = np.arange(1, 2 * c_eps + 2) - 1j
+        pts = [n // 2]
+    elif case == "signed-zero":
+        # -0 real and imaginary parts off the supports, and a negative real g
+        f = np.where(bump != 0, bump, complex(-0.0, -0.0))
+        h = np.where(np.abs(x) < 1.0, -np.exp(-x * x), -0.0) + 0j
+    elif case == "complex-rule":
+        K = dataclasses.replace(K, name="complex-rule", rule=_complex_rule, lattice=None)
+    return SampledFunction(grid=g, values=f), SampledFunction(grid=g, values=h), pts, K
+
+
+@pytest.mark.parametrize("case", ["f-zero", "g-zero", "first-row", "last-row", "excision-rows",
+                                  "signed-zero", "complex-rule"])
+@pytest.mark.parametrize("n", [127, 384])
+@pytest.mark.parametrize("c_eps", [1, 2, 4])
+def test_bilinear_point_skipping_zero_rows_is_bit_identical(case, n, c_eps):
+    # the points skip the rows where f vanishes (its subtrees of the pairwise
+    # sum, and in one-shot calls its kernel blocks), yet every bit of every
+    # value and of its eps/2 estimate is the masked oracle's
+    g = make_grid(1, cube1(0.0, 8.0), n)
+    f, h, pts, K = _compact_inputs(g, c_eps, case)
+    policy = PvPolicy(c_eps=c_eps)
+    want = np.array([_bilinear_point_masked(K, f.values, h.values, g, i, c_eps) for i in pts])
+    for fr in (plan(K, g, policy, pts)(f, h), apply_bilinear_field(K, f, h, policy, points=pts)):
+        assert np.array_equal(fr.field.values[pts], want[:, 0])
+        assert np.array_equal(_bits(fr.field.values[pts]), _bits(want[:, 0]))
+    for i, (value, dv) in zip(pts, want):
+        pv = apply_bilinear(K, f, h, g.axis(0)[i], policy)
+        assert (pv.value, pv.refined) == (value, value + dv)
+        assert np.array_equal(_bits([pv.value, pv.refined]), _bits([value, value + dv]))
+
+
+@pytest.mark.parametrize("case", ["first-row", "f-zero"])
+@pytest.mark.parametrize("where", ["plan", "one-shot"])
+@pytest.mark.parametrize("c_eps", [1, 2])
+def test_bilinear_point_with_a_nan_input_skips_nothing(case, where, c_eps):
+    # SampledFunction rejects NaN, so the raw sums take it: a NaN in g reaches
+    # every cell (y, z) with g_z = NaN, also in rows where f vanishes (0 NaN is
+    # NaN), and the value and the flag stay the full slice's
+    n = 127
+    g = make_grid(1, cube1(0.0, 8.0), n)
+    f, h, pts, K = _compact_inputs(g, c_eps, case)
+    gv = h.values.copy()
+    gv[n // 3] = np.nan
+    values, delta = np.zeros(n, dtype=complex), np.zeros(n, dtype=complex)
+    if where == "plan":
+        T = plan(K, g, PvPolicy(c_eps=c_eps), pts)
+        T.sums(T, [f.values, gv], values, delta)
+    else:
+        quadrature._chunked(K, g, PvPolicy(c_eps=c_eps), np.array(pts), [f.values, gv],
+                            values, delta)
+    want = np.array([_bilinear_point_masked(K, f.values, gv, g, i, c_eps) for i in pts])
+    assert np.all(np.isnan(values[pts]))
+    assert np.array_equal(_bits(values[pts]), _bits(want[:, 0]))
+    assert not np.any(quadrature._converged(PvPolicy(c_eps=c_eps), values, delta)[pts])
+
+
+def test_point_plan_sums_read_the_leaves_that_meet_supp_f():
+    # a reusable point plan holds the whole slice, but applying it forms the
+    # products of the leaves that meet supp f only
+    n = 384
+    g = make_grid(1, cube1(0.0, 8.0), n)
+    f, other, _, K = _compact_inputs(g, 2, "signed-zero")
+    support = np.nonzero(f.values)[0]
+    T = plan(K, g, PvPolicy(), [150])
+    (far, *rest), = T.parts["points"]
+    reads = []
+
+    class Reading(np.ndarray):
+        def __getitem__(self, key):
+            reads.append(key)
+            return np.asarray(self)[key]
+
+    values, delta = np.zeros(n, dtype=complex), np.zeros(n, dtype=complex)
+    vs = [f.values, other.values]
+    quadrature._slice_sums(g, T.rows, ((far.view(Reading), *rest),), vs,
+                           quadrature._live_rows(vs), values, delta)
+    read = sum(k.stop - k.start for k in reads)
+    assert len(support) * n - len(rest[0]) <= read <= len(support) * n + 2 * _SUM_LEAF < len(far)
+    want = T(f, other)
+    assert np.array_equal(_bits(values), _bits(want.field.values))
+
+
+@pytest.mark.parametrize("c_eps", [1, 2, 4])
+def test_one_shot_point_reads_the_blocks_that_meet_supp_f_or_its_excision(c_eps):
+    # each K.rule call is one block of rows of the slice; a one-shot point
+    # reads a block only when it meets supp f or holds an excised cell
+    K = gallery("bilinear-homog")
+    blocks = []
+
+    def counting(x, y, z):
+        blocks.append((float(x), int(np.rint((y[0, 0] - y0) / h)), np.shape(y)[0]))
+        return K.rule(x, y, z)
+
+    n = 384
+    g = make_grid(1, cube1(0.0, 8.0), n)
+    x, h, y0 = g.axis(0), g.h, g.axis(0)[0]
+    f, other, _, _ = _compact_inputs(g, c_eps, "signed-zero")
+    support = np.nonzero(f.values)[0]
+    assert 0 < len(support) < n // 2
+    step = _SLICE_BYTES // (8 * n)
+    pts = [0, 150, 300, n - 1]
+    got = apply_bilinear_field(dataclasses.replace(K, rule=counting), f, other,
+                               PvPolicy(c_eps=c_eps), points=pts)
+    for i in pts:
+        rows = set(support) | set(np.nonzero(np.abs(x[i] - x) <= c_eps * h)[0])
+        want = [(r0, min(step, n - r0)) for r0 in range(0, n, step)
+                if rows & set(range(r0, r0 + step))]
+        assert [b[1:] for b in blocks if b[0] == float(x[i])] == want
+    assert len(blocks) < 4 * (n // step + 1) // 2
+    full = apply_bilinear_field(K, f, other, PvPolicy(c_eps=c_eps), points=pts)
+    assert np.array_equal(_bits(got.field.values), _bits(full.field.values))
 
 
 def test_whole_commutator_field_reads_each_profile_once():
