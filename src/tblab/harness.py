@@ -614,8 +614,10 @@ def _wbp_part(K: KernelModel, b0: BFunc = B_ONE, b1: BFunc = B_ONE, b2: BFunc = 
               uniformity_factor: float = DEFAULT_UNIFORMITY) -> _Part:
     """weak_boundedness_test's part: one report. A linear kernel's rows apply
     the plan of T; a bilinear kernel's rows are triple pairings summed on the
-    bumps' supports (_triple_pairing), so its part has no kernel to plan, and
-    policy, theirs, must be the sweep's."""
+    bumps' supports (_triple_pairing: from one profile table over the offsets
+    between them for a lattice kernel, from K.rule on their hulls otherwise),
+    so its part has no kernel to plan, and policy, theirs, must be the
+    sweep's."""
     bil = K.arity == "bilinear"
     if scales is None:
         scales = BILINEAR_SCALES if bil else LINEAR_SCALES

@@ -37,7 +37,8 @@ T again for the wbp rows of a report), and applies them to its rows;
 apply_linear_field and friends build a plan and apply it once,
 per BLOCK rows (linear) or per point (bilinear) when points are given, so a
 one-shot call holds O(BLOCK n) or O(n^2) at a time; a one-shot bilinear point
-is no Plan, as it reads K.rule only on the rows that its f needs (_chunked).
+is no Plan, as it reads K.rule only on the rows of supp f and the columns of
+the hull of supp g that its inputs need (_chunked).
 plan() states what each kind of plan holds and its size.
 
 Whole fields of kernels with a lattice structure (KernelModel.lattice) are
@@ -55,12 +56,12 @@ the far-field truncation is below 2^-53; both linear paths share the
 near-zone terms read from K.rule on the 2 c_eps off-diagonals. Other
 kernels, points and subsets of points sum their kernel rows directly, O(n)
 (linear) or O(|supp f| n) (bilinear) per point: a bilinear point skips the
-rows y where f(y) = 0, whose products are exact zeros, with every bit of its
-value kept; these dense rows are also the test oracle. Triple pairings
-build no plan: they sum K.rule over the index hulls of their three factors'
-supports, |S0| |H1| |H2| cells in O(_SLICE_BYTES) memory, which trades time
-for memory against a lattice kernel's whole-field plan (triple_pairing
-states the crossover).
+rows y where f(y) = 0, whose products are exact zeros, and a one-shot point
+reads K.rule only on the columns z of the hull of supp g, with every bit of
+its value kept; these dense rows are also the test oracle. Triple pairings
+build no plan: for a lattice kernel they read one profile table over the
+offsets between the supports, for a kernel with only a rule they sum K.rule
+over the index hulls of the supports (triple_pairing states both costs).
 """
 
 from __future__ import annotations
@@ -229,7 +230,8 @@ def plan(K: KernelModel, grid: Grid, policy: PvPolicy = PvPolicy(), points=None)
       O(n^2) and holds O(L) and a _SLICE_BYTES block more;
     - a whole field of a kernel without a structure: nothing; each apply plans
       and sums BLOCK rows (linear), or builds and sums one slice (bilinear,
-      O(|supp f| n) per point, _chunked) at a time.
+      O(|supp f| |hull supp g|) kernel reads and O(|supp f| n) products per
+      point, _chunked) at a time.
     Checks d = 1 and the points before any kernel evaluation.
     """
     return plans((K,), grid, policy, points)[0]
@@ -287,13 +289,16 @@ def _chunked(K: KernelModel, grid: Grid, policy: PvPolicy, rows: np.ndarray, vs,
     """The rows' sums, each build applied once and freed before the next: one
     plan per BLOCK rows (linear), O(BLOCK n) memory at a time, or one slice per
     bilinear point, O(n^2) memory at a time. When f and g are finite a point's
-    slice reads K.rule only on its blocks of rows that meet supp f or hold its
-    excised cells, and is summed only over the subtrees that meet supp f
-    (_bilinear_slices, _slice_sums): O(|supp f| n) per point, rounded out to
+    slice reads K.rule only on its blocks of rows that meet supp f, there
+    only on the columns of the index hull of supp g, and in full on the
+    blocks that hold its excised cells, and is summed only over the subtrees
+    that meet supp f (_bilinear_slices, _slice_sums): O(|supp f| |hull supp
+    g|) kernel reads and O(|supp f| n) products per point, rounded out to
     whole blocks and leaves, with every value bit for bit that of a full
-    slice. Such a slice depends on f, so it is no Plan."""
+    slice. Such a slice depends on f and g, so it is no Plan."""
     linear = K.arity == "linear"
     live = None if linear else _live_rows(vs)
+    cols = None if live is None else _hull(vs[1] != 0)
     step = BLOCK if linear else 1
     for s in range(0, len(rows), step):
         r = rows[s:s + step]
@@ -301,7 +306,7 @@ def _chunked(K: KernelModel, grid: Grid, policy: PvPolicy, rows: np.ndarray, vs,
             p = _plan(K, grid, policy, r, {})
             p.sums(p, vs, values, delta)
         else:
-            p = _bilinear_slices(K, grid, policy, r, live)["points"]
+            p = _bilinear_slices(K, grid, policy, r, live, cols)["points"]
             _slice_sums(grid, r, p, vs, live, values, delta)
         del p       # freed before the next one is built: one at a time
 
@@ -591,6 +596,14 @@ def _window_masses(V: np.ndarray, S: np.ndarray, policy: PvPolicy, h: float):
             np.where((S > policy.c_refined * h) & (S <= eps), V, 0.0).sum(axis=1))
 
 
+def _window_profile(P, c_eps: int, h: float) -> np.ndarray:
+    """The profile at the offsets (x_i - x_j, x_i - x_k) of the excision window's
+    cells (_excision_window), one row that every point of a lattice kernel
+    shares."""
+    off = np.arange(-c_eps, c_eps + 1)
+    return _profile(P, -np.repeat(off, len(off))[None] * h, -np.tile(off, len(off))[None] * h)
+
+
 def _pairwise_sum(part, start: int, count: int, live=None) -> complex:
     """part(start, count).sum() over the whole range in np.sum's order, holding
     at most _SUM_LEAF values at a time. np.sum adds a contiguous complex array
@@ -622,7 +635,7 @@ def _live_rows(vs):
 
 
 def _bilinear_slices(K: KernelModel, grid: Grid, policy: PvPolicy, rows: np.ndarray,
-                     live=None) -> dict:
+                     live=None, cols=None) -> dict:
     """Per point i: the kernel values of its n x n slice beyond the excision,
     S > eps (_excision_window), compacted in row-major order and zero where
     not finite; the sorted flat indices of the excised cells; and the excised
@@ -634,12 +647,14 @@ def _bilinear_slices(K: KernelModel, grid: Grid, policy: PvPolicy, rows: np.ndar
     The excised cells' row-major order is their order in the slice, so every
     sum keeps its order. The rule is called on blocks of rows whose float
     temporaries stay under _SLICE_BYTES; a block is compacted by a mask only
-    when it holds excised cells. With live (_live_rows, for one application
-    only), a block that holds no excised cell and meets no live row is not
-    read, and its values stay 0; every other block is read as it is without.
-    A product there is 0 times a zero, so a leaf that reads it holds a zero
-    where it held one, maybe of the other sign, and np.sum, which adds from
-    +0, sums it to the same bits (_pairwise_sum).
+    when it holds excised cells. With live and cols (_live_rows and the index
+    hull of supp g, for one application only), a block that holds no excised
+    cell is read only on the columns cols, and not at all when it meets no
+    live row or cols is empty; its other values stay 0. A block that holds
+    excised cells is read as it is without. A product at an unread cell is
+    0 times a zero, so a leaf that reads it holds a zero where it held one,
+    maybe of the other sign, and np.sum, which adds from +0, sums it to the
+    same bits (_pairwise_sum).
     """
     x, h, n = grid.axis(0), grid.h, grid.n
     eps = policy.c_eps * h
@@ -653,15 +668,22 @@ def _bilinear_slices(K: KernelModel, grid: Grid, policy: PvPolicy, rows: np.ndar
             r1 = min(r0 + step, n)
             lo, hi = r0 * n, r1 * n
             a, b = cut.searchsorted((lo, hi)).tolist()
-            if live is not None and a == b and not live[r0:r1].any():
-                continue
-            Kb = _sample(K.rule, x[i], x[r0:r1, None], x[None, :]).ravel()
+            c = slice(None)
+            if live is not None and a == b:
+                if not (len(cols) and live[r0:r1].any()):
+                    continue
+                c = slice(cols[0], cols[-1] + 1)
+            Kb = _sample(K.rule, x[i], x[r0:r1, None], x[None, c])
             if far is None:
                 far = np.zeros(n * n - len(cut), complex if np.iscomplexobj(Kb) else float)
             elif np.iscomplexobj(Kb) and not np.iscomplexobj(far):
                 far = far.astype(complex)       # a rule whose values turn complex
-            Kcut[a:b] = Kb[cut[a:b] - lo]
-            far[lo - a:hi - b] = Kb if a == b else np.delete(Kb, cut[a:b] - lo)
+            if a == b:
+                far[lo - a:hi - b].reshape(r1 - r0, n)[:, c] = Kb
+            else:
+                Kb = Kb.ravel()
+                Kcut[a:b] = Kb[cut[a:b] - lo]
+                far[lo - a:hi - b] = np.delete(Kb, cut[a:b] - lo)
         points.append((far, cut, Kcut[Scut > 0], Kcut[Scut > policy.c_refined * h].sum()))
     return {"points": tuple(points)}
 
@@ -780,8 +802,8 @@ def _bilinear_lattice(K: KernelModel, grid: Grid, policy: PvPolicy, shared: dict
         shared["window"] = _excision_window(grid.axis(0), np.arange(n), policy.c_eps)
     if ("spectrum", id(source)) not in shared:
         shared["spectrum", id(source)] = _sheared_spectrum(source, n, h)
-    j, k, S = shared["window"]
-    near, ring = _window_masses(_profile(P, -j[:1] * h, -k[:1] * h), S, policy, h)
+    near, ring = _window_masses(_window_profile(P, policy.c_eps, h), shared["window"][2],
+                                policy, h)
     return {"Q": shared["spectrum", id(source)], "perm": perm, "near": near, "ring": ring}
 
 
@@ -956,9 +978,10 @@ def apply_bilinear(K: KernelModel, f: SampledFunction, g: SampledFunction, x,
 
     The excision metric matches the bilinear diagonal {x=y=z}; excising the
     two one-dimensional diagonals separately would be wrong. It costs
-    O(|supp f| n): K.rule is read on the blocks of rows that meet supp f or
-    hold excised cells, and the products on the rows that meet supp f, with
-    the value of the whole slice bit for bit.
+    O(|supp f| n): K.rule is read on the blocks of rows that meet supp f,
+    there only on the columns of the index hull of supp g, and on the blocks
+    that hold excised cells, and the products are formed on the rows that
+    meet supp f, with the value of the whole slice bit for bit.
     """
     return _pv(K, (f, g), policy, x=x)
 
@@ -988,26 +1011,22 @@ def triple_pairing(K: KernelModel, f0: SampledFunction, f1: SampledFunction,
                    b2: SampledFunction, policy: PvPolicy = PvPolicy()) -> complex:
     """Excised triple sum of K(x,y,z) b0(x) f0(x) b1(y) f1(y) b2(z) f2(z).
 
-    Summed from K.rule on the supports, with no plan: K.rule sees
-    |S0| |H1| |H2| + |S0| (2 c_eps + 1)^2 cells, with S0 = supp b0 f0 and H1,
-    H2 the index hulls of supp b1 f1 and supp b2 f2, in
-    O(n + |S0| c_eps^2 + _SLICE_BYTES) memory. That is never more than the
-    |S0| n^2 of full point slices. One-shot dense points at S0 read about
-    |S0| |supp b1 f1| n cells (those rows rounded out to blocks), which is
-    fewer only where H1 is much wider than supp b1 f1 and H2 is nearly n.
-
-    The time follows the hulls, so it is short only while they are small
-    against n. A lattice kernel's whole-field plan costs about L^2 profile
-    cells and an L x L FFT, and holds 16 L (L/2 + 1) bytes (L the smallest
-    2^a 3^b >= 2n - 1). Against it the hull sum trades time for memory: it
-    is the faster where |S0| |H1| |H2| stays under about L^2 and the slower
-    beyond. On the scale-matched grids of bilinear weak boundedness (box
-    8R) each hull is n/4 or n/8 points, so a row costs up to (n/4)^3 cells,
-    n/256 times L^2. There (bilinear-homog, 2-core host) a sweep of hull
-    sums took 0.51 times the time of one reading its rows from a plan per
-    row grid at n = 128, broke even at n = 512, and took 1.56 times at
-    n = 1024 and 2.99 times at n = 2048, in a process peak RSS of 35 MB
-    against 68 and 166 MB.
+    Summed on the supports, with no plan. With S0 = supp b0 f0 and H1, H2 the
+    index hulls of supp b1 f1 and supp b2 f2:
+    - a kernel with a lattice profile P (K, K*1, K*2 and every composed
+      transpose) reads P once on the |A| |B| offsets a in S0 - H1,
+      b in S0 - H2 (|A| = span S0 + |H1|) and on the (2 c_eps + 1)^2 window
+      offsets, never K.rule, and sums each point of S0 from that table by
+      real matrix products: O(|A| |B|) profile reads and O(|S0| |A| |B|)
+      multiply-adds, in the table's 8 |A| |B| bytes and
+      O(n + |S0| c_eps^2 + _SLICE_BYTES) more;
+    - a kernel with only a rule reads K.rule on |S0| |H1| |H2| + |S0|
+      (2 c_eps + 1)^2 cells, in O(n + |S0| c_eps^2 + _SLICE_BYTES) memory.
+    On the scale-matched grids of bilinear weak boundedness (box 8R) the
+    supports are n/4 or n/8 points, so a lattice row reads O(n^2) profile
+    offsets, about L^2 / 16 for the L x L table of a whole-field plan, and
+    holds up to 2 n^2 bytes against its 16 L (L/2 + 1) (L the smallest
+    2^a 3^b >= 2n - 1).
     """
     return _triple_pairing(K, f0, f1, f2, b0, b1, b2, policy)[0]
 
@@ -1016,12 +1035,14 @@ def _triple_pairing(K, f0, f1, f2, b0, b1, b2, policy) -> tuple[complex, int]:
     """triple_pairing and the number of PV-flagged points of the inner field on S0.
 
     With w = b f per slot, each i in S0 takes inner_i, the sum of
-    K(x_i, x_j, x_k) w1_j w2_k over j in H1, k in H2, (j, k) != (i, i), read
-    in blocks of (i, j) whose floats stay under _SLICE_BYTES, and the near and
-    ring kernel masses of its excision window over the whole grid
-    (_excision_window). value_i = (inner_i - w1_i w2_i near_i) h^2 is the
-    dense slice sum term for term, and delta_i = w1_i w2_i ring_i h^2. Arity,
-    the shared grid and d = 1 are checked before any kernel evaluation.
+    K(x_i, x_j, x_k) w1_j w2_k over j in H1, k in H2, (j, k) != (i, i): from
+    one profile table over the offset hulls for a lattice kernel
+    (_table_sums), else from K.rule on the hulls (_hull_sums); and the near
+    and ring kernel masses of its excision window over the whole grid
+    (_excision_window), read from the profile at the window's offsets or
+    from K.rule at its cells. value_i = (inner_i - w1_i w2_i near_i) h^2 is
+    the dense slice sum term for term, and delta_i = w1_i w2_i ring_i h^2.
+    Arity, the shared grid and d = 1 are checked before any kernel evaluation.
     """
     if K.arity != "bilinear":
         raise ValueError(f"kernel {K.name} is not bilinear")
@@ -1030,11 +1051,71 @@ def _triple_pairing(K, f0, f1, f2, b0, b1, b2, policy) -> tuple[complex, int]:
         raise ValueError("all six functions must share a grid")
     _check_grid(K, gr)
     w0, w1, w2 = (b.values * f.values for b, f in ((b0, f0), (b1, f1), (b2, f2)))
-    S0, s1, s2 = (np.nonzero(np.abs(w) > 0)[0] for w in (w0, w1, w2))
-    if not (len(S0) and len(s1) and len(s2)):
+    S0 = np.nonzero(np.abs(w0) > 0)[0]
+    H1, H2 = (_hull(np.abs(w) > 0) for w in (w1, w2))
+    if not (len(S0) and len(H1) and len(H2)):
         return 0.0 + 0.0j, 0
     x, h, c_eps = gr.axis(0), gr.h, policy.c_eps
-    H1, H2 = np.arange(s1[0], s1[-1] + 1), np.arange(s2[0], s2[-1] + 1)
+    jw, kw, S = _excision_window(x, S0, c_eps)
+    if K.lattice is not None:
+        inner = _table_sums(K.lattice, h, S0, w1, w2, H1, H2)
+        Kw = _window_profile(K.lattice, c_eps, h)
+    else:
+        inner = _hull_sums(K.rule, x, S0, w1, w2, H1, H2)
+        Kw = _sample(K.rule, x[S0, None], x[np.clip(jw, 0, gr.n - 1)],
+                     x[np.clip(kw, 0, gr.n - 1)])
+    near, ring = _window_masses(Kw, S, policy, h)
+    fg = w1[S0] * w2[S0]
+    value = (inner - fg * near) * h * h
+    converged = _converged(policy, value, fg * ring * h * h)
+    return complex(np.sum(w0[S0] * value) * h), int(np.sum(~converged))
+
+
+def _hull(support: np.ndarray) -> np.ndarray:
+    """The indices from the first True of support to its last (empty when none)."""
+    nz = np.flatnonzero(support)
+    return np.arange(nz[0], nz[-1] + 1) if len(nz) else nz
+
+
+def _table_sums(P, h: float, S0, w1, w2, H1, H2) -> np.ndarray:
+    """inner_i = sum_{a, b} Tab[a, b] w1_{i - a} w2_{i - b} at each i of S0, with
+    Tab[a, b] = P(a h, b h) over the offsets a in S0 - H1, b in S0 - H2 and zero
+    at (0, 0), the cell j = k = i.
+
+    The offsets run down from S0[-1] - H[0], so that the w values a point
+    reads are one window of w on its hull, padded by the span of S0 on each
+    side. The table is read in row blocks and the points are summed a block
+    at a time, one real product of the stacked Re and Im of their w1 windows
+    with the table and one row-wise product with their w2 windows: every
+    temporary stays under _SLICE_BYTES, and only the table, |A| |B| floats,
+    exceeds it."""
+    span = S0[-1] - S0[0]
+    offsets, windows = [], []
+    for w, H in ((w1, H1), (w2, H2)):
+        wp = np.zeros(2 * span + len(H), dtype=complex)
+        wp[span:span + len(H)] = w[H]
+        offsets.append(S0[-1] - H[0] - np.arange(span + len(H)))
+        windows.append(sliding_window_view(wp, span + len(H)))
+    a, b = offsets
+    Tab = np.empty((len(a), len(b)))
+    step = max(1, _SLICE_BYTES // (8 * len(b)))
+    for r0 in range(0, len(a), step):
+        Tab[r0:r0 + step] = _profile(P, a[r0:r0 + step, None] * h, b * h)
+    Tab[np.ix_(a == 0, b == 0)] = 0.0
+    inner = np.empty(len(S0), dtype=complex)
+    step = max(1, _SLICE_BYTES // (16 * max(len(a), len(b))))
+    for r0 in range(0, len(S0), step):
+        d = S0[r0:r0 + step] - S0[0]
+        W1 = windows[0][d]
+        M = np.concatenate([W1.real, W1.imag]) @ Tab
+        inner[r0:r0 + step] = ((M[:len(d)] + 1j * M[len(d):]) * windows[1][d]).sum(axis=1)
+    return inner
+
+
+def _hull_sums(rule, x: np.ndarray, S0, w1, w2, H1, H2) -> np.ndarray:
+    """inner_i = sum K(x_i, x_j, x_k) w1_j w2_k over j in H1, k in H2,
+    (j, k) != (i, i), at each i of S0, from rule on |S0| |H1| |H2| cells read
+    in blocks of (i, j) whose floats stay under _SLICE_BYTES."""
     W2 = np.stack([w2[H2].real, w2[H2].imag], axis=1)      # a real rule keeps a real product
     cols = min(len(H1), max(1, _SLICE_BYTES // (8 * len(H2))))
     rows = max(1, _SLICE_BYTES // (8 * cols * len(H2)))
@@ -1043,15 +1124,9 @@ def _triple_pairing(K, f0, f1, f2, b0, b1, b2, policy) -> tuple[complex, int]:
         i = S0[r0:r0 + rows]
         for c0 in range(0, len(H1), cols):
             j = H1[c0:c0 + cols]
-            Kb = _sample(K.rule, x[i, None, None], x[None, j, None], x[H2])
+            Kb = _sample(rule, x[i, None, None], x[None, j, None], x[H2])
             at = np.nonzero((i >= j[0]) & (i <= j[-1]) & (i >= H2[0]) & (i <= H2[-1]))[0]
             Kb[at, i[at] - j[0], i[at] - H2[0]] = 0.0      # the cell (j, k) = (i, i)
             t = Kb @ W2
             inner[r0:r0 + rows] += (t[..., 0] + 1j * t[..., 1]) @ w1[j]
-    jw, kw, S = _excision_window(x, S0, c_eps)
-    Kw = _sample(K.rule, x[S0, None], x[np.clip(jw, 0, gr.n - 1)], x[np.clip(kw, 0, gr.n - 1)])
-    near, ring = _window_masses(Kw, S, policy, h)
-    fg = w1[S0] * w2[S0]
-    value = (inner - fg * near) * h * h
-    converged = _converged(policy, value, fg * ring * h * h)
-    return complex(np.sum(w0[S0] * value) * h), int(np.sum(~converged))
+    return inner

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from tblab import quadrature
 from tblab.bumps import standard_bump, translate_dilate
 from tblab.grid import Cube, SampledFunction, cube1, lp_norm, make_grid, sample
-from tblab.harness import (B_ONE, DECOMP_CUBE, GridSpec, _localize,
+from tblab.harness import (B_ONE, DECOMP_CUBE, GridSpec, _bump_field, _localize,
                            bilinear_decomposition_check, stein_bilinear_tb_test, stein_t1_test)
 from tblab.kernels import GALLERY_NAMES, KernelModel, gallery, transpose_kernel
 from tblab.quadrature import (_SLICE_BYTES, _SUM_LEAF, PvPolicy, _arrays, _triple_pairing,
@@ -550,19 +550,30 @@ def _compact_inputs(g, c_eps, case):
         # -0 real and imaginary parts off the supports, and a negative real g
         f = np.where(bump != 0, bump, complex(-0.0, -0.0))
         h = np.where(np.abs(x) < 1.0, -np.exp(-x * x), -0.0) + 0j
-    elif case == "complex-rule":
+    elif case in ("g-interval", "complex-rule-g-interval"):
+        h = np.where(np.abs(x - g.box.side / 8) < g.box.side / 10, other, 0.0)
+    elif case == "g-column":
+        h = np.zeros(n, dtype=complex)
+        h[n // 3] = 0.5 - 2.0j
+    elif case == "g-off-excision":
+        # g vanishes on the point's excision columns and on every column left of them
+        h = np.where(np.arange(n) > n // 2 + c_eps, other, 0.0)
+        pts = [n // 2]
+    if case.startswith("complex-rule"):
         K = dataclasses.replace(K, name="complex-rule", rule=_complex_rule, lattice=None)
     return SampledFunction(grid=g, values=f), SampledFunction(grid=g, values=h), pts, K
 
 
 @pytest.mark.parametrize("case", ["f-zero", "g-zero", "first-row", "last-row", "excision-rows",
-                                  "signed-zero", "complex-rule"])
+                                  "signed-zero", "complex-rule", "g-interval", "g-column",
+                                  "g-off-excision", "complex-rule-g-interval"])
 @pytest.mark.parametrize("n", [127, 384])
 @pytest.mark.parametrize("c_eps", [1, 2, 4])
 def test_bilinear_point_skipping_zero_rows_is_bit_identical(case, n, c_eps):
     # the points skip the rows where f vanishes (its subtrees of the pairwise
-    # sum, and in one-shot calls its kernel blocks), yet every bit of every
-    # value and of its eps/2 estimate is the masked oracle's
+    # sum, and in one-shot calls its kernel blocks) and, in one-shot calls,
+    # the columns off the hull of supp g, yet every bit of every value and of
+    # its eps/2 estimate is the masked oracle's
     g = make_grid(1, cube1(0.0, 8.0), n)
     f, h, pts, K = _compact_inputs(g, c_eps, case)
     policy = PvPolicy(c_eps=c_eps)
@@ -658,6 +669,45 @@ def test_one_shot_point_reads_the_blocks_that_meet_supp_f_or_its_excision(c_eps)
     assert np.array_equal(_bits(got.field.values), _bits(full.field.values))
 
 
+@pytest.mark.parametrize("case", ["g-interval", "g-column", "g-off-excision"])
+@pytest.mark.parametrize("c_eps", [1, 2, 4])
+def test_one_shot_point_reads_the_columns_of_the_hull_of_supp_g(case, c_eps):
+    # a block of rows that holds no excised cell reads K.rule on the columns
+    # of the index hull of supp g only; a block that holds one reads all n
+    K = gallery("bilinear-homog")
+    blocks = []
+
+    def counting(x, y, z):
+        y, z = np.broadcast_arrays(y, z)
+        blocks.append((float(x), *(int(np.rint((t - x0) / h)) for t in (y[0, 0], z[0, 0])),
+                       *np.shape(y)))
+        return K.rule(x, y, z)
+
+    n = 384
+    g = make_grid(1, cube1(0.0, 8.0), n)
+    x, h, x0 = g.axis(0), g.h, g.axis(0)[0]
+    f, other, pts, _ = _compact_inputs(g, c_eps, case)
+    support = np.nonzero(other.values)[0]
+    lo, hi = support[0], support[-1] + 1
+    assert hi - lo < n // 2
+    step = _SLICE_BYTES // (8 * n)
+    got = apply_bilinear_field(dataclasses.replace(K, rule=counting), f, other,
+                               PvPolicy(c_eps=c_eps), points=pts)
+    live = set(np.nonzero(f.values)[0])
+    for i in pts:
+        excised = set(np.nonzero(np.abs(x[i] - x) <= c_eps * h)[0])
+        want = []
+        for r0 in range(0, n, step):
+            rows = set(range(r0, min(r0 + step, n)))
+            if rows & excised:
+                want.append((r0, 0, min(step, n - r0), n))
+            elif rows & live:
+                want.append((r0, lo, min(step, n - r0), hi - lo))
+        assert [b[1:] for b in blocks if b[0] == float(x[i])] == want
+    full = apply_bilinear_field(K, f, other, PvPolicy(c_eps=c_eps), points=pts)
+    assert np.array_equal(_bits(got.field.values), _bits(full.field.values))
+
+
 def test_whole_commutator_field_reads_each_profile_once():
     # the commutator's two lattice terms share one profile; so do those of K*
     K = gallery("commutator")
@@ -711,22 +761,47 @@ def _triple_inputs(g):
             "edge": (_on(g, [(-1.0, -7 / 16)], outer), f1, f2)}
 
 
+def _tilted(u, v):
+    """bilinear-homog times 1 + u / (1 + u^2): no symmetry under (u, v) -> (-u, -v)."""
+    u, v = np.asarray(u), np.asarray(v)
+    return u * v / (u * u + v * v) ** 2 * (1.0 + u / (1.0 + u * u))
+
+
+# a lattice profile that is not even, so a sign slip in the excision
+# window's offsets moves its near and ring weights
+TILTED_BILINEAR = KernelModel(
+    name="bilinear-tilted", arity="bilinear", d=1, delta=1.0, size_constant=1.0,
+    rule=lambda x, y, z: _tilted(np.asarray(x) - y, np.asarray(x) - z), lattice=_tilted)
+
+
 def _finite_on_the_diagonal(K):
-    """K with K(x, x, x) = 1: every path must still skip the cell j = k = i."""
+    """K with K(x, x, x) = 1 in its rule and its profile: every path must
+    still skip the cell j = k = i."""
     def rule(x, y, z):
         x = np.asarray(x)
         return np.where((x == y) & (x == z), 1.0, K.rule(x, y, z))
-    return dataclasses.replace(K, name=K.name + "-diagonal", rule=rule)
+
+    def profile(u, v):
+        return np.where((u == 0) & (v == 0), 1.0, K.lattice(u, v))
+    return dataclasses.replace(K, name=K.name + "-diagonal", rule=rule, lattice=profile)
 
 
 @pytest.mark.parametrize("which", [0, 1, 2])
-@pytest.mark.parametrize("kernel", ["bilinear-homog", "bilinear-positive", "finite-diagonal"])
+@pytest.mark.parametrize("kernel", ["bilinear-homog", "bilinear-positive", "finite-diagonal",
+                                    "bilinear-homog-rule", "bilinear-positive-rule",
+                                    "finite-diagonal-rule", "bilinear-tilted",
+                                    "bilinear-tilted-rule"])
 def test_triple_pairing_matches_dense_subset_oracle(kernel, which):
     # the oracle is h sum over S0 of w0 T(w1, w2), T from the dense slices at
-    # S0 and from the whole lattice field; n_flagged counts their flags on S0
+    # S0 and from the whole lattice field; n_flagged counts their flags on S0.
+    # A lattice kernel's pairing reads one profile table, a "-rule" kernel
+    # (the same kernel with lattice=None) sums K.rule over the hulls
     K = {"bilinear-homog": gallery("bilinear-homog"), "bilinear-positive": POSITIVE_BILINEAR,
-         "finite-diagonal": _finite_on_the_diagonal(gallery("bilinear-homog"))}[kernel]
+         "finite-diagonal": _finite_on_the_diagonal(gallery("bilinear-homog")),
+         "bilinear-tilted": TILTED_BILINEAR}[
+        kernel.removesuffix("-rule")]
     K = transpose_kernel(K, which) if which else K
+    paired = dataclasses.replace(K, lattice=None) if kernel.endswith("-rule") else K
     for n, box in ((127, 8.0), (384, 64.0)):
         g = make_grid(1, cube1(0.0, box), n)
         one = sample(lambda t: np.ones_like(t) + 0j, g)
@@ -738,7 +813,7 @@ def test_triple_pairing_matches_dense_subset_oracle(kernel, which):
             w1 = SampledFunction(grid=g, values=acc.values * f1.values)
             for c_eps in (1, 2, 4):
                 policy = PvPolicy(c_eps=c_eps)
-                got, n_flagged = _triple_pairing(K, f0, f1, f2, one, acc, one, policy)
+                got, n_flagged = _triple_pairing(paired, f0, f1, f2, one, acc, one, policy)
                 slices = apply_bilinear_field(K, w1, f2, policy, points=support)
                 whole = apply_bilinear_field(K, w1, f2, policy)
                 scale = g.h * np.sum(np.abs(f0.values * slices.field.values))
@@ -746,7 +821,7 @@ def test_triple_pairing_matches_dense_subset_oracle(kernel, which):
                     want = g.h * np.sum(f0.values[support] * fr.field.values[support])
                     assert abs(got - want) <= 1e-12 * scale, (case, c_eps)
                     assert n_flagged == np.sum(~fr.converged[support]), (case, c_eps)
-                if kernel == "bilinear-positive" and case == "smooth" and c_eps > 1:
+                if kernel.startswith("bilinear-positive") and case == "smooth" and c_eps > 1:
                     # flagged outside the support too: a count over the whole
                     # field would differ from the pairing's
                     assert 0 < n_flagged < whole.n_flagged
@@ -767,37 +842,51 @@ def _probe_triple(n=384):
 @pytest.mark.parametrize("c_eps", [1, 2, 4])
 @pytest.mark.parametrize("which", [0, 1, 2])
 def test_triple_pairing_reads_the_supports_and_builds_no_plan(monkeypatch, which, c_eps):
-    # K.rule sees |S0| |H1| |H2| cells of the hulls and (2 c_eps + 1)^2 window
-    # cells per point of S0, and no plan is built
+    # a lattice kernel (K, K*1, K*2) reads its profile on the |A| |B| offsets
+    # a in S0 - H1, b in S0 - H2 and on the (2 c_eps + 1)^2 window offsets, and
+    # never calls K.rule; with lattice=None, K.rule sees |S0| |H1| |H2| cells
+    # of the hulls and (2 c_eps + 1)^2 window cells per point of S0. Neither
+    # builds a plan
     def no_plan(*args, **kwargs):
         raise AssertionError("a plan was built")
+
+    def never(*args):
+        raise AssertionError("K.rule was called")
 
     monkeypatch.setattr(quadrature, "plans", no_plan)
     K = gallery("bilinear-homog")
     K = transpose_kernel(K, which) if which else K
     cells = []
 
-    def counting(x, y, z):
-        out = K.rule(x, y, z)
-        cells.append(np.size(out))
-        return out
+    def counting(f):
+        def read(*args):
+            out = f(*args)
+            cells.append(np.size(out))
+            return out
+        return read
 
-    Kc = dataclasses.replace(K, rule=counting)
     fs = _probe_triple()
     f0, f1, f2, _, acc, _ = fs
     sizes = [np.count_nonzero(np.abs(w) > 0) for w in (f0.values, acc.values * f1.values, f2.values)]
     assert sizes == [24, 144, 144]
     policy = PvPolicy(c_eps=c_eps)
-    got = _triple_pairing(Kc, *fs, policy)
-    assert sum(cells) == 24 * 144 * 144 + 24 * (2 * c_eps + 1) ** 2
-    assert max(cells) <= _SLICE_BYTES // 8
-    assert got == _triple_pairing(K, *fs, policy)
-    # a zero inner factor gives 0 with no kernel evaluation
-    cells.clear()
-    zero = SampledFunction(grid=f1.grid, values=np.zeros(f1.grid.n, dtype=complex))
-    assert _triple_pairing(Kc, f0, zero, f2, *fs[3:], policy) == (0.0, 0)
-    assert _triple_pairing(Kc, f0, f1, f2, *fs[3:5], zero, policy) == (0.0, 0)
-    assert cells == []
+    window = (2 * c_eps + 1) ** 2
+    table = dataclasses.replace(K, rule=never, lattice=counting(K.lattice))
+    hulls = dataclasses.replace(K, rule=counting(K.rule), lattice=None)
+    for Kc, plain, want in ((table, K, 167 * 167 + window),
+                            (hulls, dataclasses.replace(K, lattice=None),
+                             24 * 144 * 144 + 24 * window)):
+        cells.clear()
+        got = _triple_pairing(Kc, *fs, policy)
+        assert sum(cells) == want
+        assert max(cells) <= _SLICE_BYTES // 8
+        assert got == _triple_pairing(plain, *fs, policy)
+        # a zero inner factor gives 0 with no kernel evaluation
+        cells.clear()
+        zero = SampledFunction(grid=f1.grid, values=np.zeros(f1.grid.n, dtype=complex))
+        assert _triple_pairing(Kc, f0, zero, f2, *fs[3:], policy) == (0.0, 0)
+        assert _triple_pairing(Kc, f0, f1, f2, *fs[3:5], zero, policy) == (0.0, 0)
+        assert cells == []
 
 
 def test_triple_pairing_memory_follows_the_supports():
@@ -814,11 +903,36 @@ def test_triple_pairing_memory_follows_the_supports():
     assert peak < 1e6
 
 
+@pytest.mark.parametrize("which", [0, 1, 2])
+def test_triple_pairing_memory_is_the_table_and_a_few_blocks(which):
+    # a scale-matched wbp row (box 8R, offset 1) at n = 1024: the bumps hold
+    # 256 points each, so the table is 511 x 511 floats (2.1 MB); everything
+    # else the pairing holds stays within a few _SLICE_BYTES
+    K = gallery("bilinear-homog")
+    K = transpose_kernel(K, which) if which else K
+    g = make_grid(1, cube1(0.0, 8.0), 1024)
+    one = sample(lambda t: np.ones_like(t) + 0j, g)
+    fs = [_bump_field(g, 2, c, 1.0) for c in (-1.0, 0.0, 1.0)]
+    sup = [np.nonzero(f.values)[0] for f in fs]
+    assert [len(s) for s in sup] == [256, 256, 256]
+    span = sup[0][-1] - sup[0][0]
+    table = 8 * (span + len(sup[1])) * (span + len(sup[2]))
+    assert table == 8 * 511 * 511
+    triple_pairing(K, *fs, one, one, one)
+    tracemalloc.start()
+    try:
+        triple_pairing(K, *fs, one, one, one)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table < peak < table + 16 * _SLICE_BYTES
+
+
 def test_triple_pairing_checks_before_any_kernel_evaluation():
-    def never(x, y, z):
+    def never(*args):
         raise AssertionError("the kernel was evaluated")
 
-    B = dataclasses.replace(gallery("bilinear-homog"), rule=never)
+    B = dataclasses.replace(gallery("bilinear-homog"), rule=never, lattice=never)
     g = make_grid(1, cube1(0.0, 8.0), 64)
     f = sample(lambda t: np.exp(-t * t) + 0j, g)
     with pytest.raises(ValueError, match="is not bilinear"):
