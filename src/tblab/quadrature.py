@@ -36,9 +36,10 @@ kernels of every experiment with rows there (T and T* of a Stein sweep, and
 T again for the wbp rows of a report), and applies them to its rows;
 apply_linear_field and friends build a plan and apply it once,
 per BLOCK rows (linear) or per point (bilinear) when points are given, so a
-one-shot call holds O(BLOCK n) or O(n^2) at a time; a one-shot bilinear point
-is no Plan, as it reads K.rule only on the rows of supp f and the columns of
-the hull of supp g that its inputs need (_chunked).
+one-shot call holds O(BLOCK n) or O(|supp f| |hull supp g|) at a time; a
+one-shot bilinear point is no Plan, as it reads K.rule once on the rows of
+supp f and the columns of the hull of supp g that its inputs need, and at
+its excised cells (_chunked).
 plan() states what each kind of plan holds and its size.
 
 Whole fields of kernels with a lattice structure (KernelModel.lattice) are
@@ -57,11 +58,12 @@ near-zone terms read from K.rule on the 2 c_eps off-diagonals. Other
 kernels, points and subsets of points sum their kernel rows directly, O(n)
 (linear) or O(|supp f| n) (bilinear) per point: a bilinear point skips the
 rows y where f(y) = 0, whose products are exact zeros, and a one-shot point
-reads K.rule only on the columns z of the hull of supp g, with every bit of
-its value kept; these dense rows are also the test oracle. Triple pairings
-build no plan: for a lattice kernel they read one profile table over the
-offsets between the supports, for a kernel with only a rule they sum K.rule
-over the index hulls of the supports (triple_pairing states both costs).
+reads K.rule only on supp f x the hull of supp g and at its excised cells,
+with every bit of its value kept; these dense rows are also the test
+oracle. Triple pairings build no plan: for a lattice kernel they read one
+profile table over the offsets between the supports, for a kernel with only
+a rule they sum K.rule over the index hulls of the supports (triple_pairing
+states both costs).
 """
 
 from __future__ import annotations
@@ -229,9 +231,9 @@ def plan(K: KernelModel, grid: Grid, policy: PvPolicy = PvPolicy(), points=None)
       near and ring weights of every point, 16 n bytes; applying it costs
       O(n^2) and holds O(L) and a _SLICE_BYTES block more;
     - a whole field of a kernel without a structure: nothing; each apply plans
-      and sums BLOCK rows (linear), or builds and sums one slice (bilinear,
-      O(|supp f| |hull supp g|) kernel reads and O(|supp f| n) products per
-      point, _chunked) at a time.
+      and sums BLOCK rows (linear), or reads and sums one point's hull block
+      (bilinear: O(|supp f| |hull supp g|) kernel reads and memory and
+      O(|supp f| n) products per point, _chunked) at a time.
     Checks d = 1 and the points before any kernel evaluation.
     """
     return plans((K,), grid, policy, points)[0]
@@ -287,27 +289,22 @@ def _plan(K: KernelModel, grid: Grid, policy: PvPolicy, rows, shared: dict) -> P
 def _chunked(K: KernelModel, grid: Grid, policy: PvPolicy, rows: np.ndarray, vs,
              values: np.ndarray, delta: np.ndarray) -> None:
     """The rows' sums, each build applied once and freed before the next: one
-    plan per BLOCK rows (linear), O(BLOCK n) memory at a time, or one slice per
-    bilinear point, O(n^2) memory at a time. When f and g are finite a point's
-    slice reads K.rule only on its blocks of rows that meet supp f, there
-    only on the columns of the index hull of supp g, and in full on the
-    blocks that hold its excised cells, and is summed only over the subtrees
-    that meet supp f (_bilinear_slices, _slice_sums): O(|supp f| |hull supp
-    g|) kernel reads and O(|supp f| n) products per point, rounded out to
-    whole blocks and leaves, with every value bit for bit that of a full
-    slice. Such a slice depends on f and g, so it is no Plan."""
-    linear = K.arity == "linear"
-    live = None if linear else _live_rows(vs)
-    cols = None if live is None else _hull(vs[1] != 0)
-    step = BLOCK if linear else 1
-    for s in range(0, len(rows), step):
-        r = rows[s:s + step]
-        if linear:
-            p = _plan(K, grid, policy, r, {})
-            p.sums(p, vs, values, delta)
-        else:
-            p = _bilinear_slices(K, grid, policy, r, live, cols)["points"]
-            _slice_sums(grid, r, p, vs, live, values, delta)
+    plan per BLOCK rows (linear), O(BLOCK n) memory at a time, or one hull
+    block per bilinear point (_hull_points). When f and g are finite a point
+    reads K.rule once on supp f x hull supp g and at its excised cells, and
+    is summed only over the subtrees that meet supp f (_slice_sums):
+    O(|supp f| |hull supp g|) kernel reads and memory and O(|supp f| n)
+    products per point, rounded out to whole leaves, with every value bit
+    for bit that of a full slice. Such a block depends on f and g, so it is
+    no Plan."""
+    if K.arity == "bilinear":
+        live = _live_rows(vs)
+        _slice_sums(grid, rows, _hull_points(K, grid, policy, rows, vs, live), vs, live,
+                    values, delta)
+        return
+    for s in range(0, len(rows), BLOCK):
+        p = _plan(K, grid, policy, rows[s:s + BLOCK], {})
+        p.sums(p, vs, values, delta)
         del p       # freed before the next one is built: one at a time
 
 
@@ -565,7 +562,8 @@ def _linear_structure_sums(p: Plan, vs, values, delta) -> None:
 # A bilinear point's rule temporaries, made per block of rows, and the blocks of
 # a bilinear lattice plan's table and contraction stay well under malloc's
 # default 128 KB mmap threshold, so that their cost does not depend on how far
-# the allocator has raised it; a point's sum buffers are made once per apply.
+# the allocator has raised it; a point's sum buffers are made once per apply,
+# a one-shot point's hull block once per point and its rows once per leaf.
 _SLICE_BYTES = 1 << 16      # bytes per temporary of the bilinear rule and lattice blocks
 _SUM_LEAF = 3 << 12         # complex products per np.sum call: 16 calls per point at n = 384
 
@@ -634,58 +632,85 @@ def _live_rows(vs):
     return fv != 0 if np.isfinite(fv).all() and np.isfinite(gv).all() else None
 
 
-def _bilinear_slices(K: KernelModel, grid: Grid, policy: PvPolicy, rows: np.ndarray,
-                     live=None, cols=None) -> dict:
+def _excised(grid: Grid, rows: np.ndarray, policy: PvPolicy):
+    """Per point i of rows, from one _excision_window of all the rows: i, the
+    sorted flat indices j n + k of its excised cells, S <= eps, which is
+    their order in the n x n slice, and the masks over them of the cells
+    other than (i, i), S > 0, and of the ring, S > c_refined h."""
+    n, h = grid.n, grid.h
+    for i, j, k, S in zip(rows, *_excision_window(grid.axis(0), rows, policy.c_eps)):
+        at = S <= policy.c_eps * h
+        yield i, (j * n + k)[at], S[at] > 0, S[at] > policy.c_refined * h
+
+
+def _rule_block(K: KernelModel, x: np.ndarray, i, ys: np.ndarray, cols: slice) -> np.ndarray:
+    """K.rule at (x_i, x_y, x_z) for y in ys and z in cols, zero where not
+    finite and float64 while the rule returns real values, read in blocks of
+    rows whose float temporaries stay under _SLICE_BYTES. A plan's point and a
+    one-shot point read their blocks here, a plan's on the whole slice."""
+    width = cols.stop - cols.start
+    B = np.zeros((len(ys), width))
+    step = max(1, _SLICE_BYTES // (8 * max(1, width)))
+    for r0 in range(0, len(ys) if width else 0, step):
+        Kb = _sample(K.rule, x[i], x[ys[r0:r0 + step], None], x[None, cols])
+        if np.iscomplexobj(Kb) and not np.iscomplexobj(B):
+            B = B.astype(complex)       # a rule whose values are complex
+        B[r0:r0 + step] = Kb
+    return B
+
+
+def _bilinear_slices(K: KernelModel, grid: Grid, policy: PvPolicy, rows: np.ndarray) -> dict:
     """Per point i: the kernel values of its n x n slice beyond the excision,
-    S > eps (_excision_window), compacted in row-major order and zero where
-    not finite; the sorted flat indices of the excised cells; and the excised
+    S > eps (_excised), compacted in row-major order and zero where not
+    finite; the sorted flat indices of the excised cells; and the excised
     cells' kernel values other than (i, i), with the kernel sum over the ring.
     The values beyond the excision are float64 while the rule returns real
     values: np.multiply casts them to complex with imaginary part +0, so
-    every product is that of the complex values.
-
-    The excised cells' row-major order is their order in the slice, so every
-    sum keeps its order. The rule is called on blocks of rows whose float
-    temporaries stay under _SLICE_BYTES; a block is compacted by a mask only
-    when it holds excised cells. With live and cols (_live_rows and the index
-    hull of supp g, for one application only), a block that holds no excised
-    cell is read only on the columns cols, and not at all when it meets no
-    live row or cols is empty; its other values stay 0. A block that holds
-    excised cells is read as it is without. A product at an unread cell is
-    0 times a zero, so a leaf that reads it holds a zero where it held one,
-    maybe of the other sign, and np.sum, which adds from +0, sums it to the
-    same bits (_pairwise_sum).
+    every product is that of the complex values. The excised cells'
+    row-major order is their order in the slice, so every sum keeps its
+    order. The slice is read whole (_rule_block) and then compacted, so
+    building a point holds two n x n arrays for a moment.
     """
-    x, h, n = grid.axis(0), grid.h, grid.n
-    eps = policy.c_eps * h
-    step = max(1, _SLICE_BYTES // (8 * n))
+    x, n = grid.axis(0), grid.n
     points = []
-    for i, j, k, S in zip(rows, *_excision_window(x, rows, policy.c_eps)):
-        cut, Scut = (j * n + k)[S <= eps], S[S <= eps]
-        far = None
-        Kcut = np.empty(len(cut), dtype=complex)
-        for r0 in range(0, n, step):
-            r1 = min(r0 + step, n)
-            lo, hi = r0 * n, r1 * n
-            a, b = cut.searchsorted((lo, hi)).tolist()
-            c = slice(None)
-            if live is not None and a == b:
-                if not (len(cols) and live[r0:r1].any()):
-                    continue
-                c = slice(cols[0], cols[-1] + 1)
-            Kb = _sample(K.rule, x[i], x[r0:r1, None], x[None, c])
-            if far is None:
-                far = np.zeros(n * n - len(cut), complex if np.iscomplexobj(Kb) else float)
-            elif np.iscomplexobj(Kb) and not np.iscomplexobj(far):
-                far = far.astype(complex)       # a rule whose values turn complex
-            if a == b:
-                far[lo - a:hi - b].reshape(r1 - r0, n)[:, c] = Kb
-            else:
-                Kb = Kb.ravel()
-                Kcut[a:b] = Kb[cut[a:b] - lo]
-                far[lo - a:hi - b] = np.delete(Kb, cut[a:b] - lo)
-        points.append((far, cut, Kcut[Scut > 0], Kcut[Scut > policy.c_refined * h].sum()))
+    for i, cut, near, ring in _excised(grid, rows, policy):
+        B = _rule_block(K, x, i, np.arange(n), slice(0, n)).ravel()
+        Kcut = B[cut].astype(complex)
+        points.append((np.delete(B, cut), cut, Kcut[near], Kcut[ring].sum()))
     return {"points": tuple(points)}
+
+
+def _hull_points(K: KernelModel, grid: Grid, policy: PvPolicy, rows: np.ndarray, vs, live):
+    """A one-shot bilinear application's points, as _slice_sums takes them,
+    built one at a time: per point, its far from one block of K.rule on the
+    live rows, supp f, and the index hull of supp g, or on every row and
+    column when live is None (_hull_far); and its excised cells' kernel
+    values, read from K.rule at those cells only."""
+    x, n = grid.axis(0), grid.n
+    ys, H = (np.arange(n),) * 2 if live is None else (np.flatnonzero(live), _hull(vs[1] != 0))
+    cols = slice(H[0], H[-1] + 1) if len(H) else slice(0, 0)
+    for i, cut, near, ring in _excised(grid, rows, policy):
+        Kcut = _sample(K.rule, x[i], x[cut // n], x[cut % n], dtype=complex)
+        yield (_hull_far(_rule_block(K, x, i, ys, cols), ys, cols, n), cut, Kcut[near],
+               Kcut[ring].sum())
+
+
+def _hull_far(B: np.ndarray, ys: np.ndarray, cols: slice, n: int):
+    """A one-shot point's far for _slice_sums, from its block B on the rows ys
+    and the columns cols: far(y0, y1) is the rows y0:y1 of the n x n slice,
+    B on them and zero elsewhere.
+
+    With f and g finite, ys holds every row where f_y != 0 and cols every
+    column where g_z != 0, so the product at a cell off the block is 0 times
+    a zero: a zero as in the full slice, maybe of the other sign, which
+    np.sum, adding from +0, sums to the same bits (_pairwise_sum)."""
+    def far(y0, y1):
+        p0, p1 = ys.searchsorted((y0, y1)).tolist()
+        T = np.zeros((y1 - y0, n), dtype=B.dtype)
+        T[ys[p0:p1] - y0, cols] = B[p0:p1]
+        return T
+
+    return far
 
 
 def _bilinear_slices_sums(p: Plan, vs, values, delta) -> None:
@@ -695,9 +720,17 @@ def _bilinear_slices_sums(p: Plan, vs, values, delta) -> None:
 def _slice_sums(grid: Grid, rows, points, vs, live, values, delta) -> None:
     """Per point, (K * np.outer(f, g))[S > eps].sum() over its whole slice,
     element for element and in the same order, from _SUM_LEAF products at a
-    time. The f(y) g(z) under a leaf are the whole rows of np.outer(f, g)
-    that it touches, formed by one broadcast product into a reused buffer.
-    The buffers stay allocated across the points of one application.
+    time. points gives per row one (far, cut, Knear, ring_sum), taken one at
+    a time. The f(y) g(z) under a leaf are the whole rows of np.outer(f, g)
+    that it touches, formed by one broadcast product into a reused buffer,
+    and pack compacts rows to the leaf's far cells. far is either a plan's
+    compacted kernel values beyond the excision (_bilinear_slices), sliced
+    per leaf and multiplied by the packed f(y) g(z), or a one-shot point's
+    function that gives the leaf's rows of the slice from its hull block
+    (_hull_far), multiplied by the rows of f(y) g(z) and then packed: each
+    kept product has the same operands either way. The f(y) g(z) and product
+    buffers stay allocated across the points of one application; a hull
+    block's rows are made per leaf.
 
     With live (_live_rows), a subtree of the pairwise sum whose cells lie only
     in rows with f_y == 0 holds only exact zeros, and _pairwise_sum takes it
@@ -708,11 +741,13 @@ def _slice_sums(grid: Grid, rows, points, vs, live, values, delta) -> None:
     fv, gv = vs
     n, h = grid.n, grid.h
     nz = None if live is None else np.concatenate([[0], np.cumsum(live)])
-    leaf = min(_SUM_LEAF, max((len(far) for far, _, _, _ in points), default=0))
-    span = leaf + max((len(cut) for _, cut, _, _ in points), default=0)    # flat cells of one leaf
-    FG = np.empty((-(-span // n) + 1, n), dtype=complex)     # the rows of f (x) g under one leaf
-    prod = np.empty(leaf, dtype=complex)
-    for i, (far, cut, Knear, ring_sum) in zip(rows, points):
+    FG = np.empty((0, n), dtype=complex)     # the rows of f (x) g under one leaf
+    prod = np.empty(min(_SUM_LEAF, n * n), dtype=complex)
+    points = iter(points)
+    for i in rows:
+        far, cut, Knear, ring_sum = next(points)
+        if len(FG) < (m := -(-(len(prod) + len(cut)) // n) + 1):    # the rows a leaf spans
+            FG = np.empty((m, n), dtype=complex)
         before = cut - np.arange(len(cut))      # far cells before each excised cell
 
         def flat(o0, count):
@@ -725,26 +760,38 @@ def _slice_sums(grid: Grid, rows, points, vs, live, values, delta) -> None:
                 return prod[:0]
             a, b, lo, hi = flat(o0, count)
             y0, y1 = lo // n, -(-hi // n)
-            t = np.multiply(fv[y0:y1, None], gv, out=FG[:y1 - y0]).ravel()[lo - y0 * n:]
-            if a < b:       # one small mask over the span of the leaf's excised cells
+
+            def pack(T):
+                """The far cells o0:o0 + count of T, the rows y0:y1 of the slice:
+                its cells lo:hi less cut[a:b], compacted into prod by one small
+                mask over the span of the excised cells when there are any."""
+                t = T.ravel()[lo - y0 * n:]
+                if a == b:
+                    return t[:count]
                 s, e = cut[a] - lo, cut[b - 1] - lo + 1
                 keep = np.ones(e - s, dtype=bool)
                 keep[cut[a:b] - lo - s] = False
                 prod[:s] = t[:s]
                 prod[e - (b - a):count] = t[e:hi - lo]
                 np.compress(keep, t[s:e], out=prod[s:e - (b - a)])
-                t = prod
-            return np.multiply(far[o0:o0 + count], t[:count], out=prod[:count])
+                return prod[:count]
+
+            t = np.multiply(fv[y0:y1, None], gv, out=FG[:y1 - y0])
+            if callable(far):
+                return pack(np.multiply(far(y0, y1), t, out=t))
+            return np.multiply(far[o0:o0 + count], pack(t), out=prod[:count])
 
         def meets_f(o0, count):
             _, _, lo, hi = flat(o0, count)
             return nz[-(-hi // n)] > nz[lo // n]
 
         fgi = fv[i] * gv[i]
-        val = _pairwise_sum(products, 0, len(far), None if nz is None else meets_f) * h * h
+        val = _pairwise_sum(products, 0, n * n - len(cut),
+                            None if nz is None else meets_f) * h * h
         near = cut[cut != i * n + i]
         val += (Knear * (fv[near // n] * gv[near % n] - fgi)).sum() * h * h
         values[i], delta[i] = val, fgi * ring_sum * h * h
+        del far         # a hull block is freed before the next point's is read
 
 
 def _fft_length(m: int) -> int:
@@ -978,10 +1025,10 @@ def apply_bilinear(K: KernelModel, f: SampledFunction, g: SampledFunction, x,
 
     The excision metric matches the bilinear diagonal {x=y=z}; excising the
     two one-dimensional diagonals separately would be wrong. It costs
-    O(|supp f| n): K.rule is read on the blocks of rows that meet supp f,
-    there only on the columns of the index hull of supp g, and on the blocks
-    that hold excised cells, and the products are formed on the rows that
-    meet supp f, with the value of the whole slice bit for bit.
+    O(|supp f| n): K.rule is read once on supp f x the index hull of supp g,
+    into one block of 8 |supp f| |hull supp g| bytes (16 for a complex
+    rule), and at the excised cells, and the products are formed on the
+    leaves that meet supp f, with the value of the whole slice bit for bit.
     """
     return _pv(K, (f, g), policy, x=x)
 
@@ -993,7 +1040,7 @@ def apply_bilinear_field(K: KernelModel, f: SampledFunction, g: SampledFunction,
 
     A whole field of a kernel with a lattice profile costs O(n^2 log n) in
     O(n^2) memory; other kernels and subsets cost O(|supp f| n) per point
-    (apply_bilinear), in O(n^2) memory.
+    (apply_bilinear), in O(|supp f| |hull supp g|) memory, a point at a time.
     """
     return _pv(K, (f, g), policy, points)
 

@@ -559,6 +559,18 @@ def _compact_inputs(g, c_eps, case):
         # g vanishes on the point's excision columns and on every column left of them
         h = np.where(np.arange(n) > n // 2 + c_eps, other, 0.0)
         pts = [n // 2]
+    elif case == "f-two-intervals":
+        # a gap of more rows than one leaf holds, so that at n = 384 some
+        # leaves are skipped and others are partly live
+        gap = -(-_SUM_LEAF // n) + 1
+        w = (n - gap) // 3
+        rows = np.arange(n) - w // 2
+        f = np.where((rows >= 0) & (rows < 2 * w + gap) & ((rows < w) | (rows >= w + gap)),
+                     np.cos(x) + 0.5j, 0.0)
+    elif case == "g-gap":
+        # an interior gap: the hull of supp g is wider than supp g
+        d = np.abs(x - g.box.side / 8)
+        h = np.where((d < g.box.side / 10) & (d > g.box.side / 40), other, 0.0)
     if case.startswith("complex-rule"):
         K = dataclasses.replace(K, name="complex-rule", rule=_complex_rule, lattice=None)
     return SampledFunction(grid=g, values=f), SampledFunction(grid=g, values=h), pts, K
@@ -566,12 +578,13 @@ def _compact_inputs(g, c_eps, case):
 
 @pytest.mark.parametrize("case", ["f-zero", "g-zero", "first-row", "last-row", "excision-rows",
                                   "signed-zero", "complex-rule", "g-interval", "g-column",
-                                  "g-off-excision", "complex-rule-g-interval"])
+                                  "g-off-excision", "complex-rule-g-interval", "f-two-intervals",
+                                  "g-gap"])
 @pytest.mark.parametrize("n", [127, 384])
 @pytest.mark.parametrize("c_eps", [1, 2, 4])
 def test_bilinear_point_skipping_zero_rows_is_bit_identical(case, n, c_eps):
     # the points skip the rows where f vanishes (its subtrees of the pairwise
-    # sum, and in one-shot calls its kernel blocks) and, in one-shot calls,
+    # sum, and in one-shot calls its kernel reads) and, in one-shot calls,
     # the columns off the hull of supp g, yet every bit of every value and of
     # its eps/2 estimate is the masked oracle's
     g = make_grid(1, cube1(0.0, 8.0), n)
@@ -638,74 +651,67 @@ def test_point_plan_sums_read_the_leaves_that_meet_supp_f():
     assert np.array_equal(_bits(values), _bits(want.field.values))
 
 
+@pytest.mark.parametrize("case", ["signed-zero", "g-interval", "g-column", "g-off-excision",
+                                  "f-two-intervals", "g-gap"])
 @pytest.mark.parametrize("c_eps", [1, 2, 4])
-def test_one_shot_point_reads_the_blocks_that_meet_supp_f_or_its_excision(c_eps):
-    # each K.rule call is one block of rows of the slice; a one-shot point
-    # reads a block only when it meets supp f or holds an excised cell
+def test_one_shot_point_reads_supp_f_by_the_hull_of_supp_g_and_its_excision(case, c_eps):
+    # a one-shot point reads K.rule once on each cell of supp f x hull supp g
+    # and of its excision, and nowhere else, in calls of at most
+    # _SLICE_BYTES / 8 cells, yet every bit of every value is the full slice's
     K = gallery("bilinear-homog")
-    blocks = []
-
-    def counting(x, y, z):
-        blocks.append((float(x), int(np.rint((y[0, 0] - y0) / h)), np.shape(y)[0]))
-        return K.rule(x, y, z)
-
     n = 384
     g = make_grid(1, cube1(0.0, 8.0), n)
-    x, h, y0 = g.axis(0), g.h, g.axis(0)[0]
-    f, other, _, _ = _compact_inputs(g, c_eps, "signed-zero")
-    support = np.nonzero(f.values)[0]
-    assert 0 < len(support) < n // 2
-    step = _SLICE_BYTES // (8 * n)
-    pts = [0, 150, 300, n - 1]
-    got = apply_bilinear_field(dataclasses.replace(K, rule=counting), f, other,
-                               PvPolicy(c_eps=c_eps), points=pts)
-    for i in pts:
-        rows = set(support) | set(np.nonzero(np.abs(x[i] - x) <= c_eps * h)[0])
-        want = [(r0, min(step, n - r0)) for r0 in range(0, n, step)
-                if rows & set(range(r0, r0 + step))]
-        assert [b[1:] for b in blocks if b[0] == float(x[i])] == want
-    assert len(blocks) < 4 * (n // step + 1) // 2
-    full = apply_bilinear_field(K, f, other, PvPolicy(c_eps=c_eps), points=pts)
-    assert np.array_equal(_bits(got.field.values), _bits(full.field.values))
+    x, dx = g.axis(0), g.h
+    reads, sizes = {}, []
 
+    def counting(xi, y, z):
+        at = [np.rint((t - x[0]) / dx).astype(int).ravel() for t in np.broadcast_arrays(xi, y, z)]
+        sizes.append(len(at[0]))
+        reads.setdefault(int(at[0][0]), []).extend(zip(at[1].tolist(), at[2].tolist()))
+        return K.rule(xi, y, z)
 
-@pytest.mark.parametrize("case", ["g-interval", "g-column", "g-off-excision"])
-@pytest.mark.parametrize("c_eps", [1, 2, 4])
-def test_one_shot_point_reads_the_columns_of_the_hull_of_supp_g(case, c_eps):
-    # a block of rows that holds no excised cell reads K.rule on the columns
-    # of the index hull of supp g only; a block that holds one reads all n
-    K = gallery("bilinear-homog")
-    blocks = []
-
-    def counting(x, y, z):
-        y, z = np.broadcast_arrays(y, z)
-        blocks.append((float(x), *(int(np.rint((t - x0) / h)) for t in (y[0, 0], z[0, 0])),
-                       *np.shape(y)))
-        return K.rule(x, y, z)
-
-    n = 384
-    g = make_grid(1, cube1(0.0, 8.0), n)
-    x, h, x0 = g.axis(0), g.h, g.axis(0)[0]
     f, other, pts, _ = _compact_inputs(g, c_eps, case)
-    support = np.nonzero(other.values)[0]
-    lo, hi = support[0], support[-1] + 1
-    assert hi - lo < n // 2
-    step = _SLICE_BYTES // (8 * n)
+    support, hull = np.nonzero(f.values)[0], quadrature._hull(other.values != 0)
+    assert 0 < len(support) * len(hull) < 2 * n * n // 3
     got = apply_bilinear_field(dataclasses.replace(K, rule=counting), f, other,
                                PvPolicy(c_eps=c_eps), points=pts)
-    live = set(np.nonzero(f.values)[0])
     for i in pts:
-        excised = set(np.nonzero(np.abs(x[i] - x) <= c_eps * h)[0])
-        want = []
-        for r0 in range(0, n, step):
-            rows = set(range(r0, min(r0 + step, n)))
-            if rows & excised:
-                want.append((r0, 0, min(step, n - r0), n))
-            elif rows & live:
-                want.append((r0, lo, min(step, n - r0), hi - lo))
-        assert [b[1:] for b in blocks if b[0] == float(x[i])] == want
-    full = apply_bilinear_field(K, f, other, PvPolicy(c_eps=c_eps), points=pts)
-    assert np.array_equal(_bits(got.field.values), _bits(full.field.values))
+        au = np.abs(x[i] - x)
+        excised = set(map(tuple, np.argwhere(au[:, None] + au[None, :] <= c_eps * dx).tolist()))
+        assert len(reads[i]) == len(support) * len(hull) + len(excised)
+        assert set(reads[i]) == {(j, k) for j in support.tolist() for k in hull.tolist()} | excised
+    assert sorted(reads) == sorted(pts) and max(sizes) <= _SLICE_BYTES // 8
+    want = [_bilinear_point_masked(K, f.values, other.values, g, i, c_eps)[0] for i in pts]
+    assert np.array_equal(_bits(got.field.values[pts]), _bits(want))
+
+
+@pytest.mark.parametrize("points", [None, [256, 512, 768]])
+def test_one_shot_point_memory_is_its_hull_block(points):
+    # one apply_bilinear holds its block of 8 |supp f| |hull g| bytes (1.2 MB
+    # here), a few leaf buffers and rule temporaries, never an n x n slice
+    # (8.4 MB at n = 1024); a subset field holds one point's block at a time
+    n, m = 1024, 3 * 1024 // 8
+    g = make_grid(1, cube1(0.0, 8.0), n)
+    x, at = g.axis(0), np.arange(n)
+    f = SampledFunction(grid=g, values=np.where((at >= n // 8) & (at < n // 8 + m),
+                                                np.cos(x) + 0.5j, 0.0))
+    h = SampledFunction(grid=g, values=np.where((at >= n // 2) & (at < n // 2 + m),
+                                                np.exp(-x * x) + 0j, 0.0))
+    K = gallery("bilinear-homog")
+
+    def call():
+        if points is None:
+            return apply_bilinear(K, f, h, x[n // 2])
+        return apply_bilinear_field(K, f, h, points=points)
+
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 8 * m * m < peak <= 8 * m * m + 4 * 16 * _SUM_LEAF + 8 * _SLICE_BYTES + 64 * n
 
 
 def test_whole_commutator_field_reads_each_profile_once():
