@@ -18,10 +18,11 @@ Bilinear excision uses the distance |x-y| + |x-z| to the diagonal x=y=z.
 Every evaluation is an operator plan applied to the functions. plan(K, grid,
 policy, points) does the work that depends only on the kernel, the grid and
 the policy: the lattice profile tables, the treecode geometry, the band
-K.rule values with the a1, near and ring masses, and for explicit points
-each point's kernel row (linear) or its n x n slice beyond the excision,
-compacted (bilinear). Applying it, plan(f) or plan(f, g), does the work that
-depends on the functions and sets the eps vs eps/2 convergence flags; a
+K.rule values with the a1, near and ring masses, and for explicit linear
+points each point's kernel row; the cells a bilinear point reads depend on
+the supports of f and g, so its plan holds its rows only. Applying it,
+plan(f) or plan(f, g), does the work that depends on the functions and
+sets the eps vs eps/2 convergence flags; a
 bilinear point's sum is np.sum's pairwise sum of its products, formed
 _SUM_LEAF at a time, so applying builds no n x n temporary. A plan is
 immutable and its arrays are read-only, so no application changes it; its
@@ -36,10 +37,10 @@ kernels of every experiment with rows there (T and T* of a Stein sweep, and
 T again for the wbp rows of a report), and applies them to its rows;
 apply_linear_field and friends build a plan and apply it once,
 per BLOCK rows (linear) or per point (bilinear) when points are given, so a
-one-shot call holds O(BLOCK n) or O(|supp f| |hull supp g|) at a time; a
-one-shot bilinear point is no Plan, as it reads K.rule once on the rows of
-supp f and the columns of the hull of supp g that its inputs need, and at
-its excised cells (_chunked).
+one-shot call holds O(BLOCK n) or O(|supp f| |hull supp g|) at a time.
+Every bilinear point, one-shot or of a plan, is summed on one path: it
+reads K.rule once on the rows of supp f and the columns of the hull of
+supp g that its inputs need, and at its excised cells (_chunked).
 plan() states what each kind of plan holds and its size.
 
 Whole fields of kernels with a lattice structure (KernelModel.lattice) are
@@ -57,8 +58,8 @@ the far-field truncation is below 2^-53; both linear paths share the
 near-zone terms read from K.rule on the 2 c_eps off-diagonals. Other
 kernels, points and subsets of points sum their kernel rows directly, O(n)
 (linear) or O(|supp f| n) (bilinear) per point: a bilinear point skips the
-rows y where f(y) = 0, whose products are exact zeros, and a one-shot point
-reads K.rule only on supp f x the hull of supp g and at its excised cells,
+rows y where f(y) = 0, whose products are exact zeros, and reads K.rule
+only on supp f x the hull of supp g and at its excised cells,
 with every bit of its value kept; these dense rows are also the test
 oracle. Triple pairings build no plan: for a lattice kernel they read one
 profile table over the offsets between the supports, for a kernel with only
@@ -209,15 +210,10 @@ def plan(K: KernelModel, grid: Grid, policy: PvPolicy = PvPolicy(), points=None)
     What it holds, by case (n grid points, 16 bytes per complex):
     - explicit points, linear: each point's scrubbed kernel row and its near,
       a1 and ring masses, 16 n + 48 bytes per point;
-    - explicit points, bilinear: each point's scrubbed kernel values beyond
-      the excision, compacted, and the flat indices and values of its k <=
-      (2 c_eps + 1)^2 excised cells, 8 n^2 + 16 k - 16 bytes per point for a
-      real rule and 16 n^2 + 8 k - 16 for a complex one, built from K.rule on
-      all n^2 cells, as a plan does not depend on its inputs; applying it
-      costs O(|supp f| n) per point, as the sums skip the rows y where
-      f(y) = 0 (whole leaves of _SUM_LEAF products, so supp f is rounded out
-      to them), and holds O(_SUM_LEAF + n) more, whatever the number of
-      points;
+    - explicit points, bilinear: nothing but the rows, with no K.rule read,
+      as the cells a point reads depend on its inputs; each apply reads and
+      sums one point's hull block at a time, as a whole field without a
+      structure does (below);
     - a whole linear field with a lattice structure: the spectrum of one
       profile table per distinct profile and each term's factors on the grid;
       with a curve structure, the treecode's geometry (near-field reciprocals
@@ -271,13 +267,11 @@ def _plan(K: KernelModel, grid: Grid, policy: PvPolicy, rows, shared: dict) -> P
     """K's plan; a whole field with a structure reads and fills shared, the
     tables, spectra, window and geometry of the plans built with it."""
     linear = K.arity == "linear"
-    if rows is not None:
-        build, sums = (_linear_rows, _linear_rows_sums) if linear else \
-            (_bilinear_slices, _bilinear_slices_sums)
-        parts = build(K, grid, policy, rows)
+    if linear and rows is not None:
+        parts, sums = _linear_rows(K, grid, policy, rows), _linear_rows_sums
     elif linear and (K.lattice is not None or K.curve is not None):
         parts, sums = _linear_structure(K, grid, policy, shared), _linear_structure_sums
-    elif not linear and K.lattice is not None:
+    elif not linear and K.lattice is not None and rows is None:
         parts, sums = _bilinear_lattice(K, grid, policy, shared), _bilinear_lattice_sums
     else:
         parts, sums = {}, _dense_field_sums
@@ -290,17 +284,16 @@ def _chunked(K: KernelModel, grid: Grid, policy: PvPolicy, rows: np.ndarray, vs,
              values: np.ndarray, delta: np.ndarray) -> None:
     """The rows' sums, each build applied once and freed before the next: one
     plan per BLOCK rows (linear), O(BLOCK n) memory at a time, or one hull
-    block per bilinear point (_hull_points). When f and g are finite a point
+    block per bilinear point (_slice_sums). When f and g are finite a point
     reads K.rule once on supp f x hull supp g and at its excised cells, and
-    is summed only over the subtrees that meet supp f (_slice_sums):
+    is summed only over the subtrees that meet supp f:
     O(|supp f| |hull supp g|) kernel reads and memory and O(|supp f| n)
     products per point, rounded out to whole leaves, with every value bit
     for bit that of a full slice. Such a block depends on f and g, so it is
-    no Plan."""
+    no Plan: a bilinear plan of points or of a field without a structure
+    holds nothing and reads its blocks here on every application."""
     if K.arity == "bilinear":
-        live = _live_rows(vs)
-        _slice_sums(grid, rows, _hull_points(K, grid, policy, rows, vs, live), vs, live,
-                    values, delta)
+        _slice_sums(K, grid, policy, rows, vs, values, delta)
         return
     for s in range(0, len(rows), BLOCK):
         p = _plan(K, grid, policy, rows[s:s + BLOCK], {})
@@ -309,7 +302,8 @@ def _chunked(K: KernelModel, grid: Grid, policy: PvPolicy, rows: np.ndarray, vs,
 
 
 def _dense_field_sums(p: Plan, vs, values, delta) -> None:
-    _chunked(p.kernel, p.grid, p.policy, np.arange(p.grid.n), vs, values, delta)
+    rows = np.arange(p.grid.n) if p.rows is None else p.rows
+    _chunked(p.kernel, p.grid, p.policy, rows, vs, values, delta)
 
 
 def _result(K: KernelModel, fs: tuple, policy: PvPolicy, values: np.ndarray,
@@ -563,7 +557,7 @@ def _linear_structure_sums(p: Plan, vs, values, delta) -> None:
 # a bilinear lattice plan's table and contraction stay well under malloc's
 # default 128 KB mmap threshold, so that their cost does not depend on how far
 # the allocator has raised it; a point's sum buffers are made once per apply,
-# a one-shot point's hull block once per point and its rows once per leaf.
+# its hull block once per point and the block's rows once per leaf.
 _SLICE_BYTES = 1 << 16      # bytes per temporary of the bilinear rule and lattice blocks
 _SUM_LEAF = 3 << 12         # complex products per np.sum call: 16 calls per point at n = 384
 
@@ -632,22 +626,11 @@ def _live_rows(vs):
     return fv != 0 if np.isfinite(fv).all() and np.isfinite(gv).all() else None
 
 
-def _excised(grid: Grid, rows: np.ndarray, policy: PvPolicy):
-    """Per point i of rows, from one _excision_window of all the rows: i, the
-    sorted flat indices j n + k of its excised cells, S <= eps, which is
-    their order in the n x n slice, and the masks over them of the cells
-    other than (i, i), S > 0, and of the ring, S > c_refined h."""
-    n, h = grid.n, grid.h
-    for i, j, k, S in zip(rows, *_excision_window(grid.axis(0), rows, policy.c_eps)):
-        at = S <= policy.c_eps * h
-        yield i, (j * n + k)[at], S[at] > 0, S[at] > policy.c_refined * h
-
-
 def _rule_block(K: KernelModel, x: np.ndarray, i, ys: np.ndarray, cols: slice) -> np.ndarray:
     """K.rule at (x_i, x_y, x_z) for y in ys and z in cols, zero where not
     finite and float64 while the rule returns real values, read in blocks of
-    rows whose float temporaries stay under _SLICE_BYTES. A plan's point and a
-    one-shot point read their blocks here, a plan's on the whole slice."""
+    rows whose float temporaries stay under _SLICE_BYTES: a bilinear point's
+    hull block (_slice_sums)."""
     width = cols.stop - cols.start
     B = np.zeros((len(ys), width))
     step = max(1, _SLICE_BYTES // (8 * max(1, width)))
@@ -659,93 +642,46 @@ def _rule_block(K: KernelModel, x: np.ndarray, i, ys: np.ndarray, cols: slice) -
     return B
 
 
-def _bilinear_slices(K: KernelModel, grid: Grid, policy: PvPolicy, rows: np.ndarray) -> dict:
-    """Per point i: the kernel values of its n x n slice beyond the excision,
-    S > eps (_excised), compacted in row-major order and zero where not
-    finite; the sorted flat indices of the excised cells; and the excised
-    cells' kernel values other than (i, i), with the kernel sum over the ring.
-    The values beyond the excision are float64 while the rule returns real
-    values: np.multiply casts them to complex with imaginary part +0, so
-    every product is that of the complex values. The excised cells'
-    row-major order is their order in the slice, so every sum keeps its
-    order. The slice is read whole (_rule_block) and then compacted, so
-    building a point holds two n x n arrays for a moment.
-    """
-    x, n = grid.axis(0), grid.n
-    points = []
-    for i, cut, near, ring in _excised(grid, rows, policy):
-        B = _rule_block(K, x, i, np.arange(n), slice(0, n)).ravel()
-        Kcut = B[cut].astype(complex)
-        points.append((np.delete(B, cut), cut, Kcut[near], Kcut[ring].sum()))
-    return {"points": tuple(points)}
+def _slice_sums(K: KernelModel, grid: Grid, policy: PvPolicy, rows, vs, values,
+                delta) -> None:
+    """Per point i of rows, (K * np.outer(f, g))[S > eps].sum() over its whole
+    slice, element for element and in the same order, from _SUM_LEAF products
+    at a time, plus the terms of its excised cells, S <= eps, from one
+    _excision_window of all the rows, whose row-major order is their order in
+    the slice.
 
+    A point reads K.rule once at its excised cells and once into one block B
+    (_rule_block) on the live rows ys, supp f, and the columns cols, the index
+    hull of supp g, or on every row and column when live is None
+    (_live_rows). The f(y) g(z) under a leaf are the whole rows y0:y1 of
+    np.outer(f, g) that it touches, formed by one broadcast product into a
+    reused buffer, multiplied by those rows of the slice, B on them and zero
+    elsewhere, and compacted to the leaf's cells beyond the excision. With f
+    and g finite the product at a cell off B is 0 times a zero: a zero as in
+    the full slice, maybe of the other sign, which np.sum, adding from +0,
+    sums to the same bits (_pairwise_sum). The f(y) g(z) and product buffers
+    stay allocated across the points of one application; a point's block is
+    freed before the next point's is read, and its rows are made per leaf.
 
-def _hull_points(K: KernelModel, grid: Grid, policy: PvPolicy, rows: np.ndarray, vs, live):
-    """A one-shot bilinear application's points, as _slice_sums takes them,
-    built one at a time: per point, its far from one block of K.rule on the
-    live rows, supp f, and the index hull of supp g, or on every row and
-    column when live is None (_hull_far); and its excised cells' kernel
-    values, read from K.rule at those cells only."""
-    x, n = grid.axis(0), grid.n
-    ys, H = (np.arange(n),) * 2 if live is None else (np.flatnonzero(live), _hull(vs[1] != 0))
-    cols = slice(H[0], H[-1] + 1) if len(H) else slice(0, 0)
-    for i, cut, near, ring in _excised(grid, rows, policy):
-        Kcut = _sample(K.rule, x[i], x[cut // n], x[cut % n], dtype=complex)
-        yield (_hull_far(_rule_block(K, x, i, ys, cols), ys, cols, n), cut, Kcut[near],
-               Kcut[ring].sum())
-
-
-def _hull_far(B: np.ndarray, ys: np.ndarray, cols: slice, n: int):
-    """A one-shot point's far for _slice_sums, from its block B on the rows ys
-    and the columns cols: far(y0, y1) is the rows y0:y1 of the n x n slice,
-    B on them and zero elsewhere.
-
-    With f and g finite, ys holds every row where f_y != 0 and cols every
-    column where g_z != 0, so the product at a cell off the block is 0 times
-    a zero: a zero as in the full slice, maybe of the other sign, which
-    np.sum, adding from +0, sums to the same bits (_pairwise_sum)."""
-    def far(y0, y1):
-        p0, p1 = ys.searchsorted((y0, y1)).tolist()
-        T = np.zeros((y1 - y0, n), dtype=B.dtype)
-        T[ys[p0:p1] - y0, cols] = B[p0:p1]
-        return T
-
-    return far
-
-
-def _bilinear_slices_sums(p: Plan, vs, values, delta) -> None:
-    _slice_sums(p.grid, p.rows, p.parts["points"], vs, _live_rows(vs), values, delta)
-
-
-def _slice_sums(grid: Grid, rows, points, vs, live, values, delta) -> None:
-    """Per point, (K * np.outer(f, g))[S > eps].sum() over its whole slice,
-    element for element and in the same order, from _SUM_LEAF products at a
-    time. points gives per row one (far, cut, Knear, ring_sum), taken one at
-    a time. The f(y) g(z) under a leaf are the whole rows of np.outer(f, g)
-    that it touches, formed by one broadcast product into a reused buffer,
-    and pack compacts rows to the leaf's far cells. far is either a plan's
-    compacted kernel values beyond the excision (_bilinear_slices), sliced
-    per leaf and multiplied by the packed f(y) g(z), or a one-shot point's
-    function that gives the leaf's rows of the slice from its hull block
-    (_hull_far), multiplied by the rows of f(y) g(z) and then packed: each
-    kept product has the same operands either way. The f(y) g(z) and product
-    buffers stay allocated across the points of one application; a hull
-    block's rows are made per leaf.
-
-    With live (_live_rows), a subtree of the pairwise sum whose cells lie only
-    in rows with f_y == 0 holds only exact zeros, and _pairwise_sum takes it
-    as 0j without forming its products: a point costs O(|supp f| n), rounded
-    out to whole leaves, with the value of the full sum bit for bit. The
-    rows that a subtree touches are counted from a prefix count of the live
-    rows, made once per application."""
+    With live, a subtree of the pairwise sum whose cells lie only in rows with
+    f_y == 0 holds only exact zeros, and _pairwise_sum takes it as 0j without
+    forming its products: a point costs O(|supp f| n), rounded out to whole
+    leaves, with the value of the full sum bit for bit. The rows that a
+    subtree touches are counted from a prefix count of the live rows, made
+    once per application."""
     fv, gv = vs
-    n, h = grid.n, grid.h
+    x, n, h = grid.axis(0), grid.n, grid.h
+    live = _live_rows(vs)
+    ys, H = (np.arange(n),) * 2 if live is None else (np.flatnonzero(live), _hull(gv != 0))
+    cols = slice(H[0], H[-1] + 1) if len(H) else slice(0, 0)
     nz = None if live is None else np.concatenate([[0], np.cumsum(live)])
     FG = np.empty((0, n), dtype=complex)     # the rows of f (x) g under one leaf
     prod = np.empty(min(_SUM_LEAF, n * n), dtype=complex)
-    points = iter(points)
-    for i in rows:
-        far, cut, Knear, ring_sum = next(points)
+    for i, j, k, S in zip(rows, *_excision_window(x, rows, policy.c_eps)):
+        at = S <= policy.c_eps * h
+        cut, S = (j * n + k)[at], S[at]
+        Kcut = _sample(K.rule, x[i], x[j[at]], x[k[at]], dtype=complex)
+        B = _rule_block(K, x, i, ys, cols)
         if len(FG) < (m := -(-(len(prod) + len(cut)) // n) + 1):    # the rows a leaf spans
             FG = np.empty((m, n), dtype=complex)
         before = cut - np.arange(len(cut))      # far cells before each excised cell
@@ -756,30 +692,27 @@ def _slice_sums(grid: Grid, rows, points, vs, live, values, delta) -> None:
             return a, b, o0 + a, o0 + count + b
 
         def products(o0, count):
+            """The products at the far cells o0:o0 + count, the flat cells
+            lo:hi less cut[a:b], compacted into prod by one small mask over
+            the span of the excised cells when there are any."""
             if count == 0:          # every cell of a small grid is excised
                 return prod[:0]
             a, b, lo, hi = flat(o0, count)
             y0, y1 = lo // n, -(-hi // n)
-
-            def pack(T):
-                """The far cells o0:o0 + count of T, the rows y0:y1 of the slice:
-                its cells lo:hi less cut[a:b], compacted into prod by one small
-                mask over the span of the excised cells when there are any."""
-                t = T.ravel()[lo - y0 * n:]
-                if a == b:
-                    return t[:count]
-                s, e = cut[a] - lo, cut[b - 1] - lo + 1
-                keep = np.ones(e - s, dtype=bool)
-                keep[cut[a:b] - lo - s] = False
-                prod[:s] = t[:s]
-                prod[e - (b - a):count] = t[e:hi - lo]
-                np.compress(keep, t[s:e], out=prod[s:e - (b - a)])
-                return prod[:count]
-
+            p0, p1 = ys.searchsorted((y0, y1)).tolist()
+            T = np.zeros((y1 - y0, n), dtype=B.dtype)
+            T[ys[p0:p1] - y0, cols] = B[p0:p1]
             t = np.multiply(fv[y0:y1, None], gv, out=FG[:y1 - y0])
-            if callable(far):
-                return pack(np.multiply(far(y0, y1), t, out=t))
-            return np.multiply(far[o0:o0 + count], pack(t), out=prod[:count])
+            t = np.multiply(T, t, out=t).ravel()[lo - y0 * n:]
+            if a == b:
+                return t[:count]
+            s, e = cut[a] - lo, cut[b - 1] - lo + 1
+            keep = np.ones(e - s, dtype=bool)
+            keep[cut[a:b] - lo - s] = False
+            prod[:s] = t[:s]
+            prod[e - (b - a):count] = t[e:hi - lo]
+            np.compress(keep, t[s:e], out=prod[s:e - (b - a)])
+            return prod[:count]
 
         def meets_f(o0, count):
             _, _, lo, hi = flat(o0, count)
@@ -788,10 +721,10 @@ def _slice_sums(grid: Grid, rows, points, vs, live, values, delta) -> None:
         fgi = fv[i] * gv[i]
         val = _pairwise_sum(products, 0, n * n - len(cut),
                             None if nz is None else meets_f) * h * h
-        near = cut[cut != i * n + i]
-        val += (Knear * (fv[near // n] * gv[near % n] - fgi)).sum() * h * h
-        values[i], delta[i] = val, fgi * ring_sum * h * h
-        del far         # a hull block is freed before the next point's is read
+        near = cut[S > 0]
+        val += (Kcut[S > 0] * (fv[near // n] * gv[near % n] - fgi)).sum() * h * h
+        values[i], delta[i] = val, fgi * Kcut[S > policy.c_refined * h].sum() * h * h
+        del B           # freed before the next point's block is read
 
 
 def _fft_length(m: int) -> int:
@@ -987,7 +920,7 @@ def _pv(K: KernelModel, fs: tuple, policy: PvPolicy, points=None, x=None):
     the grid point x. Checks arity, grid and d before any index lookup.
 
     A whole field is one plan applied once; points are built and summed
-    BLOCK rows (linear) or one slice (bilinear) at a time (_chunked).
+    BLOCK rows (linear) or one hull block (bilinear) at a time (_chunked).
     """
     grid = _check_functions(K, fs)
     if points is None and x is None:

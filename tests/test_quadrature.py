@@ -625,30 +625,31 @@ def test_bilinear_point_with_a_nan_input_skips_nothing(case, where, c_eps):
     assert not np.any(quadrature._converged(PvPolicy(c_eps=c_eps), values, delta)[pts])
 
 
-def test_point_plan_sums_read_the_leaves_that_meet_supp_f():
-    # a reusable point plan holds the whole slice, but applying it forms the
-    # products of the leaves that meet supp f only
-    n = 384
+def test_point_plan_sums_read_the_leaves_that_meet_supp_f(monkeypatch):
+    # a point plan holds no slice; applying it forms the far products of the
+    # leaves that meet supp f only, each leaf's rows from the point's hull block
+    n, c_eps, i = 384, 2, 150
     g = make_grid(1, cube1(0.0, 8.0), n)
-    f, other, _, K = _compact_inputs(g, 2, "signed-zero")
+    f, other, _, K = _compact_inputs(g, c_eps, "signed-zero")
     support = np.nonzero(f.values)[0]
-    T = plan(K, g, PvPolicy(), [150])
-    (far, *rest), = T.parts["points"]
-    reads = []
+    formed = []
 
-    class Reading(np.ndarray):
-        def __getitem__(self, key):
-            reads.append(key)
-            return np.asarray(self)[key]
+    def counting(part, start, count, live=None, _sum=quadrature._pairwise_sum):
+        def forming(s, c):
+            formed.append(c)
+            return part(s, c)
+        return _sum(part if part.__name__ == "forming" else forming, start, count, live)
 
-    values, delta = np.zeros(n, dtype=complex), np.zeros(n, dtype=complex)
-    vs = [f.values, other.values]
-    quadrature._slice_sums(g, T.rows, ((far.view(Reading), *rest),), vs,
-                           quadrature._live_rows(vs), values, delta)
-    read = sum(k.stop - k.start for k in reads)
-    assert len(support) * n - len(rest[0]) <= read <= len(support) * n + 2 * _SUM_LEAF < len(far)
-    want = T(f, other)
-    assert np.array_equal(_bits(values), _bits(want.field.values))
+    T = plan(K, g, PvPolicy(c_eps=c_eps), [i])
+    monkeypatch.setattr(quadrature, "_pairwise_sum", counting)
+    got = T(f, other).field.values[i]
+    monkeypatch.undo()
+    au = np.abs(g.axis(0)[i] - g.axis(0))
+    cut = np.count_nonzero(au[:, None] + au[None, :] <= c_eps * g.h)     # the excised cells
+    read = sum(formed)
+    assert len(support) * n - cut <= read <= len(support) * n + 2 * _SUM_LEAF < n * n - cut
+    want = _bilinear_point_masked(K, f.values, other.values, g, i, c_eps)[0]
+    assert np.array_equal(_bits(got), _bits(want))
 
 
 @pytest.mark.parametrize("case", ["signed-zero", "g-interval", "g-column", "g-off-excision",
@@ -689,7 +690,8 @@ def test_one_shot_point_reads_supp_f_by_the_hull_of_supp_g_and_its_excision(case
 def test_one_shot_point_memory_is_its_hull_block(points):
     # one apply_bilinear holds its block of 8 |supp f| |hull g| bytes (1.2 MB
     # here), a few leaf buffers and rule temporaries, never an n x n slice
-    # (8.4 MB at n = 1024); a subset field holds one point's block at a time
+    # (8.4 MB at n = 1024); a subset field, one-shot or from a plan(points=),
+    # holds one point's block at a time
     n, m = 1024, 3 * 1024 // 8
     g = make_grid(1, cube1(0.0, 8.0), n)
     x, at = g.axis(0), np.arange(n)
@@ -698,20 +700,20 @@ def test_one_shot_point_memory_is_its_hull_block(points):
     h = SampledFunction(grid=g, values=np.where((at >= n // 2) & (at < n // 2 + m),
                                                 np.exp(-x * x) + 0j, 0.0))
     K = gallery("bilinear-homog")
-
-    def call():
-        if points is None:
-            return apply_bilinear(K, f, h, x[n // 2])
-        return apply_bilinear_field(K, f, h, points=points)
-
-    call()
-    tracemalloc.start()
-    try:
+    if points is None:
+        calls = [lambda: apply_bilinear(K, f, h, x[n // 2])]
+    else:
+        T = plan(K, g, PvPolicy(), points)
+        calls = [lambda: apply_bilinear_field(K, f, h, points=points), lambda: T(f, h)]
+    for call in calls:
         call()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert 8 * m * m < peak <= 8 * m * m + 4 * 16 * _SUM_LEAF + 8 * _SLICE_BYTES + 64 * n
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 8 * m * m < peak <= 8 * m * m + 4 * 16 * _SUM_LEAF + 8 * _SLICE_BYTES + 64 * n
 
 
 def test_whole_commutator_field_reads_each_profile_once():
@@ -1124,23 +1126,77 @@ def test_shared_plans_build_one_table_or_geometry(monkeypatch, name):
     assert np.array_equal(got[2](f).field.values, got[0](f).field.values)
 
 
-def test_decomposition_builds_one_slice_per_point():
-    # one point plan at the cells read, shared by the five fields of every R:
-    # the rule sees each point's n x n slice once, a block of rows at a time
+def test_decomposition_reads_each_point_on_its_supports(monkeypatch):
+    # the point plan at the cells read holds no slice: each application of it
+    # (a split field of one R) reads K.rule at each point once on each cell of
+    # supp f x hull supp g and of the point's excision, and nowhere else
     K = gallery("bilinear-homog")
-    cells = {}
-
-    def counting(x, y, z):
-        out = K.rule(x, y, z)
-        cells[float(x)] = cells.get(float(x), 0) + np.size(out)
-        return out
-
     grid = GridSpec(n=384, box_side=64.0)
-    rep = bilinear_decomposition_check(dataclasses.replace(K, rule=counting), grid=grid)
     g, pts = grid.row_grid("fixed", 1.0), _localize(grid, DECOMP_CUBE, 12.0)[4]
-    assert len(rep.rows) == 3 and len(pts) == 3
-    assert cells == {float(g.axis(0)[i]): 384 * 384 for i in pts}
+    n, x, dx = g.n, g.axis(0), g.h
+    applications = []
+
+    def counting(xi, y, z):
+        at = [np.rint((t - x[0]) / dx).astype(int).ravel() for t in np.broadcast_arrays(xi, y, z)]
+        applications[-1][1].setdefault(int(at[0][0]), []).append(at[1] * n + at[2])
+        return K.rule(xi, y, z)
+
+    def recording(K, grid, policy, rows, vs, *out, _sums=quadrature._slice_sums):
+        applications.append((vs, {}))
+        _sums(K, grid, policy, rows, vs, *out)
+
+    monkeypatch.setattr(quadrature, "_slice_sums", recording)
+    rep = bilinear_decomposition_check(dataclasses.replace(K, rule=counting), grid=grid)
+    monkeypatch.undo()
+    assert len(rep.rows) == 3 and len(pts) == 3 and len(applications) >= 3
+    for (fv, gv), reads in applications:
+        support, hull = np.flatnonzero(fv), quadrature._hull(gv != 0)
+        assert sorted(reads) == sorted(pts)
+        for i in pts:
+            au = np.abs(x[i] - x)
+            excised = np.flatnonzero((au[:, None] + au[None, :] <= 2 * dx).ravel())
+            cells = np.concatenate(reads[i])
+            assert len(cells) == len(support) * len(hull) + len(excised)
+            assert np.array_equal(np.unique(cells),
+                                  np.union1d((support[:, None] * n + hull).ravel(), excised))
     assert rep.rows == bilinear_decomposition_check(K, grid=grid).rows
+
+
+def test_decomposition_holds_one_hull_block_at_a_time():
+    # no n x n slice per point (8 MB each at n = 1024): the check's peak is a
+    # point's hull block, its leaf buffers and the fields
+    K = gallery("bilinear-homog")
+    grid = GridSpec(n=1024, box_side=64.0)
+    bilinear_decomposition_check(K, grid=grid)
+    tracemalloc.start()
+    try:
+        bilinear_decomposition_check(K, grid=grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
+@pytest.mark.parametrize("name", ["bilinear-homog", "complex-rule"])
+def test_bilinear_point_plan_reads_no_kernel_until_applied(name):
+    # a bilinear point plan does not depend on its inputs' supports, so it
+    # reads nothing: each application reads its own hull blocks
+    K = gallery("bilinear-homog")
+    if name == "complex-rule":
+        K = dataclasses.replace(K, name=name, rule=_complex_rule, lattice=None)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return K.rule(*args)
+
+    g = make_grid(1, cube1(0.0, 8.0), 127)
+    T = plan(dataclasses.replace(K, rule=counting), g, PvPolicy(), [0, 63, 126])
+    assert calls == [] and T.nbytes == 0
+    f, h = _smooth(g, 50), _smooth(g, 51)
+    got = T(f, h).field.values
+    assert calls
+    assert np.array_equal(got, apply_bilinear_field(K, f, h, points=[0, 63, 126]).field.values)
 
 
 @pytest.mark.parametrize("name,pts", [("hilbert", None), ("cauchy-lipschitz", None),
@@ -1150,8 +1206,10 @@ def test_plan_is_read_only_and_checks_its_inputs(name, pts):
     K = gallery(name)
     g = make_grid(1, cube1(0.0, 16.0), 127)
     T = plan(K, g, PvPolicy(), pts)
-    arrays = list(_arrays(T.parts))
-    assert arrays and 0 < T.nbytes <= sum(a.nbytes for a in arrays)
+    # a bilinear point plan holds its rows only
+    arrays = list(_arrays((T.rows, T.parts)))
+    assert arrays and T.nbytes <= sum(a.nbytes for a in arrays)
+    assert (T.nbytes == 0) == (K.arity == "bilinear" and pts is not None)
     assert not any(a.flags.writeable for a in arrays)
     with pytest.raises(ValueError, match="read-only"):
         arrays[0][...] = 0.0
@@ -1197,13 +1255,13 @@ def test_plan_of_no_points_applies_to_a_zero_field(name):
 
 @pytest.mark.parametrize("name,bytes_per_point", [
     ("hilbert", lambda n, c: 16 * n + 48),
-    ("bilinear-homog", lambda n, c: 8 * n * n + 16 * (2 * c + 1) ** 2),
-    ("bilinear-homog-complex", lambda n, c: 16 * n * n + 8 * (2 * c + 1) ** 2)])
+    ("bilinear-homog", lambda n, c: 0),
+    ("bilinear-homog-complex", lambda n, c: 0)])
 def test_point_plan_size_is_as_stated(name, bytes_per_point):
-    # the sizes plan() states: 16 n + 48 bytes per linear point, at most
-    # 8 n^2 + 16 (2 c_eps + 1)^2 per bilinear point of a real rule and
-    # 16 n^2 + 8 (2 c_eps + 1)^2 of a complex one; the heap left after
-    # building holds little more (the rows and the containers)
+    # the sizes plan() states: 16 n + 48 bytes per linear point, and none
+    # per bilinear point, of a real or a complex rule, as a bilinear point
+    # plan holds its rows only; the heap left after building holds little
+    # more (the rows and the containers)
     K = gallery(name.removesuffix("-complex"))
     if name.endswith("-complex"):
         K = dataclasses.replace(K, rule=lambda x, y, z, _r=K.rule: (1 + 1j) * _r(x, y, z))
@@ -1324,25 +1382,6 @@ def test_bilinear_duality_defect_is_the_transposes_near_weights(c_eps):
                                       * (Tw.parts["near"] - T.parts["near"]))
         assert abs(defect) > 0.1
         assert abs((direct - paired) - defect) <= 1e-12 * abs(defect)
-
-
-@pytest.mark.parametrize("k", [1, 8])
-def test_bilinear_point_plan_applies_in_one_slice_of_memory(k):
-    # applying a plan of k points holds at most one n x n complex array at a
-    # time, whatever k
-    K = gallery("bilinear-homog")
-    n = 384
-    g = make_grid(1, cube1(0.0, 64.0), n)
-    T = plan(K, g, PvPolicy(), list(range(100, 100 + 23 * k, 23)))
-    f, h = _smooth(g, 30), _smooth(g, 31)
-    T(f, h)
-    tracemalloc.start()
-    try:
-        T(f, h)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 16 * n * n + 256 * 1024
 
 
 # --- properties ------------------------------------------------------------------
