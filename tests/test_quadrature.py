@@ -1384,6 +1384,25 @@ def test_bilinear_duality_defect_is_the_transposes_near_weights(c_eps):
         assert abs((direct - paired) - defect) <= 1e-12 * abs(defect)
 
 
+@pytest.mark.parametrize("k", [1, 8])
+def test_bilinear_point_plan_applies_in_one_slice_of_memory(k):
+    # applying a plan of k points holds at most one n x n complex array at a
+    # time, whatever k: each point's hull block is freed before the next
+    K = gallery("bilinear-homog")
+    n = 384
+    g = make_grid(1, cube1(0.0, 64.0), n)
+    T = plan(K, g, PvPolicy(), list(range(100, 100 + 23 * k, 23)))
+    f, h = _smooth(g, 30), _smooth(g, 31)
+    T(f, h)
+    tracemalloc.start()
+    try:
+        T(f, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * n * n + 256 * 1024
+
+
 # --- properties ------------------------------------------------------------------
 
 PROPERTY = settings(max_examples=15, deadline=None, derandomize=True)
