@@ -274,8 +274,7 @@ def verify_bump(f: SampledFunction, M: int) -> BumpCertificate:
     edge = ~np.pad(np.ones((g.n - 2,) * g.d, dtype=bool), 1)    # the outermost cell ring
     if np.any(mag[edge] > 0):
         bad = np.argwhere(mag * edge > 0)[0]
-        pt = tuple(g.axis(i)[bad[i]] for i in range(g.d))
-        raise ValueError(f"support touches the grid boundary at {pt}")
+        raise ValueError(f"support touches the grid boundary at {g.point(bad)}")
 
     center = getattr(f.rule, "x0", None) or (0.0,) * g.d
     r = np.sqrt(sum((c - c0) ** 2 for c, c0 in zip(g.meshgrid(), center)))

@@ -223,11 +223,11 @@ def ingest_b(spec: str) -> BFunc:
     s = spec.strip()
     try:
         return builtin_b(s)
-    except ValueError:
-        pass
+    except ValueError as e:
+        err = e
     p = Path(s)
     if not p.exists():
-        raise ConfigError(f"b-function {s!r} is neither a builtin nor a CSV path")
+        raise ConfigError(f"b-function {s!r} is neither a builtin nor a CSV path ({err})")
     return _CsvBFunc(name=p.stem, rule=None, samples=load_sampled_csv(p, name=p.stem))
 
 

@@ -102,6 +102,10 @@ class Grid:
     def meshgrid(self) -> tuple[np.ndarray, ...]:
         return np.meshgrid(*map(self.axis, range(self.d)), indexing="ij")
 
+    def point(self, index) -> tuple[float, ...]:
+        """The coordinates of the grid point at index, as Python floats."""
+        return tuple(float(self.axis(i)[index[i]]) for i in range(self.d))
+
     def index_of(self, point) -> tuple[int, ...]:
         """Index of the grid point equal to `point` (must lie on the grid)."""
         p = np.atleast_1d(np.asarray(point, dtype=float))
@@ -110,7 +114,7 @@ class Grid:
             ax = self.axis(i)
             j = int(np.argmin(np.abs(ax - p[i])))
             if abs(ax[j] - p[i]) > 1e-9 * max(1.0, self.box.side):
-                raise ValueError(f"{tuple(p)} is not a grid point (axis {i})")
+                raise ValueError(f"{tuple(p.tolist())} is not a grid point (axis {i})")
             idx.append(j)
         return tuple(idx)
 
@@ -141,8 +145,7 @@ class SampledFunction:
             raise ValueError(f"value shape {v.shape} != grid shape {self.grid.shape}")
         if not np.all(np.isfinite(v)):
             bad = np.argwhere(~np.isfinite(v))[0]
-            pt = tuple(self.grid.axis(i)[bad[i]] for i in range(self.grid.d))
-            raise ValueError(f"non-finite sample at grid point {pt}")
+            raise ValueError(f"non-finite sample at grid point {self.grid.point(bad)}")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
@@ -193,8 +196,7 @@ def sample(rule, grid: Grid, name: str = "", on_nonfinite: str = "error") -> Sam
             vals = np.where(np.isfinite(vals), vals, 0.0)
         else:
             bad = np.argwhere(~np.isfinite(vals))[0]
-            pt = tuple(grid.axis(i)[bad[i]] for i in range(grid.d))
-            raise ValueError(f"rule produced non-finite value at {pt}")
+            raise ValueError(f"rule produced non-finite value at {grid.point(bad)}")
     return SampledFunction(grid=grid, values=vals, rule=rule, name=name)
 
 

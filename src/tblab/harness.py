@@ -56,14 +56,23 @@ class BFunc:
 
 
 def builtin_b(spec: str) -> BFunc:
-    """Builtins: one | accretive-lipschitz(lam) | exp-ix | sign-sin."""
+    """Builtins: one | accretive-lipschitz | accretive-lipschitz(lam) with lam
+    finite (0.3 when omitted) | exp-ix | sign-sin. Any other spec is a
+    ValueError naming it."""
     s = spec.strip()
     if s == "one":
         return BFunc(name="one", rule=None)
     if s.startswith("accretive-lipschitz"):
-        lam = 0.3
-        if "(" in s:
-            lam = float(s[s.index("(") + 1:s.rindex(")")])
+        arg = s.removeprefix("accretive-lipschitz")
+        lam = 0.3 if arg == "" else np.nan
+        if arg[:1] + arg[-1:] == "()":
+            try:
+                lam = float(arg[1:-1])
+            except ValueError:
+                pass
+        if not np.isfinite(lam):
+            raise ValueError(f"malformed builtin b-function {spec!r}: accretive-lipschitz "
+                             f"takes one finite lambda, as in accretive-lipschitz(0.3)")
         def rule(x, _l=lam):
             return 1.0 + 1j * _l * np.tanh(np.asarray(x, dtype=float))
         return BFunc(name=f"accretive-lipschitz({lam})", rule=rule)

@@ -16,15 +16,14 @@ convergence check flags it.
 Bilinear excision uses the distance |x-y| + |x-z| to the diagonal x=y=z.
 
 Every evaluation is an operator plan applied to the functions. plan(K, grid,
-policy, points) does the work that depends only on the kernel, the grid and
-the policy: the lattice profile tables, the treecode geometry, the band
-K.rule values with the a1, near and ring masses, and for explicit linear
-points each point's kernel row; the cells a bilinear point reads depend on
-the supports of f and g, so its plan holds its rows only. Applying it,
-plan(f) or plan(f, g), does the work that depends on the functions and
-sets the eps vs eps/2 convergence flags; a
-bilinear point's sum is np.sum's pairwise sum of its products, formed
-_SUM_LEAF at a time, so applying builds no n x n temporary. A plan is
+policy, points) does the work of a whole field that depends only on the
+kernel, the grid and the policy: the lattice profile tables, the treecode
+geometry, the band K.rule values with the a1, near and ring masses. A plan
+of explicit points, linear or bilinear, holds its rows only and reads
+K.rule when it is applied. Applying a plan, plan(f) or plan(f, g), does the
+work that depends on the functions and sets the eps vs eps/2 convergence
+flags; a bilinear point's sum is np.sum's pairwise sum of its products,
+formed _SUM_LEAF at a time, so applying builds no n x n temporary. A plan is
 immutable and its arrays are read-only, so no application changes it; its
 caller owns it and nothing is cached, so it lives as long as the caller
 keeps it. plans(kernels, grid, policy, points) builds several kernels' plans
@@ -35,13 +34,13 @@ source's table reversed), one sheared spectrum per bilinear source profile
 is its one-kernel case. A sweep makes one plans() call per row grid, over the
 kernels of every experiment with rows there (T and T* of a Stein sweep, and
 T again for the wbp rows of a report), and applies them to its rows;
-apply_linear_field and friends build a plan and apply it once,
-per BLOCK rows (linear) or per point (bilinear) when points are given, so a
-one-shot call holds O(BLOCK n) or O(|supp f| |hull supp g|) at a time.
-Every bilinear point, one-shot or of a plan, is summed on one path: it
-reads K.rule once on the rows of supp f and the columns of the hull of
-supp g that its inputs need, and at its excised cells (_chunked).
-plan() states what each kind of plan holds and its size.
+apply_linear_field and friends build a plan and apply it once. Points,
+one-shot or of a plan, are summed on one path per arity (_chunked): BLOCK
+linear rows of K.rule at a time, or one bilinear point at a time, read
+from K.rule once on the rows of supp f and the columns of the hull of
+supp g that its inputs need, and at its excised cells, so applying holds
+O(BLOCK n) or O(|supp f| |hull supp g|) at a time. plan() states what each
+kind of plan holds and its size.
 
 Whole fields of kernels with a lattice structure (KernelModel.lattice) are
 lattice sums by FFT convolution. A linear field costs O(n log n). A bilinear
@@ -177,7 +176,8 @@ class Plan:
     plan(f) (linear) or plan(f, g) (bilinear) is the FieldResult that
     apply_linear_field / apply_bilinear_field return for the same kernel,
     policy and points, bit for bit. rows are the planned grid indices, or None
-    for the whole field; the field is zero and unflagged off the rows. The
+    for the whole field; the field is zero and unflagged off the rows, and a
+    plan of rows holds no parts: it reads K.rule when applied. The
     arrays in parts are read-only, so no application changes a plan, and the
     plans of one plans() call may share some; its caller owns it, and nothing
     is cached anywhere else.
@@ -208,12 +208,10 @@ def plan(K: KernelModel, grid: Grid, policy: PvPolicy = PvPolicy(), points=None)
     plans((K,), grid, policy, points)[0].
 
     What it holds, by case (n grid points, 16 bytes per complex):
-    - explicit points, linear: each point's scrubbed kernel row and its near,
-      a1 and ring masses, 16 n + 48 bytes per point;
-    - explicit points, bilinear: nothing but the rows, with no K.rule read,
-      as the cells a point reads depend on its inputs; each apply reads and
-      sums one point's hull block at a time, as a whole field without a
-      structure does (below);
+    - explicit points, linear or bilinear: nothing but the rows, with no
+      K.rule read; each apply reads and sums BLOCK rows of K.rule (linear)
+      or one point's hull block (bilinear, whose cells depend on the
+      inputs) at a time, as a whole field without a structure does (below);
     - a whole linear field with a lattice structure: the spectrum of one
       profile table per distinct profile and each term's factors on the grid;
       with a curve structure, the treecode's geometry (near-field reciprocals
@@ -226,7 +224,7 @@ def plan(K: KernelModel, grid: Grid, policy: PvPolicy = PvPolicy(), points=None)
       plans of K, K*1 and K*2 from one plans() call hold one copy; and its own
       near and ring weights of every point, 16 n bytes; applying it costs
       O(n^2) and holds O(L) and a _SLICE_BYTES block more;
-    - a whole field of a kernel without a structure: nothing; each apply plans
+    - a whole field of a kernel without a structure: nothing; each apply reads
       and sums BLOCK rows (linear), or reads and sums one point's hull block
       (bilinear: O(|supp f| |hull supp g|) kernel reads and memory and
       O(|supp f| n) products per point, _chunked) at a time.
@@ -267,11 +265,9 @@ def _plan(K: KernelModel, grid: Grid, policy: PvPolicy, rows, shared: dict) -> P
     """K's plan; a whole field with a structure reads and fills shared, the
     tables, spectra, window and geometry of the plans built with it."""
     linear = K.arity == "linear"
-    if linear and rows is not None:
-        parts, sums = _linear_rows(K, grid, policy, rows), _linear_rows_sums
-    elif linear and (K.lattice is not None or K.curve is not None):
+    if rows is None and linear and (K.lattice is not None or K.curve is not None):
         parts, sums = _linear_structure(K, grid, policy, shared), _linear_structure_sums
-    elif not linear and K.lattice is not None and rows is None:
+    elif rows is None and not linear and K.lattice is not None:
         parts, sums = _bilinear_lattice(K, grid, policy, shared), _bilinear_lattice_sums
     else:
         parts, sums = {}, _dense_field_sums
@@ -282,23 +278,18 @@ def _plan(K: KernelModel, grid: Grid, policy: PvPolicy, rows, shared: dict) -> P
 
 def _chunked(K: KernelModel, grid: Grid, policy: PvPolicy, rows: np.ndarray, vs,
              values: np.ndarray, delta: np.ndarray) -> None:
-    """The rows' sums, each build applied once and freed before the next: one
-    plan per BLOCK rows (linear), O(BLOCK n) memory at a time, or one hull
-    block per bilinear point (_slice_sums). When f and g are finite a point
-    reads K.rule once on supp f x hull supp g and at its excised cells, and
-    is summed only over the subtrees that meet supp f:
+    """The rows' sums, read from K.rule a block at a time and each block freed
+    before the next: BLOCK rows (linear, _row_sums), O(BLOCK n) memory at a
+    time, or one hull block per bilinear point (_slice_sums). A bilinear
+    point reads K.rule once on supp f x hull supp g and at its excised
+    cells, and is summed only over the subtrees that meet supp f:
     O(|supp f| |hull supp g|) kernel reads and memory and O(|supp f| n)
     products per point, rounded out to whole leaves, with every value bit
-    for bit that of a full slice. Such a block depends on f and g, so it is
-    no Plan: a bilinear plan of points or of a field without a structure
-    holds nothing and reads its blocks here on every application."""
-    if K.arity == "bilinear":
-        _slice_sums(K, grid, policy, rows, vs, values, delta)
-        return
-    for s in range(0, len(rows), BLOCK):
-        p = _plan(K, grid, policy, rows[s:s + BLOCK], {})
-        p.sums(p, vs, values, delta)
-        del p       # freed before the next one is built: one at a time
+    for bit that of a full slice. A plan of points, or of a field without a
+    structure, holds its rows only and reads its blocks here on every
+    application."""
+    (_row_sums if K.arity == "linear" else _slice_sums)(K, grid, policy, rows, vs, values,
+                                                        delta)
 
 
 def _dense_field_sums(p: Plan, vs, values, delta) -> None:
@@ -363,13 +354,15 @@ def _linear_tail(f, rows, h, base, near_mass, a1, ring_mass):
     return base - f[rows] * near_mass + a1 * fp[rows] * h, f[rows] * ring_mass
 
 
-def _linear_rows(K: KernelModel, grid: Grid, policy: PvPolicy, rows: np.ndarray) -> dict:
+def _row_sums(K: KernelModel, grid: Grid, policy: PvPolicy, rows: np.ndarray, vs,
+              values: np.ndarray, delta: np.ndarray) -> None:
     """Per block of BLOCK rows: the rows of the kernel matrix, zero on the
-    diagonal and where not finite, and their near, a1 and ring masses. The rule
-    is called once per block, as the rows of a block are summed together."""
+    diagonal and where not finite, their near, a1 and ring masses, and the
+    rows' sums. The rule is called once per block, as the rows of a block
+    are summed together, and a block is freed before the next is read."""
+    (f,) = vs
     n, h, c_eps = grid.n, grid.h, policy.c_eps
     x = grid.axis(0)
-    blocks = []
     for s in range(0, len(rows), BLOCK):
         r = rows[s:s + BLOCK]
         M = _sample(K.rule, x[r, None], x[None, :], dtype=complex)
@@ -381,16 +374,6 @@ def _linear_rows(K: KernelModel, grid: Grid, policy: PvPolicy, rows: np.ndarray)
         a1[k] = 0.5 * h * (M[k, r[k] + 1] - M[k, r[k] - 1])
         ring = (off > policy.c_refined) & (off <= c_eps)
         ring_mass = np.where(ring, M, 0.0 + 0.0j).sum(axis=1) * h
-        blocks.append((M, near_mass, a1, ring_mass))
-    return {"blocks": tuple(blocks)}
-
-
-def _linear_rows_sums(p: Plan, vs, values, delta) -> None:
-    (f,) = vs
-    h = p.grid.h
-    for s, (M, near_mass, a1, ring_mass) in zip(range(0, len(p.rows), BLOCK),
-                                                p.parts["blocks"]):
-        r = p.rows[s:s + BLOCK]
         base = (M * f[None, :]).sum(axis=1) * h
         values[r], delta[r] = _linear_tail(f, r, h, base, near_mass, a1, ring_mass)
 
@@ -596,7 +579,7 @@ def _window_profile(P, c_eps: int, h: float) -> np.ndarray:
     return _profile(P, -np.repeat(off, len(off))[None] * h, -np.tile(off, len(off))[None] * h)
 
 
-def _pairwise_sum(part, start: int, count: int, live=None) -> complex:
+def _pairwise_sum(part, start: int, count: int, live) -> complex:
     """part(start, count).sum() over the whole range in np.sum's order, holding
     at most _SUM_LEAF values at a time. np.sum adds a contiguous complex array
     pairwise: a run of more than 64 values splits after half of its 2 count
@@ -608,22 +591,13 @@ def _pairwise_sum(part, start: int, count: int, live=None) -> complex:
     sign; it is 0j, and part is not called for it. np.sum adds from +0, so it
     sums zeros to +0 and never returns -0: 0j is the range's own sum, and the
     total keeps every bit."""
-    if live is not None and not live(start, count):
+    if not live(start, count):
         return 0j
     if count <= _SUM_LEAF:
         return part(start, count).sum()
     half = (count - count % 8) // 2
     return _pairwise_sum(part, start, half, live) + \
         _pairwise_sum(part, start + half, count - half, live)
-
-
-def _live_rows(vs):
-    """The rows y with f_y != 0, when f and g are all finite, else None. Each
-    cell (y, z) of another row then has the exact product 0 with any finite
-    kernel value, so a bilinear point may skip those rows; a NaN or inf must
-    reach the sums as before, so nothing is skipped when one is present."""
-    fv, gv = vs
-    return fv != 0 if np.isfinite(fv).all() and np.isfinite(gv).all() else None
 
 
 def _rule_block(K: KernelModel, x: np.ndarray, i, ys: np.ndarray, cols: slice) -> np.ndarray:
@@ -651,30 +625,29 @@ def _slice_sums(K: KernelModel, grid: Grid, policy: PvPolicy, rows, vs, values,
     the slice.
 
     A point reads K.rule once at its excised cells and once into one block B
-    (_rule_block) on the live rows ys, supp f, and the columns cols, the index
-    hull of supp g, or on every row and column when live is None
-    (_live_rows). The f(y) g(z) under a leaf are the whole rows y0:y1 of
+    (_rule_block) on the rows ys, supp f, and the columns cols, the index
+    hull of supp g. The f(y) g(z) under a leaf are the whole rows y0:y1 of
     np.outer(f, g) that it touches, formed by one broadcast product into a
     reused buffer, multiplied by those rows of the slice, B on them and zero
-    elsewhere, and compacted to the leaf's cells beyond the excision. With f
-    and g finite the product at a cell off B is 0 times a zero: a zero as in
-    the full slice, maybe of the other sign, which np.sum, adding from +0,
-    sums to the same bits (_pairwise_sum). The f(y) g(z) and product buffers
-    stay allocated across the points of one application; a point's block is
-    freed before the next point's is read, and its rows are made per leaf.
+    elsewhere, and compacted to the leaf's cells beyond the excision. As f
+    and g are finite (SampledFunction rejects any other sample), the product
+    at a cell off B is 0 times a zero: a zero as in the full slice, maybe of
+    the other sign, which np.sum, adding from +0, sums to the same bits
+    (_pairwise_sum). The f(y) g(z) and product buffers stay allocated across
+    the points of one application; a point's block is freed before the next
+    point's is read, and its rows are made per leaf.
 
-    With live, a subtree of the pairwise sum whose cells lie only in rows with
-    f_y == 0 holds only exact zeros, and _pairwise_sum takes it as 0j without
-    forming its products: a point costs O(|supp f| n), rounded out to whole
-    leaves, with the value of the full sum bit for bit. The rows that a
-    subtree touches are counted from a prefix count of the live rows, made
-    once per application."""
+    A subtree of the pairwise sum whose cells lie only in rows with f_y == 0
+    holds only exact zeros, and _pairwise_sum takes it as 0j without forming
+    its products: a point costs O(|supp f| n), rounded out to whole leaves,
+    with the value of the full sum bit for bit. The rows that a subtree
+    touches are counted from a prefix count of supp f, made once per
+    application."""
     fv, gv = vs
     x, n, h = grid.axis(0), grid.n, grid.h
-    live = _live_rows(vs)
-    ys, H = (np.arange(n),) * 2 if live is None else (np.flatnonzero(live), _hull(gv != 0))
+    ys, H = np.flatnonzero(fv), _hull(gv != 0)
     cols = slice(H[0], H[-1] + 1) if len(H) else slice(0, 0)
-    nz = None if live is None else np.concatenate([[0], np.cumsum(live)])
+    nz = np.concatenate([[0], np.cumsum(fv != 0)])
     FG = np.empty((0, n), dtype=complex)     # the rows of f (x) g under one leaf
     prod = np.empty(min(_SUM_LEAF, n * n), dtype=complex)
     for i, j, k, S in zip(rows, *_excision_window(x, rows, policy.c_eps)):
@@ -719,8 +692,7 @@ def _slice_sums(K: KernelModel, grid: Grid, policy: PvPolicy, rows, vs, values,
             return nz[-(-hi // n)] > nz[lo // n]
 
         fgi = fv[i] * gv[i]
-        val = _pairwise_sum(products, 0, n * n - len(cut),
-                            None if nz is None else meets_f) * h * h
+        val = _pairwise_sum(products, 0, n * n - len(cut), meets_f) * h * h
         near = cut[S > 0]
         val += (Kcut[S > 0] * (fv[near // n] * gv[near % n] - fgi)).sum() * h * h
         values[i], delta[i] = val, fgi * Kcut[S > policy.c_refined * h].sum() * h * h
@@ -919,7 +891,7 @@ def _pv(K: KernelModel, fs: tuple, policy: PvPolicy, points=None, x=None):
     at the grid indices points (zero and unflagged elsewhere), or a PvValue at
     the grid point x. Checks arity, grid and d before any index lookup.
 
-    A whole field is one plan applied once; points are built and summed
+    A whole field is one plan applied once; points are read and summed
     BLOCK rows (linear) or one hull block (bilinear) at a time (_chunked).
     """
     grid = _check_functions(K, fs)

@@ -205,6 +205,12 @@ def test_verify_bump_rejects_doubled_bump(unit_grid):
     assert not cert.passed
 
 
+def test_verify_bump_names_the_boundary_point_as_plain_floats():
+    g = make_grid(1, cube1(0.0, 2.0), 8)
+    with pytest.raises(ValueError, match=r"support touches the grid boundary at \(-0\.875,\)$"):
+        verify_bump(sample(lambda x: np.ones_like(x), g), 0)
+
+
 @pytest.mark.parametrize("R", [1.0, 2.0, 4.0])
 def test_verify_bump_derivative_sup_scales(R, unit_grid):
     # chain rule: sup |d^a phi((.-x0)/R)| = R^-|a| sup |d^a phi|

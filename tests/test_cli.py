@@ -604,6 +604,19 @@ def test_ingest_unknown():
         ingest_b("no-such-b")
 
 
+@pytest.mark.parametrize("spec", ["accretive-lipschitzz", "accretive-lipschitz(0.3)x",
+                                  "accretive-lipschitz(nan)"])
+def test_malformed_builtin_b_exits_2_before_any_field(tmp_path, spec):
+    # each once ran silently as accretive-lipschitz(0.3) or failed late
+    cfg = write_cfg(tmp_path, "s.cfg", f"kernel.name = cauchy-lipschitz\ngrid.n = 64\n"
+                                       f"b1 = {spec}\n")
+    out = tmp_path / "out"
+    r = _run_cli(["stein", "--config", str(cfg), "--out", str(out)])
+    assert r.returncode == 2
+    assert f"malformed builtin b-function {spec!r}" in r.stderr
+    assert not out.exists()
+
+
 def _run_cli(args):
     return subprocess.run([sys.executable, "-m", "tblab.cli", *args],
                           capture_output=True, text=True)

@@ -4,8 +4,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from tblab.grid import (Cube, cell_spans, cube1, dyadic_family, load_sampled_csv, lp_norm,
-                        make_grid, sample, save_sampled_csv)
+from tblab.grid import (Cube, SampledFunction, cell_spans, cube1, dyadic_family,
+                        load_sampled_csv, lp_norm, make_grid, sample, save_sampled_csv)
 
 # reference values for the standard bump profile, from Richardson-refined
 # midpoint quadrature at n up to 2^16 (converged to all printed digits)
@@ -63,6 +63,23 @@ def test_sample_nonfinite_reports_point():
     masked = sample(lambda x: np.where(x == 0.125, np.inf, 1.0), g,
                     on_nonfinite="mask")
     assert masked.values[g.index_of(0.125)[0]] == 0.0
+
+
+def test_bad_point_messages_print_plain_floats():
+    # numpy 2 scalars used to print as (np.float64(0.125),)
+    g = make_grid(1, cube1(0.0, 2.0), 8)
+    g2 = make_grid(2, Cube((0.0, 0.0), 2.0), 8)
+    with pytest.raises(ValueError, match=r"rule produced non-finite value at \(0\.125,\)$"):
+        sample(lambda x: np.where(x == 0.125, np.nan, 1.0), g)
+    with pytest.raises(ValueError,
+                       match=r"rule produced non-finite value at \(-0\.125, 0\.375\)$"):
+        sample(lambda x, y: np.where((x == -0.125) & (y == 0.375), np.inf, 1.0), g2)
+    bad = np.ones(8)
+    bad[4] = np.nan
+    with pytest.raises(ValueError, match=r"non-finite sample at grid point \(0\.125,\)$"):
+        SampledFunction(grid=g, values=bad)
+    with pytest.raises(ValueError, match=r"^\(0\.1,\) is not a grid point \(axis 0\)$"):
+        g.index_of(0.1)
 
 
 def test_lp_norm_indicators():

@@ -1,3 +1,4 @@
+import re
 import warnings
 from dataclasses import replace
 
@@ -24,6 +25,28 @@ def zero_kernel():
     return KernelModel(name="zero", arity="linear", d=1, delta=1.0,
                        size_constant=0.0, rule=lambda x, y: 0.0 * (x + y),
                        grid_mode="scaled")
+
+
+@pytest.mark.parametrize("spec,name", [
+    ("accretive-lipschitz", "accretive-lipschitz(0.3)"),
+    ("accretive-lipschitz(0.5)", "accretive-lipschitz(0.5)"),
+    (" accretive-lipschitz(-1e-3) ", "accretive-lipschitz(-0.001)")])
+def test_builtin_b_reads_one_finite_lambda(spec, name):
+    b = builtin_b(spec)
+    assert b.name == name
+    lam = float(name[len("accretive-lipschitz("):-1])
+    np.testing.assert_array_equal(b.rule(np.array([0.0, 1.0])), 1.0 + 1j * lam * np.tanh([0.0, 1.0]))
+
+
+@pytest.mark.parametrize("spec", ["accretive-lipschitzz", "accretive-lipschitz(0.3)x",
+                                  "accretive-lipschitz(nan)", "accretive-lipschitz(inf)",
+                                  "accretive-lipschitz(1e400)", "accretive-lipschitz()",
+                                  "accretive-lipschitz(0.3", "accretive-lipschitz(0.3,0.4)",
+                                  "accretive-lipschitz((0.3))"])
+def test_builtin_b_rejects_a_malformed_spec(spec):
+    # these once ran as accretive-lipschitz(0.3), or failed only at row sampling
+    with pytest.raises(ValueError, match=re.escape(f"malformed builtin b-function {spec!r}")):
+        builtin_b(spec)
 
 
 def test_exponent_fit_exact_power_laws():

@@ -497,7 +497,7 @@ def test_pairwise_sum_is_np_sum(count):
     rng = np.random.default_rng(count)
     a = rng.normal(size=count) + 1j * rng.normal(size=count)
     whole = a.sum()
-    got = quadrature._pairwise_sum(lambda s, c: a[s:s + c], 0, count)
+    got = quadrature._pairwise_sum(lambda s, c: a[s:s + c], 0, count, lambda s, c: True)
     assert np.array_equal(_bits(got), _bits(whole))
     # np.sum adds from +0, so zeros of either sign sum to +0, never to -0
     assert np.array_equal(_bits(np.full(count, complex(-0.0, -0.0)).sum()), _bits(0j))
@@ -517,7 +517,7 @@ def test_pairwise_sum_is_np_sum(count):
         assert sum(c for _, c in read) <= count - (hi - lo) + 2 * _SUM_LEAF
         assert read or (lo, hi) == (0, count)
     assert read == []
-    assert quadrature._pairwise_sum(part, 0, 0) == 0j
+    assert quadrature._pairwise_sum(part, 0, 0, lambda s, c: True) == 0j
 
 
 def _complex_rule(x, y, z):
@@ -600,31 +600,6 @@ def test_bilinear_point_skipping_zero_rows_is_bit_identical(case, n, c_eps):
         assert np.array_equal(_bits([pv.value, pv.refined]), _bits([value, value + dv]))
 
 
-@pytest.mark.parametrize("case", ["first-row", "f-zero"])
-@pytest.mark.parametrize("where", ["plan", "one-shot"])
-@pytest.mark.parametrize("c_eps", [1, 2])
-def test_bilinear_point_with_a_nan_input_skips_nothing(case, where, c_eps):
-    # SampledFunction rejects NaN, so the raw sums take it: a NaN in g reaches
-    # every cell (y, z) with g_z = NaN, also in rows where f vanishes (0 NaN is
-    # NaN), and the value and the flag stay the full slice's
-    n = 127
-    g = make_grid(1, cube1(0.0, 8.0), n)
-    f, h, pts, K = _compact_inputs(g, c_eps, case)
-    gv = h.values.copy()
-    gv[n // 3] = np.nan
-    values, delta = np.zeros(n, dtype=complex), np.zeros(n, dtype=complex)
-    if where == "plan":
-        T = plan(K, g, PvPolicy(c_eps=c_eps), pts)
-        T.sums(T, [f.values, gv], values, delta)
-    else:
-        quadrature._chunked(K, g, PvPolicy(c_eps=c_eps), np.array(pts), [f.values, gv],
-                            values, delta)
-    want = np.array([_bilinear_point_masked(K, f.values, gv, g, i, c_eps) for i in pts])
-    assert np.all(np.isnan(values[pts]))
-    assert np.array_equal(_bits(values[pts]), _bits(want[:, 0]))
-    assert not np.any(quadrature._converged(PvPolicy(c_eps=c_eps), values, delta)[pts])
-
-
 def test_point_plan_sums_read_the_leaves_that_meet_supp_f(monkeypatch):
     # a point plan holds no slice; applying it forms the far products of the
     # leaves that meet supp f only, each leaf's rows from the point's hull block
@@ -634,7 +609,7 @@ def test_point_plan_sums_read_the_leaves_that_meet_supp_f(monkeypatch):
     support = np.nonzero(f.values)[0]
     formed = []
 
-    def counting(part, start, count, live=None, _sum=quadrature._pairwise_sum):
+    def counting(part, start, count, live, _sum=quadrature._pairwise_sum):
         def forming(s, c):
             formed.append(c)
             return part(s, c)
@@ -1199,6 +1174,32 @@ def test_bilinear_point_plan_reads_no_kernel_until_applied(name):
     assert np.array_equal(got, apply_bilinear_field(K, f, h, points=[0, 63, 126]).field.values)
 
 
+@pytest.mark.parametrize("name", ["hilbert", "commutator", "rule-only"])
+def test_linear_point_plan_reads_no_kernel_until_applied(name):
+    # a linear point plan holds its rows only, as a bilinear one does: each
+    # application reads BLOCK rows of K.rule at a time, bit for bit the
+    # one-shot field's values
+    K = gallery("hilbert" if name == "rule-only" else name)
+    if name == "rule-only":
+        K = dataclasses.replace(K, name=name, lattice=None)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return K.rule(*args)
+
+    g = make_grid(1, cube1(0.0, 16.0), 200)
+    pts = [0, 1, 99, 100, 198, 199] + list(range(3, 197, 2))
+    T = plan(dataclasses.replace(K, rule=counting), g, PvPolicy(), pts)
+    assert calls == [] and T.nbytes == 0 and T.parts == {}
+    f = _smooth(g, 52)
+    got = T(f)
+    assert len(calls) == -(-len(pts) // quadrature.BLOCK)
+    want = apply_linear_field(K, f, points=pts)
+    assert np.array_equal(_bits(got.field.values), _bits(want.field.values))
+    assert np.array_equal(got.converged, want.converged)
+
+
 @pytest.mark.parametrize("name,pts", [("hilbert", None), ("cauchy-lipschitz", None),
                                       ("commutator", [3, 100]), ("bilinear-homog", None),
                                       ("bilinear-homog", [3, 100])])
@@ -1206,10 +1207,10 @@ def test_plan_is_read_only_and_checks_its_inputs(name, pts):
     K = gallery(name)
     g = make_grid(1, cube1(0.0, 16.0), 127)
     T = plan(K, g, PvPolicy(), pts)
-    # a bilinear point plan holds its rows only
+    # a point plan, linear or bilinear, holds its rows only
     arrays = list(_arrays((T.rows, T.parts)))
     assert arrays and T.nbytes <= sum(a.nbytes for a in arrays)
-    assert (T.nbytes == 0) == (K.arity == "bilinear" and pts is not None)
+    assert (T.nbytes == 0) == (pts is not None)
     assert not any(a.flags.writeable for a in arrays)
     with pytest.raises(ValueError, match="read-only"):
         arrays[0][...] = 0.0
@@ -1254,14 +1255,13 @@ def test_plan_of_no_points_applies_to_a_zero_field(name):
 
 
 @pytest.mark.parametrize("name,bytes_per_point", [
-    ("hilbert", lambda n, c: 16 * n + 48),
+    ("hilbert", lambda n, c: 0),
     ("bilinear-homog", lambda n, c: 0),
     ("bilinear-homog-complex", lambda n, c: 0)])
 def test_point_plan_size_is_as_stated(name, bytes_per_point):
-    # the sizes plan() states: 16 n + 48 bytes per linear point, and none
-    # per bilinear point, of a real or a complex rule, as a bilinear point
-    # plan holds its rows only; the heap left after building holds little
-    # more (the rows and the containers)
+    # the size plan() states: none per point, linear or bilinear, of a real
+    # or a complex rule, as a point plan holds its rows only; the heap left
+    # after building holds little more (the rows and the containers)
     K = gallery(name.removesuffix("-complex"))
     if name.endswith("-complex"):
         K = dataclasses.replace(K, rule=lambda x, y, z, _r=K.rule: (1 + 1j) * _r(x, y, z))
